@@ -1,0 +1,7 @@
+"""Import the library from src/ and the benchmark's modules by name."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
