@@ -65,42 +65,8 @@ class IterationCapExceeded(CapExceeded):
     code = "iteration-cap-exceeded"
 
 
-class PassFailed(OrbitrainError):
-    """A promotion pass could not establish its property; carries a witness."""
-
-    code = "pass-failed"
-
-    def __init__(self, passname, witness, message=""):
-        self.passname = passname
-        self.witness = witness
-        super().__init__(message or f"pass {passname} failed: {witness}")
 
 
-class NotPalindromic(OrbitrainError):
-    """A generator image is not a palindrome; carries the offending image."""
-
-    code = "not-palindromic"
-
-    def __init__(self, generator, image, message=""):
-        self.generator = generator
-        self.image = image
-        super().__init__(message or f"image of {generator} is not a palindrome")
-
-
-class HierarchyScope(OrbitrainError):
-    """The hierarchy construction does not cover this presentation."""
-
-    code = "hierarchy-scope"
-
-
-class NonAbelianNeedsPower(OrbitrainError):
-    """Triangular form needs a power of the automorphism; carries the power."""
-
-    code = "needs-power"
-
-    def __init__(self, power, message=""):
-        self.power = power
-        super().__init__(message or f"take the {power}-th power first")
 
 
 class ParseError(OrbitrainError):
@@ -220,15 +186,3 @@ class LemmaViolated(OrbitrainError):
     def __init__(self, witness, message=""):
         self.witness = witness
         super().__init__(message or f"structural conclusion failed: {witness}")
-
-
-class NotTriangular(OrbitrainError):
-    """The twist words are not supported on strictly earlier factors."""
-
-    code = "not-triangular"
-
-
-class NotKernelPreserving(OrbitrainError):
-    """Generator images leave the kernel of the total-product map."""
-
-    code = "not-kernel-preserving"

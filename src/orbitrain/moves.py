@@ -198,18 +198,6 @@ def _rebuild(f: TopRep, new_graph: Orbigraph, tr: Transport, rtr: Transport,
 # tightening and forests
 
 
-def tighten_rep(f: TopRep, walks: Dict[int, Sequence[Item]]) -> TopRep:
-    """Representative with the given slack edge walks normalized.
-
-    Each walk replaces the image of its edge; everything else is kept.
-    """
-    images = dict(f.edge_images)
-    for e, items in walks.items():
-        start = f.cell_image(f.graph.src(e))
-        images[e] = tighten(f.graph, start, items)
-    return TopRep(f.graph, images, f.cone_images, f.vertex_images, f.marking)
-
-
 def maximal_pretrivial_forest(f: TopRep) -> Subgraph:
     """Edges whose iterated images die at points.
 

@@ -1,21 +1,32 @@
 """Certified spectral data for nonnegative integer matrices.
 
-Everything here is exact: matrices are tuples of integer rows, eigenvalue
-bounds are rationals produced by Collatz-Wielandt iteration with a Sturm
-bisection fallback, and eigenvalue comparisons are decided by isolating
-intervals plus an integer polynomial gcd, never by floating point.
+Everything here is exact: matrices are tuples of integer rows, and no
+floating point decides anything.  The growth rate of an irreducible block
+is its Perron-Frobenius eigenvalue, the largest real root of the
+characteristic polynomial.
 
-The growth rate of an irreducible nonnegative integer matrix is the largest
-real root of its characteristic polynomial, which Faddeev-LeVerrier computes
-together with the adjugate coefficient matrices; the adjugate columns give
-certified intervals for the positive eigenvector.
+- ``pf_data`` brackets the rate by Collatz-Wielandt iteration on positive
+  integer vectors: min (Mv)_i / v_i and max (Mv)_i / v_i bound the rate for
+  every positive v, so the bracket is certified whatever v the iteration
+  reaches.
+- Sturm sign counts and zero tests evaluate d^deg p(n/d) by integer Horner,
+  and bisection keeps its endpoints over one power-of-two denominator.
+- The Sturm isolation of the rate starts from the certified bracket once
+  one Sturm count confirms it, and from the root bound otherwise.
+- ``pf_compare`` decides by the brackets when they are disjoint; otherwise
+  it refines both isolations, and equal rates are found exactly through
+  the gcd of the two polynomials.
+- One Faddeev-LeVerrier loop gives the characteristic polynomial and the
+  adjugate; the adjugate column gives certified intervals for the positive
+  eigenvector, computed only when ``PFData.vector`` is read.
 """
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import CapExceeded, NotIrreducible
+from .errors import CapExceeded, LemmaViolated, NotIrreducible
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -42,14 +53,8 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    n = len(A)
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n))
-        for i in range(n))
-
-
-def mat_vec(A: Matrix, v: Sequence[Fraction]) -> List[Fraction]:
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
 
 
 def submatrix(M: Matrix, idx: Sequence[int]) -> Matrix:
@@ -162,34 +167,33 @@ def is_irreducible(M: Matrix) -> bool:
 # coefficient tuples run from the leading term down; all arithmetic exact
 
 
-def charpoly(M: Matrix) -> Tuple[int, ...]:
+def _faddeev_leverrier(M: Matrix
+                       ) -> Tuple[Tuple[int, ...], Tuple[Matrix, ...]]:
+    """The characteristic polynomial of M and the coefficient matrices
+    B_0..B_{n-1} of adj(xI - M), leading first, from one loop."""
     n = len(M)
     coeffs = [1]
     B = identity_matrix(n)
+    adj = [B]
     for k in range(1, n + 1):
         A = mat_mul(M, B)
-        trace = sum(A[i][i] for i in range(n))
-        c, rem = divmod(-trace, k)
+        c, rem = divmod(-sum(A[i][i] for i in range(n)), k)
         assert rem == 0
         coeffs.append(c)
-        B = tuple(tuple(A[i][j] + (c if i == j else 0) for j in range(n))
-                  for i in range(n))
-    return tuple(coeffs)
+        if k < n:
+            B = tuple(tuple(A[i][j] + (c if i == j else 0) for j in range(n))
+                      for i in range(n))
+            adj.append(B)
+    return tuple(coeffs), tuple(adj)
+
+
+def charpoly(M: Matrix) -> Tuple[int, ...]:
+    return _faddeev_leverrier(M)[0]
 
 
 def adjugate_polys(M: Matrix) -> Tuple[Matrix, ...]:
     """Coefficient matrices B_0..B_{n-1} of adj(xI - M), leading first."""
-    n = len(M)
-    out = [identity_matrix(n)]
-    B = out[0]
-    for k in range(1, n):
-        A = mat_mul(M, B)
-        trace = sum(A[i][i] for i in range(n))
-        c = -trace // k
-        B = tuple(tuple(A[i][j] + (c if i == j else 0) for j in range(n))
-                  for i in range(n))
-        out.append(B)
-    return tuple(out)
+    return _faddeev_leverrier(M)[1]
 
 
 def poly_eval(p: Sequence, x: Fraction) -> Fraction:
@@ -197,6 +201,29 @@ def poly_eval(p: Sequence, x: Fraction) -> Fraction:
     for c in p:
         acc = acc * x + c
     return acc
+
+
+def _scaled_values(polys, n: int, d: int) -> List[int]:
+    """d^deg(p) p(n/d) for each integer polynomial p, by integer Horner;
+    polys[0] has the highest degree.  For d > 0 each value has the sign of
+    p(n/d)."""
+    dpow = [1]
+    for _ in range(len(polys[0]) - 1):
+        dpow.append(dpow[-1] * d)
+    out = []
+    for p in polys:
+        acc = p[0]
+        for i in range(1, len(p)):
+            acc = acc * n + p[i] * dpow[i]
+        out.append(acc)
+    return out
+
+
+def poly_sign(p: Sequence[int], x: Fraction) -> int:
+    """The sign of p(x) for an integer polynomial and a rational x, from
+    integer arithmetic alone."""
+    v = _scaled_values((p,), x.numerator, x.denominator)[0]
+    return (v > 0) - (v < 0)
 
 
 def poly_derive(p: Sequence) -> Tuple:
@@ -213,43 +240,45 @@ def _poly_trim(p):
     return p
 
 
-def _poly_divmod(a, b):
-    a = [Fraction(c) for c in _poly_trim(a)]
-    b = [Fraction(c) for c in _poly_trim(b)]
-    if all(c == 0 for c in b):
+def _pseudo_divmod(a, b):
+    """Integer q and r with c·a = q·b + r, deg r < deg b and c a positive
+    power of |lc(b)|: the pseudo-division, with its sign made positive so
+    that q and r are positive multiples of the rational quotient and
+    remainder."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    if not any(b):
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(c != 0 for c in a):
-        shift = len(a) - len(b)
-        factor = a[0] / b[0]
-        q[len(q) - 1 - shift] = factor
-        a = [c - factor * d for c, d in
-             zip(a, list(b) + [Fraction(0)] * shift)]
-        a = _poly_trim(a)
+    lead, m = b[0], len(b)
+    steps = len(a) - m + 1
+    q = []
+    for _ in range(steps):
+        f = a[0]
+        q = [c * lead for c in q]
+        q.append(f)
+        a = ([lead * x - f * y for x, y in zip(a[1:m], b[1:])]
+             + [lead * x for x in a[m:]])
+    q, a = q or [0], a or [0]
+    if lead < 0 and steps % 2:
+        q, a = [-c for c in q], [-c for c in a]
     return q, a
 
 
 def _primitive(p) -> Tuple[int, ...]:
     """Scale a rational coefficient list to coprime integers, sign kept."""
     p = _poly_trim(p)
-    fracs = [Fraction(c) for c in p]
-    if all(c == 0 for c in fracs):
+    denom = lcm(*(c.denominator for c in p))
+    ints = [int(c * denom) for c in p]
+    g = int_gcd(*ints)
+    if g == 0:
         return (0,)
-    denom = 1
-    for c in fracs:
-        denom = denom * c.denominator // int_gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in fracs]
-    g = 0
-    for c in ints:
-        g = int_gcd(g, abs(c))
     return tuple(c // g for c in ints)
 
 
 def poly_gcd(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
     a, b = _poly_trim(a), _poly_trim(b)
-    while any(c != 0 for c in b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
+    while any(b):
+        _, r = _pseudo_divmod(a, b)
+        a, b = b, _primitive(r)
     g = _primitive(a)
     return g if g[0] > 0 else tuple(-c for c in g)
 
@@ -258,7 +287,7 @@ def squarefree_part(p: Sequence[int]) -> Tuple[int, ...]:
     g = poly_gcd(p, poly_derive(p))
     if len(g) == 1:
         return _primitive(p)
-    q, _ = _poly_divmod(p, g)
+    q, _ = _pseudo_divmod(p, g)
     return _primitive(q)
 
 
@@ -268,27 +297,32 @@ def sturm_chain(p: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
     if len(p0) > 1:
         chain.append(_primitive(poly_derive(p0)))
         while len(chain[-1]) > 1:
-            _, r = _poly_divmod(chain[-2], chain[-1])
-            r = _poly_trim(r)
-            if all(c == 0 for c in r):
+            _, r = _pseudo_divmod(chain[-2], chain[-1])
+            if not any(r):
                 break
             chain.append(tuple(-c for c in _primitive(r)))
     return tuple(chain)
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_changes(values: Sequence[int]) -> int:
+    """Sign changes along a sequence, zeros skipped."""
+    changes, prev = 0, 0
+    for v in values:
+        if v:
+            if prev and (v > 0) != (prev > 0):
+                changes += 1
+            prev = v
+    return changes
+
+
+def _changes_at(chain, x: Fraction) -> int:
+    return _sign_changes(_scaled_values(chain, x.numerator, x.denominator))
 
 
 def count_distinct_roots(chain, a: Fraction, b: Fraction) -> int:
     """Distinct real roots in (a, b] for a chain whose endpoints avoid the
     roots of chain[0]; every caller maintains that."""
-    return _sign_changes(chain, a) - _sign_changes(chain, b)
+    return _changes_at(chain, a) - _changes_at(chain, b)
 
 
 def root_bound(p: Sequence[int]) -> Fraction:
@@ -304,7 +338,9 @@ def _deflate(p: Sequence[int], r: Fraction) -> Tuple[int, ...]:
     for c in p:
         acc = acc * r + c
         out.append(acc)
-    assert out[-1] == 0
+    if out[-1] != 0:
+        raise LemmaViolated((tuple(p), r),
+                            f"{r} is not a root of {tuple(p)}")
     return _primitive(out[:-1])
 
 
@@ -334,40 +370,70 @@ class Isolation:
         return (self.lo, self.hi)
 
     def refine(self, tol: Fraction) -> "Isolation":
+        """Bisect until the width is at most tol.  The endpoints are kept
+        as integers a/D, b/D over one denominator, so every step is
+        integer arithmetic; a step doubles D."""
         if self.exact is not None:
             return self
-        lo, hi, chain = self.lo, self.hi, self.chain
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            if poly_eval(chain[0], mid) == 0:
+        chain, lo, hi = self.chain, self.lo, self.hi
+        D = lo.denominator * hi.denominator // int_gcd(lo.denominator,
+                                                       hi.denominator)
+        a = lo.numerator * (D // lo.denominator)
+        b = hi.numerator * (D // hi.denominator)
+        at_hi = _sign_changes(_scaled_values(chain, b, D))
+        while (b - a) * tol.denominator > tol.numerator * D:
+            m = a + b
+            a, b, D = 2 * a, 2 * b, 2 * D
+            values = _scaled_values(chain, m, D)
+            if values[0] == 0:
+                mid, top = Fraction(m, D), Fraction(b, D)
                 quotient = _deflate(chain[0], mid)
                 qchain = sturm_chain(quotient)
                 if (len(quotient) == 1
-                        or count_distinct_roots(qchain, mid, hi) == 0):
+                        or count_distinct_roots(qchain, mid, top) == 0):
                     return Isolation(chain, mid, mid, exact=mid)
                 chain = qchain
-                lo = mid
+                a = m
+                at_hi = _changes_at(chain, top)
                 continue
-            if count_distinct_roots(chain, mid, hi) >= 1:
-                lo = mid
+            at_mid = _sign_changes(values)
+            if at_mid > at_hi:
+                a = m
             else:
-                hi = mid
-        return Isolation(chain, lo, hi, None)
+                b, at_hi = m, at_mid
+        return Isolation(chain, Fraction(a, D), Fraction(b, D))
+
+
+def _isolate(chain, tol: Fraction, bracket=None) -> Optional[Isolation]:
+    """Bracket the largest real root of chain[0] within tol.
+
+    ``bracket``, if given, is a certified closed interval around that
+    root.  It is taken as the starting interval once one Sturm count finds
+    exactly one root in it with both endpoints off the roots; otherwise
+    bisection starts from the root bound (-B, B].
+    """
+    p = chain[0]
+    if bracket is not None:
+        lo, hi = bracket
+        if lo == hi:
+            return Isolation(chain, lo, hi, exact=lo)
+        if (poly_sign(p, lo) and poly_sign(p, hi)
+                and count_distinct_roots(chain, lo, hi) == 1):
+            return Isolation(chain, lo, hi).refine(tol)
+    B = root_bound(p)
+    if count_distinct_roots(chain, -B, B) == 0:
+        return None
+    out = Isolation(chain, -B, B).refine(tol)
+    if out.exact is None:
+        while count_distinct_roots(out.chain, out.lo, out.hi) > 1:
+            out = out.refine(out.width / 4)
+    return out
 
 
 def isolate_largest_root(p: Sequence[int],
                          tol: Fraction) -> Optional[Isolation]:
     """Bracket the largest real root within tol, or None if no real root."""
-    chain = sturm_chain(p)
-    B = root_bound(chain[0])
-    if count_distinct_roots(chain, -B, B) == 0:
-        return None
-    seed = Isolation(chain, -B, B, None)
-    out = seed.refine(tol)
-    if out.exact is None:
-        while count_distinct_roots(out.chain, out.lo, out.hi) > 1:
-            out = out.refine(out.width / 4)
-    return out
+    return _isolate(sturm_chain(p), tol)
 
 
 def largest_real_root_interval(p: Sequence[int], tol: Fraction
@@ -380,18 +446,26 @@ def largest_real_root_interval(p: Sequence[int], tol: Fraction
 
 
 class PFData:
-    """Certified bounds for the growth rate of an irreducible block."""
+    """Certified bounds for the growth rate of an irreducible block.
 
-    __slots__ = ("matrix", "lower", "upper", "is_one", "vector", "_iso")
+    ``[lower, upper]`` contains the growth rate; ``is_one`` marks a
+    transitive permutation, whose rate is exactly 1.  The characteristic
+    polynomial, the adjugate, the Sturm isolation and the eigenvector are
+    derived on first use and kept on the instance.
+    """
+
+    __slots__ = ("matrix", "lower", "upper", "is_one", "_iso", "_vector",
+                 "_polys")
 
     def __init__(self, matrix: Matrix, lower: Fraction, upper: Fraction,
-                 is_one: bool, vector, _iso: Optional[Isolation] = None):
+                 is_one: bool = False, _iso: Optional[Isolation] = None):
         self.matrix = matrix
         self.lower = Fraction(lower)
         self.upper = Fraction(upper)
         self.is_one = bool(is_one)
-        self.vector = tuple((Fraction(a), Fraction(b)) for a, b in vector)
         self._iso = _iso
+        self._vector = None
+        self._polys = None
 
     @property
     def width(self) -> Fraction:
@@ -401,17 +475,32 @@ class PFData:
     def exact(self) -> Optional[Fraction]:
         return self.lower if self.lower == self.upper else None
 
+    def _charpoly_adjugate(self):
+        if self._polys is None:
+            self._polys = _faddeev_leverrier(self.matrix)
+        return self._polys
+
     def poly(self) -> Tuple[int, ...]:
-        return charpoly(self.matrix)
+        return self._charpoly_adjugate()[0]
+
+    @property
+    def vector(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
+        """Certified intervals for the positive right eigenvector, scaled
+        so that entry 0 is 1."""
+        if self._vector is None:
+            if self.is_one:
+                one = (Fraction(1), Fraction(1))
+                self._vector = (one,) * len(self.matrix)
+            else:
+                self._vector = _eigenvector_intervals(self)
+        return self._vector
 
     def isolation(self, tol: Fraction = DEFAULT_TOL) -> Isolation:
+        """The Sturm isolation of the growth rate, seeded from the
+        certified bracket."""
         if self._iso is None:
-            if self.is_one:
-                one = Fraction(1)
-                self._iso = Isolation(sturm_chain(self.poly()), one, one,
-                                      exact=one)
-            else:
-                self._iso = isolate_largest_root(self.poly(), tol)
+            self._iso = _isolate(sturm_chain(self.poly()), tol,
+                                 (self.lower, self.upper))
         return self._iso
 
     def refined(self, tol: Fraction) -> "PFData":
@@ -419,8 +508,10 @@ class PFData:
             return self
         iso = self.isolation(tol).refine(tol)
         lo, hi = iso.bounds()
-        return PFData(self.matrix, max(lo, self.lower), min(hi, self.upper),
-                      self.is_one, self.vector, _iso=iso)
+        out = PFData(self.matrix, max(lo, self.lower), min(hi, self.upper),
+                     self.is_one, _iso=iso)
+        out._vector, out._polys = self._vector, self._polys
+        return out
 
     def __repr__(self):
         if self.is_one:
@@ -428,48 +519,52 @@ class PFData:
         return f"PFData({float(self.lower):.10f}..{float(self.upper):.10f})"
 
 
-def _compress(v: List[Fraction]) -> List[Fraction]:
-    top = max(v)
-    out = []
-    for x in v:
-        y = (x / top).limit_denominator(10**12)
-        if y <= 0:
-            return v
-        out.append(y)
-    return out
+def _collatz_wielandt(M: Matrix, tol: Fraction) -> Tuple[Fraction, Fraction]:
+    """A certified bracket of the growth rate of an irreducible M.
+
+    For every positive vector v, min_i (Mv)_i / v_i <= rate <=
+    max_i (Mv)_i / v_i.  Iterating v <- (M + I) v, which is primitive even
+    when M is periodic, drives both ratios to the rate.  v stays a
+    positive integer vector, shifted right to 64 bits more than 1/tol
+    needs; that changes which v is used, never the certificate.
+    """
+    n = len(M)
+    bits = 64 + (tol.denominator // max(tol.numerator, 1)).bit_length()
+    v = [1] * n
+    lo_n, lo_d = 0, 1
+    hi_n = hi_d = None
+    for _ in range(120):
+        w = [sum(map(mul, row, v)) for row in M]
+        imin = imax = 0
+        for i in range(1, n):
+            if w[i] * v[imin] < w[imin] * v[i]:
+                imin = i
+            if w[i] * v[imax] > w[imax] * v[i]:
+                imax = i
+        if w[imin] * lo_d > lo_n * v[imin]:
+            lo_n, lo_d = w[imin], v[imin]
+        if hi_n is None or w[imax] * hi_d < hi_n * v[imax]:
+            hi_n, hi_d = w[imax], v[imax]
+        if ((hi_n * lo_d - lo_n * hi_d) * tol.denominator
+                <= tol.numerator * hi_d * lo_d):
+            break
+        u = [a + b for a, b in zip(w, v)]
+        shift = max(u).bit_length() - bits
+        v = [(x >> shift) or 1 for x in u] if shift > 0 else u
+    return Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
 
 
 def pf_data(M, tol: Fraction = DEFAULT_TOL) -> PFData:
+    """Certified growth-rate bracket of an irreducible block, of width at
+    most tol: the Collatz-Wielandt bracket, narrowed by the seeded Sturm
+    isolation when the iteration stops short of tol."""
     M = as_matrix(M)
     if not is_irreducible(M):
         raise NotIrreducible("the transition block is not irreducible")
-    n = len(M)
     if is_transitive_permutation(M):
-        ones = ((Fraction(1), Fraction(1)),) * n
-        return PFData(M, Fraction(1), Fraction(1), True, ones)
-
-    v = [Fraction(1)] * n
-    best_lo, best_hi = Fraction(0), None
-    for _ in range(120):
-        w = mat_vec(M, v)
-        ratios = [(wi + vi) / vi for wi, vi in zip(w, v)]
-        lo = min(ratios) - 1
-        hi = max(ratios) - 1
-        best_lo = max(best_lo, lo)
-        best_hi = hi if best_hi is None else min(best_hi, hi)
-        if best_hi - best_lo <= tol:
-            break
-        v = _compress([wi + vi for wi, vi in zip(w, v)])
-
-    iso = None
-    if best_hi is None or best_hi - best_lo > tol:
-        iso = isolate_largest_root(charpoly(M), tol)
-        lo, hi = iso.bounds()
-        best_lo = max(best_lo, lo)
-        best_hi = hi if best_hi is None else min(best_hi, hi)
-
-    vector, iso = _eigenvector_intervals(M, best_lo, best_hi, iso)
-    return PFData(M, best_lo, best_hi, False, vector, _iso=iso)
+        return PFData(M, Fraction(1), Fraction(1), True)
+    lower, upper = _collatz_wielandt(M, tol)
+    return PFData(M, lower, upper).refined(tol)
 
 
 def _interval_mul(a, b):
@@ -485,20 +580,21 @@ def _interval_horner(coeffs, iv):
     return acc
 
 
-def _eigenvector_intervals(M, lo, hi, iso=None):
+def _eigenvector_intervals(data: PFData):
     """Intervals for the positive right eigenvector via the first adjugate
     column, narrowing the eigenvalue bracket until every entry is surely
-    positive.  Returns the intervals and the isolation used, if any."""
+    positive."""
+    M = data.matrix
     n = len(M)
     if n == 1:
-        return ((Fraction(1), Fraction(1)),), iso
-    adj = adjugate_polys(M)
+        return ((Fraction(1), Fraction(1)),)
+    adj = data._charpoly_adjugate()[1]
+    columns = [[adj[k][i][0] for k in range(n)] for i in range(n)]
+    lo, hi = data.lower, data.upper
     for _ in range(200):
-        iv = (lo, hi)
         cols = []
-        for i in range(n):
-            coeffs = [adj[k][i][0] for k in range(n)]
-            entry = _interval_horner(coeffs, iv)
+        for coeffs in columns:
+            entry = _interval_horner(coeffs, (lo, hi))
             if entry[0] <= 0:
                 cols = None
                 break
@@ -507,17 +603,18 @@ def _eigenvector_intervals(M, lo, hi, iso=None):
             denom = cols[0]
             one = (Fraction(1), Fraction(1))
             return (one,) + tuple((c[0] / denom[1], c[1] / denom[0])
-                                  for c in cols[1:]), iso
-        if iso is None:
-            iso = isolate_largest_root(charpoly(M), hi - lo)
-        iso = iso.refine(max((hi - lo) / 4, Fraction(0)))
+                                  for c in cols[1:])
+        iso = data.isolation().refine(max((hi - lo) / 4, Fraction(0)))
+        data._iso = iso
         nlo, nhi = iso.bounds()
         lo, hi = max(lo, nlo), min(hi, nhi)
         if lo == hi:
-            point = [poly_eval([adj[k][i][0] for k in range(n)], lo)
-                     for i in range(n)]
-            assert all(x > 0 for x in point)
-            return tuple((x / point[0], x / point[0]) for x in point), iso
+            point = [poly_eval(coeffs, lo) for coeffs in columns]
+            if not all(x > 0 for x in point):
+                raise LemmaViolated(
+                    (M, lo), "the adjugate column at the growth rate is not "
+                    "positive")
+            return tuple((x / point[0], x / point[0]) for x in point)
     raise CapExceeded("eigenvector interval refinement did not converge")
 
 
@@ -525,7 +622,17 @@ def _eigenvector_intervals(M, lo, hi, iso=None):
 
 
 def pf_compare(x: PFData, y: PFData) -> int:
-    """-1, 0, or 1 by the true growth rates, decided exactly."""
+    """-1, 0, or 1 by the true growth rates, decided exactly.
+
+    Disjoint certified brackets decide at once.  Otherwise the two seeded
+    isolations are refined until they separate, until one is an exact
+    rational root of the other's polynomial, or until a common factor of
+    the two polynomials has a root where they overlap.
+    """
+    if x.upper < y.lower:
+        return -1
+    if y.upper < x.lower:
+        return 1
     if x.is_one and y.is_one:
         return 0
     a = x.isolation()
@@ -542,20 +649,20 @@ def pf_compare(x: PFData, y: PFData) -> int:
             va, vb = a.exact, b.exact
             return -1 if va < vb else (1 if va > vb else 0)
         if a.exact is not None:
-            if poly_eval(b.chain[0], a.exact) == 0 and blo < a.exact <= bhi:
+            if poly_sign(b.chain[0], a.exact) == 0 and blo < a.exact <= bhi:
                 return 0
             b = b.refine(b.width / 16)
             continue
         if b.exact is not None:
-            if poly_eval(a.chain[0], b.exact) == 0 and alo < b.exact <= ahi:
+            if poly_sign(a.chain[0], b.exact) == 0 and alo < b.exact <= ahi:
                 return 0
             a = a.refine(a.width / 16)
             continue
         if shared is None:
-            shared = poly_gcd(a.chain[0], b.chain[0])
-        if len(shared) > 1:
+            shared = sturm_chain(poly_gcd(a.chain[0], b.chain[0]))
+        if len(shared[0]) > 1:
             lo, hi = max(alo, blo), min(ahi, bhi)
-            if count_distinct_roots(sturm_chain(shared), lo, hi) >= 1:
+            if count_distinct_roots(shared, lo, hi) >= 1:
                 return 0
         a = a.refine(a.width / 16)
         b = b.refine(b.width / 16)

@@ -1,9 +1,13 @@
 """Exact spectral layer: Sturm isolation, certified bounds, comparisons.
 
-The oracle here is numpy's eigenvalue solver: for an irreducible
-nonnegative matrix the spectral radius is the growth rate, so every
-certified interval must bracket it up to float slop.  Frozen algebraic
-facts are checked exactly through polynomial identities instead.
+Two oracles check the certified intervals.  numpy's eigenvalue solver gives
+the spectral radius, which for an irreducible nonnegative matrix is the
+growth rate, so every interval must bracket it up to float slop.  Where
+sympy is installed it is the exact oracle: sympy's own characteristic
+polynomial and Sturm root counts must put the largest real root inside
+every bracket, and its exact algebraic numbers decide the order of two
+growth rates, equal ones included.  Frozen algebraic facts are checked
+exactly through polynomial identities.
 """
 
 import random
@@ -14,9 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitrain.errors import NotIrreducible
+from orbitrain.errors import LemmaViolated, NotIrreducible
 from orbitrain.pf import (
     DEFAULT_TOL,
+    Isolation,
+    PFData,
+    _deflate,
     adjugate_polys,
     as_matrix,
     charpoly,
@@ -29,11 +36,12 @@ from orbitrain.pf import (
     isolate_largest_root,
     largest_real_root_interval,
     mat_mul,
-    mat_vec,
     pf_compare,
     pf_data,
     pf_key_compare,
+    poly_eval,
     poly_gcd,
+    poly_sign,
     scc_components,
     squarefree_part,
     sturm_chain,
@@ -70,6 +78,44 @@ def irreducible_matrices(max_n=4, max_entry=3):
 
 
 GROWTH = as_matrix([[3, 2], [2, 1]])
+# characteristic polynomial x^3 - 2x^2 - 1
+COMPANION = as_matrix([[2, 0, 1], [1, 0, 0], [0, 1, 0]])
+
+
+def permuted(M, rng):
+    """P M P^-1 for a random permutation P: the same growth rate and
+    characteristic polynomial."""
+    n = len(M)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return as_matrix([[M[perm[i]][perm[j]] for j in range(n)]
+                      for i in range(n)])
+
+
+def double_cover(M, rng):
+    """[[A, B], [B, A]] for a random split M = A + B, or None if that is
+    reducible.  Its spectrum is that of M together with that of A - B, and
+    every real eigenvalue of A - B is at most the rate of M, so the growth
+    rate is the same while the characteristic polynomial is not."""
+    n = len(M)
+    A = [[rng.randrange(x + 1) for x in row] for row in M]
+    B = [[x - a for x, a in zip(row, arow)] for row, arow in zip(M, A)]
+    C = as_matrix([A[i] + B[i] for i in range(n)]
+                  + [B[i] + A[i] for i in range(n)])
+    return C if is_irreducible(C) else None
+
+
+def overlap(x, y):
+    return max(x.lower, y.lower) <= min(x.upper, y.upper)
+
+
+def exact_charpoly(sympy, M):
+    x = sympy.Symbol("x")
+    return sympy.Poly(sympy.Matrix(M).charpoly(x).as_expr(), x)
+
+
+def rational(sympy, q):
+    return sympy.Rational(q.numerator, q.denominator)
 
 
 class TestMatrixBasics:
@@ -79,9 +125,8 @@ class TestMatrixBasics:
         with pytest.raises(ValueError):
             as_matrix([[1, -1], [0, 2]])
 
-    def test_mul_and_vec(self):
+    def test_mul(self):
         assert mat_mul(GROWTH, GROWTH) == ((13, 8), (8, 5))
-        assert mat_vec(GROWTH, [Fraction(1), Fraction(2)]) == [7, 4]
         assert mat_mul(GROWTH, identity_matrix(2)) == GROWTH
 
     def test_submatrix_and_predicates(self):
@@ -178,6 +223,11 @@ class TestPolynomials:
         assert count_distinct_roots(chain, Fraction(0), Fraction(3)) == 1
         assert count_distinct_roots(chain, Fraction(-3), Fraction(3)) == 2
         assert count_distinct_roots(chain, Fraction(3), Fraction(4)) == 0
+        # (x + 1)(x + 2)(x^2 + x + 1): the chain skips a degree, so its
+        # pseudo-remainder is taken by a divisor with negative leading term
+        chain = sturm_chain((1, 4, 6, 5, 2))
+        assert [len(p) for p in chain] == [5, 4, 2, 1]
+        assert count_distinct_roots(chain, Fraction(-11, 2), Fraction(0)) == 2
 
     def test_isolation_brackets_quadratic_root(self):
         iso = isolate_largest_root((1, -4, -1), DEFAULT_TOL)
@@ -196,6 +246,11 @@ class TestPolynomials:
         assert iso.exact == 2
         iso = isolate_largest_root((1, -3, 1, -3), DEFAULT_TOL)
         assert iso.exact == 3
+
+    def test_deflate_rejects_a_non_root(self):
+        assert _deflate((1, -3, 2), Fraction(2)) == (1, -1)
+        with pytest.raises(LemmaViolated):
+            _deflate((1, 0, -2), Fraction(1))
 
     def test_no_real_root(self):
         assert isolate_largest_root((1, 0, 1), DEFAULT_TOL) is None
@@ -224,6 +279,15 @@ class TestPFData:
     def test_integer_rate_is_exact(self):
         assert pf_data([[4]]).exact == 4
         assert pf_data([[1, 1], [1, 1]]).exact == 2
+
+    def test_wide_entries_keep_the_bracket(self):
+        # the eigenvector entries differ by a factor near 2^100, far more
+        # than the bits the integer iteration keeps
+        big = 2 ** 100
+        data = pf_data([[big, 1], [1, 0]])
+        p = (1, -big, -1)
+        assert poly_sign(p, data.lower) <= 0 <= poly_sign(p, data.upper)
+        assert data.width <= DEFAULT_TOL
 
     def test_reducible_inputs_rejected(self):
         with pytest.raises(NotIrreducible):
@@ -265,6 +329,32 @@ class TestPFData:
                 lw_lo = data.lower * lows[i]
                 lw_hi = data.upper * highs[i]
                 assert mw_lo <= lw_hi and lw_lo <= mw_hi
+
+
+    def test_eigenvector_certificate_is_checked(self):
+        # the identity is reducible: at its rate 1 the adjugate column is 0
+        one = Isolation(sturm_chain((1, -1)), Fraction(1), Fraction(1),
+                        exact=Fraction(1))
+        data = PFData(identity_matrix(2), Fraction(1, 2), Fraction(3, 2),
+                      _iso=one)
+        with pytest.raises(LemmaViolated):
+            data.vector
+
+    def test_brackets_contain_exact_largest_root(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(6271)
+        build = irreducible_matrices()
+        for _ in range(40):
+            M = build(rng.randrange(1, 7), rng)
+            P = exact_charpoly(sympy, M)
+            data = pf_data(M)
+            iso_lo, iso_hi = data.isolation().bounds()
+            for lo, hi in ((data.lower, data.upper), (iso_lo, iso_hi)):
+                lo, hi = rational(sympy, lo), rational(sympy, hi)
+                # a root in [lo, hi] and none above hi
+                assert P.count_roots(lo, hi) >= 1
+                assert P.count_roots(hi, None) == (1 if P.eval(hi) == 0
+                                                   else 0)
 
 
 class TestCompare:
@@ -309,6 +399,65 @@ class TestCompare:
                     assert got in (-1, 0, 1)
                     assert pf_compare(b, a) == -got
 
+    def test_compare_agrees_with_exact_oracle(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(2718)
+        build = irreducible_matrices()
+        mats = [GROWTH, as_matrix([[1, 2], [2, 3]]),
+                as_matrix([[4, 1], [1, 1]]), COMPANION,
+                as_matrix([[1, 1], [1, 0]]),
+                # (x + 1)(x^2 - x - 1): the golden ratio again
+                as_matrix([[0, 2, 1], [1, 0, 0], [0, 1, 0]]),
+                as_matrix([[2]]), as_matrix([[1, 1], [1, 1]]),
+                as_matrix([[0, 4], [1, 0]]), as_matrix([[0, 1], [1, 0]])]
+        for _ in range(10):
+            M = build(rng.randrange(1, 5), rng)
+            mats += [M, permuted(M, rng)]
+            cover = double_cover(M, rng)
+            if cover is not None:
+                mats.append(cover)
+        rates = [exact_charpoly(sympy, M).real_roots()[-1] for M in mats]
+        approx = [sympy.N(r, 60) for r in rates]
+        datas = [pf_data(M) for M in mats]
+        for i in range(len(mats)):
+            for j in range(i, len(mats)):
+                # equal algebraic numbers come out of sympy as the same
+                # expression; distinct ones of this size lie far apart
+                if rates[i] == rates[j]:
+                    want = 0
+                else:
+                    gap = abs(approx[i] - approx[j])
+                    assert gap > sympy.Rational(1, 10**40)
+                    want = 1 if approx[i] > approx[j] else -1
+                assert pf_compare(datas[i], datas[j]) == want
+                assert pf_compare(datas[j], datas[i]) == -want
+
+    def test_overlapping_brackets_still_decide(self):
+        # coarse brackets overlap, so the order comes from the isolations
+        coarse = Fraction(1, 2)
+        a = pf_data(GROWTH, coarse)
+        above = pf_data([[4, 1], [1, 1]], coarse)  # (5 + sqrt 13)/2
+        same = pf_data([[1, 2], [2, 3]], coarse)
+        assert overlap(a, above) and overlap(a, same)
+        assert pf_compare(a, above) == -1 and pf_compare(above, a) == 1
+        assert pf_compare(a, same) == 0 and pf_compare(same, a) == 0
+        b, c = pf_data(GROWTH, Fraction(2)), pf_data(COMPANION, Fraction(2))
+        assert overlap(b, c)
+        assert pf_compare(b, c) == 1 and pf_compare(c, b) == -1
+
+    def test_isolation_falls_back_when_the_seed_fails(self):
+        # (-1, 10] holds both roots of x^2 - 4x - 1
+        two_roots = PFData(GROWTH, Fraction(-1), Fraction(10))
+        lo, hi = two_roots.isolation().bounds()
+        assert lo > 0 and (lo - 2) ** 2 < 5 < (hi - 2) ** 2
+        assert pf_compare(two_roots, pf_data([[4, 1], [1, 1]])) == -1
+        assert pf_compare(two_roots, pf_data([[1, 2], [2, 3]])) == 0
+        # [2, 3] starts at the rate 2 of x^2 - x - 2 = (x - 2)(x + 1)
+        at_root = PFData(as_matrix([[1, 2], [1, 0]]), Fraction(2), Fraction(3))
+        assert pf_compare(at_root, pf_data([[2]])) == 0
+        assert pf_compare(pf_data([[1, 1], [1, 1]]), at_root) == 0
+        assert pf_compare(at_root, pf_data([[2, 1], [1, 1]])) == -1
+
     def test_key_compare(self):
         a = pf_data(GROWTH)
         b = pf_data([[2]])
@@ -330,3 +479,32 @@ def test_random_blocks_bracket_oracle(n, seed):
     if data.is_one:
         assert is_transitive_permutation(M)
         assert abs(rho - 1) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=10),
+       st.integers(-10**4, 10**4), st.integers(1, 10**4), st.booleans())
+def test_integer_sign_matches_fraction_eval(p, num, den, at_root):
+    x = Fraction(num, den)
+    if at_root:
+        # times (den X - num), so that x is a root
+        p = [a * den - b * num for a, b in zip(p + [0], [0] + p)]
+    v = poly_eval(p, x)
+    assert poly_sign(p, x) == (v > 0) - (v < 0)
+    if at_root:
+        assert v == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.integers(-6, 6), min_size=1, max_size=5),
+       st.integers(-1, 1), st.integers(1, 4), st.sampled_from((-1, 1)),
+       st.integers(-7, 7), st.integers(1, 6))
+def test_sturm_counts_known_roots(roots, b, c, sign, a, span):
+    # sign (x^2 + b x + c) prod (x - r)^(1 or 2): only the r are real
+    p = (sign, sign * b, sign * c)
+    for i, r in enumerate(sorted(roots)):
+        for _ in range(1 + i % 2):
+            p = tuple(x - r * y for x, y in zip(p + (0,), (0,) + p))
+    lo, hi = Fraction(2 * a + 1, 2), Fraction(2 * (a + span) + 1, 2)
+    want = sum(1 for r in roots if lo < r <= hi)
+    assert count_distinct_roots(sturm_chain(p), lo, hi) == want
