@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .errors import (
     BadGroupTable,
     FactorMismatch,
+    LemmaViolated,
     NotAutomorphism,
     NotInvertible,
 )
@@ -300,6 +301,32 @@ def iso_inner_witness(group, mapping):
     return None
 
 
+def least_rotation(keys: Sequence) -> int:
+    """Start of the lexicographically least rotation of ``keys``.
+
+    The two-pointer minimum-expression search (in the line of Booth, Inf.
+    Process. Lett. 10 (1980), and Shiloach, J. Algorithms 2 (1981)):
+    candidates ``i < j`` race along the doubled sequence, and a mismatch
+    after ``k`` equal keys rules out the ``k + 1`` starts behind the loser.
+    O(n) comparisons; on a periodic sequence the first least start wins.
+    """
+    n = len(keys)
+    s = tuple(keys) * 2
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i = max(i + k + 1, j)
+            j = i + 1
+        else:
+            j += k + 1
+        k = 0
+    return i
+
+
 # ---------------------------------------------------------------------------
 # the free product
 # ---------------------------------------------------------------------------
@@ -460,9 +487,10 @@ class FreeProduct:
         """Canonical conjugacy representative.
 
         Length >= 2: the rotation of the cyclically reduced core that is
-        minimal in the lexicographic order on (factor, element).  Length <= 1:
-        the minimal element index in the letter's factor conjugacy orbit
-        (single syllables are conjugate in W iff conjugate in their factor).
+        minimal in the lexicographic order on (factor, element), found by
+        :func:`least_rotation` in time linear in the core.  Length <= 1: the
+        minimal element index in the letter's factor conjugacy orbit (single
+        syllables are conjugate in W iff conjugate in their factor).
         """
         core, _ = self.cyclic_form(word)
         if len(core) <= 1:
@@ -470,7 +498,8 @@ class FreeProduct:
                 return ()
             i, e = core[0]
             return ((i, self.factors[i].conjugacy_min(e)),)
-        return min(core[r:] + core[:r] for r in range(len(core)))
+        r = least_rotation(core)
+        return core[r:] + core[:r]
 
     def conjugator(self, w1: Word, w2: Word) -> Optional[Word]:
         """A word u with u^-1 . w1 . u = w2, or None if not conjugate."""
@@ -498,15 +527,15 @@ class FreeProduct:
                     return None
             u = self.mul(self.inv(q1), mid, q2)
         else:
-            for r in range(len(c1)):
-                if c1[r:] + c1[:r] == tuple(c2):
-                    prefix = c1[:r]
-                    # w1 = q1^-1 c1 q1, c1 = prefix . c2 . prefix^-1
-                    u = self.mul(self.inv(q1), prefix, q2)
-                    break
-            else:
+            # both cores rotate to one least rotation, so c2 is c1 turned by r
+            r1, r2 = least_rotation(c1), least_rotation(c2)
+            r = (r1 - r2) % len(c1)
+            if c1[r:] + c1[:r] != c2:
                 return None
-        assert self.conj(w1, u) == w2
+            # w1 = q1^-1 c1 q1, c1 = c1[:r] . c2 . c1[:r]^-1
+            u = self.mul(self.inv(q1), c1[:r], q2)
+        if self.conj(w1, u) != w2:
+            raise LemmaViolated((w1, w2, u), "conjugator does not conjugate")
         return u
 
     # -- formatting and parsing ----------------------------------------------
@@ -579,32 +608,6 @@ class FreeProduct:
             out.append(self.random_letter(rng, [i]))
             prev = i
         return self.nf(out)
-
-
-# ---------------------------------------------------------------------------
-# spec-level convenience wrappers
-# ---------------------------------------------------------------------------
-
-
-def group_multiply(W: FreeProduct, g: Letter, h: Letter) -> Letter:
-    """Product of two letters in a common factor."""
-    W.check_letter(g)
-    W.check_letter(h)
-    return W.letter_mul(g, h)
-
-
-def normal_form(W: FreeProduct, raw: Iterable[Letter]) -> Word:
-    for letter in raw:
-        W.check_letter(letter)
-    return W.nf(raw)
-
-
-def invert(W: FreeProduct, word: Word) -> Word:
-    return W.inv(word)
-
-
-def conjugacy_normal_form(W: FreeProduct, word: Word) -> Word:
-    return W.conjugacy_normal_form(word)
 
 
 # ---------------------------------------------------------------------------
@@ -857,19 +860,20 @@ class Automorphism:
     # -- outer fingerprint ---------------------------------------------------
 
     def _normalized_candidates(self):
-        """Representatives of the outer class with factor 0 mapped to itself
-        by a bare isomorphism; one candidate per element of the first factor
-        times each choice is resolved by minimal serialization."""
+        """Representatives of the outer class that map factor 0 onto factor
+        pi(0) by a bare isomorphism; one candidate per element of factor
+        pi(0), the twists that keep that property, and each choice is
+        resolved by minimal serialization."""
         data = self.kurosh()
         u0 = data.conjugators[0]
         base = Automorphism.inner(self.W, self.W.inv(u0)).compose(self)
-        first = self.W.factors[0]
+        target = data.pi[0]
         out = []
-        for s in first.elements():
-            twist = Automorphism.inner(self.W, ((0, s),)) if s else None
+        for s in self.W.factors[target].elements():
+            twist = Automorphism.inner(self.W, ((target, s),)) if s else None
             cand = twist.compose(base) if twist else base
             # cand(x) = v^-1 . self(x) . v for v = u0^-1 . s
-            v = self.W.mul(self.W.inv(u0), ((0, s),) if s else ())
+            v = self.W.mul(self.W.inv(u0), ((target, s),) if s else ())
             out.append((_serialize_images(cand), cand, v))
         out.sort(key=lambda t: t[0])
         return out

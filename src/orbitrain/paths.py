@@ -14,10 +14,12 @@ vertex deletes.  The hat display ``T^`` abbreviates ``T g T~`` with the
 letter across the cone at the head of ``T``.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .errors import BadPath, EndpointMismatch, NotAWalk
+from .groups import least_rotation
 from .orbigraph import Orbigraph
 
 Item = Union[int, Tuple[int, int]]
@@ -83,7 +85,26 @@ def tighten(graph: Orbigraph, start: int, items: Iterable[Item]) -> "Path":
                 _tight=True)
 
 
-class Path:
+class _Walk:
+    """Edge counts read off ``items``, shared by paths and circuits."""
+
+    __slots__ = ()
+
+    @property
+    def n_edges(self) -> int:
+        return sum(1 for item in self.items if is_edge_item(item))
+
+    def crossings(self):
+        """Unsigned edge-crossing counts, the raw material of transitions."""
+        counts = {}
+        for item in self.items:
+            if is_edge_item(item):
+                e = abs(item)
+                counts[e] = counts.get(e, 0) + 1
+        return counts
+
+
+class Path(_Walk):
     """A tight anchored walk.  Construct via :func:`tighten` or operators."""
 
     __slots__ = ("graph", "start", "items", "end")
@@ -116,21 +137,8 @@ class Path:
     def __len__(self):
         return len(self.items)
 
-    @property
-    def n_edges(self) -> int:
-        return sum(1 for item in self.items if is_edge_item(item))
-
     def edge_items(self) -> Tuple[int, ...]:
         return tuple(item for item in self.items if is_edge_item(item))
-
-    def crossings(self):
-        """Unsigned edge-crossing counts, the raw material of transitions."""
-        counts = {}
-        for item in self.items:
-            if is_edge_item(item):
-                e = abs(item)
-                counts[e] = counts.get(e, 0) + 1
-        return counts
 
     def first_edge(self) -> Optional[int]:
         for item in self.items:
@@ -218,12 +226,14 @@ def _item_key(item):
     return (0, item, 0) if is_edge_item(item) else (1,) + tuple(item)
 
 
-class Circuit:
+class Circuit(_Walk):
     """A cyclically tight loop, stored in its canonical rotation.
 
     Items follow the same conventions as paths; the junction letter at the
-    wrap, when the wrap sits at a cone point, is the final item.  The empty
-    circuit is the homotopically trivial loop.
+    wrap, when the wrap sits at a cone point, is the final item.  The
+    canonical rotation is the lexicographically least one under
+    ``_item_key``, which starts at an edge (see :func:`tighten_circuit`).
+    The empty circuit is the homotopically trivial loop.
     """
 
     __slots__ = ("graph", "items")
@@ -240,18 +250,6 @@ class Circuit:
     @property
     def is_trivial(self) -> bool:
         return not self.items
-
-    @property
-    def n_edges(self) -> int:
-        return sum(1 for item in self.items if is_edge_item(item))
-
-    def crossings(self):
-        counts = {}
-        for item in self.items:
-            if is_edge_item(item):
-                e = abs(item)
-                counts[e] = counts.get(e, 0) + 1
-        return counts
 
     def as_path(self) -> Path:
         """One full traversal, cut at the canonical basepoint."""
@@ -297,31 +295,39 @@ class Circuit:
 
 
 def tighten_circuit(graph: Orbigraph, items: Iterable[Item]) -> Circuit:
-    items = list(items)
-    if not any(is_edge_item(it) for it in items):
-        total = None
-        for c, g in items:
-            if total is None:
-                total = (c, 0)
-            if c != total[0]:
-                raise NotAWalk("letter-only circuit spans several cones")
-            total = (c, graph.group_at(c).mul(total[1], g))
-        if total is None or total[1] == 0:
-            return Circuit(graph, (), _canonical=True)
-        return Circuit(graph, (total,), _canonical=True)
+    """The circuit of a closed walk, in canonical form.
 
-    first = next(it for it in items if is_edge_item(it))
-    start = graph.src(first)
-    head = []
-    while items and not is_edge_item(items[0]):
-        head.append(items.pop(0))
-    items = list(_tighten_items(graph, start, items + head))
+    The walk is tightened as a path from its first edge, then cancelled
+    across the wrap: leading letters move to the end, and an edge that
+    meets its reverse at the wrap (directly at a vertex, through a trivial
+    letter at a cone) is peeled off both ends.  A slice of a tight walk is
+    tight up to trivial end letters, which the leading-letter rotation
+    absorbs, so the body is never re-tightened.
+    The canonical form is the least rotation of the items under
+    ``_item_key``.  Edge keys ``(0, d, 0)`` sort below letter keys
+    ``(1, c, g)``, so it starts at an edge whenever the circuit has one.
+    A letter-only walk lives at one cone and reduces to its product.
+
+    Cost: O(n) in the number of items, with :func:`least_rotation`.
+    """
+    items = list(items)
+    first = next((k for k, it in enumerate(items) if is_edge_item(it)), None)
+    if first is None:
+        if len({c for c, _ in items}) > 1:
+            raise NotAWalk("letter-only circuit spans several cones")
+        g = 0
+        for c, h in items:
+            g = graph.group_at(c).mul(g, h)
+        return Circuit(graph, ((c, g),) if g else (), _canonical=True)
+
+    items = deque(_tighten_items(graph, graph.src(items[first]),
+                                 items[first:] + items[:first]))
 
     changed = True
     while changed:
         changed = False
         while len(items) > 1 and not is_edge_item(items[0]):
-            items.append(items.pop(0))
+            items.append(items.popleft())
             changed = True
             while (len(items) >= 2 and not is_edge_item(items[-1])
                    and not is_edge_item(items[-2])):
@@ -334,7 +340,7 @@ def tighten_circuit(graph: Orbigraph, items: Iterable[Item]) -> Circuit:
             break
         if len(items) == 1:
             if not is_edge_item(items[0]) and items[0][1] == 0:
-                items = []
+                items.clear()
             break
         last = items[-1]
         d0 = items[0]
@@ -342,37 +348,22 @@ def tighten_circuit(graph: Orbigraph, items: Iterable[Item]) -> Circuit:
             j = graph.dst(last)
             if graph.src(d0) != j:
                 raise NotAWalk("circuit does not close up")
-            if d0 == -last:
-                if graph.is_cone(j):
-                    items.append((j, 0))
-                else:
-                    body = items[1:-1]
-                    items = list(_tighten_items(
-                        graph, graph.dst(d0), body)) if body else []
-                changed = True
-            elif graph.is_cone(j):
+            if graph.is_cone(j):
                 items.append((j, 0))
                 changed = True
-        else:
-            c, g = last
-            if g == 0 and len(items) >= 2 and items[-2] == -d0:
-                body = items[1:-2]
-                items = list(_tighten_items(
-                    graph, graph.dst(d0), body)) if body else []
+            elif d0 == -last:
+                items.popleft()
+                items.pop()
                 changed = True
+        elif last[1] == 0 and items[-2] == -d0:
+            items.popleft()
+            items.pop()
+            items.pop()
+            changed = True
 
-    if not items:
-        return Circuit(graph, (), _canonical=True)
-    if len(items) == 1 and not is_edge_item(items[0]):
-        return Circuit(graph, tuple(items), _canonical=True)
-
-    rotations = []
-    n = len(items)
-    for i, it in enumerate(items):
-        if is_edge_item(it):
-            rotations.append(tuple(items[i:] + items[:i]))
-    best = min(rotations, key=lambda r: tuple(_item_key(it) for it in r))
-    return Circuit(graph, best, _canonical=True)
+    items = tuple(items)
+    r = least_rotation([_item_key(it) for it in items])
+    return Circuit(graph, items[r:] + items[:r], _canonical=True)
 
 
 # -- words and realizations --------------------------------------------------

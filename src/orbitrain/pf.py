@@ -178,7 +178,8 @@ def _faddeev_leverrier(M: Matrix
     for k in range(1, n + 1):
         A = mat_mul(M, B)
         c, rem = divmod(-sum(A[i][i] for i in range(n)), k)
-        assert rem == 0
+        if rem:
+            raise LemmaViolated((M, k), "Faddeev-LeVerrier trace not divisible")
         coeffs.append(c)
         if k < n:
             B = tuple(tuple(A[i][j] + (c if i == j else 0) for j in range(n))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from orbitrain.errors import (
     BadGroupTable,
     FactorMismatch,
+    LemmaViolated,
     NotAutomorphism,
     NotInvertible,
 )
@@ -24,15 +25,12 @@ from orbitrain.groups import (
     FreeProduct,
     InfiniteCyclic,
     TorusWord,
-    conjugacy_normal_form,
-    group_multiply,
-    invert,
     is_iso,
     iso_chain,
     iso_identity,
     iso_inner_witness,
     iso_invert,
-    normal_form,
+    least_rotation,
     torus_items_from_relator,
     torus_normal_form,
 )
@@ -140,14 +138,14 @@ def test_iso_helpers_on_s3():
 
 def test_letter_multiplication(w3):
     a = (0, 1)
-    assert group_multiply(w3, a, a) == (0, 0)
+    assert w3.letter_mul(a, a) == (0, 0)
     with pytest.raises(FactorMismatch):
-        group_multiply(w3, (0, 1), (1, 1))
+        w3.letter_mul((0, 1), (1, 1))
 
 
 def test_normal_form_involution_cancellation(w3):
-    assert normal_form(w3, [(0, 1), (0, 1), (1, 1)]) == ((1, 1),)
-    assert normal_form(w3, []) == ()
+    assert w3.nf([(0, 1), (0, 1), (1, 1)]) == ((1, 1),)
+    assert w3.nf([]) == ()
 
 
 def test_normal_form_bacab_squares_to_identity(w4):
@@ -176,12 +174,12 @@ def test_free_factor_words(f3):
 
 
 def test_conjugacy_normal_form_examples(w3, w4):
-    assert conjugacy_normal_form(w3, ()) == ()
+    assert w3.conjugacy_normal_form(()) == ()
     aba = w3.parse_word("a b a")
-    assert conjugacy_normal_form(w3, aba) == w3.parse_word("b")
+    assert w3.conjugacy_normal_form(aba) == w3.parse_word("b")
     bacab = w4.parse_word("b a c a b")
     c = w4.parse_word("c")
-    assert conjugacy_normal_form(w4, bacab) == conjugacy_normal_form(w4, c)
+    assert w4.conjugacy_normal_form(bacab) == w4.conjugacy_normal_form(c)
 
 
 def test_conjugacy_agrees_with_brute_force(w4):
@@ -210,6 +208,48 @@ def test_single_syllable_factor_conjugacy():
     assert u is not None and W.conj(w1, u) == w2
 
 
+def rotations(seq):
+    return [tuple(seq[r:]) + tuple(seq[:r]) for r in range(len(seq))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=12),
+       st.integers(1, 4))
+def test_least_rotation_matches_brute_force(base, k):
+    seq = base * k
+    assert least_rotation(seq) == rotations(seq).index(min(rotations(seq)))
+
+
+def test_least_rotation_of_tuples_and_short_sequences():
+    assert least_rotation([(1, 0)]) == 0
+    assert least_rotation([(2, 1), (0, 1), (2, 1), (0, 0)]) == 3
+    assert least_rotation([(1, 1), (0, 1)] * 5) == 1
+
+
+def test_conjugacy_normal_form_is_least_core_rotation():
+    s3 = FiniteGroup.symmetric(3)
+    rng = random.Random(3)
+    for W in (FreeProduct([FiniteGroup.cyclic(2)] * 4),
+              FreeProduct([s3, FiniteGroup.cyclic(3), s3])):
+        for _ in range(500):
+            w = W.random_word(rng, rng.randrange(0, 8))
+            if rng.random() < 0.3:
+                w = W.power(w, rng.randint(2, 5))
+            core, _ = W.cyclic_form(w)
+            form = W.conjugacy_normal_form(w)
+            if len(core) >= 2:
+                assert form == min(rotations(core))
+            u = W.conjugator(w, form)
+            assert u is not None and W.conj(w, u) == form
+
+
+def test_conjugator_certificate_raises(w4, monkeypatch):
+    c, bacab = w4.parse_word("c"), w4.parse_word("b a c a b")
+    monkeypatch.setattr(FreeProduct, "conj", lambda self, word, by: ())
+    with pytest.raises(LemmaViolated):
+        w4.conjugator(c, bacab)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_normal_form_idempotent_and_inverse_law(w4, data):
@@ -218,9 +258,9 @@ def test_normal_form_idempotent_and_inverse_law(w4, data):
         (data.draw(st.integers(0, 3)), data.draw(st.integers(0, 1)))
         for _ in range(k)
     ]
-    word = normal_form(w4, raw)
-    assert normal_form(w4, word) == word
-    assert w4.mul(word, invert(w4, word)) == ()
+    word = w4.nf(raw)
+    assert w4.nf(word) == word
+    assert w4.mul(word, w4.inv(word)) == ()
 
 
 def test_inverse_law_large_sample(w4):
@@ -342,6 +382,34 @@ def test_outer_fingerprint_identifies_outer_class(phi_w4, w4):
     w = phi_w4.outer_conjugator(twisted)
     assert w is not None
     assert Automorphism.inner(w4, w).compose(phi_w4) == twisted
+
+
+def test_outer_class_when_factor_zero_moves(w3):
+    # pi(0) = 2 here, so the normalising twists live in factor c
+    phi = Automorphism.from_gen_images(
+        w3, [w3.parse_word(t) for t in ("a b a", "c", "c a c")])
+    twisted = Automorphism.inner(w3, w3.parse_word("a b c a b a")).compose(phi)
+    assert phi.outer_equal(twisted)
+    assert twisted.fingerprint() == phi.fingerprint()
+
+
+def test_outer_equal_after_random_inner_twists():
+    rng = random.Random(1909)
+    Z2 = FiniteGroup.cyclic(2)
+    for n in (3, 4, 5):
+        W = FreeProduct([Z2] * n)
+        for _ in range(12):
+            phi = Automorphism.from_gen_images(
+                W, [(((k + 1) % n, 1),) for k in range(n)])
+            for _ in range(rng.randint(0, 2 * n)):
+                i, j = rng.sample(range(n), 2)
+                images = [((k, 1),) for k in range(n)]
+                images[i] = ((j, 1), (i, 1), (j, 1))
+                phi = Automorphism.from_gen_images(W, images).compose(phi)
+            w = W.random_word(rng, rng.randint(1, 6))
+            twisted = Automorphism.inner(W, w).compose(phi)
+            assert phi.outer_equal(twisted)
+            assert twisted.fingerprint() == phi.fingerprint()
 
 
 def test_distinct_outer_classes_have_distinct_fingerprints(phi_w4, w4):

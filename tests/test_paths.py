@@ -13,6 +13,7 @@ from orbitrain.groups import FiniteGroup, FreeProduct
 from orbitrain.orbigraph import hedgehog, thistle
 from orbitrain.paths import (
     Turn,
+    _item_key,
     format_path,
     is_edge_item,
     loop_of_word,
@@ -78,6 +79,42 @@ def random_raw_walk(rng, graph, length):
             items.append(d)
             cur = graph.dst(d)
     return start, items
+
+
+def oracle_circuit(rng, graph, items):
+    """Cyclic reduction that re-tightens the whole walk after every step,
+    then the least of the rotations that start at an edge."""
+    work = list(items)
+    while any(is_edge_item(it) for it in work):
+        k = next(i for i, it in enumerate(work) if is_edge_item(it))
+        work = list(oracle_tighten(rng, graph, graph.src(work[k]),
+                                   work[k:] + work[:k]))
+        if work and not is_edge_item(work[0]):
+            work = work[1:] + work[:1]
+        elif len(work) >= 2 and work[-1] == -work[0]:
+            work = work[1:-1]
+        else:
+            break
+    if not any(is_edge_item(it) for it in work):
+        return tuple(work)
+    if is_edge_item(work[-1]) and graph.is_cone(graph.dst(work[-1])):
+        work.append((graph.dst(work[-1]), 0))
+    starts = [i for i, it in enumerate(work) if is_edge_item(it)]
+    return min((tuple(work[i:] + work[:i]) for i in starts),
+               key=lambda r: tuple(_item_key(it) for it in r))
+
+
+def random_closed_walk(rng, graph, base, length):
+    """A raw walk from ``base`` closed up along the geodesic back."""
+    cur, items = base, []
+    for _ in range(length):
+        if graph.is_cone(cur) and rng.random() < 0.4:
+            items.append((cur, rng.randrange(graph.group_at(cur).order)))
+        else:
+            d = rng.choice(graph.edges_at(cur))
+            items.append(d)
+            cur = graph.dst(d)
+    return items + list(graph.geodesic(cur, base))
 
 
 def random_graph(rng):
@@ -308,6 +345,65 @@ def test_conjugate_loops_give_equal_circuits():
         assert direct == conj
         if not direct.is_trivial:
             assert direct.word_class() == graph.W.conjugacy_normal_form(w)
+
+
+def test_wrap_cancels_at_vertex_and_cone(t3):
+    # B-loop^-1 . A-loop . B-loop at the center: -2/2 cancel at the vertex,
+    # then 2 .b(trivial after merging) -2 across the cone of b
+    items = [-2, (2, 1), 2, -1, (1, 1), 1, -2, (2, 1), 2]
+    c = tighten_circuit(t3, items)
+    assert c.items == ((1, 1),)
+    assert c == tighten_circuit(t3, [-1, (1, 1), 1])
+
+
+def test_circuit_matches_retightening_oracle():
+    rng = random.Random(1980)
+    for trial in range(400):
+        graph = random_graph(rng)
+        base = rng.randrange(graph.n_cells)
+        kind = trial % 3
+        if kind == 0:
+            items = random_closed_walk(rng, graph, base, rng.randint(0, 24))
+        elif kind == 1:
+            # u . v . u^-1, cut anywhere: cancels across the wrap
+            u = tighten(graph, base, random_closed_walk(
+                rng, graph, base, rng.randint(1, 10)))
+            v = random_closed_walk(rng, graph, base, rng.randint(0, 10))
+            items = list(u.items) + v + list((~u).items)
+            k = rng.randrange(len(items) + 1)
+            items = items[k:] + items[:k]
+        else:
+            w = graph.W.random_word(rng, rng.randint(1, 4))
+            items = list(loop_of_word(graph, base, w).items) * rng.randint(1, 5)
+        if not any(is_edge_item(it) for it in items):
+            continue
+        got = tighten_circuit(graph, items)
+        assert got.items == oracle_circuit(rng, graph, items)
+
+
+def test_circuit_is_the_same_from_every_edge():
+    rng = random.Random(1981)
+    for trial in range(150):
+        graph = random_graph(rng)
+        base = rng.randrange(graph.n_cells)
+        items = random_closed_walk(rng, graph, base, rng.randint(1, 20))
+        c = tighten_circuit(graph, items)
+        for k, it in enumerate(items):
+            if is_edge_item(it):
+                assert tighten_circuit(graph, items[k:] + items[:k]) == c
+
+
+def test_circuit_of_a_long_loop_power():
+    W = FreeProduct([FiniteGroup.cyclic(2), FiniteGroup.cyclic(3),
+                     FiniteGroup.symmetric(3), FiniteGroup.cyclic(2)])
+    graph = thistle(W)
+    w = ((0, 1), (1, 2), (2, 3), (3, 1))
+    p = loop_of_word(graph, 0, w)
+    q = loop_of_word(graph, 0, ((2, 1), (1, 1)))
+    items = list((~q).items) + list(p.items) * 20 + list(q.items)
+    c = tighten_circuit(graph, items)
+    assert c.items == tighten_circuit(graph, p.items).items * 20
+    assert c.word_class() == W.conjugacy_normal_form(W.power(w, 20))
 
 
 def test_circuit_turns_include_the_wrap(h3):
