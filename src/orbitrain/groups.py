@@ -120,10 +120,6 @@ class FiniteGroup:
         names = [_cycle_name(p) for p in perms]
         return cls(table, label=label or f"S{m}", names=names)
 
-    @classmethod
-    def from_table(cls, cayley, label="G", names=None):
-        return cls(cayley, label=label, names=names)
-
     # -- arithmetic ---------------------------------------------------------
 
     def mul(self, g, h):
@@ -393,20 +389,6 @@ class FreeProduct:
         return all(f.kind == "finite" for f in self.factors)
 
     # -- letters -------------------------------------------------------------
-
-    def factor_of(self, letter):
-        return self.factors[letter[0]]
-
-    def is_trivial_letter(self, letter):
-        return letter[1] == self.factors[letter[0]].identity
-
-    def check_letter(self, letter):
-        i, e = letter
-        if not (0 <= i < self.n):
-            raise FactorMismatch(f"no factor {i}")
-        factor = self.factors[i]
-        if factor.kind == "finite" and not (0 <= e < factor.order):
-            raise FactorMismatch(f"element {e} outside factor {self.names[i]}")
 
     def letter_mul(self, g, h):
         if g[0] != h[0]:

@@ -31,7 +31,8 @@ from .errors import (
 )
 from .groups import Automorphism
 from .orbigraph import Orbigraph, Subgraph, VERTEX
-from .paths import Path, Turn, is_edge_item, loop_of_word, tighten
+from .paths import (Path, Turn, invert_items, is_edge_item, loop_of_word,
+                    tighten)
 from .toprep import (
     EG,
     ConeMap,
@@ -85,17 +86,6 @@ def _emit(move, details, before: TopRep, after: TopRep):
 # path transport
 
 
-def _invert_items(graph: Orbigraph, items: Sequence[Item]) -> Tuple[Item, ...]:
-    out: List[Item] = []
-    for item in reversed(items):
-        if is_edge_item(item):
-            out.append(-item)
-        else:
-            c, x = item
-            out.append((c, graph.group_at(c).inv(x)))
-    return tuple(out)
-
-
 class Transport:
     """Rewrites paths of one graph as paths of another.
 
@@ -126,7 +116,7 @@ class Transport:
             if is_edge_item(item):
                 piece = self.edge_items[abs(item)]
                 out.extend(piece if item > 0
-                           else _invert_items(self.target, piece))
+                           else invert_items(self.target, piece))
             else:
                 c, x = item
                 out.append((self.cell_map[c], x))
@@ -194,6 +184,91 @@ def _rebuild(f: TopRep, new_graph: Orbigraph, tr: Transport, rtr: Transport,
     return TopRep(new_graph, edge_images, cones, vertices, marking)
 
 
+def _quotient(f: TopRep, classes: Sequence[Sequence[int]],
+              reach: Dict[int, Tuple[Item, ...]],
+              dead: Dict[int, Tuple[Item, ...]],
+              extra: Sequence[Tuple[str, int, Tuple[Item, ...]]] = (),
+              redraw: Iterable[int] = ()) -> Tuple[TopRep, Transport]:
+    """Map ``f`` onto the graph that squashes each cell class to a cell,
+    drops the dead edges and adds the extra ones; returns the moved
+    representative and the forward transport.
+
+    ``classes`` lists the old cells of each new cell in new-id order,
+    representative first, and ``reach`` holds an old walk from the
+    representative to every other cell of its class.  ``dead`` spells
+    each dropped edge in old items, where the ids past the last old edge
+    name the ``extra`` edges in order.  An extra edge is a ``(name,
+    start, items)`` old walk that it replaces.  Surviving edges keep their
+    image, except that those in ``redraw`` take the image of their old
+    edge extended by ``reach`` at either end, as extra edges do.
+    """
+    graph = f.graph
+    reps = [cls[0] for cls in classes]
+    cell_map = {c: i for i, cls in enumerate(classes) for c in cls}
+    survivors = [e for e in graph.edges() if e not in dead]
+    first = len(survivors) + 1  # the new id of the first extra edge
+    new_id = {old: i for i, old in enumerate(survivors, start=1)}
+    new_id.update((graph.n_edges + 1 + j, first + j) for j in range(len(extra)))
+    added = [tighten(graph, start, items) for _, start, items in extra]
+
+    ends = [(cell_map[graph.src(e)], cell_map[graph.dst(e)]) for e in survivors]
+    ends += [(cell_map[p.start], cell_map[p.end]) for p in added]
+    names = [graph.edge_names[e - 1] for e in survivors]
+    names += [name for name, _, _ in extra]
+    new_graph = Orbigraph(graph.W, [graph.kinds[c] for c in reps], ends, names)
+
+    fwd: Dict[int, Tuple[Item, ...]] = {e: (new_id[e],) for e in survivors}
+    for e, items in dead.items():
+        fwd[e] = tuple((new_id[i] if i > 0 else -new_id[-i])
+                       if is_edge_item(i) else (cell_map[i[0]], i[1])
+                       for i in items)
+    tr = Transport(graph, new_graph, cell_map, fwd)
+
+    back: Dict[int, Tuple[Item, ...]] = {}
+    for e in survivors:
+        back[new_id[e]] = (reach.get(graph.src(e), ()) + (e,)
+                           + invert_items(graph, reach.get(graph.dst(e), ())))
+    for j, (_, _, items) in enumerate(extra, start=first):
+        back[j] = items
+    rtr = Transport(new_graph, graph, dict(enumerate(reps)), back)
+
+    images = {new_id[e]: tr.path(f.edge_images[e]) for e in survivors}
+    for e in redraw:
+        old = tighten(graph, reps[cell_map[graph.src(e)]], back[new_id[e]])
+        images[new_id[e]] = tr.path(f.apply(old))
+    for j, old in enumerate(added, start=first):
+        images[j] = tr.path(f.apply(old))
+    base = f.marking.base if f.marking is not None else None
+    delta = invert_items(graph, reach.get(base, ()))
+    return _rebuild(f, new_graph, tr, rtr, images, delta), tr
+
+
+def _walks(graph: Orbigraph, root: int,
+           edges: FrozenSet[int]) -> Dict[int, Tuple[Item, ...]]:
+    """A walk inside ``edges`` from ``root`` to every cell it reaches."""
+    walk: Dict[int, Tuple[Item, ...]] = {root: ()}
+    frontier = [root]
+    while frontier:
+        c = frontier.pop()
+        for d in graph.edges_at(c):
+            if abs(d) not in edges:
+                continue
+            nxt = graph.dst(d)
+            if nxt not in walk:
+                walk[nxt] = walk[c] + (d,)
+                frontier.append(nxt)
+    return walk
+
+
+def _absorbing(graph: Orbigraph, into: Dict[int, int]) -> List[Tuple[int, ...]]:
+    """Cell classes joining each key of ``into`` to the cell it names,
+    numbered in the order of the cells that stay."""
+    joined: Dict[int, Tuple[int, ...]] = {}
+    for c, rep in into.items():
+        joined[rep] = joined.get(rep, ()) + (c,)
+    return [(c,) + joined.get(c, ()) for c in graph.cells() if c not in into]
+
+
 # ---------------------------------------------------------------------------
 # tightening and forests
 
@@ -250,8 +325,8 @@ def _edge_set(forest) -> Set[int]:
     return {int(e) for e in forest}
 
 
-def _collapse_parts(f: TopRep, forest):
-    """Graph, transports, base connector, and survivors of a collapse."""
+def _collapse(f: TopRep, forest) -> Tuple[TopRep, Transport]:
+    """Collapse an invariant forest; the result and its transport."""
     graph = f.graph
     edges = _edge_set(forest)
     sub = graph.subgraph(edges)
@@ -262,85 +337,17 @@ def _collapse_parts(f: TopRep, forest):
             raise NotInvariantForest(
                 f"image of edge {graph.edge_label(e)} leaves the forest")
 
-    comps = sub.components()
-    comp_of: Dict[int, int] = {}
-    reps: Dict[int, int] = {}
-    walks: Dict[int, Dict[int, Tuple[Item, ...]]] = {}
-    for k, comp in enumerate(comps):
+    classes: List[Tuple[int, ...]] = []
+    reach: Dict[int, Tuple[Item, ...]] = {}
+    for comp in sub.components():
         cones = comp.cone_cells()
         rep = cones[0] if cones else min(comp.cells)
-        reps[k] = rep
-        walk: Dict[int, Tuple[Item, ...]] = {rep: ()}
-        frontier = [rep]
-        while frontier:
-            c = frontier.pop()
-            for d in graph.edges_at(c):
-                if abs(d) not in comp.edges:
-                    continue
-                nxt = graph.dst(d)
-                if nxt not in walk:
-                    walk[nxt] = walk[c] + (d,)
-                    frontier.append(nxt)
-        walks[k] = walk
-        for c in comp.cells:
-            comp_of[c] = k
-
-    classes: List[Tuple[int, ...]] = []
-    for c in graph.cells():
-        if c in comp_of:
-            k = comp_of[c]
-            if reps[k] == c:
-                classes.append(tuple(sorted(comps[k].cells)))
-        else:
-            classes.append((c,))
+        reach.update(_walks(graph, rep, comp.edges))
+        classes.append((rep,) + tuple(c for c in sorted(comp.cells)
+                                      if c != rep))
+    classes += [(c,) for c in graph.cells() if c not in reach]
     classes.sort(key=min)
-    cell_map: Dict[int, int] = {}
-    back_cell: Dict[int, int] = {}
-    kinds = []
-    for new_id, cls in enumerate(classes):
-        cones = [c for c in cls if graph.is_cone(c)]
-        rep = cones[0] if cones else min(cls)
-        kinds.append(graph.kinds[rep])
-        back_cell[new_id] = rep
-        for c in cls:
-            cell_map[c] = new_id
-
-    survivors = [e for e in graph.edges() if e not in edges]
-    ends = [(cell_map[graph.src(e)], cell_map[graph.dst(e)]) for e in survivors]
-    names = [graph.edge_names[e - 1] for e in survivors]
-    new_graph = Orbigraph(graph.W, kinds, ends, names)
-
-    fwd: Dict[int, Tuple[Item, ...]] = {}
-    for new_e, old_e in enumerate(survivors, start=1):
-        fwd[old_e] = (new_e,)
-    for e in edges:
-        fwd[e] = ()
-    tr = Transport(graph, new_graph, cell_map, fwd)
-
-    back: Dict[int, Tuple[Item, ...]] = {}
-    for new_e, old_e in enumerate(survivors, start=1):
-        pre: Tuple[Item, ...] = ()
-        post: Tuple[Item, ...] = ()
-        s, t = graph.src(old_e), graph.dst(old_e)
-        if s in comp_of:
-            pre = walks[comp_of[s]][s]
-        if t in comp_of:
-            post = _invert_items(graph, walks[comp_of[t]][t])
-        back[new_e] = pre + (old_e,) + post
-    rtr = Transport(new_graph, graph, back_cell, back)
-
-    base = f.marking.base if f.marking is not None else None
-    delta: Tuple[Item, ...] = ()
-    if base is not None and base in comp_of:
-        delta = _invert_items(graph, walks[comp_of[base]][base])
-    return new_graph, tr, rtr, delta, survivors
-
-
-def _finish_collapse(f: TopRep, parts) -> TopRep:
-    new_graph, tr, rtr, delta, survivors = parts
-    images = {new_e: tr.path(f.edge_images[old_e])
-              for new_e, old_e in enumerate(survivors, start=1)}
-    return _rebuild(f, new_graph, tr, rtr, images, delta)
+    return _quotient(f, classes, reach, dict.fromkeys(edges, ()))
 
 
 def collapse_forest(f: TopRep, forest) -> TopRep:
@@ -349,8 +356,7 @@ def collapse_forest(f: TopRep, forest) -> TopRep:
     Paths crossing the forest keep their net cone letters; a component
     containing a cone point collapses onto that cone.
     """
-    parts = _collapse_parts(f, forest)
-    out = _finish_collapse(f, parts)
+    out, _ = _collapse(f, forest)
     _emit("collapse_forest", (tuple(sorted(_edge_set(forest))),), f, out)
     return out
 
@@ -361,19 +367,14 @@ def _collapse_cleanup(f: TopRep, collapse_invariant: bool):
     acc = Transport.identity(f.graph)
     while True:
         forest = maximal_pretrivial_forest(f)
-        if forest.nontrivial:
-            parts = _collapse_parts(f, forest)
-            f = _finish_collapse(f, parts)
-            acc = acc.then(parts[1])
-            continue
-        if not collapse_invariant:
-            break
-        forest = maximal_invariant_forest(f)
         if not forest.nontrivial:
-            break
-        parts = _collapse_parts(f, forest)
-        f = _finish_collapse(f, parts)
-        acc = acc.then(parts[1])
+            if not collapse_invariant:
+                break
+            forest = maximal_invariant_forest(f)
+            if not forest.nontrivial:
+                break
+        f, tr = _collapse(f, forest)
+        acc = acc.then(tr)
     return f, acc
 
 
@@ -389,7 +390,7 @@ def subdivide(f: TopRep, e: int, split: int) -> TopRep:
         raise ImageNotAtZeroCell(
             f"edge {f.graph.edge_label(e)} has no interior point over "
             f"zero cell number {split} of its image")
-    out = _subdivide_many(f, {e: (Fraction(split, n),)})
+    out, _ = _subdivide_many(f, {e: (Fraction(split, n),)})
     _emit("subdivide", (e, split), f, out)
     return out
 
@@ -413,8 +414,9 @@ def _position_image(f: TopRep, e: int, x: Fraction):
 
 def _subdivide_many(f: TopRep, points: Dict[int, Sequence[Fraction]],
                     letter_first: Iterable[Tuple[int, Fraction]] = ()
-                    ) -> TopRep:
-    """Subdivide edges at interior rational positions.
+                    ) -> Tuple[TopRep, Transport]:
+    """Subdivide edges at interior rational positions; returns the result
+    and the forward transport onto its pieces.
 
     When a cut lands on a zero cell of an image path that carries a cone
     letter, the letter normally opens the second piece's image; cuts
@@ -431,7 +433,7 @@ def _subdivide_many(f: TopRep, points: Dict[int, Sequence[Fraction]],
             raise ImageNotAtZeroCell("subdivision points must be interior")
         cuts[e] = xs
     if not cuts:
-        return f
+        return f, Transport.identity(graph)
 
     n_cells = graph.n_cells
     kinds = list(graph.kinds)
@@ -547,7 +549,8 @@ def _subdivide_many(f: TopRep, points: Dict[int, Sequence[Fraction]],
             images[piece] = tighten(new_graph, start, subimage(e, a, b))
 
     marking = _transported_marking(f, new_graph, tr, rtr)
-    return TopRep(new_graph, images, dict(f.cone_images), vertices, marking)
+    return (TopRep(new_graph, images, dict(f.cone_images), vertices, marking),
+            tr)
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +567,14 @@ def _adjusted_images(f: TopRep, t: Turn) -> Tuple[Path, Path]:
     return p1, p2
 
 
-def fold(f: TopRep, turn: Turn, *, collapse_invariant: bool = True) -> TopRep:
+def fold(f: TopRep, turn: Turn) -> TopRep:
     """Identify the initial segments of two directions with a common
     image, then collapse whatever forest the identification leaves.
 
     The directions must leave a common cell, be distinct, and their
     images (after the turn's cone letter) must share at least one edge.
     """
-    out, _ = _fold_core(f, turn, collapse_invariant=collapse_invariant)
+    out, _ = _fold_core(f, turn)
     _emit("fold", (turn.first, turn.letter, turn.second, turn.base), f, out)
     return out
 
@@ -638,17 +641,8 @@ def _fold_core(f: TopRep, turn: Turn, *, collapse_invariant: bool = True):
             sides = ((e, cut),)
         else:
             sides = ()
-        bigger = _subdivide_many(work, {e: (cut,)}, letter_first=sides)
-        step_edges: Dict[int, Tuple[int, ...]] = {}
-        nxt = 1
-        for old in work.graph.edges():
-            width = 2 if old == e else 1
-            step_edges[old] = tuple(range(nxt, nxt + width))
-            nxt += width
-        step = Transport(work.graph, bigger.graph,
-                         {c: c for c in work.graph.cells()}, step_edges)
+        work, step = _subdivide_many(work, {e: (cut,)}, letter_first=sides)
         acc = acc.then(step)
-        work = bigger
 
     isolate(t.first)
     isolate(t.second)
@@ -663,101 +657,33 @@ def _fold_core(f: TopRep, turn: Turn, *, collapse_invariant: bool = True):
     if q1 != q2:
         raise BadRepresentative("fold pieces disagree after subdivision")
 
-    old_base = work.marking.base if work.marking is not None else None
-    new_graph, tr, rtr, delta, survivors = _quotient_edge(
-        work, piece2, t.letter, piece1, old_base)
-    images = {new_e: tr.path(work.edge_images[old_e])
-              for new_e, old_e in enumerate(survivors, start=1)}
-    folded = _rebuild(work, new_graph, tr, rtr, images, delta)
+    # glue piece2 onto the letter followed by piece1
+    g = work.graph
+    b = g.src(piece1)
+    if g.src(piece2) != b:
+        raise NothingToFold("fold pieces do not share their initial cell")
+    if abs(piece1) == abs(piece2):
+        raise NothingToFold("cannot glue an edge onto itself")
+    v1, v2 = g.dst(piece1), g.dst(piece2)
+    if v1 != v2 and g.is_cone(v1) and g.is_cone(v2):
+        raise BadRepresentative("fold would merge two distinct cone points")
+    ginv = ((b, g.group_at(b).inv(t.letter)),) if t.letter else ()
+    glued = ginv + (piece1,)
+    if piece2 < 0:
+        glued = invert_items(g, glued)
+    classes = [(c,) for c in g.cells()]
+    reach: Dict[int, Tuple[Item, ...]] = {}
+    if v1 != v2:
+        # the glue collapses kappa, the path from v2 to v1
+        kappa = (-piece2,) + ginv + (piece1,)
+        rep, other = (v2, v1) if g.is_cone(v2) else (v1, v2)
+        reach[other] = kappa if rep == v2 else invert_items(g, kappa)
+        classes[min(v1, v2)] = (rep, other)
+        del classes[max(v1, v2)]
+    folded, tr = _quotient(work, classes, reach, {abs(piece2): glued})
 
     folded, extra = _collapse_cleanup(folded, collapse_invariant)
     return folded, acc.then(tr).then(extra)
-
-
-def _quotient_edge(work: TopRep, p2: int, g: Optional[int], p1: int,
-                   old_base: Optional[int]):
-    """Glue direction ``p2`` onto the letter ``g`` followed by ``p1``.
-
-    Returns the quotient graph, both transports, the base connector, and
-    the surviving old edges in new-id order.
-    """
-    graph = work.graph
-    b = graph.src(p1)
-    if graph.src(p2) != b:
-        raise NothingToFold("fold pieces do not share their initial cell")
-    if abs(p1) == abs(p2):
-        raise NothingToFold("cannot glue an edge onto itself")
-    v1, v2 = graph.dst(p1), graph.dst(p2)
-    dead = abs(p2)
-
-    ginv: Tuple[Item, ...] = ()
-    if g:
-        ginv = ((b, graph.group_at(b).inv(g)),)
-    # the path from v2 to v1 that the glue collapses
-    kappa = (-p2,) + ginv + (p1,)
-
-    if v1 != v2 and graph.is_cone(v1) and graph.is_cone(v2):
-        raise BadRepresentative("fold would merge two distinct cone points")
-    merged = {v1, v2}
-    rep_back = v2 if graph.is_cone(v2) else v1
-
-    classes: List[Tuple[int, ...]] = []
-    for c in graph.cells():
-        if v1 != v2 and c in merged:
-            if c == min(merged):
-                classes.append(tuple(sorted(merged)))
-        else:
-            classes.append((c,))
-    cell_map: Dict[int, int] = {}
-    back_cell: Dict[int, int] = {}
-    kinds = []
-    for new_id, cls in enumerate(classes):
-        cones = [c for c in cls if graph.is_cone(c)]
-        rep = cones[0] if cones else min(cls)
-        kinds.append(graph.kinds[rep])
-        back_cell[new_id] = rep if len(cls) == 1 else rep_back
-        for c in cls:
-            cell_map[c] = new_id
-
-    survivors = [e for e in graph.edges() if e != dead]
-    ends = [(cell_map[graph.src(e)], cell_map[graph.dst(e)]) for e in survivors]
-    names = [graph.edge_names[e - 1] for e in survivors]
-    new_graph = Orbigraph(graph.W, kinds, ends, names)
-
-    new_id_of = {old: i for i, old in enumerate(survivors, start=1)}
-    fwd: Dict[int, Tuple[Item, ...]] = {old: (new_id_of[old],)
-                                        for old in survivors}
-    glued = ginv + (p1,)
-    if p2 < 0:
-        glued = _invert_items(graph, glued)
-    fwd[dead] = tuple(
-        (new_id_of[abs(i)] if i > 0 else -new_id_of[abs(i)])
-        if is_edge_item(i) else (cell_map[i[0]], i[1])
-        for i in glued)
-    tr = Transport(graph, new_graph, cell_map, fwd)
-
-    def connector(frm: int, to: int) -> Tuple[Item, ...]:
-        if frm == to:
-            return ()
-        return kappa if frm == v2 else _invert_items(graph, kappa)
-
-    back: Dict[int, Tuple[Item, ...]] = {}
-    for old in survivors:
-        pre: Tuple[Item, ...] = ()
-        post: Tuple[Item, ...] = ()
-        if v1 != v2:
-            if graph.src(old) in merged:
-                pre = connector(rep_back, graph.src(old))
-            if graph.dst(old) in merged:
-                post = connector(graph.dst(old), rep_back)
-        back[new_id_of[old]] = pre + (old,) + post
-    rtr = Transport(new_graph, graph, back_cell, back)
-
-    delta: Tuple[Item, ...] = ()
-    if old_base is not None and v1 != v2 and old_base in merged \
-            and old_base != rep_back:
-        delta = connector(old_base, rep_back)
-    return new_graph, tr, rtr, delta, survivors
 
 
 # ---------------------------------------------------------------------------
@@ -774,20 +700,8 @@ def valence_one_homotopy(f: TopRep, v: int) -> TopRep:
     if len(dirs) != 1:
         raise NotValenceOne(f"cell {v} has valence {len(dirs)}")
     d = dirs[0]
-    e = abs(d)
-
-    new_graph, cell_map, back_cell, survivors, new_id_of = \
-        _drop_cell(graph, v, {e})
-    fwd: Dict[int, Tuple[Item, ...]] = {old: (new_id_of[old],)
-                                        for old in survivors}
-    fwd[e] = ()
-    tr = Transport(graph, new_graph, cell_map, fwd)
-    back = {new_id_of[old]: (old,) for old in survivors}
-    rtr = Transport(new_graph, graph, back_cell, back)
-
-    images = {new_id_of[old]: tr.path(f.edge_images[old]) for old in survivors}
-    delta = (d,) if f.marking is not None and f.marking.base == v else ()
-    out = _rebuild(f, new_graph, tr, rtr, images, delta)
+    out, _ = _quotient(f, _absorbing(graph, {v: graph.dst(d)}), {v: (-d,)},
+                       {abs(d): ()})
     out, _ = _collapse_cleanup(out, collapse_invariant=False)
     _emit("valence_one", (v,), f, out)
     return out
@@ -811,8 +725,7 @@ def valence_two_homotopy(f: TopRep, v: int, collapse: int, *,
     if collapse not in (abs(dirs[0]), abs(dirs[1])):
         raise NotValenceTwo(f"edge {collapse} does not meet cell {v}")
     d_col = dirs[0] if abs(dirs[0]) == collapse else dirs[1]
-    d_keep = dirs[1] if d_col == dirs[0] else dirs[0]
-    keep = abs(d_keep)
+    keep = abs(dirs[1] if d_col == dirs[0] else dirs[0])
 
     if strict:
         filt = classify_strata(f, maximal_filtration(f))
@@ -823,56 +736,12 @@ def valence_two_homotopy(f: TopRep, v: int, collapse: int, *,
                 "collapsing an exponential edge not strictly below the "
                 "stretched one may raise the growth rate")
 
-    new_graph, cell_map, back_cell, survivors, new_id_of = \
-        _drop_cell(graph, v, {collapse})
-    fwd: Dict[int, Tuple[Item, ...]] = {old: (new_id_of[old],)
-                                        for old in survivors}
-    fwd[collapse] = ()
-    tr = Transport(graph, new_graph, cell_map, fwd)
-    back = {new_id_of[old]: (old,) for old in survivors}
     # the stretched edge spans its old self plus the collapsed corridor
-    stretched = (-d_col, keep) if d_keep > 0 else (keep, d_col)
-    back[new_id_of[keep]] = stretched
-    rtr = Transport(new_graph, graph, back_cell, back)
-
-    images = {new_id_of[old]: tr.path(f.edge_images[old]) for old in survivors}
-    corridor = tighten(graph, graph.src(stretched[0]), stretched)
-    images[new_id_of[keep]] = tr.path(f.apply(corridor))
-    delta = (d_col,) if f.marking is not None and f.marking.base == v else ()
-    out = _rebuild(f, new_graph, tr, rtr, images, delta)
+    out, _ = _quotient(f, _absorbing(graph, {v: graph.dst(d_col)}),
+                       {v: (-d_col,)}, {collapse: ()}, redraw=(keep,))
     out, _ = _collapse_cleanup(out, collapse_invariant=False)
     _emit("valence_two", (v, collapse), f, out)
     return out
-
-
-def _drop_cell(graph: Orbigraph, v: int, dead_edges: Set[int]):
-    """A copy of the graph without cell ``v`` and the given edges; the
-    dropped cell is mapped onto the far end of its first dead edge."""
-    anchor = None
-    for e in sorted(dead_edges):
-        if graph.src(e) == v:
-            anchor = graph.dst(e)
-            break
-        if graph.dst(e) == v:
-            anchor = graph.src(e)
-            break
-    cell_map: Dict[int, int] = {}
-    kinds = []
-    new_id = 0
-    for c in graph.cells():
-        if c == v:
-            continue
-        cell_map[c] = new_id
-        kinds.append(graph.kinds[c])
-        new_id += 1
-    cell_map[v] = cell_map[anchor]
-    survivors = [e for e in graph.edges() if e not in dead_edges]
-    ends = [(cell_map[graph.src(e)], cell_map[graph.dst(e)]) for e in survivors]
-    names = [graph.edge_names[e - 1] for e in survivors]
-    new_graph = Orbigraph(graph.W, kinds, ends, names)
-    back_cell = {cell_map[c]: c for c in graph.cells() if c != v}
-    new_id_of = {old: i for i, old in enumerate(survivors, start=1)}
-    return new_graph, cell_map, back_cell, survivors, new_id_of
 
 
 # ---------------------------------------------------------------------------
@@ -1053,7 +922,8 @@ def invariant_core_subdivision(f: TopRep, stratum: Iterable[int]) -> TopRep:
 
     if not cuts:
         return f
-    out = _subdivide_many(f, {e: tuple(sorted(xs)) for e, xs in cuts.items()})
+    out, _ = _subdivide_many(
+        f, {e: tuple(sorted(xs)) for e, xs in cuts.items()})
     _emit("invariant_core_subdivision", (tuple(sorted(hr)),), f, out)
     return out
 
@@ -1090,9 +960,8 @@ def fold_connecting_path(f: TopRep, alpha: Path, cap: int = 1000) -> TopRep:
             raise ImageNotTrivial(
                 "no junction folds and no edge dies; the path cannot "
                 "be collapsed")
-        parts = _collapse_parts(work, forest)
-        work = _finish_collapse(work, parts)
-        path = parts[1].path(path)
+        work, tr = _collapse(work, forest)
+        path = tr.path(path)
     else:
         raise CapExceeded("connecting path did not collapse")
     out, _ = _collapse_cleanup(work, collapse_invariant=False)
@@ -1113,16 +982,18 @@ def _first_foldable_junction(f: TopRep, path: Path) -> Optional[Turn]:
     return None
 
 
-def slide(f: TopRep, edge: int, alpha: Path,
+def slide(f: TopRep, d: int, alpha: Path,
           lower: Optional[Iterable[int]] = None) -> TopRep:
-    """Move an edge's terminal endpoint along a path avoiding the edge.
+    """Move the head of the directed edge ``d`` along a path avoiding its
+    edge, so ``slide(f, -e, alpha)`` moves the initial end of ``e``.
 
     With ``lower`` given, the path must also stay inside those edges.
     """
     graph = f.graph
-    if alpha.graph is not graph or alpha.start != graph.dst(edge):
+    if alpha.graph is not graph or alpha.start != graph.dst(d):
         raise PathNotInLowerStrata(
             "the sliding path must leave the slid edge's endpoint")
+    edge = abs(d)
     crossed = set(alpha.crossings())
     if edge in crossed:
         raise PathNotInLowerStrata("the sliding path crosses the slid edge")
@@ -1133,81 +1004,31 @@ def slide(f: TopRep, edge: int, alpha: Path,
                 f"the sliding path crosses edges {sorted(crossed - allowed)} "
                 f"outside the allowed set")
 
-    ends = []
-    for e in graph.edges():
-        s, t = graph.src(e), graph.dst(e)
-        if e == edge:
-            t = alpha.end
-        ends.append((s, t))
+    ends = [(graph.src(e), graph.dst(e)) for e in graph.edges()]
+    moved = (graph.src(d), alpha.end)
+    ends[edge - 1] = moved if d > 0 else moved[::-1]
     new_graph = Orbigraph(graph.W, list(graph.kinds), ends,
                           list(graph.edge_names))
 
-    cell_map = {c: c for c in graph.cells()}
+    # the new d runs along the old d and then alpha; a reversed d
+    # stores the itineraries of its positive edge
     fwd = {e: (e,) for e in graph.edges()}
-    fwd[edge] = (edge,) + _invert_items(graph, alpha.items)
+    back = dict(fwd)
+    fwd[edge] = (d,) + invert_items(graph, alpha.items)
+    back[edge] = (d,) + alpha.items
+    moved_image = f.image(d) * f.apply(alpha)
+    if d < 0:
+        fwd[edge] = invert_items(graph, fwd[edge])
+        back[edge] = invert_items(graph, back[edge])
+        moved_image = moved_image.invert()
+    cell_map = {c: c for c in graph.cells()}
     tr = Transport(graph, new_graph, cell_map, fwd)
-    back = {e: (e,) for e in graph.edges()}
-    back[edge] = (edge,) + alpha.items
     rtr = Transport(new_graph, graph, cell_map, back)
 
-    images = {}
-    for e in graph.edges():
-        if e == edge:
-            images[e] = tr.path(f.edge_images[edge] * f.apply(alpha))
-        else:
-            images[e] = tr.path(f.edge_images[e])
+    images = {e: tr.path(f.edge_images[e]) for e in graph.edges()}
+    images[edge] = tr.path(moved_image)
     out = _rebuild(f, new_graph, tr, rtr, images)
-    _emit("slide", (edge, alpha.items), f, out)
-    return out
-
-
-def slide_source(f: TopRep, edge: int, alpha: Path,
-                 lower: Optional[Iterable[int]] = None) -> TopRep:
-    """Move an edge's initial endpoint along a path avoiding the edge.
-
-    The mirror of :func:`slide`: the moved edge becomes ``alpha``
-    followed by the old edge, so its new image picks up the inverted
-    image of ``alpha`` in front.
-    """
-    graph = f.graph
-    if alpha.graph is not graph or alpha.start != graph.src(edge):
-        raise PathNotInLowerStrata(
-            "the sliding path must leave the slid edge's endpoint")
-    crossed = set(alpha.crossings())
-    if edge in crossed:
-        raise PathNotInLowerStrata("the sliding path crosses the slid edge")
-    if lower is not None:
-        allowed = {int(e) for e in lower}
-        if not crossed <= allowed:
-            raise PathNotInLowerStrata(
-                f"the sliding path crosses edges {sorted(crossed - allowed)} "
-                f"outside the allowed set")
-
-    ends = []
-    for e in graph.edges():
-        s, t = graph.src(e), graph.dst(e)
-        if e == edge:
-            s = alpha.end
-        ends.append((s, t))
-    new_graph = Orbigraph(graph.W, list(graph.kinds), ends,
-                          list(graph.edge_names))
-
-    cell_map = {c: c for c in graph.cells()}
-    fwd = {e: (e,) for e in graph.edges()}
-    fwd[edge] = alpha.items + (edge,)
-    tr = Transport(graph, new_graph, cell_map, fwd)
-    back = {e: (e,) for e in graph.edges()}
-    back[edge] = _invert_items(graph, alpha.items) + (edge,)
-    rtr = Transport(new_graph, graph, cell_map, back)
-
-    images = {}
-    for e in graph.edges():
-        if e == edge:
-            images[e] = tr.path(f.apply(alpha).invert() * f.edge_images[edge])
-        else:
-            images[e] = tr.path(f.edge_images[e])
-    out = _rebuild(f, new_graph, tr, rtr, images)
-    _emit("slide_source", (edge, alpha.items), f, out)
+    _emit("slide", (d, alpha.items), f, out)
     return out
 
 
@@ -1224,104 +1045,41 @@ def tree_replace(f: TopRep, stratum: Iterable[int]) -> TopRep:
     if sub.cone_cells():
         raise NotZeroStratum("zero strata never carry cone points")
 
-    comps = sub.components()
-    interior: Set[int] = set()
-    boundary: Dict[int, Tuple[int, ...]] = {}
-    centers: Dict[int, int] = {}
-    geodesics: Dict[int, Dict[int, Tuple[Item, ...]]] = {}
-    comp_of: Dict[int, int] = {}
-    for k, comp in enumerate(comps):
-        cells = sorted(comp.cells)
-        bd = tuple(c for c in cells
-                   if any(abs(d) not in zs for d in graph.edges_at(c)))
+    # each component becomes a star: its least attaching cell is the
+    # center, joined by a new edge S to each other attaching cell
+    into: Dict[int, int] = {}
+    reach: Dict[int, Tuple[Item, ...]] = {}
+    dead: Dict[int, Tuple[Item, ...]] = {}
+    extra: List[Tuple[str, int, Tuple[Item, ...]]] = []
+    taken = {graph.edge_names[e - 1] for e in graph.edges() if e not in zs}
+    first = graph.n_edges - len(zs) + 1
+    for comp in sub.components():
+        bd = [c for c in sorted(comp.cells)
+              if any(abs(d) not in zs for d in graph.edges_at(c))]
         if len(bd) < 2:
             raise NotZeroStratum(
                 "a component does not join two attaching cells")
-        boundary[k] = bd
-        centers[k] = min(bd)
-        interior.update(c for c in cells if c not in bd)
-        walk: Dict[int, Tuple[Item, ...]] = {centers[k]: ()}
-        frontier = [centers[k]]
-        while frontier:
-            c = frontier.pop()
-            for d in graph.edges_at(c):
-                if abs(d) not in comp.edges:
-                    continue
-                nxt = graph.dst(d)
-                if nxt not in walk:
-                    walk[nxt] = walk[c] + (d,)
-                    frontier.append(nxt)
-        geodesics[k] = walk
-        for c in comp.cells:
-            comp_of[c] = k
-
-    cell_map: Dict[int, int] = {}
-    kinds = []
-    new_id = 0
-    for c in graph.cells():
-        if c in interior:
-            continue
-        cell_map[c] = new_id
-        kinds.append(graph.kinds[c])
-        new_id += 1
-    for c in interior:
-        cell_map[c] = cell_map[centers[comp_of[c]]]
-
-    keep = [e for e in graph.edges() if e not in zs]
-    ends = []
-    names = []
-    taken = set()
-    for e in keep:
-        ends.append((cell_map[graph.src(e)], cell_map[graph.dst(e)]))
-        names.append(graph.edge_names[e - 1])
-        taken.add(names[-1])
-    star_edges: Dict[Tuple[int, int], int] = {}
-    next_edge = len(keep) + 1
-    for k in sorted(boundary):
-        for b in boundary[k]:
-            if b == centers[k]:
-                continue
-            ends.append((cell_map[centers[k]], cell_map[b]))
-            name = f"S{next_edge}"
+        center = bd[0]
+        walk = _walks(graph, center, comp.edges)
+        # the star's walk from the center to each attaching cell, in the
+        # ids past the last old edge that name the extra edges
+        spoke = {center: ()}
+        for b in bd[1:]:
+            spoke[b] = (graph.n_edges + 1 + len(extra),)
+            name = f"S{first + len(extra)}"
             while name in taken:
                 name += "'"
             taken.add(name)
-            names.append(name)
-            star_edges[(k, b)] = next_edge
-            next_edge += 1
-    new_graph = Orbigraph(graph.W, kinds, ends, names)
-
-    new_id_of = {old: i for i, old in enumerate(keep, start=1)}
-
-    def to_center(k: int, c: int) -> int:
-        return c if c in boundary[k] else centers[k]
-
-    def star_path(k: int, frm: int, to: int) -> Tuple[int, ...]:
-        out: List[int] = []
-        if frm != centers[k]:
-            out.append(-star_edges[(k, frm)])
-        if to != centers[k]:
-            out.append(star_edges[(k, to)])
-        return tuple(out)
-
-    fwd: Dict[int, Tuple[Item, ...]] = {e: (new_id_of[e],) for e in keep}
-    for e in zs:
-        k = comp_of[graph.src(e)]
-        fwd[e] = star_path(k, to_center(k, graph.src(e)),
-                           to_center(k, graph.dst(e)))
-    tr = Transport(graph, new_graph, cell_map, fwd)
-
-    back_cell = {cell_map[c]: c for c in graph.cells() if c not in interior}
-    back: Dict[int, Tuple[Item, ...]] = {new_id_of[e]: (e,) for e in keep}
-    for (k, b), idx in star_edges.items():
-        back[idx] = geodesics[k][b]
-    rtr = Transport(new_graph, graph, back_cell, back)
-
-    images = {new_id_of[e]: tr.path(f.edge_images[e]) for e in keep}
-    for (k, b), idx in star_edges.items():
-        old = tighten(graph, centers[k], geodesics[k][b])
-        images[idx] = tr.path(f.apply(old))
-    out = _rebuild(f, new_graph, tr, rtr, images)
+            extra.append((name, center, walk[b]))
+        for c in comp.cells:
+            if c not in spoke:
+                into[c] = center
+                reach[c] = walk[c]
+        for e in comp.edges:
+            s, t = graph.src(e), graph.dst(e)
+            dead[e] = (tuple(-i for i in spoke.get(s, ()))
+                       + spoke.get(t, ()))
+    out, _ = _quotient(f, _absorbing(graph, into), reach, dead, extra)
     out, _ = _collapse_cleanup(out, collapse_invariant=False)
     _emit("tree_replace", (tuple(sorted(zs)),), f, out)
     return out

@@ -239,9 +239,6 @@ class Subgraph:
     def nontrivial(self) -> bool:
         return bool(self.edges)
 
-    def has_edge(self, d) -> bool:
-        return abs(d) in self.edges
-
     def cone_cells(self) -> Tuple[int, ...]:
         return tuple(c for c in sorted(self.cells) if self.parent.is_cone(c))
 

@@ -16,7 +16,7 @@ letter across the cone at the head of ``T``.
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import BadPath, EndpointMismatch, NotAWalk
 from .groups import least_rotation
@@ -83,6 +83,13 @@ def _tighten_items(graph: Orbigraph, start: int, items: Iterable[Item]):
 def tighten(graph: Orbigraph, start: int, items: Iterable[Item]) -> "Path":
     return Path(graph, start, _tighten_items(graph, start, items),
                 _tight=True)
+
+
+def invert_items(graph: Orbigraph, items: Sequence[Item]) -> Tuple[Item, ...]:
+    """The reverse walk: edges negated, letters inverted, order reversed."""
+    return tuple(-item if is_edge_item(item)
+                 else (item[0], graph.group_at(item[0]).inv(item[1]))
+                 for item in reversed(items))
 
 
 class _Walk:
@@ -182,14 +189,8 @@ class Path(_Walk):
     __mul__ = concat
 
     def invert(self) -> "Path":
-        inv_items = []
-        for item in reversed(self.items):
-            if is_edge_item(item):
-                inv_items.append(-item)
-            else:
-                c, g = item
-                inv_items.append((c, self.graph.group_at(c).inv(g)))
-        return Path(self.graph, self.end, tuple(inv_items), _tight=True)
+        return Path(self.graph, self.end, invert_items(self.graph, self.items),
+                    _tight=True)
 
     __invert__ = invert
 

@@ -31,7 +31,6 @@ from .moves import (
     maximal_invariant_forest,
     maximal_pretrivial_forest,
     slide,
-    slide_source,
     valence_one_homotopy,
     valence_two_homotopy,
 )
@@ -383,10 +382,9 @@ def _degenerate_slide(f: TopRep, forest) -> TopRep:
             for e in sorted(graph.edges()):
                 if e in forest.edges:
                     continue
-                if graph.src(e) == v:
-                    return slide_source(f, e, alpha)
-                if graph.dst(e) == v:
-                    return slide(f, e, alpha)
+                for d in (-e, e):
+                    if graph.dst(d) == v:
+                        return slide(f, d, alpha)
     return f
 
 

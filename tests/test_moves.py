@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitrain.errors import (
@@ -46,11 +46,12 @@ from orbitrain.moves import (
     valence_two_homotopy,
 )
 from orbitrain.orbigraph import VERTEX, Orbigraph, hedgehog
-from orbitrain.paths import Path, Turn, format_path, parse_path
+from orbitrain.paths import Path, Turn, format_path, parse_path, tighten
 from orbitrain.pf import pf_compare, pf_data
 from orbitrain.toprep import (
     EG,
     NEG,
+    ZERO,
     ConeMap,
     Marking,
     TopRep,
@@ -62,6 +63,7 @@ from orbitrain.toprep import (
     structurally_equal,
     thistle_rep,
 )
+from orbitrain.traintrack import _descent_turn
 
 Z2 = FiniteGroup.cyclic(2)
 
@@ -190,7 +192,7 @@ class TestCollapseForest:
         assert out.induced_outer() == phi_w4.fingerprint()
 
 
-def star_tree_rep():
+def star_tree_rep(base=2):
     """Two cones hanging off a squashed three-edge tree: U, V, W all map
     to the trivial path, B wanders across the tree."""
     return w2_rep(
@@ -199,7 +201,7 @@ def star_tree_rep():
         ["A", "B", "U", "V", "W"],
         {1: (0, "A"), 2: (1, "B V ~U"), 3: (2, ""), 4: (2, ""), 5: (2, "")},
         {2: 2, 3: 2, 4: 2, 5: 2},
-        base=2,
+        base=base,
     )
 
 
@@ -377,6 +379,8 @@ class TestSlide:
         g = t_alpha.graph
         with pytest.raises(PathNotInLowerStrata):
             slide(t_alpha, 2, parse_path(g, "~B .b B", start=0))
+        with pytest.raises(PathNotInLowerStrata):
+            slide(t_alpha, -2, parse_path(g, "B ~C .c C ~B", start=2))
 
     def test_slide_path_confined_to_lower_strata(self, t_alpha):
         g = t_alpha.graph
@@ -385,6 +389,23 @@ class TestSlide:
             slide(t_alpha, 2, loop, lower={1})
         out = slide(t_alpha, 2, loop, lower={1, 3})
         assert out.induced_outer() == t_alpha.induced_outer()
+
+    def test_reversed_direction_slides_the_initial_end(self, t_alpha):
+        """B' leaves the subdivision vertex; sliding that end around the
+        b twist wraps the twist into the images of B and B'."""
+        cut = subdivide(t_alpha, 2, 1)
+        alpha = parse_path(cut.graph, "~B .b B", start=4)
+        with record_moves() as log:
+            out = slide(cut, -3, alpha)
+        assert image_texts(out) == {
+            "A": "A",
+            "B": ".b B B'",
+            "B'": "~B' ~B .b B B' ~A .a A ~C .c C ~A .a A ~B' ~B .b B B'",
+            "C": "C ~A .a A ~B' ~B .b B B'",
+        }
+        assert out.induced_outer() == t_alpha.induced_outer()
+        assert [m.move for m in log] == ["slide"]
+        assert log[0].details == (-3, alpha.items)
 
 
 # ---- tree replacement ----------------------------------------------------------
@@ -407,6 +428,12 @@ class TestTreeReplace:
         f = star_tree_rep()
         with pytest.raises(NotZeroStratum):
             tree_replace(f, {1})
+
+    def test_base_inside_the_tree_moves_to_the_center(self):
+        f = star_tree_rep(base=4)
+        out = tree_replace(f, {3, 4, 5})
+        assert out.marking.base == 2
+        assert out.induced_outer() == f.induced_outer()
 
 
 # ---- invariant core subdivision ------------------------------------------------
@@ -528,7 +555,22 @@ class TestRecorder:
 # ---- markings under randomized twisting ----------------------------------------
 
 
+def random_loop(rng, graph, base, avoid):
+    """A loop at ``base`` of up to three cone twists, none reached
+    across the edge ``avoid``."""
+    loop = Path(graph, base, ())
+    for _ in range(rng.randrange(1, 4)):
+        c = rng.choice(graph.cone_cells())
+        way = tighten(graph, base, graph.geodesic(base, c))
+        if avoid in way.crossings():
+            continue
+        g = rng.randrange(1, graph.group_at(c).order)
+        loop = loop * way * tighten(graph, c, ((c, g),)) * way.invert()
+    return loop
+
+
 @given(st.integers(0, 2**32 - 1))
+@example(19)  # its subdivision leaves a zero stratum off the cones
 @settings(max_examples=25, deadline=None)
 def test_moves_preserve_twisted_outer_classes(seed):
     """Pre- and post-composing with inner automorphisms changes the
@@ -553,4 +595,23 @@ def test_moves_preserve_twisted_outer_classes(seed):
     n = rep.edge_images[edge].n_edges
     if n > 1:
         rep = subdivide(rep, edge, rng.randrange(1, n))
+        assert rep.induced_outer() == want
+        v = rep.graph.n_cells - 1
+        piece = rng.choice([abs(d) for d in rep.graph.edges_at(v)])
+        back = valence_two_homotopy(rep, v, piece, strict=False)
+        assert back.induced_outer() == want
+
+    filt = classify_strata(rep, maximal_filtration(rep))
+    for stratum in filt.strata:
+        if stratum.kind == ZERO \
+                and not rep.graph.subgraph(stratum.edges).cone_cells():
+            assert tree_replace(rep, stratum.edges).induced_outer() == want
+
+    if not rep.is_train_track():
+        assert fold(rep, _descent_turn(rep)).induced_outer() == want
+
+    edge = rng.choice(rep.graph.edges())
+    for d in (edge, -edge):
+        loop = random_loop(rng, rep.graph, rep.graph.dst(d), edge)
+        rep = slide(rep, d, loop)
         assert rep.induced_outer() == want

@@ -1,4 +1,5 @@
-"""Source checks: certificates in the library must survive ``python -O``."""
+"""Source checks: certificates in the library must survive ``python -O``,
+and graph construction in the moves stays in its builders."""
 
 import ast
 from pathlib import Path
@@ -16,3 +17,18 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements vanish under -O: {found}"
+
+
+def test_moves_construct_graphs_only_in_the_builders():
+    """Every quotient move goes through ``moves._quotient``; besides it
+    only subdivision and the slide build an Orbigraph in ``moves.py``."""
+    path = Path(orbitrain.__file__).parent / "moves.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    sites = []
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        sites += [name for node in ast.walk(top)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "Orbigraph"]
+    assert sorted(sites) == ["_quotient", "_subdivide_many", "slide"]
