@@ -300,8 +300,16 @@ def maximal_pretrivial_forest(f: TopRep) -> Subgraph:
 
 
 def maximal_invariant_forest(f: TopRep) -> Subgraph:
-    """A maximal invariant forest, grown greedily in edge order."""
+    """A maximal invariant forest, grown greedily in edge order.
+
+    The result is cached on the representative, so a search repeated on
+    the same representative (the descent's normalisation after a fold's
+    cleanup) costs nothing.
+    """
+    if f._forest is not None:
+        return f._forest
     graph = f.graph
+    crossed = {e: tuple(f.edge_images[e].crossings()) for e in graph.edges()}
     chosen: Set[int] = set()
     for e in graph.edges():
         if e in chosen:
@@ -309,14 +317,15 @@ def maximal_invariant_forest(f: TopRep) -> Subgraph:
         closure = {e}
         queue = [e]
         while queue:
-            for crossed in f.edge_images[queue.pop()].crossings():
-                if crossed not in closure:
-                    closure.add(crossed)
-                    queue.append(crossed)
+            for c in crossed[queue.pop()]:
+                if c not in closure:
+                    closure.add(c)
+                    queue.append(c)
         candidate = chosen | closure
         if graph.subgraph(candidate).is_forest():
             chosen = candidate
-    return graph.subgraph(chosen)
+    f._forest = graph.subgraph(chosen)
+    return f._forest
 
 
 def _edge_set(forest) -> Set[int]:
@@ -395,21 +404,19 @@ def subdivide(f: TopRep, e: int, split: int) -> TopRep:
     return out
 
 
-def _position_image(f: TopRep, e: int, x: Fraction):
-    """Where the interior point of ``e`` at position ``x`` lands.
-
-    Returns ``("cell", c)`` over a zero cell of the image path and
-    ``("point", edge, y)`` when the image is interior to an edge.
-    """
-    p = f.edge_images[e]
-    crossings = [d for d in p.items if is_edge_item(d)]
-    scaled = x * len(crossings)
-    j = int(scaled)
-    if scaled == j:
-        return ("cell", f.graph.dst(crossings[j - 1]))
+def _cut_site(f: TopRep, e: int, x: Fraction
+              ) -> Tuple[int, int, Optional[Fraction]]:
+    """Where the interior point of ``e`` at position ``x`` lands: the
+    index ``j`` and direction ``d`` of the crossing of its image that
+    holds it, and the point of edge ``abs(d)`` it hits, or ``None`` when
+    it lands on the head of ``d``, a zero cell."""
+    crossings = f.edge_images[e].edge_items()
+    s = x * len(crossings)
+    j = s.numerator // s.denominator
+    if s.denominator == 1:
+        return j - 1, crossings[j - 1], None
     d = crossings[j]
-    offset = scaled - j
-    return ("point", abs(d), offset if d > 0 else 1 - offset)
+    return j, d, (s - j if d > 0 else j + 1 - s)
 
 
 def _subdivide_many(f: TopRep, points: Dict[int, Sequence[Fraction]],
@@ -417,6 +424,14 @@ def _subdivide_many(f: TopRep, points: Dict[int, Sequence[Fraction]],
                     ) -> Tuple[TopRep, Transport]:
     """Subdivide edges at interior rational positions; returns the result
     and the forward transport onto its pieces.
+
+    Subdivision is a substitution: every old edge reads as the run of its
+    pieces.  A refinement of a tight path is tight, so the image of an
+    uncut edge is its old image refined, never re-tightened, and each
+    piece of a cut edge takes a slice of that refined image between
+    integer indices.  Subdivision adds only letter-free valence-two
+    vertices and keeps every old cell id, so every loop at the base reads
+    the same word and the marking is unchanged.
 
     When a cut lands on a zero cell of an image path that carries a cone
     letter, the letter normally opens the second piece's image; cuts
@@ -438,9 +453,11 @@ def _subdivide_many(f: TopRep, points: Dict[int, Sequence[Fraction]],
     n_cells = graph.n_cells
     kinds = list(graph.kinds)
     vert_of: Dict[Tuple[int, Fraction], int] = {}
+    rank: Dict[Tuple[int, Fraction], int] = {}  # pieces of the edge before it
     for e in sorted(cuts):
-        for x in cuts[e]:
+        for k, x in enumerate(cuts[e], start=1):
             vert_of[(e, x)] = n_cells
+            rank[(e, x)] = k
             kinds.append(VERTEX)
             n_cells += 1
 
@@ -467,88 +484,61 @@ def _subdivide_many(f: TopRep, points: Dict[int, Sequence[Fraction]],
             next_id += 1
         pieces[e] = tuple(ids)
     new_graph = Orbigraph(graph.W, kinds, ends, names)
+    tr = Transport(graph, new_graph, {c: c for c in graph.cells()}, pieces)
 
-    cell_map = {c: c for c in graph.cells()}
-    tr = Transport(graph, new_graph, cell_map, pieces)
-    back_cells = dict(cell_map)
-    for (e, x), v in vert_of.items():
-        back_cells[v] = graph.dst(e)
-    back_edges: Dict[int, Tuple[Item, ...]] = {}
-    for e, ids in pieces.items():
-        back_edges[ids[0]] = (e,)
-        for extra in ids[1:]:
-            back_edges[extra] = ()
-    rtr = Transport(new_graph, graph, back_cells, back_edges)
-
-    # map the new vertices first: a cut whose image lands inside an edge
-    # must match a cut of that edge, else the point set was not closed
     vertices = dict(f.vertex_images)
-    for (e, x), v in vert_of.items():
-        where = _position_image(f, e, x)
-        if where[0] == "cell":
-            vertices[v] = where[1]
-        else:
-            te, y = where[1], where[2]
-            if (te, y) not in vert_of:
+    images: Dict[int, Path] = {}
+    for e in graph.edges():
+        p = f.edge_images[e]
+        refined = tr.items(p.items)
+        if e not in cuts:
+            images[pieces[e][0]] = Path(new_graph, p.start, refined,
+                                        _tight=True)
+            continue
+        runs = []  # where each crossing's run of pieces starts in refined
+        at = 0
+        for item in p.items:
+            if is_edge_item(item):
+                runs.append(at)
+                at += len(pieces[abs(item)])
+            else:
+                at += 1
+        bounds = [0]
+        starts = [p.start]
+        for x in cuts[e]:
+            j, d, y = _cut_site(f, e, x)
+            at = runs[j]
+            if y is None:
+                # on the head of crossing j, before its junction letter
+                at += len(pieces[abs(d)])
+                cell = graph.dst(d)
+                if (e, x) in first_side and not is_edge_item(refined[at]):
+                    at += 1
+            elif (abs(d), y) in vert_of:
+                # inside crossing j, at a cut of the crossed edge
+                cell = vert_of[(abs(d), y)]
+                k = rank[(abs(d), y)]
+                at += k if d > 0 else len(pieces[abs(d)]) - k
+            else:
                 raise ImageNotAtZeroCell(
                     f"point {x} of edge {graph.edge_label(e)} maps inside "
                     f"an edge away from every subdivision point")
-            vertices[v] = vert_of[(te, y)]
-
-    def breakpoints(e: int) -> Tuple[Fraction, ...]:
-        return (Fraction(0),) + cuts.get(e, ()) + (Fraction(1),)
-
-    def chain(d: int, a: Fraction, b: Fraction) -> Tuple[int, ...]:
-        # pieces covering the stretch of direction d from traversal
-        # parameter a to parameter b; both must be breakpoints of |d|
-        e = abs(d)
-        brks = breakpoints(e)
-        try:
-            if d > 0:
-                lo, hi = brks.index(a), brks.index(b)
-                return pieces[e][lo:hi]
-            lo, hi = brks.index(1 - b), brks.index(1 - a)
-        except ValueError:
-            raise ImageNotAtZeroCell(
-                f"an image crossing edge {graph.edge_label(e)} is cut away "
-                f"from every subdivision point") from None
-        return tuple(-q for q in reversed(pieces[e][lo:hi]))
-
-    def subimage(e: int, a: Fraction, b: Fraction) -> Tuple[Item, ...]:
-        p = f.edge_images[e]
-        n = p.n_edges
-        out: List[Item] = []
-        pos = 0
-        lo, hi = a * n, b * n
-        for item in p.items:
-            if not is_edge_item(item):
-                if lo < pos < hi:
-                    out.append(item)
-                elif pos == lo and (a == 0 or (e, a) not in first_side):
-                    out.append(item)
-                elif pos == hi and (b == 1 or (e, b) in first_side):
-                    out.append(item)
-                continue
-            cut_a, cut_b = max(Fraction(pos), lo), min(Fraction(pos + 1), hi)
-            if cut_a < cut_b:
-                out.extend(chain(item, cut_a - pos, cut_b - pos))
-            pos += 1
-        return tuple(out)
-
-    images: Dict[int, Path] = {}
-    for e in graph.edges():
-        brks = breakpoints(e)
+            vertices[vert_of[(e, x)]] = cell
+            bounds.append(at)
+            starts.append(cell)
+        bounds.append(len(refined))
         for k, piece in enumerate(pieces[e]):
-            a, b = brks[k], brks[k + 1]
-            if a == 0:
-                start = f.cell_image(graph.src(e))
-            else:
-                where = _position_image(f, e, a)
-                start = where[1] if where[0] == "cell" \
-                    else vert_of[(where[1], where[2])]
-            images[piece] = tighten(new_graph, start, subimage(e, a, b))
+            # a slice of a tight walk is tight up to trivial end letters
+            body = refined[bounds[k]:bounds[k + 1]]
+            if not is_edge_item(body[0]) and body[0][1] == 0:
+                body = body[1:]
+            if not is_edge_item(body[-1]) and body[-1][1] == 0:
+                body = body[:-1]
+            images[piece] = Path(new_graph, starts[k], body, _tight=True)
 
-    marking = _transported_marking(f, new_graph, tr, rtr)
+    marking = f.marking
+    if marking is not None:
+        marking = Marking(new_graph, marking.base, marking.nu)
     return (TopRep(new_graph, images, dict(f.cone_images), vertices, marking),
             tr)
 
@@ -909,12 +899,10 @@ def invariant_core_subdivision(f: TopRep, stratum: Iterable[int]) -> TopRep:
         grown = False
         for e in sorted(cuts):
             for x in sorted(cuts[e]):
-                where = _position_image(f, e, x)
-                if where[0] == "point":
-                    te, y = where[1], where[2]
-                    if y not in cuts.setdefault(te, set()):
-                        cuts[te].add(y)
-                        grown = True
+                _, d, y = _cut_site(f, e, x)
+                if y is not None and y not in cuts.setdefault(abs(d), set()):
+                    cuts[abs(d)].add(y)
+                    grown = True
         if not grown:
             break
     else:

@@ -82,7 +82,7 @@ class TopRep:
     """
 
     __slots__ = ("graph", "edge_images", "cone_images", "vertex_images",
-                 "marking", "_images", "_illegal")
+                 "marking", "_images", "_illegal", "_forest")
 
     def __init__(self, graph: Orbigraph, edge_images, cone_images,
                  vertex_images, marking: Optional[Marking] = None):
@@ -93,6 +93,7 @@ class TopRep:
         self.marking = marking
         self._images: Dict[int, Path] = {}
         self._illegal = None
+        self._forest = None  # moves.maximal_invariant_forest
         self._validate()
 
     def _validate(self):
@@ -493,14 +494,18 @@ class TransitionMatrix:
 
     entries: Tuple[Tuple[int, ...], ...]
     edges: Tuple[int, ...]
+    index: Dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index",
+                           {e: i for i, e in enumerate(self.edges)})
 
     def block(self, edges) -> Tuple[Tuple[int, ...], ...]:
-        idx = [self.edges.index(e) for e in edges]
-        return submatrix(self.entries, idx)
+        return submatrix(self.entries, [self.index[e] for e in edges])
 
     def __getitem__(self, pair):
         i, j = pair
-        return self.entries[self.edges.index(i)][self.edges.index(j)]
+        return self.entries[self.index[i]][self.index[j]]
 
 
 @dataclass(frozen=True)
@@ -565,7 +570,6 @@ def maximal_filtration(f: TopRep, seed=None) -> Filtration:
     from the edge into it.
     """
     M = f.transition_matrix()
-    pos = {e: i for i, e in enumerate(M.edges)}
     sets = [frozenset(s) for s in seed] if seed is not None else []
     if not sets or sets[-1] != frozenset(M.edges):
         sets.append(frozenset(M.edges))
@@ -586,7 +590,7 @@ def maximal_filtration(f: TopRep, seed=None) -> Filtration:
         lower = s
         if not diff:
             continue
-        block = submatrix(M.entries, [pos[e] for e in diff])
+        block = M.block(diff)
         groups = []
         for comp in scc_components(block):
             zero = len(comp) == 1 and block[comp[0]][comp[0]] == 0

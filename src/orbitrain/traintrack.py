@@ -130,9 +130,8 @@ def _length_order(f: TopRep, e1: int, e2: int) -> Tuple[int, int]:
         if not any(nxt):
             break
         vec = nxt
-    pos = {e: i for i, e in enumerate(edges)}
-    a = (vec[pos[e1]], e1)
-    b = (vec[pos[e2]], e2)
+    a = (vec[M.index[e1]], e1)
+    b = (vec[M.index[e2]], e2)
     lo, hi = min(a, b), max(a, b)
     return lo[1], hi[1]
 

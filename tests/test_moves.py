@@ -29,6 +29,7 @@ from orbitrain.errors import (
     PathNotInLowerStrata,
     UnsafeMove,
 )
+from orbitrain import moves
 from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct
 from orbitrain.moves import (
     MoveTrace,
@@ -45,8 +46,9 @@ from orbitrain.moves import (
     valence_one_homotopy,
     valence_two_homotopy,
 )
-from orbitrain.orbigraph import VERTEX, Orbigraph, hedgehog
-from orbitrain.paths import Path, Turn, format_path, parse_path, tighten
+from orbitrain.orbigraph import VERTEX, Orbigraph, Subgraph, hedgehog
+from orbitrain.paths import (Path, Turn, format_path, is_edge_item, parse_path,
+                             tighten)
 from orbitrain.pf import pf_compare, pf_data
 from orbitrain.toprep import (
     EG,
@@ -114,6 +116,18 @@ class TestForests:
     def test_invariant_forest_of_thistle_alpha(self, t_alpha):
         forest = maximal_invariant_forest(t_alpha)
         assert sorted(forest.edges) == [1]
+
+    def test_invariant_forest_is_cached_per_representative(self, f_beta):
+        """The fold's cleanup leaves its forest search on the result, and
+        a fresh search on a representative with the same images agrees."""
+        out = fold(f_beta, Turn(-1, 0, -2, 0))
+        cached = out._forest
+        assert isinstance(cached, Subgraph)
+        assert maximal_invariant_forest(out) is cached
+        rebuilt = TopRep(out.graph, out.edge_images, out.cone_images,
+                         out.vertex_images, out.marking)
+        assert rebuilt._forest is None
+        assert maximal_invariant_forest(rebuilt) == cached
 
     def test_hedgehog_has_no_invariant_forest(self, f_alpha):
         assert not maximal_invariant_forest(f_alpha).edges
@@ -237,6 +251,11 @@ class TestSubdivide:
         with pytest.raises(ImageNotAtZeroCell):
             subdivide(f_alpha, 1, 9)
 
+    def test_cut_set_must_be_closed_under_the_map(self):
+        # the middle of B lands inside C, which has no cut there
+        with pytest.raises(ImageNotAtZeroCell):
+            moves._subdivide_many(half_core_rep(), {2: (Fraction(1, 2),)})
+
     def test_preserves_outer_and_eigenvalue(self, f_alpha):
         out = subdivide(f_alpha, 1, 4)
         assert out.induced_outer() == f_alpha.induced_outer()
@@ -257,6 +276,161 @@ class TestSubdivide:
         back = valence_two_homotopy(cut, v, min(second), strict=False)
         assert structurally_equal(back, f_alpha)
         assert back.induced_outer() == f_alpha.induced_outer()
+
+
+def random_twisted_automorphism(rng):
+    """A random W3-W5 automorphism: a factor permutation, then partial
+    conjugations, then a random inner twist."""
+    n = rng.randrange(3, 6)
+    W = FreeProduct([Z2] * n)
+    perm = rng.sample(range(n), n)
+    phi = Automorphism.from_gen_images(W, [((perm[k], 1),) for k in range(n)])
+    for _ in range(rng.randrange(1, 2 * n)):
+        i, j = rng.sample(range(n), 2)
+        images = [((k, 1),) for k in range(n)]
+        images[i] = ((j, 1), (i, 1), (j, 1))
+        phi = Automorphism.from_gen_images(W, images).compose(phi)
+    word = [(rng.randrange(n), 1) for _ in range(rng.randrange(4))]
+    return Automorphism.inner(W, W.nf(word)).compose(phi)
+
+
+def cut_site(f, e, x):
+    """Where point ``x`` of edge ``e`` lands: ``("cell", j)`` over the
+    zero cell after the j-th crossing of its image, else the crossed
+    direction and the point on its edge."""
+    crossings = f.edge_images[e].edge_items()
+    s = x * len(crossings)
+    j = s.numerator // s.denominator
+    if s.denominator == 1:
+        return "cell", j
+    d = crossings[j]
+    return d, (s - j if d > 0 else j + 1 - s)
+
+
+def orbit_cuts(f, e, x):
+    """Point ``x`` of edge ``e`` and its forward orbit up to a zero cell:
+    a cut set closed under the map, finite since every point stays over
+    the denominator of ``x``."""
+    cuts = {}
+    todo = [(e, x)]
+    while todo:
+        e, x = todo.pop()
+        if x not in cuts.setdefault(e, set()):
+            cuts[e].add(x)
+            d, y = cut_site(f, e, x)
+            if d != "cell":
+                todo.append((abs(d), y))
+    return cuts
+
+
+def seeded_subdivisions(seed):
+    """The automorphism of ``seed`` and every subdivision of its thistle
+    or hedgehog representative, maybe slid, as (old, new, transport, points, cuts
+    whose junction letter goes first): the invariant core subdivision of
+    each exponential stratum, a cut at a random zero cell with the
+    junction letter on a random side, and a random rational point with
+    its forward orbit."""
+    rng = random.Random(seed)
+    phi = random_twisted_automorphism(rng)
+    fixed = [i for i in range(phi.W.n) if phi.kurosh().pi[i] == i]
+    if fixed and rng.random() < 0.5:
+        # a hedgehog's apex joins edges through trivial letters
+        f = hedgehog_rep(phi, rng.choice(fixed))
+    else:
+        f = thistle_rep(phi)
+    if rng.random() < 0.5:
+        # a slide along a twist loop moves the marking off the identity
+        e = rng.choice(f.graph.edges())
+        d = rng.choice((e, -e))
+        f = slide(f, d, random_loop(rng, f.graph, f.graph.dst(d), e))
+    seen = []
+
+    def spy(g, points, letter_first=()):
+        out, tr = real(g, points, letter_first)
+        seen.append((g, out, tr, points, frozenset(letter_first)))
+        return out, tr
+
+    real = moves._subdivide_many
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moves, "_subdivide_many", spy)
+        filt = classify_strata(f, maximal_filtration(f))
+        for stratum in filt.strata:
+            if stratum.kind == EG:
+                invariant_core_subdivision(f, stratum.edges)
+        e = rng.choice(f.graph.edges())
+        n = f.edge_images[e].n_edges
+        if n > 1:
+            cut = Fraction(rng.randrange(1, n), n)
+            sides = [(e, cut)] if rng.random() < 0.5 else []
+            moves._subdivide_many(f, {e: (cut,)}, letter_first=sides)
+        q = rng.randrange(2, 8)
+        moves._subdivide_many(f, orbit_cuts(f, rng.choice(f.graph.edges()),
+                                            Fraction(rng.randrange(1, q), q)))
+    return phi, seen
+
+
+# seeds whose subdivisions cut over zero cells and inside forward and
+# reversed crossings (20, 21), drop a trivial junction letter closing
+# (20) or opening (76) a piece, and keep a marking other than the
+# identity (21, 76)
+CUT_EVERY_WAY = (20, 21, 76)
+
+
+@given(st.integers(0, 2**32 - 1))
+@example(CUT_EVERY_WAY[0])
+@example(CUT_EVERY_WAY[1])
+@example(CUT_EVERY_WAY[2])
+@settings(max_examples=30, deadline=None)
+def test_subdivision_is_a_substitution(seed):
+    """Each old edge image, refined, is the tightened product of its
+    pieces' images; every piece image is tight; the marking is kept."""
+    phi, seen = seeded_subdivisions(seed)
+    for f, out, tr, _, letter_first in seen:
+        closing = {e for e, _ in letter_first}
+        for e in f.graph.edges():
+            run = [out.image(piece) for piece in tr.edge_items[e]]
+            for p in run:
+                Path(out.graph, p.start, p.items)  # raises unless tight
+            joined = run[0]
+            for p, q in zip(run, run[1:]):
+                # a junction letter opens the next piece unless the cut
+                # is listed to close the previous one with it
+                assert is_edge_item(q.items[0] if e in closing
+                                    else p.items[-1])
+                joined = joined * q
+            assert joined == tr.path(f.edge_images[e])
+        assert out.marking.base == f.marking.base
+        assert out.marking.nu == f.marking.nu
+        assert out.induced_automorphism().outer_equal(phi)
+
+
+def test_pinned_seeds_cut_every_way():
+    """The pinned examples above subdivide under a marking other than the
+    identity and cut over zero cells, at trivial junction letters on both
+    sides, and inside forward and reversed crossings of edges cut more
+    than once."""
+    kinds = set()
+    for seed in CUT_EVERY_WAY:
+        for f, _, _, points, letter_first in seeded_subdivisions(seed)[1]:
+            if f.marking.nu != Automorphism.identity(f.graph.W):
+                kinds.add("marked")
+            for e, xs in points.items():
+                items = f.edge_images[e].items
+                heads = [k for k, item in enumerate(items)
+                         if is_edge_item(item)]
+                for x in xs:
+                    d, y = cut_site(f, e, x)
+                    if d == "cell":
+                        kinds.add("cell")
+                        junction = items[heads[y - 1] + 1]
+                        if not is_edge_item(junction) and junction[1] == 0:
+                            kinds.add(("trivial letter", bool(letter_first)))
+                    else:
+                        kinds.add(("forward" if d > 0 else "reversed",
+                                   len(points[abs(d)]) > 1))
+    assert kinds >= {"marked", "cell", ("trivial letter", True),
+                     ("trivial letter", False), ("forward", True),
+                     ("reversed", True)}
 
 
 # ---- folding ------------------------------------------------------------------

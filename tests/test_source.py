@@ -1,5 +1,6 @@
 """Source checks: certificates in the library must survive ``python -O``,
-and graph construction in the moves stays in its builders."""
+and graph construction and marking transport in the moves stay in their
+builders."""
 
 import ast
 from pathlib import Path
@@ -19,9 +20,9 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements vanish under -O: {found}"
 
 
-def test_moves_construct_graphs_only_in_the_builders():
-    """Every quotient move goes through ``moves._quotient``; besides it
-    only subdivision and the slide build an Orbigraph in ``moves.py``."""
+def moves_call_sites(callee):
+    """The top-level definitions of ``moves.py`` that call ``callee``,
+    once per call."""
     path = Path(orbitrain.__file__).parent / "moves.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     sites = []
@@ -30,5 +31,19 @@ def test_moves_construct_graphs_only_in_the_builders():
         sites += [name for node in ast.walk(top)
                   if isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Name)
-                  and node.func.id == "Orbigraph"]
-    assert sorted(sites) == ["_quotient", "_subdivide_many", "slide"]
+                  and node.func.id == callee]
+    return sorted(sites)
+
+
+def test_moves_construct_graphs_only_in_the_builders():
+    """Every quotient move goes through ``moves._quotient``; besides it
+    only subdivision and the slide build an Orbigraph in ``moves.py``."""
+    assert moves_call_sites("Orbigraph") == [
+        "_quotient", "_subdivide_many", "slide"]
+
+
+def test_subdivision_never_transports_the_marking():
+    """Subdivision keeps every loop word, so its marking is the old one;
+    only ``_rebuild``, behind the quotient builder and the slide, reads a
+    marking back through a move."""
+    assert moves_call_sites("_transported_marking") == ["_rebuild"]

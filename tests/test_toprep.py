@@ -23,6 +23,7 @@ from orbitrain.toprep import (
     Marking,
     Stratum,
     TopRep,
+    TransitionMatrix,
     classify_strata,
     free_factor_system,
     hedgehog_rep,
@@ -198,6 +199,16 @@ class TestTransition:
         M = t_alpha.transition_matrix()
         assert M[1, 2] == 4
         assert M.block((2, 3)) == ((3, 2), (2, 1))
+
+    def test_lookups_read_the_edge_index(self):
+        """Lookups go through the edge-to-position map built with the
+        matrix, which takes no part in equality or hashing."""
+        M = TransitionMatrix(((1, 2, 3), (4, 5, 6), (7, 8, 9)), (5, 2, 9))
+        assert M.index == {5: 0, 2: 1, 9: 2}
+        assert M[2, 9] == 6
+        assert M.block((9, 5)) == ((9, 7), (3, 1))
+        same = TransitionMatrix(M.entries, M.edges)
+        assert M == same and hash(M) == hash(same)
 
 
 # ---- applying maps to paths ----------------------------------------------------
