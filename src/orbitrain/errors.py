@@ -30,7 +30,11 @@ class NotAutomorphism(OrbitrainError):
 
 
 class NotInvertible(OrbitrainError):
-    """No inverse was found for a generator-image map within the search cap."""
+    """A generator-image map has no inverse: it is not surjective.
+
+    With an infinite cyclic factor the only inversion is structural, so
+    images outside its triangular shape raise this too.
+    """
 
     code = "not-invertible"
 
@@ -65,21 +69,10 @@ class IterationCapExceeded(CapExceeded):
     code = "iteration-cap-exceeded"
 
 
-
-
-
-
 class ParseError(OrbitrainError):
-    """Job document syntax error with position information."""
+    """Text that does not parse as a word over the declared factors."""
 
     code = "parse-error"
-
-    def __init__(self, message, line=None, column=None):
-        self.line = line
-        self.column = column
-        where = f" at line {line}" if line is not None else ""
-        where += f", column {column}" if column is not None else ""
-        super().__init__(message + where)
 
 
 class UnknownGenerator(ParseError):

@@ -14,8 +14,9 @@ Representation choices, used by every other module:
   conjugacy normal forms.
 * An automorphism stores the image word of every element of every factor
   (for infinite cyclic factors, of the generator).  Composition and
-  application are exact; inversion is structural where the images are
-  triangular and otherwise a bounded meet-in-the-middle search.
+  application are exact.  Inversion is exact peak reduction by multiple
+  partial conjugations when every factor is finite, and structural for
+  triangular images when some factor is infinite cyclic.
 * A torus word is ``t^k . w`` with ``w`` a word; multiplying by ``t`` on the
   right rewrites through the defining automorphism.
 """
@@ -33,6 +34,7 @@ from .errors import (
     LemmaViolated,
     NotAutomorphism,
     NotInvertible,
+    UnknownGenerator,
 )
 
 Letter = tuple  # (factor: int, element: int)
@@ -172,13 +174,6 @@ class FiniteGroup:
         """An element of maximal order; for cyclic groups, a generator."""
         return max(self.elements(), key=self.element_order)
 
-    def center(self):
-        return [
-            z
-            for z in self.elements()
-            if all(self.cayley[z][g] == self.cayley[g][z] for g in self.elements())
-        ]
-
     # -- identity and hashing ----------------------------------------------
 
     def __eq__(self, other):
@@ -279,13 +274,6 @@ def is_iso(source, target, mapping):
 def iso_chain(first, then):
     """The composite mapping: apply ``first``, then ``then``."""
     return tuple(then[x] for x in first)
-
-
-def iso_invert(mapping):
-    out = [0] * len(mapping)
-    for a, b in enumerate(mapping):
-        out[b] = a
-    return tuple(out)
 
 
 def iso_inner_witness(group, mapping):
@@ -541,8 +529,6 @@ class FreeProduct:
         return " ".join(self.format_letter(l) for l in word) if word else "1"
 
     def parse_word(self, text: str) -> Word:
-        from .errors import UnknownGenerator
-
         raw = []
         for token in text.split():
             if token == "1":
@@ -891,21 +877,23 @@ class Automorphism:
 
     # -- inversion -----------------------------------------------------------
 
-    def inverse(self, cap: int = 12) -> "Automorphism":
+    def inverse(self) -> "Automorphism":
         """The inverse automorphism.
 
-        Tries a structural inversion for triangular image shapes first, then
-        a bounded meet-in-the-middle preimage search (total word-length cap
-        ``cap``).  Raises NotInvertible if both fail or the result does not
-        verify.
+        When every factor is finite, peak reduction finds it exactly (see
+        ``_peak_reduced_inverse``).  With an infinite cyclic factor only the
+        structural inversion of triangular image shapes is tried.  Raises
+        NotInvertible when the map is not surjective, when the structural
+        shape does not match, or when the result does not verify.
         """
         if self._inverse is not None:
             return self._inverse
-        inv = self._structural_inverse()
+        if self.W.all_factors_finite():
+            inv = self._peak_reduced_inverse()
+        else:
+            inv = self._structural_inverse()
         if inv is None:
-            inv = self._search_inverse(cap)
-        if inv is None:
-            raise NotInvertible("no inverse found within the search cap")
+            raise NotInvertible("the images are not in triangular shape")
         if not _mutually_inverse(self, inv):
             raise NotInvertible("candidate inverse failed verification")
         self._inverse = inv
@@ -993,87 +981,56 @@ class Automorphism:
         except NotAutomorphism:
             return None
 
-    def _search_inverse(self, cap):
-        """Meet-in-the-middle preimage search for each factor generator."""
+    def _peak_reduced_inverse(self) -> "Automorphism":
+        """Inversion by peak reduction over multiple partial conjugations
+        (Collins-Zieschang, Math. Z. 185 (1984); Gilbert, Proc. LMS 54
+        (1987)).
+
+        A move conjugates every factor in a set S by one element x of a
+        factor j outside S.  Each round applies the move that most shortens
+        the generator images of ``moves after self``, and the same move to
+        the images of ``moves``.  When the Kurosh conjugators are all empty
+        the reduced map is a factor permutation with isomorphisms; its
+        letter-by-letter inverse after ``moves`` is the inverse of self.
+        Raises NotInvertible when no move shortens the images before that,
+        which happens exactly when self is not surjective.
+        """
         W = self.W
         try:
-            data = self.kurosh()
-        except NotAutomorphism:
-            return None
-        half = max(1, cap // 2)
-        # forward table: images of all words up to length `half`
-        table = {(): ()}
-        frontier = [()]
-        budget = 200_000
-        for _ in range(half):
-            new_frontier = []
-            for word in frontier:
-                for letter in W.letters():
-                    cand = W.mul(word, (letter,))
-                    if len(cand) <= len(word):
-                        continue
-                    img = self.apply(cand)
-                    if img not in table:
-                        table[img] = cand
-                        new_frontier.append(cand)
-                    budget -= 1
-                    if budget <= 0:
-                        break
-                if budget <= 0:
-                    break
-            frontier = new_frontier
-            if budget <= 0:
-                break
+            self.kurosh()
+        except NotAutomorphism as exc:
+            raise NotInvertible(str(exc)) from None
 
-        def find_preimage(target):
-            if target in table:
-                return table[target]
-            seen = {()}
-            layer = [()]
-            spend = 200_000
-            for _ in range(cap - half):
-                nxt = []
-                for word in layer:
-                    for letter in W.letters():
-                        cand = W.mul((letter,), word)
-                        if len(cand) <= len(word) or cand in seen:
-                            continue
-                        seen.add(cand)
-                        nxt.append(cand)
-                        probe = W.mul(target, W.inv(self.apply(cand)))
-                        if probe in table:
-                            return W.mul(table[probe], cand)
-                        spend -= 1
-                        if spend <= 0:
-                            return None
-                layer = nxt
-            return None
+        def conjugated(word, j, x, S):
+            pre, post = (j, W.factors[j].inv(x)), (j, x)
+            return W.nf(itertools.chain.from_iterable(
+                (pre, l, post) if l[0] in S else (l,) for l in word))
 
-        inv_maps = []
-        for i in range(W.n):
-            j = data.pi[i]
-            target_factor = W.factors[j]
-            rho_inv = iso_invert(data.isos[i])
-            u = data.conjugators[i]
-            v = None
-            for z in target_factor.center():
-                goal = W.mul(W.inv(u), ((j, z),)) if z else W.inv(u)
-                v = find_preimage(goal)
-                if v is not None:
-                    break
-            if v is None:
-                return None
-            fam = {}
-            for b in target_factor.nontrivial():
-                fam[b] = W.conj(((i, rho_inv[b]),), v)
-            inv_maps.append((j, fam))
-        maps = [None] * W.n
-        for i, (j, fam) in enumerate(inv_maps):
-            maps[j] = fam
-        try:
-            return Automorphism.from_element_images(W, maps)
-        except NotAutomorphism:
-            return None
+        def gain(move):
+            return sum(len(fam[1]) - len(conjugated(fam[1], *move))
+                       for fam in reduced)
+
+        candidates = [
+            (j, x, frozenset(S))
+            for j, factor in enumerate(W.factors)
+            for x in factor.nontrivial()
+            for r in range(1, W.n)
+            for S in itertools.combinations(
+                [k for k in range(W.n) if k != j], r)
+        ]
+        reduced = self.images
+        moves = Automorphism.identity(W).images
+        while any(len(fam[1]) > 1 for fam in reduced):
+            move = max(candidates, key=gain)
+            if gain(move) <= 0:
+                raise NotInvertible("no move shortens the images: "
+                                    "the map is not surjective")
+            reduced = [[conjugated(w, *move) for w in fam] for fam in reduced]
+            moves = [[conjugated(w, *move) for w in fam] for fam in moves]
+        back = {fam[e][0]: (i, e) for i, fam in enumerate(reduced)
+                for e in range(1, len(fam))}
+        return Automorphism(W, [
+            [tuple(back[l] for l in w) for w in fam] for fam in moves])
 
 
 def _serialize_images(phi: Automorphism) -> str:
@@ -1120,8 +1077,9 @@ def torus_normal_form(phi: Automorphism, items) -> TorusWord:
 
     ``items`` mixes letters with ("t", +-k) markers.  Moving a letter w left
     past t^k multiplies it by Phi^k; the running tail therefore transforms by
-    Phi^-1 when a positive t is absorbed, which is where invertibility (and
-    the NotInvertible error) comes in.
+    Phi^-1 when a positive t is absorbed.  ``Phi.inverse()`` supplies it, by
+    exact peak reduction when every factor is finite and structurally
+    otherwise; it raises NotInvertible when Phi is not surjective.
     """
     W = phi.W
     k = 0

@@ -25,11 +25,11 @@ from orbitrain.groups import (
     FreeProduct,
     InfiniteCyclic,
     TorusWord,
+    _mutually_inverse,
     is_iso,
     iso_chain,
     iso_identity,
     iso_inner_witness,
-    iso_invert,
     least_rotation,
     torus_items_from_relator,
     torus_normal_form,
@@ -128,7 +128,7 @@ def test_iso_helpers_on_s3():
     conj = tuple(s3.mul(s3.inv(t), s3.mul(g, t)) for g in s3.elements())
     assert is_iso(s3, s3, conj)
     assert iso_inner_witness(s3, conj) is not None
-    assert iso_chain(conj, iso_invert(conj)) == ident
+    assert iso_chain(conj, conj) == ident  # conjugation by an involution
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +351,7 @@ def test_alpha_beta_are_automorphisms(alpha_w3, beta_w3):
     assert alpha_w3.is_out0() and beta_w3.is_out0()
 
 
-def test_structural_inverse_of_phi_w4(phi_w4, w4):
+def test_peak_reduction_inverts_phi_w4(phi_w4, w4):
     inv = phi_w4.inverse()
     assert inv.apply(w4.parse_word("c")) == w4.parse_word("a b c b a")
     assert inv.apply(w4.parse_word("d")) == w4.parse_word("b c b a d a b c b")
@@ -359,7 +359,7 @@ def test_structural_inverse_of_phi_w4(phi_w4, w4):
     assert phi_w4.compose(inv).is_identity()
 
 
-def test_search_inverse_of_alpha(alpha_w3):
+def test_peak_reduction_inverts_alpha(alpha_w3):
     inv = alpha_w3.inverse()
     assert inv.compose(alpha_w3).is_identity()
 
@@ -372,7 +372,80 @@ def test_injective_non_surjective_endomorphism_not_invertible():
     )
     phi.kurosh()  # factor images are honest conjugates
     with pytest.raises(NotInvertible):
-        phi.inverse(cap=8)
+        phi.inverse()
+
+
+def corpus_automorphism(n, length, seed):
+    """The benchmark corpus recipe: the rotation a_k -> a_{k+1 mod n} on
+    W_n, composed on the left with ``length`` seeded partial conjugations
+    a_i -> a_j a_i a_j."""
+    W = FreeProduct([FiniteGroup.cyclic(2)] * n)
+    rng = random.Random(seed)
+    phi = Automorphism.from_gen_images(W, [(((k + 1) % n, 1),) for k in range(n)])
+    for _ in range(length):
+        i, j = rng.sample(range(n), 2)
+        images = [((k, 1),) for k in range(n)]
+        images[i] = ((j, 1), (i, 1), (j, 1))
+        phi = Automorphism.from_gen_images(W, images).compose(phi)
+    return phi
+
+
+@pytest.mark.parametrize("n, length, seed",
+                         [(6, 10, s) for s in range(6)] + [(8, 12, 0)])
+def test_peak_reduction_inverts_large_corpus_cases(n, length, seed):
+    phi = corpus_automorphism(n, length, seed)
+    assert _mutually_inverse(phi, phi.inverse())
+
+
+FACTOR_KINDS = {"S3": FiniteGroup.symmetric(3), "Z3": FiniteGroup.cyclic(3),
+                "Z2": FiniteGroup.cyclic(2)}
+# every automorphism of each factor kind, as element mappings
+FACTOR_AUTOMORPHISMS = {
+    group: [m for m in itertools.permutations(group.elements())
+            if is_iso(group, group, m)]
+    for group in FACTOR_KINDS.values()}
+
+
+@st.composite
+def factor_moving_products(draw):
+    """A product of multiple partial conjugations, factor automorphisms and
+    swaps of isomorphic factors on a free product of S3, Z3 and Z2."""
+    kinds = draw(st.lists(st.sampled_from(sorted(FACTOR_KINDS)),
+                          min_size=3, max_size=4))
+    W = FreeProduct([FACTOR_KINDS[k] for k in kinds])
+    phi = Automorphism.identity(W)
+    for _ in range(draw(st.integers(4, 12))):
+        maps = [{e: ((i, e),) for e in f.nontrivial()}
+                for i, f in enumerate(W.factors)]
+        # partial conjugations are drawn twice as often as the other moves
+        kind = draw(st.sampled_from(["conjugate", "conjugate", "factor", "swap"]))
+        if kind == "conjugate":
+            j = draw(st.integers(0, W.n - 1))
+            x = draw(st.integers(1, W.factors[j].order - 1))
+            others = [k for k in range(W.n) if k != j]
+            for k in draw(st.lists(st.sampled_from(others), min_size=1,
+                                   unique=True)):
+                maps[k] = {e: W.conj(((k, e),), ((j, x),))
+                           for e in W.factors[k].nontrivial()}
+        elif kind == "factor":
+            i = draw(st.integers(0, W.n - 1))
+            m = draw(st.sampled_from(FACTOR_AUTOMORPHISMS[W.factors[i]]))
+            maps[i] = {e: ((i, m[e]),) for e in W.factors[i].nontrivial()}
+        else:
+            i, k = draw(st.lists(st.integers(0, W.n - 1), min_size=2,
+                                 max_size=2, unique=True))
+            if W.factors[i] == W.factors[k]:
+                maps[i], maps[k] = (
+                    {e: ((k, e),) for e in W.factors[i].nontrivial()},
+                    {e: ((i, e),) for e in W.factors[k].nontrivial()})
+        phi = Automorphism.from_element_images(W, maps).compose(phi)
+    return phi
+
+
+@settings(max_examples=30, deadline=None)
+@given(factor_moving_products())
+def test_peak_reduction_inverts_factor_moving_products(phi):
+    assert _mutually_inverse(phi, phi.inverse())
 
 
 def test_outer_fingerprint_identifies_outer_class(phi_w4, w4):

@@ -1,6 +1,6 @@
 """Source checks: certificates in the library must survive ``python -O``,
-and graph construction and marking transport in the moves stay in their
-builders."""
+graph construction and marking transport in the moves stay in their
+builders, and every error class is raised."""
 
 import ast
 from pathlib import Path
@@ -47,3 +47,26 @@ def test_subdivision_never_transports_the_marking():
     only ``_rebuild``, behind the quotient builder and the slide, reads a
     marking back through a move."""
     assert moves_call_sites("_transported_marking") == ["_rebuild"]
+
+
+def test_every_error_class_is_raised():
+    """Each class in ``errors.py`` is raised somewhere in the library or is
+    a base of a class that is: no error class that nothing raises."""
+    path = Path(orbitrain.__file__).parent / "errors.py"
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for source in SOURCES:
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in bases:
+                    raised.add(exc.id)
+    live, todo = set(raised), list(raised)
+    while todo:
+        for base in bases[todo.pop()]:
+            if base in bases and base not in live:
+                live.add(base)
+                todo.append(base)
+    assert raised and sorted(set(bases) - live) == []
