@@ -543,9 +543,11 @@ class FreeProduct:
             index = None
             if "[" in base:
                 name, _, rest = base.partition("[")
-                if not rest.endswith("]"):
+                body = rest[:-1]
+                if not (rest.endswith("]")
+                        and body.removeprefix("-").isdecimal()):
                     raise UnknownGenerator(f"bad element token {token!r}")
-                index = int(rest[:-1])
+                index = int(body)
                 base = name
             if base not in self.names:
                 raise UnknownGenerator(f"unknown generator {base!r}")
@@ -553,6 +555,9 @@ class FreeProduct:
             factor = self.factors[i]
             if index is None:
                 index = 1 if factor.kind == "zee" else factor.generator()
+            elif factor.kind == "finite" and not 0 <= index < factor.order:
+                raise UnknownGenerator(
+                    f"factor {base!r} has no element {index} in {token!r}")
             element = factor.power(index, power)
             raw.append((i, element))
         return self.nf(raw)

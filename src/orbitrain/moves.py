@@ -1,11 +1,12 @@
 """Homotopy moves on topological representatives.
 
 Every move is a pure function producing a fresh representative of the
-same outer automorphism.  The geometry is handled by a pair of path
-transports: a forward one rewriting old paths on the new graph, and a
-backward one used to re-express the marking.  Interior points of edges
-are symbolic rationals, so subdivision points coming from invariant
-cores never touch floating point.
+same outer automorphism.  The geometry is handled by one forward path
+transport per move, rewriting old paths on the new graph; the move is a
+homotopy equivalence, so the same transport carries the marking forward
+(:meth:`Marking.moved`).  Interior points of edges are symbolic
+rationals, so subdivision points coming from invariant cores never touch
+floating point.
 """
 
 from contextlib import contextmanager
@@ -29,14 +30,11 @@ from .errors import (
     PathNotInLowerStrata,
     UnsafeMove,
 )
-from .groups import Automorphism
 from .orbigraph import Orbigraph, Subgraph, VERTEX
-from .paths import (Path, Turn, invert_items, is_edge_item, loop_of_word,
-                    tighten)
+from .paths import Path, Turn, invert_items, is_edge_item, tighten
 from .toprep import (
     EG,
     ConeMap,
-    Marking,
     TopRep,
     classify_strata,
     maximal_filtration,
@@ -132,55 +130,18 @@ class Transport:
         return Transport(self.source, later.target, cells, edges)
 
 
-def _transported_marking(f: TopRep, new_graph: Orbigraph, tr: Transport,
-                         rtr: Transport,
-                         delta: Sequence[Item] = ()) -> Optional[Marking]:
-    """Carry the marking across a move.
-
-    The backward transport expresses each canonical generator loop of the
-    new graph as an old path; reading those through the old marking gives
-    the new one.  ``delta`` connects the old base to where the round trip
-    lands when the move swallowed the base cell.
-    """
-    marking = f.marking
-    if marking is None:
-        return None
-    W = f.graph.W
-    base2 = tr.cell_map[marking.base]
-    b0 = rtr.cell_map[base2]
-    dpath = tighten(f.graph, marking.base, delta)
-    if dpath.end != b0:
-        raise BadRepresentative("marking transport lost the base cell")
-    dinv = dpath.invert()
-    maps = {}
-    for i in range(W.n):
-        images = {}
-        for h in W.factors[i].nontrivial():
-            loop2 = loop_of_word(new_graph, base2, ((i, h),))
-            back = rtr.path(loop2)
-            images[h] = (dpath * back * dinv).word()
-        maps[i] = images
-    rho_back = Automorphism.from_element_images(W, maps)
-    return Marking(new_graph, base2, marking.nu.compose(rho_back))
-
-
-def _rebuild(f: TopRep, new_graph: Orbigraph, tr: Transport, rtr: Transport,
-             edge_images: Dict[int, Path], delta: Sequence[Item] = ()) -> TopRep:
-    """Assemble the moved representative's cells and marking."""
+def _rebuild(f: TopRep, tr: Transport, reps: Sequence[int],
+             edge_images: Dict[int, Path]) -> TopRep:
+    """Assemble the moved representative's cells and marking; ``reps``
+    names an old cell of each new one."""
+    new_graph = tr.target
     cones = {}
     for c in new_graph.cone_cells():
-        old = rtr.cell_map[c]
-        cm = f.cone_images[old]
+        cm = f.cone_images[reps[c]]
         cones[c] = ConeMap(c, tr.cell_map[cm.target], cm.table)
-    vertices = {}
-    for c in new_graph.cells():
-        if new_graph.is_cone(c):
-            continue
-        old = rtr.cell_map[c]
-        if f.graph.is_cone(old):
-            raise BadRepresentative("vertex traced back to a cone point")
-        vertices[c] = tr.cell_map[f.cell_image(old)]
-    marking = _transported_marking(f, new_graph, tr, rtr, delta)
+    vertices = {c: tr.cell_map[f.cell_image(reps[c])]
+                for c in new_graph.cells() if not new_graph.is_cone(c)}
+    marking = f.marking.moved(tr) if f.marking is not None else None
     return TopRep(new_graph, edge_images, cones, vertices, marking)
 
 
@@ -224,23 +185,16 @@ def _quotient(f: TopRep, classes: Sequence[Sequence[int]],
                        for i in items)
     tr = Transport(graph, new_graph, cell_map, fwd)
 
-    back: Dict[int, Tuple[Item, ...]] = {}
-    for e in survivors:
-        back[new_id[e]] = (reach.get(graph.src(e), ()) + (e,)
-                           + invert_items(graph, reach.get(graph.dst(e), ())))
-    for j, (_, _, items) in enumerate(extra, start=first):
-        back[j] = items
-    rtr = Transport(new_graph, graph, dict(enumerate(reps)), back)
-
     images = {new_id[e]: tr.path(f.edge_images[e]) for e in survivors}
     for e in redraw:
-        old = tighten(graph, reps[cell_map[graph.src(e)]], back[new_id[e]])
+        s, t = graph.src(e), graph.dst(e)
+        old = tighten(graph, reps[cell_map[s]],
+                      reach.get(s, ()) + (e,)
+                      + invert_items(graph, reach.get(t, ())))
         images[new_id[e]] = tr.path(f.apply(old))
     for j, old in enumerate(added, start=first):
         images[j] = tr.path(f.apply(old))
-    base = f.marking.base if f.marking is not None else None
-    delta = invert_items(graph, reach.get(base, ()))
-    return _rebuild(f, new_graph, tr, rtr, images, delta), tr
+    return _rebuild(f, tr, reps, images), tr
 
 
 def _walks(graph: Orbigraph, root: int,
@@ -536,9 +490,7 @@ def _subdivide_many(f: TopRep, points: Dict[int, Sequence[Fraction]],
                 body = body[:-1]
             images[piece] = Path(new_graph, starts[k], body, _tight=True)
 
-    marking = f.marking
-    if marking is not None:
-        marking = Marking(new_graph, marking.base, marking.nu)
+    marking = f.marking.moved(tr) if f.marking is not None else None
     return (TopRep(new_graph, images, dict(f.cone_images), vertices, marking),
             tr)
 
@@ -1001,21 +953,16 @@ def slide(f: TopRep, d: int, alpha: Path,
     # the new d runs along the old d and then alpha; a reversed d
     # stores the itineraries of its positive edge
     fwd = {e: (e,) for e in graph.edges()}
-    back = dict(fwd)
     fwd[edge] = (d,) + invert_items(graph, alpha.items)
-    back[edge] = (d,) + alpha.items
     moved_image = f.image(d) * f.apply(alpha)
     if d < 0:
         fwd[edge] = invert_items(graph, fwd[edge])
-        back[edge] = invert_items(graph, back[edge])
         moved_image = moved_image.invert()
-    cell_map = {c: c for c in graph.cells()}
-    tr = Transport(graph, new_graph, cell_map, fwd)
-    rtr = Transport(new_graph, graph, cell_map, back)
+    tr = Transport(graph, new_graph, {c: c for c in graph.cells()}, fwd)
 
     images = {e: tr.path(f.edge_images[e]) for e in graph.edges()}
     images[edge] = tr.path(moved_image)
-    out = _rebuild(f, new_graph, tr, rtr, images)
+    out = _rebuild(f, tr, graph.cells(), images)
     _emit("slide", (d, alpha.items), f, out)
     return out
 

@@ -140,7 +140,7 @@ class Orbigraph:
 
     def edges_at(self, c) -> Tuple[int, ...]:
         """Directed edges originating at ``c``, ascending by edge id."""
-        return tuple(sorted(self._incidence[c], key=abs))
+        return self._incidence[c]
 
     def valence(self, c) -> int:
         return len(self._incidence[c])
@@ -187,7 +187,7 @@ class Orbigraph:
         while queue:
             nxt_queue = []
             for c in queue:
-                for d in sorted(self._incidence[c], key=abs):
+                for d in self._incidence[c]:
                     t = self.dst(d)
                     if t not in parent:
                         parent[t] = d

@@ -13,13 +13,13 @@ outer automorphism read back through a marking.
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .errors import BadRepresentative, NoMarking
 from .groups import Automorphism, is_iso, iso_chain, iso_identity
 from .orbigraph import Orbigraph, Subgraph, find_isomorphisms, hedgehog, thistle
-from .paths import (Circuit, Path, Turn, is_edge_item, loop_of_word,
-                    parse_path, tighten, tighten_circuit)
+from .paths import (Circuit, Path, Turn, invert_items, is_edge_item,
+                    loop_of_word, parse_path, tighten, tighten_circuit)
 from .pf import (DEFAULT_TOL, PFData, is_transitive_permutation,
                  is_zero_matrix, pf_compare, pf_data, scc_components,
                  submatrix)
@@ -35,21 +35,56 @@ class ConeMap:
 
 
 class Marking:
-    """A basepoint plus the automorphism relating loop words to W.
+    """A basepoint plus one tight path per factor, from the base to the
+    cone point of that factor.
 
-    ``read`` translates a loop at the basepoint into the element of W it
-    is marked with; ``realize`` inverts that, producing a concrete loop.
-    The identity marking makes loop words and group elements agree.
+    The loop ``paths[i] . a . paths[i]^-1`` is marked with the letter a of
+    factor i.  ``realize`` splices those loops; ``read`` translates a loop
+    at the base into the element of W it is marked with by ``nu``, the
+    inverse of the automorphism the paths spell.  A move carries the
+    marking forward along its transport with :meth:`moved`.  Without
+    paths the marking is the identity one, along geodesics.
     """
 
-    __slots__ = ("graph", "base", "nu")
+    __slots__ = ("graph", "base", "paths", "_spelled")
 
-    def __init__(self, graph: Orbigraph, base: int, nu: Automorphism):
-        if nu.W != graph.W:
-            raise NoMarking("marking automorphism lives on the wrong group")
+    def __init__(self, graph: Orbigraph, base: int,
+                 paths: Optional[Sequence[Path]] = None):
         self.graph = graph
         self.base = int(base)
-        self.nu = nu
+        if paths is None:
+            paths = [tighten(graph, self.base, graph.geodesic(self.base, c))
+                     for c in graph.cone_cells()]
+        self.paths = tuple(paths)
+        if len(self.paths) != graph.W.n or any(
+                p.graph is not graph or p.start != self.base or p.end != c
+                for p, c in zip(self.paths, graph.cone_cells())):
+            raise NoMarking("a marking needs one path per factor, from the "
+                            "base to the cone point of that factor")
+        self._spelled = None
+
+    def moved(self, tr) -> "Marking":
+        """The marking pushed forward along a move's transport."""
+        return Marking(tr.target, tr.cell_map[self.base],
+                       [tr.path(p) for p in self.paths])
+
+    def spelled(self) -> Automorphism:
+        """The automorphism sending each letter to the word of its loop."""
+        if self._spelled is None:
+            W = self.graph.W
+            maps = []
+            for i, p in enumerate(self.paths):
+                u = p.word()
+                maps.append({a: W.mul(u, ((i, a),), W.inv(u))
+                             for a in W.factors[i].nontrivial()})
+            self._spelled = Automorphism.from_element_images(W, maps)
+        return self._spelled
+
+    @property
+    def nu(self) -> Automorphism:
+        """The automorphism reading loop words as marked elements; the
+        inverse is cached on the spelled automorphism."""
+        return self.spelled().inverse()
 
     def read(self, loop: Path):
         if not (loop.start == self.base and loop.is_loop):
@@ -57,14 +92,20 @@ class Marking:
         return self.nu(loop.word())
 
     def realize(self, word) -> Path:
-        return loop_of_word(self.graph, self.base, self.nu.inverse()(word))
+        items = []
+        for i, a in word:
+            p = self.paths[i]
+            items += p.items + ((p.end, a),) + invert_items(self.graph, p.items)
+        return tighten(self.graph, self.base, items)
 
     def __eq__(self, other):
         return (isinstance(other, Marking) and self.graph is other.graph
-                and self.base == other.base and self.nu == other.nu)
+                and self.base == other.base
+                and (self.paths == other.paths
+                     or self.spelled() == other.spelled()))
 
     def __hash__(self):
-        return hash((id(self.graph), self.base, self.nu))
+        return hash((id(self.graph), self.base, self.spelled()))
 
     def __repr__(self):
         return f"Marking(base={self.base}, nu={self.nu!r})"
@@ -389,7 +430,7 @@ def identity_rep(graph: Orbigraph, base: int = 0) -> TopRep:
     cone_images = {c: ConeMap(c, c, iso_identity(graph.group_at(c)))
                    for c in graph.cone_cells()}
     vertex_images = {c: c for c in graph.cells() if not graph.is_cone(c)}
-    marking = Marking(graph, base, Automorphism.identity(graph.W))
+    marking = Marking(graph, base)
     return TopRep(graph, edge_images, cone_images, vertex_images, marking)
 
 
@@ -414,7 +455,7 @@ def thistle_rep(phi: Automorphism) -> TopRep:
         (dt,) = graph.edges_at(tgt)
         u_loop = loop_of_word(graph, 0, data.conjugators[i])
         edge_images[d] = tighten(graph, tgt, (dt,) + u_loop.items)
-    marking = Marking(graph, 0, Automorphism.identity(W))
+    marking = Marking(graph, 0)
     return TopRep(graph, edge_images, cone_images, {0: 0}, marking)
 
 
@@ -447,7 +488,7 @@ def hedgehog_rep(phi: Automorphism, apex: int = 0) -> TopRep:
         (dt,) = graph.edges_at(data.pi[i])
         u_loop = loop_of_word(graph, apex, data.conjugators[i])
         edge_images[d] = tighten(graph, data.pi[i], (dt,) + u_loop.items)
-    marking = Marking(graph, apex, Automorphism.identity(W))
+    marking = Marking(graph, apex)
     return TopRep(graph, edge_images, cone_images, {}, marking)
 
 
@@ -480,7 +521,7 @@ def rep_from_path_texts(graph: Orbigraph, texts, tables=None,
         cone_images[c] = ConeMap(c, tgt, tuple(table))
     vertex_images = {c: cell_targets.get(c, c)
                      for c in graph.cells() if not graph.is_cone(c)}
-    marking = Marking(graph, base, Automorphism.identity(graph.W))
+    marking = Marking(graph, base)
     return TopRep(graph, parsed, cone_images, vertex_images, marking)
 
 

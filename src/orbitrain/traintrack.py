@@ -110,10 +110,6 @@ def edge_bound(n: int) -> int:
 # normalization
 
 
-def _valence(graph: Orbigraph, c: int) -> int:
-    return len(graph.edges_at(c))
-
-
 def _length_order(f: TopRep, e1: int, e2: int) -> Tuple[int, int]:
     """The two edges ordered by eigenvector length, shortest first.
 
@@ -154,7 +150,7 @@ def _normalize(f: TopRep) -> TopRep:
         for c in graph.cells():
             if graph.is_cone(c):
                 continue
-            val = _valence(graph, c)
+            val = graph.valence(c)
             if val == 1:
                 f = valence_one_homotopy(f, c)
                 moved = True
@@ -192,20 +188,26 @@ def _rep_key(f: TopRep):
     return images, cones, tuple(sorted(f.vertex_images.items()))
 
 
-def _finite_order_period(f: TopRep, cap: int = 100_000) -> Optional[int]:
+def _finite_order_period(f: TopRep) -> Optional[int]:
     """The least k with the k-th iterate the identity, by walking the
-    finite set of simplicial iterates; None when the walk cycles first."""
-    g = f
-    seen = {_rep_key(g)}
-    for k in range(1, cap + 1):
-        if _is_identity_rep(g):
-            return k
-        g = f.compose(g)
+    iterates; None when the walk cycles first.
+
+    The descent asks only when the transition matrix is empty or a
+    permutation.  Then every edge image is one edge with at most a letter
+    at either end, and so is every image of every iterate.  The iterates
+    therefore lie in the finite set of such maps (signed edge
+    permutations, end letters, cone tables and vertex images), and the
+    walk revisits one of them after at most that many steps.
+    """
+    g, k = f, 1
+    seen = set()
+    while not _is_identity_rep(g):
         key = _rep_key(g)
         if key in seen:
             return None
         seen.add(key)
-    return None
+        g, k = f.compose(g), k + 1
+    return k
 
 
 def _descent_turn(f: TopRep) -> Turn:
@@ -360,7 +362,7 @@ def _assemble(phi: Automorphism, comps: List[Tuple[int, ...]],
                    for j in range(n)}
     vertex_images = {i: (i + 1) % k for i in range(k)}
     vertex_images[hub] = hub
-    marking = Marking(graph, hub, Automorphism.identity(W))
+    marking = Marking(graph, hub)
     return TopRep(graph, edge_images, cone_images, vertex_images, marking)
 
 

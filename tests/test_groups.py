@@ -18,6 +18,7 @@ from orbitrain.errors import (
     LemmaViolated,
     NotAutomorphism,
     NotInvertible,
+    UnknownGenerator,
 )
 from orbitrain.groups import (
     Automorphism,
@@ -157,6 +158,17 @@ def test_parse_and_format_round_trip(w4):
     for text in ["b a c a b", "a", "1", "c a d a c"]:
         word = w4.parse_word(text)
         assert w4.parse_word(w4.format_word(word)) == word
+
+
+@pytest.mark.parametrize("token", ["a[x]", "a[7]", "a[-1]"])
+def test_bad_element_tokens_are_unknown_generators(token):
+    """Malformed and out-of-range element tokens raise the package's own
+    error instead of escaping from int() or the Cayley table, or
+    wrapping round to another element."""
+    W = FreeProduct([FiniteGroup.cyclic(2)] * 2, ["a", "b"])
+    assert W.parse_word("a[1] b[0]") == ((0, 1),)
+    with pytest.raises(UnknownGenerator):
+        W.parse_word(token)
 
 
 def test_normal_form_merges_powers():

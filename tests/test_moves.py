@@ -105,7 +105,7 @@ def w2_rep(kinds, ends, names, texts, vertex_images, base):
         else:
             edge_images[e] = Path(g, start, ())
     cone_images = {c: ConeMap(c, c, (0, 1)) for c in g.cone_cells()}
-    marking = Marking(g, base, Automorphism.identity(w2))
+    marking = Marking(g, base)
     return TopRep(g, edge_images, cone_images, vertex_images, marking)
 
 
@@ -153,7 +153,7 @@ class TestForests:
             {1: parse_path(g, "A", start=0),
              2: parse_path(g, ".b B", start=1)},
             cone_images, {2: 2},
-            Marking(g, 2, Automorphism.identity(g.W)),
+            Marking(g, 2),
         )
         assert not maximal_pretrivial_forest(f).edges
 
@@ -789,3 +789,54 @@ def test_moves_preserve_twisted_outer_classes(seed):
         loop = random_loop(rng, rep.graph, rep.graph.dst(d), edge)
         rep = slide(rep, d, loop)
         assert rep.induced_outer() == want
+
+
+def random_base_loop(rng, graph, base):
+    """A loop at ``base``: a random walk with random cone letters, closed
+    along the geodesic home."""
+    items = []
+    cur = base
+    for _ in range(rng.randrange(8)):
+        if graph.is_cone(cur):
+            items.append((cur, rng.randrange(graph.group_at(cur).order)))
+        d = rng.choice(graph.edges_at(cur))
+        items.append(d)
+        cur = graph.dst(d)
+    items.extend(graph.geodesic(cur, base))
+    return tighten(graph, base, items)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_moves_carry_the_marking_exactly(seed):
+    """A move pushes each marked loop forward along its transport: the
+    moved loop reads the same element of W exactly, not only up to the
+    outer class; and every realized word reads back as itself."""
+    rng = random.Random(seed)
+    phi = random_twisted_automorphism(rng)
+    f = thistle_rep(phi)
+    if rng.random() < 0.5:
+        e = rng.choice(f.graph.edges())
+        d = rng.choice((e, -e))
+        f = slide(f, d, random_loop(rng, f.graph, f.graph.dst(d), e))
+    moved = []
+    forest = maximal_invariant_forest(f)
+    if forest.edges:
+        moved.append(moves._collapse(f, forest))
+    e = rng.choice(f.graph.edges())
+    n = f.edge_images[e].n_edges
+    if n > 1:
+        cut = Fraction(rng.randrange(1, n), n)
+        moved.append(moves._subdivide_many(f, {e: (cut,)}))
+    if not f.is_train_track():
+        try:
+            moved.append(moves._fold_core(f, _descent_turn(f)))
+        except NothingToFold:
+            pass
+    W = phi.W
+    for out, tr in moved:
+        for _ in range(5):
+            loop = random_base_loop(rng, f.graph, f.marking.base)
+            assert out.marking.read(tr.path(loop)) == f.marking.read(loop)
+            w = W.random_word(rng, rng.randrange(6))
+            assert out.marking.read(out.marking.realize(w)) == w

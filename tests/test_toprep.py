@@ -414,6 +414,40 @@ class TestInducedOuter:
             assert t_alpha.marking.read(t_alpha.marking.realize(w)) == w
 
 
+    def test_trailing_central_letter_keeps_the_marking(self):
+        """A letter at the end of a marking path conjugates its factor by
+        that letter: the marking stays the same exactly when the letter is
+        central in the factor."""
+        S3 = FiniteGroup.symmetric(3)
+        W = FreeProduct([Z2, S3], ["a", "s"])
+        graph = thistle(W)
+        plain = Marking(graph, 0)
+        a_cone, s_cone = graph.cone_cells()
+
+        def ending_in(cone, letter):
+            paths = list(plain.paths)
+            i = graph.factor_at(cone)
+            paths[i] = tighten(graph, 0, paths[i].items + ((cone, letter),))
+            return Marking(graph, 0, paths)
+
+        central = ending_in(a_cone, 1)
+        assert central.paths != plain.paths
+        assert central == plain and hash(central) == hash(plain)
+        twisted = ending_in(s_cone, 1)
+        assert twisted != plain
+        assert twisted.nu == twisted.spelled().inverse()
+        loop = twisted.realize(W.parse_word("s a s[2]"))
+        assert twisted.read(loop) == W.parse_word("s a s[2]")
+
+    def test_marking_paths_must_reach_their_cones(self, w3):
+        graph = thistle(w3)
+        paths = Marking(graph, 0).paths
+        with pytest.raises(NoMarking):
+            Marking(graph, 0, paths[1:] + paths[:1])
+        with pytest.raises(NoMarking):
+            Marking(graph, 0, paths[:-1])
+
+
 # ---- filtrations and strata ----------------------------------------------------------
 
 
