@@ -310,7 +310,12 @@ def _collapse(f: TopRep, forest) -> Tuple[TopRep, Transport]:
                                       if c != rep))
     classes += [(c,) for c in graph.cells() if c not in reach]
     classes.sort(key=min)
-    return _quotient(f, classes, reach, dict.fromkeys(edges, ()))
+    # a forest edge's image may carry a cone letter, which an edge leaving
+    # the forest picks up along its walk from the class representative
+    redraw = [e for e in graph.edges() if e not in edges
+              and (graph.src(e) in reach or graph.dst(e) in reach)]
+    return _quotient(f, classes, reach, dict.fromkeys(edges, ()),
+                     redraw=redraw)
 
 
 def collapse_forest(f: TopRep, forest) -> TopRep:
@@ -521,12 +526,14 @@ def fold(f: TopRep, turn: Turn) -> TopRep:
     return out
 
 
-def _current_dir(acc: Transport, d: int) -> int:
-    run = acc.edge_items[abs(d)]
-    return run[0] if d > 0 else -run[-1]
-
-
 def _fold_core(f: TopRep, turn: Turn, *, collapse_invariant: bool = True):
+    """Fold ``turn``; the result and the forward transport.
+
+    Both directions are cut where their shared image prefix ends, on the
+    input's images and in one subdivision; one quotient then glues the
+    second piece onto the turn's letter followed by the first, and the
+    forest cleanup collapses whatever the glue leaves behind.
+    """
     t = turn
     graph = f.graph
     if t.first == t.second:
@@ -540,62 +547,41 @@ def _fold_core(f: TopRep, turn: Turn, *, collapse_invariant: bool = True):
             break
         shared += 1
     prefix = list(p1.items[:shared])
-    if not any(is_edge_item(item) for item in prefix):
+    k = sum(1 for item in prefix if is_edge_item(item))
+    if not k:
         raise NothingToFold("the images share no initial edge")
-
-    def full_consume_conflict(items) -> bool:
-        """A fully consumed image whose tail the prefix does not cover
-        cannot be glued along this prefix."""
-        k = sum(1 for item in prefix if is_edge_item(item))
-        n = sum(1 for item in items if is_edge_item(item))
-        return k == n and len(items) > len(prefix)
-
-    while full_consume_conflict(p1.items) or full_consume_conflict(p2.items):
-        while prefix and not is_edge_item(prefix[-1]):
+    # a fully consumed image whose tail the prefix does not cover cannot
+    # be glued along this prefix, so the prefix gives back its last edge
+    while any(k == p.n_edges and len(p.items) > len(prefix)
+              for p in (p1, p2)):
+        while not is_edge_item(prefix[-1]):
             prefix.pop()
-        if prefix:
-            prefix.pop()
-        if not any(is_edge_item(item) for item in prefix):
+        prefix.pop()
+        k -= 1
+        if not k:
             raise NothingToFold(
                 "the foldable initial segments conflict at a cone point")
-    prefix = tuple(prefix)
     # a prefix ending in a letter folds through that cone rotation, so
     # the cut keeps the junction letter with the folded piece
     keep_letter = not is_edge_item(prefix[-1])
 
-    work = f
-    acc = Transport.identity(graph)
-
-    def isolate(d_orig: int):
-        nonlocal work, acc
-        k = sum(1 for item in acc.items(prefix) if is_edge_item(item))
-        d = _current_dir(acc, d_orig)
-        e = abs(d)
-        n = work.edge_images[e].n_edges
-        if k == n:
-            return
-        split = k if d > 0 else n - k
-        cut = Fraction(split, n)
-        # the junction letter at the cut joins the folded piece only when
-        # the prefix carries it; the first piece holds the letter exactly
-        # when that agrees with the direction's orientation
-        if (d > 0) == keep_letter:
-            sides = ((e, cut),)
-        else:
-            sides = ()
-        work, step = _subdivide_many(work, {e: (cut,)}, letter_first=sides)
-        acc = acc.then(step)
-
-    isolate(t.first)
-    isolate(t.second)
-    piece1 = _current_dir(acc, t.first)
-    piece2 = _current_dir(acc, t.second)
-
-    q1 = work.image(piece1)
-    q2 = work.image(piece2)
-    if t.letter:
-        lam = work.cone_images[t.base].table[t.letter]
-        q2 = tighten(work.graph, q2.start, ((q2.start, lam),) + q2.items)
+    # cut each direction after the k edges of the prefix; the first piece
+    # holds the junction letter exactly when keeping it with the folded
+    # piece agrees with the direction's orientation
+    cuts: Dict[int, Tuple[Fraction]] = {}
+    sides = []
+    for d in (t.first, t.second):
+        n = f.edge_images[abs(d)].n_edges
+        if k < n:
+            cut = Fraction(k if d > 0 else n - k, n)
+            cuts[abs(d)] = (cut,)
+            if (d > 0) == keep_letter:
+                sides.append((abs(d), cut))
+    work, sub = _subdivide_many(f, cuts, letter_first=sides)
+    piece1, piece2 = (sub.edge_items[d][0] if d > 0
+                      else -sub.edge_items[-d][-1]
+                      for d in (t.first, t.second))
+    q1, q2 = _adjusted_images(work, Turn(piece1, t.letter, piece2, t.base))
     if q1 != q2:
         raise BadRepresentative("fold pieces disagree after subdivision")
 
@@ -625,7 +611,7 @@ def _fold_core(f: TopRep, turn: Turn, *, collapse_invariant: bool = True):
     folded, tr = _quotient(work, classes, reach, {abs(piece2): glued})
 
     folded, extra = _collapse_cleanup(folded, collapse_invariant)
-    return folded, acc.then(tr).then(extra)
+    return folded, sub.then(tr).then(extra)
 
 
 # ---------------------------------------------------------------------------

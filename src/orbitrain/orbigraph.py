@@ -271,7 +271,8 @@ class Subgraph:
         """Nontrivial and every component squashes to at most one cone."""
         if not self.nontrivial:
             return False
-        return all(comp.is_contractible() for comp in self.components())
+        return all(sum(map(self.parent.is_cone, comp.cells)) <= 1
+                   for comp in self.components())
 
     def core(self) -> "Subgraph":
         """Per component, the convex hull of the cone points.

@@ -210,9 +210,10 @@ def _finite_order_period(f: TopRep) -> Optional[int]:
     return k
 
 
-def _descent_turn(f: TopRep) -> Turn:
+def _descent_turn(f: TopRep) -> Optional[Turn]:
     """The turn to fold: the last nondegenerate turn on the orbit of the
-    first illegal turn crossed by an edge image."""
+    first illegal turn crossed by an edge image, or ``None`` when every
+    edge image is legal and ``f`` is a train track."""
     illegal = f.legality()
     cap = len(f.all_turns()) + 4
     for _, t in f.crossed_turns():
@@ -225,7 +226,7 @@ def _descent_turn(f: TopRep) -> Turn:
                 return cur
             cur = nxt
         raise BadRepresentative("an illegal turn never degenerated")
-    raise BadRepresentative("no illegal crossed turn to fold")
+    return None
 
 
 def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
@@ -253,9 +254,10 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
                 "the growth rate increased during train track descent")
         prev = data
         _emit("descent", (step, str(data.lower), str(data.upper)), f, f)
-        if f.is_train_track():
+        turn = _descent_turn(f)
+        if turn is None:
             return TrainTrack(f)
-        f = _normalize(fold(f, _descent_turn(f)))
+        f = _normalize(fold(f, turn))
     raise IterationCapExceeded(
         f"no train track after {cap} folding passes")
 

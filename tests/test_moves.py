@@ -205,6 +205,22 @@ class TestCollapseForest:
         assert out.graph.n_edges == 3
         assert out.induced_outer() == phi_w4.fingerprint()
 
+    def test_collapse_keeps_cone_letters_of_forest_images(self):
+        """The invariant forest {A, B'} maps B' across the cone letter a,
+        so B, which leaves the forest at B', keeps that letter."""
+        z3 = FiniteGroup.cyclic(3)
+        W = FreeProduct([z3, Z2, Z2], ["a", "b", "c"])
+        g = Orbigraph(W, [VERTEX, 0, 1, 2, VERTEX],
+                      [(1, 0), (2, 4), (3, 0), (4, 0)], ["A", "B", "C", "B'"])
+        f = rep_from_path_texts(
+            g, {"A": "A", "B": "B B'", "B'": "~A .a A", "C": "C"})
+        forest = maximal_invariant_forest(f)
+        assert sorted(forest.edges) == [1, 4]
+        out = collapse_forest(f, forest)
+        assert image_texts(out) == {"B": "B .a", "C": "C"}
+        assert out.induced_automorphism().outer_equal(
+            f.induced_automorphism())
+
 
 def star_tree_rep(base=2):
     """Two cones hanging off a squashed three-edge tree: U, V, W all map
@@ -463,6 +479,36 @@ class TestFold:
             fold(f_beta, Turn(-1, 0, -2, 0))
         assert [m.move for m in log] == ["fold"]
         assert log[0].details == (-1, 0, -2, 0)
+
+    def test_fold_cuts_both_reversed_directions(self):
+        """A descent fold of the W5 corpus (s6) folds ~E' onto ~A along
+        their first edge ~E'.  Both directions are reversed and cut, each
+        at its own index on the input's images, and the junction letter b
+        after ~E' in the image of ~A stays with the folded piece."""
+        W = FreeProduct([Z2] * 5)
+        g = Orbigraph(W, [VERTEX, 0, 1, 2, 3, 4],
+                      [(1, 0), (3, 0), (4, 0), (5, 2), (2, 0)],
+                      ["A", "C", "D", "E", "E'"])
+        f = rep_from_path_texts(g, {
+            "A": "E' ~A .a A ~D .d D ~A .a A ~E' .b E'",
+            "C": "D ~A .a A ~E' .b ~E .e E E' ~C .c C ~E' ~E .e E E'",
+            "D": "E E' ~C .c C ~A .a A ~C .c C ~E' ~E .e E E'",
+            "E": "A ~C .c",
+            "E'": "C ~E' ~E .e E E'",
+        })
+        out = fold(f, Turn(-5, None, -1, 0))
+        assert image_texts(out) == {
+            "A": "E' ~A .a A E'' ~D .d D ~E'' ~A .a A ~E' .b",
+            "C": "D ~E'' ~A .a A ~E' .b ~E .e E E' E'' ~C .c C ~E'' ~E' "
+                 "~E .e E E' E''",
+            "D": "E E' E'' ~C .c C ~E'' ~A .a A E'' ~C .c C ~E'' ~E' "
+                 "~E .e E E' E''",
+            "E": "A E'' ~C .c",
+            "E'": "C ~E'' ~E' ~E .e E",
+            "E''": "E' E''",
+        }
+        assert out.induced_automorphism().outer_equal(
+            f.induced_automorphism())
 
     def test_degenerate_turn_is_rejected(self, f_beta):
         with pytest.raises(NothingToFold):
@@ -807,6 +853,7 @@ def random_base_loop(rng, graph, base):
 
 
 @given(st.integers(0, 2**32 - 1))
+@example(0)  # its descent fold cuts both reversed directions
 @settings(max_examples=25, deadline=None)
 def test_moves_carry_the_marking_exactly(seed):
     """A move pushes each marked loop forward along its transport: the

@@ -21,17 +21,24 @@ def test_library_has_no_assert_statements():
 
 
 def moves_call_sites(callee):
-    """The top-level definitions of ``moves.py`` that call ``callee``,
-    once per call."""
+    """The innermost definitions of ``moves.py`` that call ``callee``,
+    once per call, so a call from a nested function names that function."""
     path = Path(orbitrain.__file__).parent / "moves.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     sites = []
-    for top in tree.body:
-        name = getattr(top, "name", "<module>")
-        sites += [name for node in ast.walk(top)
-                  if isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Name)
-                  and node.func.id == callee]
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == callee):
+                sites.append(name)
+            visit(child, name)
+
+    visit(tree, "<module>")
     return sorted(sites)
 
 
@@ -40,6 +47,13 @@ def test_moves_construct_graphs_only_in_the_builders():
     only subdivision and the slide build an Orbigraph in ``moves.py``."""
     assert moves_call_sites("Orbigraph") == [
         "_quotient", "_subdivide_many", "slide"]
+
+
+def test_fold_subdivides_once():
+    """A fold cuts both of its directions in one subdivision, so only the
+    fold and the two subdivision moves call ``_subdivide_many``."""
+    assert moves_call_sites("_subdivide_many") == [
+        "_fold_core", "invariant_core_subdivision", "subdivide"]
 
 
 def test_moves_only_carry_the_marking_forward():
