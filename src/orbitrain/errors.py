@@ -64,7 +64,7 @@ class CapExceeded(OrbitrainError):
 
 
 class IterationCapExceeded(CapExceeded):
-    """The train track descent loop hit its iteration cap."""
+    """The descent hit its pass cap or revisited a representative."""
 
     code = "iteration-cap-exceeded"
 

@@ -31,7 +31,7 @@ from .errors import (
     UnsafeMove,
 )
 from .orbigraph import Orbigraph, Subgraph, VERTEX
-from .paths import Path, Turn, invert_items, is_edge_item, tighten
+from .paths import Path, Turn, invert_items, tighten
 from .toprep import (
     EG,
     ConeMap,
@@ -111,7 +111,7 @@ class Transport:
     def items(self, items: Sequence[Item]) -> Tuple[Item, ...]:
         out: List[Item] = []
         for item in items:
-            if is_edge_item(item):
+            if type(item) is int:
                 piece = self.edge_items[abs(item)]
                 out.extend(piece if item > 0
                            else invert_items(self.target, piece))
@@ -181,7 +181,7 @@ def _quotient(f: TopRep, classes: Sequence[Sequence[int]],
     fwd: Dict[int, Tuple[Item, ...]] = {e: (new_id[e],) for e in survivors}
     for e, items in dead.items():
         fwd[e] = tuple((new_id[i] if i > 0 else -new_id[-i])
-                       if is_edge_item(i) else (cell_map[i[0]], i[1])
+                       if type(i) is int else (cell_map[i[0]], i[1])
                        for i in items)
     tr = Transport(graph, new_graph, cell_map, fwd)
 
@@ -242,7 +242,7 @@ def maximal_pretrivial_forest(f: TopRep) -> Subgraph:
             if e in dead:
                 continue
             p = f.edge_images[e]
-            if any(not is_edge_item(item) and item[1] != 0 for item in p.items):
+            if any(type(item) is not int and item[1] != 0 for item in p.items):
                 continue
             if all(c in dead for c in p.crossings()):
                 dead.add(e)
@@ -457,7 +457,7 @@ def _subdivide_many(f: TopRep, points: Dict[int, Sequence[Fraction]],
         runs = []  # where each crossing's run of pieces starts in refined
         at = 0
         for item in p.items:
-            if is_edge_item(item):
+            if type(item) is int:
                 runs.append(at)
                 at += len(pieces[abs(item)])
             else:
@@ -471,7 +471,7 @@ def _subdivide_many(f: TopRep, points: Dict[int, Sequence[Fraction]],
                 # on the head of crossing j, before its junction letter
                 at += len(pieces[abs(d)])
                 cell = graph.dst(d)
-                if (e, x) in first_side and not is_edge_item(refined[at]):
+                if (e, x) in first_side and type(refined[at]) is not int:
                     at += 1
             elif (abs(d), y) in vert_of:
                 # inside crossing j, at a cut of the crossed edge
@@ -489,9 +489,9 @@ def _subdivide_many(f: TopRep, points: Dict[int, Sequence[Fraction]],
         for k, piece in enumerate(pieces[e]):
             # a slice of a tight walk is tight up to trivial end letters
             body = refined[bounds[k]:bounds[k + 1]]
-            if not is_edge_item(body[0]) and body[0][1] == 0:
+            if type(body[0]) is not int and body[0][1] == 0:
                 body = body[1:]
-            if not is_edge_item(body[-1]) and body[-1][1] == 0:
+            if type(body[-1]) is not int and body[-1][1] == 0:
                 body = body[:-1]
             images[piece] = Path(new_graph, starts[k], body, _tight=True)
 
@@ -547,14 +547,14 @@ def _fold_core(f: TopRep, turn: Turn, *, collapse_invariant: bool = True):
             break
         shared += 1
     prefix = list(p1.items[:shared])
-    k = sum(1 for item in prefix if is_edge_item(item))
+    k = sum(type(item) is int for item in prefix)
     if not k:
         raise NothingToFold("the images share no initial edge")
     # a fully consumed image whose tail the prefix does not cover cannot
     # be glued along this prefix, so the prefix gives back its last edge
     while any(k == p.n_edges and len(p.items) > len(prefix)
               for p in (p1, p2)):
-        while not is_edge_item(prefix[-1]):
+        while type(prefix[-1]) is not int:
             prefix.pop()
         prefix.pop()
         k -= 1
@@ -563,7 +563,7 @@ def _fold_core(f: TopRep, turn: Turn, *, collapse_invariant: bool = True):
                 "the foldable initial segments conflict at a cone point")
     # a prefix ending in a letter folds through that cone rotation, so
     # the cut keeps the junction letter with the folded piece
-    keep_letter = not is_edge_item(prefix[-1])
+    keep_letter = type(prefix[-1]) is not int
 
     # cut each direction after the k edges of the prefix; the first piece
     # holds the junction letter exactly when keeping it with the folded
@@ -697,7 +697,7 @@ def _core_step(f: TopRep, hr: FrozenSet[int],
         lo = hi = None
         pos = 0
         for item in p.items:
-            if not is_edge_item(item):
+            if type(item) is not int:
                 continue
             te = abs(item)
             if te in hr:

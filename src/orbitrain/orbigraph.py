@@ -25,11 +25,14 @@ class Orbigraph:
 
     ``kinds[c]`` is ``VERTEX`` for a plain vertex and a factor index for a
     cone point.  ``ends[e-1]`` is the ``(init, term)`` pair of edge ``e``.
+    ``src_of`` and ``dst_of`` map every signed edge ``d`` (``+e`` or
+    ``-e``) to its initial and terminal cell; they are dicts, so a
+    non-edge raises ``KeyError`` instead of wrapping around.
     Instances are immutable; moves build new graphs instead of mutating.
     """
 
     __slots__ = ("W", "kinds", "ends", "edge_names", "cell_names",
-                 "_cone_cells", "_incidence")
+                 "src_of", "dst_of", "_cone_cells", "_incidence")
 
     def __init__(self, W: FreeProduct, kinds: Sequence[int],
                  ends: Sequence[Tuple[int, int]],
@@ -67,9 +70,12 @@ class Orbigraph:
             raise BadOrbigraph(f"{m} edges on {k} zero cells is not a tree")
         self._cone_cells = tuple(seen[i] for i in range(W.n))
         incidence = [[] for _ in range(k)]
+        self.src_of, self.dst_of = {}, {}
         for e, (a, b) in enumerate(self.ends, start=1):
             incidence[a].append(e)
             incidence[b].append(-e)
+            self.src_of[e] = self.dst_of[-e] = a
+            self.dst_of[e] = self.src_of[-e] = b
         self._incidence = tuple(tuple(out) for out in incidence)
         if k > 1 and len(self._component_cells(0, frozenset(range(1, m + 1)))) != k:
             raise BadOrbigraph("the one-complex is not connected")
@@ -107,9 +113,7 @@ class Orbigraph:
         return range(1, self.n_edges + 1)
 
     def directed_edges(self):
-        for e in self.edges():
-            yield e
-            yield -e
+        return iter(self.src_of)
 
     def is_cone(self, c) -> bool:
         return self.kinds[c] != VERTEX
@@ -131,12 +135,14 @@ class Orbigraph:
         return self.W.factors[kind]
 
     def src(self, d) -> int:
-        a, b = self.ends[abs(d) - 1]
-        return a if d > 0 else b
+        if d not in self.src_of:
+            raise BadOrbigraph(f"no edge {d} in this graph")
+        return self.src_of[d]
 
     def dst(self, d) -> int:
-        a, b = self.ends[abs(d) - 1]
-        return b if d > 0 else a
+        if d not in self.dst_of:
+            raise BadOrbigraph(f"no edge {d} in this graph")
+        return self.dst_of[d]
 
     def edges_at(self, c) -> Tuple[int, ...]:
         """Directed edges originating at ``c``, ascending by edge id."""
@@ -172,7 +178,7 @@ class Orbigraph:
             for d in self._incidence[c]:
                 if abs(d) not in edge_set:
                     continue
-                nxt = self.dst(d)
+                nxt = self.dst_of[d]
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
@@ -188,14 +194,14 @@ class Orbigraph:
             nxt_queue = []
             for c in queue:
                 for d in self._incidence[c]:
-                    t = self.dst(d)
+                    t = self.dst_of[d]
                     if t not in parent:
                         parent[t] = d
                         if t == b:
                             walk = []
                             while t != a:
                                 walk.append(parent[t])
-                                t = self.src(parent[t])
+                                t = self.src_of[parent[t]]
                             return tuple(reversed(walk))
                         nxt_queue.append(t)
             queue = nxt_queue

@@ -7,75 +7,76 @@ meet at a cone point; display suppresses the trivial ones.  Junctions at
 plain vertices never carry a letter.  Leading and trailing letters are
 allowed only when nontrivial and only at cone endpoints.
 
-Items are signed edge ids (negation reverses) or ``(cell, element)`` pairs.
+Items are signed edge ids (negation reverses) or ``(cell, element)``
+letters.  An edge item is exactly an ``int`` (a ``bool`` is not one) and a
+letter is a ``(cell, element)`` tuple of two ``int``; tightening refuses
+anything else with ``NotAWalk``.
 Tightening is the confluent rewriting system: adjacent letters multiply,
 ``d, trivial, -d`` deletes with flanking letters merging, and ``d, -d`` at a
 vertex deletes.  The hat display ``T^`` abbreviates ``T g T~`` with the
 letter across the cone at the head of ``T``.
 """
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import BadPath, EndpointMismatch, NotAWalk
 from .groups import least_rotation
-from .orbigraph import Orbigraph
+from .orbigraph import VERTEX, Orbigraph
 
 Item = Union[int, Tuple[int, int]]
-
-
-def is_edge_item(item) -> bool:
-    return isinstance(item, int)
 
 
 def _tighten_items(graph: Orbigraph, start: int, items: Iterable[Item]):
     """Normalize a raw walk; raises NotAWalk when junctions fail to chain."""
     out: List[Item] = []
     cur = start
-    if not 0 <= cur < graph.n_cells:
-        raise NotAWalk(f"no cell {cur} to start from")
+    if cur not in range(graph.n_cells):
+        raise NotAWalk(f"no cell {cur!r} to start from")
+    src_of, dst_of, kinds = graph.src_of, graph.dst_of, graph.kinds
     for item in items:
-        if is_edge_item(item):
-            d = int(item)
-            if not 1 <= abs(d) <= graph.n_edges:
-                raise NotAWalk(f"no edge {d} in this graph")
-            if graph.src(d) != cur:
-                raise NotAWalk(
-                    f"edge {graph.edge_label(d)} does not start at cell {cur}")
-            if out and is_edge_item(out[-1]):
-                if graph.is_cone(cur):
-                    out.append((cur, 0))
-                elif out[-1] == -d:
-                    out.pop()
-                    cur = graph.dst(d)
+        if type(item) is int:
+            if src_of.get(item) != cur:
+                raise NotAWalk(f"no edge {item} in this graph"
+                               if item not in src_of else
+                               f"edge {graph.edge_label(item)} does not "
+                               f"start at cell {cur}")
+            if out:
+                last = out[-1]
+                if type(last) is int:
+                    # at a cone the trivial letter between would cancel too
+                    if last == -item:
+                        out.pop()
+                        cur = dst_of[item]
+                        continue
+                    if kinds[cur] != VERTEX:
+                        out.append((cur, 0))
+                elif last[1] == 0 and len(out) >= 2 and out[-2] == -item:
+                    del out[-2:]
+                    cur = dst_of[item]
                     continue
-            if out and not is_edge_item(out[-1]):
-                c0, g0 = out[-1]
-                if g0 == 0 and len(out) >= 2 and out[-2] == -d:
-                    out.pop()
-                    out.pop()
-                    cur = graph.dst(d)
-                    continue
-            out.append(d)
-            cur = graph.dst(d)
-        else:
+            out.append(item)
+            cur = dst_of[item]
+        elif (type(item) is tuple and len(item) == 2
+              and type(item[0]) is int and type(item[1]) is int):
             c, g = item
-            c, g = int(c), int(g)
             if c != cur:
                 raise NotAWalk(f"letter at cell {c} but the walk is at {cur}")
-            if not graph.is_cone(c):
+            if kinds[c] == VERTEX:
                 raise NotAWalk(f"cell {c} is a vertex; letters need a cone")
-            if not 0 <= g < graph.group_at(c).order:
+            group = graph.W.factors[kinds[c]]
+            if not 0 <= g < group.order:
                 raise NotAWalk(f"no element {g} at cone {c}")
-            if out and not is_edge_item(out[-1]):
-                _, g0 = out[-1]
-                out[-1] = (c, graph.group_at(c).mul(g0, g))
+            if out and type(out[-1]) is not int:
+                out[-1] = (c, group.mul(out[-1][1], g))
             else:
-                out.append((c, g))
-    while out and not is_edge_item(out[0]) and out[0][1] == 0:
+                out.append(item)
+        else:
+            raise NotAWalk(f"item {item!r} is neither an edge nor a letter")
+    while out and type(out[0]) is not int and out[0][1] == 0:
         out.pop(0)
-    while out and not is_edge_item(out[-1]) and out[-1][1] == 0:
+    while out and type(out[-1]) is not int and out[-1][1] == 0:
         out.pop()
     return tuple(out)
 
@@ -87,7 +88,7 @@ def tighten(graph: Orbigraph, start: int, items: Iterable[Item]) -> "Path":
 
 def invert_items(graph: Orbigraph, items: Sequence[Item]) -> Tuple[Item, ...]:
     """The reverse walk: edges negated, letters inverted, order reversed."""
-    return tuple(-item if is_edge_item(item)
+    return tuple(-item if type(item) is int
                  else (item[0], graph.group_at(item[0]).inv(item[1]))
                  for item in reversed(items))
 
@@ -99,16 +100,11 @@ class _Walk:
 
     @property
     def n_edges(self) -> int:
-        return sum(1 for item in self.items if is_edge_item(item))
+        return sum(type(item) is int for item in self.items)
 
     def crossings(self):
         """Unsigned edge-crossing counts, the raw material of transitions."""
-        counts = {}
-        for item in self.items:
-            if is_edge_item(item):
-                e = abs(item)
-                counts[e] = counts.get(e, 0) + 1
-        return counts
+        return Counter(abs(item) for item in self.items if type(item) is int)
 
 
 class Path(_Walk):
@@ -126,10 +122,8 @@ class Path(_Walk):
         self.graph = graph
         self.start = int(start)
         self.items = items
-        cur = self.start
-        for item in items:
-            cur = graph.dst(item) if is_edge_item(item) else item[0]
-        self.end = cur
+        last = items[-1] if items else (self.start,)
+        self.end = graph.dst_of[last] if type(last) is int else last[0]
 
     # -- queries -------------------------------------------------------------
 
@@ -145,34 +139,31 @@ class Path(_Walk):
         return len(self.items)
 
     def edge_items(self) -> Tuple[int, ...]:
-        return tuple(item for item in self.items if is_edge_item(item))
+        return tuple(item for item in self.items if type(item) is int)
 
     def first_edge(self) -> Optional[int]:
         for item in self.items:
-            if is_edge_item(item):
+            if type(item) is int:
                 return item
         return None
 
     def word(self):
         """The free-product word spelled by the letters, in normal form."""
-        letters = [(self.graph.factor_at(c), g)
-                   for c, g in (it for it in self.items
-                                if not is_edge_item(it)) if g != 0]
+        letters = [(self.graph.kinds[it[0]], it[1]) for it in self.items
+                   if type(it) is not int and it[1]]
         return self.graph.W.nf(letters)
 
     def turns(self) -> Tuple["Turn", ...]:
         out = []
-        prev = None
-        pending = None
+        prev = pending = None
         for item in self.items:
-            if is_edge_item(item):
+            if type(item) is int:
                 if prev is not None:
-                    out.append(Turn(-prev, pending, item, self.graph.src(item)))
-                prev = item
-                pending = None
-            else:
-                if prev is not None:
-                    pending = item[1]
+                    out.append(Turn(-prev, pending, item,
+                                    self.graph.src_of[item]))
+                prev, pending = item, None
+            elif prev is not None:
+                pending = item[1]
         return tuple(out)
 
     # -- algebra -------------------------------------------------------------
@@ -224,7 +215,7 @@ class Turn:
 
 
 def _item_key(item):
-    return (0, item, 0) if is_edge_item(item) else (1,) + tuple(item)
+    return (0, item, 0) if type(item) is int else (1,) + item
 
 
 class Circuit(_Walk):
@@ -257,29 +248,22 @@ class Circuit(_Walk):
         if not self.items:
             raise BadPath("the trivial circuit has no basepoint")
         first = self.items[0]
-        start = self.graph.src(first) if is_edge_item(first) else first[0]
+        start = self.graph.src_of[first] if type(first) is int else first[0]
         return Path(self.graph, start, self.items, _tight=True)
 
     def turns(self) -> Tuple[Turn, ...]:
         if self.n_edges == 0:
             return ()
-        p = self.as_path()
-        out = list(p.turns())
-        last = self.items[-1]
-        wrap = None
-        if not is_edge_item(last):
-            wrap = last[1]
-        first_edge = p.first_edge()
-        last_edge = p.edge_items()[-1]
-        out.append(Turn(-last_edge, wrap, first_edge,
-                        self.graph.src(first_edge)))
-        return tuple(out)
+        p, last = self.as_path(), self.items[-1]
+        wrap = None if type(last) is int else last[1]
+        first_edge, last_edge = p.first_edge(), p.edge_items()[-1]
+        return p.turns() + (Turn(-last_edge, wrap, first_edge,
+                                 self.graph.src_of[first_edge]),)
 
     def word_class(self):
         """Conjugacy normal form of the letters read around the loop."""
-        letters = [(self.graph.factor_at(c), g)
-                   for c, g in (it for it in self.items
-                                if not is_edge_item(it)) if g != 0]
+        letters = [(self.graph.kinds[it[0]], it[1]) for it in self.items
+                   if type(it) is not int and it[1]]
         return self.graph.W.conjugacy_normal_form(letters)
 
     def __eq__(self, other):
@@ -312,26 +296,25 @@ def tighten_circuit(graph: Orbigraph, items: Iterable[Item]) -> Circuit:
     Cost: O(n) in the number of items, with :func:`least_rotation`.
     """
     items = list(items)
-    first = next((k for k, it in enumerate(items) if is_edge_item(it)), None)
+    first = next((k for k, it in enumerate(items) if type(it) is int), None)
     if first is None:
-        if len({c for c, _ in items}) > 1:
-            raise NotAWalk("letter-only circuit spans several cones")
-        g = 0
-        for c, h in items:
-            g = graph.group_at(c).mul(g, h)
-        return Circuit(graph, ((c, g),) if g else (), _canonical=True)
+        # tightening from the first letter's cone multiplies the letters
+        start = (items[0][0] if items and type(items[0]) is tuple
+                 and items[0] else 0)
+        return Circuit(graph, _tighten_items(graph, start, items),
+                       _canonical=True)
 
-    items = deque(_tighten_items(graph, graph.src(items[first]),
+    items = deque(_tighten_items(graph, graph.src_of.get(items[first], 0),
                                  items[first:] + items[:first]))
 
     changed = True
     while changed:
         changed = False
-        while len(items) > 1 and not is_edge_item(items[0]):
+        while len(items) > 1 and type(items[0]) is not int:
             items.append(items.popleft())
             changed = True
-            while (len(items) >= 2 and not is_edge_item(items[-1])
-                   and not is_edge_item(items[-2])):
+            while (len(items) >= 2 and type(items[-1]) is not int
+                   and type(items[-2]) is not int):
                 c, g = items.pop()
                 c0, g0 = items[-1]
                 if c0 != c:
@@ -340,16 +323,16 @@ def tighten_circuit(graph: Orbigraph, items: Iterable[Item]) -> Circuit:
         if not items:
             break
         if len(items) == 1:
-            if not is_edge_item(items[0]) and items[0][1] == 0:
+            if type(items[0]) is not int and items[0][1] == 0:
                 items.clear()
             break
         last = items[-1]
         d0 = items[0]
-        if is_edge_item(last):
-            j = graph.dst(last)
-            if graph.src(d0) != j:
+        if type(last) is int:
+            j = graph.dst_of[last]
+            if graph.src_of[d0] != j:
                 raise NotAWalk("circuit does not close up")
-            if graph.is_cone(j):
+            if graph.kinds[j] != VERTEX:
                 items.append((j, 0))
                 changed = True
             elif d0 == -last:
@@ -389,7 +372,7 @@ def loop_of_word(graph: Orbigraph, base: int, word) -> Path:
 def _format_items(graph, items):
     tokens = []
     for item in items:
-        if is_edge_item(item):
+        if type(item) is int:
             tokens.append(graph.edge_label(item))
         else:
             c, g = item
@@ -444,7 +427,7 @@ def parse_path(graph: Orbigraph, text: str, start: Optional[int] = None) -> Path
             hat = group.generator() if group.is_cyclic() else 1
         items.extend((d, (head, hat), -d))
     if start is None:
-        if not items or not is_edge_item(items[0]):
+        if not items or type(items[0]) is not int:
             raise BadPath("cannot infer the start cell; pass it explicitly")
         start = graph.src(items[0])
     return tighten(graph, start, items)

@@ -18,8 +18,8 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 from .errors import BadRepresentative, NoMarking
 from .groups import Automorphism, is_iso, iso_chain, iso_identity
 from .orbigraph import Orbigraph, Subgraph, find_isomorphisms, hedgehog, thistle
-from .paths import (Circuit, Path, Turn, invert_items, is_edge_item,
-                    loop_of_word, parse_path, tighten, tighten_circuit)
+from .paths import (Circuit, Path, Turn, invert_items, loop_of_word,
+                    parse_path, tighten, tighten_circuit)
 from .pf import (DEFAULT_TOL, PFData, is_transitive_permutation,
                  is_zero_matrix, pf_compare, pf_data, scc_components,
                  submatrix)
@@ -192,7 +192,7 @@ class TopRep:
     def _splice(self, items):
         out = []
         for item in items:
-            if is_edge_item(item):
+            if type(item) is int:
                 out.extend(self.image(item).items)
             else:
                 cm = self.cone_images[item[0]]
@@ -251,7 +251,7 @@ class TopRep:
         p = self.image(d)
         letter = 0 if self.graph.is_cone(p.start) else None
         for item in p.items:
-            if is_edge_item(item):
+            if type(item) is int:
                 return letter, item
             letter = item[1]
         return letter, None
@@ -414,7 +414,7 @@ def _transported_matches(f, g, cellmap, edgemap):
             return False
         moved = tuple(
             (1 if item > 0 else -1) * edgemap[abs(item)]
-            if is_edge_item(item) else (cellmap[item[0]], item[1])
+            if type(item) is int else (cellmap[item[0]], item[1])
             for item in p.items)
         if moved != q.items:
             return False
@@ -675,7 +675,7 @@ def _neg_cycle(f: TopRep, edges):
     for _ in range(len(edges)):
         items = f.image(d).items
         hits = [i for i, item in enumerate(items)
-                if is_edge_item(item) and abs(item) in eset]
+                if type(item) is int and abs(item) in eset]
         if len(hits) != 1:
             raise BadRepresentative(
                 "stratum is not a permutation block after all")

@@ -182,10 +182,13 @@ def _is_identity_rep(f: TopRep) -> bool:
 
 
 def _rep_key(f: TopRep):
+    """The representative as data, graph included and marking left out."""
+    g = f.graph
     images = tuple((e, f.edge_images[e].items) for e in sorted(f.edge_images))
     cones = tuple((c, cm.target, tuple(cm.table))
                   for c, cm in sorted(f.cone_images.items()))
-    return images, cones, tuple(sorted(f.vertex_images.items()))
+    return (g.kinds, g.ends, g.edge_names, g.cell_names, images, cones,
+            tuple(sorted(f.vertex_images.items())))
 
 
 def _finite_order_period(f: TopRep) -> Optional[int]:
@@ -235,11 +238,17 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
 
     Each pass folds where the first illegal crossed turn's orbit dies,
     then renormalizes.  The growth rate never increases along the way;
-    a certified increase means the input was malformed.
+    a certified increase means the input was malformed.  A pass that
+    revisits an earlier representative would cycle forever, so it raises
+    ``IterationCapExceeded``.
     """
     f = _normalize(f)
     prev = None
+    seen: Dict[tuple, int] = {}
     for step in range(cap):
+        first = seen.setdefault(_rep_key(f), step)
+        if first != step:
+            raise IterationCapExceeded(f"pass {step} repeats pass {first}")
         if not f.graph.n_edges:
             return FiniteOrder(f, _finite_order_period(f))
         filt = maximal_filtration(f)

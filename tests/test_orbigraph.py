@@ -175,6 +175,24 @@ def test_directed_edge_endpoints():
     assert g.edge_by_name("~B") == -2
 
 
+def test_non_edges_have_no_endpoints():
+    g = thistle(w3())
+    for d in (0, 4, -4):
+        with pytest.raises(BadOrbigraph):
+            g.src(d)
+        with pytest.raises(BadOrbigraph):
+            g.dst(d)
+
+
+@given(random_orbigraphs())
+def test_signed_edge_tables_agree_with_ends(graph):
+    assert set(graph.src_of) == set(graph.dst_of) == set(
+        graph.directed_edges())
+    for e, (a, b) in enumerate(graph.ends, start=1):
+        assert graph.src_of[e] == graph.dst_of[-e] == graph.src(e) == a
+        assert graph.dst_of[e] == graph.src_of[-e] == graph.dst(e) == b
+
+
 def test_geodesic_between_cones_crosses_the_center():
     g = thistle(w3())
     assert g.geodesic(1, 3) == (1, -3)

@@ -15,7 +15,6 @@ from orbitrain.paths import (
     Turn,
     _item_key,
     format_path,
-    is_edge_item,
     loop_of_word,
     parse_path,
     tighten,
@@ -32,17 +31,17 @@ def oracle_tighten(rng, graph, start, items):
         spots = []
         for i in range(len(work) - 1):
             a, b = work[i], work[i + 1]
-            if not is_edge_item(a) and not is_edge_item(b):
+            if type(a) is not int and type(b) is not int:
                 spots.append(("merge", i))
-            elif is_edge_item(a) and is_edge_item(b):
+            elif type(a) is int and type(b) is int:
                 j = graph.dst(a)
                 if graph.is_cone(j):
                     spots.append(("insert", i))
                 elif b == -a:
                     spots.append(("drop2", i))
-            elif (is_edge_item(a) and not is_edge_item(b)
+            elif (type(a) is int and type(b) is not int
                   and b[1] == 0 and i + 2 < len(work)
-                  and is_edge_item(work[i + 2]) and work[i + 2] == -a):
+                  and type(work[i + 2]) is int and work[i + 2] == -a):
                 spots.append(("drop3", i))
         if not spots:
             break
@@ -57,9 +56,9 @@ def oracle_tighten(rng, graph, start, items):
             del work[i:i + 2]
         else:
             del work[i:i + 3]
-    while work and not is_edge_item(work[0]) and work[0][1] == 0:
+    while work and type(work[0]) is not int and work[0][1] == 0:
         work.pop(0)
-    while work and not is_edge_item(work[-1]) and work[-1][1] == 0:
+    while work and type(work[-1]) is not int and work[-1][1] == 0:
         work.pop()
     return tuple(work)
 
@@ -85,21 +84,21 @@ def oracle_circuit(rng, graph, items):
     """Cyclic reduction that re-tightens the whole walk after every step,
     then the least of the rotations that start at an edge."""
     work = list(items)
-    while any(is_edge_item(it) for it in work):
-        k = next(i for i, it in enumerate(work) if is_edge_item(it))
+    while any(type(it) is int for it in work):
+        k = next(i for i, it in enumerate(work) if type(it) is int)
         work = list(oracle_tighten(rng, graph, graph.src(work[k]),
                                    work[k:] + work[:k]))
-        if work and not is_edge_item(work[0]):
+        if work and type(work[0]) is not int:
             work = work[1:] + work[:1]
         elif len(work) >= 2 and work[-1] == -work[0]:
             work = work[1:-1]
         else:
             break
-    if not any(is_edge_item(it) for it in work):
+    if not any(type(it) is int for it in work):
         return tuple(work)
-    if is_edge_item(work[-1]) and graph.is_cone(graph.dst(work[-1])):
+    if type(work[-1]) is int and graph.is_cone(graph.dst(work[-1])):
         work.append((graph.dst(work[-1]), 0))
-    starts = [i for i, it in enumerate(work) if is_edge_item(it)]
+    starts = [i for i, it in enumerate(work) if type(it) is int]
     return min((tuple(work[i:] + work[:i]) for i in starts),
                key=lambda r: tuple(_item_key(it) for it in r))
 
@@ -221,6 +220,17 @@ def test_letters_at_vertices_are_rejected(t3):
         tighten(t3, 0, [2])
     with pytest.raises(NotAWalk):
         tighten(t3, 1, [1, (1, 1)])
+
+
+@pytest.mark.parametrize("item", ["ab", (0,), 1.0, None, (1, 0, 0), True,
+                                  (1.0, 1), (1, None)])
+def test_malformed_items_are_not_walks(t3, item):
+    """An edge item is exactly an int and a letter a pair of ints; edge 1
+    starts at cell 1, so ``True`` would pass for it if bools were edges."""
+    with pytest.raises(NotAWalk):
+        tighten(t3, 1, [item])
+    with pytest.raises(NotAWalk):
+        tighten_circuit(t3, [item])
 
 
 def test_boundary_trivial_letters_are_stripped(t3):
@@ -375,7 +385,7 @@ def test_circuit_matches_retightening_oracle():
         else:
             w = graph.W.random_word(rng, rng.randint(1, 4))
             items = list(loop_of_word(graph, base, w).items) * rng.randint(1, 5)
-        if not any(is_edge_item(it) for it in items):
+        if not any(type(it) is int for it in items):
             continue
         got = tighten_circuit(graph, items)
         assert got.items == oracle_circuit(rng, graph, items)
@@ -389,7 +399,7 @@ def test_circuit_is_the_same_from_every_edge():
         items = random_closed_walk(rng, graph, base, rng.randint(1, 20))
         c = tighten_circuit(graph, items)
         for k, it in enumerate(items):
-            if is_edge_item(it):
+            if type(it) is int:
                 assert tighten_circuit(graph, items[k:] + items[:k]) == c
 
 

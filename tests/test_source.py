@@ -1,6 +1,7 @@
 """Source checks: certificates in the library must survive ``python -O``,
 graph construction in the moves stays in its builders, the moves only
-carry the marking forward, and every error class is raised."""
+carry the marking forward, edge items are tested inline, and every error
+class is raised."""
 
 import ast
 from pathlib import Path
@@ -67,6 +68,22 @@ def test_moves_only_carry_the_marking_forward():
               if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "Automorphism" not in named
     assert moves_call_sites("Marking") == []
+
+
+def test_edge_items_are_tested_inline():
+    """Walk loops test ``type(item) is int`` in place: no module names an
+    ``is_edge_item`` helper or calls ``isinstance(item, int)``, which would
+    also take ``True`` for edge 1."""
+    found = []
+    for path in SOURCES:
+        text = path.read_text()
+        if "is_edge_item" in text:
+            found.append(f"{path.name}: is_edge_item")
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node) == "isinstance(item, int)"]
+    assert not found, f"edge-item helpers in the library: {found}"
 
 
 def test_every_error_class_is_raised():

@@ -170,6 +170,16 @@ class TestDescent:
         with pytest.raises(IterationCapExceeded):
             train_track_algorithm(f_beta, cap=0)
 
+    def test_descent_stops_at_a_revisited_representative(self, w3):
+        """The benchmark corpus's W3 seed 4 folds in a cycle: pass 11 meets
+        the representative of pass 5 again, so the descent stops there
+        instead of folding on to the cap."""
+        phi = Automorphism.from_gen_images(
+            w3, [w3.parse_word(t) for t in ("c a c b c a c", "c", "c a c")])
+        with pytest.raises(IterationCapExceeded,
+                           match="^pass 11 repeats pass 5$"):
+            train_track_algorithm(thistle_rep(phi))
+
 
 # ---- finite order outcomes --------------------------------------------------------
 
