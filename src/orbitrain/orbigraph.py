@@ -152,6 +152,8 @@ class Orbigraph:
         return len(self._incidence[c])
 
     def edge_label(self, d) -> str:
+        if d not in self.src_of:
+            raise BadOrbigraph(f"no edge {d} in this graph")
         name = self.edge_names[abs(d) - 1]
         return name if d > 0 else "~" + name
 

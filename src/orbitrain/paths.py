@@ -94,7 +94,8 @@ def invert_items(graph: Orbigraph, items: Sequence[Item]) -> Tuple[Item, ...]:
 
 
 class _Walk:
-    """Edge counts read off ``items``, shared by paths and circuits."""
+    """Edge counts and the letter word read off ``items``, shared by paths
+    and circuits."""
 
     __slots__ = ()
 
@@ -105,6 +106,12 @@ class _Walk:
     def crossings(self):
         """Unsigned edge-crossing counts, the raw material of transitions."""
         return Counter(abs(item) for item in self.items if type(item) is int)
+
+    def word(self):
+        """The free-product word spelled by the letters, in normal form."""
+        letters = [(self.graph.kinds[it[0]], it[1]) for it in self.items
+                   if type(it) is not int and it[1]]
+        return self.graph.W.nf(letters)
 
 
 class Path(_Walk):
@@ -146,12 +153,6 @@ class Path(_Walk):
             if type(item) is int:
                 return item
         return None
-
-    def word(self):
-        """The free-product word spelled by the letters, in normal form."""
-        letters = [(self.graph.kinds[it[0]], it[1]) for it in self.items
-                   if type(it) is not int and it[1]]
-        return self.graph.W.nf(letters)
 
     def turns(self) -> Tuple["Turn", ...]:
         out = []
@@ -262,9 +263,7 @@ class Circuit(_Walk):
 
     def word_class(self):
         """Conjugacy normal form of the letters read around the loop."""
-        letters = [(self.graph.kinds[it[0]], it[1]) for it in self.items
-                   if type(it) is not int and it[1]]
-        return self.graph.W.conjugacy_normal_form(letters)
+        return self.graph.W.conjugacy_normal_form(self.word())
 
     def __eq__(self, other):
         return (isinstance(other, Circuit) and self.graph is other.graph

@@ -8,6 +8,11 @@ them, and extracts everything the train track algorithms consume: the
 transition matrix, the derivative and turn maps, legality, invariant
 filtrations with stratum labels, certified eigenvalue sequences, and the
 outer automorphism read back through a marking.
+
+Legality is one orbit walk, :meth:`TopRep.dying_turn`, asked of each turn
+in its own orientation.  A turn and its reversal need no shared
+bookkeeping: the turn map commutes with reversal and reversal preserves
+degeneracy, so both orientations get the same verdict.
 """
 
 from dataclasses import dataclass, field, replace
@@ -123,7 +128,7 @@ class TopRep:
     """
 
     __slots__ = ("graph", "edge_images", "cone_images", "vertex_images",
-                 "marking", "_images", "_illegal", "_forest")
+                 "marking", "_images", "_forest")
 
     def __init__(self, graph: Orbigraph, edge_images, cone_images,
                  vertex_images, marking: Optional[Marking] = None):
@@ -133,7 +138,6 @@ class TopRep:
         self.vertex_images = {c: int(v) for c, v in dict(vertex_images).items()}
         self.marking = marking
         self._images: Dict[int, Path] = {}
-        self._illegal = None
         self._forest = None  # moves.maximal_invariant_forest
         self._validate()
 
@@ -279,15 +283,6 @@ class TopRep:
             letter = group.mul(group.mul(group.inv(l1), g), l2)
         return Turn(e1, letter, e2, base)
 
-    def canonical_turn(self, t: Turn) -> Turn:
-        """The smaller of a turn and its reversal, for orbit bookkeeping."""
-        if t.letter is None:
-            flipped = Turn(t.second, None, t.first, t.base)
-        else:
-            inv = self.graph.group_at(t.base).inv(t.letter)
-            flipped = Turn(t.second, inv, t.first, t.base)
-        return min(t, flipped, key=_turn_key)
-
     def all_turns(self):
         """Every nondegenerate turn of the graph, in a fixed order."""
         out = []
@@ -303,37 +298,32 @@ class TopRep:
                             out.append(t)
         return tuple(out)
 
+    def dying_turn(self, t: Turn) -> Optional[Turn]:
+        """The last turn on the orbit of ``t`` before the turn map makes it
+        degenerate, or ``None`` when the orbit cycles first and ``t`` is
+        legal."""
+        seen = set()
+        while t not in seen:
+            seen.add(t)
+            image = self.turn_map(t)
+            if image.degenerate:
+                return t
+            t = image
+        return None
+
     def legality(self) -> FrozenSet[Turn]:
         """The set of illegal turns: those mapped by some iterate of the
-        turn map onto a degenerate turn.  Both orientations are included."""
-        if self._illegal is not None:
-            return self._illegal
-        status: Dict[Turn, bool] = {}
-        turns = self.all_turns()
-        for t in turns:
-            self._resolve(self.canonical_turn(t), status)
-        self._illegal = frozenset(
-            t for t in turns if not status[self.canonical_turn(t)])
-        return self._illegal
+        turn map onto a degenerate turn.
 
-    def _resolve(self, t: Turn, status):
-        chain = []
-        seen = set()
-        while True:
-            if t.degenerate:
-                verdict = False
-                break
-            if t in status:
-                verdict = status[t]
-                break
-            if t in seen:
-                verdict = True
-                break
-            seen.add(t)
-            chain.append(t)
-            t = self.canonical_turn(self.turn_map(t))
-        for s in chain:
-            status[s] = verdict
+        Both orientations are included, each walked on its own orbit.  The
+        reversal of ``Turn(d1, g, d2, c)`` is ``Turn(d2, g^-1, d1, c)``;
+        the turn map commutes with it, since the image letter
+        ``l1^-1 g l2`` inverts to ``l2^-1 g^-1 l1``, and reversal keeps a
+        turn degenerate or not.  So the two orientations share a verdict
+        without any bookkeeping.
+        """
+        return frozenset(t for t in self.all_turns()
+                         if self.dying_turn(t) is not None)
 
     def crossed_turns(self):
         """Turns crossed by edge images, with the crossing edges."""
@@ -345,8 +335,8 @@ class TopRep:
 
     def is_train_track(self) -> bool:
         """Whether every edge image is a legal path."""
-        illegal = self.legality()
-        return not any(t in illegal for _, t in self.crossed_turns())
+        return all(self.dying_turn(t) is None
+                   for _, t in self.crossed_turns())
 
     # -- the marked outer automorphism ---------------------------------------------
 
@@ -382,10 +372,6 @@ class TopRep:
             for e in sorted(self.edge_images)
         ]
         return "TopRep(" + ", ".join(parts) + ")"
-
-
-def _turn_key(t: Turn):
-    return (t.first, -1 if t.letter is None else t.letter, t.second)
 
 
 def structurally_equal(f: TopRep, g: TopRep) -> bool:

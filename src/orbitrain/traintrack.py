@@ -17,12 +17,7 @@ the class subgraphs are visibly invariant.
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
-from .errors import (
-    BadRepresentative,
-    IterationCapExceeded,
-    LemmaViolated,
-    NotPermuted,
-)
+from .errors import IterationCapExceeded, LemmaViolated, NotPermuted
 from .groups import Automorphism, FreeProduct, KuroshData
 from .moves import (
     _emit,
@@ -214,21 +209,13 @@ def _finite_order_period(f: TopRep) -> Optional[int]:
 
 
 def _descent_turn(f: TopRep) -> Optional[Turn]:
-    """The turn to fold: the last nondegenerate turn on the orbit of the
-    first illegal turn crossed by an edge image, or ``None`` when every
-    edge image is legal and ``f`` is a train track."""
-    illegal = f.legality()
-    cap = len(f.all_turns()) + 4
+    """The turn to fold: where the orbit of the first illegal turn crossed
+    by an edge image dies, or ``None`` when every edge image is legal and
+    ``f`` is a train track."""
     for _, t in f.crossed_turns():
-        if t not in illegal:
-            continue
-        cur = t
-        for _ in range(cap):
-            nxt = f.turn_map(cur)
-            if nxt.degenerate:
-                return cur
-            cur = nxt
-        raise BadRepresentative("an illegal turn never degenerated")
+        dying = f.dying_turn(t)
+        if dying is not None:
+            return dying
     return None
 
 
@@ -262,7 +249,7 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
             raise LemmaViolated(
                 "the growth rate increased during train track descent")
         prev = data
-        _emit("descent", (step, str(data.lower), str(data.upper)), f, f)
+        _emit("descent", (step, data.lower, data.upper), f, f)
         turn = _descent_turn(f)
         if turn is None:
             return TrainTrack(f)

@@ -182,6 +182,8 @@ def test_non_edges_have_no_endpoints():
             g.src(d)
         with pytest.raises(BadOrbigraph):
             g.dst(d)
+        with pytest.raises(BadOrbigraph):
+            g.edge_label(d)
 
 
 @given(random_orbigraphs())

@@ -1,7 +1,7 @@
 """Source checks: certificates in the library must survive ``python -O``,
 graph construction in the moves stays in its builders, the moves only
-carry the marking forward, edge items are tested inline, and every error
-class is raised."""
+carry the marking forward, turn orbits are walked in one place, edge items
+are tested inline, and every error class is raised."""
 
 import ast
 from pathlib import Path
@@ -21,26 +21,42 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements vanish under -O: {found}"
 
 
-def moves_call_sites(callee):
-    """The innermost definitions of ``moves.py`` that call ``callee``,
-    once per call, so a call from a nested function names that function."""
-    path = Path(orbitrain.__file__).parent / "moves.py"
+def call_sites(path, matches):
+    """The innermost definitions of ``path`` holding a call that
+    ``matches``, once per call and by qualified name, so a call from a
+    method names ``Class.method`` and one from a nested function names
+    that function."""
     tree = ast.parse(path.read_text(), filename=str(path))
     sites = []
 
     def visit(node, name):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, child.name)
+                visit(child, child.name if name is None
+                      else f"{name}.{child.name}")
                 continue
-            if (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Name)
-                    and child.func.id == callee):
-                sites.append(name)
+            if isinstance(child, ast.Call) and matches(child):
+                sites.append(name or "<module>")
             visit(child, name)
 
-    visit(tree, "<module>")
+    visit(tree, None)
     return sorted(sites)
+
+
+def moves_call_sites(callee):
+    """The definitions of ``moves.py`` that call the name ``callee``."""
+    return call_sites(Path(orbitrain.__file__).parent / "moves.py",
+                      lambda call: isinstance(call.func, ast.Name)
+                      and call.func.id == callee)
+
+
+def method_call_sites(attr):
+    """The definitions across the library that call a method ``attr``,
+    as ``module.qualified_name``."""
+    return sorted(f"{path.stem}.{site}" for path in SOURCES
+                  for site in call_sites(
+                      path, lambda call: isinstance(call.func, ast.Attribute)
+                      and call.func.attr == attr))
 
 
 def test_moves_construct_graphs_only_in_the_builders():
@@ -68,6 +84,14 @@ def test_moves_only_carry_the_marking_forward():
               if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "Automorphism" not in named
     assert moves_call_sites("Marking") == []
+
+
+def test_turn_orbits_are_walked_in_one_place():
+    """Legality, the train track test and the descent all read
+    ``TopRep.dying_turn``; besides it only the connecting-path fold, which
+    looks one step ahead, applies the turn map."""
+    assert method_call_sites("turn_map") == [
+        "moves._first_foldable_junction", "toprep.TopRep.dying_turn"]
 
 
 def test_edge_items_are_tested_inline():

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitrain.errors import BadRepresentative, NoMarking
+from orbitrain.errors import BadRepresentative, NoMarking, NothingToFold
 from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct
+from orbitrain.moves import fold
 from orbitrain.orbigraph import VERTEX, Orbigraph, hedgehog, thistle
 from orbitrain.paths import Turn, format_path, loop_of_word, tighten, tighten_circuit
 from orbitrain.pf import charpoly, entrywise_le, mat_mul, pf_compare, pf_data
@@ -34,6 +35,7 @@ from orbitrain.toprep import (
     structurally_equal,
     thistle_rep,
 )
+from orbitrain.traintrack import _descent_turn
 
 Z2 = FiniteGroup.cyclic(2)
 
@@ -345,13 +347,74 @@ class TestDerivative:
                 assert t.degenerate
                 assert f_alpha.turn_map(t).degenerate
 
-    def test_canonical_turn_identifies_orientations(self, f_alpha):
-        t = Turn(-1, 1, -2, 0)
-        flipped = Turn(-2, 1, -1, 0)
-        assert f_alpha.canonical_turn(t) == f_alpha.canonical_turn(flipped)
+
+def reversed_turn(f, t):
+    letter = None if t.letter is None else f.graph.group_at(t.base).inv(t.letter)
+    return Turn(t.second, letter, t.first, t.base)
+
+
+def oracle_legality(f):
+    """Legality by canonical chains: every orbit is walked on the lesser of
+    a turn and its reversal, and each chain takes the verdict of where it
+    ends (a degenerate turn, a turn already decided, or a cycle)."""
+
+    def canonical(t):
+        return min(t, reversed_turn(f, t), key=lambda s: (
+            s.first, -1 if s.letter is None else s.letter, s.second))
+
+    status = {}
+    turns = f.all_turns()
+    for t in turns:
+        chain, t = [], canonical(t)
+        while not (t.degenerate or t in status or t in chain):
+            chain.append(t)
+            t = canonical(f.turn_map(t))
+        verdict = not t.degenerate and status.get(t, True)
+        status.update((s, verdict) for s in chain)
+    return frozenset(t for t in turns if not status[canonical(t)])
+
+
+@st.composite
+def folded_corpus_reps(draw):
+    """Thistle representatives of a W3-W5 rotation composed on the left
+    with partial conjugations a_i -> a_j a_i a_j, then up to three descent
+    folds."""
+    n = draw(st.integers(3, 5))
+    W = FreeProduct([Z2] * n)
+    phi = Automorphism.from_gen_images(
+        W, [(((k + 1) % n, 1),) for k in range(n)])
+    for i, j in draw(st.lists(st.permutations(range(n)).map(lambda p: p[:2]),
+                              max_size=2 * n)):
+        images = [((k, 1),) for k in range(n)]
+        images[i] = ((j, 1), (i, 1), (j, 1))
+        phi = Automorphism.from_gen_images(W, images).compose(phi)
+    f = thistle_rep(phi)
+    for _ in range(draw(st.integers(0, 3))):
+        turn = _descent_turn(f)
+        if turn is None:
+            break
+        try:
+            f = fold(f, turn)
+        except NothingToFold:
+            break
+    return f
 
 
 class TestLegality:
+    @given(folded_corpus_reps())
+    @settings(max_examples=30, deadline=None)
+    def test_legality_matches_the_canonical_chains(self, f):
+        """Walking each orientation on its own gives the canonical-chain
+        verdicts, and the illegal turns are closed under reversal."""
+        illegal = f.legality()
+        assert illegal == oracle_legality(f)
+        assert {reversed_turn(f, t) for t in illegal} == illegal
+
+    def test_dying_turn_on_the_alpha_beta_pair(self, f_alpha, f_beta):
+        t = Turn(-2, 0, -1, 0)
+        assert f_beta.dying_turn(t) == t
+        assert f_alpha.dying_turn(Turn(-1, 1, -2, 0)) is None
+
     def test_alpha_is_train_track(self, f_alpha):
         assert f_alpha.is_train_track()
 

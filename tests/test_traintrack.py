@@ -164,6 +164,7 @@ class TestDescent:
         assert "fold" in names
         step, lower, upper = log[0].details
         assert step == 0
+        assert type(lower) is Fraction and type(upper) is Fraction
         assert brackets(lower, upper, 2, 5)
 
     def test_iteration_cap_is_honoured(self, f_beta):
