@@ -148,21 +148,9 @@ class NotValenceTwo(UnsafeMove):
 
 
 class PathNotInLowerStrata(UnsafeMove):
-    """A sliding path leaves the strata below the edge being slid."""
+    """A sliding path does not leave the slid end, or crosses its edge."""
 
     code = "path-not-in-lower-strata"
-
-
-class ImageNotTrivial(UnsafeMove):
-    """The connecting path does not collapse under the map."""
-
-    code = "image-not-trivial"
-
-
-class NotZeroStratum(UnsafeMove):
-    """Tree replacement was requested on a stratum with surviving edges."""
-
-    code = "not-zero-stratum"
 
 
 class NotPermuted(OrbitrainError):

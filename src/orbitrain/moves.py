@@ -5,7 +5,7 @@ same outer automorphism.  The geometry is handled by one forward path
 transport per move, rewriting old paths on the new graph; the move is a
 homotopy equivalence, so the same transport carries the marking forward
 (:meth:`Marking.moved`).  Interior points of edges are symbolic
-rationals, so subdivision points coming from invariant cores never touch
+rationals, so the cut points of subdivisions and folds never touch
 floating point.
 """
 
@@ -18,27 +18,17 @@ from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
 
 from .errors import (
     BadRepresentative,
-    CapExceeded,
     ConePointForbidden,
     ImageNotAtZeroCell,
-    ImageNotTrivial,
     NotInvariantForest,
     NothingToFold,
     NotValenceOne,
     NotValenceTwo,
-    NotZeroStratum,
     PathNotInLowerStrata,
-    UnsafeMove,
 )
 from .orbigraph import Orbigraph, Subgraph, VERTEX
 from .paths import Path, Turn, invert_items, tighten
-from .toprep import (
-    EG,
-    ConeMap,
-    TopRep,
-    classify_strata,
-    maximal_filtration,
-)
+from .toprep import ConeMap, TopRep
 
 Item = object
 
@@ -148,34 +138,26 @@ def _rebuild(f: TopRep, tr: Transport, reps: Sequence[int],
 def _quotient(f: TopRep, classes: Sequence[Sequence[int]],
               reach: Dict[int, Tuple[Item, ...]],
               dead: Dict[int, Tuple[Item, ...]],
-              extra: Sequence[Tuple[str, int, Tuple[Item, ...]]] = (),
               redraw: Iterable[int] = ()) -> Tuple[TopRep, Transport]:
-    """Map ``f`` onto the graph that squashes each cell class to a cell,
-    drops the dead edges and adds the extra ones; returns the moved
-    representative and the forward transport.
+    """Map ``f`` onto the graph that squashes each cell class to a cell
+    and drops the dead edges; returns the moved representative and the
+    forward transport.
 
     ``classes`` lists the old cells of each new cell in new-id order,
     representative first, and ``reach`` holds an old walk from the
     representative to every other cell of its class.  ``dead`` spells
-    each dropped edge in old items, where the ids past the last old edge
-    name the ``extra`` edges in order.  An extra edge is a ``(name,
-    start, items)`` old walk that it replaces.  Surviving edges keep their
-    image, except that those in ``redraw`` take the image of their old
-    edge extended by ``reach`` at either end, as extra edges do.
+    each dropped edge in old items.  Surviving edges keep their image,
+    except that those in ``redraw`` take the image of their old edge
+    extended by ``reach`` at either end.
     """
     graph = f.graph
     reps = [cls[0] for cls in classes]
     cell_map = {c: i for i, cls in enumerate(classes) for c in cls}
     survivors = [e for e in graph.edges() if e not in dead]
-    first = len(survivors) + 1  # the new id of the first extra edge
     new_id = {old: i for i, old in enumerate(survivors, start=1)}
-    new_id.update((graph.n_edges + 1 + j, first + j) for j in range(len(extra)))
-    added = [tighten(graph, start, items) for _, start, items in extra]
 
     ends = [(cell_map[graph.src(e)], cell_map[graph.dst(e)]) for e in survivors]
-    ends += [(cell_map[p.start], cell_map[p.end]) for p in added]
     names = [graph.edge_names[e - 1] for e in survivors]
-    names += [name for name, _, _ in extra]
     new_graph = Orbigraph(graph.W, [graph.kinds[c] for c in reps], ends, names)
 
     fwd: Dict[int, Tuple[Item, ...]] = {e: (new_id[e],) for e in survivors}
@@ -192,8 +174,6 @@ def _quotient(f: TopRep, classes: Sequence[Sequence[int]],
                       reach.get(s, ()) + (e,)
                       + invert_items(graph, reach.get(t, ())))
         images[new_id[e]] = tr.path(f.apply(old))
-    for j, old in enumerate(added, start=first):
-        images[j] = tr.path(f.apply(old))
     return _rebuild(f, tr, reps, images), tr
 
 
@@ -526,7 +506,7 @@ def fold(f: TopRep, turn: Turn) -> TopRep:
     return out
 
 
-def _fold_core(f: TopRep, turn: Turn, *, collapse_invariant: bool = True):
+def _fold_core(f: TopRep, turn: Turn):
     """Fold ``turn``; the result and the forward transport.
 
     Both directions are cut where their shared image prefix ends, on the
@@ -610,7 +590,7 @@ def _fold_core(f: TopRep, turn: Turn, *, collapse_invariant: bool = True):
         del classes[max(v1, v2)]
     folded, tr = _quotient(work, classes, reach, {abs(piece2): glued})
 
-    folded, extra = _collapse_cleanup(folded, collapse_invariant)
+    folded, extra = _collapse_cleanup(folded, collapse_invariant=True)
     return folded, sub.then(tr).then(extra)
 
 
@@ -635,14 +615,12 @@ def valence_one_homotopy(f: TopRep, v: int) -> TopRep:
     return out
 
 
-def valence_two_homotopy(f: TopRep, v: int, collapse: int, *,
-                         strict: bool = True) -> TopRep:
+def valence_two_homotopy(f: TopRep, v: int, collapse: int) -> TopRep:
     """Remove a valence-two vertex, collapsing one incident edge and
     stretching the other across it.
 
-    In strict mode the move is refused unless the growth-rate bound
-    holds: the collapsed edge must lie in a non-exponential stratum or
-    strictly below the stretched edge's stratum.
+    The move checks no growth-rate bound: the caller chooses which edge
+    to collapse.
     """
     graph = f.graph
     if graph.is_cone(v):
@@ -655,15 +633,6 @@ def valence_two_homotopy(f: TopRep, v: int, collapse: int, *,
     d_col = dirs[0] if abs(dirs[0]) == collapse else dirs[1]
     keep = abs(dirs[1] if d_col == dirs[0] else dirs[0])
 
-    if strict:
-        filt = classify_strata(f, maximal_filtration(f))
-        i = filt.stratum_of(collapse)
-        j = filt.stratum_of(keep)
-        if filt.strata[i].kind == EG and not i < j:
-            raise UnsafeMove(
-                "collapsing an exponential edge not strictly below the "
-                "stretched one may raise the growth rate")
-
     # the stretched edge spans its old self plus the collapsed corridor
     out, _ = _quotient(f, _absorbing(graph, {v: graph.dst(d_col)}),
                        {v: (-d_col,)}, {collapse: ()}, redraw=(keep,))
@@ -673,262 +642,19 @@ def valence_two_homotopy(f: TopRep, v: int, collapse: int, *,
 
 
 # ---------------------------------------------------------------------------
-# invariant core subdivision
+# sliding
 
 
-Interval = Tuple[Fraction, Fraction]
-_Pick = Tuple[int, int, int]
-
-
-def _core_step(f: TopRep, hr: FrozenSet[int],
-               cores: Dict[int, Interval],
-               ) -> Tuple[Dict[int, Interval], Dict[Tuple[int, int], _Pick]]:
-    """One refinement round of the hull map, with the winning crossings.
-
-    Each endpoint of the new hull is realized by some in-stratum crossing
-    of the edge image; the returned pick table records which one, so a
-    non-stabilizing run can be closed off exactly.
-    """
-    out: Dict[int, Interval] = {}
-    picks: Dict[Tuple[int, int], _Pick] = {}
-    for e in sorted(hr):
-        p = f.edge_images[e]
-        n = p.n_edges
-        lo = hi = None
-        pos = 0
-        for item in p.items:
-            if type(item) is not int:
-                continue
-            te = abs(item)
-            if te in hr:
-                a, b = cores[te]
-                if item > 0:
-                    piece = (Fraction(pos + a, n), Fraction(pos + b, n))
-                else:
-                    piece = (Fraction(pos + 1 - b, n),
-                             Fraction(pos + 1 - a, n))
-                if lo is None or piece[0] < lo:
-                    lo = piece[0]
-                    picks[(e, 0)] = (pos, te, 1 if item > 0 else -1)
-                if hi is None or piece[1] > hi:
-                    hi = piece[1]
-                    picks[(e, 1)] = (pos, te, 1 if item > 0 else -1)
-            pos += 1
-        if lo is None:
-            raise BadRepresentative(
-                f"image of edge {f.graph.edge_label(e)} avoids the stratum")
-        out[e] = (lo, hi)
-    return out, picks
-
-
-def _solve_core_selection(f: TopRep, hr: FrozenSet[int],
-                          picks: Dict[Tuple[int, int], _Pick],
-                          ) -> Dict[int, Interval]:
-    """Solve the hull map exactly under a frozen crossing selection.
-
-    With the winning crossings fixed, each endpoint satisfies one affine
-    relation in one other endpoint, so the whole system is a functional
-    graph of affine maps; cycles are closed by solving a one-variable
-    equation and the rest follows by substitution.
-    """
-    def relation(key: Tuple[int, int]) -> Tuple[Tuple[int, int],
-                                                Fraction, Fraction]:
-        e, side = key
-        pos, te, sign = picks[key]
-        n = f.edge_images[e].n_edges
-        if sign > 0:
-            # endpoint = (pos + same-side endpoint of te) / n
-            return (te, side), Fraction(1, n), Fraction(pos, n)
-        # reversed crossing swaps the sides
-        return (te, 1 - side), Fraction(-1, n), Fraction(pos + 1, n)
-
-    values: Dict[Tuple[int, int], Fraction] = {}
-
-    def solve(key: Tuple[int, int]) -> None:
-        if key in values:
-            return
-        path = [key]
-        rels: Dict[Tuple[int, int], Tuple[Tuple[int, int],
-                                          Fraction, Fraction]] = {}
-        while True:
-            cur = path[-1]
-            dep, coeff, shift = relation(cur)
-            rels[cur] = (dep, coeff, shift)
-            if dep in values:
-                break
-            if dep in rels:
-                # compose x_dep = a*x_dep + b around the cycle and solve
-                a, b = Fraction(1), Fraction(0)
-                node = dep
-                while True:
-                    d2, c2, s2 = rels[node]
-                    a, b = a * c2, a * s2 + b
-                    node = d2
-                    if node == dep:
-                        break
-                if a == 1:
-                    raise CapExceeded(
-                        "invariant cores failed to stabilize")
-                values[dep] = b / (1 - a)
-                break
-            path.append(dep)
-        for node in reversed(path):
-            d2, c2, s2 = rels[node]
-            values[node] = c2 * values[d2] + s2
-
-    for e in sorted(hr):
-        solve((e, 0))
-        solve((e, 1))
-    return {e: (values[(e, 0)], values[(e, 1)]) for e in sorted(hr)}
-
-
-def _invariant_cores(f: TopRep, hr: FrozenSet[int]) -> Dict[int, Interval]:
-    """Exact invariant core interval of every edge in the stratum.
-
-    The hull map is iterated until it either stabilizes or keeps one
-    winning crossing per endpoint for two consecutive rounds; in the
-    latter case its fixed point is solved exactly and verified against
-    one more true refinement round.
-    """
-    cores: Dict[int, Interval] = {e: (Fraction(0), Fraction(1)) for e in hr}
-    burn = 4 * sum(f.edge_images[e].n_edges for e in hr) + 16
-    prev_picks: Optional[Dict[Tuple[int, int], _Pick]] = None
-    for _ in range(burn):
-        nxt, picks = _core_step(f, hr, cores)
-        if nxt == cores:
-            return cores
-        if picks == prev_picks:
-            try:
-                solved = _solve_core_selection(f, hr, picks)
-            except CapExceeded:
-                solved = None
-            if solved is not None and all(
-                    0 <= lo <= hi <= 1 for lo, hi in solved.values()):
-                if _core_step(f, hr, solved)[0] == solved:
-                    return solved
-        prev_picks = picks
-        cores = nxt
-    raise CapExceeded("invariant cores failed to stabilize")
-
-
-def invariant_core_subdivision(f: TopRep, stratum: Iterable[int]) -> TopRep:
-    """Subdivide an exponential stratum at its invariant core endpoints.
-
-    The core of an edge is the smallest closed interval holding each
-    point whose whole forward orbit stays in the stratum.  Cutting at the
-    core endpoints (and their images) separates the stratum from the
-    transient parts of its edges.  When the cores already fill every
-    edge, the representative is returned unchanged.
-    """
-    hr = frozenset(int(e) for e in stratum)
-    graph = f.graph
-    cores = _invariant_cores(f, hr)
-
-    cuts: Dict[int, Set[Fraction]] = {}
-    for e, (lo, hi) in cores.items():
-        for x in (lo, hi):
-            if 0 < x < 1:
-                cuts.setdefault(e, set()).add(x)
-    # close the cut set under the point map so every new vertex has a
-    # zero cell to land on
-    closure_cap = 4 * sum(
-        f.edge_images[e].n_edges for e in graph.edges()) + 16
-    for _ in range(closure_cap):
-        grown = False
-        for e in sorted(cuts):
-            for x in sorted(cuts[e]):
-                _, d, y = _cut_site(f, e, x)
-                if y is not None and y not in cuts.setdefault(abs(d), set()):
-                    cuts[abs(d)].add(y)
-                    grown = True
-        if not grown:
-            break
-    else:
-        raise CapExceeded("core endpoint orbit failed to close")
-
-    if not cuts:
-        return f
-    out, _ = _subdivide_many(
-        f, {e: tuple(sorted(xs)) for e, xs in cuts.items()})
-    _emit("invariant_core_subdivision", (tuple(sorted(hr)),), f, out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# connecting paths, sliding, tree replacement
-
-
-def fold_connecting_path(f: TopRep, alpha: Path, cap: int = 1000) -> TopRep:
-    """Collapse a path whose image tightens to a point, by folding.
-
-    Repeatedly folds a junction of the path whose image turn degenerates,
-    collapsing dead edges as they appear, until the whole path has been
-    squeezed to a cell.
-    """
-    if alpha.graph is not f.graph:
-        raise ImageNotTrivial("the path lives on a different graph")
-    if not f.apply(alpha).is_trivial:
-        raise ImageNotTrivial("the path's image does not tighten away")
-    work = f
-    path = alpha
-    for _ in range(cap):
-        if path.n_edges == 0:
-            break
-        # a path with trivial image either crosses an edge that dies or
-        # has a junction degenerating in one step; fold the latter
-        turn = _first_foldable_junction(work, path)
-        if turn is not None:
-            work, tr = _fold_core(work, turn, collapse_invariant=False)
-            path = tr.path(path)
-            continue
-        forest = maximal_pretrivial_forest(work)
-        if not forest.nontrivial:
-            raise ImageNotTrivial(
-                "no junction folds and no edge dies; the path cannot "
-                "be collapsed")
-        work, tr = _collapse(work, forest)
-        path = tr.path(path)
-    else:
-        raise CapExceeded("connecting path did not collapse")
-    out, _ = _collapse_cleanup(work, collapse_invariant=False)
-    _emit("fold_connecting_path", (alpha.items,), f, out)
-    return out
-
-
-def _first_foldable_junction(f: TopRep, path: Path) -> Optional[Turn]:
-    for turn in path.turns():
-        if turn.degenerate:
-            continue
-        try:
-            image = f.turn_map(turn)
-        except BadRepresentative:
-            continue
-        if image.degenerate:
-            return turn
-    return None
-
-
-def slide(f: TopRep, d: int, alpha: Path,
-          lower: Optional[Iterable[int]] = None) -> TopRep:
+def slide(f: TopRep, d: int, alpha: Path) -> TopRep:
     """Move the head of the directed edge ``d`` along a path avoiding its
-    edge, so ``slide(f, -e, alpha)`` moves the initial end of ``e``.
-
-    With ``lower`` given, the path must also stay inside those edges.
-    """
+    edge, so ``slide(f, -e, alpha)`` moves the initial end of ``e``."""
     graph = f.graph
     if alpha.graph is not graph or alpha.start != graph.dst(d):
         raise PathNotInLowerStrata(
             "the sliding path must leave the slid edge's endpoint")
     edge = abs(d)
-    crossed = set(alpha.crossings())
-    if edge in crossed:
+    if edge in alpha.crossings():
         raise PathNotInLowerStrata("the sliding path crosses the slid edge")
-    if lower is not None:
-        allowed = {int(e) for e in lower}
-        if not crossed <= allowed:
-            raise PathNotInLowerStrata(
-                f"the sliding path crosses edges {sorted(crossed - allowed)} "
-                f"outside the allowed set")
 
     ends = [(graph.src(e), graph.dst(e)) for e in graph.edges()]
     moved = (graph.src(d), alpha.end)
@@ -950,57 +676,4 @@ def slide(f: TopRep, d: int, alpha: Path,
     images[edge] = tr.path(moved_image)
     out = _rebuild(f, tr, graph.cells(), images)
     _emit("slide", (d, alpha.items), f, out)
-    return out
-
-
-def tree_replace(f: TopRep, stratum: Iterable[int]) -> TopRep:
-    """Rebuild the components of a zero stratum as stars on their
-    attaching cells."""
-    graph = f.graph
-    zs = frozenset(int(e) for e in stratum)
-    for e in sorted(zs):
-        if any(c in zs for c in f.edge_images[e].crossings()):
-            raise NotZeroStratum(
-                f"edge {graph.edge_label(e)} maps across its own stratum")
-    sub = graph.subgraph(zs)
-    if sub.cone_cells():
-        raise NotZeroStratum("zero strata never carry cone points")
-
-    # each component becomes a star: its least attaching cell is the
-    # center, joined by a new edge S to each other attaching cell
-    into: Dict[int, int] = {}
-    reach: Dict[int, Tuple[Item, ...]] = {}
-    dead: Dict[int, Tuple[Item, ...]] = {}
-    extra: List[Tuple[str, int, Tuple[Item, ...]]] = []
-    taken = {graph.edge_names[e - 1] for e in graph.edges() if e not in zs}
-    first = graph.n_edges - len(zs) + 1
-    for comp in sub.components():
-        bd = [c for c in sorted(comp.cells)
-              if any(abs(d) not in zs for d in graph.edges_at(c))]
-        if len(bd) < 2:
-            raise NotZeroStratum(
-                "a component does not join two attaching cells")
-        center = bd[0]
-        walk = _walks(graph, center, comp.edges)
-        # the star's walk from the center to each attaching cell, in the
-        # ids past the last old edge that name the extra edges
-        spoke = {center: ()}
-        for b in bd[1:]:
-            spoke[b] = (graph.n_edges + 1 + len(extra),)
-            name = f"S{first + len(extra)}"
-            while name in taken:
-                name += "'"
-            taken.add(name)
-            extra.append((name, center, walk[b]))
-        for c in comp.cells:
-            if c not in spoke:
-                into[c] = center
-                reach[c] = walk[c]
-        for e in comp.edges:
-            s, t = graph.src(e), graph.dst(e)
-            dead[e] = (tuple(-i for i in spoke.get(s, ()))
-                       + spoke.get(t, ()))
-    out, _ = _quotient(f, _absorbing(graph, into), reach, dead, extra)
-    out, _ = _collapse_cleanup(out, collapse_invariant=False)
-    _emit("tree_replace", (tuple(sorted(zs)),), f, out)
     return out

@@ -2,8 +2,8 @@
 
 An orbigraph is a finite tree whose zero cells are either plain vertices or
 cone points, one cone point per free factor of an ambient free product.  The
-module also provides subgraphs (edge sets plus isolated zero cells), their
-component and core calculus, and the two standard models: the thistle, with a
+module also provides subgraphs (edge sets with their endpoints), their
+components and forest test, and the two standard models: the thistle, with a
 central vertex, and the hedgehog, with a cone apex and no vertices at all.
 
 Zero cells are numbered 0..k-1 and edges 1..m; a directed edge is +e or -e,
@@ -211,32 +211,22 @@ class Orbigraph:
 
     # -- subgraphs ---------------------------------------------------------
 
-    def subgraph(self, edges: Iterable[int] = (), extra_cells: Iterable[int] = ()) -> "Subgraph":
+    def subgraph(self, edges: Iterable[int] = ()) -> "Subgraph":
         edge_set = frozenset(abs(e) for e in edges)
+        cells = set()
         for e in edge_set:
             if not 1 <= e <= self.n_edges:
                 raise BadOrbigraph(f"no edge {e} in this graph")
-        cells = set(int(c) for c in extra_cells)
-        for c in cells:
-            if not 0 <= c < self.n_cells:
-                raise BadOrbigraph(f"no cell {c} in this graph")
-        for e in edge_set:
-            a, b = self.ends[e - 1]
-            cells.add(a)
-            cells.add(b)
+            cells.update(self.ends[e - 1])
         return Subgraph(self, edge_set, frozenset(cells))
-
-    def full_subgraph(self) -> "Subgraph":
-        return self.subgraph(self.edges(), self.cells())
 
 
 @dataclass(frozen=True)
 class Subgraph:
     """An edge set of a parent orbigraph together with its zero cells.
 
-    ``cells`` always contains the endpoints of ``edges``; it may also hold
-    isolated zero cells, which matters for cores of one-cone components.
-    A subgraph is nontrivial when it has at least one edge.
+    ``cells`` holds the endpoints of ``edges``.  A subgraph is nontrivial
+    when it has at least one edge.
     """
 
     parent: Orbigraph
@@ -264,17 +254,6 @@ class Subgraph:
             remaining -= comp_cells
         return tuple(out)
 
-    def is_connected(self) -> bool:
-        return len(self.components()) == 1
-
-    def is_contractible(self) -> bool:
-        """A connected subgraph is contractible iff it has at most one cone."""
-        if not self.cells:
-            raise BadOrbigraph("the empty subgraph has no components")
-        if not self.is_connected():
-            raise BadOrbigraph("contractibility is asked of components only")
-        return len(self.cone_cells()) <= 1
-
     def is_forest(self) -> bool:
         """Nontrivial and every component squashes to at most one cone."""
         if not self.nontrivial:
@@ -282,58 +261,12 @@ class Subgraph:
         return all(sum(map(self.parent.is_cone, comp.cells)) <= 1
                    for comp in self.components())
 
-    def core(self) -> "Subgraph":
-        """Per component, the convex hull of the cone points.
-
-        Components with two or more cones keep the tree they span; a
-        single-cone component contributes just its cone point; cone-free
-        components vanish.
-        """
-        core_edges = set()
-        core_cells = set()
-        for comp in self.components():
-            cones = comp.cone_cells()
-            if not cones:
-                continue
-            if len(cones) == 1:
-                core_cells.add(cones[0])
-                continue
-            edges = set(comp.edges)
-            cells = set(comp.cells)
-            degree = {c: 0 for c in cells}
-            for e in edges:
-                a, b = self.parent.ends[e - 1]
-                degree[a] += 1
-                degree[b] += 1
-            pruned = True
-            while pruned:
-                pruned = False
-                for c in sorted(cells):
-                    if self.parent.is_cone(c) or degree[c] > 1:
-                        continue
-                    cells.discard(c)
-                    pruned = True
-                    for e in sorted(edges):
-                        a, b = self.parent.ends[e - 1]
-                        if c in (a, b):
-                            edges.discard(e)
-                            degree[a] -= 1
-                            degree[b] -= 1
-                    degree.pop(c)
-            core_edges |= edges
-            core_cells |= cells
-        return Subgraph(self.parent, frozenset(core_edges),
-                        frozenset(core_cells))
-
     def __contains__(self, item):
         return abs(item) in self.edges
 
     def __repr__(self):
         names = [self.parent.edge_names[e - 1] for e in sorted(self.edges)]
-        lone = [self.parent.cell_names[c] for c in sorted(self.cells)
-                if all(c not in self.parent.ends[e - 1] for e in self.edges)]
-        inner = "{" + ", ".join(names + lone) + "}"
-        return f"Subgraph({inner})"
+        return "Subgraph({" + ", ".join(names) + "})"
 
 
 # -- standard models -------------------------------------------------------

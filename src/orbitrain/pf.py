@@ -65,10 +65,6 @@ def entrywise_le(A: Matrix, B: Matrix) -> bool:
     return all(a <= b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
-def is_zero_matrix(M: Matrix) -> bool:
-    return all(x == 0 for row in M for x in row)
-
-
 def is_transitive_permutation(M: Matrix) -> bool:
     """One 1 per row and column, and the permutation is a single cycle."""
     n = len(M)
@@ -437,12 +433,6 @@ def isolate_largest_root(p: Sequence[int],
     return _isolate(sturm_chain(p), tol)
 
 
-def largest_real_root_interval(p: Sequence[int], tol: Fraction
-                               ) -> Optional[Tuple[Fraction, Fraction]]:
-    iso = isolate_largest_root(p, tol)
-    return None if iso is None else iso.bounds()
-
-
 # -- certified PF data ----------------------------------------------------------
 
 
@@ -669,14 +659,3 @@ def pf_compare(x: PFData, y: PFData) -> int:
         b = b.refine(b.width / 16)
     raise CapExceeded("eigenvalue comparison did not separate")
 
-
-def pf_key_compare(xs: Sequence[PFData], ys: Sequence[PFData]) -> int:
-    """Lexicographic comparison of two nonincreasing growth sequences; a
-    strict prefix counts as smaller."""
-    for a, b in zip(xs, ys):
-        c = pf_compare(a, b)
-        if c != 0:
-            return c
-    if len(xs) == len(ys):
-        return 0
-    return -1 if len(xs) < len(ys) else 1

@@ -5,9 +5,9 @@ group isomorphism per cone point, and a zero-cell image per plain vertex.
 This module builds the two standard representatives (on the thistle and on
 the hedgehog), applies maps to paths and circuits, composes and iterates
 them, and extracts everything the train track algorithms consume: the
-transition matrix, the derivative and turn maps, legality, invariant
-filtrations with stratum labels, certified eigenvalue sequences, and the
-outer automorphism read back through a marking.
+transition matrix, the derivative and turn maps, legality, the maximal
+invariant filtration, and the outer automorphism read back through a
+marking.
 
 Legality is one orbit walk, :meth:`TopRep.dying_turn`, asked of each turn
 in its own orientation.  A turn and its reversal need no shared
@@ -15,19 +15,15 @@ bookkeeping: the turn map commutes with reversal and reversal preserves
 degeneracy, so both orientations get the same verdict.
 """
 
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from functools import cmp_to_key
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .errors import BadRepresentative, NoMarking
 from .groups import Automorphism, is_iso, iso_chain, iso_identity
-from .orbigraph import Orbigraph, Subgraph, find_isomorphisms, hedgehog, thistle
+from .orbigraph import Orbigraph, find_isomorphisms, hedgehog, thistle
 from .paths import (Circuit, Path, Turn, invert_items, loop_of_word,
                     parse_path, tighten, tighten_circuit)
-from .pf import (DEFAULT_TOL, PFData, is_transitive_permutation,
-                 is_zero_matrix, pf_compare, pf_data, scc_components,
-                 submatrix)
+from .pf import scc_components, submatrix
 
 
 @dataclass(frozen=True)
@@ -535,193 +531,24 @@ class TransitionMatrix:
         return self.entries[self.index[i]][self.index[j]]
 
 
-@dataclass(frozen=True)
-class Stratum:
-    """One diagonal block of a filtration: its edges and classification.
+def maximal_filtration(f: TopRep) -> Tuple[Tuple[int, ...], ...]:
+    """The strata of a maximal filtration by invariant subgraphs, as edge
+    tuples, sinks first.
 
-    For a non-exponential stratum, ``cycle`` walks the edge permutation
-    from the lowest edge: each entry is (directed edge, items before the
-    next stratum edge in its image, items after).  ``closure`` is +1 when
-    the walk returns to the starting orientation, -1 otherwise.
-    """
-
-    edges: Tuple[int, ...]
-    kind: Optional[str] = None
-    periodic: bool = False
-    cycle: Optional[Tuple] = None
-    closure: int = 0
-
-
-ZERO = "zero"
-NEG = "neg"
-EG = "eg"
-
-
-@dataclass(frozen=True)
-class Filtration:
-    """An increasing chain of invariant subgraphs, stored as its strata."""
-
-    strata: Tuple[Stratum, ...]
-
-    def __iter__(self):
-        return iter(self.strata)
-
-    def __len__(self):
-        return len(self.strata)
-
-    def cumulative(self, r: int) -> FrozenSet[int]:
-        """All edges in strata up to and including the r-th (0-based)."""
-        out = set()
-        for st in self.strata[:r + 1]:
-            out.update(st.edges)
-        return frozenset(out)
-
-    def stratum_of(self, e: int) -> int:
-        for r, st in enumerate(self.strata):
-            if e in st.edges:
-                return r
-        raise KeyError(e)
-
-    def subgraph(self, graph: Orbigraph, r: int) -> Subgraph:
-        return graph.subgraph(self.cumulative(r))
-
-
-def maximal_filtration(f: TopRep, seed=None) -> Filtration:
-    """Refine an invariant chain of edge sets until every diagonal block
-    of the transition matrix is irreducible or zero.
-
-    ``seed`` is an ascending sequence of invariant edge sets, defaulting
-    to the whole graph.  Inside each successive difference the strongly
-    connected components are emitted sinks first; an isolated zero edge
-    joins the previous stratum when that stratum is zero and nothing maps
-    from the edge into it.
+    The strata are the strongly connected components of the transition
+    matrix, so every diagonal block is irreducible or zero; an isolated
+    zero edge joins the previous stratum when that stratum is zero and
+    nothing maps from the edge into it.
     """
     M = f.transition_matrix()
-    sets = [frozenset(s) for s in seed] if seed is not None else []
-    if not sets or sets[-1] != frozenset(M.edges):
-        sets.append(frozenset(M.edges))
-    lower: FrozenSet[int] = frozenset()
-    for s in sets:
-        if not lower <= s:
-            raise BadRepresentative("seed edge sets must increase")
-        for e in sorted(s):
-            if any(x not in s for x in f.edge_images[e].crossings()):
-                raise BadRepresentative(
-                    f"seed edge set {sorted(s)} is not invariant")
-        lower = s
-
-    strata = []
-    lower = frozenset()
-    for s in sets:
-        diff = sorted(s - lower)
-        lower = s
-        if not diff:
-            continue
-        block = M.block(diff)
-        groups = []
-        for comp in scc_components(block):
-            zero = len(comp) == 1 and block[comp[0]][comp[0]] == 0
-            if (zero and groups and groups[-1][1]
-                    and all(block[j][comp[0]] == 0 for j in groups[-1][0])):
-                groups[-1][0].append(comp[0])
-            else:
-                groups.append((list(comp), zero))
-        for members, _ in groups:
-            strata.append(Stratum(tuple(diff[i] for i in sorted(members))))
-    return Filtration(tuple(strata))
-
-
-def classify_strata(f: TopRep, filt: Filtration) -> Filtration:
-    """Label each stratum zero, non-exponential, or exponential.
-
-    Non-exponential strata also record their edge cycle: the walk data
-    needed to bring them to the convention where each edge maps onto the
-    next one followed by lower-strata terms.
-    """
-    M = f.transition_matrix()
-    out = []
-    for st in filt.strata:
-        block = M.block(st.edges)
-        if is_zero_matrix(block):
-            out.append(replace(st, kind=ZERO))
-        elif is_transitive_permutation(block):
-            cycle, closure = _neg_cycle(f, st.edges)
-            periodic = all(not pre and not tail for _, pre, tail in cycle)
-            out.append(replace(st, kind=NEG, periodic=periodic,
-                               cycle=cycle, closure=closure))
+    entries = M.entries
+    groups = []
+    for comp in scc_components(entries):
+        zero = len(comp) == 1 and entries[comp[0]][comp[0]] == 0
+        if (zero and groups and groups[-1][1]
+                and all(entries[j][comp[0]] == 0 for j in groups[-1][0])):
+            groups[-1][0].append(comp[0])
         else:
-            out.append(replace(st, kind=EG))
-    return Filtration(tuple(out))
-
-
-def _neg_cycle(f: TopRep, edges):
-    eset = set(edges)
-    d = min(edges)
-    entries = []
-    for _ in range(len(edges)):
-        items = f.image(d).items
-        hits = [i for i, item in enumerate(items)
-                if type(item) is int and abs(item) in eset]
-        if len(hits) != 1:
-            raise BadRepresentative(
-                "stratum is not a permutation block after all")
-        (i,) = hits
-        entries.append((d, items[:i], items[i + 1:]))
-        d = items[i]
-    if abs(d) != min(edges):
-        raise BadRepresentative("stratum permutation is not a single cycle")
-    return tuple(entries), (1 if d > 0 else -1)
-
-
-def pf_sequence(f: TopRep, filt: Filtration,
-                tol: Fraction = DEFAULT_TOL):
-    """Certified eigenvalue intervals of the exponential strata, sorted
-    nonincreasing with exact tie handling."""
-    M = f.transition_matrix()
-    datas = []
-    for st in filt.strata:
-        block = M.block(st.edges)
-        if is_zero_matrix(block) or is_transitive_permutation(block):
-            continue
-        datas.append(pf_data(block, tol))
-    datas.sort(key=cmp_to_key(pf_compare), reverse=True)
-    return tuple(datas)
-
-
-# -- free factor systems ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FreeFactorSystem:
-    """Conjugacy classes of sub-free-products, as sets of factor indices.
-
-    ``witnesses`` optionally records one subgraph realizing each component;
-    it does not participate in equality.
-    """
-
-    components: Tuple[FrozenSet[int], ...]
-    witnesses: Tuple[Optional[Subgraph], ...] = field(default=(),
-                                                      compare=False)
-
-    @property
-    def kurosh_rank(self) -> int:
-        return sum(len(c) for c in self.components)
-
-    def within(self, other: "FreeFactorSystem") -> bool:
-        """Whether every component is carried by a component of ``other``."""
-        return all(any(c <= d for d in other.components)
-                   for c in self.components)
-
-
-def free_factor_system(sub: Subgraph) -> FreeFactorSystem:
-    """The free factor system realized by a subgraph: one component per
-    core piece, as the set of factor indices of its cone points."""
-    comps = []
-    for piece in sub.core().components():
-        factors = frozenset(sub.parent.factor_at(c)
-                            for c in piece.cone_cells())
-        if factors:
-            comps.append((factors, piece))
-    comps.sort(key=lambda t: min(t[0]))
-    return FreeFactorSystem(tuple(c for c, _ in comps),
-                            tuple(w for _, w in comps))
+            groups.append((list(comp), zero))
+    return tuple(tuple(M.edges[i] for i in sorted(members))
+                 for members, _ in groups)

@@ -153,7 +153,7 @@ def _normalize(f: TopRep) -> TopRep:
             if val == 2:
                 d1, d2 = graph.edges_at(c)
                 short, _ = _length_order(f, abs(d1), abs(d2))
-                f = valence_two_homotopy(f, c, short, strict=False)
+                f = valence_two_homotopy(f, c, short)
                 moved = True
                 break
         if not moved:
@@ -240,7 +240,7 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
             return FiniteOrder(f, _finite_order_period(f))
         filt = maximal_filtration(f)
         if len(filt) > 1:
-            return Reducible(f, frozenset(filt.strata[0].edges))
+            return Reducible(f, frozenset(filt[0]))
         M = f.transition_matrix()
         if is_transitive_permutation(M.entries):
             return FiniteOrder(f, _finite_order_period(f))

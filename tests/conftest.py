@@ -1,5 +1,7 @@
 """Shared fixtures: the standard presentations and automorphisms used
-throughout the suite."""
+throughout the suite, and the benchmark corpus recipe."""
+
+import random
 
 import pytest
 
@@ -61,3 +63,22 @@ def beta_w3(w3):
             w3.parse_word("b c b"),
         ],
     )
+
+
+@pytest.fixture(scope="session")
+def corpus_automorphism():
+    """The benchmark corpus recipe, as a function of ``(n, length, seed)``:
+    the rotation a_k -> a_{k+1 mod n} on W_n, composed on the left with
+    ``length`` seeded partial conjugations a_i -> a_j a_i a_j."""
+    def recipe(n, length, seed):
+        W = FreeProduct([Z2] * n)
+        rng = random.Random(seed)
+        phi = Automorphism.from_gen_images(
+            W, [(((k + 1) % n, 1),) for k in range(n)])
+        for _ in range(length):
+            i, j = rng.sample(range(n), 2)
+            images = [((k, 1),) for k in range(n)]
+            images[i] = ((j, 1), (i, 1), (j, 1))
+            phi = Automorphism.from_gen_images(W, images).compose(phi)
+        return phi
+    return recipe

@@ -387,24 +387,10 @@ def test_injective_non_surjective_endomorphism_not_invertible():
         phi.inverse()
 
 
-def corpus_automorphism(n, length, seed):
-    """The benchmark corpus recipe: the rotation a_k -> a_{k+1 mod n} on
-    W_n, composed on the left with ``length`` seeded partial conjugations
-    a_i -> a_j a_i a_j."""
-    W = FreeProduct([FiniteGroup.cyclic(2)] * n)
-    rng = random.Random(seed)
-    phi = Automorphism.from_gen_images(W, [(((k + 1) % n, 1),) for k in range(n)])
-    for _ in range(length):
-        i, j = rng.sample(range(n), 2)
-        images = [((k, 1),) for k in range(n)]
-        images[i] = ((j, 1), (i, 1), (j, 1))
-        phi = Automorphism.from_gen_images(W, images).compose(phi)
-    return phi
-
-
 @pytest.mark.parametrize("n, length, seed",
                          [(6, 10, s) for s in range(6)] + [(8, 12, 0)])
-def test_peak_reduction_inverts_large_corpus_cases(n, length, seed):
+def test_peak_reduction_inverts_large_corpus_cases(n, length, seed,
+                                                  corpus_automorphism):
     phi = corpus_automorphism(n, length, seed)
     assert _mutually_inverse(phi, phi.inverse())
 

@@ -1,7 +1,7 @@
-"""Tree validation, subgraph calculus, cores, and the two standard models.
+"""Tree validation, subgraph calculus, and the two standard models.
 
-The hull oracle at the top recomputes convex hulls of cone points by brute
-enumeration of all geodesics, independently of the pruning implementation.
+The reachability oracle at the top recomputes components by sweeping the
+raw endpoint table, independently of the tree walks.
 """
 
 import itertools
@@ -15,7 +15,6 @@ from orbitrain.errors import BadGroupTable, BadOrbigraph
 from orbitrain.groups import FiniteGroup, FreeProduct
 from orbitrain.orbigraph import (
     Orbigraph,
-    Subgraph,
     find_isomorphism,
     hedgehog,
     thistle,
@@ -41,35 +40,6 @@ def oracle_reachable(graph, edge_set, start):
                 cells.add(a)
                 grew = True
     return cells
-
-
-def oracle_hull_edges(graph, comp_edges, cones):
-    """Union of all pairwise geodesics, recomputed by exhaustive search."""
-    hull = set()
-    for a, b in itertools.combinations(sorted(cones), 2):
-        path = oracle_geodesic(graph, comp_edges, a, b)
-        hull.update(abs(d) for d in path)
-    return hull
-
-
-def oracle_geodesic(graph, edge_set, a, b):
-    """Breadth-first geodesic using only the allowed edge set."""
-    frontier = [(a, ())]
-    seen = {a}
-    while frontier:
-        nxt = []
-        for cell, walk in frontier:
-            if cell == b:
-                return walk
-            for d in graph.directed_edges():
-                if abs(d) not in edge_set or graph.src(d) != cell:
-                    continue
-                t = graph.dst(d)
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append((t, walk + (d,)))
-        frontier = nxt
-    raise AssertionError("oracle found no geodesic")
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +72,7 @@ def random_orbigraphs(draw):
 def graphs_with_subgraphs(draw):
     graph = draw(random_orbigraphs())
     edges = [e for e in graph.edges() if draw(st.booleans())]
-    extra = [c for c in graph.cells() if draw(st.booleans())]
-    return graph, graph.subgraph(edges, extra)
+    return graph, graph.subgraph(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +184,6 @@ def test_components_of_two_prickles():
     assert comps[0].cells == frozenset({0, 2, 3})
 
 
-def test_isolated_cells_are_their_own_components():
-    g = thistle(w3())
-    s = g.subgraph([2], extra_cells=[3])
-    comps = s.components()
-    assert len(comps) == 2
-    assert comps[1].cells == frozenset({3})
-    assert not comps[1].nontrivial
-
-
-def test_contractibility_examples():
-    tg = thistle(w3())
-    assert tg.subgraph([1]).is_contractible()
-    assert not hedgehog(w3()).subgraph([1]).is_contractible()
-    assert tg.subgraph([], extra_cells=[0]).is_contractible()
-    with pytest.raises(BadOrbigraph):
-        tg.subgraph([1], extra_cells=[3]).is_contractible()
-
-
 def test_forest_examples():
     tg = thistle(w3())
     hg = hedgehog(w3())
@@ -240,35 +191,6 @@ def test_forest_examples():
     assert tg.subgraph([1]).is_forest()
     assert not hg.subgraph([1]).is_forest()
     assert not tg.subgraph([1, 2]).is_forest()
-
-
-def test_core_examples():
-    tg = thistle(w3())
-    hg = hedgehog(w3())
-    prickle = tg.subgraph([1]).core()
-    assert prickle.edges == frozenset()
-    assert prickle.cells == frozenset({1})
-    everything = hg.full_subgraph().core()
-    assert everything.edges == frozenset({1, 2})
-    pair = tg.subgraph([2, 3]).core()
-    assert pair.edges == frozenset({2, 3})
-    assert pair.cells == frozenset({0, 2, 3})
-    empty = tg.subgraph([], extra_cells=[0]).core()
-    assert empty.cells == frozenset()
-
-
-def test_core_drops_hanging_vertex_trees():
-    W = w3()
-    # cones at 1, 2, 4; vertices 0, 3, 5; a hair 3-5 hangs off the hull
-    g = Orbigraph(
-        W,
-        [-1, 0, 1, -1, 2, -1],
-        [(1, 0), (2, 0), (0, 3), (3, 4), (3, 5)],
-    )
-    s = g.full_subgraph()
-    core = s.core()
-    assert core.edges == frozenset({1, 2, 3, 4})
-    assert 5 not in core.cells
 
 
 # ---------------------------------------------------------------------------
@@ -286,45 +208,21 @@ def test_components_partition_matches_reachability_oracle(pair):
     all_edges = sorted(e for comp in comps for e in comp.edges)
     assert all_edges == sorted(s.edges)
     for comp in comps:
-        start = min(comp.cells)
-        reach = oracle_reachable(graph, comp.edges, start)
-        if comp.edges:
-            assert reach == set(comp.cells)
-        else:
-            assert comp.cells == frozenset({start})
+        assert comp.edges
+        assert oracle_reachable(graph, comp.edges, min(comp.cells)) \
+            == set(comp.cells)
 
 
 @settings(max_examples=120, deadline=None)
 @given(graphs_with_subgraphs())
-def test_core_is_idempotent_and_contained(pair):
+def test_forest_test_matches_cone_pair_oracle(pair):
+    """A subgraph is a forest exactly when it has an edge and joins no
+    two cone points."""
     graph, s = pair
-    core = s.core()
-    assert core.edges <= s.edges
-    assert core.cells <= s.cells
-    again = core.core()
-    assert again.edges == core.edges
-    assert again.cells == core.cells
-
-
-@settings(max_examples=120, deadline=None)
-@given(graphs_with_subgraphs())
-def test_core_edges_match_hull_oracle(pair):
-    graph, s = pair
-    core = s.core()
-    expected = set()
-    for comp in s.components():
-        cones = comp.cone_cells()
-        if len(cones) >= 2:
-            expected |= oracle_hull_edges(graph, comp.edges, cones)
-    assert core.edges == frozenset(expected)
-
-
-@settings(max_examples=120, deadline=None)
-@given(graphs_with_subgraphs())
-def test_forests_have_edge_free_cores(pair):
-    graph, s = pair
-    if s.is_forest():
-        assert s.core().edges == frozenset()
+    cones = [c for c in s.cells if graph.is_cone(c)]
+    joined = any(b in oracle_reachable(graph, s.edges, a)
+                 for a, b in itertools.combinations(cones, 2))
+    assert s.is_forest() == (bool(s.edges) and not joined)
 
 
 @settings(max_examples=60, deadline=None)

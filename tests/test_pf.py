@@ -32,13 +32,10 @@ from orbitrain.pf import (
     identity_matrix,
     is_irreducible,
     is_transitive_permutation,
-    is_zero_matrix,
     isolate_largest_root,
-    largest_real_root_interval,
     mat_mul,
     pf_compare,
     pf_data,
-    pf_key_compare,
     poly_eval,
     poly_gcd,
     poly_sign,
@@ -134,8 +131,6 @@ class TestMatrixBasics:
         assert submatrix(M, (1, 2)) == GROWTH
         assert entrywise_le(((0, 1), (1, 0)), GROWTH)
         assert not entrywise_le(GROWTH, identity_matrix(2))
-        assert is_zero_matrix(((0, 0), (0, 0)))
-        assert not is_zero_matrix(GROWTH)
 
     def test_transitive_permutations(self):
         assert is_transitive_permutation(((0, 1), (1, 0)))
@@ -254,7 +249,9 @@ class TestPolynomials:
 
     def test_no_real_root(self):
         assert isolate_largest_root((1, 0, 1), DEFAULT_TOL) is None
-        assert largest_real_root_interval((1, 0, 1), DEFAULT_TOL) is None
+        # (x - 3)(x^2 + 1): the one real root, next to two complex ones
+        iso = isolate_largest_root((1, -3, 1, -3), DEFAULT_TOL)
+        assert iso.bounds() == (3, 3)
 
 
 class TestPFData:
@@ -457,15 +454,6 @@ class TestCompare:
         assert pf_compare(at_root, pf_data([[2]])) == 0
         assert pf_compare(pf_data([[1, 1], [1, 1]]), at_root) == 0
         assert pf_compare(at_root, pf_data([[2, 1], [1, 1]])) == -1
-
-    def test_key_compare(self):
-        a = pf_data(GROWTH)
-        b = pf_data([[2]])
-        one = pf_data([[1]])
-        assert pf_key_compare([a, b], [a, b]) == 0
-        assert pf_key_compare([a, one], [a, b]) == -1
-        assert pf_key_compare([a], [a, one]) == -1
-        assert pf_key_compare([b, a], [a]) == -1
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,7 +1,8 @@
 """Source checks: certificates in the library must survive ``python -O``,
 graph construction in the moves stays in its builders, the moves only
-carry the marking forward, turn orbits are walked in one place, edge items
-are tested inline, and every error class is raised."""
+carry the marking forward and hold no iteration cap, turn orbits are
+walked in one place, edge items are tested inline, and every error class
+is raised."""
 
 import ast
 from pathlib import Path
@@ -68,9 +69,8 @@ def test_moves_construct_graphs_only_in_the_builders():
 
 def test_fold_subdivides_once():
     """A fold cuts both of its directions in one subdivision, so only the
-    fold and the two subdivision moves call ``_subdivide_many``."""
-    assert moves_call_sites("_subdivide_many") == [
-        "_fold_core", "invariant_core_subdivision", "subdivide"]
+    fold and the subdivision move call ``_subdivide_many``."""
+    assert moves_call_sites("_subdivide_many") == ["_fold_core", "subdivide"]
 
 
 def test_moves_only_carry_the_marking_forward():
@@ -88,10 +88,35 @@ def test_moves_only_carry_the_marking_forward():
 
 def test_turn_orbits_are_walked_in_one_place():
     """Legality, the train track test and the descent all read
-    ``TopRep.dying_turn``; besides it only the connecting-path fold, which
-    looks one step ahead, applies the turn map."""
-    assert method_call_sites("turn_map") == [
-        "moves._first_foldable_junction", "toprep.TopRep.dying_turn"]
+    ``TopRep.dying_turn``, and nothing else applies the turn map."""
+    assert method_call_sites("turn_map") == ["toprep.TopRep.dying_turn"]
+
+
+def test_moves_hold_no_iteration_cap():
+    """Every move ends by a bound it proves, not by a cap: no function in
+    ``moves.py`` takes a ``cap`` parameter or raises ``CapExceeded`` or a
+    subclass of it."""
+    errors = Path(orbitrain.__file__).parent / "errors.py"
+    capped = {"CapExceeded"}
+    for node in ast.parse(errors.read_text()).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in capped
+                for b in node.bases):
+            capped.add(node.name)
+    path = Path(orbitrain.__file__).parent / "moves.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs
+            params += [p for p in (a.vararg, a.kwarg) if p is not None]
+            found += [f"{node.name}({p.arg})" for p in params
+                      if p.arg == "cap"]
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in capped:
+                found.append(f"line {node.lineno}: raise {exc.id}")
+    assert not found, f"caps in moves.py: {found}"
 
 
 def test_edge_items_are_tested_inline():

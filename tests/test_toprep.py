@@ -17,20 +17,16 @@ from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct
 from orbitrain.moves import fold
 from orbitrain.orbigraph import VERTEX, Orbigraph, hedgehog, thistle
 from orbitrain.paths import Turn, format_path, loop_of_word, tighten, tighten_circuit
-from orbitrain.pf import charpoly, entrywise_le, mat_mul, pf_compare, pf_data
+from orbitrain.pf import (charpoly, entrywise_le, is_transitive_permutation,
+                          mat_mul, pf_compare, pf_data)
 from orbitrain.toprep import (
     ConeMap,
-    Filtration,
     Marking,
-    Stratum,
     TopRep,
     TransitionMatrix,
-    classify_strata,
-    free_factor_system,
     hedgehog_rep,
     identity_rep,
     maximal_filtration,
-    pf_sequence,
     rep_from_path_texts,
     structurally_equal,
     thistle_rep,
@@ -514,51 +510,25 @@ class TestInducedOuter:
 # ---- filtrations and strata ----------------------------------------------------------
 
 
+def permutation_strata(rep):
+    """Whether each stratum's diagonal block is a transitive permutation,
+    stratum by stratum."""
+    M = rep.transition_matrix()
+    return [is_transitive_permutation(M.block(st))
+            for st in maximal_filtration(rep)]
+
+
 class TestFiltration:
     def test_thistle_alpha_strata(self, t_alpha):
-        filt = classify_strata(t_alpha, maximal_filtration(t_alpha))
-        assert [(st.edges, st.kind) for st in filt] == [
-            ((1,), "neg"), ((2, 3), "eg")]
-        assert filt.strata[0].periodic
-        assert filt.strata[0].closure == 1
+        assert maximal_filtration(t_alpha) == ((1,), (2, 3))
+        assert permutation_strata(t_alpha) == [True, False]
 
     def test_hedgehog_alpha_is_irreducible(self, f_alpha):
-        filt = maximal_filtration(f_alpha)
-        assert [st.edges for st in filt] == [(1, 2)]
+        assert maximal_filtration(f_alpha) == ((1, 2),)
 
     def test_single_edge_strata_for_triangular_map(self, phi_w4):
         rep = thistle_rep(phi_w4)
-        filt = classify_strata(rep, maximal_filtration(rep))
-        assert [(st.edges, st.kind, st.periodic) for st in filt] == [
-            ((1,), "neg", True),
-            ((2,), "neg", True),
-            ((3,), "neg", False),
-            ((4,), "neg", False),
-        ]
-        # the nonperiodic strata trail the conjugator loops ab and ac
-        (entry,) = filt.strata[2].cycle
-        assert entry[0] == 3 and entry[1] == ()
-        assert entry[2] == (-1, (1, 1), 1, -2, (2, 1), 2)
-        (entry,) = filt.strata[3].cycle
-        assert entry[2] == (-1, (1, 1), 1, -3, (3, 1), 3)
-
-    def test_seeded_filtration_matches(self, t_alpha):
-        filt = maximal_filtration(t_alpha, seed=[{1}, {1, 2, 3}])
-        assert [st.edges for st in filt] == [(1,), (2, 3)]
-
-    def test_bad_seeds_refuse(self, t_alpha):
-        with pytest.raises(BadRepresentative):
-            maximal_filtration(t_alpha, seed=[{2}])
-        with pytest.raises(BadRepresentative):
-            maximal_filtration(t_alpha, seed=[{1, 2, 3}, {1}])
-
-    def test_cumulative_and_lookup(self, t_alpha):
-        filt = maximal_filtration(t_alpha)
-        assert filt.cumulative(0) == frozenset({1})
-        assert filt.cumulative(1) == frozenset({1, 2, 3})
-        assert filt.stratum_of(3) == 1
-        sub = filt.subgraph(t_alpha.graph, 0)
-        assert sub.edges == frozenset({1})
+        assert maximal_filtration(rep) == ((1,), (2,), (3,), (4,))
 
     def test_zero_stratum_classification(self, w3):
         # a two-factor segment where one edge dies into the other side
@@ -571,9 +541,8 @@ class TestFiltration:
         }
         cones = {0: ConeMap(0, 0, (0, 1)), 2: ConeMap(2, 2, (0, 1))}
         rep = TopRep(graph, images, cones, {1: 0})
-        filt = classify_strata(rep, maximal_filtration(rep))
-        assert [(st.edges, st.kind) for st in filt] == [
-            ((1,), "zero"), ((2,), "neg")]
+        assert maximal_filtration(rep) == ((1,), (2,))
+        assert permutation_strata(rep) == [False, True]
 
     def test_orientation_reversing_cycle(self, w3):
         graph = hedgehog(w3)
@@ -584,77 +553,41 @@ class TestFiltration:
         cones = {0: ConeMap(0, 1, (0, 1)), 1: ConeMap(1, 0, (0, 1)),
                  2: ConeMap(2, 2, (0, 1))}
         rep = TopRep(graph, images, cones, {})
-        filt = classify_strata(rep, maximal_filtration(rep))
-        assert [(st.edges, st.kind) for st in filt] == [
-            ((1,), "neg"), ((2,), "neg")]
-        assert filt.strata[0].closure == -1
-        assert filt.strata[0].periodic
+        assert maximal_filtration(rep) == ((1,), (2,))
+        assert permutation_strata(rep) == [True, True]
 
     def test_permutation_stratum_walk(self, w4):
         swap = Automorphism.from_gen_images(
             w4, [w4.parse_word("b"), w4.parse_word("a"),
                  w4.parse_word("c"), w4.parse_word("d")])
-        filt = classify_strata(thistle_rep(swap),
-                               maximal_filtration(thistle_rep(swap)))
-        first = filt.strata[0]
-        assert first.edges == (1, 2)
-        assert first.periodic and first.closure == 1
-        assert [entry[0] for entry in first.cycle] == [1, 2]
+        rep = thistle_rep(swap)
+        assert maximal_filtration(rep)[0] == (1, 2)
+        assert permutation_strata(rep)[0]
 
 
 class TestPFSequence:
+    """The PF data of the strata that are neither zero nor a permutation
+    block."""
+
     def test_thistle_alpha_brackets_the_growth_rate(self, t_alpha):
-        filt = maximal_filtration(t_alpha)
-        (data,) = pf_sequence(t_alpha, filt)
+        data = pf_data(t_alpha.transition_matrix().block((2, 3)))
         assert (data.lower - 2) ** 2 < 5 < (data.upper - 2) ** 2
         assert data.upper - data.lower < 10 ** -9
 
     def test_triangular_map_has_empty_sequence(self, phi_w4):
         rep = thistle_rep(phi_w4)
-        assert pf_sequence(rep, maximal_filtration(rep)) == ()
+        assert all(permutation_strata(rep))
 
     def test_models_agree_on_the_rate(self, f_alpha, t_alpha):
-        (a,) = pf_sequence(f_alpha, maximal_filtration(f_alpha))
-        (b,) = pf_sequence(t_alpha, maximal_filtration(t_alpha))
+        a = pf_data(f_alpha.transition_matrix().entries)
+        b = pf_data(t_alpha.transition_matrix().block((2, 3)))
         assert pf_compare(a, b) == 0
 
     def test_golden_pair_rates_differ(self, golden):
         f, g = golden
-        (lam_f,) = pf_sequence(f, maximal_filtration(f))
-        (lam_g,) = pf_sequence(g, maximal_filtration(g))
+        lam_f = pf_data(f.transition_matrix().entries)
+        lam_g = pf_data(g.transition_matrix().entries)
         assert pf_compare(lam_g, lam_f) > 0
-
-
-# ---- free factor systems ----------------------------------------------------------
-
-
-class TestFreeFactorSystems:
-    def test_single_cone_component(self, w3):
-        graph = thistle(w3)
-        ffs = free_factor_system(graph.subgraph({1}))
-        assert ffs.components == (frozenset({0}),)
-        assert ffs.kurosh_rank == 1
-
-    def test_two_cones_merge_through_the_center(self, w3):
-        graph = thistle(w3)
-        ffs = free_factor_system(graph.subgraph({1, 2}))
-        assert ffs.components == (frozenset({0, 1}),)
-        assert ffs.kurosh_rank == 2
-
-    def test_disjoint_components_stay_apart(self, w4):
-        graph = hedgehog(w4)
-        ffs = free_factor_system(graph.subgraph((), extra_cells=(1, 2)))
-        assert ffs.components == (frozenset({1}), frozenset({2}))
-
-    def test_within_partial_order(self, w3):
-        graph = thistle(w3)
-        small = free_factor_system(graph.subgraph({1}))
-        large = free_factor_system(graph.subgraph({1, 2}))
-        full = free_factor_system(graph.full_subgraph())
-        assert small.within(large) and large.within(full)
-        assert not large.within(small)
-        other = free_factor_system(graph.subgraph({3}))
-        assert not other.within(large)
 
 
 # ---- randomized properties -----------------------------------------------------------
