@@ -542,6 +542,7 @@ class TestFiltration:
         cones = {0: ConeMap(0, 0, (0, 1)), 2: ConeMap(2, 2, (0, 1))}
         rep = TopRep(graph, images, cones, {1: 0})
         assert maximal_filtration(rep) == ((1,), (2,))
+        assert rep.transition_matrix().block((1,)) == ((0,),)
         assert permutation_strata(rep) == [False, True]
 
     def test_orientation_reversing_cycle(self, w3):
