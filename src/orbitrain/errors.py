@@ -147,14 +147,14 @@ class NotValenceTwo(UnsafeMove):
     code = "not-valence-two"
 
 
-class PathNotInLowerStrata(UnsafeMove):
+class BadSlidePath(UnsafeMove):
     """A sliding path does not leave the slid end, or crosses its edge."""
 
-    code = "path-not-in-lower-strata"
+    code = "bad-slide-path"
 
 
 class NotPermuted(OrbitrainError):
-    """The automorphism does not permute the given free factor systems."""
+    """The automorphism does not permute the given factor classes."""
 
     code = "not-permuted"
 

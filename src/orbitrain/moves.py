@@ -1,12 +1,14 @@
 """Homotopy moves on topological representatives.
 
 Every move is a pure function producing a fresh representative of the
-same outer automorphism.  The geometry is handled by one forward path
-transport per move, rewriting old paths on the new graph; the move is a
-homotopy equivalence, so the same transport carries the marking forward
-(:meth:`Marking.moved`).  Interior points of edges are symbolic
-rationals, so the cut points of subdivisions and folds never touch
-floating point.
+same outer automorphism, and returns that representative as built:
+collapsing the forests a move leaves behind and removing low-valence
+vertices is left to :func:`orbitrain.traintrack.normalize`.  The
+geometry is handled by one forward path transport per move, rewriting
+old paths on the new graph; the move is a homotopy equivalence, so the
+same transport carries the marking forward (:meth:`Marking.moved`).
+Interior points of edges are symbolic rationals, so the cut points of
+subdivisions and folds never touch floating point.
 """
 
 from contextlib import contextmanager
@@ -18,13 +20,13 @@ from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
 
 from .errors import (
     BadRepresentative,
+    BadSlidePath,
     ConePointForbidden,
     ImageNotAtZeroCell,
     NotInvariantForest,
     NothingToFold,
     NotValenceOne,
     NotValenceTwo,
-    PathNotInLowerStrata,
 )
 from .orbigraph import Orbigraph, Subgraph, VERTEX
 from .paths import Path, Turn, invert_items, tighten
@@ -53,7 +55,11 @@ _RECORDER: ContextVar[Optional[List[MoveTrace]]] = ContextVar(
 
 @contextmanager
 def record_moves():
-    """Collect a MoveTrace for every move applied inside the block."""
+    """Collect a MoveTrace for every move applied inside the block.
+
+    A fold logs only its glue; the forests ``traintrack.normalize``
+    collapses after it appear as their own ``collapse_forest`` entries.
+    """
     log: List[MoveTrace] = []
     token = _RECORDER.set(log)
     try:
@@ -204,44 +210,13 @@ def _absorbing(graph: Orbigraph, into: Dict[int, int]) -> List[Tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# tightening and forests
-
-
-def maximal_pretrivial_forest(f: TopRep) -> Subgraph:
-    """Edges whose iterated images die at points.
-
-    An edge joins once every edge its image crosses is already known to
-    die and the image carries no nontrivial cone letter.
-    """
-    graph = f.graph
-    dead: Set[int] = set()
-    grown = True
-    while grown:
-        grown = False
-        for e in graph.edges():
-            if e in dead:
-                continue
-            p = f.edge_images[e]
-            if any(type(item) is not int and item[1] != 0 for item in p.items):
-                continue
-            if all(c in dead for c in p.crossings()):
-                dead.add(e)
-                grown = True
-    forest = graph.subgraph(dead)
-    if dead and not forest.is_forest():
-        raise BadRepresentative("pretrivial edges do not form a forest")
-    return forest
+# forests
 
 
 def maximal_invariant_forest(f: TopRep) -> Subgraph:
-    """A maximal invariant forest, grown greedily in edge order.
-
-    The result is cached on the representative, so a search repeated on
-    the same representative (the descent's normalisation after a fold's
-    cleanup) costs nothing.
-    """
-    if f._forest is not None:
-        return f._forest
+    """A maximal invariant forest, grown greedily in edge order: each
+    edge brings the closure of the edges its iterated images cross, and
+    joins when the union stays a forest."""
     graph = f.graph
     crossed = {e: tuple(f.edge_images[e].crossings()) for e in graph.edges()}
     chosen: Set[int] = set()
@@ -258,8 +233,7 @@ def maximal_invariant_forest(f: TopRep) -> Subgraph:
         candidate = chosen | closure
         if graph.subgraph(candidate).is_forest():
             chosen = candidate
-    f._forest = graph.subgraph(chosen)
-    return f._forest
+    return graph.subgraph(chosen)
 
 
 def _edge_set(forest) -> Set[int]:
@@ -307,23 +281,6 @@ def collapse_forest(f: TopRep, forest) -> TopRep:
     out, _ = _collapse(f, forest)
     _emit("collapse_forest", (tuple(sorted(_edge_set(forest))),), f, out)
     return out
-
-
-def _collapse_cleanup(f: TopRep, collapse_invariant: bool):
-    """Collapse pretrivial and (optionally) invariant forests until none
-    remain, returning the result and the accumulated transport."""
-    acc = Transport.identity(f.graph)
-    while True:
-        forest = maximal_pretrivial_forest(f)
-        if not forest.nontrivial:
-            if not collapse_invariant:
-                break
-            forest = maximal_invariant_forest(f)
-            if not forest.nontrivial:
-                break
-        f, tr = _collapse(f, forest)
-        acc = acc.then(tr)
-    return f, acc
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +453,12 @@ def _adjusted_images(f: TopRep, t: Turn) -> Tuple[Path, Path]:
 
 def fold(f: TopRep, turn: Turn) -> TopRep:
     """Identify the initial segments of two directions with a common
-    image, then collapse whatever forest the identification leaves.
+    image; the glued quotient, forests and all.
 
     The directions must leave a common cell, be distinct, and their
     images (after the turn's cone letter) must share at least one edge.
+    The glue may leave an invariant forest or a low-valence vertex
+    behind; :func:`orbitrain.traintrack.normalize` removes them.
     """
     out, _ = _fold_core(f, turn)
     _emit("fold", (turn.first, turn.letter, turn.second, turn.base), f, out)
@@ -511,8 +470,7 @@ def _fold_core(f: TopRep, turn: Turn):
 
     Both directions are cut where their shared image prefix ends, on the
     input's images and in one subdivision; one quotient then glues the
-    second piece onto the turn's letter followed by the first, and the
-    forest cleanup collapses whatever the glue leaves behind.
+    second piece onto the turn's letter followed by the first.
     """
     t = turn
     graph = f.graph
@@ -589,9 +547,7 @@ def _fold_core(f: TopRep, turn: Turn):
         classes[min(v1, v2)] = (rep, other)
         del classes[max(v1, v2)]
     folded, tr = _quotient(work, classes, reach, {abs(piece2): glued})
-
-    folded, extra = _collapse_cleanup(folded, collapse_invariant=True)
-    return folded, sub.then(tr).then(extra)
+    return folded, sub.then(tr)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +555,8 @@ def _fold_core(f: TopRep, turn: Turn):
 
 
 def valence_one_homotopy(f: TopRep, v: int) -> TopRep:
-    """Retract a dangling vertex and its edge."""
+    """Retract a dangling vertex and its edge; the quotient, with any
+    forest it leaves uncollapsed."""
     graph = f.graph
     if graph.is_cone(v):
         raise ConePointForbidden(
@@ -610,7 +567,6 @@ def valence_one_homotopy(f: TopRep, v: int) -> TopRep:
     d = dirs[0]
     out, _ = _quotient(f, _absorbing(graph, {v: graph.dst(d)}), {v: (-d,)},
                        {abs(d): ()})
-    out, _ = _collapse_cleanup(out, collapse_invariant=False)
     _emit("valence_one", (v,), f, out)
     return out
 
@@ -620,7 +576,8 @@ def valence_two_homotopy(f: TopRep, v: int, collapse: int) -> TopRep:
     stretching the other across it.
 
     The move checks no growth-rate bound: the caller chooses which edge
-    to collapse.
+    to collapse.  Like every move it returns its quotient as built and
+    collapses no forest.
     """
     graph = f.graph
     if graph.is_cone(v):
@@ -636,7 +593,6 @@ def valence_two_homotopy(f: TopRep, v: int, collapse: int) -> TopRep:
     # the stretched edge spans its old self plus the collapsed corridor
     out, _ = _quotient(f, _absorbing(graph, {v: graph.dst(d_col)}),
                        {v: (-d_col,)}, {collapse: ()}, redraw=(keep,))
-    out, _ = _collapse_cleanup(out, collapse_invariant=False)
     _emit("valence_two", (v, collapse), f, out)
     return out
 
@@ -650,11 +606,11 @@ def slide(f: TopRep, d: int, alpha: Path) -> TopRep:
     edge, so ``slide(f, -e, alpha)`` moves the initial end of ``e``."""
     graph = f.graph
     if alpha.graph is not graph or alpha.start != graph.dst(d):
-        raise PathNotInLowerStrata(
+        raise BadSlidePath(
             "the sliding path must leave the slid edge's endpoint")
     edge = abs(d)
     if edge in alpha.crossings():
-        raise PathNotInLowerStrata("the sliding path crosses the slid edge")
+        raise BadSlidePath("the sliding path crosses the slid edge")
 
     ends = [(graph.src(e), graph.dst(e)) for e in graph.edges()]
     moved = (graph.src(d), alpha.end)

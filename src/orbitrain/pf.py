@@ -57,14 +57,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
 
 
-def submatrix(M: Matrix, idx: Sequence[int]) -> Matrix:
-    return tuple(tuple(M[i][j] for j in idx) for i in idx)
-
-
-def entrywise_le(A: Matrix, B: Matrix) -> bool:
-    return all(a <= b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
 def is_transitive_permutation(M: Matrix) -> bool:
     """One 1 per row and column, and the permutation is a single cycle."""
     n = len(M)

@@ -23,7 +23,7 @@ from .groups import Automorphism, is_iso, iso_chain, iso_identity
 from .orbigraph import Orbigraph, find_isomorphisms, hedgehog, thistle
 from .paths import (Circuit, Path, Turn, invert_items, loop_of_word,
                     parse_path, tighten, tighten_circuit)
-from .pf import scc_components, submatrix
+from .pf import scc_components
 
 
 @dataclass(frozen=True)
@@ -119,12 +119,13 @@ class TopRep:
     ``cone_images`` each cone cell to a :class:`ConeMap`, and
     ``vertex_images`` each plain vertex to a zero cell.  Vertices may land
     on cone points; cone points must permute among themselves.  A trivial
-    edge image is allowed (it arises mid-move) but the turn calculus
+    edge image is allowed (a fold or valence move may leave one, until
+    ``traintrack.normalize`` collapses its edge) but the turn calculus
     refuses to differentiate such an edge.
     """
 
     __slots__ = ("graph", "edge_images", "cone_images", "vertex_images",
-                 "marking", "_images", "_forest")
+                 "marking", "_images")
 
     def __init__(self, graph: Orbigraph, edge_images, cone_images,
                  vertex_images, marking: Optional[Marking] = None):
@@ -134,7 +135,6 @@ class TopRep:
         self.vertex_images = {c: int(v) for c, v in dict(vertex_images).items()}
         self.marking = marking
         self._images: Dict[int, Path] = {}
-        self._forest = None  # moves.maximal_invariant_forest
         self._validate()
 
     def _validate(self):
@@ -522,9 +522,6 @@ class TransitionMatrix:
     def __post_init__(self):
         object.__setattr__(self, "index",
                            {e: i for i, e in enumerate(self.edges)})
-
-    def block(self, edges) -> Tuple[Tuple[int, ...], ...]:
-        return submatrix(self.entries, [self.index[e] for e in edges])
 
     def __getitem__(self, pair):
         i, j = pair

@@ -24,7 +24,6 @@ from .moves import (
     collapse_forest,
     fold,
     maximal_invariant_forest,
-    maximal_pretrivial_forest,
     slide,
     valence_one_homotopy,
     valence_two_homotopy,
@@ -41,6 +40,7 @@ __all__ = [
     "build_reduction",
     "edge_bound",
     "is_irreducible_rep",
+    "normalize",
     "train_track_algorithm",
 ]
 
@@ -127,16 +127,19 @@ def _length_order(f: TopRep, e1: int, e2: int) -> Tuple[int, int]:
     return lo[1], hi[1]
 
 
-def _normalize(f: TopRep) -> TopRep:
-    """Collapse forests and remove valence-one and valence-two vertices.
+def normalize(f: TopRep) -> TopRep:
+    """Collapse invariant forests and remove valence-one and valence-two
+    vertices: the only normalisation a representative gets after a move.
 
-    Valence-two removals collapse the edge with the smaller eigenvector
-    length, which keeps the growth rate from climbing.
+    One rule: collapse ``maximal_invariant_forest`` until it is empty,
+    then remove one low-valence vertex and start over.  The rule also
+    clears every edge whose image crosses no edge: its ends map to one
+    cell and the cone points permute, so the edge alone is an invariant
+    forest.  Valence-two removals collapse the edge with the smaller
+    eigenvector length, which keeps the growth rate from climbing.
     """
     while True:
-        forest = maximal_pretrivial_forest(f)
-        if not forest.edges:
-            forest = maximal_invariant_forest(f)
+        forest = maximal_invariant_forest(f)
         if forest.edges:
             f = collapse_forest(f, forest)
             continue
@@ -229,7 +232,7 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
     revisits an earlier representative would cycle forever, so it raises
     ``IterationCapExceeded``.
     """
-    f = _normalize(f)
+    f = normalize(f)
     prev = None
     seen: Dict[tuple, int] = {}
     for step in range(cap):
@@ -253,7 +256,7 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
         turn = _descent_turn(f)
         if turn is None:
             return TrainTrack(f)
-        f = _normalize(fold(f, turn))
+        f = normalize(fold(f, turn))
     raise IterationCapExceeded(
         f"no train track after {cap} folding passes")
 
@@ -388,12 +391,11 @@ def _degenerate_slide(f: TopRep, forest) -> TopRep:
 
 
 def _reduce_forests(f: TopRep) -> TopRep:
-    """Collapse invariant forests while that keeps the shape reducible."""
+    """Collapse invariant forests, by the rule of :func:`normalize`, while
+    that keeps the shape reducible."""
     tricked = False
     while True:
-        forest = maximal_pretrivial_forest(f)
-        if not forest.edges:
-            forest = maximal_invariant_forest(f)
+        forest = maximal_invariant_forest(f)
         if not forest.edges:
             return f
         candidate = collapse_forest(f, forest)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from orbitrain.errors import (
     BadRepresentative,
+    BadSlidePath,
     ConePointForbidden,
     ImageNotAtZeroCell,
     NoMarking,
@@ -24,7 +25,6 @@ from orbitrain.errors import (
     NothingToFold,
     NotValenceOne,
     NotValenceTwo,
-    PathNotInLowerStrata,
 )
 from orbitrain import moves
 from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct
@@ -33,14 +33,13 @@ from orbitrain.moves import (
     collapse_forest,
     fold,
     maximal_invariant_forest,
-    maximal_pretrivial_forest,
     record_moves,
     slide,
     subdivide,
     valence_one_homotopy,
     valence_two_homotopy,
 )
-from orbitrain.orbigraph import VERTEX, Orbigraph, Subgraph, hedgehog
+from orbitrain.orbigraph import VERTEX, Orbigraph, hedgehog
 from orbitrain.paths import Path, Turn, format_path, parse_path, tighten
 from orbitrain.pf import is_transitive_permutation, pf_compare, pf_data
 from orbitrain.toprep import (
@@ -53,7 +52,7 @@ from orbitrain.toprep import (
     structurally_equal,
     thistle_rep,
 )
-from orbitrain.traintrack import _descent_turn
+from orbitrain.traintrack import _descent_turn, normalize
 
 Z2 = FiniteGroup.cyclic(2)
 
@@ -71,6 +70,11 @@ def f_beta(beta_w3):
 @pytest.fixture(scope="module")
 def t_alpha(alpha_w3):
     return thistle_rep(alpha_w3)
+
+
+def block(M, edges):
+    """The diagonal block of a transition matrix on ``edges``."""
+    return tuple(tuple(M[e, d] for d in edges) for e in edges)
 
 
 def image_texts(rep):
@@ -105,45 +109,20 @@ class TestForests:
         forest = maximal_invariant_forest(t_alpha)
         assert sorted(forest.edges) == [1]
 
-    def test_invariant_forest_is_cached_per_representative(self, f_beta):
-        """The fold's cleanup leaves its forest search on the result, and
-        a fresh search on a representative with the same images agrees."""
-        out = fold(f_beta, Turn(-1, 0, -2, 0))
-        cached = out._forest
-        assert isinstance(cached, Subgraph)
-        assert maximal_invariant_forest(out) is cached
-        rebuilt = TopRep(out.graph, out.edge_images, out.cone_images,
-                         out.vertex_images, out.marking)
-        assert rebuilt._forest is None
-        assert maximal_invariant_forest(rebuilt) == cached
-
     def test_hedgehog_has_no_invariant_forest(self, f_alpha):
         assert not maximal_invariant_forest(f_alpha).edges
 
-    def test_pretrivial_forest_empty_on_expanding_maps(self, f_alpha, t_alpha):
-        assert not maximal_pretrivial_forest(f_alpha).edges
-        assert not maximal_pretrivial_forest(t_alpha).edges
-
     def test_pretrivial_forest_collects_squashed_tree(self):
+        """U, V and W map to a point, so the invariant forest takes the
+        whole squashed tree, with A, and normalizing leaves the single
+        edge B."""
         f = star_tree_rep()
-        forest = maximal_pretrivial_forest(f)
-        assert sorted(forest.edges) == [3, 4, 5]
-
-    def test_edge_with_nontrivial_letter_is_not_pretrivial(self, w3):
-        # B maps onto the b twist at its own cone: trivial crossings but
-        # a nontrivial letter, so collapsing it would lose the twist
-        g = Orbigraph(w3.restrict([0, 1]) if hasattr(w3, "restrict") else
-                      FreeProduct([Z2, Z2], ["a", "b"]),
-                      [0, 1, VERTEX], [(0, 2), (1, 2)], edge_names=["A", "B"])
-        cone_images = {c: ConeMap(c, c, (0, 1)) for c in g.cone_cells()}
-        f = TopRep(
-            g,
-            {1: parse_path(g, "A", start=0),
-             2: parse_path(g, ".b B", start=1)},
-            cone_images, {2: 2},
-            Marking(g, 2),
-        )
-        assert not maximal_pretrivial_forest(f).edges
+        forest = maximal_invariant_forest(f)
+        assert sorted(forest.edges) == [1, 3, 4, 5]
+        out = normalize(f)
+        assert image_texts(out) == {"B": "B"}
+        assert out.induced_automorphism().outer_equal(
+            f.induced_automorphism())
 
 
 # ---- collapsing an invariant forest ------------------------------------------
@@ -470,7 +449,7 @@ class TestFold:
         out = fold(f_beta, Turn(-1, 0, -2, 0))
         assert not pf_data(f_beta.transition_matrix().entries).is_one
         M = out.transition_matrix()
-        assert all(is_transitive_permutation(M.block(s))
+        assert all(is_transitive_permutation(block(M, s))
                    for s in maximal_filtration(out))
 
     def test_fold_trace(self, f_beta):
@@ -589,9 +568,9 @@ class TestSlide:
 
     def test_slide_path_must_avoid_the_edge(self, t_alpha):
         g = t_alpha.graph
-        with pytest.raises(PathNotInLowerStrata):
+        with pytest.raises(BadSlidePath):
             slide(t_alpha, 2, parse_path(g, "~B .b B", start=0))
-        with pytest.raises(PathNotInLowerStrata):
+        with pytest.raises(BadSlidePath):
             slide(t_alpha, -2, parse_path(g, "B ~C .c C ~B", start=2))
 
     def test_reversed_direction_slides_the_initial_end(self, t_alpha):

@@ -28,7 +28,6 @@ from orbitrain.pf import (
     as_matrix,
     charpoly,
     count_distinct_roots,
-    entrywise_le,
     identity_matrix,
     is_irreducible,
     is_transitive_permutation,
@@ -42,8 +41,12 @@ from orbitrain.pf import (
     scc_components,
     squarefree_part,
     sturm_chain,
-    submatrix,
 )
+
+
+def block(M, idx):
+    """The diagonal block of ``M`` on the indices ``idx``."""
+    return tuple(tuple(M[i][j] for j in idx) for i in idx)
 
 
 def oracle_radius(M):
@@ -127,10 +130,13 @@ class TestMatrixBasics:
         assert mat_mul(GROWTH, identity_matrix(2)) == GROWTH
 
     def test_submatrix_and_predicates(self):
+        """A diagonal block of a reducible matrix passes the predicates
+        the whole matrix fails."""
         M = as_matrix([[1, 4, 2], [0, 3, 2], [0, 2, 1]])
-        assert submatrix(M, (1, 2)) == GROWTH
-        assert entrywise_le(((0, 1), (1, 0)), GROWTH)
-        assert not entrywise_le(GROWTH, identity_matrix(2))
+        assert block(M, (1, 2)) == GROWTH
+        assert not is_irreducible(M)
+        assert is_irreducible(block(M, (1, 2)))
+        assert not is_transitive_permutation(block(M, (1, 2)))
 
     def test_transitive_permutations(self):
         assert is_transitive_permutation(((0, 1), (1, 0)))
@@ -146,7 +152,7 @@ class TestComponents:
         M = as_matrix([[1, 4, 2], [0, 3, 2], [0, 2, 1]])
         assert scc_components(M) == ((0,), (1, 2))
         assert not is_irreducible(M)
-        assert is_irreducible(submatrix(M, (1, 2)))
+        assert is_irreducible(block(M, (1, 2)))
 
     def test_lonely_vertex_needs_loop(self):
         assert not is_irreducible(((0,),))

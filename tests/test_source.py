@@ -1,8 +1,8 @@
 """Source checks: certificates in the library must survive ``python -O``,
 graph construction in the moves stays in its builders, the moves only
-carry the marking forward and hold no iteration cap, turn orbits are
-walked in one place, edge items are tested inline, and every error class
-is raised."""
+carry the marking forward and hold no iteration cap, only normalisation
+collapses forests, turn orbits are walked in one place, edge items are
+tested inline, and every error class is raised."""
 
 import ast
 from pathlib import Path
@@ -51,6 +51,15 @@ def moves_call_sites(callee):
                       and call.func.id == callee)
 
 
+def function_call_sites(callee):
+    """The definitions across the library that call the name ``callee``,
+    as ``module.qualified_name``."""
+    return sorted(f"{path.stem}.{site}" for path in SOURCES
+                  for site in call_sites(
+                      path, lambda call: isinstance(call.func, ast.Name)
+                      and call.func.id == callee))
+
+
 def method_call_sites(attr):
     """The definitions across the library that call a method ``attr``,
     as ``module.qualified_name``."""
@@ -84,6 +93,16 @@ def test_moves_only_carry_the_marking_forward():
               if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "Automorphism" not in named
     assert moves_call_sites("Marking") == []
+
+
+def test_only_normalisation_collapses_forests():
+    """Moves return the representative they build: forests are collapsed
+    only by ``traintrack.normalize`` and by the reduction builder's
+    ``_reduce_forests``, and only ``collapse_forest`` reaches the
+    collapsing quotient."""
+    assert function_call_sites("collapse_forest") == [
+        "traintrack._reduce_forests", "traintrack.normalize"]
+    assert function_call_sites("_collapse") == ["moves.collapse_forest"]
 
 
 def test_turn_orbits_are_walked_in_one_place():

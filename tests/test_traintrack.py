@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitrain.errors import IterationCapExceeded, NotPermuted
+from orbitrain.errors import IterationCapExceeded, NothingToFold, NotPermuted
 from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct
-from orbitrain.moves import record_moves
+from orbitrain.moves import fold, maximal_invariant_forest, record_moves
 from orbitrain.orbigraph import Orbigraph, hedgehog, thistle
 from orbitrain.paths import format_path
 from orbitrain.pf import pf_data
@@ -34,11 +34,15 @@ from orbitrain.traintrack import (
     FiniteOrder,
     Reducible,
     TrainTrack,
+    _descent_turn,
     build_reduction,
     edge_bound,
     is_irreducible_rep,
+    normalize,
     train_track_algorithm,
 )
+from test_groups import factor_moving_products
+from test_moves import random_twisted_automorphism
 
 Z2 = FiniteGroup.cyclic(2)
 Z3 = FiniteGroup.cyclic(3)
@@ -349,3 +353,43 @@ def test_descent_preserves_outer_classes_of_mixed_powers(seed):
     if isinstance(out, Reducible):
         filt = maximal_filtration(out.rep)
         assert set(out.witness) == set(filt[0])
+
+
+# ---- normalization ----------------------------------------------------------------
+
+
+@st.composite
+def folded_reps(draw):
+    """A twisted W3-W5 or mixed Z2/Z3/S3 automorphism and its thistle
+    representative after up to three descent folds, the last one left
+    unnormalized."""
+    phi = draw(st.one_of(
+        st.randoms(use_true_random=False).map(random_twisted_automorphism),
+        factor_moving_products()))
+    f = thistle_rep(phi)
+    for _ in range(draw(st.integers(0, 3))):
+        f = normalize(f)
+        turn = _descent_turn(f)
+        if turn is None:
+            break
+        try:
+            f = fold(f, turn)
+        except NothingToFold:
+            break
+    return phi, f
+
+
+@given(folded_reps())
+@settings(max_examples=40, deadline=None)
+def test_normalize_leaves_no_forest_and_no_low_valence(case):
+    """One rule, collapsing the maximal invariant forest until it is
+    empty, leaves no edge whose image crosses no edge; with the valence
+    moves every plain vertex ends at valence three or more."""
+    phi, f = case
+    out = normalize(f)
+    graph = out.graph
+    assert not maximal_invariant_forest(out).edges
+    assert all(graph.valence(c) >= 3 for c in graph.cells()
+               if not graph.is_cone(c))
+    assert all(out.edge_images[e].n_edges for e in graph.edges())
+    assert out.induced_automorphism().outer_equal(phi)
