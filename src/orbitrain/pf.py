@@ -17,8 +17,8 @@ characteristic polynomial.
   it refines both isolations, and equal rates are found exactly through
   the gcd of the two polynomials.
 - One Faddeev-LeVerrier loop gives the characteristic polynomial and the
-  adjugate; the adjugate column gives certified intervals for the positive
-  eigenvector, computed only when ``PFData.vector`` is read.
+  adjugate, whose row 0 at the rate is a positive multiple of the edge
+  lengths; ``PFData.compare_lengths`` orders two lengths exactly by it.
 """
 
 from fractions import Fraction
@@ -433,12 +433,11 @@ class PFData:
 
     ``[lower, upper]`` contains the growth rate; ``is_one`` marks a
     transitive permutation, whose rate is exactly 1.  The characteristic
-    polynomial, the adjugate, the Sturm isolation and the eigenvector are
-    derived on first use and kept on the instance.
+    polynomial, the adjugate and the Sturm isolation are derived on first
+    use and kept on the instance.
     """
 
-    __slots__ = ("matrix", "lower", "upper", "is_one", "_iso", "_vector",
-                 "_polys")
+    __slots__ = ("matrix", "lower", "upper", "is_one", "_iso", "_polys")
 
     def __init__(self, matrix: Matrix, lower: Fraction, upper: Fraction,
                  is_one: bool = False, _iso: Optional[Isolation] = None):
@@ -447,7 +446,6 @@ class PFData:
         self.upper = Fraction(upper)
         self.is_one = bool(is_one)
         self._iso = _iso
-        self._vector = None
         self._polys = None
 
     @property
@@ -466,18 +464,6 @@ class PFData:
     def poly(self) -> Tuple[int, ...]:
         return self._charpoly_adjugate()[0]
 
-    @property
-    def vector(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
-        """Certified intervals for the positive right eigenvector, scaled
-        so that entry 0 is 1."""
-        if self._vector is None:
-            if self.is_one:
-                one = (Fraction(1), Fraction(1))
-                self._vector = (one,) * len(self.matrix)
-            else:
-                self._vector = _eigenvector_intervals(self)
-        return self._vector
-
     def isolation(self, tol: Fraction = DEFAULT_TOL) -> Isolation:
         """The Sturm isolation of the growth rate, seeded from the
         certified bracket."""
@@ -493,8 +479,46 @@ class PFData:
         lo, hi = iso.bounds()
         out = PFData(self.matrix, max(lo, self.lower), min(hi, self.upper),
                      self.is_one, _iso=iso)
-        out._vector, out._polys = self._vector, self._polys
+        out._polys = self._polys
         return out
+
+    def compare_lengths(self, i: int, j: int) -> int:
+        """-1, 0 or 1 by the lengths w_i and w_j, decided exactly.
+
+        The lengths are the positive left eigenvector, w M = rate w, and
+        row 0 of adj(rate I - M) is a positive multiple of w, so w_i - w_j
+        has the sign of q(rate), q the difference of that row's entries.
+        With q = P - N, both parts of nonnegative coefficients, q(rate)
+        lies in [P(lo) - N(hi), P(hi) - N(lo)] on a bracket 0 <= lo <= hi.
+        While that holds 0 the isolation is refined.  This ends: the bound
+        shrinks to q(rate), and q(rate) = 0 exactly when gcd(q, charpoly)
+        has a root in the isolation, which one Sturm count finds.
+        """
+        q = [B[0][i] - B[0][j] for B in self._charpoly_adjugate()[1]]
+        if not any(q):
+            return 0
+        parts = ([max(c, 0) for c in q], [max(-c, 0) for c in q])
+        lo, hi = max(self.lower, 0), self.upper
+        iso = None
+        while lo < hi:
+            D = lcm(lo.denominator, hi.denominator)
+            p_lo, n_lo = _scaled_values(parts, int(lo * D), D)
+            p_hi, n_hi = _scaled_values(parts, int(hi * D), D)
+            if p_lo > n_hi:
+                return 1
+            if p_hi < n_lo:
+                return -1
+            if iso is None:
+                iso = self.isolation()
+                shared = sturm_chain(poly_gcd(q, self.poly()))
+                if (iso.exact is None and len(shared[0]) > 1
+                        and count_distinct_roots(shared, iso.lo, iso.hi)):
+                    return 0
+            else:
+                iso = iso.refine(iso.width / 16)
+            ilo, ihi = iso.bounds()
+            lo, hi = max(lo, ilo), min(hi, ihi)
+        return poly_sign(q, lo)
 
     def __repr__(self):
         if self.is_one:
@@ -548,57 +572,6 @@ def pf_data(M, tol: Fraction = DEFAULT_TOL) -> PFData:
         return PFData(M, Fraction(1), Fraction(1), True)
     lower, upper = _collatz_wielandt(M, tol)
     return PFData(M, lower, upper).refined(tol)
-
-
-def _interval_mul(a, b):
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(products), max(products))
-
-
-def _interval_horner(coeffs, iv):
-    acc = (Fraction(coeffs[0]), Fraction(coeffs[0]))
-    for c in coeffs[1:]:
-        acc = _interval_mul(acc, iv)
-        acc = (acc[0] + c, acc[1] + c)
-    return acc
-
-
-def _eigenvector_intervals(data: PFData):
-    """Intervals for the positive right eigenvector via the first adjugate
-    column, narrowing the eigenvalue bracket until every entry is surely
-    positive."""
-    M = data.matrix
-    n = len(M)
-    if n == 1:
-        return ((Fraction(1), Fraction(1)),)
-    adj = data._charpoly_adjugate()[1]
-    columns = [[adj[k][i][0] for k in range(n)] for i in range(n)]
-    lo, hi = data.lower, data.upper
-    for _ in range(200):
-        cols = []
-        for coeffs in columns:
-            entry = _interval_horner(coeffs, (lo, hi))
-            if entry[0] <= 0:
-                cols = None
-                break
-            cols.append(entry)
-        if cols is not None:
-            denom = cols[0]
-            one = (Fraction(1), Fraction(1))
-            return (one,) + tuple((c[0] / denom[1], c[1] / denom[0])
-                                  for c in cols[1:])
-        iso = data.isolation().refine(max((hi - lo) / 4, Fraction(0)))
-        data._iso = iso
-        nlo, nhi = iso.bounds()
-        lo, hi = max(lo, nlo), min(hi, nhi)
-        if lo == hi:
-            point = [poly_eval(coeffs, lo) for coeffs in columns]
-            if not all(x > 0 for x in point):
-                raise LemmaViolated(
-                    (M, lo), "the adjugate column at the growth rate is not "
-                    "positive")
-            return tuple((x / point[0], x / point[0]) for x in point)
-    raise CapExceeded("eigenvector interval refinement did not converge")
 
 
 # -- exact comparison ------------------------------------------------------------

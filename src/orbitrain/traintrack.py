@@ -105,28 +105,6 @@ def edge_bound(n: int) -> int:
 # normalization
 
 
-def _length_order(f: TopRep, e1: int, e2: int) -> Tuple[int, int]:
-    """The two edges ordered by eigenvector length, shortest first.
-
-    Sixty exact power-iteration rounds of the transposed transition
-    matrix separate the growth-metric lengths of any two edges long
-    before the integers get large; ties break toward the smaller id.
-    """
-    M = f.transition_matrix()
-    entries, edges = M.entries, M.edges
-    n = len(edges)
-    vec = [1] * n
-    for _ in range(60):
-        nxt = [sum(entries[i][j] * vec[i] for i in range(n)) for j in range(n)]
-        if not any(nxt):
-            break
-        vec = nxt
-    a = (vec[M.index[e1]], e1)
-    b = (vec[M.index[e2]], e2)
-    lo, hi = min(a, b), max(a, b)
-    return lo[1], hi[1]
-
-
 def normalize(f: TopRep) -> TopRep:
     """Collapse invariant forests and remove valence-one and valence-two
     vertices: the only normalisation a representative gets after a move.
@@ -135,8 +113,11 @@ def normalize(f: TopRep) -> TopRep:
     then remove one low-valence vertex and start over.  The rule also
     clears every edge whose image crosses no edge: its ends map to one
     cell and the cone points permute, so the edge alone is an invariant
-    forest.  Valence-two removals collapse the edge with the smaller
-    eigenvector length, which keeps the growth rate from climbing.
+    forest.  A valence-two removal collapses the shorter edge, which
+    keeps the growth rate from climbing (Bestvina-Handel's valence-two
+    homotopy).  Of the edges e1 < e2 it collapses e2 only when the
+    transition matrix is irreducible and ``PFData.compare_lengths`` finds
+    e1 strictly longer: an exact tie, or a reducible matrix, collapses e1.
     """
     while True:
         forest = maximal_invariant_forest(f)
@@ -154,9 +135,12 @@ def normalize(f: TopRep) -> TopRep:
                 moved = True
                 break
             if val == 2:
-                d1, d2 = graph.edges_at(c)
-                short, _ = _length_order(f, abs(d1), abs(d2))
-                f = valence_two_homotopy(f, c, short)
+                e1, e2 = sorted(abs(d) for d in graph.edges_at(c))
+                M = f.transition_matrix()
+                if (is_irreducible(M.entries) and pf_data(M.entries)
+                        .compare_lengths(M.index[e1], M.index[e2]) > 0):
+                    e1 = e2
+                f = valence_two_homotopy(f, c, e1)
                 moved = True
                 break
         if not moved:

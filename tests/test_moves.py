@@ -16,11 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitrain.errors import (
-    BadRepresentative,
     BadSlidePath,
     ConePointForbidden,
     ImageNotAtZeroCell,
-    NoMarking,
     NotInvariantForest,
     NothingToFold,
     NotValenceOne,

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from orbitrain.errors import LemmaViolated, NotIrreducible
 from orbitrain.pf import (
     DEFAULT_TOL,
-    Isolation,
     PFData,
     _deflate,
     adjugate_polys,
@@ -116,6 +115,28 @@ def exact_charpoly(sympy, M):
 
 def rational(sympy, q):
     return sympy.Rational(q.numerator, q.denominator)
+
+
+def exact_length_signs(sympy, M):
+    """The sign of w_i - w_j for every pair of indices, where w is the
+    left eigenvector of M at its largest real root: sympy's nullspace of
+    M^T - rate I over the field Q(rate), and its exact zero test."""
+    from sympy.polys.matrices import DomainMatrix
+
+    n = len(M)
+    rate = exact_charpoly(sympy, M).real_roots()[-1]
+    K = sympy.QQ if rate.is_Rational else sympy.QQ.algebraic_field(rate)
+    lam = K.from_sympy(rate)
+    A = DomainMatrix([[K(M[j][i]) - (lam if i == j else K.zero)
+                       for j in range(n)] for i in range(n)], (n, n), K)
+    w = A.nullspace().to_list()[0]
+    signs = {}
+    for i in range(n):
+        for j in range(n):
+            d = K.quo(K.sub(w[i], w[j]), w[0])
+            signs[i, j] = 0 if not d else (
+                1 if K.to_sympy(d).evalf(50) > 0 else -1)
+    return signs
 
 
 class TestMatrixBasics:
@@ -268,16 +289,34 @@ class TestPFData:
         assert data.exact is None and not data.is_one
 
     def test_growth_matrix_eigenvector(self):
-        # entries (1, 2/(root-1)); the second equals (sqrt(5) - 1)/2
+        # lengths (1, 2/(root-1)); the second equals (sqrt(5) - 1)/2
         data = pf_data(GROWTH)
-        assert data.vector[0] == (1, 1)
-        a, b = data.vector[1]
-        assert (2 * a + 1) ** 2 <= 5 <= (2 * b + 1) ** 2
+        assert data.compare_lengths(0, 1) == 1
+        assert data.compare_lengths(1, 0) == -1
+        assert data.compare_lengths(1, 1) == 0
 
     def test_transitive_permutation_is_exact_one(self):
         data = pf_data([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
         assert data.is_one and data.exact == 1
-        assert data.vector == ((1, 1),) * 3
+        assert {data.compare_lengths(i, j)
+                for i in range(3) for j in range(3)} == {0}
+
+    def test_exact_ties_with_distinct_polynomials(self):
+        # row 0 of adj(xI - M) is (x - 1, 1): q = x - 2 vanishes at the
+        # rate 2
+        data = pf_data([[1, 1], [1, 1]])
+        assert adjugate_polys(data.matrix) == (((1, 0), (0, 1)),
+                                               ((-1, 1), (1, -1)))
+        assert data.compare_lengths(0, 1) == 0
+        # equal columns 0 and 1 give equal lengths at the irrational rate
+        # 1 + sqrt 2; q = x^2 - 2x - 1 is the rate's minimal polynomial,
+        # so only the gcd with x (x^2 - 2x - 1) finds the tie
+        data = pf_data([[1, 1, 1], [0, 0, 1], [1, 1, 1]])
+        assert data.exact is None
+        q = [B[0][0] - B[0][1] for B in adjugate_polys(data.matrix)]
+        assert q == [1, -2, -1] and charpoly(data.matrix) == (1, -2, -1, 0)
+        assert data.compare_lengths(0, 1) == 0
+        assert data.compare_lengths(0, 2) == data.compare_lengths(1, 2) == -1
 
     def test_integer_rate_is_exact(self):
         assert pf_data([[4]]).exact == 4
@@ -316,32 +355,15 @@ class TestPFData:
             assert float(data.lower) - 1e-6 <= rho <= float(data.upper) + 1e-6
             assert data.width <= DEFAULT_TOL
 
-    def test_eigenvector_intervals_are_consistent(self):
+    def test_lengths_match_exact_eigenvector(self):
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(515)
         build = irreducible_matrices()
         for _ in range(80):
             M = build(rng.randrange(2, 5), rng)
             data = pf_data(M)
-            assert all(a > 0 for a, _ in data.vector)
-            # M w and (rate) w must overlap entrywise as intervals
-            lows = [a for a, _ in data.vector]
-            highs = [b for _, b in data.vector]
-            for i in range(len(M)):
-                mw_lo = sum(M[i][j] * lows[j] for j in range(len(M)))
-                mw_hi = sum(M[i][j] * highs[j] for j in range(len(M)))
-                lw_lo = data.lower * lows[i]
-                lw_hi = data.upper * highs[i]
-                assert mw_lo <= lw_hi and lw_lo <= mw_hi
-
-
-    def test_eigenvector_certificate_is_checked(self):
-        # the identity is reducible: at its rate 1 the adjugate column is 0
-        one = Isolation(sturm_chain((1, -1)), Fraction(1), Fraction(1),
-                        exact=Fraction(1))
-        data = PFData(identity_matrix(2), Fraction(1, 2), Fraction(3, 2),
-                      _iso=one)
-        with pytest.raises(LemmaViolated):
-            data.vector
+            for (i, j), want in exact_length_signs(sympy, M).items():
+                assert data.compare_lengths(i, j) == want
 
     def test_brackets_contain_exact_largest_root(self):
         sympy = pytest.importorskip("sympy")

@@ -1,8 +1,9 @@
 """Source checks: certificates in the library must survive ``python -O``,
 graph construction in the moves stays in its builders, the moves only
 carry the marking forward and hold no iteration cap, only normalisation
-collapses forests, turn orbits are walked in one place, edge items are
-tested inline, and every error class is raised."""
+collapses forests, turn orbits are walked in one place, edge lengths
+come only from ``pf``, edge items are tested inline, and every error
+class is raised."""
 
 import ast
 from pathlib import Path
@@ -109,6 +110,12 @@ def test_turn_orbits_are_walked_in_one_place():
     """Legality, the train track test and the descent all read
     ``TopRep.dying_turn``, and nothing else applies the turn map."""
     assert method_call_sites("turn_map") == ["toprep.TopRep.dying_turn"]
+
+
+def test_edge_lengths_come_only_from_pf():
+    """The valence-two choice in ``traintrack.normalize`` reads edge
+    lengths from ``PFData.compare_lengths`` and from nowhere else."""
+    assert method_call_sites("compare_lengths") == ["traintrack.normalize"]
 
 
 def test_moves_hold_no_iteration_cap():

@@ -22,7 +22,7 @@ from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct
 from orbitrain.moves import fold, maximal_invariant_forest, record_moves
 from orbitrain.orbigraph import Orbigraph, hedgehog, thistle
 from orbitrain.paths import format_path
-from orbitrain.pf import pf_data
+from orbitrain.pf import adjugate_polys, pf_data
 from orbitrain.toprep import (
     hedgehog_rep,
     identity_rep,
@@ -393,3 +393,48 @@ def test_normalize_leaves_no_forest_and_no_low_valence(case):
                if not graph.is_cone(c))
     assert all(out.edge_images[e].n_edges for e in graph.edges())
     assert out.induced_automorphism().outer_equal(phi)
+
+
+def folded(phi, passes):
+    """The descent's representative after ``passes`` folds, the last one
+    not yet normalized."""
+    f = thistle_rep(phi)
+    for _ in range(passes):
+        f = normalize(f)
+        f = fold(f, _descent_turn(f))
+    return f
+
+
+class TestValenceTwoChoice:
+    """``normalize`` collapses the shorter edge at a valence-two vertex,
+    by the exact lengths ``PFData.compare_lengths`` certifies, and the
+    smaller id on an exact tie."""
+
+    def removal(self, f, v, e1, e2):
+        graph = f.graph
+        assert sorted(abs(d) for d in graph.edges_at(v)) == [e1, e2]
+        M = f.transition_matrix()
+        verdict = pf_data(M.entries).compare_lengths(M.index[e1],
+                                                     M.index[e2])
+        with record_moves() as log:
+            normalize(f)
+        return verdict, [(m.move, m.details) for m in log
+                         if m.move == "valence_two"][0]
+
+    def test_the_shorter_edge_goes_when_it_has_the_larger_id(
+            self, corpus_automorphism):
+        # W3 s11, pass 1: edge 2 is strictly longer than edge 3
+        f = folded(corpus_automorphism(3, 4, 11), 1)
+        verdict, move = self.removal(f, 0, 2, 3)
+        assert verdict == 1 and move == ("valence_two", (0, 3))
+
+    def test_an_exact_tie_collapses_the_smaller_id(self, corpus_automorphism):
+        # W5 s8, pass 6: edges 4 and 7 have equal lengths at an irrational
+        # rate, because their adjugate polynomials agree
+        f = folded(corpus_automorphism(5, 8, 8), 6)
+        M = f.transition_matrix()
+        assert pf_data(M.entries).exact is None
+        i, j = M.index[4], M.index[7]
+        assert all(B[0][i] == B[0][j] for B in adjugate_polys(M.entries))
+        verdict, move = self.removal(f, 0, 4, 7)
+        assert verdict == 0 and move == ("valence_two", (0, 4))
