@@ -1,7 +1,7 @@
 """Train track machinery for outer automorphisms of free products."""
 
 from .errors import OrbitrainError
-from .groups import Automorphism, FiniteGroup, FreeProduct, InfiniteCyclic
+from .groups import Automorphism, FiniteGroup, FreeProduct
 
 __version__ = "0.1.0"
 
@@ -9,7 +9,6 @@ __all__ = [
     "Automorphism",
     "FiniteGroup",
     "FreeProduct",
-    "InfiniteCyclic",
     "OrbitrainError",
     "__version__",
 ]

@@ -30,11 +30,7 @@ class NotAutomorphism(OrbitrainError):
 
 
 class NotInvertible(OrbitrainError):
-    """A generator-image map has no inverse: it is not surjective.
-
-    With an infinite cyclic factor the only inversion is structural, so
-    images outside its triangular shape raise this too.
-    """
+    """A generator-image map has no inverse: it is not surjective."""
 
     code = "not-invertible"
 

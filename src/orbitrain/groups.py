@@ -2,21 +2,16 @@
 
 Representation choices, used by every other module:
 
-* A finite group is a Cayley table over element indices ``0..order-1`` with
-  index 0 the identity.  An infinite cyclic factor is represented by the
-  ``InfiniteCyclic`` marker; its "elements" are nonzero integer exponents.
-  Mixing both factor kinds in one presentation gives free products of finite
-  groups and free groups with the same word engine.
+* Every factor is a finite group, given as a Cayley table over element
+  indices ``0..order-1`` with index 0 the identity.
 * A letter is a pair ``(factor, element)`` of plain ints.  A word is a tuple
   of letters in normal form: no trivial letters, no two adjacent letters in
   the same factor.  Words are values; they hash and compare lexicographically
   by ``(factor, element)``, which is also the rotation order used by
   conjugacy normal forms.
-* An automorphism stores the image word of every element of every factor
-  (for infinite cyclic factors, of the generator).  Composition and
-  application are exact.  Inversion is exact peak reduction by multiple
-  partial conjugations when every factor is finite, and structural for
-  triangular images when some factor is infinite cyclic.
+* An automorphism stores the image word of every element of every factor.
+  Composition and application are exact, and inversion is exact peak
+  reduction by multiple partial conjugations.
 * A torus word is ``t^k . w`` with ``w`` a word; multiplying by ``t`` on the
   right rewrites through the defining automorphism.
 """
@@ -26,7 +21,7 @@ from __future__ import annotations
 import itertools
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BadGroupTable,
@@ -53,8 +48,6 @@ class FiniteGroup:
     required to be the identity.  Construction verifies the group axioms:
     exhaustively for order at most 64, by randomized triples above that.
     """
-
-    kind = "finite"
 
     def __init__(self, cayley, label="G", names=None):
         cayley = tuple(tuple(row) for row in cayley)
@@ -89,7 +82,6 @@ class FiniteGroup:
                 raise BadGroupTable(f"associativity fails on ({a},{b},{c})")
         self.cayley = cayley
         self.order = order
-        self.identity = 0
         self.inverses = tuple(inverses)
         self.label = label
         self.names = tuple(names) if names else tuple(
@@ -106,9 +98,7 @@ class FiniteGroup:
         label = label or f"Z/{m}"
         table = [[(i + j) % m for j in range(m)] for i in range(m)]
         names = ["1"] + ["g" if k == 1 else f"g^{k}" for k in range(1, m)]
-        group = cls(table, label=label, names=names)
-        group._cyclic_order = m
-        return group
+        return cls(table, label=label, names=names)
 
     @classmethod
     def symmetric(cls, m, label=None):
@@ -184,49 +174,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.label}, order={self.order})"
-
-
-class InfiniteCyclic:
-    """Marker factor for an infinite cyclic (free) factor.
-
-    Elements are nonzero integers (exponents of the abstract generator);
-    0 is the identity.  Used for the free-group side of the bridge
-    operations; orbigraph cone points never carry this kind.
-    """
-
-    kind = "zee"
-    order = None
-    identity = 0
-
-    def __init__(self, label="Z"):
-        self.label = label
-
-    def mul(self, g, h):
-        return g + h
-
-    def inv(self, g):
-        return -g
-
-    def power(self, g, k):
-        return g * k
-
-    def conjugacy_min(self, g):
-        return g
-
-    def is_abelian(self):
-        return True
-
-    def __eq__(self, other):
-        return isinstance(other, InfiniteCyclic)
-
-    def __hash__(self):
-        return hash("InfiniteCyclic")
-
-    def __repr__(self):
-        return f"InfiniteCyclic({self.label})"
-
-
-Factor = Union[FiniteGroup, InfiniteCyclic]
 
 
 def _cycle_name(perm):
@@ -317,17 +264,20 @@ def least_rotation(keys: Sequence) -> int:
 
 
 class FreeProduct:
-    """A free product of factors with display names, the group W.
+    """A free product of finite groups with display names, the group W.
 
     Factors are indexed 0..n-1; the name list gives the display token of
     each factor's generator.  All word operations are purely syntactic on
     normal forms and never mutate their inputs.
     """
 
-    def __init__(self, factors: Sequence[Factor], names: Optional[Sequence[str]] = None):
+    def __init__(self, factors: Sequence[FiniteGroup],
+                 names: Optional[Sequence[str]] = None):
         self.factors = tuple(factors)
         if not self.factors:
             raise ValueError("a free product needs at least one factor")
+        if not all(isinstance(f, FiniteGroup) for f in self.factors):
+            raise ValueError("every factor must be a FiniteGroup")
         if names is None:
             names = [
                 chr(ord("a") + i) if i < 19 else f"x{i}"  # stop before "t"
@@ -364,17 +314,9 @@ class FreeProduct:
         ) + ")"
 
     def signature(self):
-        parts = []
-        for name, factor in zip(self.names, self.factors):
-            if factor.kind == "finite":
-                digest = zlib.crc32(repr(factor.cayley).encode())
-                parts.append(f"{name}/{factor.order}:{digest:08x}")
-            else:
-                parts.append(f"{name}/Z")
-        return "*".join(parts)
-
-    def all_factors_finite(self):
-        return all(f.kind == "finite" for f in self.factors)
+        return "*".join(
+            f"{name}/{factor.order}:{zlib.crc32(repr(factor.cayley).encode()):08x}"
+            for name, factor in zip(self.names, self.factors))
 
     # -- letters -------------------------------------------------------------
 
@@ -387,15 +329,10 @@ class FreeProduct:
         return (g[0], self.factors[g[0]].inv(g[1]))
 
     def letters(self) -> Iterator[Letter]:
-        """All generator letters: every nontrivial element of finite factors,
-        the two exponent +-1 letters of infinite cyclic factors."""
+        """All generator letters: every nontrivial element of every factor."""
         for i, factor in enumerate(self.factors):
-            if factor.kind == "finite":
-                for e in factor.nontrivial():
-                    yield (i, e)
-            else:
-                yield (i, 1)
-                yield (i, -1)
+            for e in factor.nontrivial():
+                yield (i, e)
 
     # -- words ---------------------------------------------------------------
 
@@ -404,11 +341,11 @@ class FreeProduct:
         out = []
         for letter in raw:
             i, e = letter
-            if e == self.factors[i].identity:
+            if e == 0:
                 continue
             if out and out[-1][0] == i:
                 merged = self.factors[i].mul(out[-1][1], e)
-                if merged == self.factors[i].identity:
+                if merged == 0:
                     out.pop()
                 else:
                     out[-1] = (i, merged)
@@ -447,7 +384,7 @@ class FreeProduct:
             last = core.pop()
             merged = self.letter_mul(last, core[0])
             q = self.mul((last,), q)
-            if merged[1] == self.factors[merged[0]].identity:
+            if merged[1] == 0:
                 core.pop(0)
             else:
                 core[0] = merged
@@ -484,18 +421,12 @@ class FreeProduct:
             if i1 != i2:
                 return None
             factor = self.factors[i1]
-            if factor.kind == "zee":
-                if e1 != e2:
-                    return None
-                mid: Word = ()
+            for s in factor.elements():
+                if factor.mul(factor.inv(s), factor.mul(e1, s)) == e2:
+                    break
             else:
-                for s in factor.elements():
-                    if factor.mul(factor.inv(s), factor.mul(e1, s)) == e2:
-                        mid = ((i1, s),)
-                        break
-                else:
-                    return None
-            u = self.mul(self.inv(q1), mid, q2)
+                return None
+            u = self.mul(self.inv(q1), ((i1, s),), q2)
         else:
             # both cores rotate to one least rotation, so c2 is c1 turned by r
             r1, r2 = least_rotation(c1), least_rotation(c2)
@@ -513,9 +444,7 @@ class FreeProduct:
     def format_letter(self, letter) -> str:
         i, e = letter
         name, factor = self.names[i], self.factors[i]
-        if factor.kind == "zee":
-            return name if e == 1 else f"{name}^{e}"
-        if getattr(factor, "_cyclic_order", None) or factor.is_cyclic():
+        if factor.is_cyclic():
             # express as a power of the distinguished generator when possible
             gen = factor.generator()
             x, k = gen, 1
@@ -554,8 +483,8 @@ class FreeProduct:
             i = self.names.index(base)
             factor = self.factors[i]
             if index is None:
-                index = 1 if factor.kind == "zee" else factor.generator()
-            elif factor.kind == "finite" and not 0 <= index < factor.order:
+                index = factor.generator()
+            elif not 0 <= index < factor.order:
                 raise UnknownGenerator(
                     f"factor {base!r} has no element {index} in {token!r}")
             element = factor.power(index, power)
@@ -566,10 +495,7 @@ class FreeProduct:
 
     def random_letter(self, rng, factors=None):
         i = rng.choice(list(factors) if factors is not None else range(self.n))
-        factor = self.factors[i]
-        if factor.kind == "finite":
-            return (i, rng.randrange(1, factor.order))
-        return (i, rng.choice((1, -1)) * rng.randrange(1, 4))
+        return (i, rng.randrange(1, self.factors[i].order))
 
     def random_word(self, rng, syllables, factors=None) -> Word:
         pool = list(factors) if factors is not None else list(range(self.n))
@@ -605,9 +531,8 @@ class KuroshData:
 class Automorphism:
     """An endomorphism of W given by exact images, usually an automorphism.
 
-    ``images[i]`` lists the image word of every element of finite factor i
-    (index 0 mapping to the empty word); for an infinite cyclic factor it is
-    a one-element list holding the image of the generator.
+    ``images[i]`` lists the image word of every element of factor i, index
+    0 mapping to the empty word.
     """
 
     def __init__(self, W: FreeProduct, images):
@@ -617,20 +542,16 @@ class Automorphism:
             raise NotAutomorphism("one image family per factor required")
         for i, factor in enumerate(W.factors):
             fam = [W.nf(w) for w in images[i]]
-            if factor.kind == "finite":
-                if len(fam) != factor.order or fam[0] != ():
-                    raise NotAutomorphism(
-                        f"factor {W.names[i]} needs images for all elements"
-                    )
-                for a in factor.elements():
-                    for b in factor.elements():
-                        if W.mul(fam[a], fam[b]) != fam[factor.mul(a, b)]:
-                            raise NotAutomorphism(
-                                f"images on factor {W.names[i]} are not a homomorphism"
-                            )
-            else:
-                if len(fam) != 1:
-                    raise NotAutomorphism("one generator image per Z factor")
+            if len(fam) != factor.order or fam[0] != ():
+                raise NotAutomorphism(
+                    f"factor {W.names[i]} needs images for all elements"
+                )
+            for a in factor.elements():
+                for b in factor.elements():
+                    if W.mul(fam[a], fam[b]) != fam[factor.mul(a, b)]:
+                        raise NotAutomorphism(
+                            f"images on factor {W.names[i]} are not a homomorphism"
+                        )
             canon.append(tuple(fam))
         self.images = tuple(canon)
         self._inverse = None
@@ -640,27 +561,19 @@ class Automorphism:
 
     @classmethod
     def identity(cls, W: FreeProduct) -> "Automorphism":
-        images = []
-        for i, factor in enumerate(W.factors):
-            if factor.kind == "zee":
-                images.append([((i, 1),)])
-            else:
-                images.append([((i, e),) if e else () for e in factor.elements()])
-        return cls(W, images)
+        return cls(W, [[((i, e),) if e else () for e in factor.elements()]
+                       for i, factor in enumerate(W.factors)])
 
     @classmethod
     def from_gen_images(cls, W: FreeProduct, gen_images) -> "Automorphism":
         """Build from one image word per factor generator.
 
-        Finite factors must be cyclic for this constructor; use
+        Every factor must be cyclic for this constructor; use
         ``from_element_images`` otherwise.
         """
         images = []
         for i, factor in enumerate(W.factors):
             img = W.nf(gen_images[i])
-            if factor.kind == "zee":
-                images.append([img])
-                continue
             if not factor.is_cyclic():
                 raise NotAutomorphism(
                     f"factor {W.names[i]} is not cyclic; give element images"
@@ -677,35 +590,22 @@ class Automorphism:
     @classmethod
     def from_element_images(cls, W: FreeProduct, maps) -> "Automorphism":
         """Build from per-factor dictionaries element -> image word."""
-        images = []
-        for i, factor in enumerate(W.factors):
-            if factor.kind == "zee":
-                images.append([W.nf(maps[i][1])])
-            else:
-                images.append(
-                    [W.nf(maps[i].get(e, ())) if e else () for e in factor.elements()]
-                )
-        return cls(W, images)
+        return cls(W, [[W.nf(maps[i].get(e, ())) if e else ()
+                        for e in factor.elements()]
+                       for i, factor in enumerate(W.factors)])
 
     @classmethod
     def inner(cls, W: FreeProduct, by: Word) -> "Automorphism":
         """Conjugation x -> by^-1 . x . by."""
-        images = []
-        for i, factor in enumerate(W.factors):
-            if factor.kind == "zee":
-                images.append([W.conj(((i, 1),), by)])
-            else:
-                images.append([W.conj(((i, e),), by) if e else () for e in factor.elements()])
-        return cls(W, images)
+        return cls(W, [[W.conj(((i, e),), by) if e else ()
+                        for e in factor.elements()]
+                       for i, factor in enumerate(W.factors)])
 
     # -- application ---------------------------------------------------------
 
     def letter_image(self, letter) -> Word:
         i, e = letter
-        factor = self.W.factors[i]
-        if factor.kind == "finite":
-            return self.images[i][e]
-        return self.W.power(self.images[i][0], e)
+        return self.images[i][e]
 
     def apply(self, word: Word) -> Word:
         return self.W.mul(*(self.letter_image(l) for l in word)) if word else ()
@@ -750,16 +650,11 @@ class Automorphism:
     def __repr__(self):
         pieces = []
         for i, factor in enumerate(self.W.factors):
-            if factor.kind == "zee":
-                pieces.append(
-                    f"{self.W.names[i]} -> {self.W.format_word(self.images[i][0])}"
-                )
-            else:
-                gen = factor.generator()
-                pieces.append(
-                    f"{self.W.format_letter((i, gen))} -> "
-                    f"{self.W.format_word(self.images[i][gen])}"
-                )
+            gen = factor.generator()
+            pieces.append(
+                f"{self.W.format_letter((i, gen))} -> "
+                f"{self.W.format_word(self.images[i][gen])}"
+            )
         return "Automorphism(" + ", ".join(pieces) + ")"
 
     # -- Kurosh structure ----------------------------------------------------
@@ -769,14 +664,11 @@ class Automorphism:
 
         Raises NotAutomorphism when some factor image is not a conjugate of
         a factor, when the induced factor maps are not isomorphisms, or when
-        the factor assignment is not a permutation.  Requires all factors
-        finite.
+        the factor assignment is not a permutation.
         """
         if self._kurosh is not None:
             return self._kurosh
         W = self.W
-        if not W.all_factors_finite():
-            raise NotAutomorphism("Kurosh data needs all factors finite")
         pi, isos, conjugators = [], [], []
         for i, factor in enumerate(W.factors):
             w0 = self.images[i][1]
@@ -883,108 +775,18 @@ class Automorphism:
     # -- inversion -----------------------------------------------------------
 
     def inverse(self) -> "Automorphism":
-        """The inverse automorphism.
-
-        When every factor is finite, peak reduction finds it exactly (see
-        ``_peak_reduced_inverse``).  With an infinite cyclic factor only the
-        structural inversion of triangular image shapes is tried.  Raises
-        NotInvertible when the map is not surjective, when the structural
-        shape does not match, or when the result does not verify.
+        """The inverse automorphism, found exactly by peak reduction (see
+        ``_peak_reduced_inverse``).  Raises NotInvertible when the map is
+        not surjective or when the result does not verify.
         """
         if self._inverse is not None:
             return self._inverse
-        if self.W.all_factors_finite():
-            inv = self._peak_reduced_inverse()
-        else:
-            inv = self._structural_inverse()
-        if inv is None:
-            raise NotInvertible("the images are not in triangular shape")
+        inv = self._peak_reduced_inverse()
         if not _mutually_inverse(self, inv):
             raise NotInvertible("candidate inverse failed verification")
         self._inverse = inv
         inv._inverse = self
         return inv
-
-    def _structural_inverse(self):
-        """Inversion for triangular images in the given factor order.
-
-        Works when the image of every generator of factor k is
-        p . x_k^(eps) . q with p, q supported on factors below k (finite
-        factors: conjugated isomorphic images, same shape).  Returns None
-        when the shape does not match.
-        """
-        W = self.W
-        for k, factor in enumerate(W.factors):
-            elements = [0] if factor.kind == "zee" else list(factor.nontrivial())
-            for e in elements:
-                img = self.images[k][e]
-                spots = [pos for pos, l in enumerate(img) if l[0] == k]
-                if len(spots) != 1:
-                    return None
-                if factor.kind == "zee" and abs(img[spots[0]][1]) != 1:
-                    return None
-                if any(l[0] > k for pos, l in enumerate(img) if pos != spots[0]):
-                    return None
-
-        # build the inverse bottom-up: phi_inv on factors < k is known when
-        # factor k is processed, and the wings live strictly below k.
-        partial: dict = {}
-
-        def apply_inverse(word):
-            out = ()
-            for letter in word:
-                out = W.mul(out, partial[letter[0]](letter))
-            return out
-
-        for k, factor in enumerate(W.factors):
-            if factor.kind == "zee":
-                img = self.images[k][0]
-                (spot,) = [t for t, l in enumerate(img) if l[0] == k]
-                eps = img[spot][1]
-                p, q = img[:spot], img[spot + 1 :]
-                if eps == 1:
-                    head, tail = W.inv(apply_inverse(p)), W.inv(apply_inverse(q))
-                else:
-                    head, tail = apply_inverse(q), apply_inverse(p)
-                gen_pre = W.mul(head, ((k, eps),), tail)
-
-                def zee_rule(letter, gen_pre=gen_pre):
-                    return W.power(gen_pre, letter[1])
-
-                partial[k] = zee_rule
-            else:
-                img = self.images[k][1]
-                (spot,) = [pos for pos, l in enumerate(img) if l[0] == k]
-                p, q = img[:spot], img[spot + 1 :]
-                # element -> middle letter, read off through the shared wings
-                mid = {}
-                for e in factor.nontrivial():
-                    ie = self.images[k][e]
-                    core = W.mul(W.inv(p), ie, W.inv(q))
-                    if len(core) != 1 or core[0][0] != k:
-                        return None
-                    mid[e] = core[0][1]
-                if len(set(mid.values())) != factor.order - 1 or 0 in mid.values():
-                    return None
-                back = {b: e for e, b in mid.items()}
-                head = W.inv(apply_inverse(p))
-                tail = W.inv(apply_inverse(q))
-
-                def finite_rule(letter, back=back, head=head, tail=tail, k=k):
-                    return W.mul(head, ((k, back[letter[1]]),), tail)
-
-                partial[k] = finite_rule
-
-        images = []
-        for i, factor in enumerate(W.factors):
-            if factor.kind == "zee":
-                images.append([partial[i]((i, 1))])
-            else:
-                images.append([partial[i]((i, e)) if e else () for e in factor.elements()])
-        try:
-            return Automorphism(W, images)
-        except NotAutomorphism:
-            return None
 
     def _peak_reduced_inverse(self) -> "Automorphism":
         """Inversion by peak reduction over multiple partial conjugations
@@ -1051,9 +853,9 @@ def _serialize_images(phi: Automorphism) -> str:
 def _mutually_inverse(phi: Automorphism, psi: Automorphism) -> bool:
     W = phi.W
     for letter in W.letters():
-        if phi.apply(psi.letter_image(letter)) != ((letter,) if letter[1] else ()):
+        if phi.apply(psi.letter_image(letter)) != (letter,):
             return False
-        if psi.apply(phi.letter_image(letter)) != ((letter,) if letter[1] else ()):
+        if psi.apply(phi.letter_image(letter)) != (letter,):
             return False
     return True
 
@@ -1082,9 +884,8 @@ def torus_normal_form(phi: Automorphism, items) -> TorusWord:
 
     ``items`` mixes letters with ("t", +-k) markers.  Moving a letter w left
     past t^k multiplies it by Phi^k; the running tail therefore transforms by
-    Phi^-1 when a positive t is absorbed.  ``Phi.inverse()`` supplies it, by
-    exact peak reduction when every factor is finite and structurally
-    otherwise; it raises NotInvertible when Phi is not surjective.
+    Phi^-1 when a positive t is absorbed.  ``Phi.inverse()`` supplies it by
+    exact peak reduction; it raises NotInvertible when Phi is not surjective.
     """
     W = phi.W
     k = 0

@@ -44,11 +44,6 @@ class Orbigraph:
         k, m = len(self.kinds), len(self.ends)
         if k == 0:
             raise BadOrbigraph("an orbigraph needs at least one zero cell")
-        for factor in W.factors:
-            if not isinstance(factor, FiniteGroup):
-                raise BadOrbigraph("cone stabilizers must be finite groups")
-            if factor.order < 2:
-                raise BadOrbigraph("cone stabilizers must be nontrivial")
         seen: Dict[int, int] = {}
         for c, kind in enumerate(self.kinds):
             if kind == VERTEX:

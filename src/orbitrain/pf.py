@@ -26,7 +26,7 @@ from math import gcd as int_gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import CapExceeded, LemmaViolated, NotIrreducible
+from .errors import LemmaViolated, NotIrreducible
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -583,7 +583,20 @@ def pf_compare(x: PFData, y: PFData) -> int:
     Disjoint certified brackets decide at once.  Otherwise the two seeded
     isolations are refined until they separate, until one is an exact
     rational root of the other's polynomial, or until a common factor of
-    the two polynomials has a root where they overlap.
+    the two polynomials has a root where they overlap.  Each round that
+    does not decide refines every inexact isolation at least sixteenfold
+    or makes it exact, and the loop ends by proof, with no round cap:
+
+    - distinct rates separate once the two widths together fall below
+      their distance;
+    - equal rates with neither isolation exact are a root of the gcd of the
+      two polynomials, which lies in both isolations, so the first Sturm
+      count of the gcd on their overlap finds it; a gcd root there is the
+      one root of each isolation, so the count never fires on unequal
+      rates;
+    - an exact rational rate equal to the other is a root of the other
+      polynomial inside the other isolation, found by one sign test, and
+      two exact rates compare directly.
     """
     if x.upper < y.lower:
         return -1
@@ -594,7 +607,7 @@ def pf_compare(x: PFData, y: PFData) -> int:
     a = x.isolation()
     b = y.isolation()
     shared: Optional[Tuple] = None
-    for _ in range(5000):
+    while True:
         alo, ahi = a.bounds()
         blo, bhi = b.bounds()
         if ahi < blo:
@@ -622,5 +635,3 @@ def pf_compare(x: PFData, y: PFData) -> int:
                 return 0
         a = a.refine(a.width / 16)
         b = b.refine(b.width / 16)
-    raise CapExceeded("eigenvalue comparison did not separate")
-

@@ -3,10 +3,10 @@
 ``train_track_algorithm`` normalizes a representative, then repeatedly
 folds an offending illegal turn until the map is a train track, has
 growth rate one, or falls apart into strata.  Folding never raises the
-growth rate; the loop certifies that with exact interval arithmetic on
-every pass.  On the rank-three hedgehog the first standard map is
-accepted unchanged while its companion folds once into an upper
-triangular shape and comes back as ``Reducible``.
+growth rate; the loop checks that on every pass by comparing the rates
+exactly with ``pf_compare``.  On the rank-three hedgehog the first
+standard map is accepted unchanged while its companion folds once into
+an upper triangular shape and comes back as ``Reducible``.
 
 ``build_reduction`` goes the other way: given an automorphism carrying
 each listed class of factors onto the next, it assembles a marked

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct, InfiniteCyclic
+from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct
 
 Z2 = FiniteGroup.cyclic(2)
 
@@ -18,11 +18,6 @@ def w3():
 @pytest.fixture(scope="session")
 def w4():
     return FreeProduct([Z2, Z2, Z2, Z2], ["a", "b", "c", "d"])
-
-
-@pytest.fixture(scope="session")
-def f3():
-    return FreeProduct([InfiniteCyclic()] * 3, ["x", "y", "z"])
 
 
 @pytest.fixture(scope="session")

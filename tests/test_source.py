@@ -1,9 +1,10 @@
 """Source checks: certificates in the library must survive ``python -O``,
 graph construction in the moves stays in its builders, the moves only
-carry the marking forward and hold no iteration cap, only normalisation
-collapses forests, turn orbits are walked in one place, edge lengths
-come only from ``pf``, edge items are tested inline, and every error
-class is raised."""
+carry the marking forward, the moves and ``pf`` hold no iteration cap,
+only normalisation collapses forests, turn orbits are walked in one
+place, edge lengths come only from ``pf``, edge items are tested inline,
+every error class is raised, factors have one kind and inversion one
+algorithm."""
 
 import ast
 from pathlib import Path
@@ -119,9 +120,9 @@ def test_edge_lengths_come_only_from_pf():
 
 
 def test_moves_hold_no_iteration_cap():
-    """Every move ends by a bound it proves, not by a cap: no function in
-    ``moves.py`` takes a ``cap`` parameter or raises ``CapExceeded`` or a
-    subclass of it."""
+    """Every move and every exact comparison ends by a bound it proves, not
+    by a cap: no function in ``moves.py`` or ``pf.py`` takes a ``cap``
+    parameter or raises ``CapExceeded`` or a subclass of it."""
     errors = Path(orbitrain.__file__).parent / "errors.py"
     capped = {"CapExceeded"}
     for node in ast.parse(errors.read_text()).body:
@@ -129,20 +130,21 @@ def test_moves_hold_no_iteration_cap():
                 isinstance(b, ast.Name) and b.id in capped
                 for b in node.bases):
             capped.add(node.name)
-    path = Path(orbitrain.__file__).parent / "moves.py"
     found = []
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.FunctionDef):
-            a = node.args
-            params = a.posonlyargs + a.args + a.kwonlyargs
-            params += [p for p in (a.vararg, a.kwarg) if p is not None]
-            found += [f"{node.name}({p.arg})" for p in params
-                      if p.arg == "cap"]
-        elif isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if isinstance(exc, ast.Name) and exc.id in capped:
-                found.append(f"line {node.lineno}: raise {exc.id}")
-    assert not found, f"caps in moves.py: {found}"
+    for name in ("moves.py", "pf.py"):
+        path = Path(orbitrain.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs
+                params += [p for p in (a.vararg, a.kwarg) if p is not None]
+                found += [f"{name}: {node.name}({p.arg})" for p in params
+                          if p.arg == "cap"]
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in capped:
+                    found.append(f"{name}:{node.lineno}: raise {exc.id}")
+    assert not found, f"iteration caps: {found}"
 
 
 def test_edge_items_are_tested_inline():
@@ -182,3 +184,26 @@ def test_every_error_class_is_raised():
                 live.add(base)
                 todo.append(base)
     assert raised and sorted(set(bases) - live) == []
+
+
+def test_factors_have_one_kind():
+    """Every factor is a ``FiniteGroup``: no library module reads an
+    attribute named ``kind`` to branch on the factor type."""
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    assert not found, f"factor-kind reads: {found}"
+
+
+def test_inverse_runs_one_algorithm():
+    """``Automorphism.inverse`` calls no method but
+    ``_peak_reduced_inverse``: inversion has one code path."""
+    path = Path(orbitrain.__file__).parent / "groups.py"
+    (inverse,) = [node for cls in ast.parse(path.read_text()).body
+                  if isinstance(cls, ast.ClassDef) and cls.name == "Automorphism"
+                  for node in cls.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "inverse"]
+    called = {node.func.attr for node in ast.walk(inverse)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)}
+    assert called == {"_peak_reduced_inverse"}
