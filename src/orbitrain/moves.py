@@ -19,6 +19,7 @@ from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
 from .errors import (
+    BadOrbigraph,
     BadRepresentative,
     BadSlidePath,
     ConePointForbidden,
@@ -28,7 +29,7 @@ from .errors import (
     NotValenceOne,
     NotValenceTwo,
 )
-from .orbigraph import Orbigraph, Subgraph, VERTEX
+from .orbigraph import Orbigraph, VERTEX
 from .paths import Path, Turn, invert_items, tighten
 from .toprep import ConeMap, TopRep
 
@@ -183,23 +184,6 @@ def _quotient(f: TopRep, classes: Sequence[Sequence[int]],
     return _rebuild(f, tr, reps, images), tr
 
 
-def _walks(graph: Orbigraph, root: int,
-           edges: FrozenSet[int]) -> Dict[int, Tuple[Item, ...]]:
-    """A walk inside ``edges`` from ``root`` to every cell it reaches."""
-    walk: Dict[int, Tuple[Item, ...]] = {root: ()}
-    frontier = [root]
-    while frontier:
-        c = frontier.pop()
-        for d in graph.edges_at(c):
-            if abs(d) not in edges:
-                continue
-            nxt = graph.dst(d)
-            if nxt not in walk:
-                walk[nxt] = walk[c] + (d,)
-                frontier.append(nxt)
-    return walk
-
-
 def _absorbing(graph: Orbigraph, into: Dict[int, int]) -> List[Tuple[int, ...]]:
     """Cell classes joining each key of ``into`` to the cell it names,
     numbered in the order of the cells that stay."""
@@ -213,10 +197,10 @@ def _absorbing(graph: Orbigraph, into: Dict[int, int]) -> List[Tuple[int, ...]]:
 # forests
 
 
-def maximal_invariant_forest(f: TopRep) -> Subgraph:
-    """A maximal invariant forest, grown greedily in edge order: each
-    edge brings the closure of the edges its iterated images cross, and
-    joins when the union stays a forest."""
+def maximal_invariant_forest(f: TopRep) -> FrozenSet[int]:
+    """A maximal invariant forest, as a set of edge ids, grown greedily in
+    edge order: each edge brings the closure of the edges its iterated
+    images cross, and joins when the union stays a forest."""
     graph = f.graph
     crossed = {e: tuple(f.edge_images[e].crossings()) for e in graph.edges()}
     chosen: Set[int] = set()
@@ -231,37 +215,35 @@ def maximal_invariant_forest(f: TopRep) -> Subgraph:
                     closure.add(c)
                     queue.append(c)
         candidate = chosen | closure
-        if graph.subgraph(candidate).is_forest():
+        if graph.is_forest(candidate):
             chosen = candidate
-    return graph.subgraph(chosen)
+    return frozenset(chosen)
 
 
-def _edge_set(forest) -> Set[int]:
-    if isinstance(forest, Subgraph):
-        return set(forest.edges)
-    return {int(e) for e in forest}
-
-
-def _collapse(f: TopRep, forest) -> Tuple[TopRep, Transport]:
+def _collapse(f: TopRep, edges: FrozenSet[int]) -> Tuple[TopRep, Transport]:
     """Collapse an invariant forest; the result and its transport."""
     graph = f.graph
-    edges = _edge_set(forest)
-    sub = graph.subgraph(edges)
-    if not sub.is_forest():
+    for e in edges:
+        if not 1 <= e <= graph.n_edges:
+            raise BadOrbigraph(f"no edge {e} in this graph")
+    if not edges:
+        raise NotInvariantForest("the forest has no edge")
+    if not graph.is_forest(edges):
         raise NotInvariantForest("a component carries more than one cone point")
     for e in sorted(edges):
         if any(c not in edges for c in f.edge_images[e].crossings()):
             raise NotInvariantForest(
                 f"image of edge {graph.edge_label(e)} leaves the forest")
 
+    # a component collapses onto its cone point, or else onto its least cell
     classes: List[Tuple[int, ...]] = []
     reach: Dict[int, Tuple[Item, ...]] = {}
-    for comp in sub.components():
-        cones = comp.cone_cells()
-        rep = cones[0] if cones else min(comp.cells)
-        reach.update(_walks(graph, rep, comp.edges))
-        classes.append((rep,) + tuple(c for c in sorted(comp.cells)
-                                      if c != rep))
+    for root in (*graph.cone_cells(), *graph.cells()):
+        if root not in reach and any(abs(d) in edges
+                                     for d in graph.edges_at(root)):
+            walk = graph.walks(root, edges)
+            reach.update(walk)
+            classes.append(tuple(walk))
     classes += [(c,) for c in graph.cells() if c not in reach]
     classes.sort(key=min)
     # a forest edge's image may carry a cone letter, which an edge leaving
@@ -272,14 +254,16 @@ def _collapse(f: TopRep, forest) -> Tuple[TopRep, Transport]:
                      redraw=redraw)
 
 
-def collapse_forest(f: TopRep, forest) -> TopRep:
-    """Collapse each component of an invariant forest to a cell.
+def collapse_forest(f: TopRep, forest: Iterable[int]) -> TopRep:
+    """Collapse each component of an invariant forest, given by its edge
+    ids, to a cell.
 
     Paths crossing the forest keep their net cone letters; a component
     containing a cone point collapses onto that cone.
     """
-    out, _ = _collapse(f, forest)
-    _emit("collapse_forest", (tuple(sorted(_edge_set(forest))),), f, out)
+    edges = frozenset(abs(e) for e in forest)
+    out, _ = _collapse(f, edges)
+    _emit("collapse_forest", (tuple(sorted(edges)),), f, out)
     return out
 
 

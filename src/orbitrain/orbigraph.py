@@ -2,17 +2,17 @@
 
 An orbigraph is a finite tree whose zero cells are either plain vertices or
 cone points, one cone point per free factor of an ambient free product.  The
-module also provides subgraphs (edge sets with their endpoints), their
-components and forest test, and the two standard models: the thistle, with a
-central vertex, and the hedgehog, with a cone apex and no vertices at all.
+module also provides the one tree walk, which serves connectivity,
+geodesics and the forest test on plain sets of edge ids, and the two
+standard models: the thistle, with a central vertex, and the hedgehog, with
+a cone apex and no vertices at all.
 
 Zero cells are numbered 0..k-1 and edges 1..m; a directed edge is +e or -e,
 so reversal is negation.  Iteration order is always ascending by id, which
 keeps every downstream algorithm deterministic.
 """
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import BadOrbigraph
 from .groups import FiniteGroup, FreeProduct
@@ -72,7 +72,7 @@ class Orbigraph:
             self.src_of[e] = self.dst_of[-e] = a
             self.dst_of[e] = self.src_of[-e] = b
         self._incidence = tuple(tuple(out) for out in incidence)
-        if k > 1 and len(self._component_cells(0, frozenset(range(1, m + 1)))) != k:
+        if len(self.walks(0)) != k:
             raise BadOrbigraph("the one-complex is not connected")
         if edge_names is None:
             edge_names = [f"E{e}" for e in range(1, m + 1)]
@@ -167,101 +167,37 @@ class Orbigraph:
 
     # -- tree walking ------------------------------------------------------
 
-    def _component_cells(self, start, edge_set):
-        seen = {start}
-        queue = [start]
-        while queue:
-            c = queue.pop()
+    def walks(self, root, edges=None) -> Dict[int, Tuple[int, ...]]:
+        """The walk from ``root`` to every cell it reaches crossing only
+        ``edges``, or any edge when ``edges`` is None.  In a tree each
+        walk is the unique reduced edge walk to its cell."""
+        walk: Dict[int, Tuple[int, ...]] = {root: ()}
+        frontier = [root]
+        while frontier:
+            c = frontier.pop()
             for d in self._incidence[c]:
-                if abs(d) not in edge_set:
+                if edges is not None and abs(d) not in edges:
                     continue
                 nxt = self.dst_of[d]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
+                if nxt not in walk:
+                    walk[nxt] = walk[c] + (d,)
+                    frontier.append(nxt)
+        return walk
 
     def geodesic(self, a, b) -> Tuple[int, ...]:
         """The unique reduced edge walk from cell ``a`` to cell ``b``."""
-        if a == b:
-            return ()
-        parent: Dict[int, int] = {a: 0}
-        queue = [a]
-        while queue:
-            nxt_queue = []
-            for c in queue:
-                for d in self._incidence[c]:
-                    t = self.dst_of[d]
-                    if t not in parent:
-                        parent[t] = d
-                        if t == b:
-                            walk = []
-                            while t != a:
-                                walk.append(parent[t])
-                                t = self.src_of[parent[t]]
-                            return tuple(reversed(walk))
-                        nxt_queue.append(t)
-            queue = nxt_queue
-        raise BadOrbigraph(f"cells {a} and {b} are not connected")
+        walk = self.walks(a).get(b)
+        if walk is None:
+            raise BadOrbigraph(f"cells {a} and {b} are not connected")
+        return walk
 
-    # -- subgraphs ---------------------------------------------------------
-
-    def subgraph(self, edges: Iterable[int] = ()) -> "Subgraph":
-        edge_set = frozenset(abs(e) for e in edges)
-        cells = set()
-        for e in edge_set:
-            if not 1 <= e <= self.n_edges:
-                raise BadOrbigraph(f"no edge {e} in this graph")
-            cells.update(self.ends[e - 1])
-        return Subgraph(self, edge_set, frozenset(cells))
-
-
-@dataclass(frozen=True)
-class Subgraph:
-    """An edge set of a parent orbigraph together with its zero cells.
-
-    ``cells`` holds the endpoints of ``edges``.  A subgraph is nontrivial
-    when it has at least one edge.
-    """
-
-    parent: Orbigraph
-    edges: FrozenSet[int]
-    cells: FrozenSet[int]
-
-    @property
-    def nontrivial(self) -> bool:
-        return bool(self.edges)
-
-    def cone_cells(self) -> Tuple[int, ...]:
-        return tuple(c for c in sorted(self.cells) if self.parent.is_cone(c))
-
-    def components(self) -> Tuple["Subgraph", ...]:
-        remaining = set(self.cells)
-        out = []
-        while remaining:
-            start = min(remaining)
-            comp_cells = self.parent._component_cells(start, self.edges)
-            comp_edges = frozenset(
-                e for e in self.edges
-                if self.parent.ends[e - 1][0] in comp_cells)
-            out.append(Subgraph(self.parent, comp_edges,
-                                frozenset(comp_cells)))
-            remaining -= comp_cells
-        return tuple(out)
-
-    def is_forest(self) -> bool:
-        """Nontrivial and every component squashes to at most one cone."""
-        if not self.nontrivial:
-            return False
-        return all(sum(map(self.parent.is_cone, comp.cells)) <= 1
-                   for comp in self.components())
-
-    def __contains__(self, item):
-        return abs(item) in self.edges
-
-    def __repr__(self):
-        names = [self.parent.edge_names[e - 1] for e in sorted(self.edges)]
-        return "Subgraph({" + ", ".join(names) + "})"
+    def is_forest(self, edges) -> bool:
+        """Whether the edge set ``edges`` is nonempty and each of its
+        components holds at most one cone point."""
+        return bool(edges) and not any(
+            self.kinds[c] != VERTEX
+            for cone in self._cone_cells
+            for c in self.walks(cone, edges) if c != cone)
 
 
 # -- standard models -------------------------------------------------------

@@ -121,7 +121,7 @@ def normalize(f: TopRep) -> TopRep:
     """
     while True:
         forest = maximal_invariant_forest(f)
-        if forest.edges:
+        if forest:
             f = collapse_forest(f, forest)
             continue
         graph = f.graph
@@ -234,7 +234,9 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
         data = pf_data(M.entries)
         if prev is not None and pf_compare(data, prev) > 0:
             raise LemmaViolated(
-                "the growth rate increased during train track descent")
+                (step, (prev.lower, prev.upper), (data.lower, data.upper)),
+                f"pass {step}: the growth rate rose from about "
+                f"{float(prev.upper):.6f} to about {float(data.lower):.6f}")
         prev = data
         _emit("descent", (step, data.lower, data.upper), f, f)
         turn = _descent_turn(f)
@@ -359,14 +361,14 @@ def _degenerate_slide(f: TopRep, forest) -> TopRep:
     connecting edges stop being a permuted family on their own.
     """
     graph = f.graph
-    for a in sorted(forest.edges):
+    for a in sorted(forest):
         for v in (graph.src(a), graph.dst(a)):
             if graph.is_cone(v):
                 continue
             d = a if graph.src(a) == v else -a
             alpha = Path(graph, v, (d,))
             for e in sorted(graph.edges()):
-                if e in forest.edges:
+                if e in forest:
                     continue
                 for d in (-e, e):
                     if graph.dst(d) == v:
@@ -380,7 +382,7 @@ def _reduce_forests(f: TopRep) -> TopRep:
     tricked = False
     while True:
         forest = maximal_invariant_forest(f)
-        if not forest.edges:
+        if not forest:
             return f
         candidate = collapse_forest(f, forest)
         if len(maximal_filtration(candidate)) > 1:

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitrain.errors import (
+    BadOrbigraph,
     BadSlidePath,
     ConePointForbidden,
     ImageNotAtZeroCell,
@@ -105,10 +106,10 @@ def w2_rep(kinds, ends, names, texts, vertex_images, base):
 class TestForests:
     def test_invariant_forest_of_thistle_alpha(self, t_alpha):
         forest = maximal_invariant_forest(t_alpha)
-        assert sorted(forest.edges) == [1]
+        assert sorted(forest) == [1]
 
     def test_hedgehog_has_no_invariant_forest(self, f_alpha):
-        assert not maximal_invariant_forest(f_alpha).edges
+        assert not maximal_invariant_forest(f_alpha)
 
     def test_pretrivial_forest_collects_squashed_tree(self):
         """U, V and W map to a point, so the invariant forest takes the
@@ -116,7 +117,7 @@ class TestForests:
         edge B."""
         f = star_tree_rep()
         forest = maximal_invariant_forest(f)
-        assert sorted(forest.edges) == [1, 3, 4, 5]
+        assert sorted(forest) == [1, 3, 4, 5]
         out = normalize(f)
         assert image_texts(out) == {"B": "B"}
         assert out.induced_automorphism().outer_equal(
@@ -160,12 +161,23 @@ class TestCollapseForest:
         with pytest.raises(NotInvariantForest):
             collapse_forest(f_alpha, {1, 2})
 
+    def test_empty_forest_is_rejected_as_empty(self, t_alpha):
+        with pytest.raises(NotInvariantForest, match="the forest has no edge"):
+            collapse_forest(t_alpha, [])
+
+    def test_forest_edges_are_read_by_abs_and_checked(self, t_alpha):
+        assert structurally_equal(collapse_forest(t_alpha, [-1]),
+                                  collapse_forest(t_alpha, {1}))
+        for bad in ({4}, {0}, {1, -4}):
+            with pytest.raises(BadOrbigraph):
+                collapse_forest(t_alpha, bad)
+
     def test_collapse_keeps_induced_automorphism(self, phi_w4):
         # {A, B} is invariant but its component would squash two cone
         # points together, so only one of the fixed edges may go
         t = thistle_rep(phi_w4)
         forest = maximal_invariant_forest(t)
-        assert sorted(forest.edges) == [1]
+        assert sorted(forest) == [1]
         out = collapse_forest(t, forest)
         assert out.graph.n_edges == 3
         assert out.induced_outer() == phi_w4.fingerprint()
@@ -180,7 +192,7 @@ class TestCollapseForest:
         f = rep_from_path_texts(
             g, {"A": "A", "B": "B B'", "B'": "~A .a A", "C": "C"})
         forest = maximal_invariant_forest(f)
-        assert sorted(forest.edges) == [1, 4]
+        assert sorted(forest) == [1, 4]
         out = collapse_forest(f, forest)
         assert image_texts(out) == {"B": "B .a", "C": "C"}
         assert out.induced_automorphism().outer_equal(
@@ -643,7 +655,7 @@ def test_moves_preserve_twisted_outer_classes(seed):
     want = rep.induced_outer()
 
     forest = maximal_invariant_forest(rep)
-    if forest.edges:
+    if forest:
         rep = collapse_forest(rep, forest)
         assert rep.induced_outer() == want
 
@@ -698,7 +710,7 @@ def test_moves_carry_the_marking_exactly(seed):
         f = slide(f, d, random_loop(rng, f.graph, f.graph.dst(d), e))
     moved = []
     forest = maximal_invariant_forest(f)
-    if forest.edges:
+    if forest:
         moved.append(moves._collapse(f, forest))
     e = rng.choice(f.graph.edges())
     n = f.edge_images[e].n_edges

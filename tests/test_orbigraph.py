@@ -1,7 +1,8 @@
-"""Tree validation, subgraph calculus, and the two standard models.
+"""Tree validation, the tree walk and forest test on edge sets, and the
+two standard models.
 
 The reachability oracle at the top recomputes components by sweeping the
-raw endpoint table, independently of the tree walks.
+raw endpoint table, independently of the tree walk.
 """
 
 import itertools
@@ -69,10 +70,10 @@ def random_orbigraphs(draw):
 
 
 @st.composite
-def graphs_with_subgraphs(draw):
+def graphs_and_edges(draw):
     graph = draw(random_orbigraphs())
-    edges = [e for e in graph.edges() if draw(st.booleans())]
-    return graph, graph.subgraph(edges)
+    edges = {e for e in graph.edges() if draw(st.booleans())}
+    return graph, edges
 
 
 # ---------------------------------------------------------------------------
@@ -172,25 +173,22 @@ def test_geodesic_between_cones_crosses_the_center():
 
 
 # ---------------------------------------------------------------------------
-# subgraphs: frozen examples
+# edge sets: frozen examples
 # ---------------------------------------------------------------------------
 
 
 def test_components_of_two_prickles():
     g = thistle(w3())
-    s = g.subgraph([2, 3])
-    comps = s.components()
-    assert len(comps) == 1
-    assert comps[0].cells == frozenset({0, 2, 3})
+    assert set(g.walks(0, {2, 3})) == {0, 2, 3}
 
 
 def test_forest_examples():
     tg = thistle(w3())
     hg = hedgehog(w3())
-    assert not tg.subgraph([]).is_forest()
-    assert tg.subgraph([1]).is_forest()
-    assert not hg.subgraph([1]).is_forest()
-    assert not tg.subgraph([1, 2]).is_forest()
+    assert not tg.is_forest(set())
+    assert tg.is_forest({1})
+    assert not hg.is_forest({1})
+    assert not tg.is_forest({1, 2})
 
 
 # ---------------------------------------------------------------------------
@@ -199,30 +197,32 @@ def test_forest_examples():
 
 
 @settings(max_examples=120, deadline=None)
-@given(graphs_with_subgraphs())
-def test_components_partition_matches_reachability_oracle(pair):
-    graph, s = pair
-    comps = s.components()
-    all_cells = sorted(c for comp in comps for c in comp.cells)
-    assert all_cells == sorted(s.cells)
-    all_edges = sorted(e for comp in comps for e in comp.edges)
-    assert all_edges == sorted(s.edges)
-    for comp in comps:
-        assert comp.edges
-        assert oracle_reachable(graph, comp.edges, min(comp.cells)) \
-            == set(comp.cells)
+@given(graphs_and_edges())
+def test_walks_match_reachability_oracle(pair):
+    """From every cell the walk reaches exactly what the oracle reaches,
+    and each walk is a reduced edge walk to its cell inside ``edges``."""
+    graph, edges = pair
+    for c in graph.cells():
+        walks = graph.walks(c, edges)
+        assert set(walks) == oracle_reachable(graph, edges, c)
+        for end, walk in walks.items():
+            at = c
+            for i, d in enumerate(walk):
+                assert abs(d) in edges and graph.src(d) == at
+                assert i == 0 or d != -walk[i - 1]
+                at = graph.dst(d)
+            assert at == end
 
 
 @settings(max_examples=120, deadline=None)
-@given(graphs_with_subgraphs())
+@given(graphs_and_edges())
 def test_forest_test_matches_cone_pair_oracle(pair):
-    """A subgraph is a forest exactly when it has an edge and joins no
+    """An edge set is a forest exactly when it has an edge and joins no
     two cone points."""
-    graph, s = pair
-    cones = [c for c in s.cells if graph.is_cone(c)]
-    joined = any(b in oracle_reachable(graph, s.edges, a)
-                 for a, b in itertools.combinations(cones, 2))
-    assert s.is_forest() == (bool(s.edges) and not joined)
+    graph, edges = pair
+    joined = any(b in oracle_reachable(graph, edges, a)
+                 for a, b in itertools.combinations(graph.cone_cells(), 2))
+    assert graph.is_forest(edges) == (bool(edges) and not joined)
 
 
 @settings(max_examples=60, deadline=None)
@@ -238,6 +238,7 @@ def test_random_trees_validate_and_walk(graph):
     walk = graph.geodesic(a, b)
     back = graph.geodesic(b, a)
     assert tuple(-d for d in reversed(walk)) == back
+    assert walk == graph.walks(a)[b] and back == graph.walks(b)[a]
 
 
 def test_standard_models_validate_across_sizes():

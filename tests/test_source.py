@@ -1,8 +1,8 @@
 """Source checks: certificates in the library must survive ``python -O``,
 graph construction in the moves stays in its builders, the moves only
 carry the marking forward, the moves and ``pf`` hold no iteration cap,
-only normalisation collapses forests, turn orbits are walked in one
-place, edge lengths come only from ``pf``, edge items are tested inline,
+only normalisation collapses forests, turn orbits and the tree are each
+walked in one place, edge lengths come only from ``pf``, edge items are tested inline,
 every error class is raised, factors have one kind and inversion one
 algorithm."""
 
@@ -24,10 +24,10 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements vanish under -O: {found}"
 
 
-def call_sites(path, matches):
-    """The innermost definitions of ``path`` holding a call that
-    ``matches``, once per call and by qualified name, so a call from a
-    method names ``Class.method`` and one from a nested function names
+def node_sites(path, matches):
+    """The innermost definitions of ``path`` holding a node that
+    ``matches``, once per node and by qualified name, so a node in a
+    method names ``Class.method`` and one in a nested function names
     that function."""
     tree = ast.parse(path.read_text(), filename=str(path))
     sites = []
@@ -38,12 +38,19 @@ def call_sites(path, matches):
                 visit(child, child.name if name is None
                       else f"{name}.{child.name}")
                 continue
-            if isinstance(child, ast.Call) and matches(child):
+            if matches(child):
                 sites.append(name or "<module>")
             visit(child, name)
 
     visit(tree, None)
     return sorted(sites)
+
+
+def call_sites(path, matches):
+    """The innermost definitions of ``path`` holding a call that
+    ``matches``, as :func:`node_sites` names them."""
+    return node_sites(path, lambda node: isinstance(node, ast.Call)
+                      and matches(node))
 
 
 def moves_call_sites(callee):
@@ -111,6 +118,26 @@ def test_turn_orbits_are_walked_in_one_place():
     """Legality, the train track test and the descent all read
     ``TopRep.dying_turn``, and nothing else applies the turn map."""
     assert method_call_sites("turn_map") == ["toprep.TopRep.dying_turn"]
+
+
+def test_the_tree_is_walked_in_one_place():
+    """Connectivity, geodesics, the forest test and the forest collapse all
+    read ``Orbigraph.walks``: besides the constructor that builds it, only
+    ``walks`` and the two neighbourhood queries touch the incidence
+    lists, and ``Orbigraph`` is the only class of ``orbigraph.py``, so
+    no subgraph class wraps an edge set."""
+    found = sorted(set(
+        f"{path.stem}.{site}" for path in SOURCES
+        for site in node_sites(
+            path, lambda node: isinstance(node, ast.Attribute)
+            and node.attr == "_incidence")))
+    assert found == ["orbigraph.Orbigraph.__init__",
+                     "orbigraph.Orbigraph.edges_at",
+                     "orbigraph.Orbigraph.valence",
+                     "orbigraph.Orbigraph.walks"]
+    path = Path(orbitrain.__file__).parent / "orbigraph.py"
+    assert [node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef)] == ["Orbigraph"]
 
 
 def test_edge_lengths_come_only_from_pf():

@@ -17,7 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitrain.errors import IterationCapExceeded, NothingToFold, NotPermuted
+from orbitrain import traintrack
+from orbitrain.errors import (
+    IterationCapExceeded,
+    LemmaViolated,
+    NothingToFold,
+    NotPermuted,
+)
 from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct
 from orbitrain.moves import fold, maximal_invariant_forest, record_moves
 from orbitrain.orbigraph import Orbigraph, hedgehog, thistle
@@ -184,6 +190,21 @@ class TestDescent:
         with pytest.raises(IterationCapExceeded,
                            match="^pass 11 repeats pass 5$"):
             train_track_algorithm(thistle_rep(phi))
+
+    def test_a_growth_rate_increase_names_its_pass(
+            self, monkeypatch, corpus_automorphism):
+        """A certified increase raises ``LemmaViolated`` with the pass and
+        both certified brackets as its witness.  With every comparison
+        forced to an increase, W3 s11 raises at its first comparison."""
+        monkeypatch.setattr(traintrack, "pf_compare", lambda x, y: 1)
+        phi = corpus_automorphism(3, 4, 11)
+        with pytest.raises(LemmaViolated, match="^pass 1: ") as info:
+            train_track_algorithm(thistle_rep(phi))
+        before, after = (pf_data(normalize(folded(phi, k))
+                                 .transition_matrix().entries)
+                         for k in (0, 1))
+        assert info.value.witness == (1, (before.lower, before.upper),
+                                      (after.lower, after.upper))
 
 
 # ---- finite order outcomes --------------------------------------------------------
@@ -388,7 +409,7 @@ def test_normalize_leaves_no_forest_and_no_low_valence(case):
     phi, f = case
     out = normalize(f)
     graph = out.graph
-    assert not maximal_invariant_forest(out).edges
+    assert not maximal_invariant_forest(out)
     assert all(graph.valence(c) >= 3 for c in graph.cells()
                if not graph.is_cone(c))
     assert all(out.edge_images[e].n_edges for e in graph.edges())
