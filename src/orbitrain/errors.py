@@ -149,12 +149,6 @@ class BadSlidePath(UnsafeMove):
     code = "bad-slide-path"
 
 
-class NotPermuted(OrbitrainError):
-    """The automorphism does not permute the given factor classes."""
-
-    code = "not-permuted"
-
-
 class LemmaViolated(OrbitrainError):
     """A structural conclusion failed on concrete input; carries a witness."""
 

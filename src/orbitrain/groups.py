@@ -1,4 +1,4 @@
-"""Exact arithmetic in free products and their mapping tori.
+"""Exact arithmetic in free products.
 
 Representation choices, used by every other module:
 
@@ -12,8 +12,6 @@ Representation choices, used by every other module:
 * An automorphism stores the image word of every element of every factor.
   Composition and application are exact, and inversion is exact peak
   reduction by multiple partial conjugations.
-* A torus word is ``t^k . w`` with ``w`` a word; multiplying by ``t`` on the
-  right rewrites through the defining automorphism.
 """
 
 from __future__ import annotations
@@ -150,13 +148,6 @@ class FiniteGroup:
     def conjugacy_min(self, g):
         return min(self.conjugates(g))
 
-    def is_abelian(self):
-        return all(
-            self.cayley[a][b] == self.cayley[b][a]
-            for a in self.elements()
-            for b in self.elements()
-        )
-
     def is_cyclic(self):
         return any(self.element_order(g) == self.order for g in self.elements())
 
@@ -221,15 +212,6 @@ def is_iso(source, target, mapping):
 def iso_chain(first, then):
     """The composite mapping: apply ``first``, then ``then``."""
     return tuple(then[x] for x in first)
-
-
-def iso_inner_witness(group, mapping):
-    """An element t with mapping = (a -> t^-1 a t), or None."""
-    for t in group.elements():
-        ti = group.inv(t)
-        if all(mapping[a] == group.mul(ti, group.mul(a, t)) for a in group.elements()):
-            return t
-    return None
 
 
 def least_rotation(keys: Sequence) -> int:
@@ -709,19 +691,6 @@ class Automorphism:
         self._kurosh = KuroshData(tuple(pi), tuple(isos), tuple(conjugators))
         return self._kurosh
 
-    def is_out0(self) -> bool:
-        """True when every factor is preserved with an inner induced map."""
-        try:
-            data = self.kurosh()
-        except NotAutomorphism:
-            return False
-        if any(data.pi[i] != i for i in range(self.W.n)):
-            return False
-        return all(
-            iso_inner_witness(self.W.factors[i], data.isos[i]) is not None
-            for i in range(self.W.n)
-        )
-
     # -- outer fingerprint ---------------------------------------------------
 
     def _normalized_candidates(self):
@@ -858,65 +827,3 @@ def _mutually_inverse(phi: Automorphism, psi: Automorphism) -> bool:
         if psi.apply(phi.letter_image(letter)) != (letter,):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# the mapping torus W |x ZZ
-# ---------------------------------------------------------------------------
-
-T_UP = ("t", 1)
-T_DOWN = ("t", -1)
-
-
-@dataclass(frozen=True)
-class TorusWord:
-    """Normal form t^k . w in the mapping torus of an automorphism."""
-
-    tpower: int
-    tail: Word
-
-    def is_trivial(self):
-        return self.tpower == 0 and not self.tail
-
-
-def torus_normal_form(phi: Automorphism, items) -> TorusWord:
-    """Push every t to the left through t.g = Phi(g).t.
-
-    ``items`` mixes letters with ("t", +-k) markers.  Moving a letter w left
-    past t^k multiplies it by Phi^k; the running tail therefore transforms by
-    Phi^-1 when a positive t is absorbed.  ``Phi.inverse()`` supplies it by
-    exact peak reduction; it raises NotInvertible when Phi is not surjective.
-    """
-    W = phi.W
-    k = 0
-    tail: Word = ()
-    phi_inv = None
-    for item in items:
-        if isinstance(item, tuple) and len(item) == 2 and item[0] == "t":
-            step = item[1]
-            if step > 0:
-                if tail:
-                    if phi_inv is None:
-                        phi_inv = phi.inverse()
-                    for _ in range(step):
-                        tail = phi_inv.apply(tail)
-                k += step
-            else:
-                for _ in range(-step):
-                    tail = phi.apply(tail)
-                k += step
-        else:
-            tail = W.mul(tail, (item,))
-    return TorusWord(k, tail)
-
-
-def torus_items_from_relator(W: FreeProduct, text: str):
-    """Parse a whitespace relator over W's generators and the token t."""
-    items = []
-    for token in text.split():
-        if token == "t" or token.startswith("t^"):
-            power = 1 if token == "t" else int(token[2:])
-            items.append(("t", power))
-        else:
-            items.extend(W.parse_word(token))
-    return items

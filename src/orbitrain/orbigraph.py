@@ -255,62 +255,3 @@ def _unique_names(names):
         used.add(candidate)
         out.append(candidate)
     return out
-
-
-# -- isomorphism -----------------------------------------------------------
-
-
-def find_isomorphisms(g1: Orbigraph, g2: Orbigraph):
-    """All factor-respecting cell/edge bijections, lazily.
-
-    Cone points must match by factor label, so only the plain vertices are
-    permuted.  Edge orientations must agree on the nose.  Yields pairs of
-    dicts ``(cellmap, edgemap)``; ``edgemap`` is on positive ids.  Vertices
-    are tried in ascending id order, so the stream is deterministic.
-    """
-    if g1.W is not g2.W and g1.W != g2.W:
-        return
-    if g1.n_cells != g2.n_cells or g1.n_edges != g2.n_edges:
-        return
-    cellmap = {g1.cone_cell(i): g2.cone_cell(i) for i in range(g1.W.n)}
-    verts1 = [c for c in g1.cells() if not g1.is_cone(c)]
-    verts2 = [c for c in g2.cells() if not g2.is_cone(c)]
-    if len(verts1) != len(verts2):
-        return
-
-    pair_to_edge = {}
-    for e in g2.edges():
-        pair_to_edge[g2.ends[e - 1]] = e
-
-    def edge_check(cmap):
-        emap = {}
-        for e in g1.edges():
-            a, b = g1.ends[e - 1]
-            target = pair_to_edge.get((cmap[a], cmap[b]))
-            if target is None:
-                return None
-            emap[e] = target
-        return emap
-
-    def assign(i, cmap):
-        if i == len(verts1):
-            emap = edge_check(cmap)
-            if emap is not None:
-                yield dict(cmap), emap
-            return
-        v = verts1[i]
-        for w in verts2:
-            if w in cmap.values():
-                continue
-            if g1.valence(v) != g2.valence(w):
-                continue
-            cmap[v] = w
-            yield from assign(i + 1, cmap)
-            del cmap[v]
-
-    yield from assign(0, cellmap)
-
-
-def find_isomorphism(g1: Orbigraph, g2: Orbigraph):
-    """The first factor-respecting cell/edge bijection, or ``None``."""
-    return next(find_isomorphisms(g1, g2), None)

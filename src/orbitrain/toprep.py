@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .errors import BadRepresentative, NoMarking
 from .groups import Automorphism, is_iso, iso_chain, iso_identity
-from .orbigraph import Orbigraph, find_isomorphisms, hedgehog, thistle
+from .orbigraph import Orbigraph, hedgehog, thistle
 from .paths import (Circuit, Path, Turn, invert_items, loop_of_word,
                     parse_path, tighten, tighten_circuit)
 from .pf import scc_components
@@ -368,39 +368,6 @@ class TopRep:
             for e in sorted(self.edge_images)
         ]
         return "TopRep(" + ", ".join(parts) + ")"
-
-
-def structurally_equal(f: TopRep, g: TopRep) -> bool:
-    """Whether some graph isomorphism carries f to g on the nose.
-
-    Compares edge images item by item, cone maps, and vertex images;
-    markings are not compared.
-    """
-    for cellmap, edgemap in find_isomorphisms(f.graph, g.graph):
-        if _transported_matches(f, g, cellmap, edgemap):
-            return True
-    return False
-
-
-def _transported_matches(f, g, cellmap, edgemap):
-    for c, cm in f.cone_images.items():
-        other = g.cone_images[cellmap[c]]
-        if other.target != cellmap[cm.target] or other.table != cm.table:
-            return False
-    for v, c in f.vertex_images.items():
-        if g.vertex_images[cellmap[v]] != cellmap[c]:
-            return False
-    for e, p in f.edge_images.items():
-        q = g.edge_images[edgemap[e]]
-        if q.start != cellmap[p.start]:
-            return False
-        moved = tuple(
-            (1 if item > 0 else -1) * edgemap[abs(item)]
-            if type(item) is int else (cellmap[item[0]], item[1])
-            for item in p.items)
-        if moved != q.items:
-            return False
-    return True
 
 
 # -- standard representatives -------------------------------------------------

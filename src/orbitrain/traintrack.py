@@ -1,4 +1,4 @@
-"""Train track production by growth-rate descent, and reducible assembly.
+"""Train track production by growth-rate descent.
 
 ``train_track_algorithm`` normalizes a representative, then repeatedly
 folds an offending illegal turn until the map is a train track, has
@@ -7,37 +7,27 @@ growth rate; the loop checks that on every pass by comparing the rates
 exactly with ``pf_compare``.  On the rank-three hedgehog the first
 standard map is accepted unchanged while its companion folds once into
 an upper triangular shape and comes back as ``Reducible``.
-
-``build_reduction`` goes the other way: given an automorphism carrying
-each listed class of factors onto the next, it assembles a marked
-representative out of one thistle per class joined to a hub, on which
-the class subgraphs are visibly invariant.
 """
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Union
 
-from .errors import IterationCapExceeded, LemmaViolated, NotPermuted
-from .groups import Automorphism, FreeProduct, KuroshData
+from .errors import BadRepresentative, IterationCapExceeded, LemmaViolated
 from .moves import (
     _emit,
     collapse_forest,
     fold,
     maximal_invariant_forest,
-    slide,
     valence_one_homotopy,
     valence_two_homotopy,
 )
-from .orbigraph import VERTEX, Orbigraph
-from .paths import Path, loop_of_word
 from .pf import is_irreducible, is_transitive_permutation, pf_compare, pf_data
-from .toprep import ConeMap, Marking, TopRep, Turn, maximal_filtration
+from .toprep import TopRep, Turn, maximal_filtration
 
 __all__ = [
     "FiniteOrder",
     "Reducible",
     "TrainTrack",
-    "build_reduction",
     "edge_bound",
     "is_irreducible_rep",
     "normalize",
@@ -164,13 +154,46 @@ def _is_identity_rep(f: TopRep) -> bool:
 
 
 def _rep_key(f: TopRep):
-    """The representative as data, graph included and marking left out."""
+    """The representative as data up to renaming its cells and edges; the
+    marking is left out.
+
+    Seen from the cone point of factor 0, a cell is named by the mask of
+    the factors whose cone points lie at or beyond it, an edge by the mask
+    of its far end (negated when it points back at the root), and a letter
+    ``(cell, x)`` by ``(factor, x)``.  In a normalised tree every leaf is a
+    cone point and every plain vertex has valence at least three, so the
+    masks are distinct and nonzero, and two representatives have equal
+    keys exactly when a graph isomorphism carries one onto the other
+    (Buneman: a tree with labelled cells is fixed by its splits).  A tree
+    whose masks collide raises ``BadRepresentative``.
+    """
     g = f.graph
-    images = tuple((e, f.edge_images[e].items) for e in sorted(f.edge_images))
-    cones = tuple((c, cm.target, tuple(cm.table))
-                  for c, cm in sorted(f.cone_images.items()))
-    return (g.kinds, g.ends, g.edge_names, g.cell_names, images, cones,
-            tuple(sorted(f.vertex_images.items())))
+    walks = g.walks(g.cone_cell(0))
+    mask = dict.fromkeys(g.cells(), 0)
+    for i, c in enumerate(g.cone_cells()):
+        mask[c] |= 1 << i
+        for d in walks[c]:
+            mask[g.src_of[d]] |= 1 << i
+    if 0 in mask.values() or len(set(mask.values())) < g.n_cells:
+        raise BadRepresentative(
+            "cells share a set of factors beyond them: the tree is not "
+            "normalised")
+    name = {}
+    for e, (a, b) in enumerate(g.ends, start=1):
+        name[e] = mask[b] if len(walks[b]) > len(walks[a]) else -mask[a]
+        name[-e] = -name[e]
+
+    def word(p):
+        return tuple(name[item] if type(item) is int
+                     else (g.kinds[item[0]], item[1]) for item in p.items)
+
+    return (tuple(sorted((mask[c], g.kinds[c]) for c in g.cells())),
+            tuple(sorted((name[e], word(p))
+                         for e, p in f.edge_images.items())),
+            tuple(sorted((g.kinds[c], g.kinds[cm.target], tuple(cm.table))
+                         for c, cm in f.cone_images.items())),
+            tuple(sorted((mask[v], mask[c])
+                         for v, c in f.vertex_images.items())))
 
 
 def _finite_order_period(f: TopRep) -> Optional[int]:
@@ -213,8 +236,19 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
     Each pass folds where the first illegal crossed turn's orbit dies,
     then renormalizes.  The growth rate never increases along the way;
     a certified increase means the input was malformed.  A pass that
-    revisits an earlier representative would cycle forever, so it raises
-    ``IterationCapExceeded``.
+    revisits an earlier representative, by ``_rep_key``, would cycle
+    forever, so it raises ``IterationCapExceeded``.
+
+    The revisit check alone ends the loop.  Each pass that folds holds a
+    normalised tree with m <= 2n - 3 edges (``edge_bound``) and an
+    irreducible integer matrix whose rate is at most the first pass's
+    rate L.  With v the positive eigenvector, every entry M[i][j] is at
+    most L * v[i] / v[j], and irreducibility bounds v[i] / v[j] by
+    L^(m-1), so every entry is at most L^m.  An image therefore crosses
+    boundedly many edges, with a letter of a finite group between two
+    crossings, and the cone tables and vertex images range over finite
+    sets too.  Only finitely many keys can occur, so some pass repeats
+    one.  ``cap`` stops the loop earlier on request.
     """
     f = normalize(f)
     prev = None
@@ -245,165 +279,3 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
         f = normalize(fold(f, turn))
     raise IterationCapExceeded(
         f"no train track after {cap} folding passes")
-
-
-# ---------------------------------------------------------------------------
-# building a reduced representative from permuted factor classes
-
-
-def _class_label(W: FreeProduct, cls: Sequence[int]) -> str:
-    return "{" + ", ".join(W.names[j] for j in cls) + "}"
-
-
-def _check_classes(phi: Automorphism,
-                   components) -> Tuple[List[Tuple[int, ...]], Tuple[int, ...]]:
-    W = phi.W
-    data = phi.kurosh()
-    comps: List[Tuple[int, ...]] = []
-    seen: Set[int] = set()
-    for part in components:
-        cls = tuple(sorted({int(j) for j in part}))
-        if not cls:
-            raise NotPermuted("factor classes must be nonempty")
-        for j in cls:
-            if not 0 <= j < W.n:
-                raise NotPermuted(f"factor index {j} out of range")
-            if j in seen:
-                raise NotPermuted("factor classes overlap")
-            seen.add(j)
-        comps.append(cls)
-    if not comps:
-        raise NotPermuted("at least one factor class is required")
-    k = len(comps)
-    complement = tuple(j for j in range(W.n) if j not in seen)
-    if not complement and k == 1:
-        raise NotPermuted("a single class covering every factor is not proper")
-    for i, cls in enumerate(comps):
-        nxt = comps[(i + 1) % k]
-        if tuple(sorted(data.pi[j] for j in cls)) != nxt:
-            raise NotPermuted(
-                f"class {_class_label(W, cls)} does not advance "
-                f"to {_class_label(W, nxt)}")
-        u0 = data.conjugators[cls[0]]
-        for j in cls:
-            drift = W.mul(u0, W.inv(data.conjugators[j]))
-            if not W.in_subfactors(drift, nxt):
-                raise NotPermuted(
-                    f"no common conjugator carries {_class_label(W, cls)} "
-                    f"onto {_class_label(W, nxt)}")
-    return comps, complement
-
-
-def _edge_names(W: FreeProduct, k: int) -> List[str]:
-    names = []
-    used = set()
-    for j in range(W.n):
-        name = W.names[j].upper()
-        while name in used:
-            name += "'"
-        used.add(name)
-        names.append(name)
-    for i in range(k):
-        name = f"E{i + 1}"
-        while name in used:
-            name += "'"
-        used.add(name)
-        names.append(name)
-    return names
-
-
-def _assemble(phi: Automorphism, comps: List[Tuple[int, ...]],
-              complement: Tuple[int, ...], data: KuroshData) -> TopRep:
-    W = phi.W
-    k, n = len(comps), W.n
-    hub = k
-    kinds = [VERTEX] * (k + 1) + list(range(n))
-    cone_cell = {j: k + 1 + j for j in range(n)}
-    station = {j: i for i, cls in enumerate(comps) for j in cls}
-    station.update({j: hub for j in complement})
-    ends = [(cone_cell[j], station[j]) for j in range(n)]
-    ends.extend((i, hub) for i in range(k))
-    graph = Orbigraph(W, kinds, ends, _edge_names(W, k))
-
-    def lam(word) -> Path:
-        return loop_of_word(graph, hub, word)
-
-    def down(cone: int) -> Path:
-        return Path(graph, hub, graph.geodesic(hub, cone))
-
-    connector = {i: n + 1 + i for i in range(k)}
-    edge_images: Dict[int, Path] = {}
-    for i in range(k):
-        succ = (i + 1) % k
-        hop = Path(graph, succ, (connector[succ],))
-        edge_images[connector[i]] = hop * lam(data.conjugators[comps[i][0]])
-    for j in range(n):
-        image = down(cone_cell[data.pi[j]]).invert() * lam(data.conjugators[j])
-        if station[j] != hub:
-            image = image * edge_images[connector[station[j]]].invert()
-        edge_images[j + 1] = image
-
-    cone_images = {cone_cell[j]: ConeMap(cone_cell[j],
-                                         cone_cell[data.pi[j]],
-                                         data.isos[j])
-                   for j in range(n)}
-    vertex_images = {i: (i + 1) % k for i in range(k)}
-    vertex_images[hub] = hub
-    marking = Marking(graph, hub)
-    return TopRep(graph, edge_images, cone_images, vertex_images, marking)
-
-
-def _degenerate_slide(f: TopRep, forest) -> TopRep:
-    """Break a forest collapse that would destroy reducibility.
-
-    Sliding a neighboring edge's endpoint along a forest edge rewrites
-    that edge's image to pass through the forest's image first, so the
-    connecting edges stop being a permuted family on their own.
-    """
-    graph = f.graph
-    for a in sorted(forest):
-        for v in (graph.src(a), graph.dst(a)):
-            if graph.is_cone(v):
-                continue
-            d = a if graph.src(a) == v else -a
-            alpha = Path(graph, v, (d,))
-            for e in sorted(graph.edges()):
-                if e in forest:
-                    continue
-                for d in (-e, e):
-                    if graph.dst(d) == v:
-                        return slide(f, d, alpha)
-    return f
-
-
-def _reduce_forests(f: TopRep) -> TopRep:
-    """Collapse invariant forests, by the rule of :func:`normalize`, while
-    that keeps the shape reducible."""
-    tricked = False
-    while True:
-        forest = maximal_invariant_forest(f)
-        if not forest:
-            return f
-        candidate = collapse_forest(f, forest)
-        if len(maximal_filtration(candidate)) > 1:
-            f = candidate
-            continue
-        if not tricked:
-            f = _degenerate_slide(f, forest)
-            tricked = True
-        return f
-
-
-def build_reduction(phi: Automorphism, components) -> TopRep:
-    """A marked representative of ``phi`` reduced along factor classes.
-
-    Each entry of ``components`` lists factor indices; ``phi`` must carry
-    every class onto the next one (cyclically) by a single conjugation,
-    or NotPermuted is raised.  The result glues one thistle per class to
-    a hub vertex carrying the leftover factors, realizes ``phi`` through
-    an identity marking at the hub, and collapses whatever invariant
-    forests can go without making the outcome irreducible.
-    """
-    comps, complement = _check_classes(phi, components)
-    f = _assemble(phi, comps, complement, phi.kurosh())
-    return _reduce_forests(f)

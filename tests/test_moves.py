@@ -48,10 +48,9 @@ from orbitrain.toprep import (
     hedgehog_rep,
     maximal_filtration,
     rep_from_path_texts,
-    structurally_equal,
     thistle_rep,
 )
-from orbitrain.traintrack import _descent_turn, normalize
+from orbitrain.traintrack import _descent_turn, _rep_key, normalize
 
 Z2 = FiniteGroup.cyclic(2)
 
@@ -133,7 +132,7 @@ class TestCollapseForest:
         hedgehog representative exactly, marking included."""
         out = collapse_forest(t_alpha, {1})
         assert out.transition_matrix().entries == ((3, 2), (2, 1))
-        assert structurally_equal(out, f_alpha)
+        assert _rep_key(out) == _rep_key(f_alpha)
         assert out.induced_outer() == t_alpha.induced_outer()
 
     def test_collapse_drops_forest_rows_and_columns(self, t_alpha):
@@ -166,8 +165,8 @@ class TestCollapseForest:
             collapse_forest(t_alpha, [])
 
     def test_forest_edges_are_read_by_abs_and_checked(self, t_alpha):
-        assert structurally_equal(collapse_forest(t_alpha, [-1]),
-                                  collapse_forest(t_alpha, {1}))
+        assert (_rep_key(collapse_forest(t_alpha, [-1]))
+                == _rep_key(collapse_forest(t_alpha, {1})))
         for bad in ({4}, {0}, {1, -4}):
             with pytest.raises(BadOrbigraph):
                 collapse_forest(t_alpha, bad)
@@ -267,7 +266,7 @@ class TestSubdivide:
         second = [e for e in cut.graph.edges()
                   if cut.graph.src(e) == v or cut.graph.dst(e) == v]
         back = valence_two_homotopy(cut, v, min(second))
-        assert structurally_equal(back, f_alpha)
+        assert _rep_key(back) == _rep_key(f_alpha)
         assert back.induced_outer() == f_alpha.induced_outer()
 
 
@@ -535,7 +534,7 @@ class TestValenceHomotopies:
         cut = subdivide(f_alpha, 2, 2)
         v = cut.graph.n_cells - 1
         out = valence_two_homotopy(cut, v, 3)
-        assert structurally_equal(out, f_alpha)
+        assert _rep_key(out) == _rep_key(f_alpha)
 
     def test_collapsed_edge_must_meet_the_cell(self, f_alpha):
         cut = subdivide(f_alpha, 1, 1)
@@ -574,7 +573,7 @@ class TestSlide:
     def test_slide_along_trivial_path_changes_nothing(self, t_alpha):
         g = t_alpha.graph
         out = slide(t_alpha, 2, Path(g, 0, ()))
-        assert structurally_equal(out, t_alpha)
+        assert _rep_key(out) == _rep_key(t_alpha)
 
     def test_slide_path_must_avoid_the_edge(self, t_alpha):
         g = t_alpha.graph

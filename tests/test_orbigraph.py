@@ -1,5 +1,5 @@
-"""Tree validation, the tree walk and forest test on edge sets, and the
-two standard models.
+"""Tree validation, the tree walk and forest test on edge sets, the two
+standard models, and isomorphism as equal representative keys.
 
 The reachability oracle at the top recomputes components by sweeping the
 raw endpoint table, independently of the tree walk.
@@ -14,12 +14,9 @@ from hypothesis import strategies as st
 
 from orbitrain.errors import BadGroupTable, BadOrbigraph
 from orbitrain.groups import FiniteGroup, FreeProduct
-from orbitrain.orbigraph import (
-    Orbigraph,
-    find_isomorphism,
-    hedgehog,
-    thistle,
-)
+from orbitrain.orbigraph import Orbigraph, hedgehog, thistle
+from orbitrain.toprep import identity_rep
+from orbitrain.traintrack import _rep_key
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -256,8 +253,15 @@ def test_standard_models_validate_across_sizes():
 
 
 # ---------------------------------------------------------------------------
-# isomorphism
+# isomorphism, as equal representative keys
 # ---------------------------------------------------------------------------
+
+
+def same_shape(g1, g2):
+    """Whether the identity maps of two graphs have the same key, that is,
+    whether a factor-respecting isomorphism carries one graph onto the
+    other with the edge orientations."""
+    return _rep_key(identity_rep(g1)) == _rep_key(identity_rep(g2))
 
 
 def test_isomorphism_matches_collapse_image_of_thistle():
@@ -268,26 +272,21 @@ def test_isomorphism_matches_collapse_image_of_thistle():
         [(1, 0), (2, 0)],
         edge_names=["B", "C"],
     )
-    found = find_isomorphism(quotient, hedgehog(W))
-    assert found is not None
-    cellmap, edgemap = found
-    assert cellmap == {0: 0, 1: 1, 2: 2}
-    assert edgemap == {1: 1, 2: 2}
+    assert same_shape(quotient, hedgehog(W))
 
 
 def test_isomorphism_rejects_orientation_flips():
     W = w3()
     flipped = Orbigraph(W, [0, 1, 2], [(0, 1), (2, 0)])
-    assert find_isomorphism(flipped, hedgehog(W)) is None
+    assert not same_shape(flipped, hedgehog(W))
 
 
 def test_isomorphism_permutes_plain_vertices():
-    W = w3()
-    g1 = Orbigraph(W, [-1, 0, 1, 2, -1],
-                   [(1, 0), (2, 0), (0, 4), (4, 3)])
-    g2 = Orbigraph(W, [-1, 0, 1, 2, -1],
-                   [(1, 4), (2, 4), (4, 0), (0, 3)])
-    found = find_isomorphism(g1, g2)
-    assert found is not None
-    cellmap, _ = found
-    assert cellmap[0] == 4 and cellmap[4] == 0
+    """Two trivalent vertices, the one next to a and b numbered first in
+    one graph and last in the other."""
+    W = FreeProduct([FiniteGroup.cyclic(2)] * 4, names=["a", "b", "c", "d"])
+    g1 = Orbigraph(W, [-1, 0, 1, 2, 3, -1],
+                   [(1, 0), (2, 0), (0, 5), (3, 5), (4, 5)])
+    g2 = Orbigraph(W, [-1, 0, 1, 2, 3, -1],
+                   [(1, 5), (2, 5), (5, 0), (3, 0), (4, 0)])
+    assert same_shape(g1, g2)

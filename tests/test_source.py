@@ -2,11 +2,13 @@
 graph construction in the moves stays in its builders, the moves only
 carry the marking forward, the moves and ``pf`` hold no iteration cap,
 only normalisation collapses forests, turn orbits and the tree are each
-walked in one place, edge lengths come only from ``pf``, edge items are tested inline,
-every error class is raised, factors have one kind and inversion one
+walked in one place, representatives are compared by one name-free key,
+edge lengths come only from ``pf``, edge items are tested inline, every
+error class is raised, factors have one kind and inversion one
 algorithm."""
 
 import ast
+import re
 from pathlib import Path
 
 import orbitrain
@@ -106,11 +108,9 @@ def test_moves_only_carry_the_marking_forward():
 
 def test_only_normalisation_collapses_forests():
     """Moves return the representative they build: forests are collapsed
-    only by ``traintrack.normalize`` and by the reduction builder's
-    ``_reduce_forests``, and only ``collapse_forest`` reaches the
-    collapsing quotient."""
-    assert function_call_sites("collapse_forest") == [
-        "traintrack._reduce_forests", "traintrack.normalize"]
+    only by ``traintrack.normalize``, and only ``collapse_forest`` reaches
+    the collapsing quotient."""
+    assert function_call_sites("collapse_forest") == ["traintrack.normalize"]
     assert function_call_sites("_collapse") == ["moves.collapse_forest"]
 
 
@@ -138,6 +138,25 @@ def test_the_tree_is_walked_in_one_place():
     path = Path(orbitrain.__file__).parent / "orbigraph.py"
     assert [node.name for node in ast.parse(path.read_text()).body
             if isinstance(node, ast.ClassDef)] == ["Orbigraph"]
+
+
+def test_representatives_are_compared_by_one_key():
+    """``traintrack._rep_key`` is the only notion of the same
+    representative: it reads no edge or cell names, and no definition in
+    the library searches for graph isomorphisms, tests structural
+    equality or builds a reduction."""
+    gone = re.compile(r"isomorphism|^structurally_|^build_red")
+    found = [f"{path.name}: {node.name}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and gone.search(node.name)]
+    assert not found, f"definitions that should be gone: {found}"
+    path = Path(orbitrain.__file__).parent / "traintrack.py"
+    (key,) = [node for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.FunctionDef) and node.name == "_rep_key"]
+    read = {node.attr for node in ast.walk(key)
+            if isinstance(node, ast.Attribute)}
+    assert not read & {"edge_names", "cell_names"}
 
 
 def test_edge_lengths_come_only_from_pf():

@@ -1,13 +1,11 @@
-"""Train track descent and the reduction builder.
+"""Train track descent and the name-free representative key.
 
 The W3 pair anchors the descent: alpha's hedgehog representative is
 accepted unchanged with eigenvalue 2 + sqrt(5), while beta's folds once
 and surfaces the invariant edge X as a reducibility witness.
 Permutation-like representatives come back as finite order with exact
-periods.  For automorphisms that permute the free factors in blocks,
-``build_reduction`` assembles a reducible representative of the same
-outer class, and on the polynomially growing W4 example it realizes the
-automorphism on the nose.
+periods.  The descent stops when a pass revisits an earlier
+representative up to renaming, which ``_rep_key`` decides.
 """
 
 import random
@@ -19,13 +17,14 @@ from hypothesis import strategies as st
 
 from orbitrain import traintrack
 from orbitrain.errors import (
+    BadRepresentative,
     IterationCapExceeded,
     LemmaViolated,
     NothingToFold,
-    NotPermuted,
 )
 from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct
-from orbitrain.moves import fold, maximal_invariant_forest, record_moves
+from orbitrain.moves import (
+    fold, maximal_invariant_forest, record_moves, subdivide)
 from orbitrain.orbigraph import Orbigraph, hedgehog, thistle
 from orbitrain.paths import format_path
 from orbitrain.pf import adjugate_polys, pf_data
@@ -41,7 +40,7 @@ from orbitrain.traintrack import (
     Reducible,
     TrainTrack,
     _descent_turn,
-    build_reduction,
+    _rep_key,
     edge_bound,
     is_irreducible_rep,
     normalize,
@@ -182,14 +181,24 @@ class TestDescent:
             train_track_algorithm(f_beta, cap=0)
 
     def test_descent_stops_at_a_revisited_representative(self, w3):
-        """The benchmark corpus's W3 seed 4 folds in a cycle: pass 11 meets
-        the representative of pass 5 again, so the descent stops there
-        instead of folding on to the cap."""
+        """The benchmark corpus's W3 seed 4 folds in a cycle: pass 6 meets
+        the representative of pass 3 again up to renaming its cells and
+        edges, so the descent stops there instead of folding on to the
+        cap."""
         phi = Automorphism.from_gen_images(
             w3, [w3.parse_word(t) for t in ("c a c b c a c", "c", "c a c")])
         with pytest.raises(IterationCapExceeded,
-                           match="^pass 11 repeats pass 5$"):
+                           match="^pass 6 repeats pass 3$"):
             train_track_algorithm(thistle_rep(phi))
+
+    def test_a_revisit_up_to_renaming_ends_the_descent(
+            self, corpus_automorphism):
+        """Census W4 L6 s105 revisits pass 4 at pass 7 under new edge
+        names; a key that read the names would fold on past the cap."""
+        phi = corpus_automorphism(4, 6, 105)
+        with pytest.raises(IterationCapExceeded,
+                           match="^pass 7 repeats pass 4$"):
+            train_track_algorithm(thistle_rep(phi), cap=50)
 
     def test_a_growth_rate_increase_names_its_pass(
             self, monkeypatch, corpus_automorphism):
@@ -205,6 +214,17 @@ class TestDescent:
                          for k in (0, 1))
         assert info.value.witness == (1, (before.lower, before.upper),
                                       (after.lower, after.upper))
+
+
+# ---- the representative key --------------------------------------------------------
+
+
+class TestRepKey:
+    def test_key_needs_a_normalised_tree(self, f_alpha):
+        """A subdivision vertex has valence two, so it shares its set of
+        factors beyond it with its far neighbour."""
+        with pytest.raises(BadRepresentative):
+            _rep_key(subdivide(f_alpha, 1, 1))
 
 
 # ---- finite order outcomes --------------------------------------------------------
@@ -255,98 +275,6 @@ class TestFiniteOrder:
         assert isinstance(out, FiniteOrder)
         assert out.period == 3
         assert out.rep.transition_matrix().entries == ((1,),)
-
-
-# ---- assembling reducible representatives -----------------------------------------
-
-
-class TestBuildReduction:
-    def test_polynomial_example_is_realized_on_the_nose(self, w4, phi_w4):
-        rep = build_reduction(phi_w4, [[0, 1]])
-        assert rep.induced_automorphism() == phi_w4
-        assert image_texts(rep) == {
-            "B": "B",
-            "C": "C .a ~B .b B",
-            "D": "D .a ~C .c C",
-        }
-        filt = maximal_filtration(rep)
-        assert filt == ((1,), (2,), (3,))
-
-    def test_reduction_feeds_straight_into_the_descent(self, phi_w4):
-        rep = build_reduction(phi_w4, [[0, 1]])
-        out = train_track_algorithm(rep)
-        assert isinstance(out, Reducible)
-        assert out.witness == frozenset({1})
-
-    def test_factor_swap_needs_the_degenerate_slide(self):
-        w2 = FreeProduct([Z2, Z2], ["a", "b"])
-        swap = Automorphism.from_gen_images(
-            w2, [w2.parse_word("b"), w2.parse_word("a")])
-        rep = build_reduction(swap, [[0], [1]])
-        assert image_texts(rep) == {
-            "A": "B", "B": "A", "E1": "B E2", "E2": "~A E1"}
-        assert len(maximal_filtration(rep)) == 2
-        assert rep.induced_automorphism().outer_equal(swap)
-
-    def test_two_block_swap(self, w4):
-        blocks = Automorphism.from_gen_images(
-            w4, [w4.parse_word(t) for t in "cdab"])
-        rep = build_reduction(blocks, [[0, 1], [2, 3]])
-        assert len(maximal_filtration(rep)) == 2
-        assert rep.induced_automorphism().outer_equal(blocks)
-
-    def test_singleton_cycle_inside_the_swap(self, w4):
-        blocks = Automorphism.from_gen_images(
-            w4, [w4.parse_word(t) for t in "cdab"])
-        rep = build_reduction(blocks, [[0], [2]])
-        assert len(maximal_filtration(rep)) == 2
-        assert rep.induced_automorphism().outer_equal(blocks)
-
-    def test_class_that_does_not_advance_is_rejected(self, w4):
-        blocks = Automorphism.from_gen_images(
-            w4, [w4.parse_word(t) for t in "cdab"])
-        with pytest.raises(NotPermuted, match="does not advance"):
-            build_reduction(blocks, [[0], [1]])
-        with pytest.raises(NotPermuted):
-            build_reduction(blocks, [[0, 1], [2]])
-
-    def test_conjugators_must_agree_on_a_class(self, alpha_w3):
-        with pytest.raises(NotPermuted, match="common conjugator"):
-            build_reduction(alpha_w3, [[1, 2]])
-
-    def test_degenerate_descriptions_are_rejected(self, w4):
-        ident = Automorphism.identity(w4)
-        with pytest.raises(NotPermuted):
-            build_reduction(ident, [[0, 1, 2, 3]])
-        with pytest.raises(NotPermuted):
-            build_reduction(ident, [[0], [0]])
-        with pytest.raises(NotPermuted):
-            build_reduction(ident, [[]])
-        with pytest.raises(NotPermuted):
-            build_reduction(ident, [[7]])
-
-    def test_identity_on_a_proper_class(self, w4):
-        ident = Automorphism.identity(w4)
-        rep = build_reduction(ident, [[0, 1]])
-        assert rep.induced_automorphism().outer_equal(ident)
-        assert len(maximal_filtration(rep)) > 1
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_twisted_swaps_reduce_to_the_same_outer_class(seed):
-    """Composing a block swap with random inner automorphisms never
-    changes the outer class build_reduction realizes, and the result is
-    always reducible."""
-    rng = random.Random(seed)
-    w4 = FreeProduct([Z2, Z2, Z2, Z2], ["a", "b", "c", "d"])
-    blocks = Automorphism.from_gen_images(
-        w4, [w4.parse_word(t) for t in "cdab"])
-    word = " ".join(rng.choice("abcd") for _ in range(rng.randrange(1, 6)))
-    twisted = Automorphism.inner(w4, w4.parse_word(word)).compose(blocks)
-    rep = build_reduction(twisted, [[0, 1], [2, 3]])
-    assert rep.induced_automorphism().outer_equal(twisted)
-    assert len(maximal_filtration(rep)) > 1
 
 
 @given(st.integers(0, 2**32 - 1))
