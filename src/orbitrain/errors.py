@@ -48,7 +48,8 @@ class BadRepresentative(OrbitrainError):
 
 
 class UnsafeMove(OrbitrainError):
-    """A homotopy move was rejected by the eigenvalue safety rule."""
+    """A homotopy move was asked of input that fails its structural
+    precondition; no move checks a growth rate."""
 
     code = "unsafe-move"
 

@@ -17,14 +17,12 @@ Representation choices, used by every other module:
 from __future__ import annotations
 
 import itertools
-import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BadGroupTable,
     FactorMismatch,
-    LemmaViolated,
     NotAutomorphism,
     NotInvertible,
     UnknownGenerator,
@@ -43,8 +41,8 @@ class FiniteGroup:
     """A finite group given by an explicit Cayley table.
 
     ``cayley[g][h]`` is the element index of the product g.h.  Element 0 is
-    required to be the identity.  Construction verifies the group axioms:
-    exhaustively for order at most 64, by randomized triples above that.
+    required to be the identity.  Construction verifies the group axioms
+    exhaustively, associativity on every triple, once per group.
     """
 
     def __init__(self, cayley, label="G", names=None):
@@ -66,16 +64,7 @@ class FiniteGroup:
                     break
             if inverses[g] is None:
                 raise BadGroupTable(f"element {g} has no inverse")
-        if order <= 64:
-            triples = itertools.product(range(order), repeat=3)
-        else:
-            import random
-
-            rng = random.Random(0x5EED)
-            triples = (
-                tuple(rng.randrange(order) for _ in range(3)) for _ in range(5000)
-            )
-        for a, b, c in triples:
+        for a, b, c in itertools.product(range(order), repeat=3):
             if cayley[cayley[a][b]][c] != cayley[a][cayley[b][c]]:
                 raise BadGroupTable(f"associativity fails on ({a},{b},{c})")
         self.cayley = cayley
@@ -295,11 +284,6 @@ class FreeProduct:
             f"{name}:{factor.label}" for name, factor in zip(self.names, self.factors)
         ) + ")"
 
-    def signature(self):
-        return "*".join(
-            f"{name}/{factor.order}:{zlib.crc32(repr(factor.cayley).encode()):08x}"
-            for name, factor in zip(self.names, self.factors))
-
     # -- letters -------------------------------------------------------------
 
     def letter_mul(self, g, h):
@@ -353,9 +337,6 @@ class FreeProduct:
             out = self.mul(out, word)
         return out
 
-    def in_subfactors(self, word: Word, subset) -> bool:
-        return all(l[0] in subset for l in word)
-
     # -- conjugacy -----------------------------------------------------------
 
     def cyclic_form(self, word: Word):
@@ -389,37 +370,6 @@ class FreeProduct:
             return ((i, self.factors[i].conjugacy_min(e)),)
         r = least_rotation(core)
         return core[r:] + core[:r]
-
-    def conjugator(self, w1: Word, w2: Word) -> Optional[Word]:
-        """A word u with u^-1 . w1 . u = w2, or None if not conjugate."""
-        c1, q1 = self.cyclic_form(w1)
-        c2, q2 = self.cyclic_form(w2)
-        if len(c1) != len(c2):
-            return None
-        if not c1:
-            return ()
-        if len(c1) == 1:
-            (i1, e1), (i2, e2) = c1[0], c2[0]
-            if i1 != i2:
-                return None
-            factor = self.factors[i1]
-            for s in factor.elements():
-                if factor.mul(factor.inv(s), factor.mul(e1, s)) == e2:
-                    break
-            else:
-                return None
-            u = self.mul(self.inv(q1), ((i1, s),), q2)
-        else:
-            # both cores rotate to one least rotation, so c2 is c1 turned by r
-            r1, r2 = least_rotation(c1), least_rotation(c2)
-            r = (r1 - r2) % len(c1)
-            if c1[r:] + c1[:r] != c2:
-                return None
-            # w1 = q1^-1 c1 q1, c1 = c1[:r] . c2 . c1[:r]^-1
-            u = self.mul(self.inv(q1), c1[:r], q2)
-        if self.conj(w1, u) != w2:
-            raise LemmaViolated((w1, w2, u), "conjugator does not conjugate")
-        return u
 
     # -- formatting and parsing ----------------------------------------------
 
@@ -691,55 +641,38 @@ class Automorphism:
         self._kurosh = KuroshData(tuple(pi), tuple(isos), tuple(conjugators))
         return self._kurosh
 
-    # -- outer fingerprint ---------------------------------------------------
-
-    def _normalized_candidates(self):
-        """Representatives of the outer class that map factor 0 onto factor
-        pi(0) by a bare isomorphism; one candidate per element of factor
-        pi(0), the twists that keep that property, and each choice is
-        resolved by minimal serialization."""
-        data = self.kurosh()
-        u0 = data.conjugators[0]
-        base = Automorphism.inner(self.W, self.W.inv(u0)).compose(self)
-        target = data.pi[0]
-        out = []
-        for s in self.W.factors[target].elements():
-            twist = Automorphism.inner(self.W, ((target, s),)) if s else None
-            cand = twist.compose(base) if twist else base
-            # cand(x) = v^-1 . self(x) . v for v = u0^-1 . s
-            v = self.W.mul(self.W.inv(u0), ((target, s),) if s else ())
-            out.append((_serialize_images(cand), cand, v))
-        out.sort(key=lambda t: t[0])
-        return out
-
-    def fingerprint(self) -> str:
-        """Deterministic identifier of the outer class [self]."""
-        text, _, _ = self._normalized_candidates()[0]
-        return self.W.signature() + "|" + text
+    # -- outer classes -------------------------------------------------------
 
     def outer_conjugator(self, other: "Automorphism") -> Optional[Word]:
-        """A word w with other(x) = w^-1 . self(x) . w for all x, or None."""
-        if self.W != other.W:
+        """A word w with other(x) = w^-1 . self(x) . w for all x, or None.
+
+        Found from the Kurosh data on factor 0 alone.  Write self(a) =
+        u^-1 rho(a) u and other(a) = u'^-1 rho'(a) u', both rho and rho'
+        landing in factor pi(0).  If other = inner(w) after self, then
+        g = u w u'^-1 conjugates rho(A_0) onto rho'(A_0) inside A_pi(0).
+        The normaliser of a nontrivial free factor is that factor, so g is
+        an element s of A_pi(0) and w = u^-1 s u'.  Trying those |A_pi(0)|
+        candidates is therefore complete.
+        """
+        W = self.W
+        if other.W != W:
             return None
         try:
-            mine = self._normalized_candidates()[0]
-            theirs = other._normalized_candidates()[0]
+            mine, theirs = self.kurosh(), other.kurosh()
         except NotAutomorphism:
             return None
-        if mine[0] != theirs[0]:
+        if mine.pi != theirs.pi:
             return None
-        # the shared normal form N satisfies N(x) = v1^-1 self(x) v1 and
-        # N(x) = v2^-1 other(x) v2, so other = inner(v1 v2^-1) after self
-        v1, v2 = mine[2], theirs[2]
-        w = self.W.mul(v1, self.W.inv(v2))
-        check = Automorphism.inner(self.W, w).compose(self)
-        return w if check == other else None
+        u, u2 = mine.conjugators[0], theirs.conjugators[0]
+        j = mine.pi[0]
+        for s in W.factors[j].elements():
+            w = W.mul(W.inv(u), ((j, s),) if s else (), u2)
+            if Automorphism.inner(W, w).compose(self) == other:
+                return w
+        return None
 
     def outer_equal(self, other: "Automorphism") -> bool:
         return self.outer_conjugator(other) is not None
-
-    def is_inner(self) -> Optional[Word]:
-        return Automorphism.identity(self.W).outer_conjugator(self)
 
     # -- inversion -----------------------------------------------------------
 
@@ -807,16 +740,6 @@ class Automorphism:
                 for e in range(1, len(fam))}
         return Automorphism(W, [
             [tuple(back[l] for l in w) for w in fam] for fam in moves])
-
-
-def _serialize_images(phi: Automorphism) -> str:
-    chunks = []
-    for i, fam in enumerate(phi.images):
-        for e, word in enumerate(fam):
-            chunks.append(
-                f"{i}.{e}=" + ",".join(f"{l[0]}:{l[1]}" for l in word)
-            )
-    return ";".join(chunks)
 
 
 def _mutually_inverse(phi: Automorphism, psi: Automorphism) -> bool:

@@ -31,13 +31,12 @@ class Orbigraph:
     Instances are immutable; moves build new graphs instead of mutating.
     """
 
-    __slots__ = ("W", "kinds", "ends", "edge_names", "cell_names",
-                 "src_of", "dst_of", "_cone_cells", "_incidence")
+    __slots__ = ("W", "kinds", "ends", "edge_names", "src_of", "dst_of",
+                 "_cone_cells", "_incidence")
 
     def __init__(self, W: FreeProduct, kinds: Sequence[int],
                  ends: Sequence[Tuple[int, int]],
-                 edge_names: Optional[Sequence[str]] = None,
-                 cell_names: Optional[Sequence[str]] = None):
+                 edge_names: Optional[Sequence[str]] = None):
         self.W = W
         self.kinds = tuple(kinds)
         self.ends = tuple((int(a), int(b)) for a, b in ends)
@@ -76,20 +75,9 @@ class Orbigraph:
             raise BadOrbigraph("the one-complex is not connected")
         if edge_names is None:
             edge_names = [f"E{e}" for e in range(1, m + 1)]
-        if cell_names is None:
-            cell_names = [self._default_cell_name(c) for c in range(k)]
         self.edge_names = tuple(edge_names)
-        self.cell_names = tuple(cell_names)
         if len(self.edge_names) != m or len(set(self.edge_names)) != m:
             raise BadOrbigraph("edge names must be distinct, one per edge")
-        if len(self.cell_names) != k:
-            raise BadOrbigraph("cell names must cover every zero cell")
-
-    def _default_cell_name(self, c):
-        kind = self.kinds[c]
-        if kind == VERTEX:
-            return f"v{c}"
-        return f"c({self.W.names[kind]})"
 
     # -- basic queries ----------------------------------------------------
 
@@ -106,9 +94,6 @@ class Orbigraph:
 
     def edges(self):
         return range(1, self.n_edges + 1)
-
-    def directed_edges(self):
-        return iter(self.src_of)
 
     def is_cone(self, c) -> bool:
         return self.kinds[c] != VERTEX
@@ -162,7 +147,7 @@ class Orbigraph:
         return -e if rev else e
 
     def __repr__(self):
-        cones = ", ".join(self.cell_names[c] for c in self._cone_cells)
+        cones = ", ".join(self.W.names)
         return f"Orbigraph({self.n_cells} cells, {self.n_edges} edges; {cones})"
 
     # -- tree walking ------------------------------------------------------
@@ -216,8 +201,7 @@ def thistle(W: FreeProduct) -> Orbigraph:
     kinds = [VERTEX] + list(range(n))
     ends = [(i + 1, 0) for i in range(n)]
     edge_names = _unique_names([W.names[i].upper() for i in range(n)])
-    cell_names = ["*"] + [W.names[i] + "^" for i in range(n)]
-    return Orbigraph(W, kinds, ends, edge_names, cell_names)
+    return Orbigraph(W, kinds, ends, edge_names)
 
 
 def hedgehog(W: FreeProduct, apex: int = 0) -> Orbigraph:
@@ -239,8 +223,7 @@ def hedgehog(W: FreeProduct, apex: int = 0) -> Orbigraph:
         edge_names = base[: len(others)]
     else:
         edge_names = [f"X{j + 1}" for j in range(len(others))]
-    cell_names = [W.names[i] + "^" for i in range(n)]
-    return Orbigraph(W, kinds, ends, edge_names, cell_names)
+    return Orbigraph(W, kinds, ends, edge_names)
 
 
 def _unique_names(names):

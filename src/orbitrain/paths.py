@@ -135,10 +135,6 @@ class Path(_Walk):
     # -- queries -------------------------------------------------------------
 
     @property
-    def is_trivial(self) -> bool:
-        return not self.items
-
-    @property
     def is_loop(self) -> bool:
         return self.start == self.end
 
@@ -239,10 +235,6 @@ class Circuit(_Walk):
                                  _canonical=True)
         self.graph = graph
         self.items = items
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.items
 
     def as_path(self) -> Path:
         """One full traversal, cut at the canonical basepoint."""

@@ -176,22 +176,6 @@ def _faddeev_leverrier(M: Matrix
     return tuple(coeffs), tuple(adj)
 
 
-def charpoly(M: Matrix) -> Tuple[int, ...]:
-    return _faddeev_leverrier(M)[0]
-
-
-def adjugate_polys(M: Matrix) -> Tuple[Matrix, ...]:
-    """Coefficient matrices B_0..B_{n-1} of adj(xI - M), leading first."""
-    return _faddeev_leverrier(M)[1]
-
-
-def poly_eval(p: Sequence, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in p:
-        acc = acc * x + c
-    return acc
-
-
 def _scaled_values(polys, n: int, d: int) -> List[int]:
     """d^deg(p) p(n/d) for each integer polynomial p, by integer Horner;
     polys[0] has the highest degree.  For d > 0 each value has the sign of
@@ -417,12 +401,6 @@ def _isolate(chain, tol: Fraction, bracket=None) -> Optional[Isolation]:
         while count_distinct_roots(out.chain, out.lo, out.hi) > 1:
             out = out.refine(out.width / 4)
     return out
-
-
-def isolate_largest_root(p: Sequence[int],
-                         tol: Fraction) -> Optional[Isolation]:
-    """Bracket the largest real root within tol, or None if no real root."""
-    return _isolate(sturm_chain(p), tol)
 
 
 # -- certified PF data ----------------------------------------------------------

@@ -3,20 +3,20 @@
 A topological representative carries one tight image path per edge, one
 group isomorphism per cone point, and a zero-cell image per plain vertex.
 This module builds the two standard representatives (on the thistle and on
-the hedgehog), applies maps to paths and circuits, composes and iterates
-them, and extracts everything the train track algorithms consume: the
-transition matrix, the derivative and turn maps, legality, the maximal
-invariant filtration, and the outer automorphism read back through a
-marking.
+the hedgehog), applies maps to paths and circuits, composes them, and
+extracts everything the train track algorithms consume: the transition
+matrix, the turn map, the maximal invariant filtration, and the
+automorphism read back through a marking.
 
-Legality is one orbit walk, :meth:`TopRep.dying_turn`, asked of each turn
-in its own orientation.  A turn and its reversal need no shared
-bookkeeping: the turn map commutes with reversal and reversal preserves
-degeneracy, so both orientations get the same verdict.
+A turn is illegal when some iterate of the turn map makes it degenerate,
+which is one orbit walk, :meth:`TopRep.dying_turn`, asked of each turn in
+its own orientation.  A turn and its reversal need no shared bookkeeping:
+the turn map commutes with reversal and reversal preserves degeneracy, so
+both orientations get the same verdict.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import BadRepresentative, NoMarking
 from .groups import Automorphism, is_iso, iso_chain, iso_identity
@@ -227,14 +227,6 @@ class TopRep:
         return TopRep(self.graph, edge_images, cone_images, vertex_images,
                       marking)
 
-    def iterate(self, k: int) -> "TopRep":
-        if k < 1:
-            raise ValueError("iterate wants a positive exponent")
-        out = self
-        for _ in range(k - 1):
-            out = self.compose(out)
-        return out
-
     # -- the transition matrix --------------------------------------------------
 
     def transition_matrix(self) -> "TransitionMatrix":
@@ -244,7 +236,7 @@ class TopRep:
                         for ei in edges)
         return TransitionMatrix(entries, edges)
 
-    # -- derivative and turns ----------------------------------------------------
+    # -- turns ----------------------------------------------------------------
 
     def _lead(self, d: int):
         """The junction letter and first edge of the image of ``d``."""
@@ -255,13 +247,6 @@ class TopRep:
                 return letter, item
             letter = item[1]
         return letter, None
-
-    def derivative(self, d: int) -> int:
-        letter, first = self._lead(d)
-        if first is None:
-            raise BadRepresentative(
-                f"edge {self.graph.edge_label(d)} has an edge-free image")
-        return first
 
     def turn_map(self, t: Turn) -> Turn:
         """The induced map on turns, twisting junction letters along."""
@@ -279,21 +264,6 @@ class TopRep:
             letter = group.mul(group.mul(group.inv(l1), g), l2)
         return Turn(e1, letter, e2, base)
 
-    def all_turns(self):
-        """Every nondegenerate turn of the graph, in a fixed order."""
-        out = []
-        for c in self.graph.cells():
-            dirs = self.graph.edges_at(c)
-            letters = (self.graph.group_at(c).elements()
-                       if self.graph.is_cone(c) else (None,))
-            for d1 in dirs:
-                for d2 in dirs:
-                    for g in letters:
-                        t = Turn(d1, g, d2, c)
-                        if not t.degenerate:
-                            out.append(t)
-        return tuple(out)
-
     def dying_turn(self, t: Turn) -> Optional[Turn]:
         """The last turn on the orbit of ``t`` before the turn map makes it
         degenerate, or ``None`` when the orbit cycles first and ``t`` is
@@ -307,20 +277,6 @@ class TopRep:
             t = image
         return None
 
-    def legality(self) -> FrozenSet[Turn]:
-        """The set of illegal turns: those mapped by some iterate of the
-        turn map onto a degenerate turn.
-
-        Both orientations are included, each walked on its own orbit.  The
-        reversal of ``Turn(d1, g, d2, c)`` is ``Turn(d2, g^-1, d1, c)``;
-        the turn map commutes with it, since the image letter
-        ``l1^-1 g l2`` inverts to ``l2^-1 g^-1 l1``, and reversal keeps a
-        turn degenerate or not.  So the two orientations share a verdict
-        without any bookkeeping.
-        """
-        return frozenset(t for t in self.all_turns()
-                         if self.dying_turn(t) is not None)
-
     def crossed_turns(self):
         """Turns crossed by edge images, with the crossing edges."""
         out = []
@@ -328,11 +284,6 @@ class TopRep:
             for t in self.edge_images[e].turns():
                 out.append((e, t))
         return tuple(out)
-
-    def is_train_track(self) -> bool:
-        """Whether every edge image is a legal path."""
-        return all(self.dying_turn(t) is None
-                   for _, t in self.crossed_turns())
 
     # -- the marked outer automorphism ---------------------------------------------
 
@@ -357,10 +308,6 @@ class TopRep:
                 fam[g] = self.marking.read(corrected)
             maps.append(fam)
         return Automorphism.from_element_images(W, maps)
-
-    def induced_outer(self) -> str:
-        """Deterministic identifier of the induced outer class."""
-        return self.induced_automorphism().fingerprint()
 
     def __repr__(self):
         parts = [

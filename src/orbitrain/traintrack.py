@@ -29,7 +29,6 @@ __all__ = [
     "Reducible",
     "TrainTrack",
     "edge_bound",
-    "is_irreducible_rep",
     "normalize",
     "train_track_algorithm",
 ]
@@ -72,14 +71,6 @@ Outcome = Union[TrainTrack, FiniteOrder, Reducible]
 
 # ---------------------------------------------------------------------------
 # bounds and simple predicates
-
-
-def is_irreducible_rep(f: TopRep) -> bool:
-    """Whether the whole transition matrix is irreducible."""
-    entries = f.transition_matrix().entries
-    if not entries:
-        return False
-    return is_irreducible(entries)
 
 
 def edge_bound(n: int) -> int:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from orbitrain.errors import (
     BadGroupTable,
     FactorMismatch,
-    LemmaViolated,
     NotAutomorphism,
     NotInvertible,
     UnknownGenerator,
@@ -107,6 +106,15 @@ def test_bad_tables_rejected():
         FiniteGroup([[0]])  # trivial group disallowed
 
 
+def test_associativity_is_checked_above_order_64():
+    """Z/71 with one product changed keeps its identity and inverses but
+    not associativity: (5.7).1 = 14 while 5.(7.1) = 13."""
+    table = [[(i + j) % 71 for j in range(71)] for i in range(71)]
+    table[5][7] = 13
+    with pytest.raises(BadGroupTable):
+        FiniteGroup(table)
+
+
 def test_s4_associativity_and_inverses():
     s4 = FiniteGroup.symmetric(4)
     assert s4.order == 24
@@ -190,15 +198,16 @@ def test_conjugacy_agrees_with_brute_force(w4):
     bacab = w4.parse_word("b a c a b")
     c = w4.parse_word("c")
     assert oracle_conjugate(w4, c, bacab)
-    u = w4.conjugator(c, bacab)
-    assert u is not None and w4.conj(c, u) == bacab
+    assert w4.conjugacy_normal_form(c) == w4.conjugacy_normal_form(bacab)
     # ab is the witness the identity bacab = (ab)^-1 c (ab) predicts
     assert w4.conj(c, w4.parse_word("a b")) == bacab
 
 
 def test_non_conjugate_words_rejected(w4):
-    assert w4.conjugator(w4.parse_word("a"), w4.parse_word("b")) is None
-    assert w4.conjugator(w4.parse_word("a b"), w4.parse_word("a c")) is None
+    for x, y in (("a", "b"), ("a b", "a c")):
+        w1, w2 = w4.parse_word(x), w4.parse_word(y)
+        assert not oracle_conjugate(w4, w1, w2, max_syllables=2)
+        assert w4.conjugacy_normal_form(w1) != w4.conjugacy_normal_form(w2)
 
 
 def test_single_syllable_factor_conjugacy():
@@ -208,12 +217,27 @@ def test_single_syllable_factor_conjugacy():
     onethree = s3.names.index("(1 3)")
     w1, w2 = ((0, twelve),), ((0, onethree),)
     assert W.conjugacy_normal_form(w1) == W.conjugacy_normal_form(w2)
-    u = W.conjugator(w1, w2)
-    assert u is not None and W.conj(w1, u) == w2
+    assert any(W.conj(w1, ((0, s),)) == w2 for s in s3.elements())
 
 
 def rotations(seq):
     return [tuple(seq[r:]) + tuple(seq[:r]) for r in range(len(seq))]
+
+
+def conjugator_to_form(W, w):
+    """A word u with u^-1 . w . u the conjugacy normal form of w: w is
+    q^-1 . core . q, and the form is a rotation of the core, or for a
+    single syllable a conjugate of it inside its factor."""
+    core, q = W.cyclic_form(w)
+    form = W.conjugacy_normal_form(w)
+    if not core:
+        return ()
+    if len(core) >= 2:
+        return W.mul(W.inv(q), core[:rotations(core).index(form)])
+    (i, e), factor = core[0], W.factors[core[0][0]]
+    s = next(s for s in factor.elements()
+             if factor.mul(factor.inv(s), factor.mul(e, s)) == form[0][1])
+    return W.mul(W.inv(q), ((i, s),))
 
 
 @settings(max_examples=300, deadline=None)
@@ -243,15 +267,7 @@ def test_conjugacy_normal_form_is_least_core_rotation():
             form = W.conjugacy_normal_form(w)
             if len(core) >= 2:
                 assert form == min(rotations(core))
-            u = W.conjugator(w, form)
-            assert u is not None and W.conj(w, u) == form
-
-
-def test_conjugator_certificate_raises(w4, monkeypatch):
-    c, bacab = w4.parse_word("c"), w4.parse_word("b a c a b")
-    monkeypatch.setattr(FreeProduct, "conj", lambda self, word, by: ())
-    with pytest.raises(LemmaViolated):
-        w4.conjugator(c, bacab)
+            assert W.conj(w, conjugator_to_form(W, w)) == form
 
 
 @settings(max_examples=300, deadline=None)
@@ -435,10 +451,10 @@ def test_peak_reduction_inverts_factor_moving_products(phi):
     assert _mutually_inverse(phi, phi.inverse())
 
 
-def test_outer_fingerprint_identifies_outer_class(phi_w4, w4):
+def test_outer_conjugator_identifies_outer_class(phi_w4, w4):
     twisted = Automorphism.inner(w4, w4.parse_word("b a c")).compose(phi_w4)
     assert twisted.images != phi_w4.images
-    assert twisted.fingerprint() == phi_w4.fingerprint()
+    assert twisted.outer_equal(phi_w4)
     w = phi_w4.outer_conjugator(twisted)
     assert w is not None
     assert Automorphism.inner(w4, w).compose(phi_w4) == twisted
@@ -450,7 +466,7 @@ def test_outer_class_when_factor_zero_moves(w3):
         w3, [w3.parse_word(t) for t in ("a b a", "c", "c a c")])
     twisted = Automorphism.inner(w3, w3.parse_word("a b c a b a")).compose(phi)
     assert phi.outer_equal(twisted)
-    assert twisted.fingerprint() == phi.fingerprint()
+    assert twisted.outer_equal(phi)
 
 
 def test_outer_equal_after_random_inner_twists():
@@ -469,14 +485,27 @@ def test_outer_equal_after_random_inner_twists():
             w = W.random_word(rng, rng.randint(1, 6))
             twisted = Automorphism.inner(W, w).compose(phi)
             assert phi.outer_equal(twisted)
-            assert twisted.fingerprint() == phi.fingerprint()
+            assert twisted.outer_equal(phi)
 
 
-def test_distinct_outer_classes_have_distinct_fingerprints(phi_w4, w4):
+def test_distinct_outer_classes_are_told_apart(phi_w4, w4):
     ident = Automorphism.identity(w4)
-    assert ident.fingerprint() != phi_w4.fingerprint()
+    assert not ident.outer_equal(phi_w4)
     assert phi_w4.outer_conjugator(ident) is None
-    assert ident.is_inner() == ()
+    assert ident.outer_conjugator(ident) == ()
+
+
+@settings(max_examples=30, deadline=None)
+@given(factor_moving_products(), st.randoms(use_true_random=False))
+def test_outer_conjugator_finds_inner_twists_on_mixed_factors(phi, rng):
+    """Factor 0 may move, and the factors are S3, Z3 and Z2: the search
+    over the factor pi(0) still finds a conjugator for every inner twist."""
+    W = phi.W
+    twisted = Automorphism.inner(W, W.random_word(rng, rng.randrange(0, 7))
+                                 ).compose(phi)
+    w = phi.outer_conjugator(twisted)
+    assert w is not None
+    assert Automorphism.inner(W, w).compose(phi) == twisted
 
 
 def test_power_and_compose(phi_w4, w4):

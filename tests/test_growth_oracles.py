@@ -22,7 +22,7 @@ from math import isqrt
 import pytest
 
 from orbitrain.groups import Automorphism
-from orbitrain.pf import charpoly, pf_data, poly_gcd
+from orbitrain.pf import pf_data, poly_gcd
 from orbitrain.toprep import thistle_rep
 from orbitrain.traintrack import FiniteOrder, TrainTrack, train_track_algorithm
 
@@ -73,9 +73,9 @@ def check_rate(phi, rep):
     assert det in (1, -1)
     D = tr * tr - 4 * det
     assert D > 0 and isqrt(D) ** 2 != D
-    entries = rep.transition_matrix().entries
-    assert len(poly_gcd(charpoly(entries), (1, -tr, det))) > 1
-    data = pf_data(entries).refined(Fraction(1, 10 ** 12))
+    data = pf_data(rep.transition_matrix().entries)
+    assert len(poly_gcd(data.poly(), (1, -tr, det))) > 1
+    data = data.refined(Fraction(1, 10 ** 12))
     # r = (tr + sqrt(D)) / 2 lies in [lower, upper]
     assert sqrt_between(D, 2 * data.lower - tr, 2 * data.upper - tr)
 

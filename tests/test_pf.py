@@ -23,18 +23,16 @@ from orbitrain.pf import (
     DEFAULT_TOL,
     PFData,
     _deflate,
-    adjugate_polys,
+    _faddeev_leverrier,
+    _isolate,
     as_matrix,
-    charpoly,
     count_distinct_roots,
     identity_matrix,
     is_irreducible,
     is_transitive_permutation,
-    isolate_largest_root,
     mat_mul,
     pf_compare,
     pf_data,
-    poly_eval,
     poly_gcd,
     poly_sign,
     scc_components,
@@ -207,11 +205,11 @@ class TestComponents:
 
 class TestPolynomials:
     def test_charpoly_of_growth_matrix(self):
-        assert charpoly(GROWTH) == (1, -4, -1)
+        assert _faddeev_leverrier(GROWTH)[0] == (1, -4, -1)
 
     def test_charpoly_of_companion(self):
         C = as_matrix([[2, 0, 1], [1, 0, 0], [0, 1, 0]])
-        assert charpoly(C) == (1, -2, 0, -1)
+        assert _faddeev_leverrier(C)[0] == (1, -2, 0, -1)
 
     def test_adjugate_identity(self):
         rng = random.Random(414)
@@ -219,8 +217,7 @@ class TestPolynomials:
             n = rng.randrange(1, 5)
             M = as_matrix([[rng.randrange(4) for _ in range(n)]
                            for _ in range(n)])
-            p = charpoly(M)
-            B = adjugate_polys(M)
+            p, B = _faddeev_leverrier(M)
             for x in (Fraction(2), Fraction(-1, 3), Fraction(7, 2)):
                 adj = [[sum(B[k][i][j] * x ** (n - 1 - k) for k in range(n))
                         for j in range(n)] for i in range(n)]
@@ -252,21 +249,21 @@ class TestPolynomials:
         assert count_distinct_roots(chain, Fraction(-11, 2), Fraction(0)) == 2
 
     def test_isolation_brackets_quadratic_root(self):
-        iso = isolate_largest_root((1, -4, -1), DEFAULT_TOL)
+        iso = _isolate(sturm_chain((1, -4, -1)), DEFAULT_TOL)
         lo, hi = iso.bounds()
         assert (lo - 2) ** 2 < 5 < (hi - 2) ** 2
         assert hi - lo <= DEFAULT_TOL
 
     def test_isolation_skips_lower_rational_root(self):
         # (x - 1)(x^2 - 2): largest real root is the irrational one
-        iso = isolate_largest_root((1, -1, -2, 2), DEFAULT_TOL)
+        iso = _isolate(sturm_chain((1, -1, -2, 2)), DEFAULT_TOL)
         lo, hi = iso.bounds()
         assert lo > 1 and lo ** 2 < 2 < hi ** 2
 
     def test_isolation_exact_hits(self):
-        iso = isolate_largest_root((1, -3, 2), Fraction(1, 100))
+        iso = _isolate(sturm_chain((1, -3, 2)), Fraction(1, 100))
         assert iso.exact == 2
-        iso = isolate_largest_root((1, -3, 1, -3), DEFAULT_TOL)
+        iso = _isolate(sturm_chain((1, -3, 1, -3)), DEFAULT_TOL)
         assert iso.exact == 3
 
     def test_deflate_rejects_a_non_root(self):
@@ -275,9 +272,9 @@ class TestPolynomials:
             _deflate((1, 0, -2), Fraction(1))
 
     def test_no_real_root(self):
-        assert isolate_largest_root((1, 0, 1), DEFAULT_TOL) is None
+        assert _isolate(sturm_chain((1, 0, 1)), DEFAULT_TOL) is None
         # (x - 3)(x^2 + 1): the one real root, next to two complex ones
-        iso = isolate_largest_root((1, -3, 1, -3), DEFAULT_TOL)
+        iso = _isolate(sturm_chain((1, -3, 1, -3)), DEFAULT_TOL)
         assert iso.bounds() == (3, 3)
 
 
@@ -305,16 +302,17 @@ class TestPFData:
         # row 0 of adj(xI - M) is (x - 1, 1): q = x - 2 vanishes at the
         # rate 2
         data = pf_data([[1, 1], [1, 1]])
-        assert adjugate_polys(data.matrix) == (((1, 0), (0, 1)),
-                                               ((-1, 1), (1, -1)))
+        _, B = _faddeev_leverrier(data.matrix)
+        assert B == (((1, 0), (0, 1)), ((-1, 1), (1, -1)))
         assert data.compare_lengths(0, 1) == 0
         # equal columns 0 and 1 give equal lengths at the irrational rate
         # 1 + sqrt 2; q = x^2 - 2x - 1 is the rate's minimal polynomial,
         # so only the gcd with x (x^2 - 2x - 1) finds the tie
         data = pf_data([[1, 1, 1], [0, 0, 1], [1, 1, 1]])
         assert data.exact is None
-        q = [B[0][0] - B[0][1] for B in adjugate_polys(data.matrix)]
-        assert q == [1, -2, -1] and charpoly(data.matrix) == (1, -2, -1, 0)
+        p, B = _faddeev_leverrier(data.matrix)
+        q = [Bk[0][0] - Bk[0][1] for Bk in B]
+        assert q == [1, -2, -1] and p == (1, -2, -1, 0)
         assert data.compare_lengths(0, 1) == 0
         assert data.compare_lengths(0, 2) == data.compare_lengths(1, 2) == -1
 
@@ -393,7 +391,7 @@ class TestCompare:
     def test_equal_rates_across_different_matrices(self):
         a = pf_data(GROWTH)
         b = pf_data([[1, 2], [2, 3]])
-        assert charpoly(b.matrix) == charpoly(a.matrix)
+        assert b.poly() == a.poly()
         assert pf_compare(a, b) == 0
 
     def test_permutation_against_slow_growth(self):
@@ -505,7 +503,7 @@ def test_integer_sign_matches_fraction_eval(p, num, den, at_root):
     if at_root:
         # times (den X - num), so that x is a root
         p = [a * den - b * num for a, b in zip(p + [0], [0] + p)]
-    v = poly_eval(p, x)
+    v = sum(c * x ** (len(p) - 1 - d) for d, c in enumerate(p))
     assert poly_sign(p, x) == (v > 0) - (v < 0)
     if at_root:
         assert v == 0

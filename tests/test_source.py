@@ -4,8 +4,9 @@ carry the marking forward, the moves and ``pf`` hold no iteration cap,
 only normalisation collapses forests, turn orbits and the tree are each
 walked in one place, representatives are compared by one name-free key,
 edge lengths come only from ``pf``, edge items are tested inline, every
-error class is raised, factors have one kind and inversion one
-algorithm."""
+error class is raised, factors have one kind, inversion has one
+algorithm, and every public name has a caller in the library or the
+benchmark, bar the input builders that tests need."""
 
 import ast
 import re
@@ -14,6 +15,12 @@ from pathlib import Path
 import orbitrain
 
 SOURCES = sorted(Path(orbitrain.__file__).parent.glob("*.py"))
+BENCHMARK = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+
+# Public names that only tests call: they build test inputs.
+TEST_BUILDERS = {"symmetric", "random_word", "record_moves", "subdivide",
+                 "slide", "identity_rep", "hedgehog_rep",
+                 "rep_from_path_texts", "edge_bound"}
 
 
 def test_library_has_no_assert_statements():
@@ -115,8 +122,8 @@ def test_only_normalisation_collapses_forests():
 
 
 def test_turn_orbits_are_walked_in_one_place():
-    """Legality, the train track test and the descent all read
-    ``TopRep.dying_turn``, and nothing else applies the turn map."""
+    """The descent's turn choice, which is also the train track test,
+    reads ``TopRep.dying_turn``, and nothing else applies the turn map."""
     assert method_call_sites("turn_map") == ["toprep.TopRep.dying_turn"]
 
 
@@ -253,3 +260,34 @@ def test_inverse_runs_one_algorithm():
               if isinstance(node, ast.Call)
               and isinstance(node.func, ast.Attribute)}
     assert called == {"_peak_reduced_inverse"}
+
+
+def test_public_names_have_a_library_caller():
+    """Every public top-level function or class of the library, and every
+    public method, is named somewhere in the library or the benchmark (as
+    a name, an attribute or an import), except the test input builders,
+    each of which still exists."""
+    assert BENCHMARK
+    named, defined = set(), set()
+    for path in SOURCES + BENCHMARK:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.stem, node.name))
+                if isinstance(node, ast.ClassDef):
+                    defined |= {(path.stem, f"{node.name}.{m.name}")
+                                for m in node.body
+                                if isinstance(m, ast.FunctionDef)}
+    last = {name: name.rsplit(".", 1)[-1] for _, name in defined}
+    assert TEST_BUILDERS <= set(last.values())
+    uncalled = sorted(f"{stem}.{name}" for stem, name in defined
+                      if not last[name].startswith("_")
+                      and last[name] not in named | TEST_BUILDERS)
+    assert not uncalled, f"public names only tests reach: {uncalled}"

@@ -27,7 +27,7 @@ from orbitrain.moves import (
     fold, maximal_invariant_forest, record_moves, subdivide)
 from orbitrain.orbigraph import Orbigraph, hedgehog, thistle
 from orbitrain.paths import format_path
-from orbitrain.pf import adjugate_polys, pf_data
+from orbitrain.pf import _faddeev_leverrier, is_irreducible, pf_data
 from orbitrain.toprep import (
     hedgehog_rep,
     identity_rep,
@@ -42,12 +42,11 @@ from orbitrain.traintrack import (
     _descent_turn,
     _rep_key,
     edge_bound,
-    is_irreducible_rep,
     normalize,
     train_track_algorithm,
 )
 from test_groups import factor_moving_products
-from test_moves import random_twisted_automorphism
+from test_moves import random_twisted_automorphism, same_outer
 
 Z2 = FiniteGroup.cyclic(2)
 Z3 = FiniteGroup.cyclic(3)
@@ -80,16 +79,20 @@ def brackets(lower, upper, base, square):
 
 
 class TestIsIrreducibleRep:
+    """A representative is irreducible when its whole transition matrix
+    is."""
+
     def test_alpha_is_irreducible(self, f_alpha):
-        assert is_irreducible_rep(f_alpha)
+        assert is_irreducible(f_alpha.transition_matrix().entries)
 
     def test_identity_is_reducible(self, w3):
-        assert not is_irreducible_rep(identity_rep(hedgehog(w3)))
+        ident = identity_rep(hedgehog(w3))
+        assert not is_irreducible(ident.transition_matrix().entries)
 
     def test_edgeless_representative(self):
         w1 = FreeProduct([Z3], ["x"])
-        lone = Orbigraph(w1, (0,), ())
-        assert not is_irreducible_rep(identity_rep(lone))
+        lone = identity_rep(Orbigraph(w1, (0,), ()))
+        assert not is_irreducible(lone.transition_matrix().entries)
 
 
 class TestEdgeBound:
@@ -131,7 +134,7 @@ class TestDescent:
 
     def test_beta_outer_class_survives_the_descent(self, f_beta):
         out = train_track_algorithm(f_beta)
-        assert out.rep.induced_outer() == f_beta.induced_outer()
+        assert same_outer(out.rep, f_beta)
 
     def test_beta_witness_is_an_invariant_bottom_stratum(self, f_beta):
         out = train_track_algorithm(f_beta)
@@ -144,7 +147,7 @@ class TestDescent:
         out = train_track_algorithm(square)
         assert isinstance(out, Reducible)
         assert out.rep.transition_matrix().entries == ((1, 4), (0, 1))
-        assert out.rep.induced_outer() == square.induced_outer()
+        assert same_outer(out.rep, square)
 
     def test_alpha_squared_stays_a_train_track(self, f_alpha):
         square = f_alpha.compose(f_alpha)
@@ -296,9 +299,9 @@ def test_descent_preserves_outer_classes_of_mixed_powers(seed):
     rep = hedgehog_rep(phi)
     out = train_track_algorithm(rep)
     assert isinstance(out, (TrainTrack, FiniteOrder, Reducible))
-    assert out.rep.induced_outer() == rep.induced_outer()
+    assert same_outer(out.rep, rep)
     if isinstance(out, TrainTrack):
-        assert out.rep.is_train_track()
+        assert _descent_turn(out.rep) is None
     if isinstance(out, Reducible):
         filt = maximal_filtration(out.rep)
         assert set(out.witness) == set(filt[0])
@@ -384,6 +387,7 @@ class TestValenceTwoChoice:
         M = f.transition_matrix()
         assert pf_data(M.entries).exact is None
         i, j = M.index[4], M.index[7]
-        assert all(B[0][i] == B[0][j] for B in adjugate_polys(M.entries))
+        assert all(B[0][i] == B[0][j]
+                   for B in _faddeev_leverrier(M.entries)[1])
         verdict, move = self.removal(f, 0, 4, 7)
         assert verdict == 0 and move == ("valence_two", (0, 4))
