@@ -89,7 +89,7 @@ class Transport:
     Letters travel to the mapped cell unchanged.
     """
 
-    __slots__ = ("source", "target", "cell_map", "edge_items")
+    __slots__ = ("source", "target", "cell_map", "edge_items", "_reversed")
 
     def __init__(self, source: Orbigraph, target: Orbigraph,
                  cell_map: Dict[int, int],
@@ -98,6 +98,7 @@ class Transport:
         self.target = target
         self.cell_map = dict(cell_map)
         self.edge_items = {e: tuple(v) for e, v in edge_items.items()}
+        self._reversed: Dict[int, Tuple[Item, ...]] = {}
 
     @classmethod
     def identity(cls, graph: Orbigraph) -> "Transport":
@@ -109,9 +110,12 @@ class Transport:
         out: List[Item] = []
         for item in items:
             if type(item) is int:
-                piece = self.edge_items[abs(item)]
-                out.extend(piece if item > 0
-                           else invert_items(self.target, piece))
+                piece = (self.edge_items[item] if item > 0
+                         else self._reversed.get(item))
+                if piece is None:
+                    piece = invert_items(self.target, self.edge_items[-item])
+                    self._reversed[item] = piece
+                out.extend(piece)
             else:
                 c, x = item
                 out.append((self.cell_map[c], x))

@@ -17,7 +17,7 @@ vertex deletes.  The hat display ``T^`` abbreviates ``T g T~`` with the
 letter across the cone at the head of ``T``.
 """
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -105,7 +105,12 @@ class _Walk:
 
     def crossings(self):
         """Unsigned edge-crossing counts, the raw material of transitions."""
-        return Counter(abs(item) for item in self.items if type(item) is int)
+        counts = {}
+        for item in self.items:
+            if type(item) is int:
+                e = abs(item)
+                counts[e] = counts.get(e, 0) + 1
+        return counts
 
     def word(self):
         """The free-product word spelled by the letters, in normal form."""

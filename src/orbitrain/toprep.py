@@ -12,7 +12,9 @@ A turn is illegal when some iterate of the turn map makes it degenerate,
 which is one orbit walk, :meth:`TopRep.dying_turn`, asked of each turn in
 its own orientation.  A turn and its reversal need no shared bookkeeping:
 the turn map commutes with reversal and reversal preserves degeneracy, so
-both orientations get the same verdict.
+both orientations get the same verdict.  Verdicts are shared along orbits
+instead, within one representative: every turn an orbit walk passes
+through keeps the verdict of the walk.
 """
 
 from dataclasses import dataclass, field
@@ -122,10 +124,15 @@ class TopRep:
     edge image is allowed (a fold or valence move may leave one, until
     ``traintrack.normalize`` collapses its edge) but the turn calculus
     refuses to differentiate such an edge.
+
+    An instance is not mutated after construction; every move builds a new
+    one.  So its derived data is cached on the instance as it is first
+    asked for: the image paths of reversed edges, the lead table of
+    directions, the turn verdicts and the transition matrix.
     """
 
     __slots__ = ("graph", "edge_images", "cone_images", "vertex_images",
-                 "marking", "_images")
+                 "marking", "_images", "_leads", "_verdicts", "_matrix")
 
     def __init__(self, graph: Orbigraph, edge_images, cone_images,
                  vertex_images, marking: Optional[Marking] = None):
@@ -135,6 +142,9 @@ class TopRep:
         self.vertex_images = {c: int(v) for c, v in dict(vertex_images).items()}
         self.marking = marking
         self._images: Dict[int, Path] = {}
+        self._leads: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
+        self._verdicts: Dict[Turn, Optional[Turn]] = {}
+        self._matrix: Optional[TransitionMatrix] = None
         self._validate()
 
     def _validate(self):
@@ -230,23 +240,30 @@ class TopRep:
     # -- the transition matrix --------------------------------------------------
 
     def transition_matrix(self) -> "TransitionMatrix":
-        edges = tuple(self.graph.edges())
-        cols = {e: self.edge_images[e].crossings() for e in edges}
-        entries = tuple(tuple(cols[ej].get(ei, 0) for ej in edges)
-                        for ei in edges)
-        return TransitionMatrix(entries, edges)
+        if self._matrix is None:
+            edges = tuple(self.graph.edges())
+            cols = {e: self.edge_images[e].crossings() for e in edges}
+            entries = tuple(tuple(cols[ej].get(ei, 0) for ej in edges)
+                            for ei in edges)
+            self._matrix = TransitionMatrix(entries, edges)
+        return self._matrix
 
     # -- turns ----------------------------------------------------------------
 
     def _lead(self, d: int):
         """The junction letter and first edge of the image of ``d``."""
-        p = self.image(d)
-        letter = 0 if self.graph.is_cone(p.start) else None
-        for item in p.items:
-            if type(item) is int:
-                return letter, item
-            letter = item[1]
-        return letter, None
+        lead = self._leads.get(d)
+        if lead is None:
+            p = self.image(d)
+            letter = 0 if self.graph.is_cone(p.start) else None
+            lead = letter, None
+            for item in p.items:
+                if type(item) is int:
+                    lead = letter, item
+                    break
+                letter = item[1]
+            self._leads[d] = lead
+        return lead
 
     def turn_map(self, t: Turn) -> Turn:
         """The induced map on turns, twisting junction letters along."""
@@ -267,15 +284,27 @@ class TopRep:
     def dying_turn(self, t: Turn) -> Optional[Turn]:
         """The last turn on the orbit of ``t`` before the turn map makes it
         degenerate, or ``None`` when the orbit cycles first and ``t`` is
-        legal."""
-        seen = set()
-        while t not in seen:
-            seen.add(t)
+        legal.
+
+        Every turn the walk passes through keeps the verdict, and a walk
+        that reaches a turn with a verdict takes it.  That is exact: the
+        orbit from a turn is the same whoever reaches it, so it dies at
+        the same turn, or it cycles and the turn is legal.
+        """
+        verdicts = self._verdicts
+        walked = {}
+        while t not in verdicts and t not in walked:
+            walked[t] = None
             image = self.turn_map(t)
             if image.degenerate:
-                return t
+                verdict = t
+                break
             t = image
-        return None
+        else:
+            verdict = verdicts.get(t)
+        for s in walked:
+            verdicts[s] = verdict
+        return verdict
 
     def crossed_turns(self):
         """Turns crossed by edge images, with the crossing edges."""

@@ -2,11 +2,12 @@
 graph construction in the moves stays in its builders, the moves only
 carry the marking forward, the moves and ``pf`` hold no iteration cap,
 only normalisation collapses forests, turn orbits and the tree are each
-walked in one place, representatives are compared by one name-free key,
-edge lengths come only from ``pf``, edge items are tested inline, every
-error class is raised, factors have one kind, inversion has one
-algorithm, and every public name has a caller in the library or the
-benchmark, bar the input builders that tests need."""
+walked in one place, derived data is cached only by its own class,
+representatives are compared by one name-free key, edge lengths come
+only from ``pf``, edge items are tested inline, every error class is
+raised, factors have one kind, inversion has one algorithm, and every
+public name has a caller in the library or the benchmark, bar the input
+builders that tests need."""
 
 import ast
 import re
@@ -125,6 +126,23 @@ def test_turn_orbits_are_walked_in_one_place():
     """The descent's turn choice, which is also the train track test,
     reads ``TopRep.dying_turn``, and nothing else applies the turn map."""
     assert method_call_sites("turn_map") == ["toprep.TopRep.dying_turn"]
+
+
+def test_derived_data_is_cached_only_by_its_class():
+    """A representative's derived data (reversed images, lead table, turn
+    verdicts, transition matrix) and a transport's reversed pieces are
+    named only inside their own class, so no move or caller writes into
+    them."""
+    caches = {"toprep.TopRep": {"_images", "_leads", "_verdicts", "_matrix"},
+              "moves.Transport": {"_reversed"}}
+    for owner, attrs in caches.items():
+        found = sorted(set(
+            f"{path.stem}.{site}" for path in SOURCES + BENCHMARK
+            for site in node_sites(
+                path, lambda node: isinstance(node, ast.Attribute)
+                and node.attr in attrs)))
+        assert found and all(site.startswith(owner + ".") for site in found), \
+            found
 
 
 def test_the_tree_is_walked_in_one_place():
