@@ -204,9 +204,12 @@ def _absorbing(graph: Orbigraph, into: Dict[int, int]) -> List[Tuple[int, ...]]:
 def maximal_invariant_forest(f: TopRep) -> FrozenSet[int]:
     """A maximal invariant forest, as a set of edge ids, grown greedily in
     edge order: each edge brings the closure of the edges its iterated
-    images cross, and joins when the union stays a forest."""
+    images cross, read off the nonzero entries of its column of the
+    transition matrix, and joins when the union stays a forest."""
     graph = f.graph
-    crossed = {e: tuple(f.edge_images[e].crossings()) for e in graph.edges()}
+    M = f.transition_matrix()
+    crossed = {e: [M.edges[i] for i, k in enumerate(col) if k]
+               for e, col in zip(M.edges, zip(*M.entries))}
     chosen: Set[int] = set()
     for e in graph.edges():
         if e in chosen:

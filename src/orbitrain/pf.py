@@ -13,12 +13,13 @@ characteristic polynomial.
   and bisection keeps its endpoints over one power-of-two denominator.
 - The Sturm isolation of the rate starts from the certified bracket once
   one Sturm count confirms it, and from the root bound otherwise.
-- ``pf_compare`` decides by the brackets when they are disjoint; otherwise
-  it refines both isolations, and equal rates are found exactly through
-  the gcd of the two polynomials.
-- One Faddeev-LeVerrier loop gives the characteristic polynomial and the
-  adjugate, whose row 0 at the rate is a positive multiple of the edge
-  lengths; ``PFData.compare_lengths`` orders two lengths exactly by it.
+- ``pf_compare`` decides by disjoint brackets, then by equal
+  characteristic polynomials; otherwise it refines both isolations, and
+  equal rates are found exactly through the gcd of the two polynomials.
+- ``compare_lengths`` orders two edge lengths by a domination certificate,
+  the sign of (M + I)^k (e_i - e_j), and falls back on row 0 of the
+  adjugate from one Faddeev-LeVerrier loop, which at the rate is a
+  positive multiple of the lengths.
 """
 
 from fractions import Fraction
@@ -460,8 +461,9 @@ class PFData:
         out._polys = self._polys
         return out
 
-    def compare_lengths(self, i: int, j: int) -> int:
-        """-1, 0 or 1 by the lengths w_i and w_j, decided exactly.
+    def _compare_by_adjugate(self, i: int, j: int) -> int:
+        """-1, 0 or 1 by the lengths w_i and w_j, decided exactly; the
+        fallback of ``compare_lengths``.
 
         The lengths are the positive left eigenvector, w M = rate w, and
         row 0 of adj(rate I - M) is a positive multiple of w, so w_i - w_j
@@ -552,6 +554,36 @@ def pf_data(M, tol: Fraction = DEFAULT_TOL) -> PFData:
     return PFData(M, lower, upper).refined(tol)
 
 
+def compare_lengths(M: Matrix, i: int, j: int) -> int:
+    """-1, 0 or 1 by the lengths w_i and w_j of an irreducible M, decided
+    exactly.
+
+    The lengths are the positive left eigenvector, w M = rate w.  With
+    d = e_i - e_j, M d = 0 is a tie, since w M d = rate (w_i - w_j) and the
+    rate is positive.  Otherwise x = (M + I)^k d for k = 1, 2, ... has
+    w x = (rate + 1)^k (w_i - w_j) with w > 0, so x = 0 is a tie and a
+    nonzero x >= 0 or x <= 0 gives the sign.  M + I is primitive, so
+    (M + I)^k / (rate + 1)^k tends to a positive rank-one matrix, and x is
+    eventually of one sign whenever w_i != w_j.  After n steps with no
+    verdict the adjugate comparison decides: the budget picks which
+    certificate decides, never the answer.
+    """
+    x = [row[i] - row[j] for row in M]
+    if not any(x):
+        return 0
+    x[i] += 1
+    x[j] -= 1
+    for _ in range(len(M)):
+        if not any(x):
+            return 0
+        if min(x) >= 0:
+            return 1
+        if max(x) <= 0:
+            return -1
+        x = [sum(map(mul, row, x)) + v for row, v in zip(M, x)]
+    return pf_data(M)._compare_by_adjugate(i, j)
+
+
 # -- exact comparison ------------------------------------------------------------
 
 
@@ -565,6 +597,9 @@ def pf_compare(x: PFData, y: PFData) -> int:
     does not decide refines every inexact isolation at least sixteenfold
     or makes it exact, and the loop ends by proof, with no round cap:
 
+    - equal characteristic polynomials are equal rates before any
+      isolation is built: both blocks are irreducible, so each rate is the
+      largest real root of the same polynomial;
     - distinct rates separate once the two widths together fall below
       their distance;
     - equal rates with neither isolation exact are a root of the gcd of the
@@ -580,7 +615,7 @@ def pf_compare(x: PFData, y: PFData) -> int:
         return -1
     if y.upper < x.lower:
         return 1
-    if x.is_one and y.is_one:
+    if (x.is_one and y.is_one) or x.poly() == y.poly():
         return 0
     a = x.isolation()
     b = y.isolation()

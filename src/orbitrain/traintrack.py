@@ -21,7 +21,8 @@ from .moves import (
     valence_one_homotopy,
     valence_two_homotopy,
 )
-from .pf import is_irreducible, is_transitive_permutation, pf_compare, pf_data
+from .pf import (compare_lengths, is_irreducible, is_transitive_permutation,
+                 pf_compare, pf_data)
 from .toprep import TopRep, Turn, maximal_filtration
 
 __all__ = [
@@ -97,8 +98,8 @@ def normalize(f: TopRep) -> TopRep:
     forest.  A valence-two removal collapses the shorter edge, which
     keeps the growth rate from climbing (Bestvina-Handel's valence-two
     homotopy).  Of the edges e1 < e2 it collapses e2 only when the
-    transition matrix is irreducible and ``PFData.compare_lengths`` finds
-    e1 strictly longer: an exact tie, or a reducible matrix, collapses e1.
+    transition matrix is irreducible and ``pf.compare_lengths`` finds e1
+    strictly longer: an exact tie, or a reducible matrix, collapses e1.
     """
     while True:
         forest = maximal_invariant_forest(f)
@@ -118,8 +119,8 @@ def normalize(f: TopRep) -> TopRep:
             if val == 2:
                 e1, e2 = sorted(abs(d) for d in graph.edges_at(c))
                 M = f.transition_matrix()
-                if (is_irreducible(M.entries) and pf_data(M.entries)
-                        .compare_lengths(M.index[e1], M.index[e2]) > 0):
+                if (is_irreducible(M.entries) and compare_lengths(
+                        M.entries, M.index[e1], M.index[e2]) > 0):
                     e1 = e2
                 f = valence_two_homotopy(f, c, e1)
                 moved = True

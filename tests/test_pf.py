@@ -26,6 +26,7 @@ from orbitrain.pf import (
     _faddeev_leverrier,
     _isolate,
     as_matrix,
+    compare_lengths,
     count_distinct_roots,
     identity_matrix,
     is_irreducible,
@@ -287,15 +288,20 @@ class TestPFData:
 
     def test_growth_matrix_eigenvector(self):
         # lengths (1, 2/(root-1)); the second equals (sqrt(5) - 1)/2
+        assert compare_lengths(GROWTH, 0, 1) == 1
+        assert compare_lengths(GROWTH, 1, 0) == -1
+        assert compare_lengths(GROWTH, 1, 1) == 0
         data = pf_data(GROWTH)
-        assert data.compare_lengths(0, 1) == 1
-        assert data.compare_lengths(1, 0) == -1
-        assert data.compare_lengths(1, 1) == 0
+        assert data._compare_by_adjugate(0, 1) == 1
+        assert data._compare_by_adjugate(1, 0) == -1
+        assert data._compare_by_adjugate(1, 1) == 0
 
     def test_transitive_permutation_is_exact_one(self):
         data = pf_data([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
         assert data.is_one and data.exact == 1
-        assert {data.compare_lengths(i, j)
+        assert {compare_lengths(data.matrix, i, j)
+                for i in range(3) for j in range(3)} == {0}
+        assert {data._compare_by_adjugate(i, j)
                 for i in range(3) for j in range(3)} == {0}
 
     def test_exact_ties_with_distinct_polynomials(self):
@@ -304,7 +310,8 @@ class TestPFData:
         data = pf_data([[1, 1], [1, 1]])
         _, B = _faddeev_leverrier(data.matrix)
         assert B == (((1, 0), (0, 1)), ((-1, 1), (1, -1)))
-        assert data.compare_lengths(0, 1) == 0
+        assert data._compare_by_adjugate(0, 1) == 0
+        assert compare_lengths(data.matrix, 0, 1) == 0
         # equal columns 0 and 1 give equal lengths at the irrational rate
         # 1 + sqrt 2; q = x^2 - 2x - 1 is the rate's minimal polynomial,
         # so only the gcd with x (x^2 - 2x - 1) finds the tie
@@ -313,8 +320,12 @@ class TestPFData:
         p, B = _faddeev_leverrier(data.matrix)
         q = [Bk[0][0] - Bk[0][1] for Bk in B]
         assert q == [1, -2, -1] and p == (1, -2, -1, 0)
-        assert data.compare_lengths(0, 1) == 0
-        assert data.compare_lengths(0, 2) == data.compare_lengths(1, 2) == -1
+        assert data._compare_by_adjugate(0, 1) == 0
+        assert (data._compare_by_adjugate(0, 2)
+                == data._compare_by_adjugate(1, 2) == -1)
+        assert compare_lengths(data.matrix, 0, 1) == 0
+        assert (compare_lengths(data.matrix, 0, 2)
+                == compare_lengths(data.matrix, 1, 2) == -1)
 
     def test_integer_rate_is_exact(self):
         assert pf_data([[4]]).exact == 4
@@ -361,7 +372,8 @@ class TestPFData:
             M = build(rng.randrange(2, 5), rng)
             data = pf_data(M)
             for (i, j), want in exact_length_signs(sympy, M).items():
-                assert data.compare_lengths(i, j) == want
+                assert compare_lengths(M, i, j) == want
+                assert data._compare_by_adjugate(i, j) == want
 
     def test_brackets_contain_exact_largest_root(self):
         sympy = pytest.importorskip("sympy")
@@ -380,6 +392,77 @@ class TestPFData:
                                                    else 0)
 
 
+class TestCompareLengths:
+    """``compare_lengths`` decides by the sign of (M + I)^k (e_i - e_j) and
+    falls back on the adjugate only when n steps give no sign."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """The (i, j, verdict) of every call that reaches the fallback."""
+        calls = []
+        adjugate = PFData._compare_by_adjugate
+
+        def spy(data, i, j):
+            out = adjugate(data, i, j)
+            calls.append((i, j, out))
+            return out
+
+        monkeypatch.setattr(PFData, "_compare_by_adjugate", spy)
+        return calls
+
+    def test_a_two_cycle_ties(self, fallbacks):
+        # (M + I)(e_0 - e_1) = 0 after one step, so the zero test, not the
+        # sign test, must decide
+        assert compare_lengths(as_matrix([[0, 1], [1, 0]]), 0, 1) == 0
+        assert fallbacks == []
+
+    def test_equal_columns_tie(self, fallbacks):
+        M = as_matrix([[1, 1, 1], [0, 0, 1], [1, 1, 1]])
+        assert compare_lengths(M, 0, 1) == compare_lengths(M, 1, 0) == 0
+        assert fallbacks == []
+
+    def test_a_symmetric_tie_reaches_the_fallback(self, fallbacks):
+        # distinct columns, equal lengths by symmetry: (M + I) d = -d for
+        # every step, never zero and never of one sign
+        assert compare_lengths(as_matrix([[1, 3], [3, 1]]), 0, 1) == 0
+        assert fallbacks == [(0, 1, 0)]
+
+    def test_a_dominated_difference_decides_without_the_fallback(
+            self, fallbacks):
+        assert compare_lengths(GROWTH, 0, 1) == 1
+        assert compare_lengths(COMPANION, 1, 0) == -1
+        assert fallbacks == []
+
+
+def random_block(n, rng, kind):
+    """An irreducible n x n block: random, a single n-cycle plus sparse
+    noise (often periodic), or a double cover (lengths tie in pairs)."""
+    if kind == "periodic":
+        order = list(range(n))
+        rng.shuffle(order)
+        M = [[0] * n for _ in range(n)]
+        for k in range(n):
+            M[order[(k + 1) % n]][order[k]] = 1
+        for _ in range(rng.randrange(3)):
+            M[rng.randrange(n)][rng.randrange(n)] += rng.randrange(1, 3)
+        return as_matrix(M)
+    if kind == "cover":
+        half = irreducible_matrices()(max(1, n // 2), rng)
+        return double_cover(half, rng) or half
+    return irreducible_matrices()(n, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1),
+       st.sampled_from(("random", "periodic", "cover")))
+def test_compare_lengths_matches_the_adjugate(n, seed, kind):
+    M = random_block(n, random.Random(seed), kind)
+    data = pf_data(M)
+    for i in range(len(M)):
+        for j in range(len(M)):
+            assert compare_lengths(M, i, j) == data._compare_by_adjugate(i, j)
+
+
 class TestCompare:
     def test_trichotomy_frozen(self):
         a = pf_data(GROWTH)
@@ -393,6 +476,23 @@ class TestCompare:
         b = pf_data([[1, 2], [2, 3]])
         assert b.poly() == a.poly()
         assert pf_compare(a, b) == 0
+        # distinct polynomials with one rate, the golden ratio: the tie is
+        # found through the gcd, after both isolations are built
+        c = pf_data([[1, 1], [1, 0]])
+        d = pf_data([[0, 2, 1], [1, 0, 0], [0, 1, 0]])
+        assert c.poly() != d.poly()
+        assert pf_compare(c, d) == 0 and pf_compare(d, c) == 0
+        assert c._iso is not None and d._iso is not None
+
+    def test_equal_polynomials_build_no_isolation(self):
+        pairs = ((GROWTH, [[1, 2], [2, 3]]),
+                 (COMPANION, [[0, 1, 0], [0, 0, 1], [1, 0, 2]]))
+        for M, N in pairs:
+            a, b = pf_data(M), pf_data(N)
+            assert a.matrix != b.matrix and a.poly() == b.poly()
+            assert overlap(a, b) and a.exact is None
+            assert pf_compare(a, b) == 0 and pf_compare(b, a) == 0
+            assert a._iso is None and b._iso is None
 
     def test_permutation_against_slow_growth(self):
         one = pf_data([[0, 1], [1, 0]])

@@ -4,10 +4,10 @@ carry the marking forward, the moves and ``pf`` hold no iteration cap,
 only normalisation collapses forests, turn orbits and the tree are each
 walked in one place, derived data is cached only by its own class,
 representatives are compared by one name-free key, edge lengths come
-only from ``pf``, edge items are tested inline, every error class is
-raised, factors have one kind, inversion has one algorithm, and every
-public name has a caller in the library or the benchmark, bar the input
-builders that tests need."""
+only from ``pf``, ``pf`` decides without floating point, edge items are
+tested inline, every error class is raised, factors have one kind,
+inversion has one algorithm, and every public name has a caller in the
+library or the benchmark, bar the input builders that tests need."""
 
 import ast
 import re
@@ -186,8 +186,20 @@ def test_representatives_are_compared_by_one_key():
 
 def test_edge_lengths_come_only_from_pf():
     """The valence-two choice in ``traintrack.normalize`` reads edge
-    lengths from ``PFData.compare_lengths`` and from nowhere else."""
-    assert method_call_sites("compare_lengths") == ["traintrack.normalize"]
+    lengths from ``pf.compare_lengths`` and from nowhere else, and only
+    that function falls back on the adjugate comparison."""
+    assert function_call_sites("compare_lengths") == ["traintrack.normalize"]
+    assert method_call_sites("compare_lengths") == []
+    assert method_call_sites("_compare_by_adjugate") == ["pf.compare_lengths"]
+
+
+def test_pf_decides_without_floating_point():
+    """``pf.py`` converts to ``float`` only to print a bracket in
+    ``PFData.__repr__``, so no floating point decides anything."""
+    path = Path(orbitrain.__file__).parent / "pf.py"
+    sites = call_sites(path, lambda call: isinstance(call.func, ast.Name)
+                       and call.func.id == "float")
+    assert set(sites) <= {"PFData.__repr__"}
 
 
 def test_moves_hold_no_iteration_cap():

@@ -27,7 +27,8 @@ from orbitrain.moves import (
     fold, maximal_invariant_forest, record_moves, subdivide)
 from orbitrain.orbigraph import Orbigraph, hedgehog, thistle
 from orbitrain.paths import format_path
-from orbitrain.pf import _faddeev_leverrier, is_irreducible, pf_data
+from orbitrain.pf import (
+    _faddeev_leverrier, compare_lengths, is_irreducible, pf_data)
 from orbitrain.toprep import (
     hedgehog_rep,
     identity_rep,
@@ -359,15 +360,16 @@ def folded(phi, passes):
 
 class TestValenceTwoChoice:
     """``normalize`` collapses the shorter edge at a valence-two vertex,
-    by the exact lengths ``PFData.compare_lengths`` certifies, and the
+    by the exact lengths ``pf.compare_lengths`` certifies, and the
     smaller id on an exact tie."""
 
     def removal(self, f, v, e1, e2):
         graph = f.graph
         assert sorted(abs(d) for d in graph.edges_at(v)) == [e1, e2]
         M = f.transition_matrix()
-        verdict = pf_data(M.entries).compare_lengths(M.index[e1],
-                                                     M.index[e2])
+        i, j = M.index[e1], M.index[e2]
+        verdict = compare_lengths(M.entries, i, j)
+        assert verdict == pf_data(M.entries)._compare_by_adjugate(i, j)
         with record_moves() as log:
             normalize(f)
         return verdict, [(m.move, m.details) for m in log
