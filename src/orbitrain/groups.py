@@ -251,7 +251,7 @@ class FreeProduct:
             raise ValueError("every factor must be a FiniteGroup")
         if names is None:
             names = [
-                chr(ord("a") + i) if i < 19 else f"x{i}"  # stop before "t"
+                chr(ord("a") + i) if i < 19 else f"x{i}"
                 for i in range(len(factors))
             ]
         self.names = tuple(names)
@@ -262,8 +262,6 @@ class FreeProduct:
         for name in self.names:
             if not name or any(ch in name for ch in " \t^[]"):
                 raise ValueError(f"bad factor name: {name!r}")
-            if name == "t":
-                raise ValueError("the name t is reserved for the stable letter")
 
     @property
     def n(self):

@@ -11,9 +11,6 @@ Interior points of edges are symbolic rationals, so the cut points of
 subdivisions and folds never touch floating point.
 """
 
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Set, Tuple)
@@ -34,47 +31,6 @@ from .paths import Path, Turn, invert_items, tighten
 from .toprep import ConeMap, TopRep
 
 Item = object
-
-
-# ---------------------------------------------------------------------------
-# trace records
-
-
-@dataclass(frozen=True)
-class MoveTrace:
-    """One applied move: name, parameters, and matrices before/after."""
-
-    move: str
-    details: Tuple
-    before: Tuple[Tuple[int, ...], ...]
-    after: Tuple[Tuple[int, ...], ...]
-
-
-_RECORDER: ContextVar[Optional[List[MoveTrace]]] = ContextVar(
-    "orbitrain_move_log", default=None)
-
-
-@contextmanager
-def record_moves():
-    """Collect a MoveTrace for every move applied inside the block.
-
-    A fold logs only its glue; the forests ``traintrack.normalize``
-    collapses after it appear as their own ``collapse_forest`` entries.
-    """
-    log: List[MoveTrace] = []
-    token = _RECORDER.set(log)
-    try:
-        yield log
-    finally:
-        _RECORDER.reset(token)
-
-
-def _emit(move, details, before: TopRep, after: TopRep):
-    log = _RECORDER.get()
-    if log is not None:
-        log.append(MoveTrace(move, tuple(details),
-                             before.transition_matrix().entries,
-                             after.transition_matrix().entries))
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +163,9 @@ def maximal_invariant_forest(f: TopRep) -> FrozenSet[int]:
     images cross, read off the nonzero entries of its column of the
     transition matrix, and joins when the union stays a forest."""
     graph = f.graph
-    M = f.transition_matrix()
-    crossed = {e: [M.edges[i] for i, k in enumerate(col) if k]
-               for e, col in zip(M.edges, zip(*M.entries))}
+    M = f.transition_matrix().entries
+    crossed = {e: [i for i, k in enumerate(col, start=1) if k]
+               for e, col in enumerate(zip(*M), start=1)}
     chosen: Set[int] = set()
     for e in graph.edges():
         if e in chosen:
@@ -269,9 +225,7 @@ def collapse_forest(f: TopRep, forest: Iterable[int]) -> TopRep:
     containing a cone point collapses onto that cone.
     """
     edges = frozenset(abs(e) for e in forest)
-    out, _ = _collapse(f, edges)
-    _emit("collapse_forest", (tuple(sorted(edges)),), f, out)
-    return out
+    return _collapse(f, edges)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +240,7 @@ def subdivide(f: TopRep, e: int, split: int) -> TopRep:
         raise ImageNotAtZeroCell(
             f"edge {f.graph.edge_label(e)} has no interior point over "
             f"zero cell number {split} of its image")
-    out, _ = _subdivide_many(f, {e: (Fraction(split, n),)})
-    _emit("subdivide", (e, split), f, out)
-    return out
+    return _subdivide_many(f, {e: (Fraction(split, n),)})[0]
 
 
 def _cut_site(f: TopRep, e: int, x: Fraction
@@ -451,9 +403,7 @@ def fold(f: TopRep, turn: Turn) -> TopRep:
     The glue may leave an invariant forest or a low-valence vertex
     behind; :func:`orbitrain.traintrack.normalize` removes them.
     """
-    out, _ = _fold_core(f, turn)
-    _emit("fold", (turn.first, turn.letter, turn.second, turn.base), f, out)
-    return out
+    return _fold_core(f, turn)[0]
 
 
 def _fold_core(f: TopRep, turn: Turn):
@@ -556,10 +506,8 @@ def valence_one_homotopy(f: TopRep, v: int) -> TopRep:
     if len(dirs) != 1:
         raise NotValenceOne(f"cell {v} has valence {len(dirs)}")
     d = dirs[0]
-    out, _ = _quotient(f, _absorbing(graph, {v: graph.dst(d)}), {v: (-d,)},
-                       {abs(d): ()})
-    _emit("valence_one", (v,), f, out)
-    return out
+    return _quotient(f, _absorbing(graph, {v: graph.dst(d)}), {v: (-d,)},
+                     {abs(d): ()})[0]
 
 
 def valence_two_homotopy(f: TopRep, v: int, collapse: int) -> TopRep:
@@ -582,10 +530,8 @@ def valence_two_homotopy(f: TopRep, v: int, collapse: int) -> TopRep:
     keep = abs(dirs[1] if d_col == dirs[0] else dirs[0])
 
     # the stretched edge spans its old self plus the collapsed corridor
-    out, _ = _quotient(f, _absorbing(graph, {v: graph.dst(d_col)}),
-                       {v: (-d_col,)}, {collapse: ()}, redraw=(keep,))
-    _emit("valence_two", (v, collapse), f, out)
-    return out
+    return _quotient(f, _absorbing(graph, {v: graph.dst(d_col)}),
+                     {v: (-d_col,)}, {collapse: ()}, redraw=(keep,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +567,4 @@ def slide(f: TopRep, d: int, alpha: Path) -> TopRep:
 
     images = {e: tr.path(f.edge_images[e]) for e in graph.edges()}
     images[edge] = tr.path(moved_image)
-    out = _rebuild(f, tr, graph.cells(), images)
-    _emit("slide", (d, alpha.items), f, out)
-    return out
+    return _rebuild(f, tr, graph.cells(), images)

@@ -149,12 +149,6 @@ class Path(_Walk):
     def edge_items(self) -> Tuple[int, ...]:
         return tuple(item for item in self.items if type(item) is int)
 
-    def first_edge(self) -> Optional[int]:
-        for item in self.items:
-            if type(item) is int:
-                return item
-        return None
-
     def turns(self) -> Tuple["Turn", ...]:
         out = []
         prev = pending = None
@@ -240,23 +234,6 @@ class Circuit(_Walk):
                                  _canonical=True)
         self.graph = graph
         self.items = items
-
-    def as_path(self) -> Path:
-        """One full traversal, cut at the canonical basepoint."""
-        if not self.items:
-            raise BadPath("the trivial circuit has no basepoint")
-        first = self.items[0]
-        start = self.graph.src_of[first] if type(first) is int else first[0]
-        return Path(self.graph, start, self.items, _tight=True)
-
-    def turns(self) -> Tuple[Turn, ...]:
-        if self.n_edges == 0:
-            return ()
-        p, last = self.as_path(), self.items[-1]
-        wrap = None if type(last) is int else last[1]
-        first_edge, last_edge = p.first_edge(), p.edge_items()[-1]
-        return p.turns() + (Turn(-last_edge, wrap, first_edge,
-                                 self.graph.src_of[first_edge]),)
 
     def word_class(self):
         """Conjugacy normal form of the letters read around the loop."""

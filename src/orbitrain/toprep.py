@@ -17,7 +17,7 @@ instead, within one representative: every turn an orbit walk passes
 through keeps the verdict of the walk.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import BadRepresentative, NoMarking
@@ -241,11 +241,10 @@ class TopRep:
 
     def transition_matrix(self) -> "TransitionMatrix":
         if self._matrix is None:
-            edges = tuple(self.graph.edges())
+            edges = self.graph.edges()
             cols = {e: self.edge_images[e].crossings() for e in edges}
-            entries = tuple(tuple(cols[ej].get(ei, 0) for ej in edges)
-                            for ei in edges)
-            self._matrix = TransitionMatrix(entries, edges)
+            self._matrix = TransitionMatrix(tuple(
+                tuple(cols[ej].get(ei, 0) for ej in edges) for ei in edges))
         return self._matrix
 
     # -- turns ----------------------------------------------------------------
@@ -305,14 +304,6 @@ class TopRep:
         for s in walked:
             verdicts[s] = verdict
         return verdict
-
-    def crossed_turns(self):
-        """Turns crossed by edge images, with the crossing edges."""
-        out = []
-        for e in sorted(self.edge_images):
-            for t in self.edge_images[e].turns():
-                out.append((e, t))
-        return tuple(out)
 
     # -- the marked outer automorphism ---------------------------------------------
 
@@ -456,19 +447,10 @@ def rep_from_path_texts(graph: Orbigraph, texts, tables=None,
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Edge-crossing counts: entry (i, j) counts how often the image of
-    edge j crosses edge i, in either direction."""
+    edge j + 1 crosses edge i + 1, in either direction, so edge e is row
+    and column e - 1."""
 
     entries: Tuple[Tuple[int, ...], ...]
-    edges: Tuple[int, ...]
-    index: Dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "index",
-                           {e: i for i, e in enumerate(self.edges)})
-
-    def __getitem__(self, pair):
-        i, j = pair
-        return self.entries[self.index[i]][self.index[j]]
 
 
 def maximal_filtration(f: TopRep) -> Tuple[Tuple[int, ...], ...]:
@@ -480,8 +462,7 @@ def maximal_filtration(f: TopRep) -> Tuple[Tuple[int, ...], ...]:
     zero edge joins the previous stratum when that stratum is zero and
     nothing maps from the edge into it.
     """
-    M = f.transition_matrix()
-    entries = M.entries
+    entries = f.transition_matrix().entries
     groups = []
     for comp in scc_components(entries):
         zero = len(comp) == 1 and entries[comp[0]][comp[0]] == 0
@@ -490,5 +471,5 @@ def maximal_filtration(f: TopRep) -> Tuple[Tuple[int, ...], ...]:
             groups[-1][0].append(comp[0])
         else:
             groups.append((list(comp), zero))
-    return tuple(tuple(M.edges[i] for i in sorted(members))
+    return tuple(tuple(i + 1 for i in sorted(members))
                  for members, _ in groups)

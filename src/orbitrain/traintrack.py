@@ -7,14 +7,21 @@ growth rate; the loop checks that on every pass by comparing the rates
 exactly with ``pf_compare``.  On the rank-three hedgehog the first
 standard map is accepted unchanged while its companion folds once into
 an upper triangular shape and comes back as ``Reducible``.
+
+The moves are pure functions; only ``normalize`` and the descent loop
+sequence them, so only they report what they do.  Inside
+``record_events()`` each pass and each move they apply is recorded as a
+plain tuple; outside it the report costs one ``ContextVar`` lookup per
+call and builds nothing.
 """
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Union
+from typing import Dict, FrozenSet, List, Optional, Union
 
 from .errors import BadRepresentative, IterationCapExceeded, LemmaViolated
 from .moves import (
-    _emit,
     collapse_forest,
     fold,
     maximal_invariant_forest,
@@ -31,6 +38,7 @@ __all__ = [
     "TrainTrack",
     "edge_bound",
     "normalize",
+    "record_events",
     "train_track_algorithm",
 ]
 
@@ -84,6 +92,35 @@ def edge_bound(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the event stream
+
+
+_EVENTS: ContextVar[Optional[List[tuple]]] = ContextVar(
+    "orbitrain_descent_events", default=None)
+
+
+@contextmanager
+def record_events():
+    """Collect the descent's events inside the block, in order, as plain
+    tuples naming the event first:
+
+    - ``("pass", step, cells, edges, lower, upper)`` once a pass has
+      certified that its rate, bracketed by the exact fractions
+      ``lower`` and ``upper``, did not rise;
+    - ``("fold", turn)`` before the pass folds ``turn``, so a fold that
+      fails leaves its turn as the last event;
+    - ``("collapse_forest", edges)``, ``("valence_one", v)`` and
+      ``("valence_two", v, edge)`` before ``normalize`` applies the move.
+    """
+    events: List[tuple] = []
+    token = _EVENTS.set(events)
+    try:
+        yield events
+    finally:
+        _EVENTS.reset(token)
+
+
+# ---------------------------------------------------------------------------
 # normalization
 
 
@@ -101,9 +138,12 @@ def normalize(f: TopRep) -> TopRep:
     transition matrix is irreducible and ``pf.compare_lengths`` finds e1
     strictly longer: an exact tie, or a reducible matrix, collapses e1.
     """
+    events = _EVENTS.get()
     while True:
         forest = maximal_invariant_forest(f)
         if forest:
+            if events is not None:
+                events.append(("collapse_forest", tuple(sorted(forest))))
             f = collapse_forest(f, forest)
             continue
         graph = f.graph
@@ -113,15 +153,19 @@ def normalize(f: TopRep) -> TopRep:
                 continue
             val = graph.valence(c)
             if val == 1:
+                if events is not None:
+                    events.append(("valence_one", c))
                 f = valence_one_homotopy(f, c)
                 moved = True
                 break
             if val == 2:
                 e1, e2 = sorted(abs(d) for d in graph.edges_at(c))
-                M = f.transition_matrix()
-                if (is_irreducible(M.entries) and compare_lengths(
-                        M.entries, M.index[e1], M.index[e2]) > 0):
+                M = f.transition_matrix().entries
+                if (is_irreducible(M)
+                        and compare_lengths(M, e1 - 1, e2 - 1) > 0):
                     e1 = e2
+                if events is not None:
+                    events.append(("valence_two", c, e1))
                 f = valence_two_homotopy(f, c, e1)
                 moved = True
                 break
@@ -212,12 +256,13 @@ def _finite_order_period(f: TopRep) -> Optional[int]:
 
 def _descent_turn(f: TopRep) -> Optional[Turn]:
     """The turn to fold: where the orbit of the first illegal turn crossed
-    by an edge image dies, or ``None`` when every edge image is legal and
-    ``f`` is a train track."""
-    for _, t in f.crossed_turns():
-        dying = f.dying_turn(t)
-        if dying is not None:
-            return dying
+    by an edge image, in edge order, dies, or ``None`` when every edge
+    image is legal and ``f`` is a train track."""
+    for e in sorted(f.edge_images):
+        for t in f.edge_images[e].turns():
+            dying = f.dying_turn(t)
+            if dying is not None:
+                return dying
     return None
 
 
@@ -242,6 +287,7 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
     sets too.  Only finitely many keys can occur, so some pass repeats
     one.  ``cap`` stops the loop earlier on request.
     """
+    events = _EVENTS.get()
     f = normalize(f)
     prev = None
     seen: Dict[tuple, int] = {}
@@ -264,10 +310,14 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
                 f"pass {step}: the growth rate rose from about "
                 f"{float(prev.upper):.6f} to about {float(data.lower):.6f}")
         prev = data
-        _emit("descent", (step, data.lower, data.upper), f, f)
+        if events is not None:
+            events.append(("pass", step, f.graph.n_cells, f.graph.n_edges,
+                           data.lower, data.upper))
         turn = _descent_turn(f)
         if turn is None:
             return TrainTrack(f)
+        if events is not None:
+            events.append(("fold", turn))
         f = normalize(fold(f, turn))
     raise IterationCapExceeded(
         f"no train track after {cap} folding passes")

@@ -180,6 +180,14 @@ def test_normal_form_merges_powers():
     assert word == W.parse_word("a^5 b")
 
 
+def test_a_factor_named_t_parses():
+    """``t`` is an ordinary factor name: no letter is reserved."""
+    W = FreeProduct([FiniteGroup.cyclic(2)] * 2, ["s", "t"])
+    word = W.parse_word("t s t")
+    assert word == ((1, 1), (0, 1), (1, 1))
+    assert W.format_word(word) == "t s t"
+
+
 def test_free_product_factors_must_be_finite_groups():
     with pytest.raises(ValueError):
         FreeProduct([FiniteGroup.cyclic(2), object()])

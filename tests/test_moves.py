@@ -28,11 +28,9 @@ from orbitrain.errors import (
 from orbitrain import moves
 from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct
 from orbitrain.moves import (
-    MoveTrace,
     collapse_forest,
     fold,
     maximal_invariant_forest,
-    record_moves,
     slide,
     subdivide,
     valence_one_homotopy,
@@ -50,7 +48,8 @@ from orbitrain.toprep import (
     rep_from_path_texts,
     thistle_rep,
 )
-from orbitrain.traintrack import _descent_turn, _rep_key, normalize
+from orbitrain.traintrack import (
+    _descent_turn, _rep_key, normalize, record_events, train_track_algorithm)
 
 Z2 = FiniteGroup.cyclic(2)
 
@@ -77,7 +76,8 @@ def same_outer(f, g):
 
 def block(M, edges):
     """The diagonal block of a transition matrix on ``edges``."""
-    return tuple(tuple(M[e, d] for d in edges) for e in edges)
+    return tuple(tuple(M.entries[e - 1][d - 1] for d in edges)
+                 for e in edges)
 
 
 def image_texts(rep):
@@ -142,20 +142,18 @@ class TestCollapseForest:
 
     def test_collapse_drops_forest_rows_and_columns(self, t_alpha):
         out = collapse_forest(t_alpha, {1})
-        old = t_alpha.transition_matrix()
-        new = out.transition_matrix()
-        keep = [2, 3]
-        for i, e in enumerate(keep):
-            for j, d in enumerate(keep):
-                assert new.entries[i][j] == old[e, d]
+        assert out.transition_matrix().entries == block(
+            t_alpha.transition_matrix(), (2, 3))
 
     def test_collapse_records_a_trace(self, t_alpha):
-        with record_moves() as log:
-            collapse_forest(t_alpha, {1})
-        assert [m.move for m in log] == ["collapse_forest"]
-        assert log[0].details == ((1,),)
-        assert log[0].before == ((1, 4, 2), (0, 3, 2), (0, 2, 1))
-        assert log[0].after == ((3, 2), (2, 1))
+        """The collapse is recorded by ``normalize``, which applies it,
+        not by the move."""
+        assert t_alpha.transition_matrix().entries == (
+            (1, 4, 2), (0, 3, 2), (0, 2, 1))
+        with record_events() as log:
+            out = normalize(t_alpha)
+        assert log == [("collapse_forest", (1,))]
+        assert out.transition_matrix().entries == ((3, 2), (2, 1))
 
     def test_noninvariant_forest_is_rejected(self, f_alpha):
         with pytest.raises(NotInvariantForest):
@@ -467,10 +465,11 @@ class TestFold:
                    for s in maximal_filtration(out))
 
     def test_fold_trace(self, f_beta):
-        with record_moves() as log:
-            fold(f_beta, Turn(-1, 0, -2, 0))
-        assert [m.move for m in log] == ["fold"]
-        assert log[0].details == (-1, 0, -2, 0)
+        """The descent records the turn it folds before folding it."""
+        with record_events() as log:
+            train_track_algorithm(f_beta)
+        assert [e[0] for e in log] == ["pass", "fold"]
+        assert log[-1] == ("fold", Turn(-1, 0, -2, 0))
 
     def test_fold_cuts_both_reversed_directions(self):
         """A descent fold of the W5 corpus (s6) folds ~E' onto ~A along
@@ -592,8 +591,7 @@ class TestSlide:
         b twist wraps the twist into the images of B and B'."""
         cut = subdivide(t_alpha, 2, 1)
         alpha = parse_path(cut.graph, "~B .b B", start=4)
-        with record_moves() as log:
-            out = slide(cut, -3, alpha)
+        out = slide(cut, -3, alpha)
         assert image_texts(out) == {
             "A": "A",
             "B": ".b B B'",
@@ -601,27 +599,32 @@ class TestSlide:
             "C": "C ~A .a A ~B' ~B .b B B'",
         }
         assert same_outer(out, t_alpha)
-        assert [m.move for m in log] == ["slide"]
-        assert log[0].details == (-3, alpha.items)
 
 
 # ---- the recorder --------------------------------------------------------------
 
 
 class TestRecorder:
-    def test_moves_accumulate_in_order(self, f_beta):
-        with record_moves() as log:
-            out = subdivide(f_beta, 1, 1)
-            fold(f_beta, Turn(-1, 0, -2, 0))
-        assert [m.move for m in log] == ["subdivide", "fold"]
-        assert all(isinstance(m, MoveTrace) for m in log)
-        assert log[0].before == f_beta.transition_matrix().entries
-        assert log[0].after == out.transition_matrix().entries
+    """Moves are pure: they record nothing themselves.  The descent's
+    event stream, ``traintrack.record_events``, records what
+    ``normalize`` and the descent loop apply."""
 
-    def test_nothing_recorded_outside_the_context(self, f_beta):
-        with record_moves() as log:
+    def test_moves_accumulate_in_order(self, t_alpha, f_beta):
+        with record_events() as log:
+            subdivide(f_beta, 1, 1)
+            fold(f_beta, Turn(-1, 0, -2, 0))
+            assert log == []
+            normalize(t_alpha)
+            train_track_algorithm(f_beta)
+        assert [e[0] for e in log] == ["collapse_forest", "pass", "fold"]
+        _, step, cells, edges, lower, upper = log[1]
+        assert (step, cells, edges) == (0, 3, 2)
+        assert lower < upper
+
+    def test_nothing_recorded_outside_the_context(self, t_alpha):
+        with record_events() as log:
             pass
-        subdivide(f_beta, 1, 1)
+        normalize(t_alpha)
         assert log == []
 
 

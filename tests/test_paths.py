@@ -415,13 +415,6 @@ def test_circuit_of_a_long_loop_power():
     assert c.word_class() == W.conjugacy_normal_form(W.power(w, 20))
 
 
-def test_circuit_turns_include_the_wrap(h3):
-    c = tighten_circuit(h3, [1, (0, 1), -1, (1, 1)])
-    turns = c.turns()
-    assert len(turns) == c.n_edges
-    assert all(not t.degenerate for t in turns)
-
-
 def test_letter_only_circuit(h3):
     c = tighten_circuit(h3, [(0, 1)])
     assert c.items

@@ -1,7 +1,8 @@
 """Source checks: certificates in the library must survive ``python -O``,
 graph construction in the moves stays in its builders, the moves only
 carry the marking forward, the moves and ``pf`` hold no iteration cap,
-only normalisation collapses forests, turn orbits and the tree are each
+the moves hold no state and only the descent records events, only
+normalisation collapses forests, turn orbits and the tree are each
 walked in one place, derived data is cached only by its own class,
 representatives are compared by one name-free key, edge lengths come
 only from ``pf``, ``pf`` decides without floating point, edge items are
@@ -19,7 +20,7 @@ SOURCES = sorted(Path(orbitrain.__file__).parent.glob("*.py"))
 BENCHMARK = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 # Public names that only tests call: they build test inputs.
-TEST_BUILDERS = {"symmetric", "random_word", "record_moves", "subdivide",
+TEST_BUILDERS = {"symmetric", "random_word", "record_events", "subdivide",
                  "slide", "identity_rep", "hedgehog_rep",
                  "rep_from_path_texts", "edge_bound"}
 
@@ -112,6 +113,28 @@ def test_moves_only_carry_the_marking_forward():
               if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "Automorphism" not in named
     assert moves_call_sites("Marking") == []
+
+
+def test_moves_hold_no_state():
+    """Moves are pure functions: ``moves.py`` imports neither
+    ``contextvars`` nor ``contextlib`` and binds nothing at module level
+    but the ``Item`` alias, and the descent's event stream is the only
+    ``ContextVar``, named only in ``traintrack``."""
+    path = Path(orbitrain.__file__).parent / "moves.py"
+    tree = ast.parse(path.read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"contextvars", "contextlib"}
+    assert [ast.unparse(node) for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))] == [
+                "Item = object"]
+    named = sorted({path.stem for path in SOURCES
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Name)
+                    and node.id in {"ContextVar", "_EVENTS"}})
+    assert named == ["traintrack"]
 
 
 def test_only_normalisation_collapses_forests():

@@ -23,8 +23,7 @@ from orbitrain.errors import (
     NothingToFold,
 )
 from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct
-from orbitrain.moves import (
-    fold, maximal_invariant_forest, record_moves, subdivide)
+from orbitrain.moves import fold, maximal_invariant_forest, subdivide
 from orbitrain.orbigraph import Orbigraph, hedgehog, thistle
 from orbitrain.paths import format_path
 from orbitrain.pf import (
@@ -44,6 +43,7 @@ from orbitrain.traintrack import (
     _rep_key,
     edge_bound,
     normalize,
+    record_events,
     train_track_algorithm,
 )
 from test_groups import factor_moving_products
@@ -170,13 +170,13 @@ class TestDescent:
                         1, 5)
 
     def test_descent_trace_brackets_the_eigenvalue(self, f_beta):
-        with record_moves() as log:
+        with record_events() as log:
             train_track_algorithm(f_beta)
-        names = [m.move for m in log]
-        assert names[0] == "descent"
+        names = [event[0] for event in log]
+        assert names[0] == "pass"
         assert "fold" in names
-        step, lower, upper = log[0].details
-        assert step == 0
+        _, step, cells, edges, lower, upper = log[0]
+        assert (step, cells, edges) == (0, 3, 2)
         assert type(lower) is Fraction and type(upper) is Fraction
         assert brackets(lower, upper, 2, 5)
 
@@ -366,30 +366,26 @@ class TestValenceTwoChoice:
     def removal(self, f, v, e1, e2):
         graph = f.graph
         assert sorted(abs(d) for d in graph.edges_at(v)) == [e1, e2]
-        M = f.transition_matrix()
-        i, j = M.index[e1], M.index[e2]
-        verdict = compare_lengths(M.entries, i, j)
-        assert verdict == pf_data(M.entries)._compare_by_adjugate(i, j)
-        with record_moves() as log:
+        M = f.transition_matrix().entries
+        verdict = compare_lengths(M, e1 - 1, e2 - 1)
+        assert verdict == pf_data(M)._compare_by_adjugate(e1 - 1, e2 - 1)
+        with record_events() as log:
             normalize(f)
-        return verdict, [(m.move, m.details) for m in log
-                         if m.move == "valence_two"][0]
+        return verdict, [e for e in log if e[0] == "valence_two"][0]
 
     def test_the_shorter_edge_goes_when_it_has_the_larger_id(
             self, corpus_automorphism):
         # W3 s11, pass 1: edge 2 is strictly longer than edge 3
         f = folded(corpus_automorphism(3, 4, 11), 1)
         verdict, move = self.removal(f, 0, 2, 3)
-        assert verdict == 1 and move == ("valence_two", (0, 3))
+        assert verdict == 1 and move == ("valence_two", 0, 3)
 
     def test_an_exact_tie_collapses_the_smaller_id(self, corpus_automorphism):
         # W5 s8, pass 6: edges 4 and 7 have equal lengths at an irrational
-        # rate, because their adjugate polynomials agree
+        # rate, because their adjugate polynomials (columns 3 and 6) agree
         f = folded(corpus_automorphism(5, 8, 8), 6)
-        M = f.transition_matrix()
-        assert pf_data(M.entries).exact is None
-        i, j = M.index[4], M.index[7]
-        assert all(B[0][i] == B[0][j]
-                   for B in _faddeev_leverrier(M.entries)[1])
+        M = f.transition_matrix().entries
+        assert pf_data(M).exact is None
+        assert all(B[0][3] == B[0][6] for B in _faddeev_leverrier(M)[1])
         verdict, move = self.removal(f, 0, 4, 7)
-        assert verdict == 0 and move == ("valence_two", (0, 4))
+        assert verdict == 0 and move == ("valence_two", 0, 4)
