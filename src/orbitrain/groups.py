@@ -665,7 +665,10 @@ class Automorphism:
         j = mine.pi[0]
         for s in W.factors[j].elements():
             w = W.mul(W.inv(u), ((j, s),) if s else (), u2)
-            if Automorphism.inner(W, w).compose(self) == other:
+            # other == inner(w) after self, compared image by image
+            if all(W.conj(x, w) == y
+                   for xs, ys in zip(self.images, other.images)
+                   for x, y in zip(xs, ys)):
                 return w
         return None
 

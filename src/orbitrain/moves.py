@@ -7,12 +7,11 @@ vertices is left to :func:`orbitrain.traintrack.normalize`.  The
 geometry is handled by one forward path transport per move, rewriting
 old paths on the new graph; the move is a homotopy equivalence, so the
 same transport carries the marking forward (:meth:`Marking.moved`).
-Interior points of edges are symbolic rationals, so the cut points of
-subdivisions and folds never touch floating point.
+Subdivisions and folds cut an edge only over a zero cell of its image,
+named by the integer count of crossings before it.
 """
 
-from fractions import Fraction
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Sequence,
                     Set, Tuple)
 
 from .errors import (
@@ -233,95 +232,58 @@ def collapse_forest(f: TopRep, forest: Iterable[int]) -> TopRep:
 
 
 def subdivide(f: TopRep, e: int, split: int) -> TopRep:
-    """Split edge ``e`` at its interior point over the ``split``-th zero
-    cell of its image path."""
+    """Split edge ``e`` at the preimage of the zero cell after crossing
+    number ``split`` of its image path."""
     n = f.edge_images[e].n_edges
-    if not isinstance(split, int) or not 1 <= split <= n - 1:
+    if type(split) is not int or not 1 <= split <= n - 1:
         raise ImageNotAtZeroCell(
             f"edge {f.graph.edge_label(e)} has no interior point over "
             f"zero cell number {split} of its image")
-    return _subdivide_many(f, {e: (Fraction(split, n),)})[0]
+    return _subdivide_many(f, {e: split})[0]
 
 
-def _cut_site(f: TopRep, e: int, x: Fraction
-              ) -> Tuple[int, int, Optional[Fraction]]:
-    """Where the interior point of ``e`` at position ``x`` lands: the
-    index ``j`` and direction ``d`` of the crossing of its image that
-    holds it, and the point of edge ``abs(d)`` it hits, or ``None`` when
-    it lands on the head of ``d``, a zero cell."""
-    crossings = f.edge_images[e].edge_items()
-    s = x * len(crossings)
-    j = s.numerator // s.denominator
-    if s.denominator == 1:
-        return j - 1, crossings[j - 1], None
-    d = crossings[j]
-    return j, d, (s - j if d > 0 else j + 1 - s)
-
-
-def _subdivide_many(f: TopRep, points: Dict[int, Sequence[Fraction]],
-                    letter_first: Iterable[Tuple[int, Fraction]] = ()
+def _subdivide_many(f: TopRep, cuts: Dict[int, int],
+                    letter_first: AbstractSet[int] = frozenset()
                     ) -> Tuple[TopRep, Transport]:
-    """Subdivide edges at interior rational positions; returns the result
-    and the forward transport onto its pieces.
+    """Cut each edge ``e`` of ``cuts`` once, at the preimage of the zero
+    cell after crossing number ``cuts[e]`` of its image; returns the
+    result and the forward transport onto its pieces ``e`` and ``e'``.
 
     Subdivision is a substitution: every old edge reads as the run of its
     pieces.  A refinement of a tight path is tight, so the image of an
     uncut edge is its old image refined, never re-tightened, and each
-    piece of a cut edge takes a slice of that refined image between
-    integer indices.  Subdivision adds only letter-free valence-two
-    vertices and keeps every old cell id, so every loop at the base reads
-    the same word and the marking is unchanged.
+    piece of a cut edge takes a slice of that refined image.  Subdivision
+    adds only letter-free valence-two vertices and keeps every old cell
+    id, so every loop at the base reads the same word and the marking is
+    unchanged.
 
-    When a cut lands on a zero cell of an image path that carries a cone
-    letter, the letter normally opens the second piece's image; cuts
-    listed in ``letter_first`` close the first piece with it instead.
+    When a cone letter sits on the cut's zero cell, it normally opens the
+    second piece's image; edges listed in ``letter_first`` close the
+    first piece with it instead.
     """
     graph = f.graph
-    first_side = {(e, Fraction(x)) for e, x in letter_first}
-    cuts: Dict[int, Tuple[Fraction, ...]] = {}
-    for e, xs in points.items():
-        xs = tuple(sorted({Fraction(x) for x in xs}))
-        if not xs:
-            continue
-        if xs[0] <= 0 or xs[-1] >= 1:
-            raise ImageNotAtZeroCell("subdivision points must be interior")
-        cuts[e] = xs
     if not cuts:
         return f, Transport.identity(graph)
-
-    n_cells = graph.n_cells
     kinds = list(graph.kinds)
-    vert_of: Dict[Tuple[int, Fraction], int] = {}
-    rank: Dict[Tuple[int, Fraction], int] = {}  # pieces of the edge before it
-    for e in sorted(cuts):
-        for k, x in enumerate(cuts[e], start=1):
-            vert_of[(e, x)] = n_cells
-            rank[(e, x)] = k
-            kinds.append(VERTEX)
-            n_cells += 1
-
     ends: List[Tuple[int, int]] = []
     names: List[str] = []
     taken = set(graph.edge_names)
     pieces: Dict[int, Tuple[int, ...]] = {}
-    next_id = 1
     for e in graph.edges():
-        xs = cuts.get(e, ())
-        stops = [graph.src(e)] + [vert_of[(e, x)] for x in xs] + [graph.dst(e)]
-        ids = []
-        for k in range(len(stops) - 1):
-            ends.append((stops[k], stops[k + 1]))
-            if k == 0:
-                names.append(graph.edge_names[e - 1])
-            else:
-                name = graph.edge_names[e - 1] + "'" * k
-                while name in taken:
-                    name += "'"
-                taken.add(name)
-                names.append(name)
-            ids.append(next_id)
-            next_id += 1
-        pieces[e] = tuple(ids)
+        s, t = graph.src(e), graph.dst(e)
+        names.append(graph.edge_names[e - 1])
+        if e not in cuts:
+            ends.append((s, t))
+            pieces[e] = (len(ends),)
+            continue
+        ends += [(s, len(kinds)), (len(kinds), t)]
+        kinds.append(VERTEX)
+        name = names[-1] + "'"
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        names.append(name)
+        pieces[e] = (len(ends) - 1, len(ends))
     new_graph = Orbigraph(graph.W, kinds, ends, names)
     tr = Transport(graph, new_graph, {c: c for c in graph.cells()}, pieces)
 
@@ -334,46 +296,21 @@ def _subdivide_many(f: TopRep, points: Dict[int, Sequence[Fraction]],
             images[pieces[e][0]] = Path(new_graph, p.start, refined,
                                         _tight=True)
             continue
-        runs = []  # where each crossing's run of pieces starts in refined
-        at = 0
-        for item in p.items:
-            if type(item) is int:
-                runs.append(at)
-                at += len(pieces[abs(item)])
-            else:
-                at += 1
-        bounds = [0]
-        starts = [p.start]
-        for x in cuts[e]:
-            j, d, y = _cut_site(f, e, x)
-            at = runs[j]
-            if y is None:
-                # on the head of crossing j, before its junction letter
-                at += len(pieces[abs(d)])
-                cell = graph.dst(d)
-                if (e, x) in first_side and type(refined[at]) is not int:
-                    at += 1
-            elif (abs(d), y) in vert_of:
-                # inside crossing j, at a cut of the crossed edge
-                cell = vert_of[(abs(d), y)]
-                k = rank[(abs(d), y)]
-                at += k if d > 0 else len(pieces[abs(d)]) - k
-            else:
-                raise ImageNotAtZeroCell(
-                    f"point {x} of edge {graph.edge_label(e)} maps inside "
-                    f"an edge away from every subdivision point")
-            vertices[vert_of[(e, x)]] = cell
-            bounds.append(at)
-            starts.append(cell)
-        bounds.append(len(refined))
-        for k, piece in enumerate(pieces[e]):
+        # the cut follows the run of pieces of crossing number cuts[e]
+        j = [i for i, item in enumerate(p.items)
+             if type(item) is int][cuts[e] - 1]
+        at = len(tr.items(p.items[:j + 1]))
+        if e in letter_first and type(refined[at]) is not int:
+            at += 1
+        cell = vertices[new_graph.dst(pieces[e][0])] = graph.dst(p.items[j])
+        for piece, start, body in ((pieces[e][0], p.start, refined[:at]),
+                                   (pieces[e][1], cell, refined[at:])):
             # a slice of a tight walk is tight up to trivial end letters
-            body = refined[bounds[k]:bounds[k + 1]]
             if type(body[0]) is not int and body[0][1] == 0:
                 body = body[1:]
             if type(body[-1]) is not int and body[-1][1] == 0:
                 body = body[:-1]
-            images[piece] = Path(new_graph, starts[k], body, _tight=True)
+            images[piece] = Path(new_graph, start, body, _tight=True)
 
     marking = f.marking.moved(tr) if f.marking is not None else None
     return (TopRep(new_graph, images, dict(f.cone_images), vertices, marking),
@@ -447,15 +384,14 @@ def _fold_core(f: TopRep, turn: Turn):
     # cut each direction after the k edges of the prefix; the first piece
     # holds the junction letter exactly when keeping it with the folded
     # piece agrees with the direction's orientation
-    cuts: Dict[int, Tuple[Fraction]] = {}
-    sides = []
+    cuts: Dict[int, int] = {}
+    sides: Set[int] = set()
     for d in (t.first, t.second):
         n = f.edge_images[abs(d)].n_edges
         if k < n:
-            cut = Fraction(k if d > 0 else n - k, n)
-            cuts[abs(d)] = (cut,)
+            cuts[abs(d)] = k if d > 0 else n - k
             if (d > 0) == keep_letter:
-                sides.append((abs(d), cut))
+                sides.add(abs(d))
     work, sub = _subdivide_many(f, cuts, letter_first=sides)
     piece1, piece2 = (sub.edge_items[d][0] if d > 0
                       else -sub.edge_items[-d][-1]

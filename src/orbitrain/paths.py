@@ -221,19 +221,15 @@ class Circuit(_Walk):
     wrap, when the wrap sits at a cone point, is the final item.  The
     canonical rotation is the lexicographically least one under
     ``_item_key``, which starts at an edge (see :func:`tighten_circuit`).
-    The empty circuit is the homotopically trivial loop.
+    The empty circuit is the homotopically trivial loop.  Build circuits
+    with :func:`tighten_circuit`, which passes the canonical items here.
     """
 
     __slots__ = ("graph", "items")
 
-    def __init__(self, graph: Orbigraph, items: Iterable[Item] = (),
-                 *, _canonical: bool = False):
-        items = tuple(items)
-        if not _canonical:
-            return self.__init__(graph, tighten_circuit(graph, items).items,
-                                 _canonical=True)
+    def __init__(self, graph: Orbigraph, items: Iterable[Item]):
         self.graph = graph
-        self.items = items
+        self.items = tuple(items)
 
     def word_class(self):
         """Conjugacy normal form of the letters read around the loop."""
@@ -274,8 +270,7 @@ def tighten_circuit(graph: Orbigraph, items: Iterable[Item]) -> Circuit:
         # tightening from the first letter's cone multiplies the letters
         start = (items[0][0] if items and type(items[0]) is tuple
                  and items[0] else 0)
-        return Circuit(graph, _tighten_items(graph, start, items),
-                       _canonical=True)
+        return Circuit(graph, _tighten_items(graph, start, items))
 
     items = deque(_tighten_items(graph, graph.src_of.get(items[first], 0),
                                  items[first:] + items[:first]))
@@ -320,7 +315,7 @@ def tighten_circuit(graph: Orbigraph, items: Iterable[Item]) -> Circuit:
 
     items = tuple(items)
     r = least_rotation([_item_key(it) for it in items])
-    return Circuit(graph, items[r:] + items[:r], _canonical=True)
+    return Circuit(graph, items[r:] + items[:r])
 
 
 # -- words and realizations --------------------------------------------------

@@ -1,9 +1,10 @@
 """Source checks: certificates in the library must survive ``python -O``,
 graph construction in the moves stays in its builders, the moves only
 carry the marking forward, the moves and ``pf`` hold no iteration cap,
-the moves hold no state and only the descent records events, only
-normalisation collapses forests, turn orbits and the tree are each
-walked in one place, derived data is cached only by its own class,
+the moves hold no state and only the descent records events, the moves
+cut edges at integer indices without ``Fraction``, only normalisation
+collapses forests, turn orbits and the tree are each walked in one
+place, derived data is cached only by its own class,
 representatives are compared by one name-free key, edge lengths come
 only from ``pf``, ``pf`` decides without floating point, edge items are
 tested inline, every error class is raised, factors have one kind,
@@ -89,6 +90,26 @@ def method_call_sites(attr):
                       and call.func.attr == attr))
 
 
+def moves_tree():
+    path = Path(orbitrain.__file__).parent / "moves.py"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def imported_modules(tree):
+    """The modules that ``tree`` imports, by ``import`` or ``from``."""
+    return ({alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names}
+            | {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)})
+
+
+def used_names(tree):
+    """The names that ``tree`` reads or imports from a module."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names})
+
+
 def test_moves_construct_graphs_only_in_the_builders():
     """Every quotient move goes through ``moves._quotient``; besides it
     only subdivision and the slide build an Orbigraph in ``moves.py``."""
@@ -106,12 +127,7 @@ def test_moves_only_carry_the_marking_forward():
     """A move pushes the marking forward along its transport with
     ``Marking.moved``: ``moves.py`` never builds a ``Marking`` itself and
     never names ``Automorphism``, so no move pulls the marking back."""
-    path = Path(orbitrain.__file__).parent / "moves.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    named |= {alias.asname or alias.name for node in ast.walk(tree)
-              if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert "Automorphism" not in named
+    assert "Automorphism" not in used_names(moves_tree())
     assert moves_call_sites("Marking") == []
 
 
@@ -120,13 +136,8 @@ def test_moves_hold_no_state():
     ``contextvars`` nor ``contextlib`` and binds nothing at module level
     but the ``Item`` alias, and the descent's event stream is the only
     ``ContextVar``, named only in ``traintrack``."""
-    path = Path(orbitrain.__file__).parent / "moves.py"
-    tree = ast.parse(path.read_text())
-    imported = {alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.Import) for alias in node.names}
-    imported |= {node.module for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom)}
-    assert not imported & {"contextvars", "contextlib"}
+    tree = moves_tree()
+    assert not imported_modules(tree) & {"contextvars", "contextlib"}
     assert [ast.unparse(node) for node in tree.body
             if isinstance(node, (ast.Assign, ast.AnnAssign))] == [
                 "Item = object"]
@@ -135,6 +146,15 @@ def test_moves_hold_no_state():
                     if isinstance(node, ast.Name)
                     and node.id in {"ContextVar", "_EVENTS"}})
     assert named == ["traintrack"]
+
+
+def test_moves_cut_at_integer_indices():
+    """Subdivisions and folds cut only over zero cells, named by integer
+    crossing counts: ``moves.py`` neither imports ``fractions`` nor names
+    ``Fraction``."""
+    tree = moves_tree()
+    assert "fractions" not in imported_modules(tree)
+    assert "Fraction" not in used_names(tree)
 
 
 def test_only_normalisation_collapses_forests():
