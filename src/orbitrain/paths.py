@@ -15,6 +15,13 @@ Tightening is the confluent rewriting system: adjacent letters multiply,
 ``d, trivial, -d`` deletes with flanking letters merging, and ``d, -d`` at a
 vertex deletes.  The hat display ``T^`` abbreviates ``T g T~`` with the
 letter across the cone at the head of ``T``.
+
+A walk handed to the tightener may also hold tight :class:`Path` runs,
+such as the edge images a map splices together.  Inside a tight run
+nothing cancels, so the rules meet only its leading items, at the seam
+with the walk so far, and the rest of the run is copied whole.  Paths and
+circuits store their edge count when they are built; the tightener keeps
+it as it goes, and circuits pick their canonical rotation by integer keys.
 """
 
 from collections import deque
@@ -28,13 +35,15 @@ from .orbigraph import VERTEX, Orbigraph
 Item = Union[int, Tuple[int, int]]
 
 
-def _tighten_items(graph: Orbigraph, start: int, items: Iterable[Item]):
-    """Normalize a raw walk; raises NotAWalk when junctions fail to chain."""
-    out: List[Item] = []
-    cur = start
-    if cur not in range(graph.n_cells):
-        raise NotAWalk(f"no cell {cur!r} to start from")
+def _push(graph: Orbigraph, out: List[Item], cur: int, items, run=False):
+    """Push ``items`` onto the walk ``out``, tight and at cell ``cur``, by
+    the rewriting rules; the cell reached, the number of edge items
+    pushed, and the number of cancellations, each of which deletes two
+    edges.  A tight run (``run``) stops at its first item that neither
+    cancels nor merges, since nothing after it can: the caller copies the
+    rest of the run's iterator."""
     src_of, dst_of, kinds = graph.src_of, graph.dst_of, graph.kinds
+    pushed = cut = 0
     for item in items:
         if type(item) is int:
             if src_of.get(item) != cur:
@@ -42,22 +51,27 @@ def _tighten_items(graph: Orbigraph, start: int, items: Iterable[Item]):
                                if item not in src_of else
                                f"edge {graph.edge_label(item)} does not "
                                f"start at cell {cur}")
+            pushed += 1
             if out:
                 last = out[-1]
                 if type(last) is int:
                     # at a cone the trivial letter between would cancel too
                     if last == -item:
                         out.pop()
+                        cut += 1
                         cur = dst_of[item]
                         continue
                     if kinds[cur] != VERTEX:
                         out.append((cur, 0))
                 elif last[1] == 0 and len(out) >= 2 and out[-2] == -item:
                     del out[-2:]
+                    cut += 1
                     cur = dst_of[item]
                     continue
             out.append(item)
             cur = dst_of[item]
+            if run:
+                break
         elif (type(item) is tuple and len(item) == 2
               and type(item[0]) is int and type(item[1]) is int):
             c, g = item
@@ -72,18 +86,40 @@ def _tighten_items(graph: Orbigraph, start: int, items: Iterable[Item]):
                 out[-1] = (c, group.mul(out[-1][1], g))
             else:
                 out.append(item)
+                if run:
+                    break
+        elif isinstance(item, Path) and item.graph is graph:
+            if item.start != cur:
+                raise NotAWalk(f"run from cell {item.start} but the walk "
+                               f"is at {cur}")
+            rest = iter(item.items)
+            cut += _push(graph, out, cur, rest, True)[2]
+            out.extend(rest)
+            pushed += item.n_edges
+            cur = item.end
         else:
-            raise NotAWalk(f"item {item!r} is neither an edge nor a letter")
+            raise NotAWalk(f"item {item!r} is neither an edge, a letter "
+                           f"nor a run on this graph")
+    return cur, pushed, cut
+
+
+def _tighten_items(graph: Orbigraph, start: int, items: Iterable):
+    """Normalize a walk of raw items and tight runs: the tight items and
+    their edge count.  Raises NotAWalk when junctions fail to chain."""
+    if start not in range(graph.n_cells):
+        raise NotAWalk(f"no cell {start!r} to start from")
+    out: List[Item] = []
+    _, pushed, cut = _push(graph, out, start, items)
     while out and type(out[0]) is not int and out[0][1] == 0:
         out.pop(0)
     while out and type(out[-1]) is not int and out[-1][1] == 0:
         out.pop()
-    return tuple(out)
+    return tuple(out), pushed - 2 * cut
 
 
-def tighten(graph: Orbigraph, start: int, items: Iterable[Item]) -> "Path":
-    return Path(graph, start, _tighten_items(graph, start, items),
-                _tight=True)
+def tighten(graph: Orbigraph, start: int, items: Iterable) -> "Path":
+    items, n_edges = _tighten_items(graph, start, items)
+    return Path(graph, start, items, _tight=True, _n_edges=n_edges)
 
 
 def invert_items(graph: Orbigraph, items: Sequence[Item]) -> Tuple[Item, ...]:
@@ -94,14 +130,10 @@ def invert_items(graph: Orbigraph, items: Sequence[Item]) -> Tuple[Item, ...]:
 
 
 class _Walk:
-    """Edge counts and the letter word read off ``items``, shared by paths
-    and circuits."""
+    """Edge crossings and the letter word read off ``items``, shared by
+    paths and circuits."""
 
     __slots__ = ()
-
-    @property
-    def n_edges(self) -> int:
-        return sum(type(item) is int for item in self.items)
 
     def crossings(self):
         """Unsigned edge-crossing counts, the raw material of transitions."""
@@ -122,15 +154,18 @@ class _Walk:
 class Path(_Walk):
     """A tight anchored walk.  Construct via :func:`tighten` or operators."""
 
-    __slots__ = ("graph", "start", "items", "end")
+    __slots__ = ("graph", "start", "items", "end", "n_edges")
 
     def __init__(self, graph: Orbigraph, start: int, items: Iterable[Item] = (),
-                 *, _tight: bool = False):
+                 *, _tight: bool = False, _n_edges: Optional[int] = None):
         items = tuple(items)
         if not _tight:
-            normal = _tighten_items(graph, start, items)
+            normal, _n_edges = _tighten_items(graph, start, items)
             if normal != items:
                 raise BadPath("items are not in tight normal form")
+        elif _n_edges is None:
+            _n_edges = sum(type(item) is int for item in items)
+        self.n_edges = _n_edges
         self.graph = graph
         self.start = int(start)
         self.items = items
@@ -171,13 +206,13 @@ class Path(_Walk):
             raise EndpointMismatch(
                 f"cannot join a path ending at cell {self.end} "
                 f"to one starting at cell {other.start}")
-        return tighten(self.graph, self.start, self.items + other.items)
+        return tighten(self.graph, self.start, (self, other))
 
     __mul__ = concat
 
     def invert(self) -> "Path":
         return Path(self.graph, self.end, invert_items(self.graph, self.items),
-                    _tight=True)
+                    _tight=True, _n_edges=self.n_edges)
 
     __invert__ = invert
 
@@ -210,26 +245,24 @@ class Turn:
 # -- circuits ---------------------------------------------------------------
 
 
-def _item_key(item):
-    return (0, item, 0) if type(item) is int else (1,) + item
-
-
 class Circuit(_Walk):
     """A cyclically tight loop, stored in its canonical rotation.
 
     Items follow the same conventions as paths; the junction letter at the
     wrap, when the wrap sits at a cone point, is the final item.  The
-    canonical rotation is the lexicographically least one under
-    ``_item_key``, which starts at an edge (see :func:`tighten_circuit`).
-    The empty circuit is the homotopically trivial loop.  Build circuits
-    with :func:`tighten_circuit`, which passes the canonical items here.
+    canonical rotation is the least one under the integer keys of
+    :func:`tighten_circuit`, which starts at an edge.  The empty circuit
+    is the homotopically trivial loop.  Build circuits with
+    :func:`tighten_circuit`, which passes the canonical items and their
+    edge count here.
     """
 
-    __slots__ = ("graph", "items")
+    __slots__ = ("graph", "items", "n_edges")
 
-    def __init__(self, graph: Orbigraph, items: Iterable[Item]):
+    def __init__(self, graph: Orbigraph, items: Iterable[Item], n_edges: int):
         self.graph = graph
         self.items = tuple(items)
+        self.n_edges = n_edges
 
     def word_class(self):
         """Conjugacy normal form of the letters read around the loop."""
@@ -248,32 +281,33 @@ class Circuit(_Walk):
         return f"Circuit({' '.join(_format_items(self.graph, self.items))})"
 
 
-def tighten_circuit(graph: Orbigraph, items: Iterable[Item]) -> Circuit:
-    """The circuit of a closed walk, in canonical form.
+def tighten_circuit(graph: Orbigraph, items: Iterable) -> Circuit:
+    """The circuit of a closed walk of raw items and tight runs, in
+    canonical form.
 
-    The walk is tightened as a path from its first edge, then cancelled
-    across the wrap: leading letters move to the end, and an edge that
-    meets its reverse at the wrap (directly at a vertex, through a trivial
-    letter at a cone) is peeled off both ends.  A slice of a tight walk is
-    tight up to trivial end letters, which the leading-letter rotation
-    absorbs, so the body is never re-tightened.
-    The canonical form is the least rotation of the items under
-    ``_item_key``.  Edge keys ``(0, d, 0)`` sort below letter keys
-    ``(1, c, g)``, so it starts at an edge whenever the circuit has one.
-    A letter-only walk lives at one cone and reduces to its product.
+    The walk is tightened as a path from its first cell, so runs cancel
+    only at their seams, then cancelled across the wrap: leading letters
+    move to the end, and an edge that meets its reverse at the wrap
+    (directly at a vertex, through a trivial letter at a cone) is peeled
+    off both ends.  A slice of a tight walk is tight up to trivial end
+    letters, which the leading-letter rotation absorbs, so the body is
+    never re-tightened, and the edge count drops by two per peel.  A
+    letter-only walk lives at one cone and reduces to its product.
+    The canonical form is the least rotation under integer keys: an edge
+    d keys as d and a letter (c, g) as m + 1 + c K + g, with m the
+    graph's edge count and K its largest factor order.  So letters sort
+    above edges, by cell and then element, and the circuit starts at an
+    edge whenever it has one.
 
     Cost: O(n) in the number of items, with :func:`least_rotation`.
     """
     items = list(items)
-    first = next((k for k, it in enumerate(items) if type(it) is int), None)
-    if first is None:
-        # tightening from the first letter's cone multiplies the letters
-        start = (items[0][0] if items and type(items[0]) is tuple
-                 and items[0] else 0)
-        return Circuit(graph, _tighten_items(graph, start, items))
-
-    items = deque(_tighten_items(graph, graph.src_of.get(items[first], 0),
-                                 items[first:] + items[:first]))
+    head = items[0] if items else None
+    start = (head.start if isinstance(head, Path)
+             else head[0] if type(head) is tuple and head
+             else graph.src_of.get(head, 0) if type(head) is int else 0)
+    tight, n_edges = _tighten_items(graph, start, items)
+    items = deque(tight)
 
     changed = True
     while changed:
@@ -306,16 +340,21 @@ def tighten_circuit(graph: Orbigraph, items: Iterable[Item]) -> Circuit:
             elif d0 == -last:
                 items.popleft()
                 items.pop()
+                n_edges -= 2
                 changed = True
         elif last[1] == 0 and items[-2] == -d0:
             items.popleft()
             items.pop()
             items.pop()
+            n_edges -= 2
             changed = True
 
     items = tuple(items)
-    r = least_rotation([_item_key(it) for it in items])
-    return Circuit(graph, items[r:] + items[:r])
+    base = graph.n_edges + 1
+    K = max(group.order for group in graph.W.factors)
+    r = least_rotation([it if type(it) is int else base + it[0] * K + it[1]
+                        for it in items])
+    return Circuit(graph, items[r:] + items[:r], n_edges)
 
 
 # -- words and realizations --------------------------------------------------

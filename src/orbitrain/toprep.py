@@ -200,10 +200,13 @@ class TopRep:
     # -- application ----------------------------------------------------------
 
     def _splice(self, items):
+        """The image walk of ``items``: each edge's tight image path as a
+        run, which tightening cancels only at its seams, and each letter
+        carried across its cone map."""
         out = []
         for item in items:
             if type(item) is int:
-                out.extend(self.image(item).items)
+                out.append(self.image(item))
             else:
                 cm = self.cone_images[item[0]]
                 out.append((cm.target, cm.table[item[1]]))

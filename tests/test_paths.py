@@ -13,7 +13,6 @@ from orbitrain.groups import FiniteGroup, FreeProduct
 from orbitrain.orbigraph import hedgehog, thistle
 from orbitrain.paths import (
     Turn,
-    _item_key,
     format_path,
     loop_of_word,
     parse_path,
@@ -80,6 +79,12 @@ def random_raw_walk(rng, graph, length):
     return start, items
 
 
+def rotation_key(item):
+    """The brute-force order on circuit items: edges by signed id, below
+    letters by cell and then element."""
+    return (0, item, 0) if type(item) is int else (1,) + item
+
+
 def oracle_circuit(rng, graph, items):
     """Cyclic reduction that re-tightens the whole walk after every step,
     then the least of the rotations that start at an edge."""
@@ -100,7 +105,7 @@ def oracle_circuit(rng, graph, items):
         work.append((graph.dst(work[-1]), 0))
     starts = [i for i, it in enumerate(work) if type(it) is int]
     return min((tuple(work[i:] + work[:i]) for i in starts),
-               key=lambda r: tuple(_item_key(it) for it in r))
+               key=lambda r: tuple(rotation_key(it) for it in r))
 
 
 def random_closed_walk(rng, graph, base, length):
@@ -230,6 +235,23 @@ def test_malformed_items_are_not_walks(t3, item):
         tighten(t3, 1, [item])
     with pytest.raises(NotAWalk):
         tighten_circuit(t3, [item])
+
+
+def test_runs_must_start_where_the_walk_is(t3):
+    """A tight path may stand in a walk for its items, but only from the
+    cell the walk has reached and only on the walk's own graph."""
+    p = parse_path(t3, "B ~A^ ~C^ ~A^ ~B^")
+    q = parse_path(t3, "B ~C^ ~B^")
+    assert p.start != p.end == 0
+    assert not tighten(t3, p.start, [p, ~p]).items
+    assert tighten(t3, p.start, [p, ~q]) == tighten(
+        t3, p.start, p.items + (~q).items)
+    with pytest.raises(NotAWalk):
+        tighten(t3, 0, [p])
+    with pytest.raises(NotAWalk):
+        tighten(t3, p.start, [p, p])
+    with pytest.raises(NotAWalk):
+        tighten(thistle(w3()), p.start, [p])
 
 
 def test_boundary_trivial_letters_are_stripped(t3):

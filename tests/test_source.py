@@ -4,7 +4,8 @@ carry the marking forward, the moves and ``pf`` hold no iteration cap,
 the moves hold no state and only the descent records events, the moves
 cut edges at integer indices without ``Fraction``, only normalisation
 collapses forests, turn orbits and the tree are each walked in one
-place, derived data is cached only by its own class,
+place, derived data is cached only by its own class, circuits are
+built and their edges counted only in ``paths``,
 representatives are compared by one name-free key, edge lengths come
 only from ``pf``, ``pf`` decides without floating point, edge items are
 tested inline, every error class is raised, factors have one kind,
@@ -171,13 +172,46 @@ def test_turn_orbits_are_walked_in_one_place():
     assert method_call_sites("turn_map") == ["toprep.TopRep.dying_turn"]
 
 
+def instance_caches():
+    """Every per-instance cache of the library, by its class: a private
+    attribute that the class's ``__init__`` starts empty or ``None``."""
+    empty = {"{}", "[]", "set()", "dict()", "None"}
+    caches = {}
+    for path in SOURCES:
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not (isinstance(fn, ast.FunctionDef)
+                        and fn.name == "__init__"):
+                    continue
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.AnnAssign):
+                        targets = [node.target]
+                    elif isinstance(node, ast.Assign):
+                        targets = node.targets
+                    else:
+                        continue
+                    caches.setdefault(f"{path.stem}.{cls.name}", set()).update(
+                        t.attr for t in targets
+                        if isinstance(t, ast.Attribute)
+                        and ast.unparse(t.value) == "self"
+                        and t.attr.startswith("_")
+                        and node.value is not None
+                        and ast.unparse(node.value) in empty)
+    return {owner: attrs for owner, attrs in caches.items() if attrs}
+
+
 def test_derived_data_is_cached_only_by_its_class():
-    """A representative's derived data (reversed images, lead table, turn
-    verdicts, transition matrix) and a transport's reversed pieces are
-    named only inside their own class, so no move or caller writes into
-    them."""
-    caches = {"toprep.TopRep": {"_images", "_leads", "_verdicts", "_matrix"},
-              "moves.Transport": {"_reversed"}}
+    """Every per-instance cache is named only inside its own class, so no
+    move or caller writes into it: among them a representative's derived
+    data (reversed images, lead table, turn verdicts, transition matrix),
+    a transport's reversed pieces, and any cache a class adds later."""
+    caches = instance_caches()
+    known = {"toprep.TopRep": {"_images", "_leads", "_verdicts", "_matrix"},
+             "moves.Transport": {"_reversed"}}
+    assert all(attrs <= caches.get(owner, set())
+               for owner, attrs in known.items()), caches
     for owner, attrs in caches.items():
         found = sorted(set(
             f"{path.stem}.{site}" for path in SOURCES + BENCHMARK
@@ -186,6 +220,28 @@ def test_derived_data_is_cached_only_by_its_class():
                 and node.attr in attrs)))
         assert found and all(site.startswith(owner + ".") for site in found), \
             found
+
+
+def test_circuits_are_built_and_counted_only_in_paths():
+    """Only ``tighten_circuit`` constructs a ``Circuit``, anywhere in the
+    library or the benchmark; paths and circuits store their edge count
+    in their constructors and never recount it through a property; and
+    the tuple rotation key ``_item_key`` is gone."""
+    built = sorted(f"{path.stem}.{site}" for path in SOURCES + BENCHMARK
+                   for site in call_sites(
+                       path, lambda call: ast.unparse(call.func).split(".")[-1]
+                       == "Circuit"))
+    assert built == ["paths.tighten_circuit"]
+    path = Path(orbitrain.__file__).parent / "paths.py"
+    stored = node_sites(path, lambda node: isinstance(node, ast.Attribute)
+                        and node.attr == "n_edges"
+                        and isinstance(node.ctx, ast.Store))
+    assert stored == ["Circuit.__init__", "Path.__init__"]
+    tree = ast.parse(path.read_text())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "n_edges"]
+    assert not [source.name for source in SOURCES
+                if "_item_key" in source.read_text()]
 
 
 def test_the_tree_is_walked_in_one_place():

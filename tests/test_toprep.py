@@ -35,6 +35,8 @@ from orbitrain.toprep import (
     thistle_rep,
 )
 from orbitrain.traintrack import _descent_turn, _rep_key
+from test_moves import random_twisted_automorphism
+from test_paths import random_closed_walk
 
 Z2 = FiniteGroup.cyclic(2)
 
@@ -265,6 +267,66 @@ class TestApply:
             image = f_alpha.apply_circuit(loop)
             assert image.word_class() == w3.conjugacy_normal_form(
                 alpha_w3(loop.word_class()))
+
+
+def flat_image(f, items):
+    """The image walk of ``items`` as raw items: every edge image spelled
+    out item by item, every letter carried across its cone map."""
+    out = []
+    for item in items:
+        if type(item) is int:
+            out.extend(f.image(item).items)
+        else:
+            cm = f.cone_images[item[0]]
+            out.append((cm.target, cm.table[item[1]]))
+    return out
+
+
+@st.composite
+def reps_and_seeds(draw, corpus_automorphism):
+    """A thistle or hedgehog representative of a random twisted W3-W5
+    automorphism, or the thistle representative of a W3-W6 corpus case,
+    maybe squared so that images cancel at more seams; and a seed for the
+    walks."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        phi = random_twisted_automorphism(rng)
+        fixed = [i for i in range(phi.W.n) if phi.kurosh().pi[i] == i]
+        f = (hedgehog_rep(phi, rng.choice(fixed))
+             if fixed and rng.random() < 0.5 else thistle_rep(phi))
+    else:
+        n, length, count = draw(st.sampled_from(
+            [(3, 4, 20), (4, 6, 20), (5, 8, 10), (6, 10, 6)]))
+        phi = corpus_automorphism(n, length, draw(st.integers(0, count - 1)))
+        f = thistle_rep(phi)
+    if draw(st.booleans()):
+        f = f.compose(f)
+    return f, draw(st.integers(0, 10**6))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_splicing_at_seams_matches_the_flat_walk(corpus_automorphism, data):
+    """Applying a map splices tight image runs, which cancel only at their
+    seams; the result equals tightening the flattened raw image walk,
+    items and stored edge count both, for paths and for circuits."""
+    f, seed = data.draw(reps_and_seeds(corpus_automorphism))
+    rng = random.Random(seed)
+    graph = f.graph
+    for _ in range(6):
+        p = random_path(rng, graph, steps=rng.randint(0, 12))
+        got = f.apply(p)
+        want = tighten(graph, f.cell_image(p.start), flat_image(f, p.items))
+        assert got.items == want.items
+        assert got.n_edges == want.n_edges == len(got.edge_items())
+        base = rng.randrange(graph.n_cells)
+        loop = random_closed_walk(rng, graph, base, rng.randint(1, 12))
+        c = tighten_circuit(graph, loop)
+        got = f.apply_circuit(c)
+        want = tighten_circuit(graph, flat_image(f, c.items))
+        assert got.items == want.items
+        assert got.n_edges == want.n_edges == sum(
+            type(item) is int for item in got.items)
 
 
 # ---- composition and iteration --------------------------------------------------
