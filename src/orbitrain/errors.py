@@ -61,9 +61,16 @@ class CapExceeded(OrbitrainError):
 
 
 class IterationCapExceeded(CapExceeded):
-    """The descent hit its pass cap or revisited a representative."""
+    """The descent hit its pass cap or revisited a representative.  A
+    revisit carries ``witness = (first, step, images)``: the pass first
+    holding the representative, the pass meeting it again, and that
+    representative's edge images as path text by edge name."""
 
     code = "iteration-cap-exceeded"
+
+    def __init__(self, message, witness=None):
+        self.witness = witness
+        super().__init__(message)
 
 
 class ParseError(OrbitrainError):

@@ -696,14 +696,29 @@ class Automorphism:
         (Collins-Zieschang, Math. Z. 185 (1984); Gilbert, Proc. LMS 54
         (1987)).
 
-        A move conjugates every factor in a set S by one element x of a
-        factor j outside S.  Each round applies the move that most shortens
-        the generator images of ``moves after self``, and the same move to
-        the images of ``moves``.  When the Kurosh conjugators are all empty
-        the reduced map is a factor permutation with isomorphisms; its
-        letter-by-letter inverse after ``moves`` is the inverse of self.
-        Raises NotInvertible when no move shortens the images before that,
-        which happens exactly when self is not surjective.
+        A move ``(j, x, x^-1, S)`` conjugates every factor in a set S by one
+        element x of a factor j outside S.  Each round applies the move that
+        most shortens the generator images of ``moves after self``, the
+        first such move in candidate order, and the same move to the images
+        of ``moves``.  When the Kurosh conjugators are all empty the reduced
+        map is a factor permutation with isomorphisms; its letter-by-letter
+        inverse after ``moves`` is the inverse of self.  Raises
+        NotInvertible when no move shortens the images before that, which
+        happens exactly when self is not surjective.
+
+        A round scores every move by ``_shortening``, which counts the
+        change in length at the word's seams and builds no word; only the
+        chosen move rebuilds the images.  The count is exact because a
+        move only puts letters of factor j into the gaps between letters:
+        each S-letter l becomes x^-1 l x, so a gap between two S-letters
+        receives x x^-1 and keeps nothing, a gap with S on one side only
+        (a word end counts as non-S) receives one j-letter, and that letter
+        either stands alone, one letter longer, or merges into the
+        j-letter y on the other side.  Such a y absorbs x on its left, x^-1
+        on its right, or both, as x y x^-1, which is never trivial; it
+        vanishes exactly when it absorbs from one side alone and cancels,
+        and then its other neighbour is neither in S nor in factor j, so
+        nothing further cancels.
         """
         W = self.W
         try:
@@ -711,17 +726,13 @@ class Automorphism:
         except NotAutomorphism as exc:
             raise NotInvertible(str(exc)) from None
 
-        def conjugated(word, j, x, S):
-            pre, post = (j, W.factors[j].inv(x)), (j, x)
+        def conjugated(word, j, x, x_inv, S):
+            pre, post = (j, x_inv), (j, x)
             return W.nf(itertools.chain.from_iterable(
                 (pre, l, post) if l[0] in S else (l,) for l in word))
 
-        def gain(move):
-            return sum(len(fam[1]) - len(conjugated(fam[1], *move))
-                       for fam in reduced)
-
         candidates = [
-            (j, x, frozenset(S))
+            (j, x, factor.inv(x), frozenset(S))
             for j, factor in enumerate(W.factors)
             for x in factor.nontrivial()
             for r in range(1, W.n)
@@ -731,16 +742,36 @@ class Automorphism:
         reduced = self.images
         moves = Automorphism.identity(W).images
         while any(len(fam[1]) > 1 for fam in reduced):
-            move = max(candidates, key=gain)
-            if gain(move) <= 0:
+            gains = [sum(_shortening(fam[1], *move) for fam in reduced)
+                     for move in candidates]
+            best = max(gains)
+            if best <= 0:
                 raise NotInvertible("no move shortens the images: "
                                     "the map is not surjective")
+            move = candidates[gains.index(best)]
             reduced = [[conjugated(w, *move) for w in fam] for fam in reduced]
             moves = [[conjugated(w, *move) for w in fam] for fam in moves]
         back = {fam[e][0]: (i, e) for i, fam in enumerate(reduced)
                 for e in range(1, len(fam))}
         return Automorphism(W, [
             [tuple(back[l] for l in w) for w in fam] for fam in moves])
+
+
+def _shortening(word: Word, j: int, x: int, x_inv: int, S) -> int:
+    """How much shorter the normal form of ``word`` gets when every letter
+    of a factor in S is conjugated to x^-1 l x, for x of factor j outside
+    S (the rule is in ``Automorphism._peak_reduced_inverse``)."""
+    flags = [l[0] in S for l in word]
+    padded = [False, *flags, False]
+    gain = -padded[1] - padded[-2]
+    for (f, e), left, mine, right in zip(word, padded, flags, padded[2:]):
+        if mine:
+            continue
+        if f != j:
+            gain -= left + right
+        elif left != right and e == (x_inv if left else x):
+            gain += 1
+    return gain
 
 
 def _mutually_inverse(phi: Automorphism, psi: Automorphism) -> bool:

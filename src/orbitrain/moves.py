@@ -27,6 +27,7 @@ from .errors import (
 )
 from .orbigraph import Orbigraph, VERTEX
 from .paths import Path, Turn, invert_items, tighten
+from .pf import is_irreducible
 from .toprep import ConeMap, TopRep
 
 Item = object
@@ -160,9 +161,15 @@ def maximal_invariant_forest(f: TopRep) -> FrozenSet[int]:
     """A maximal invariant forest, as a set of edge ids, grown greedily in
     edge order: each edge brings the closure of the edges its iterated
     images cross, read off the nonzero entries of its column of the
-    transition matrix, and joins when the union stays a forest."""
+    transition matrix, and joins when the union stays a forest.
+
+    When the matrix is irreducible every closure is the whole tree, which
+    joins two cone points when the graph has them, so the forest is empty
+    without the loop."""
     graph = f.graph
     M = f.transition_matrix().entries
+    if len(graph.cone_cells()) > 1 and is_irreducible(M):
+        return frozenset()
     crossed = {e: [i for i, k in enumerate(col, start=1) if k]
                for e, col in enumerate(zip(*M), start=1)}
     chosen: Set[int] = set()

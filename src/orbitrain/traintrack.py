@@ -28,6 +28,7 @@ from .moves import (
     valence_one_homotopy,
     valence_two_homotopy,
 )
+from .paths import format_path
 from .pf import (compare_lengths, is_irreducible, is_transitive_permutation,
                  pf_compare, pf_data)
 from .toprep import TopRep, Turn, maximal_filtration
@@ -274,7 +275,8 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
     then renormalizes.  The growth rate never increases along the way;
     a certified increase means the input was malformed.  A pass that
     revisits an earlier representative, by ``_rep_key``, would cycle
-    forever, so it raises ``IterationCapExceeded``.
+    forever, so it raises ``IterationCapExceeded`` with both pass indices
+    and the representative's images as its witness.
 
     The revisit check alone ends the loop.  Each pass that folds holds a
     normalised tree with m <= 2n - 3 edges (``edge_bound``) and an
@@ -294,7 +296,10 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
     for step in range(cap):
         first = seen.setdefault(_rep_key(f), step)
         if first != step:
-            raise IterationCapExceeded(f"pass {step} repeats pass {first}")
+            images = {f.graph.edge_label(e): format_path(p)
+                      for e, p in sorted(f.edge_images.items())}
+            raise IterationCapExceeded(f"pass {step} repeats pass {first}",
+                                       (first, step, images))
         if not f.graph.n_edges:
             return FiniteOrder(f, _finite_order_period(f))
         filt = maximal_filtration(f)

@@ -5,7 +5,8 @@ fixtures) runs once through the benchmark's own ``run``, ``judge`` and
 ``verify``.  A case whose answer differs from the recorded one, or whose
 answer the oracle rejects, fails the test; a recorded failure that now
 fails differently or gives a verified answer does not.  The same cases
-check the descent's event stream by replaying it.
+check the descent's event stream by replaying it, and the forest
+search's shortcut for irreducible matrices against its greedy loop.
 """
 
 import sys
@@ -13,10 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from orbitrain.errors import NothingToFold
+from orbitrain import moves, traintrack
+from orbitrain.errors import NothingToFold, OrbitrainError
 from orbitrain.moves import (collapse_forest, fold, valence_one_homotopy,
                              valence_two_homotopy)
-from orbitrain.pf import pf_compare, pf_data
+from orbitrain.pf import is_irreducible, pf_compare, pf_data
 from orbitrain.toprep import thistle_rep
 from orbitrain.traintrack import _rep_key, record_events
 
@@ -83,3 +85,45 @@ def test_the_event_stream_replays_every_descent():
                 fold(f, turn)
         elif not isinstance(result, Exception):
             assert _rep_key(f) == _rep_key(result.rep), case.id
+
+
+def greedy_forest(f):
+    """The forest grown greedily in edge order: each edge brings the
+    closure of the edges its iterated images cross, and joins when the
+    union stays a forest."""
+    graph = f.graph
+    crossed = {e: f.edge_images[e].crossings() for e in graph.edges()}
+    chosen = set()
+    for e in graph.edges():
+        closure, queue = {e}, [e]
+        while queue:
+            for c in crossed[queue.pop()]:
+                if c not in closure:
+                    closure.add(c)
+                    queue.append(c)
+        if graph.is_forest(chosen | closure):
+            chosen |= closure
+    return frozenset(chosen)
+
+
+def test_the_forest_shortcut_agrees_with_the_greedy_loop(monkeypatch):
+    """On every forest search ``normalize`` makes over the 63 cases, the
+    empty forest returned for an irreducible transition matrix is the
+    forest the greedy loop grows."""
+    searches = []
+
+    def spy(f):
+        forest = moves.maximal_invariant_forest(f)
+        searches.append((is_irreducible(f.transition_matrix().entries),
+                         forest, greedy_forest(f)))
+        return forest
+
+    monkeypatch.setattr(traintrack, "maximal_invariant_forest", spy)
+    for case in workloads.cases("descent"):
+        try:
+            workloads.run("descent", case)
+        except OrbitrainError:  # a failing case is a recorded outcome
+            pass
+    assert all(forest == grown for _, forest, grown in searches)
+    shortcuts = [irreducible for irreducible, _, _ in searches]
+    assert any(shortcuts) and not all(shortcuts)

@@ -24,6 +24,7 @@ from orbitrain.groups import (
     FiniteGroup,
     FreeProduct,
     _mutually_inverse,
+    _shortening,
     is_iso,
     iso_chain,
     iso_identity,
@@ -457,6 +458,94 @@ def factor_moving_products(draw):
 @given(factor_moving_products())
 def test_peak_reduction_inverts_factor_moving_products(phi):
     assert _mutually_inverse(phi, phi.inverse())
+
+
+SEAM_FACTORS = [FiniteGroup.cyclic(2), FiniteGroup.cyclic(3),
+                FiniteGroup.cyclic(4), FiniteGroup.symmetric(3)]
+
+
+def conjugated_by_nf(W, word, j, x, x_inv, S):
+    """The move's image of a word, by multiplying out x^-1 l x for every
+    letter l of a factor in S."""
+    return W.mul(*(((j, x_inv), l, (j, x)) if l[0] in S else (l,)
+                   for l in word))
+
+
+def moves_of(W):
+    """Every move ``(j, x, x^-1, S)``, in the library's candidate order."""
+    return [(j, x, factor.inv(x), frozenset(S))
+            for j, factor in enumerate(W.factors)
+            for x in factor.nontrivial()
+            for r in range(1, W.n)
+            for S in itertools.combinations(
+                [k for k in range(W.n) if k != j], r)]
+
+
+@st.composite
+def seam_cases(draw):
+    """A normal-form word and a move on a product of two to four factors
+    from Z2, Z3, Z4 and S3.  The seams the count treats apart are forced
+    in half the time each: a j-letter at either end, a j-letter between
+    two S-letters, j-letters equal to x or x^-1, and an x of order two."""
+    W = FreeProduct(draw(st.lists(st.sampled_from(SEAM_FACTORS),
+                                  min_size=2, max_size=4)))
+    j = draw(st.integers(0, W.n - 1))
+    S = frozenset(draw(st.lists(
+        st.sampled_from([k for k in range(W.n) if k != j]),
+        min_size=1, unique=True)))
+    factor = W.factors[j]
+    involutions = [x for x in factor.nontrivial() if factor.inv(x) == x]
+    if involutions and draw(st.booleans()):
+        x = draw(st.sampled_from(involutions))
+    else:
+        x = draw(st.integers(1, factor.order - 1))
+    x_inv = factor.inv(x)
+    seq = draw(st.lists(st.integers(0, W.n - 1), max_size=10))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(seq)))
+        seq[at:at] = [draw(st.sampled_from(sorted(S))), j,
+                      draw(st.sampled_from(sorted(S)))]
+    if draw(st.booleans()):
+        seq.insert(0, j)
+    if draw(st.booleans()):
+        seq.append(j)
+    # collapsing runs of one factor keeps every forced pattern
+    seq = [f for i, f in enumerate(seq) if i == 0 or f != seq[i - 1]]
+    word = tuple(
+        (f, draw(st.sampled_from([x, x_inv]) if f == j and draw(st.booleans())
+                 else st.integers(1, W.factors[f].order - 1)))
+        for f in seq)
+    assert W.nf(word) == word
+    return W, word, (j, x, x_inv, S)
+
+
+@settings(max_examples=400, deadline=None)
+@given(seam_cases())
+def test_shortening_counts_the_normal_form_length(case):
+    W, word, move = case
+    assert (_shortening(word, *move)
+            == len(word) - len(conjugated_by_nf(W, word, *move)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(factor_moving_products())
+def test_counted_gains_pick_the_moves_of_normal_form_gains(phi):
+    """Round by round along the peak reduction of phi, the counted gains
+    equal the gains read off rebuilt images, so both pick the same first
+    maximum."""
+    W = phi.W
+    moves = moves_of(W)
+    reduced = phi.images
+    while any(len(fam[1]) > 1 for fam in reduced):
+        by_nf = [sum(len(fam[1]) - len(conjugated_by_nf(W, fam[1], *move))
+                     for fam in reduced) for move in moves]
+        counted = [sum(_shortening(fam[1], *move) for fam in reduced)
+                   for move in moves]
+        assert counted == by_nf and max(by_nf) > 0
+        move = moves[max(range(len(moves)), key=by_nf.__getitem__)]
+        assert move == moves[counted.index(max(counted))]
+        reduced = [[conjugated_by_nf(W, w, *move) for w in fam]
+                   for fam in reduced]
 
 
 def test_outer_conjugator_identifies_outer_class(phi_w4, w4):

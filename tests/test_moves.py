@@ -115,6 +115,13 @@ class TestForests:
     def test_hedgehog_has_no_invariant_forest(self, f_alpha):
         assert not maximal_invariant_forest(f_alpha)
 
+    def test_one_cone_point_keeps_an_irreducible_forest(self):
+        """With a single factor the whole thistle is a forest, so an
+        irreducible transition matrix does not empty it."""
+        f = thistle_rep(Automorphism.identity(FreeProduct([Z2])))
+        assert f.transition_matrix().entries == ((1,),)
+        assert maximal_invariant_forest(f) == {1}
+
     def test_pretrivial_forest_collects_squashed_tree(self):
         """U, V and W map to a point, so the invariant forest takes the
         whole squashed tree, with A, and normalizing leaves the single

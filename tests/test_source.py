@@ -9,8 +9,9 @@ built and their edges counted only in ``paths``,
 representatives are compared by one name-free key, edge lengths come
 only from ``pf``, ``pf`` decides without floating point, edge items are
 tested inline, every error class is raised, factors have one kind,
-inversion has one algorithm, and every public name has a caller in the
-library or the benchmark, bar the input builders that tests need."""
+inversion has one algorithm that scores moves without rebuilding
+words, and every public name has a caller in the library or the
+benchmark, bar the input builders that tests need."""
 
 import ast
 import re
@@ -389,6 +390,18 @@ def test_inverse_runs_one_algorithm():
               if isinstance(node, ast.Call)
               and isinstance(node.func, ast.Attribute)}
     assert called == {"_peak_reduced_inverse"}
+
+
+def test_inverse_scores_moves_without_rebuilding_words():
+    """Peak reduction scores its moves with ``_shortening``, which calls
+    neither ``nf``, ``mul`` nor ``conjugated``; ``conjugated`` is called
+    twice, to apply the chosen move to the reduced images and to the
+    moves, so only the chosen move rebuilds words."""
+    inverse = "groups.Automorphism._peak_reduced_inverse"
+    assert function_call_sites("_shortening") == [inverse]
+    assert function_call_sites("conjugated") == [inverse, inverse]
+    assert "groups._shortening" not in (method_call_sites("nf")
+                                        + method_call_sites("mul"))
 
 
 def test_public_names_have_a_library_caller():

@@ -188,12 +188,21 @@ class TestDescent:
         """The benchmark corpus's W3 seed 4 folds in a cycle: pass 6 meets
         the representative of pass 3 again up to renaming its cells and
         edges, so the descent stops there instead of folding on to the
-        cap."""
+        cap.  The error's witness names both passes and prints the
+        representative's images, which rebuild it on its graph."""
         phi = Automorphism.from_gen_images(
             w3, [w3.parse_word(t) for t in ("c a c b c a c", "c", "c a c")])
         with pytest.raises(IterationCapExceeded,
-                           match="^pass 6 repeats pass 3$"):
+                           match="^pass 6 repeats pass 3$") as info:
             train_track_algorithm(thistle_rep(phi))
+        first, step, images = info.value.witness
+        assert (first, step) == (3, 6)
+        f = normalize(folded(phi, step))
+        assert images == {f.graph.edge_label(e): format_path(p)
+                          for e, p in f.edge_images.items()}
+        rebuilt = rep_from_path_texts(f.graph, images)
+        assert (_rep_key(rebuilt) == _rep_key(f)
+                == _rep_key(normalize(folded(phi, first))))
 
     def test_a_revisit_up_to_renaming_ends_the_descent(
             self, corpus_automorphism):
