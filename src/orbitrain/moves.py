@@ -3,16 +3,16 @@
 Every move is a pure function producing a fresh representative of the
 same outer automorphism, and returns that representative as built:
 collapsing the forests a move leaves behind and removing low-valence
-vertices is left to :func:`orbitrain.traintrack.normalize`.  The
-geometry is handled by one forward path transport per move, rewriting
-old paths on the new graph; the move is a homotopy equivalence, so the
-same transport carries the marking forward (:meth:`Marking.moved`).
-Subdivisions and folds cut an edge only over a zero cell of its image,
-named by the integer count of crossings before it.
+vertices is left to :func:`orbitrain.traintrack.normalize`.  Every move
+but the slide is one quotient: a cut plan cuts edges only over zero
+cells of their images, named by integer crossing counts, and cell
+classes and dead edges glue the cut graph.  One forward path transport
+per move rewrites old paths on the new graph; the move is a homotopy
+equivalence, so it also carries the marking (:meth:`Marking.moved`).
 """
 
-from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Sequence,
-                    Set, Tuple)
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .errors import (
     BadOrbigraph,
@@ -56,12 +56,6 @@ class Transport:
         self.edge_items = {e: tuple(v) for e, v in edge_items.items()}
         self._reversed: Dict[int, Tuple[Item, ...]] = {}
 
-    @classmethod
-    def identity(cls, graph: Orbigraph) -> "Transport":
-        return cls(graph, graph,
-                   {c: c for c in graph.cells()},
-                   {e: (e,) for e in graph.edges()})
-
     def items(self, items: Sequence[Item]) -> Tuple[Item, ...]:
         out: List[Item] = []
         for item in items:
@@ -80,23 +74,19 @@ class Transport:
     def path(self, p: Path) -> Path:
         return tighten(self.target, self.cell_map[p.start], self.items(p.items))
 
-    def then(self, later: "Transport") -> "Transport":
-        """The composite transport ``self.source -> later.target``."""
-        cells = {c: later.cell_map[v] for c, v in self.cell_map.items()}
-        edges = {e: later.items(v) for e, v in self.edge_items.items()}
-        return Transport(self.source, later.target, cells, edges)
-
 
 def _rebuild(f: TopRep, tr: Transport, reps: Sequence[int],
-             edge_images: Dict[int, Path]) -> TopRep:
+             edge_images: Dict[int, Path],
+             vertex_images: Dict[int, int]) -> TopRep:
     """Assemble the moved representative's cells and marking; ``reps``
-    names an old cell of each new one."""
+    names a cell of each new one, and ``vertex_images`` the old cell
+    under every plain vertex among them."""
     new_graph = tr.target
     cones = {}
     for c in new_graph.cone_cells():
         cm = f.cone_images[reps[c]]
         cones[c] = ConeMap(c, tr.cell_map[cm.target], cm.table)
-    vertices = {c: tr.cell_map[f.cell_image(reps[c])]
+    vertices = {c: tr.cell_map[vertex_images[reps[c]]]
                 for c in new_graph.cells() if not new_graph.is_cone(c)}
     marking = f.marking.moved(tr) if f.marking is not None else None
     return TopRep(new_graph, edge_images, cones, vertices, marking)
@@ -105,43 +95,62 @@ def _rebuild(f: TopRep, tr: Transport, reps: Sequence[int],
 def _quotient(f: TopRep, classes: Sequence[Sequence[int]],
               reach: Dict[int, Tuple[Item, ...]],
               dead: Dict[int, Tuple[Item, ...]],
-              redraw: Iterable[int] = ()) -> Tuple[TopRep, Transport]:
-    """Map ``f`` onto the graph that squashes each cell class to a cell
-    and drops the dead edges; returns the moved representative and the
-    forward transport.
+              redraw: Iterable[int] = (),
+              cuts: Optional[Dict[int, int]] = None,
+              letter_first: AbstractSet[int] = frozenset()
+              ) -> Tuple[TopRep, Transport]:
+    """Cut ``f`` by the plan ``cuts`` and ``letter_first`` (see
+    :func:`_cut_graph` and :func:`_cut_path`), squash each cell class of
+    the cut graph to a cell and drop its dead pieces, in one step; the
+    moved representative and the forward transport from ``f.graph``.
 
-    ``classes`` lists the old cells of each new cell in new-id order,
-    representative first, and ``reach`` holds an old walk from the
+    ``classes`` lists the cut cells of each new cell in new-id order,
+    representative first, and ``reach`` a cut walk from the
     representative to every other cell of its class.  ``dead`` spells
-    each dropped edge in old items.  Surviving edges keep their image,
-    except that those in ``redraw`` take the image of their old edge
-    extended by ``reach`` at either end.
+    each dropped piece in cut items.  A surviving piece takes its slice
+    of its edge's image, carried by the one transport, except that edges
+    in ``redraw`` (never cut) take the image of their old edge extended
+    by ``reach`` at either end.
     """
     graph = f.graph
+    cuts = cuts or {}
+    kinds, ends, names, pieces = _cut_graph(graph, cuts)
     reps = [cls[0] for cls in classes]
     cell_map = {c: i for i, cls in enumerate(classes) for c in cls}
-    survivors = [e for e in graph.edges() if e not in dead]
+    survivors = [e for e in range(1, len(ends) + 1) if e not in dead]
     new_id = {old: i for i, old in enumerate(survivors, start=1)}
-
-    ends = [(cell_map[graph.src(e)], cell_map[graph.dst(e)]) for e in survivors]
-    names = [graph.edge_names[e - 1] for e in survivors]
-    new_graph = Orbigraph(graph.W, [graph.kinds[c] for c in reps], ends, names)
+    new_graph = Orbigraph(
+        graph.W, [kinds[c] for c in reps],
+        [(cell_map[ends[e - 1][0]], cell_map[ends[e - 1][1]])
+         for e in survivors],
+        [names[e - 1] for e in survivors])
 
     fwd: Dict[int, Tuple[Item, ...]] = {e: (new_id[e],) for e in survivors}
     for e, items in dead.items():
         fwd[e] = tuple((new_id[i] if i > 0 else -new_id[-i])
                        if type(i) is int else (cell_map[i[0]], i[1])
                        for i in items)
-    tr = Transport(graph, new_graph, cell_map, fwd)
+    tr = Transport(graph, new_graph, {c: cell_map[c] for c in graph.cells()},
+                   {e: tuple(i for piece in pieces[e] for i in fwd[piece])
+                    for e in graph.edges()})
 
-    images = {new_id[e]: tr.path(f.edge_images[e]) for e in survivors}
+    vertices = dict(f.vertex_images)
+    images: Dict[int, Path] = {}
+    for e in graph.edges():
+        halves: Tuple[Path, ...] = (f.edge_images[e],)
+        if e in cuts:
+            halves = _cut_path(halves[0], cuts[e], e in letter_first)
+            vertices[ends[pieces[e][0] - 1][1]] = halves[1].start
+        for piece, half in zip(pieces[e], halves):
+            if piece in new_id:
+                images[new_id[piece]] = tr.path(half)
     for e in redraw:
         s, t = graph.src(e), graph.dst(e)
         old = tighten(graph, reps[cell_map[s]],
                       reach.get(s, ()) + (e,)
                       + invert_items(graph, reach.get(t, ())))
         images[new_id[e]] = tr.path(f.apply(old))
-    return _rebuild(f, tr, reps, images), tr
+    return _rebuild(f, tr, reps, images, vertices), tr
 
 
 def _absorbing(graph: Orbigraph, into: Dict[int, int]) -> List[Tuple[int, ...]]:
@@ -241,36 +250,23 @@ def collapse_forest(f: TopRep, forest: Iterable[int]) -> TopRep:
 def subdivide(f: TopRep, e: int, split: int) -> TopRep:
     """Split edge ``e`` at the preimage of the zero cell after crossing
     number ``split`` of its image path."""
+    graph = f.graph
+    if not 1 <= e <= graph.n_edges:
+        raise BadOrbigraph(f"no edge {e} in this graph")
     n = f.edge_images[e].n_edges
     if type(split) is not int or not 1 <= split <= n - 1:
         raise ImageNotAtZeroCell(
-            f"edge {f.graph.edge_label(e)} has no interior point over "
+            f"edge {graph.edge_label(e)} has no interior point over "
             f"zero cell number {split} of its image")
-    return _subdivide_many(f, {e: split})[0]
+    return _quotient(f, [(c,) for c in range(graph.n_cells + 1)], {}, {},
+                     cuts={e: split})[0]
 
 
-def _subdivide_many(f: TopRep, cuts: Dict[int, int],
-                    letter_first: AbstractSet[int] = frozenset()
-                    ) -> Tuple[TopRep, Transport]:
-    """Cut each edge ``e`` of ``cuts`` once, at the preimage of the zero
-    cell after crossing number ``cuts[e]`` of its image; returns the
-    result and the forward transport onto its pieces ``e`` and ``e'``.
-
-    Subdivision is a substitution: every old edge reads as the run of its
-    pieces.  A refinement of a tight path is tight, so the image of an
-    uncut edge is its old image refined, never re-tightened, and each
-    piece of a cut edge takes a slice of that refined image.  Subdivision
-    adds only letter-free valence-two vertices and keeps every old cell
-    id, so every loop at the base reads the same word and the marking is
-    unchanged.
-
-    When a cone letter sits on the cut's zero cell, it normally opens the
-    second piece's image; edges listed in ``letter_first`` close the
-    first piece with it instead.
-    """
-    graph = f.graph
-    if not cuts:
-        return f, Transport.identity(graph)
+def _cut_graph(graph: Orbigraph, cuts: Dict[int, int]):
+    """The cell kinds, edge ends and names of ``graph`` with each edge
+    of ``cuts`` cut into pieces ``e`` and ``e'`` through a new vertex, and
+    every edge's pieces; pieces are numbered in edge order, and the new
+    vertices after the old cells in edge order."""
     kinds = list(graph.kinds)
     ends: List[Tuple[int, int]] = []
     names: List[str] = []
@@ -291,51 +287,44 @@ def _subdivide_many(f: TopRep, cuts: Dict[int, int],
         taken.add(name)
         names.append(name)
         pieces[e] = (len(ends) - 1, len(ends))
-    new_graph = Orbigraph(graph.W, kinds, ends, names)
-    tr = Transport(graph, new_graph, {c: c for c in graph.cells()}, pieces)
+    return kinds, ends, names, pieces
 
-    vertices = dict(f.vertex_images)
-    images: Dict[int, Path] = {}
-    for e in graph.edges():
-        p = f.edge_images[e]
-        refined = tr.items(p.items)
-        if e not in cuts:
-            images[pieces[e][0]] = Path(new_graph, p.start, refined,
-                                        _tight=True)
-            continue
-        # the cut follows the run of pieces of crossing number cuts[e]
-        j = [i for i, item in enumerate(p.items)
-             if type(item) is int][cuts[e] - 1]
-        at = len(tr.items(p.items[:j + 1]))
-        if e in letter_first and type(refined[at]) is not int:
-            at += 1
-        cell = vertices[new_graph.dst(pieces[e][0])] = graph.dst(p.items[j])
-        for piece, start, body in ((pieces[e][0], p.start, refined[:at]),
-                                   (pieces[e][1], cell, refined[at:])):
-            # a slice of a tight walk is tight up to trivial end letters
-            if type(body[0]) is not int and body[0][1] == 0:
-                body = body[1:]
-            if type(body[-1]) is not int and body[-1][1] == 0:
-                body = body[:-1]
-            images[piece] = Path(new_graph, start, body, _tight=True)
 
-    marking = f.marking.moved(tr) if f.marking is not None else None
-    return (TopRep(new_graph, images, dict(f.cone_images), vertices, marking),
-            tr)
+def _cut_path(p: Path, k: int, letter_first: bool) -> Tuple[Path, Path]:
+    """The images of the two pieces of an edge with image ``p``, cut at
+    the zero cell after crossing number ``k``.
+
+    A cut is a substitution and refines tight paths to tight paths, so
+    each piece takes a slice of ``p``, tight up to trivial end letters,
+    which are dropped.  A letter on the cut's zero cell opens the second
+    slice, or closes the first when ``letter_first``.
+    """
+    items = p.items
+    j = [i for i, item in enumerate(items) if type(item) is int][k - 1]
+    at = j + 1
+    if letter_first and type(items[at]) is not int:
+        at += 1
+    halves = []
+    for start, body in ((p.start, items[:at]),
+                        (p.graph.dst(items[j]), items[at:])):
+        if type(body[0]) is not int and body[0][1] == 0:
+            body = body[1:]
+        if type(body[-1]) is not int and body[-1][1] == 0:
+            body = body[:-1]
+        halves.append(Path(p.graph, start, body, _tight=True))
+    return halves[0], halves[1]
 
 
 # ---------------------------------------------------------------------------
 # folding
 
 
-def _adjusted_images(f: TopRep, t: Turn) -> Tuple[Path, Path]:
-    """The two image paths a fold compares, cone letter already applied."""
-    p1 = f.image(t.first)
-    p2 = f.image(t.second)
-    if t.letter:
-        lam = f.cone_images[t.base].table[t.letter]
-        p2 = tighten(f.graph, p2.start, ((p2.start, lam),) + p2.items)
-    return p1, p2
+def _lettered(f: TopRep, t: Turn, p: Path) -> Path:
+    """``p``, an image leaving the turn's base, after the turn's letter."""
+    if not t.letter:
+        return p
+    lam = f.cone_images[t.base].table[t.letter]
+    return tighten(f.graph, p.start, ((p.start, lam),) + p.items)
 
 
 def fold(f: TopRep, turn: Turn) -> TopRep:
@@ -350,12 +339,14 @@ def fold(f: TopRep, turn: Turn) -> TopRep:
     return _fold_core(f, turn)[0]
 
 
-def _fold_core(f: TopRep, turn: Turn):
-    """Fold ``turn``; the result and the forward transport.
+def _fold_core(f: TopRep, turn: Turn) -> Tuple[TopRep, Transport]:
+    """Fold ``turn``; the result and the forward transport from
+    ``f.graph``.
 
-    Both directions are cut where their shared image prefix ends, on the
-    input's images and in one subdivision; one quotient then glues the
-    second piece onto the turn's letter followed by the first.
+    The cut plan and the glue are read off the input's images: both
+    directions are cut where their shared image prefix ends, the two
+    pieces' images are compared, and one quotient cuts the edges and
+    glues the second piece onto the turn's letter followed by the first.
     """
     t = turn
     graph = f.graph
@@ -363,7 +354,7 @@ def _fold_core(f: TopRep, turn: Turn):
         raise NothingToFold("the turn folds a direction onto itself")
     if graph.src(t.first) != t.base or graph.src(t.second) != t.base:
         raise NothingToFold("turn directions do not share the base cell")
-    p1, p2 = _adjusted_images(f, t)
+    p1, p2 = f.image(t.first), _lettered(f, t, f.image(t.second))
     shared = 0
     for a, b in zip(p1.items, p2.items):
         if a != b:
@@ -399,39 +390,43 @@ def _fold_core(f: TopRep, turn: Turn):
             cuts[abs(d)] = k if d > 0 else n - k
             if (d > 0) == keep_letter:
                 sides.add(abs(d))
-    work, sub = _subdivide_many(f, cuts, letter_first=sides)
-    piece1, piece2 = (sub.edge_items[d][0] if d > 0
-                      else -sub.edge_items[-d][-1]
+    kinds, ends, _, pieces = _cut_graph(graph, cuts)
+    piece1, piece2 = (pieces[d][0] if d > 0 else -pieces[-d][-1]
                       for d in (t.first, t.second))
-    q1, q2 = _adjusted_images(work, Turn(piece1, t.letter, piece2, t.base))
-    if q1 != q2:
+    # the pieces' images, sliced as the quotient slices them, must agree
+    q: List[Path] = []
+    for d in (t.first, t.second):
+        e = abs(d)
+        halves = (_cut_path(f.edge_images[e], cuts[e], e in sides)
+                  if e in cuts else (f.image(e), f.image(e)))
+        q.append(halves[0] if d > 0 else halves[1].invert())
+    if q[0] != _lettered(f, t, q[1]):
         raise BadRepresentative("fold pieces disagree after subdivision")
 
     # glue piece2 onto the letter followed by piece1
-    g = work.graph
-    b = g.src(piece1)
-    if g.src(piece2) != b:
+    (b, v1), (b2, v2) = (ends[d - 1] if d > 0 else ends[-d - 1][::-1]
+                         for d in (piece1, piece2))
+    if b2 != b:
         raise NothingToFold("fold pieces do not share their initial cell")
     if abs(piece1) == abs(piece2):
         raise NothingToFold("cannot glue an edge onto itself")
-    v1, v2 = g.dst(piece1), g.dst(piece2)
-    if v1 != v2 and g.is_cone(v1) and g.is_cone(v2):
+    if v1 != v2 and kinds[v1] != VERTEX and kinds[v2] != VERTEX:
         raise BadRepresentative("fold would merge two distinct cone points")
-    ginv = ((b, g.group_at(b).inv(t.letter)),) if t.letter else ()
+    ginv = ((b, graph.group_at(b).inv(t.letter)),) if t.letter else ()
     glued = ginv + (piece1,)
     if piece2 < 0:
-        glued = invert_items(g, glued)
-    classes = [(c,) for c in g.cells()]
+        glued = invert_items(graph, glued)
+    classes = [(c,) for c in range(len(kinds))]
     reach: Dict[int, Tuple[Item, ...]] = {}
     if v1 != v2:
         # the glue collapses kappa, the path from v2 to v1
         kappa = (-piece2,) + ginv + (piece1,)
-        rep, other = (v2, v1) if g.is_cone(v2) else (v1, v2)
-        reach[other] = kappa if rep == v2 else invert_items(g, kappa)
+        rep, other = (v2, v1) if kinds[v2] != VERTEX else (v1, v2)
+        reach[other] = kappa if rep == v2 else invert_items(graph, kappa)
         classes[min(v1, v2)] = (rep, other)
         del classes[max(v1, v2)]
-    folded, tr = _quotient(work, classes, reach, {abs(piece2): glued})
-    return folded, sub.then(tr)
+    return _quotient(f, classes, reach, {abs(piece2): glued}, cuts=cuts,
+                     letter_first=sides)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +437,8 @@ def valence_one_homotopy(f: TopRep, v: int) -> TopRep:
     """Retract a dangling vertex and its edge; the quotient, with any
     forest it leaves uncollapsed."""
     graph = f.graph
+    if not 0 <= v < graph.n_cells:
+        raise BadOrbigraph(f"no cell {v} in this graph")
     if graph.is_cone(v):
         raise ConePointForbidden(
             "retracting a cone point would change the group")
@@ -462,6 +459,8 @@ def valence_two_homotopy(f: TopRep, v: int, collapse: int) -> TopRep:
     collapses no forest.
     """
     graph = f.graph
+    if not 0 <= v < graph.n_cells:
+        raise BadOrbigraph(f"no cell {v} in this graph")
     if graph.is_cone(v):
         raise ConePointForbidden("cannot remove a cone point")
     dirs = graph.edges_at(v)
@@ -510,4 +509,4 @@ def slide(f: TopRep, d: int, alpha: Path) -> TopRep:
 
     images = {e: tr.path(f.edge_images[e]) for e in graph.edges()}
     images[edge] = tr.path(moved_image)
-    return _rebuild(f, tr, graph.cells(), images)
+    return _rebuild(f, tr, graph.cells(), images, f.vertex_images)

@@ -18,6 +18,7 @@ from orbitrain import moves, traintrack
 from orbitrain.errors import NothingToFold, OrbitrainError
 from orbitrain.moves import (collapse_forest, fold, valence_one_homotopy,
                              valence_two_homotopy)
+from orbitrain.paths import tighten
 from orbitrain.pf import is_irreducible, pf_compare, pf_data
 from orbitrain.toprep import thistle_rep
 from orbitrain.traintrack import _rep_key, record_events
@@ -119,11 +120,68 @@ def test_the_forest_shortcut_agrees_with_the_greedy_loop(monkeypatch):
         return forest
 
     monkeypatch.setattr(traintrack, "maximal_invariant_forest", spy)
-    for case in workloads.cases("descent"):
-        try:
-            workloads.run("descent", case)
-        except OrbitrainError:  # a failing case is a recorded outcome
-            pass
+    run_descent_cases()
     assert all(forest == grown for _, forest, grown in searches)
     shortcuts = [irreducible for irreducible, _, _ in searches]
     assert any(shortcuts) and not all(shortcuts)
+
+
+def run_descent_cases():
+    """Run the 63 cases, a failing case being a recorded outcome."""
+    for case in workloads.cases("descent"):
+        try:
+            workloads.run("descent", case)
+        except OrbitrainError:
+            pass
+
+
+def test_every_descent_fold_intertwines_the_maps(monkeypatch):
+    """On every fold the 63 cases make, the fold's transport tr carries
+    the old map to the folded one: for the one-edge path p of every edge
+    of the input f, out(tr(p)) and tr(f(p)) are the same tight path."""
+    checks = []
+
+    def spy(f, turn):
+        out, tr = moves._fold_core(f, turn)
+        for e in f.graph.edges():
+            p = tighten(f.graph, f.graph.src(e), (e,))
+            checks.append(out.apply(tr.path(p)) == tr.path(f.apply(p)))
+        return out
+
+    monkeypatch.setattr(traintrack, "fold", spy)
+    run_descent_cases()
+    assert len(checks) > 1000 and all(checks)
+
+
+def test_each_descent_fold_builds_one_graph_and_one_representative(
+        monkeypatch):
+    """Counting the ``Orbigraph`` and ``TopRep`` constructions that
+    ``moves`` makes, every fold of the 63 cases that returns builds
+    exactly one of each, and every fold that raises builds neither."""
+    built = dict.fromkeys(("Orbigraph", "TopRep"), 0)
+
+    def counted(name):
+        real = getattr(moves, name)
+
+        def construct(*args):
+            built[name] += 1
+            return real(*args)
+        return construct
+
+    for name in built:
+        monkeypatch.setattr(moves, name, counted(name))
+    per_fold = []
+
+    def spy(f, turn):
+        before = dict(built)
+        try:
+            return fold(f, turn)
+        finally:
+            per_fold.append(tuple(built[n] - before[n] for n in built))
+
+    monkeypatch.setattr(traintrack, "fold", spy)
+    with record_events() as events:
+        run_descent_cases()
+    folds = [args[0] for name, *args in events if name == "fold"]
+    assert len(per_fold) == len(folds) > 0
+    assert set(per_fold) <= {(1, 1), (0, 0)} and (1, 1) in per_fold

@@ -292,6 +292,14 @@ def random_twisted_automorphism(rng):
     return Automorphism.inner(W, W.nf(word)).compose(phi)
 
 
+def cut(f, cuts, letter_first=frozenset()):
+    """Subdivide ``f`` by the cut plan ``cuts`` through the quotient
+    builder, squashing nothing; the result and its transport."""
+    cells = [(c,) for c in range(f.graph.n_cells + len(cuts))]
+    return moves._quotient(f, cells, {}, {}, cuts=cuts,
+                           letter_first=letter_first)
+
+
 def seeded_subdivisions(seed):
     """The automorphism of ``seed`` and a list of the subdivisions of its
     thistle or hedgehog representative, maybe slid, as (old, new,
@@ -317,7 +325,7 @@ def seeded_subdivisions(seed):
         return phi, []
     cuts = {e: rng.randrange(1, n)}
     sides = {e} if rng.random() < 0.5 else set()
-    return phi, [(f, *moves._subdivide_many(f, cuts, sides), cuts, sides)]
+    return phi, [(f, *cut(f, cuts, sides), cuts, sides)]
 
 
 def cut_kinds(seed):
@@ -379,6 +387,61 @@ def test_pinned_seeds_cut_every_way():
     kinds = set().union(*map(cut_kinds, CUT_EVERY_WAY))
     assert kinds >= {"marked", "cell", ("trivial letter", True),
                      ("trivial letter", False)}
+
+
+def assert_intertwines(f, out, tr):
+    """The transport ``tr`` of a move from ``f`` to ``out`` intertwines
+    the two maps: for the one-edge path p of every edge of ``f``,
+    out(tr(p)) and tr(f(p)) are the same tight path."""
+    for e in f.graph.edges():
+        p = tighten(f.graph, f.graph.src(e), (e,))
+        assert out.apply(tr.path(p)) == tr.path(f.apply(p))
+
+
+@given(st.integers(0, 2**32 - 1))
+@example(CUT_EVERY_WAY[0])
+@example(CUT_EVERY_WAY[1])
+@settings(max_examples=30, deadline=None)
+def test_subdivisions_and_folds_intertwine_the_maps(seed):
+    """On the seed's subdivision, and on the first folds of the descent
+    from its thistle representative, the move's transport intertwines
+    the old map with the new one."""
+    phi, seen = seeded_subdivisions(seed)
+    for f, out, tr, _, _ in seen:
+        assert_intertwines(f, out, tr)
+    f = thistle_rep(phi)
+    for _ in range(3):
+        turn = _descent_turn(f)
+        if turn is None:
+            break
+        try:
+            out, tr = moves._fold_core(f, turn)
+        except NothingToFold:
+            break
+        assert_intertwines(f, out, tr)
+        f = normalize(out)
+
+
+@pytest.mark.parametrize("move, args, missing", [
+    ("subdivide", (99, 1), "edge 99"), ("subdivide", (-1, 1), "edge -1"),
+    ("subdivide", (0, 1), "edge 0"),
+    ("valence_one_homotopy", (99,), "cell 99"),
+    ("valence_one_homotopy", (-1,), "cell -1"),
+    ("valence_two_homotopy", (99, 1), "cell 99"),
+    ("valence_two_homotopy", (-1, 1), "cell -1"),
+    ("fold", (Turn(99, 0, 1, 0),), "edge 99"),
+    ("collapse_forest", ({99},), "edge 99"),
+    ("slide", (99,), "edge 99"),
+])
+def test_out_of_range_move_arguments_are_bad_orbigraphs(phi_w4, move, args,
+                                                        missing):
+    """A move given an edge or cell that its graph lacks raises
+    ``BadOrbigraph`` naming it, not a builtin error or a wrapped index."""
+    f = thistle_rep(phi_w4)
+    if move == "slide":
+        args += (Path(f.graph, 0),)
+    with pytest.raises(BadOrbigraph, match=f"^no {missing} in this graph$"):
+        getattr(moves, move)(f, *args)
 
 
 # ---- folding ------------------------------------------------------------------
@@ -666,7 +729,7 @@ def test_moves_carry_the_marking_exactly(seed):
     e = rng.choice(f.graph.edges())
     n = f.edge_images[e].n_edges
     if n > 1:
-        moved.append(moves._subdivide_many(f, {e: rng.randrange(1, n)}))
+        moved.append(cut(f, {e: rng.randrange(1, n)}))
     turn = _descent_turn(f)
     if turn is not None:
         try:

@@ -113,16 +113,28 @@ def used_names(tree):
 
 
 def test_moves_construct_graphs_only_in_the_builders():
-    """Every quotient move goes through ``moves._quotient``; besides it
-    only subdivision and the slide build an Orbigraph in ``moves.py``."""
-    assert moves_call_sites("Orbigraph") == [
-        "_quotient", "_subdivide_many", "slide"]
+    """Every move but the slide, subdivision included, goes through
+    ``moves._quotient``; besides it only the slide builds an Orbigraph
+    in ``moves.py``."""
+    assert moves_call_sites("Orbigraph") == ["_quotient", "slide"]
 
 
-def test_fold_subdivides_once():
-    """A fold cuts both of its directions in one subdivision, so only the
-    fold and the subdivision move call ``_subdivide_many``."""
-    assert moves_call_sites("_subdivide_many") == ["_fold_core", "subdivide"]
+def test_fold_cuts_and_glues_in_one_quotient():
+    """A fold reads its cut plan and glue off the input and calls
+    ``_quotient`` once, so it builds one graph and one representative:
+    the body of ``_fold_core`` names neither ``TopRep`` nor
+    ``Orbigraph``, and of the functions of ``moves.py`` that build
+    either, it calls ``_quotient`` alone."""
+    assert moves_call_sites("_quotient").count("_fold_core") == 1
+    core = next(node for node in ast.walk(moves_tree())
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_fold_core")
+    named = {node.id for stmt in core.body for node in ast.walk(stmt)
+             if isinstance(node, ast.Name)}
+    assert not {"TopRep", "Orbigraph"} & named
+    builders = {site for name in ("TopRep", "Orbigraph", "_rebuild")
+                for site in moves_call_sites(name)}
+    assert builders & named == {"_quotient"}
 
 
 def test_moves_only_carry_the_marking_forward():
