@@ -176,11 +176,11 @@ def maximal_invariant_forest(f: TopRep) -> FrozenSet[int]:
     joins two cone points when the graph has them, so the forest is empty
     without the loop."""
     graph = f.graph
-    M = f.transition_matrix().entries
+    M = f.transition_matrix()
     if len(graph.cone_cells()) > 1 and is_irreducible(M):
         return frozenset()
     crossed = {e: [i for i, k in enumerate(col, start=1) if k]
-               for e, col in enumerate(zip(*M), start=1)}
+               for e, col in enumerate(zip(*M.entries), start=1)}
     chosen: Set[int] = set()
     for e in graph.edges():
         if e in chosen:
@@ -239,8 +239,12 @@ def collapse_forest(f: TopRep, forest: Iterable[int]) -> TopRep:
     Paths crossing the forest keep their net cone letters; a component
     containing a cone point collapses onto that cone.
     """
-    edges = frozenset(abs(e) for e in forest)
-    return _collapse(f, edges)[0]
+    edges = set()
+    for e in forest:
+        if type(e) is not int:
+            raise BadOrbigraph(f"no edge {e} in this graph")
+        edges.add(abs(e))
+    return _collapse(f, frozenset(edges))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +465,8 @@ def valence_two_homotopy(f: TopRep, v: int, collapse: int) -> TopRep:
     graph = f.graph
     if not 0 <= v < graph.n_cells:
         raise BadOrbigraph(f"no cell {v} in this graph")
+    if type(collapse) is not int or not 1 <= collapse <= graph.n_edges:
+        raise BadOrbigraph(f"no edge {collapse} in this graph")
     if graph.is_cone(v):
         raise ConePointForbidden("cannot remove a cone point")
     dirs = graph.edges_at(v)

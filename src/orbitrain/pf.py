@@ -5,17 +5,22 @@ floating point decides anything.  The growth rate of an irreducible block
 is its Perron-Frobenius eigenvalue, the largest real root of the
 characteristic polynomial.
 
+- A ``TransitionMatrix`` keeps its strongly connected split, computed
+  once, for every reader of the same matrix.
 - ``pf_data`` brackets the rate by Collatz-Wielandt iteration on positive
   integer vectors: min (Mv)_i / v_i and max (Mv)_i / v_i bound the rate for
   every positive v, so the bracket is certified whatever v the iteration
-  reaches.
+  reaches.  The iteration's state stays with the bracket, so a coarse
+  bracket can be narrowed later, to exactly the bracket a finer one
+  would have been.
 - Sturm sign counts and zero tests evaluate d^deg p(n/d) by integer Horner,
   and bisection keeps its endpoints over one power-of-two denominator.
 - The Sturm isolation of the rate starts from the certified bracket once
   one Sturm count confirms it, and from the root bound otherwise.
-- ``pf_compare`` decides by disjoint brackets, then by equal
-  characteristic polynomials; otherwise it refines both isolations, and
-  equal rates are found exactly through the gcd of the two polynomials.
+- ``pf_compare`` decides by disjoint brackets, narrowing coarse ones only
+  when they overlap, then by equal characteristic polynomials; otherwise
+  it refines both isolations, and equal rates are found exactly through
+  the gcd of the two polynomials.
 - ``compare_lengths`` orders two edge lengths by a domination certificate,
   the sign of (M + I)^k (e_i - e_j), and falls back on row 0 of the
   adjugate from one Faddeev-LeVerrier loop, which at the rate is a
@@ -143,13 +148,40 @@ def scc_components(M: Matrix) -> Tuple[Tuple[int, ...], ...]:
     return tuple(out)
 
 
-def is_irreducible(M: Matrix) -> bool:
+class TransitionMatrix:
+    """Edge-crossing counts: entry (i, j) counts how often the image of
+    edge j + 1 crosses edge i + 1, in either direction, so edge e is row
+    and column e - 1.
+
+    A representative builds its matrix once and never mutates it, so the
+    strongly connected split is computed on first use and kept on the
+    instance: the filtration, the forest search's shortcut, the
+    valence-two choice and ``pf_data``'s guard all read that one split.
+    """
+
+    __slots__ = ("entries", "_components")
+
+    def __init__(self, entries: Matrix):
+        self.entries = entries
+        self._components: Optional[Tuple[Tuple[int, ...], ...]] = None
+
+    def components(self) -> Tuple[Tuple[int, ...], ...]:
+        """``scc_components`` of the entries, computed once."""
+        if self._components is None:
+            self._components = scc_components(self.entries)
+        return self._components
+
+
+def is_irreducible(M) -> bool:
     """Strong connectivity of the transition digraph; a lone vertex must
-    carry a loop, so the 1x1 zero matrix is reducible."""
-    n = len(M)
-    if n == 1:
-        return M[0][0] > 0
-    return len(scc_components(M)) == 1
+    carry a loop, so the 1x1 zero matrix is reducible.  A
+    ``TransitionMatrix`` answers from its cached split; plain rows are
+    split here."""
+    if not isinstance(M, TransitionMatrix):
+        M = TransitionMatrix(M)
+    if len(M.entries) == 1:
+        return M.entries[0][0] > 0
+    return len(M.components()) == 1
 
 
 # -- integer polynomials -------------------------------------------------------
@@ -411,20 +443,25 @@ class PFData:
     """Certified bounds for the growth rate of an irreducible block.
 
     ``[lower, upper]`` contains the growth rate; ``is_one`` marks a
-    transitive permutation, whose rate is exactly 1.  The characteristic
-    polynomial, the adjugate and the Sturm isolation are derived on first
-    use and kept on the instance.
+    transitive permutation, whose rate is exactly 1.  The bracket only
+    ever narrows, in place, so it stays certified: ``refined`` shrinks it
+    by resuming the Collatz-Wielandt walk that ``pf_data`` began, and
+    ``pf_compare`` resumes that walk when two brackets overlap.  The
+    characteristic polynomial, the adjugate and the Sturm isolation are
+    derived on first use and kept on the instance.
     """
 
-    __slots__ = ("matrix", "lower", "upper", "is_one", "_iso", "_polys")
+    __slots__ = ("matrix", "lower", "upper", "is_one", "_iso", "_polys",
+                 "_walk")
 
     def __init__(self, matrix: Matrix, lower: Fraction, upper: Fraction,
-                 is_one: bool = False, _iso: Optional[Isolation] = None):
+                 is_one: bool = False, _walk: Optional[tuple] = None):
         self.matrix = matrix
         self.lower = Fraction(lower)
         self.upper = Fraction(upper)
         self.is_one = bool(is_one)
-        self._iso = _iso
+        self._walk = _walk
+        self._iso: Optional[Isolation] = None
         self._polys = None
 
     @property
@@ -452,14 +489,34 @@ class PFData:
         return self._iso
 
     def refined(self, tol: Fraction) -> "PFData":
-        if self.width <= tol:
-            return self
-        iso = self.isolation(tol).refine(tol)
-        lo, hi = iso.bounds()
-        out = PFData(self.matrix, max(lo, self.lower), min(hi, self.upper),
-                     self.is_one, _iso=iso)
-        out._polys = self._polys
-        return out
+        """Narrow the bracket in place to width at most tol and return
+        this data.
+
+        The Collatz-Wielandt walk that ``pf_data`` began resumes first.
+        When its rounds run out short of tol, or for data built without a
+        walk, the seeded Sturm isolation bisects the rest.  Neither step
+        depends on how many stages reach tol, so data narrowed from a
+        coarse bracket ends with the bracket that ``pf_data`` gives at tol
+        directly.
+        """
+        if self.width > tol and self._walk is not None:
+            lo, hi, self._walk = _collatz_wielandt(self.matrix, tol,
+                                                   self._walk)
+            self.lower, self.upper = max(lo, self.lower), min(hi, self.upper)
+        if self.width > tol:
+            self._iso = self.isolation(tol).refine(tol)
+            lo, hi = self._iso.bounds()
+            self.lower, self.upper = max(lo, self.lower), min(hi, self.upper)
+        return self
+
+    def _resume(self) -> bool:
+        """Narrow to ``DEFAULT_TOL`` a bracket that ``pf_data`` left wider,
+        and say whether it did; data built without a walk is left to the
+        isolations."""
+        if self._walk is None or self.width <= DEFAULT_TOL:
+            return False
+        self.refined(DEFAULT_TOL)
+        return True
 
     def _compare_by_adjugate(self, i: int, j: int) -> int:
         """-1, 0 or 1 by the lengths w_i and w_j, decided exactly; the
@@ -506,21 +563,34 @@ class PFData:
         return f"PFData({float(self.lower):.10f}..{float(self.upper):.10f})"
 
 
-def _collatz_wielandt(M: Matrix, tol: Fraction) -> Tuple[Fraction, Fraction]:
-    """A certified bracket of the growth rate of an irreducible M.
+def _collatz_wielandt(M: Matrix, tol: Fraction, walk: Optional[tuple] = None
+                      ) -> Tuple[Fraction, Fraction, tuple]:
+    """A certified bracket of the growth rate of an irreducible M, of
+    width at most tol unless 120 rounds run out first, and the walk's
+    state.
 
     For every positive vector v, min_i (Mv)_i / v_i <= rate <=
     max_i (Mv)_i / v_i.  Iterating v <- (M + I) v, which is primitive even
     when M is periodic, drives both ratios to the rate.  v stays a
-    positive integer vector, shifted right to 64 bits more than 1/tol
-    needs; that changes which v is used, never the certificate.
+    positive integer vector, shifted right to 64 bits more than
+    1/``DEFAULT_TOL`` needs; that changes which v is used, never the
+    certificate.  The shift does not depend on tol, so the walk is one
+    sequence of vectors whatever tol asks for: passing back the state a
+    call returned resumes it, with the 120 rounds counted over the whole
+    walk, and a bracket narrowed over several calls is the one a single
+    call gives.
     """
     n = len(M)
-    bits = 64 + (tol.denominator // max(tol.numerator, 1)).bit_length()
-    v = [1] * n
-    lo_n, lo_d = 0, 1
-    hi_n = hi_d = None
-    for _ in range(120):
+    bits = 64 + (DEFAULT_TOL.denominator // DEFAULT_TOL.numerator).bit_length()
+    rounds, v, w, lo_n, lo_d, hi_n, hi_d = walk or (0, [1] * n, None,
+                                                    0, 1, None, None)
+    while rounds < 120 and (
+            hi_n is None or (hi_n * lo_d - lo_n * hi_d) * tol.denominator
+            > tol.numerator * hi_d * lo_d):
+        if w is not None:
+            u = [a + b for a, b in zip(w, v)]
+            shift = max(u).bit_length() - bits
+            v = [(x >> shift) or 1 for x in u] if shift > 0 else u
         w = [sum(map(mul, row, v)) for row in M]
         imin = imax = 0
         for i in range(1, n):
@@ -532,26 +602,31 @@ def _collatz_wielandt(M: Matrix, tol: Fraction) -> Tuple[Fraction, Fraction]:
             lo_n, lo_d = w[imin], v[imin]
         if hi_n is None or w[imax] * hi_d < hi_n * v[imax]:
             hi_n, hi_d = w[imax], v[imax]
-        if ((hi_n * lo_d - lo_n * hi_d) * tol.denominator
-                <= tol.numerator * hi_d * lo_d):
-            break
-        u = [a + b for a, b in zip(w, v)]
-        shift = max(u).bit_length() - bits
-        v = [(x >> shift) or 1 for x in u] if shift > 0 else u
-    return Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
+        rounds += 1
+    return (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d),
+            (rounds, v, w, lo_n, lo_d, hi_n, hi_d))
 
 
 def pf_data(M, tol: Fraction = DEFAULT_TOL) -> PFData:
     """Certified growth-rate bracket of an irreducible block, of width at
-    most tol: the Collatz-Wielandt bracket, narrowed by the seeded Sturm
-    isolation when the iteration stops short of tol."""
-    M = as_matrix(M)
+    most tol.
+
+    M is a ``TransitionMatrix``, whose cached split is the irreducibility
+    guard, or plain rows.  The bracket is the Collatz-Wielandt one,
+    narrowed by the seeded Sturm isolation when the walk stops short of
+    tol.  The walk is kept, so a coarse tol gives a cheap first bracket
+    that ``refined`` and ``pf_compare`` can narrow later, to exactly the
+    bracket a finer tol would have given at once.
+    """
+    if not isinstance(M, TransitionMatrix):
+        M = TransitionMatrix(as_matrix(M))
     if not is_irreducible(M):
         raise NotIrreducible("the transition block is not irreducible")
-    if is_transitive_permutation(M):
-        return PFData(M, Fraction(1), Fraction(1), True)
-    lower, upper = _collatz_wielandt(M, tol)
-    return PFData(M, lower, upper).refined(tol)
+    rows = M.entries
+    if is_transitive_permutation(rows):
+        return PFData(rows, Fraction(1), Fraction(1), True)
+    lower, upper, walk = _collatz_wielandt(rows, tol)
+    return PFData(rows, lower, upper, _walk=walk).refined(tol)
 
 
 def compare_lengths(M: Matrix, i: int, j: int) -> int:
@@ -590,13 +665,19 @@ def compare_lengths(M: Matrix, i: int, j: int) -> int:
 def pf_compare(x: PFData, y: PFData) -> int:
     """-1, 0, or 1 by the true growth rates, decided exactly.
 
-    Disjoint certified brackets decide at once.  Otherwise the two seeded
-    isolations are refined until they separate, until one is an exact
-    rational root of the other's polynomial, or until a common factor of
-    the two polynomials has a root where they overlap.  Each round that
-    does not decide refines every inexact isolation at least sixteenfold
-    or makes it exact, and the loop ends by proof, with no round cap:
+    Disjoint certified brackets decide at once.  When they overlap, a
+    bracket that ``pf_data`` left wider than ``DEFAULT_TOL`` is narrowed to
+    it by resuming its walk, which gives the bracket ``pf_data`` would
+    have given at that width, and the comparison starts over.  Otherwise
+    the two seeded isolations are refined until they separate, until one
+    is an exact rational root of the other's polynomial, or until a
+    common factor of the two polynomials has a root where they overlap.
+    Each round that does not decide refines every inexact isolation at
+    least sixteenfold or makes it exact, and the loop ends by proof, with
+    no round cap:
 
+    - the narrowing happens at most once per bracket, since a narrowed
+      bracket is no wider than ``DEFAULT_TOL``;
     - equal characteristic polynomials are equal rates before any
       isolation is built: both blocks are irreducible, so each rate is the
       largest real root of the same polynomial;
@@ -615,6 +696,8 @@ def pf_compare(x: PFData, y: PFData) -> int:
         return -1
     if y.upper < x.lower:
         return 1
+    if any([x._resume(), y._resume()]):
+        return pf_compare(x, y)
     if (x.is_one and y.is_one) or x.poly() == y.poly():
         return 0
     a = x.isolation()

@@ -25,7 +25,7 @@ from .groups import Automorphism, is_iso, iso_chain, iso_identity
 from .orbigraph import Orbigraph, hedgehog, thistle
 from .paths import (Circuit, Path, Turn, invert_items, loop_of_word,
                     parse_path, tighten, tighten_circuit)
-from .pf import scc_components
+from .pf import TransitionMatrix
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ class TopRep:
 
     # -- the transition matrix --------------------------------------------------
 
-    def transition_matrix(self) -> "TransitionMatrix":
+    def transition_matrix(self) -> TransitionMatrix:
         if self._matrix is None:
             edges = self.graph.edges()
             cols = {e: self.edge_images[e].crossings() for e in edges}
@@ -444,16 +444,7 @@ def rep_from_path_texts(graph: Orbigraph, texts, tables=None,
     return TopRep(graph, parsed, cone_images, vertex_images, marking)
 
 
-# -- transition matrices and filtrations ---------------------------------------
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Edge-crossing counts: entry (i, j) counts how often the image of
-    edge j + 1 crosses edge i + 1, in either direction, so edge e is row
-    and column e - 1."""
-
-    entries: Tuple[Tuple[int, ...], ...]
+# -- filtrations --------------------------------------------------------------
 
 
 def maximal_filtration(f: TopRep) -> Tuple[Tuple[int, ...], ...]:
@@ -461,13 +452,15 @@ def maximal_filtration(f: TopRep) -> Tuple[Tuple[int, ...], ...]:
     tuples, sinks first.
 
     The strata are the strongly connected components of the transition
-    matrix, so every diagonal block is irreducible or zero; an isolated
-    zero edge joins the previous stratum when that stratum is zero and
-    nothing maps from the edge into it.
+    matrix, read from the split it keeps, so the descent's later readers
+    of the same matrix do not split it again.  Every diagonal block is
+    irreducible or zero; an isolated zero edge joins the previous stratum
+    when that stratum is zero and nothing maps from the edge into it.
     """
-    entries = f.transition_matrix().entries
+    M = f.transition_matrix()
+    entries = M.entries
     groups = []
-    for comp in scc_components(entries):
+    for comp in M.components():
         zero = len(comp) == 1 and entries[comp[0]][comp[0]] == 0
         if (zero and groups and groups[-1][1]
                 and all(entries[j][comp[0]] == 0 for j in groups[-1][0])):

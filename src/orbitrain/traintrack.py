@@ -18,6 +18,7 @@ call and builds nothing.
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Union
 
 from .errors import BadRepresentative, IterationCapExceeded, LemmaViolated
@@ -29,8 +30,8 @@ from .moves import (
     valence_two_homotopy,
 )
 from .paths import format_path
-from .pf import (compare_lengths, is_irreducible, is_transitive_permutation,
-                 pf_compare, pf_data)
+from .pf import (DEFAULT_TOL, compare_lengths, is_irreducible,
+                 is_transitive_permutation, pf_compare, pf_data)
 from .toprep import TopRep, Turn, maximal_filtration
 
 __all__ = [
@@ -83,6 +84,12 @@ Outcome = Union[TrainTrack, FiniteOrder, Reducible]
 # bounds and simple predicates
 
 
+# The width of each pass's first bracket.  Most passes compare with the
+# previous one on disjoint brackets this wide; ``pf_compare`` narrows the
+# rest to ``DEFAULT_TOL`` by resuming the same iteration.
+PASS_TOL = Fraction(1, 64)
+
+
 def edge_bound(n: int) -> int:
     """The largest number of edges a normalized representative on n
     factors can have: one tree with a cone per factor and no valence-one
@@ -106,8 +113,10 @@ def record_events():
     tuples naming the event first:
 
     - ``("pass", step, cells, edges, lower, upper)`` once a pass has
-      certified that its rate, bracketed by the exact fractions
-      ``lower`` and ``upper``, did not rise;
+      certified that its rate did not rise; ``lower`` and ``upper`` are
+      the exact bracket as certified then: of width at most ``PASS_TOL``,
+      or at most ``pf.DEFAULT_TOL`` when the comparison with the previous
+      pass had to narrow it;
     - ``("fold", turn)`` before the pass folds ``turn``, so a fold that
       fails leaves its turn as the last event;
     - ``("collapse_forest", edges)``, ``("valence_one", v)`` and
@@ -161,9 +170,9 @@ def normalize(f: TopRep) -> TopRep:
                 break
             if val == 2:
                 e1, e2 = sorted(abs(d) for d in graph.edges_at(c))
-                M = f.transition_matrix().entries
+                M = f.transition_matrix()
                 if (is_irreducible(M)
-                        and compare_lengths(M, e1 - 1, e2 - 1) > 0):
+                        and compare_lengths(M.entries, e1 - 1, e2 - 1) > 0):
                     e1 = e2
                 if events is not None:
                     events.append(("valence_two", c, e1))
@@ -308,8 +317,11 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
         M = f.transition_matrix()
         if is_transitive_permutation(M.entries):
             return FiniteOrder(f, _finite_order_period(f))
-        data = pf_data(M.entries)
+        data = pf_data(M, PASS_TOL)
         if prev is not None and pf_compare(data, prev) > 0:
+            # the witness quotes both rates at the default width
+            prev.refined(DEFAULT_TOL)
+            data.refined(DEFAULT_TOL)
             raise LemmaViolated(
                 (step, (prev.lower, prev.upper), (data.lower, data.upper)),
                 f"pass {step}: the growth rate rose from about "

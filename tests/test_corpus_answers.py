@@ -5,8 +5,9 @@ fixtures) runs once through the benchmark's own ``run``, ``judge`` and
 ``verify``.  A case whose answer differs from the recorded one, or whose
 answer the oracle rejects, fails the test; a recorded failure that now
 fails differently or gives a verified answer does not.  The same cases
-check the descent's event stream by replaying it, and the forest
-search's shortcut for irreducible matrices against its greedy loop.
+check the descent's event stream by replaying it, the forest search's
+shortcut for irreducible matrices against its greedy loop, and that no
+transition matrix is split into strongly connected components twice.
 """
 
 import sys
@@ -14,14 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from orbitrain import moves, traintrack
+from orbitrain import moves, pf, toprep, traintrack
 from orbitrain.errors import NothingToFold, OrbitrainError
 from orbitrain.moves import (collapse_forest, fold, valence_one_homotopy,
                              valence_two_homotopy)
 from orbitrain.paths import tighten
-from orbitrain.pf import is_irreducible, pf_compare, pf_data
+from orbitrain.pf import is_irreducible, pf_compare, pf_data, scc_components
 from orbitrain.toprep import thistle_rep
-from orbitrain.traintrack import _rep_key, record_events
+from orbitrain.traintrack import PASS_TOL, _rep_key, record_events
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -58,10 +59,12 @@ MOVES = {"collapse_forest": collapse_forest, "fold": fold,
 
 def test_the_event_stream_replays_every_descent():
     """Replaying a case's events move by move from its thistle
-    representative rebuilds each pass: its graph size and exact bracket,
-    a rate that ``pf_compare`` finds not above the previous pass's, and
-    the answer's representative.  A case that raises ``NothingToFold``
-    ends with the turn it could not fold, and that fold fails again."""
+    representative rebuilds each pass: its graph size, a rate that
+    ``pf_compare`` finds not above the previous pass's, its exact bracket
+    as the descent certified it (of width ``PASS_TOL``, or narrowed by
+    that comparison), and the answer's representative.  A case that
+    raises ``NothingToFold`` ends with the turn it could not fold, and
+    that fold fails again."""
     for case in workloads.cases("descent"):
         with record_events() as events:
             try:
@@ -76,10 +79,10 @@ def test_the_event_stream_replays_every_descent():
             if name != "pass":
                 f = MOVES[name](f, *args)
                 continue
-            data = pf_data(f.transition_matrix().entries)
+            data = pf_data(f.transition_matrix(), PASS_TOL)
+            assert not rates or pf_compare(data, rates[-1]) <= 0, case.id
             assert args == [len(rates), f.graph.n_cells, f.graph.n_edges,
                             data.lower, data.upper], case.id
-            assert not rates or pf_compare(data, rates[-1]) <= 0, case.id
             rates.append(data)
         if isinstance(result, NothingToFold):
             with pytest.raises(NothingToFold):
@@ -124,6 +127,30 @@ def test_the_forest_shortcut_agrees_with_the_greedy_loop(monkeypatch):
     assert all(forest == grown for _, forest, grown in searches)
     shortcuts = [irreducible for irreducible, _, _ in searches]
     assert any(shortcuts) and not all(shortcuts)
+
+
+def test_each_transition_matrix_is_split_once(monkeypatch):
+    """Over the 63 cases every strongly connected split is of a matrix
+    that a representative built, and none of those matrices is split
+    twice: the filtration, the forest search's shortcut, the valence-two
+    choice and ``pf_data``'s guard all read the split the matrix keeps."""
+    built, splits = {}, []
+
+    def matrix(entries):
+        M = pf.TransitionMatrix(entries)
+        built[id(entries)] = M
+        return M
+
+    def split(entries):
+        splits.append(entries)
+        return scc_components(entries)
+
+    monkeypatch.setattr(toprep, "TransitionMatrix", matrix)
+    monkeypatch.setattr(pf, "scc_components", split)
+    run_descent_cases()
+    split_ids = [id(entries) for entries in splits]
+    assert splits and len(set(split_ids)) == len(split_ids)
+    assert set(split_ids) <= set(built)
 
 
 def run_descent_cases():

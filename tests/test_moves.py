@@ -432,14 +432,23 @@ def test_subdivisions_and_folds_intertwine_the_maps(seed):
     ("fold", (Turn(99, 0, 1, 0),), "edge 99"),
     ("collapse_forest", ({99},), "edge 99"),
     ("slide", (99,), "edge 99"),
+    ("valence_two_homotopy", (5, 99), "edge 99"),
+    ("valence_two_homotopy", (5, -5), "edge -5"),
+    ("valence_two_homotopy", (5, 0), "edge 0"),
+    ("collapse_forest", ([True],), "edge True"),
 ])
 def test_out_of_range_move_arguments_are_bad_orbigraphs(phi_w4, move, args,
                                                         missing):
     """A move given an edge or cell that its graph lacks raises
-    ``BadOrbigraph`` naming it, not a builtin error or a wrapped index."""
+    ``BadOrbigraph`` naming it, not a builtin error or a wrapped index.
+    The valence-two move runs on the thistle cut at edge 3, whose new
+    cell 5 has valence two, so a bad edge is refused before the valence
+    question; an edge id of another type, even ``True``, is no edge."""
     f = thistle_rep(phi_w4)
     if move == "slide":
         args += (Path(f.graph, 0),)
+    if move == "valence_two_homotopy":
+        f = subdivide(f, 3, 1)
     with pytest.raises(BadOrbigraph, match=f"^no {missing} in this graph$"):
         getattr(moves, move)(f, *args)
 

@@ -22,6 +22,7 @@ from orbitrain.errors import LemmaViolated, NotIrreducible
 from orbitrain.pf import (
     DEFAULT_TOL,
     PFData,
+    TransitionMatrix,
     _deflate,
     _faddeev_leverrier,
     _isolate,
@@ -181,6 +182,23 @@ class TestComponents:
 
     def test_upper_block_triangular_is_reducible(self):
         assert not is_irreducible(((1, 1), (0, 1)))
+
+    def test_a_transition_matrix_splits_once(self, monkeypatch):
+        """The split is computed on first use and kept: the irreducibility
+        test and ``pf_data``'s guard read it without splitting again."""
+        splits = []
+
+        def spy(M):
+            splits.append(M)
+            return scc_components(M)
+
+        monkeypatch.setattr("orbitrain.pf.scc_components", spy)
+        M = TransitionMatrix(as_matrix([[1, 4, 2], [0, 3, 2], [0, 2, 1]]))
+        assert M.components() == ((0,), (1, 2)) and not is_irreducible(M)
+        G = TransitionMatrix(GROWTH)
+        assert is_irreducible(G) and pf_data(G).matrix is G.entries
+        assert G.components() is G.components()
+        assert splits == [M.entries, G.entries]
 
     def test_components_partition_and_close_up(self):
         rng = random.Random(3177)
@@ -350,9 +368,24 @@ class TestPFData:
 
     def test_refined_narrows(self):
         data = pf_data(GROWTH)
+        lower, upper = data.lower, data.upper
         finer = data.refined(Fraction(1, 10**20))
-        assert finer.width <= Fraction(1, 10**20)
-        assert data.lower <= finer.lower <= finer.upper <= data.upper
+        assert finer is data and finer.width <= Fraction(1, 10**20)
+        assert lower <= finer.lower <= finer.upper <= upper
+
+    def test_a_coarse_bracket_narrows_to_the_default_one(self):
+        # wide entries make the integer walk shift its vector from the
+        # first rounds, and the first matrix runs out of rounds, so the
+        # isolation finishes its narrowing; either way the bracket is the
+        # one pf_data gives at the default width
+        for M in ([[2**100, 1], [1, 0]], [[2**40, 3, 0], [1, 0, 1], [1, 1, 0]],
+                  [[0, 1, 0], [0, 0, 1], [2**70, 1, 0]], GROWTH, COMPANION):
+            fine = pf_data(M)
+            for coarse in (Fraction(1, 64), Fraction(1, 2), Fraction(4)):
+                data = pf_data(M, coarse)
+                assert data.width <= coarse
+                data.refined(DEFAULT_TOL)
+                assert (data.lower, data.upper) == (fine.lower, fine.upper)
 
     def test_bracket_matches_float_oracle(self):
         rng = random.Random(90210)
@@ -556,7 +589,8 @@ class TestCompare:
                 assert pf_compare(datas[j], datas[i]) == -want
 
     def test_overlapping_brackets_still_decide(self):
-        # coarse brackets overlap, so the order comes from the isolations
+        # coarse brackets from pf_data overlap, so the comparison narrows
+        # them to the brackets pf_data gives at the default width
         coarse = Fraction(1, 2)
         a = pf_data(GROWTH, coarse)
         above = pf_data([[4, 1], [1, 1]], coarse)  # (5 + sqrt 13)/2
@@ -564,9 +598,19 @@ class TestCompare:
         assert overlap(a, above) and overlap(a, same)
         assert pf_compare(a, above) == -1 and pf_compare(above, a) == 1
         assert pf_compare(a, same) == 0 and pf_compare(same, a) == 0
+        for data in (a, above, same):
+            fine = pf_data(data.matrix)
+            assert (data.lower, data.upper) == (fine.lower, fine.upper)
         b, c = pf_data(GROWTH, Fraction(2)), pf_data(COMPANION, Fraction(2))
         assert overlap(b, c)
         assert pf_compare(b, c) == 1 and pf_compare(c, b) == -1
+        # brackets built without an iteration to resume stay as they are,
+        # so the order comes from the isolations
+        d = PFData(GROWTH, Fraction(4), Fraction(5))
+        e = PFData(as_matrix([[4, 1], [1, 1]]), Fraction(4), Fraction(5))
+        assert pf_compare(d, e) == -1 and pf_compare(e, d) == 1
+        assert (d.lower, d.upper) == (e.lower, e.upper) == (4, 5)
+        assert d._iso is not None and e._iso is not None
 
     def test_isolation_falls_back_when_the_seed_fails(self):
         # (-1, 10] holds both roots of x^2 - 4x - 1
@@ -580,6 +624,40 @@ class TestCompare:
         assert pf_compare(at_root, pf_data([[2]])) == 0
         assert pf_compare(pf_data([[1, 1], [1, 1]]), at_root) == 0
         assert pf_compare(at_root, pf_data([[2, 1], [1, 1]])) == -1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1),
+       st.sampled_from(("random", "periodic", "cover")),
+       st.sampled_from((Fraction(1, 64), Fraction(1, 2), Fraction(4))))
+def test_coarse_brackets_narrow_and_compare_as_default_ones(n, seed, kind,
+                                                            coarse):
+    """A coarse bracket narrowed to the default width is exactly the
+    default bracket, and ``pf_compare`` gives every pair, in both orders,
+    the verdict it gives their default-width data.  The pool holds a
+    block, a permuted copy (equal polynomials), and a small block with
+    its double cover when that is irreducible (equal rates found through
+    the gcd)."""
+    rng = random.Random(seed)
+    M = random_block(n, rng, kind)
+    half = irreducible_matrices()(rng.randrange(1, 4), rng)
+    pool = [M, permuted(M, rng), half]
+    cover = double_cover(half, rng)
+    if cover is not None:
+        pool.append(cover)
+    fine = [pf_data(A) for A in pool]
+    for A, data in zip(pool, fine):
+        narrowed = pf_data(A, coarse).refined(DEFAULT_TOL)
+        assert (narrowed.lower, narrowed.upper) == (data.lower, data.upper)
+    for i, A in enumerate(pool):
+        for j, B in enumerate(pool):
+            x, y = pf_data(A, coarse), pf_data(B, coarse)
+            before = [(x.lower, x.upper), (y.lower, y.upper)]
+            assert pf_compare(x, y) == pf_compare(fine[i], fine[j])
+            # each bracket is left coarse or narrowed to the default one
+            for data, was, want in zip((x, y), before, (fine[i], fine[j])):
+                assert (data.lower, data.upper) in (
+                    was, (want.lower, want.upper))
 
 
 @settings(max_examples=120, deadline=None)

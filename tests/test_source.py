@@ -219,10 +219,14 @@ def test_derived_data_is_cached_only_by_its_class():
     """Every per-instance cache is named only inside its own class, so no
     move or caller writes into it: among them a representative's derived
     data (reversed images, lead table, turn verdicts, transition matrix),
-    a transport's reversed pieces, and any cache a class adds later."""
+    a transport's reversed pieces, a transition matrix's strongly
+    connected split, PF data's polynomials and isolation, and any cache a
+    class adds later."""
     caches = instance_caches()
     known = {"toprep.TopRep": {"_images", "_leads", "_verdicts", "_matrix"},
-             "moves.Transport": {"_reversed"}}
+             "moves.Transport": {"_reversed"},
+             "pf.TransitionMatrix": {"_components"},
+             "pf.PFData": {"_iso", "_polys"}}
     assert all(attrs <= caches.get(owner, set())
                for owner, attrs in known.items()), caches
     for owner, attrs in caches.items():
