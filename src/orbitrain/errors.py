@@ -121,12 +121,6 @@ class NotInvariantForest(UnsafeMove):
     code = "not-invariant-forest"
 
 
-class ImageNotAtZeroCell(UnsafeMove):
-    """A subdivision point was requested away from an image zero cell."""
-
-    code = "image-not-at-zero-cell"
-
-
 class NothingToFold(UnsafeMove):
     """The two directions have no common initial image segment."""
 
@@ -149,12 +143,6 @@ class NotValenceTwo(UnsafeMove):
     """The zero cell does not have exactly two incident edge ends."""
 
     code = "not-valence-two"
-
-
-class BadSlidePath(UnsafeMove):
-    """A sliding path does not leave the slid end, or crosses its edge."""
-
-    code = "bad-slide-path"
 
 
 class LemmaViolated(OrbitrainError):

@@ -421,24 +421,6 @@ class FreeProduct:
             raw.append((i, element))
         return self.nf(raw)
 
-    # -- randomness ----------------------------------------------------------
-
-    def random_letter(self, rng, factors=None):
-        i = rng.choice(list(factors) if factors is not None else range(self.n))
-        return (i, rng.randrange(1, self.factors[i].order))
-
-    def random_word(self, rng, syllables, factors=None) -> Word:
-        pool = list(factors) if factors is not None else list(range(self.n))
-        out = []
-        prev = None
-        for _ in range(syllables):
-            choices = [i for i in pool if i != prev] or pool
-            i = rng.choice(choices)
-            out.append(self.random_letter(rng, [i]))
-            prev = i
-        return self.nf(out)
-
-
 # ---------------------------------------------------------------------------
 # automorphisms
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ Every move is a pure function producing a fresh representative of the
 same outer automorphism, and returns that representative as built:
 collapsing the forests a move leaves behind and removing low-valence
 vertices is left to :func:`orbitrain.traintrack.normalize`.  Every move
-but the slide is one quotient: a cut plan cuts edges only over zero
-cells of their images, named by integer crossing counts, and cell
-classes and dead edges glue the cut graph.  One forward path transport
-per move rewrites old paths on the new graph; the move is a homotopy
-equivalence, so it also carries the marking (:meth:`Marking.moved`).
+is one quotient: a cut plan cuts edges only over zero cells of their
+images, named by integer crossing counts, and cell classes and dead
+edges glue the cut graph.  One forward path transport per move rewrites
+old paths on the new graph; the move is a homotopy equivalence, so it
+also carries the marking (:meth:`Marking.moved`).
 """
 
 from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
@@ -17,9 +17,7 @@ from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
 from .errors import (
     BadOrbigraph,
     BadRepresentative,
-    BadSlidePath,
     ConePointForbidden,
-    ImageNotAtZeroCell,
     NotInvariantForest,
     NothingToFold,
     NotValenceOne,
@@ -73,23 +71,6 @@ class Transport:
 
     def path(self, p: Path) -> Path:
         return tighten(self.target, self.cell_map[p.start], self.items(p.items))
-
-
-def _rebuild(f: TopRep, tr: Transport, reps: Sequence[int],
-             edge_images: Dict[int, Path],
-             vertex_images: Dict[int, int]) -> TopRep:
-    """Assemble the moved representative's cells and marking; ``reps``
-    names a cell of each new one, and ``vertex_images`` the old cell
-    under every plain vertex among them."""
-    new_graph = tr.target
-    cones = {}
-    for c in new_graph.cone_cells():
-        cm = f.cone_images[reps[c]]
-        cones[c] = ConeMap(c, tr.cell_map[cm.target], cm.table)
-    vertices = {c: tr.cell_map[vertex_images[reps[c]]]
-                for c in new_graph.cells() if not new_graph.is_cone(c)}
-    marking = f.marking.moved(tr) if f.marking is not None else None
-    return TopRep(new_graph, edge_images, cones, vertices, marking)
 
 
 def _quotient(f: TopRep, classes: Sequence[Sequence[int]],
@@ -150,7 +131,16 @@ def _quotient(f: TopRep, classes: Sequence[Sequence[int]],
                       reach.get(s, ()) + (e,)
                       + invert_items(graph, reach.get(t, ())))
         images[new_id[e]] = tr.path(f.apply(old))
-    return _rebuild(f, tr, reps, images, vertices), tr
+
+    # each new cell takes the cone map or vertex image of its representative
+    cones = {}
+    for c in new_graph.cone_cells():
+        cm = f.cone_images[reps[c]]
+        cones[c] = ConeMap(c, cell_map[cm.target], cm.table)
+    vertex_images = {c: cell_map[vertices[reps[c]]]
+                     for c in new_graph.cells() if not new_graph.is_cone(c)}
+    marking = f.marking.moved(tr) if f.marking is not None else None
+    return TopRep(new_graph, images, cones, vertex_images, marking), tr
 
 
 def _absorbing(graph: Orbigraph, into: Dict[int, int]) -> List[Tuple[int, ...]]:
@@ -248,22 +238,7 @@ def collapse_forest(f: TopRep, forest: Iterable[int]) -> TopRep:
 
 
 # ---------------------------------------------------------------------------
-# subdivision
-
-
-def subdivide(f: TopRep, e: int, split: int) -> TopRep:
-    """Split edge ``e`` at the preimage of the zero cell after crossing
-    number ``split`` of its image path."""
-    graph = f.graph
-    if not 1 <= e <= graph.n_edges:
-        raise BadOrbigraph(f"no edge {e} in this graph")
-    n = f.edge_images[e].n_edges
-    if type(split) is not int or not 1 <= split <= n - 1:
-        raise ImageNotAtZeroCell(
-            f"edge {graph.edge_label(e)} has no interior point over "
-            f"zero cell number {split} of its image")
-    return _quotient(f, [(c,) for c in range(graph.n_cells + 1)], {}, {},
-                     cuts={e: split})[0]
+# cutting
 
 
 def _cut_graph(graph: Orbigraph, cuts: Dict[int, int]):
@@ -441,7 +416,7 @@ def valence_one_homotopy(f: TopRep, v: int) -> TopRep:
     """Retract a dangling vertex and its edge; the quotient, with any
     forest it leaves uncollapsed."""
     graph = f.graph
-    if not 0 <= v < graph.n_cells:
+    if type(v) is not int or not 0 <= v < graph.n_cells:
         raise BadOrbigraph(f"no cell {v} in this graph")
     if graph.is_cone(v):
         raise ConePointForbidden(
@@ -463,7 +438,7 @@ def valence_two_homotopy(f: TopRep, v: int, collapse: int) -> TopRep:
     collapses no forest.
     """
     graph = f.graph
-    if not 0 <= v < graph.n_cells:
+    if type(v) is not int or not 0 <= v < graph.n_cells:
         raise BadOrbigraph(f"no cell {v} in this graph")
     if type(collapse) is not int or not 1 <= collapse <= graph.n_edges:
         raise BadOrbigraph(f"no edge {collapse} in this graph")
@@ -480,39 +455,3 @@ def valence_two_homotopy(f: TopRep, v: int, collapse: int) -> TopRep:
     # the stretched edge spans its old self plus the collapsed corridor
     return _quotient(f, _absorbing(graph, {v: graph.dst(d_col)}),
                      {v: (-d_col,)}, {collapse: ()}, redraw=(keep,))[0]
-
-
-# ---------------------------------------------------------------------------
-# sliding
-
-
-def slide(f: TopRep, d: int, alpha: Path) -> TopRep:
-    """Move the head of the directed edge ``d`` along a path avoiding its
-    edge, so ``slide(f, -e, alpha)`` moves the initial end of ``e``."""
-    graph = f.graph
-    if alpha.graph is not graph or alpha.start != graph.dst(d):
-        raise BadSlidePath(
-            "the sliding path must leave the slid edge's endpoint")
-    edge = abs(d)
-    if edge in alpha.crossings():
-        raise BadSlidePath("the sliding path crosses the slid edge")
-
-    ends = [(graph.src(e), graph.dst(e)) for e in graph.edges()]
-    moved = (graph.src(d), alpha.end)
-    ends[edge - 1] = moved if d > 0 else moved[::-1]
-    new_graph = Orbigraph(graph.W, list(graph.kinds), ends,
-                          list(graph.edge_names))
-
-    # the new d runs along the old d and then alpha; a reversed d
-    # stores the itineraries of its positive edge
-    fwd = {e: (e,) for e in graph.edges()}
-    fwd[edge] = (d,) + invert_items(graph, alpha.items)
-    moved_image = f.image(d) * f.apply(alpha)
-    if d < 0:
-        fwd[edge] = invert_items(graph, fwd[edge])
-        moved_image = moved_image.invert()
-    tr = Transport(graph, new_graph, {c: c for c in graph.cells()}, fwd)
-
-    images = {e: tr.path(f.edge_images[e]) for e in graph.edges()}
-    images[edge] = tr.path(moved_image)
-    return _rebuild(f, tr, graph.cells(), images, f.vertex_images)

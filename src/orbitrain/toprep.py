@@ -343,16 +343,6 @@ class TopRep:
 # -- standard representatives -------------------------------------------------
 
 
-def identity_rep(graph: Orbigraph, base: int = 0) -> TopRep:
-    edge_images = {e: tighten(graph, graph.src(e), (e,))
-                   for e in graph.edges()}
-    cone_images = {c: ConeMap(c, c, iso_identity(graph.group_at(c)))
-                   for c in graph.cone_cells()}
-    vertex_images = {c: c for c in graph.cells() if not graph.is_cone(c)}
-    marking = Marking(graph, base)
-    return TopRep(graph, edge_images, cone_images, vertex_images, marking)
-
-
 def thistle_rep(phi: Automorphism) -> TopRep:
     """The representative of ``phi`` on the thistle of its group.
 

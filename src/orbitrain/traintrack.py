@@ -30,15 +30,14 @@ from .moves import (
     valence_two_homotopy,
 )
 from .paths import format_path
-from .pf import (DEFAULT_TOL, compare_lengths, is_irreducible,
-                 is_transitive_permutation, pf_compare, pf_data)
+from .pf import (DEFAULT_TOL, compare_lengths, is_irreducible, pf_compare,
+                 pf_data)
 from .toprep import TopRep, Turn, maximal_filtration
 
 __all__ = [
     "FiniteOrder",
     "Reducible",
     "TrainTrack",
-    "edge_bound",
     "normalize",
     "record_events",
     "train_track_algorithm",
@@ -81,22 +80,13 @@ Outcome = Union[TrainTrack, FiniteOrder, Reducible]
 
 
 # ---------------------------------------------------------------------------
-# bounds and simple predicates
+# the pass bracket
 
 
 # The width of each pass's first bracket.  Most passes compare with the
 # previous one on disjoint brackets this wide; ``pf_compare`` narrows the
 # rest to ``DEFAULT_TOL`` by resuming the same iteration.
 PASS_TOL = Fraction(1, 64)
-
-
-def edge_bound(n: int) -> int:
-    """The largest number of edges a normalized representative on n
-    factors can have: one tree with a cone per factor and no valence-one
-    or valence-two vertices."""
-    if n < 2:
-        raise ValueError("the edge bound needs at least two factors")
-    return 2 * n - 3
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +278,17 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
     and the representative's images as its witness.
 
     The revisit check alone ends the loop.  Each pass that folds holds a
-    normalised tree with m <= 2n - 3 edges (``edge_bound``) and an
-    irreducible integer matrix whose rate is at most the first pass's
-    rate L.  With v the positive eigenvector, every entry M[i][j] is at
-    most L * v[i] / v[j], and irreducibility bounds v[i] / v[j] by
-    L^(m-1), so every entry is at most L^m.  An image therefore crosses
-    boundedly many edges, with a letter of a finite group between two
-    crossings, and the cone tables and vertex images range over finite
-    sets too.  Only finitely many keys can occur, so some pass repeats
-    one.  ``cap`` stops the loop earlier on request.
+    normalised tree on n factors, whose leaves are cone points and whose
+    plain vertices have valence at least three, so it has m <= 2n - 3
+    edges; and it holds an irreducible integer matrix whose rate is at
+    most the first pass's rate L.  With v the positive eigenvector,
+    every entry M[i][j] is at most L * v[i] / v[j], and irreducibility
+    bounds v[i] / v[j] by L^(m-1), so every entry is at most L^m.  An
+    image therefore crosses boundedly many edges, with a letter of a
+    finite group between two crossings, and the cone tables and vertex
+    images range over finite sets too.  Only finitely many keys can
+    occur, so some pass repeats one.  ``cap`` stops the loop earlier on
+    request.
     """
     events = _EVENTS.get()
     f = normalize(f)
@@ -314,10 +306,9 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
         filt = maximal_filtration(f)
         if len(filt) > 1:
             return Reducible(f, frozenset(filt[0]))
-        M = f.transition_matrix()
-        if is_transitive_permutation(M.entries):
+        data = pf_data(f.transition_matrix(), PASS_TOL)
+        if data.is_one:
             return FiniteOrder(f, _finite_order_period(f))
-        data = pf_data(M, PASS_TOL)
         if prev is not None and pf_compare(data, prev) > 0:
             # the witness quotes both rates at the default width
             prev.refined(DEFAULT_TOL)

@@ -1,5 +1,5 @@
 """Homotopy moves: collapses, subdivisions, folds, valence homotopies,
-slides, and the transported markings behind them all.
+and the transported markings behind them all.
 
 Every move must return a representative of the same outer automorphism.
 The worked W3 pair supplies the anchors: collapsing the invariant edge A
@@ -9,7 +9,6 @@ one, and folding beta's illegal apex turn drops its eigenvalue from
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,22 +16,19 @@ from hypothesis import strategies as st
 
 from orbitrain.errors import (
     BadOrbigraph,
-    BadSlidePath,
     ConePointForbidden,
-    ImageNotAtZeroCell,
     NotInvariantForest,
     NothingToFold,
     NotValenceOne,
     NotValenceTwo,
 )
 from orbitrain import moves
-from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct
+from orbitrain.groups import (Automorphism, FiniteGroup, FreeProduct,
+                              iso_identity)
 from orbitrain.moves import (
     collapse_forest,
     fold,
     maximal_invariant_forest,
-    slide,
-    subdivide,
     valence_one_homotopy,
     valence_two_homotopy,
 )
@@ -50,6 +46,7 @@ from orbitrain.toprep import (
 )
 from orbitrain.traintrack import (
     _descent_turn, _rep_key, normalize, record_events, train_track_algorithm)
+from test_groups import random_word
 
 Z2 = FiniteGroup.cyclic(2)
 
@@ -85,6 +82,25 @@ def image_texts(rep):
         rep.graph.edge_names[e - 1]: format_path(rep.edge_images[e])
         for e in sorted(rep.edge_images)
     }
+
+
+def identity_rep(graph, base=0):
+    """The identity map of ``graph``, marked at ``base``."""
+    edge_images = {e: tighten(graph, graph.src(e), (e,))
+                   for e in graph.edges()}
+    cone_images = {c: ConeMap(c, c, iso_identity(graph.group_at(c)))
+                   for c in graph.cone_cells()}
+    vertex_images = {c: c for c in graph.cells() if not graph.is_cone(c)}
+    marking = Marking(graph, base)
+    return TopRep(graph, edge_images, cone_images, vertex_images, marking)
+
+
+def cut(f, cuts, letter_first=frozenset()):
+    """Subdivide ``f`` by the cut plan ``cuts`` through the quotient
+    builder, squashing nothing; the result and its transport."""
+    cells = [(c,) for c in range(f.graph.n_cells + len(cuts))]
+    return moves._quotient(f, cells, {}, {}, cuts=cuts,
+                           letter_first=letter_first)
 
 
 def w2_rep(kinds, ends, names, texts, vertex_images, base):
@@ -226,7 +242,7 @@ def star_tree_rep(base=2):
 
 class TestSubdivide:
     def test_beta_split_after_two_crossings(self, f_beta):
-        out = subdivide(f_beta, 1, 2)
+        out, _ = cut(f_beta, {1: 2})
         assert image_texts(out) == {
             "X": "X X' ~Y",
             "X'": ".c Y ~X' ~X .b X X'",
@@ -238,24 +254,17 @@ class TestSubdivide:
     def test_junction_letter_goes_to_the_second_piece(self, f_beta):
         # the cut of X at 2/5 lands on the apex letter .c of its image;
         # the twist opens the second piece rather than closing the first
-        out = subdivide(f_beta, 1, 2)
+        out, _ = cut(f_beta, {1: 2})
         first = out.edge_images[1]
         assert format_path(first) == "X X' ~Y"
 
     def test_early_split(self, f_beta):
-        out = subdivide(f_beta, 1, 1)
+        out, _ = cut(f_beta, {1: 1})
         assert image_texts(out)["X"] == "X X'"
         assert image_texts(out)["X'"] == "~Y .c Y ~X' ~X .b X X'"
 
-    def test_split_must_be_interior(self, f_alpha):
-        """An interior zero cell is named by a plain integer from 1 to
-        n - 1: ``True`` is not 1."""
-        for split in (0, 9, True, Fraction(1), Fraction(1, 2), 1.0):
-            with pytest.raises(ImageNotAtZeroCell):
-                subdivide(f_alpha, 1, split)
-
     def test_preserves_outer_and_eigenvalue(self, f_alpha):
-        out = subdivide(f_alpha, 1, 4)
+        out, _ = cut(f_alpha, {1: 4})
         assert same_outer(out, f_alpha)
         before = pf_data(f_alpha.transition_matrix().entries)
         after = pf_data(out.transition_matrix().entries)
@@ -267,11 +276,11 @@ class TestSubdivide:
         n = f_alpha.edge_images[edge].n_edges
         if not 1 <= split < n:
             return
-        cut = subdivide(f_alpha, edge, split)
-        v = cut.graph.n_cells - 1
-        second = [e for e in cut.graph.edges()
-                  if cut.graph.src(e) == v or cut.graph.dst(e) == v]
-        back = valence_two_homotopy(cut, v, min(second))
+        out, _ = cut(f_alpha, {edge: split})
+        v = out.graph.n_cells - 1
+        second = [e for e in out.graph.edges()
+                  if out.graph.src(e) == v or out.graph.dst(e) == v]
+        back = valence_two_homotopy(out, v, min(second))
         assert _rep_key(back) == _rep_key(f_alpha)
         assert same_outer(back, f_alpha)
 
@@ -292,17 +301,24 @@ def random_twisted_automorphism(rng):
     return Automorphism.inner(W, W.nf(word)).compose(phi)
 
 
-def cut(f, cuts, letter_first=frozenset()):
-    """Subdivide ``f`` by the cut plan ``cuts`` through the quotient
-    builder, squashing nothing; the result and its transport."""
-    cells = [(c,) for c in range(f.graph.n_cells + len(cuts))]
-    return moves._quotient(f, cells, {}, {}, cuts=cuts,
-                           letter_first=letter_first)
+def descent_folds(f):
+    """``f`` after up to two folds of the descent, each normalised: a
+    first fold from the thistle keeps the identity marking, a second one
+    may move it."""
+    for _ in range(2):
+        turn = _descent_turn(f)
+        if turn is None:
+            break
+        try:
+            f = normalize(fold(f, turn))
+        except NothingToFold:
+            break
+    return f
 
 
 def seeded_subdivisions(seed):
     """The automorphism of ``seed`` and a list of the subdivisions of its
-    thistle or hedgehog representative, maybe slid, as (old, new,
+    thistle or hedgehog representative, maybe folded, as (old, new,
     transport, cuts, edges whose junction letter goes first): one cut of
     a random edge at a random zero cell, with the junction letter on a
     random side, or none when that edge's image crosses a single edge."""
@@ -315,10 +331,7 @@ def seeded_subdivisions(seed):
     else:
         f = thistle_rep(phi)
     if rng.random() < 0.5:
-        # a slide along a twist loop moves the marking off the identity
-        e = rng.choice(f.graph.edges())
-        d = rng.choice((e, -e))
-        f = slide(f, d, random_loop(rng, f.graph, f.graph.dst(d), e))
+        f = descent_folds(f)
     e = rng.choice(f.graph.edges())
     n = f.edge_images[e].n_edges
     if n <= 1:
@@ -348,10 +361,10 @@ def cut_kinds(seed):
     return kinds
 
 
-# seeds whose cut drops a trivial junction letter closing (20) or
-# opening (109) a piece, the latter under a marking other than the
-# identity
-CUT_EVERY_WAY = (20, 109)
+# seeds whose cut drops a trivial junction letter closing (111) or
+# opening (113) a piece, both under a marking that two folds moved off
+# the identity
+CUT_EVERY_WAY = (111, 113)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -423,15 +436,16 @@ def test_subdivisions_and_folds_intertwine_the_maps(seed):
 
 
 @pytest.mark.parametrize("move, args, missing", [
-    ("subdivide", (99, 1), "edge 99"), ("subdivide", (-1, 1), "edge -1"),
-    ("subdivide", (0, 1), "edge 0"),
+    ("valence_one_homotopy", (5.0,), "cell 5.0"),
+    ("valence_one_homotopy", (True,), "cell True"),
+    ("valence_two_homotopy", (5.0, 3), "cell 5.0"),
     ("valence_one_homotopy", (99,), "cell 99"),
     ("valence_one_homotopy", (-1,), "cell -1"),
     ("valence_two_homotopy", (99, 1), "cell 99"),
     ("valence_two_homotopy", (-1, 1), "cell -1"),
     ("fold", (Turn(99, 0, 1, 0),), "edge 99"),
     ("collapse_forest", ({99},), "edge 99"),
-    ("slide", (99,), "edge 99"),
+    ("valence_two_homotopy", (True, 3), "cell True"),
     ("valence_two_homotopy", (5, 99), "edge 99"),
     ("valence_two_homotopy", (5, -5), "edge -5"),
     ("valence_two_homotopy", (5, 0), "edge 0"),
@@ -441,14 +455,13 @@ def test_out_of_range_move_arguments_are_bad_orbigraphs(phi_w4, move, args,
                                                         missing):
     """A move given an edge or cell that its graph lacks raises
     ``BadOrbigraph`` naming it, not a builtin error or a wrapped index.
-    The valence-two move runs on the thistle cut at edge 3, whose new
-    cell 5 has valence two, so a bad edge is refused before the valence
-    question; an edge id of another type, even ``True``, is no edge."""
+    The valence moves run on the thistle cut at edge 3, whose new cell 5
+    has valence two, so a bad edge is refused before the valence
+    question; a cell or edge id of another type, even ``True``, is no
+    cell or edge."""
     f = thistle_rep(phi_w4)
-    if move == "slide":
-        args += (Path(f.graph, 0),)
-    if move == "valence_two_homotopy":
-        f = subdivide(f, 3, 1)
+    if move.startswith("valence"):
+        f, _ = cut(f, {3: 1})
     with pytest.raises(BadOrbigraph, match=f"^no {missing} in this graph$"):
         getattr(moves, move)(f, *args)
 
@@ -543,22 +556,22 @@ class TestValenceHomotopies:
 
     def test_valence_one_needs_valence_one(self, f_alpha):
         with pytest.raises(NotValenceOne):
-            valence_one_homotopy(subdivide(f_alpha, 1, 1), 3)
+            valence_one_homotopy(cut(f_alpha, {1: 1})[0], 3)
 
     def test_valence_one_never_at_a_cone(self, f_alpha):
         with pytest.raises(ConePointForbidden):
             valence_one_homotopy(f_alpha, 1)
 
     def test_valence_two_restores_alpha(self, f_alpha):
-        cut = subdivide(f_alpha, 2, 2)
-        v = cut.graph.n_cells - 1
-        out = valence_two_homotopy(cut, v, 3)
+        out, _ = cut(f_alpha, {2: 2})
+        v = out.graph.n_cells - 1
+        out = valence_two_homotopy(out, v, 3)
         assert _rep_key(out) == _rep_key(f_alpha)
 
     def test_collapsed_edge_must_meet_the_cell(self, f_alpha):
-        cut = subdivide(f_alpha, 1, 1)
+        out, _ = cut(f_alpha, {1: 1})
         with pytest.raises(NotValenceTwo):
-            valence_two_homotopy(cut, cut.graph.n_cells - 1, 3)
+            valence_two_homotopy(out, out.graph.n_cells - 1, 3)
 
     def test_cone_cells_never_have_valence_two(self, f_alpha):
         with pytest.raises(ConePointForbidden):
@@ -578,44 +591,6 @@ def dangling_rep():
     )
 
 
-# ---- sliding -------------------------------------------------------------------
-
-
-class TestSlide:
-    def test_slide_cancels_an_inner_twist(self, t_alpha):
-        g = t_alpha.graph
-        loop = parse_path(g, "~A .a A", start=0)
-        out = slide(t_alpha, 2, loop)
-        assert image_texts(out)["B"] == "B ~C .c C ~B .b B"
-        assert same_outer(out, t_alpha)
-
-    def test_slide_along_trivial_path_changes_nothing(self, t_alpha):
-        g = t_alpha.graph
-        out = slide(t_alpha, 2, Path(g, 0, ()))
-        assert _rep_key(out) == _rep_key(t_alpha)
-
-    def test_slide_path_must_avoid_the_edge(self, t_alpha):
-        g = t_alpha.graph
-        with pytest.raises(BadSlidePath):
-            slide(t_alpha, 2, parse_path(g, "~B .b B", start=0))
-        with pytest.raises(BadSlidePath):
-            slide(t_alpha, -2, parse_path(g, "B ~C .c C ~B", start=2))
-
-    def test_reversed_direction_slides_the_initial_end(self, t_alpha):
-        """B' leaves the subdivision vertex; sliding that end around the
-        b twist wraps the twist into the images of B and B'."""
-        cut = subdivide(t_alpha, 2, 1)
-        alpha = parse_path(cut.graph, "~B .b B", start=4)
-        out = slide(cut, -3, alpha)
-        assert image_texts(out) == {
-            "A": "A",
-            "B": ".b B B'",
-            "B'": "~B' ~B .b B B' ~A .a A ~C .c C ~A .a A ~B' ~B .b B B'",
-            "C": "C ~A .a A ~B' ~B .b B B'",
-        }
-        assert same_outer(out, t_alpha)
-
-
 # ---- the recorder --------------------------------------------------------------
 
 
@@ -626,7 +601,7 @@ class TestRecorder:
 
     def test_moves_accumulate_in_order(self, t_alpha, f_beta):
         with record_events() as log:
-            subdivide(f_beta, 1, 1)
+            cut(f_beta, {1: 1})
             fold(f_beta, Turn(-1, 0, -2, 0))
             assert log == []
             normalize(t_alpha)
@@ -644,20 +619,6 @@ class TestRecorder:
 
 
 # ---- markings under randomized twisting ----------------------------------------
-
-
-def random_loop(rng, graph, base, avoid):
-    """A loop at ``base`` of up to three cone twists, none reached
-    across the edge ``avoid``."""
-    loop = Path(graph, base, ())
-    for _ in range(rng.randrange(1, 4)):
-        c = rng.choice(graph.cone_cells())
-        way = tighten(graph, base, graph.geodesic(base, c))
-        if avoid in way.crossings():
-            continue
-        g = rng.randrange(1, graph.group_at(c).order)
-        loop = loop * way * tighten(graph, c, ((c, g),)) * way.invert()
-    return loop
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -684,7 +645,7 @@ def test_moves_preserve_twisted_outer_classes(seed):
     edge = rng.choice(rep.graph.edges())
     n = rep.edge_images[edge].n_edges
     if n > 1:
-        rep = subdivide(rep, edge, rng.randrange(1, n))
+        rep, _ = cut(rep, {edge: rng.randrange(1, n)})
         assert rep.induced_automorphism().outer_equal(want)
         v = rep.graph.n_cells - 1
         piece = rng.choice([abs(d) for d in rep.graph.edges_at(v)])
@@ -694,12 +655,6 @@ def test_moves_preserve_twisted_outer_classes(seed):
     turn = _descent_turn(rep)
     if turn is not None:
         assert fold(rep, turn).induced_automorphism().outer_equal(want)
-
-    edge = rng.choice(rep.graph.edges())
-    for d in (edge, -edge):
-        loop = random_loop(rng, rep.graph, rep.graph.dst(d), edge)
-        rep = slide(rep, d, loop)
-        assert rep.induced_automorphism().outer_equal(want)
 
 
 def random_base_loop(rng, graph, base):
@@ -728,9 +683,7 @@ def test_moves_carry_the_marking_exactly(seed):
     phi = random_twisted_automorphism(rng)
     f = thistle_rep(phi)
     if rng.random() < 0.5:
-        e = rng.choice(f.graph.edges())
-        d = rng.choice((e, -e))
-        f = slide(f, d, random_loop(rng, f.graph, f.graph.dst(d), e))
+        f = descent_folds(f)
     moved = []
     forest = maximal_invariant_forest(f)
     if forest:
@@ -750,5 +703,5 @@ def test_moves_carry_the_marking_exactly(seed):
         for _ in range(5):
             loop = random_base_loop(rng, f.graph, f.marking.base)
             assert out.marking.read(tr.path(loop)) == f.marking.read(loop)
-            w = W.random_word(rng, rng.randrange(6))
+            w = random_word(W, rng, rng.randrange(6))
             assert out.marking.read(out.marking.realize(w)) == w

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from orbitrain.errors import BadGroupTable, BadOrbigraph
 from orbitrain.groups import FiniteGroup, FreeProduct
 from orbitrain.orbigraph import Orbigraph, hedgehog, thistle
-from orbitrain.toprep import identity_rep
 from orbitrain.traintrack import _rep_key
+from test_moves import identity_rep
 
 # ---------------------------------------------------------------------------
 # oracles

@@ -19,6 +19,7 @@ from orbitrain.paths import (
     tighten,
     tighten_circuit,
 )
+from test_groups import random_word
 
 # ---- oracles ----------------------------------------------------------------
 
@@ -300,7 +301,7 @@ def test_concat_is_associative_on_loops():
         base = rng.randrange(graph.n_cells)
         loops = []
         for _ in range(3):
-            w = graph.W.random_word(rng, rng.randint(0, 4))
+            w = random_word(graph.W, rng, rng.randint(0, 4))
             loops.append(loop_of_word(graph, base, w))
         p, q, r = loops
         assert (p * q) * r == p * (q * r)
@@ -322,7 +323,7 @@ def test_word_reading_of_realized_loops():
     for trial in range(300):
         graph = random_graph(rng)
         base = rng.randrange(graph.n_cells)
-        w = graph.W.random_word(rng, rng.randint(0, 5))
+        w = random_word(graph.W, rng, rng.randint(0, 5))
         assert loop_of_word(graph, base, w).word() == w
 
 
@@ -367,8 +368,8 @@ def test_conjugate_loops_give_equal_circuits():
     for trial in range(150):
         graph = random_graph(rng)
         base = rng.randrange(graph.n_cells)
-        w = graph.W.random_word(rng, rng.randint(1, 4))
-        u = graph.W.random_word(rng, rng.randint(0, 3))
+        w = random_word(graph.W, rng, rng.randint(1, 4))
+        u = random_word(graph.W, rng, rng.randint(0, 3))
         p = loop_of_word(graph, base, w)
         q = loop_of_word(graph, base, u)
         direct = tighten_circuit(graph, p.items)
@@ -404,7 +405,7 @@ def test_circuit_matches_retightening_oracle():
             k = rng.randrange(len(items) + 1)
             items = items[k:] + items[:k]
         else:
-            w = graph.W.random_word(rng, rng.randint(1, 4))
+            w = random_word(graph.W, rng, rng.randint(1, 4))
             items = list(loop_of_word(graph, base, w).items) * rng.randint(1, 5)
         if not any(type(it) is int for it in items):
             continue

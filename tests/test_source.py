@@ -1,5 +1,5 @@
 """Source checks: certificates in the library must survive ``python -O``,
-graph construction in the moves stays in its builders, the moves only
+graph construction in the moves stays in one builder, the moves only
 carry the marking forward, the moves and ``pf`` hold no iteration cap,
 the moves hold no state and only the descent records events, the moves
 cut edges at integer indices without ``Fraction``, only normalisation
@@ -11,7 +11,8 @@ only from ``pf``, ``pf`` decides without floating point, edge items are
 tested inline, every error class is raised, factors have one kind,
 inversion has one algorithm that scores moves without rebuilding
 words, and every public name has a caller in the library or the
-benchmark, bar the input builders that tests need."""
+benchmark, bar the few input builders that tests need, which have
+none."""
 
 import ast
 import re
@@ -23,9 +24,8 @@ SOURCES = sorted(Path(orbitrain.__file__).parent.glob("*.py"))
 BENCHMARK = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 # Public names that only tests call: they build test inputs.
-TEST_BUILDERS = {"symmetric", "random_word", "record_events", "subdivide",
-                 "slide", "identity_rep", "hedgehog_rep",
-                 "rep_from_path_texts", "edge_bound"}
+TEST_BUILDERS = {"symmetric", "record_events", "hedgehog_rep",
+                 "rep_from_path_texts"}
 
 
 def test_library_has_no_assert_statements():
@@ -113,10 +113,12 @@ def used_names(tree):
 
 
 def test_moves_construct_graphs_only_in_the_builders():
-    """Every move but the slide, subdivision included, goes through
-    ``moves._quotient``; besides it only the slide builds an Orbigraph
-    in ``moves.py``."""
-    assert moves_call_sites("Orbigraph") == ["_quotient", "slide"]
+    """Every move goes through ``moves._quotient``, the only definition
+    of ``moves.py`` that builds an ``Orbigraph``, a ``Transport`` or a
+    ``TopRep``."""
+    assert moves_call_sites("Orbigraph") == ["_quotient"]
+    assert moves_call_sites("Transport") == ["_quotient"]
+    assert moves_call_sites("TopRep") == ["_quotient"]
 
 
 def test_fold_cuts_and_glues_in_one_quotient():
@@ -132,7 +134,7 @@ def test_fold_cuts_and_glues_in_one_quotient():
     named = {node.id for stmt in core.body for node in ast.walk(stmt)
              if isinstance(node, ast.Name)}
     assert not {"TopRep", "Orbigraph"} & named
-    builders = {site for name in ("TopRep", "Orbigraph", "_rebuild")
+    builders = {site for name in ("TopRep", "Orbigraph")
                 for site in moves_call_sites(name)}
     assert builders & named == {"_quotient"}
 
@@ -423,8 +425,9 @@ def test_inverse_scores_moves_without_rebuilding_words():
 def test_public_names_have_a_library_caller():
     """Every public top-level function or class of the library, and every
     public method, is named somewhere in the library or the benchmark (as
-    a name, an attribute or an import), except the test input builders,
-    each of which still exists."""
+    a name, an attribute or an import), except the test input builders:
+    each of them still exists and is named nowhere there, so a builder
+    that gains a caller leaves the list."""
     assert BENCHMARK
     named, defined = set(), set()
     for path in SOURCES + BENCHMARK:
@@ -449,3 +452,5 @@ def test_public_names_have_a_library_caller():
                       if not last[name].startswith("_")
                       and last[name] not in named | TEST_BUILDERS)
     assert not uncalled, f"public names only tests reach: {uncalled}"
+    called = sorted(TEST_BUILDERS & named)
+    assert not called, f"test builders with a library caller: {called}"

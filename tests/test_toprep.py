@@ -29,13 +29,13 @@ from orbitrain.toprep import (
     Marking,
     TopRep,
     hedgehog_rep,
-    identity_rep,
     maximal_filtration,
     rep_from_path_texts,
     thistle_rep,
 )
 from orbitrain.traintrack import _descent_turn, _rep_key
-from test_moves import random_twisted_automorphism
+from test_groups import random_word
+from test_moves import identity_rep, random_twisted_automorphism
 from test_paths import random_closed_walk
 
 Z2 = FiniteGroup.cyclic(2)
@@ -559,7 +559,7 @@ class TestInducedOuter:
     def test_inner_twists_share_the_outer_class(self, alpha_w3, w3):
         rng = random.Random(977)
         for _ in range(5):
-            w = w3.random_word(rng, rng.randrange(0, 5))
+            w = random_word(w3, rng, rng.randrange(0, 5))
             twisted = Automorphism.inner(w3, w).compose(alpha_w3)
             assert thistle_rep(twisted).induced_automorphism().outer_equal(
                 alpha_w3)
@@ -573,7 +573,7 @@ class TestInducedOuter:
     def test_marking_roundtrip(self, t_alpha, w3):
         rng = random.Random(3553)
         for _ in range(20):
-            w = w3.random_word(rng, rng.randrange(0, 6))
+            w = random_word(w3, rng, rng.randrange(0, 6))
             assert t_alpha.marking.read(t_alpha.marking.realize(w)) == w
 
 
@@ -708,7 +708,7 @@ def test_thistle_rep_induces_its_automorphism(seed):
         [w3.parse_word("a"), w3.parse_word("b a c a b a c a b"),
          w3.parse_word("b a c a b")],
     )
-    phi = Automorphism.inner(w3, w3.random_word(rng, rng.randrange(0, 4)))
+    phi = Automorphism.inner(w3, random_word(w3, rng, rng.randrange(0, 4)))
     phi = phi.compose(base) if rng.random() < 0.5 else phi
     assert thistle_rep(phi).induced_automorphism() == phi
 

@@ -23,14 +23,13 @@ from orbitrain.errors import (
     NothingToFold,
 )
 from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct
-from orbitrain.moves import fold, maximal_invariant_forest, subdivide
+from orbitrain.moves import fold, maximal_invariant_forest
 from orbitrain.orbigraph import Orbigraph, hedgehog, thistle
 from orbitrain.paths import format_path
 from orbitrain.pf import (
     _faddeev_leverrier, compare_lengths, is_irreducible, pf_data)
 from orbitrain.toprep import (
     hedgehog_rep,
-    identity_rep,
     maximal_filtration,
     rep_from_path_texts,
     thistle_rep,
@@ -41,13 +40,13 @@ from orbitrain.traintrack import (
     TrainTrack,
     _descent_turn,
     _rep_key,
-    edge_bound,
     normalize,
     record_events,
     train_track_algorithm,
 )
 from test_groups import factor_moving_products
-from test_moves import random_twisted_automorphism, same_outer
+from test_moves import (cut, identity_rep, random_twisted_automorphism,
+                        same_outer)
 
 Z2 = FiniteGroup.cyclic(2)
 Z3 = FiniteGroup.cyclic(3)
@@ -94,6 +93,15 @@ class TestIsIrreducibleRep:
         w1 = FreeProduct([Z3], ["x"])
         lone = identity_rep(Orbigraph(w1, (0,), ()))
         assert not is_irreducible(lone.transition_matrix().entries)
+
+
+def edge_bound(n):
+    """The largest number of edges a normalized representative on n
+    factors can have: one tree with a cone per factor and no valence-one
+    or valence-two vertices."""
+    if n < 2:
+        raise ValueError("the edge bound needs at least two factors")
+    return 2 * n - 3
 
 
 class TestEdgeBound:
@@ -237,7 +245,7 @@ class TestRepKey:
         """A subdivision vertex has valence two, so it shares its set of
         factors beyond it with its far neighbour."""
         with pytest.raises(BadRepresentative):
-            _rep_key(subdivide(f_alpha, 1, 1))
+            _rep_key(cut(f_alpha, {1: 1})[0])
 
 
 # ---- finite order outcomes --------------------------------------------------------
