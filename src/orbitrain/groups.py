@@ -338,18 +338,20 @@ class FreeProduct:
     # -- conjugacy -----------------------------------------------------------
 
     def cyclic_form(self, word: Word):
-        """Cyclically reduced core and conjugator: word = q^-1 . core . q."""
-        core = list(word)
-        q: Word = ()
-        while len(core) >= 2 and core[0][0] == core[-1][0]:
-            last = core.pop()
-            merged = self.letter_mul(last, core[0])
-            q = self.mul((last,), q)
-            if merged[1] == 0:
-                core.pop(0)
-            else:
-                core[0] = merged
-        return tuple(core), q
+        """Cyclically reduced core and conjugator: word = q^-1 . core . q.
+        The core is word[i:j] with its first letter merged into ``head``
+        and q is the suffix word[j:], so peeling takes linear time."""
+        i, j = 0, len(word)
+        head = word[0] if word else None
+        while j - i >= 2 and head[0] == word[j - 1][0]:
+            j -= 1
+            head = self.letter_mul(word[j], head)
+            if head[1] == 0:
+                i += 1
+                head = word[i] if i < j else None
+        if i == j:
+            return (), word[j:]
+        return (head,) + word[i + 1:j], word[j:]
 
     def conjugacy_normal_form(self, word: Word) -> Word:
         """Canonical conjugacy representative.

@@ -17,14 +17,16 @@ characteristic polynomial.
   and bisection keeps its endpoints over one power-of-two denominator.
 - The Sturm isolation of the rate starts from the certified bracket once
   one Sturm count confirms it, and from the root bound otherwise.
+- The characteristic polynomial comes from one division-free routine,
+  Berkowitz's; row 0 of the adjugate of xI - M is derived from it and
+  the Krylov rows e_0 M^j.
 - ``pf_compare`` decides by disjoint brackets, narrowing coarse ones only
-  when they overlap, then by equal characteristic polynomials; otherwise
-  it refines both isolations, and equal rates are found exactly through
-  the gcd of the two polynomials.
+  when they overlap, then by equal characteristic polynomials once their
+  factors x^k are removed; otherwise it refines both isolations, and
+  equal rates are found exactly through the gcd of the two polynomials.
 - ``compare_lengths`` orders two edge lengths by a domination certificate,
   the sign of (M + I)^k (e_i - e_j), and falls back on row 0 of the
-  adjugate from one Faddeev-LeVerrier loop, which at the rate is a
-  positive multiple of the lengths.
+  adjugate, which at the rate is a positive multiple of the lengths.
 """
 
 from fractions import Fraction
@@ -51,16 +53,6 @@ def as_matrix(rows) -> Matrix:
         if any(x < 0 for x in row):
             raise ValueError("matrix must be nonnegative")
     return M
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n))
-                 for i in range(n))
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    cols = tuple(zip(*B))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
 
 
 def is_transitive_permutation(M: Matrix) -> bool:
@@ -188,25 +180,44 @@ def is_irreducible(M) -> bool:
 # coefficient tuples run from the leading term down; all arithmetic exact
 
 
-def _faddeev_leverrier(M: Matrix
-                       ) -> Tuple[Tuple[int, ...], Tuple[Matrix, ...]]:
-    """The characteristic polynomial of M and the coefficient matrices
-    B_0..B_{n-1} of adj(xI - M), leading first, from one loop."""
+def _berkowitz(M: Matrix) -> Tuple[int, ...]:
+    """det(xI - M), leading first, by Berkowitz's division-free
+    recursion: bordering the leading r x r block A with column C, row R
+    and corner a multiplies the polynomial so far by the lower triangular
+    Toeplitz matrix with first column 1, -a, -R C, -R A C, ...,
+    -R A^(r-1) C."""
+    p = [1]
+    for r, R in enumerate(M):
+        # the products stop at len(v) = r, which cuts M's rows to A and R
+        v = [row[r] for row in M[:r]]
+        t = [1, -R[r]]
+        for k in range(r):
+            t.append(-sum(map(mul, R, v)))
+            if k < r - 1:
+                v = [sum(map(mul, row, v)) for row in M[:r]]
+        p = [sum(map(mul, t[i::-1], p)) for i in range(r + 2)]
+    return tuple(p)
+
+
+def _adjugate_row(M: Matrix, p: Sequence[int]) -> List[List[int]]:
+    """Row 0 of each B_k in adj(xI - M) = sum B_k x^(n-1-k), leading
+    first, from M's characteristic polynomial p: B_k = p_0 M^k + ... +
+    p_k I, so that row is the same sum over the Krylov rows e_0 M^j."""
     n = len(M)
-    coeffs = [1]
-    B = identity_matrix(n)
-    adj = [B]
-    for k in range(1, n + 1):
-        A = mat_mul(M, B)
-        c, rem = divmod(-sum(A[i][i] for i in range(n)), k)
-        if rem:
-            raise LemmaViolated((M, k), "Faddeev-LeVerrier trace not divisible")
-        coeffs.append(c)
-        if k < n:
-            B = tuple(tuple(A[i][j] + (c if i == j else 0) for j in range(n))
-                      for i in range(n))
-            adj.append(B)
-    return tuple(coeffs), tuple(adj)
+    cols = tuple(zip(*M))
+    krylov = [[1] + [0] * (n - 1)]
+    for _ in range(n - 1):
+        krylov.append([sum(map(mul, krylov[-1], col)) for col in cols])
+    return [[sum(p[t] * krylov[k - t][e] for t in range(k + 1))
+             for e in range(n)] for k in range(n)]
+
+
+def _nonzero_part(p: Sequence[int]) -> Tuple[int, ...]:
+    """p with its factor x^k removed."""
+    k = len(p)
+    while k > 1 and p[k - 1] == 0:
+        k -= 1
+    return tuple(p[:k])
 
 
 def _scaled_values(polys, n: int, d: int) -> List[int]:
@@ -447,12 +458,13 @@ class PFData:
     ever narrows, in place, so it stays certified: ``refined`` shrinks it
     by resuming the Collatz-Wielandt walk that ``pf_data`` began, and
     ``pf_compare`` resumes that walk when two brackets overlap.  The
-    characteristic polynomial, the adjugate and the Sturm isolation are
-    derived on first use and kept on the instance.
+    characteristic polynomial, row 0 of the adjugate (from the
+    polynomial) and the Sturm isolation are derived on first use and kept
+    on the instance.
     """
 
-    __slots__ = ("matrix", "lower", "upper", "is_one", "_iso", "_polys",
-                 "_walk")
+    __slots__ = ("matrix", "lower", "upper", "is_one", "_iso", "_poly",
+                 "_adjugate", "_walk")
 
     def __init__(self, matrix: Matrix, lower: Fraction, upper: Fraction,
                  is_one: bool = False, _walk: Optional[tuple] = None):
@@ -462,7 +474,8 @@ class PFData:
         self.is_one = bool(is_one)
         self._walk = _walk
         self._iso: Optional[Isolation] = None
-        self._polys = None
+        self._poly: Optional[Tuple[int, ...]] = None
+        self._adjugate: Optional[List[List[int]]] = None
 
     @property
     def width(self) -> Fraction:
@@ -472,13 +485,11 @@ class PFData:
     def exact(self) -> Optional[Fraction]:
         return self.lower if self.lower == self.upper else None
 
-    def _charpoly_adjugate(self):
-        if self._polys is None:
-            self._polys = _faddeev_leverrier(self.matrix)
-        return self._polys
-
     def poly(self) -> Tuple[int, ...]:
-        return self._charpoly_adjugate()[0]
+        """The characteristic polynomial, leading first."""
+        if self._poly is None:
+            self._poly = _berkowitz(self.matrix)
+        return self._poly
 
     def isolation(self, tol: Fraction = DEFAULT_TOL) -> Isolation:
         """The Sturm isolation of the growth rate, seeded from the
@@ -524,14 +535,17 @@ class PFData:
 
         The lengths are the positive left eigenvector, w M = rate w, and
         row 0 of adj(rate I - M) is a positive multiple of w, so w_i - w_j
-        has the sign of q(rate), q the difference of that row's entries.
+        has the sign of q(rate), q the difference of entries i and j of
+        that row, derived once by ``_adjugate_row``.
         With q = P - N, both parts of nonnegative coefficients, q(rate)
         lies in [P(lo) - N(hi), P(hi) - N(lo)] on a bracket 0 <= lo <= hi.
         While that holds 0 the isolation is refined.  This ends: the bound
         shrinks to q(rate), and q(rate) = 0 exactly when gcd(q, charpoly)
         has a root in the isolation, which one Sturm count finds.
         """
-        q = [B[0][i] - B[0][j] for B in self._charpoly_adjugate()[1]]
+        if self._adjugate is None:
+            self._adjugate = _adjugate_row(self.matrix, self.poly())
+        q = [row[i] - row[j] for row in self._adjugate]
         if not any(q):
             return 0
         parts = ([max(c, 0) for c in q], [max(-c, 0) for c in q])
@@ -640,8 +654,9 @@ def compare_lengths(M: Matrix, i: int, j: int) -> int:
     nonzero x >= 0 or x <= 0 gives the sign.  M + I is primitive, so
     (M + I)^k / (rate + 1)^k tends to a positive rank-one matrix, and x is
     eventually of one sign whenever w_i != w_j.  After n steps with no
-    verdict the adjugate comparison decides: the budget picks which
-    certificate decides, never the answer.
+    verdict the comparison by row 0 of the adjugate decides, derived from
+    the characteristic polynomial and the Krylov rows e_0 M^j: the budget
+    picks which certificate decides, never the answer.
     """
     x = [row[i] - row[j] for row in M]
     if not any(x):
@@ -668,19 +683,22 @@ def pf_compare(x: PFData, y: PFData) -> int:
     Disjoint certified brackets decide at once.  When they overlap, a
     bracket that ``pf_data`` left wider than ``DEFAULT_TOL`` is narrowed to
     it by resuming its walk, which gives the bracket ``pf_data`` would
-    have given at that width, and the comparison starts over.  Otherwise
-    the two seeded isolations are refined until they separate, until one
-    is an exact rational root of the other's polynomial, or until a
-    common factor of the two polynomials has a root where they overlap.
-    Each round that does not decide refines every inexact isolation at
-    least sixteenfold or makes it exact, and the loop ends by proof, with
-    no round cap:
+    have given at that width, and the comparison starts over.  Then equal
+    characteristic polynomials, with their factors x^k removed, are a
+    tie.  Otherwise the two seeded isolations are refined until they
+    separate, until one is an exact rational root of the other's
+    polynomial, or until a common factor of the two polynomials has a
+    root where they overlap.  Each round that does not decide refines
+    every inexact isolation at least sixteenfold or makes it exact, and
+    the loop ends by proof, with no round cap:
 
     - the narrowing happens at most once per bracket, since a narrowed
       bracket is no wider than ``DEFAULT_TOL``;
-    - equal characteristic polynomials are equal rates before any
-      isolation is built: both blocks are irreducible, so each rate is the
-      largest real root of the same polynomial;
+    - equal nonzero spectra are equal rates before any isolation is
+      built: both blocks are irreducible, so each rate is positive and the
+      largest real root of its characteristic polynomial, hence of that
+      polynomial with its factor x^k removed, and equal nonzero parts
+      compare blocks of different sizes too;
     - distinct rates separate once the two widths together fall below
       their distance;
     - equal rates with neither isolation exact are a root of the gcd of the
@@ -698,7 +716,8 @@ def pf_compare(x: PFData, y: PFData) -> int:
         return 1
     if any([x._resume(), y._resume()]):
         return pf_compare(x, y)
-    if (x.is_one and y.is_one) or x.poly() == y.poly():
+    if (x.is_one and y.is_one
+            or _nonzero_part(x.poly()) == _nonzero_part(y.poly())):
         return 0
     a = x.isolation()
     b = y.isolation()

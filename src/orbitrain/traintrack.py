@@ -287,20 +287,23 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
     image therefore crosses boundedly many edges, with a letter of a
     finite group between two crossings, and the cone tables and vertex
     images range over finite sets too.  Only finitely many keys can
-    occur, so some pass repeats one.  ``cap`` stops the loop earlier on
-    request.
+    occur, so some pass repeats one.
+
+    Keys are needed only within a run of passes of one rate.  Rates
+    never rise, and a repeated representative has the rate it had, so
+    every pass between the two has that rate too.  A pass whose rate
+    drops strictly therefore forgets every key, and only a pass whose
+    rate equals the previous one computes its key, and the previous
+    pass's when the run begins.  A pass whose rate drops can repeat no
+    earlier pass, and of a run's passes every one is keyed, so the
+    first repeat is found at the same pass.  The keys live only in this
+    call.  ``cap`` stops the loop earlier on request.
     """
     events = _EVENTS.get()
     f = normalize(f)
-    prev = None
+    prev = prev_f = None
     seen: Dict[tuple, int] = {}
     for step in range(cap):
-        first = seen.setdefault(_rep_key(f), step)
-        if first != step:
-            images = {f.graph.edge_label(e): format_path(p)
-                      for e, p in sorted(f.edge_images.items())}
-            raise IterationCapExceeded(f"pass {step} repeats pass {first}",
-                                       (first, step, images))
         if not f.graph.n_edges:
             return FiniteOrder(f, _finite_order_period(f))
         filt = maximal_filtration(f)
@@ -309,7 +312,8 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
         data = pf_data(f.transition_matrix(), PASS_TOL)
         if data.is_one:
             return FiniteOrder(f, _finite_order_period(f))
-        if prev is not None and pf_compare(data, prev) > 0:
+        order = 0 if prev is None else pf_compare(data, prev)
+        if order > 0:
             # the witness quotes both rates at the default width
             prev.refined(DEFAULT_TOL)
             data.refined(DEFAULT_TOL)
@@ -317,7 +321,18 @@ def train_track_algorithm(f: TopRep, cap: int = 10_000) -> Outcome:
                 (step, (prev.lower, prev.upper), (data.lower, data.upper)),
                 f"pass {step}: the growth rate rose from about "
                 f"{float(prev.upper):.6f} to about {float(data.lower):.6f}")
-        prev = data
+        if order < 0:
+            seen.clear()
+        elif prev is not None:
+            if not seen:
+                seen[_rep_key(prev_f)] = step - 1
+            first = seen.setdefault(_rep_key(f), step)
+            if first != step:
+                images = {f.graph.edge_label(e): format_path(p)
+                          for e, p in sorted(f.edge_images.items())}
+                raise IterationCapExceeded(
+                    f"pass {step} repeats pass {first}", (first, step, images))
+        prev, prev_f = data, f
         if events is not None:
             events.append(("pass", step, f.graph.n_cells, f.graph.n_edges,
                            data.lower, data.upper))

@@ -5,9 +5,10 @@ fixtures) runs once through the benchmark's own ``run``, ``judge`` and
 ``verify``.  A case whose answer differs from the recorded one, or whose
 answer the oracle rejects, fails the test; a recorded failure that now
 fails differently or gives a verified answer does not.  The same cases
-check the descent's event stream by replaying it, the forest search's
-shortcut for irreducible matrices against its greedy loop, and that no
-transition matrix is split into strongly connected components twice.
+check the descent's event stream by replaying it, the edge bound on
+every pass, the forest search's shortcut for irreducible matrices
+against its greedy loop, and that no transition matrix is split into
+strongly connected components twice.
 """
 
 import sys
@@ -89,6 +90,25 @@ def test_the_event_stream_replays_every_descent():
                 fold(f, turn)
         elif not isinstance(result, Exception):
             assert _rep_key(f) == _rep_key(result.rep), case.id
+
+
+def test_every_descent_pass_fits_the_edge_bound():
+    """Every pass of the 63 cases holds a normalised tree on n factors,
+    whose leaves are cone points and whose plain vertices have valence at
+    least three, so its ``("pass", ...)`` event counts m <= 2n - 3 edges:
+    the bound behind the descent's termination argument."""
+    passes = 0
+    for case in workloads.cases("descent"):
+        with record_events() as events:
+            try:
+                workloads.run("descent", case)
+            except OrbitrainError:
+                pass
+        for name, *args in events:
+            if name == "pass":
+                passes += 1
+                assert args[2] <= 2 * case.W.n - 3, (case.id, args)
+    assert passes > 300
 
 
 def greedy_forest(f):

@@ -291,9 +291,11 @@ def test_conjugacy_normal_form_is_least_core_rotation():
             w = random_word(W, rng, rng.randrange(0, 8))
             if rng.random() < 0.3:
                 w = W.power(w, rng.randint(2, 5))
-            core, _ = W.cyclic_form(w)
+            core, q = W.cyclic_form(w)
+            assert W.mul(W.inv(q), core, q) == w and W.nf(core) == core
             form = W.conjugacy_normal_form(w)
             if len(core) >= 2:
+                assert core[0][0] != core[-1][0]
                 assert form == min(rotations(core))
             assert W.conj(w, conjugator_to_form(W, w)) == form
 
@@ -340,6 +342,20 @@ def test_cyclic_form_reconstructs_word(w3, data):
     assert w3.mul(w3.inv(q), core, q) == word
     if len(core) >= 2:
         assert core[0][0] != core[-1][0]
+
+
+def test_cyclic_form_peels_a_long_conjugator():
+    """u^-1 . a . u with |u| = 20 000 peels to the core a and q = u, in
+    time linear in the word."""
+    W = FreeProduct([FiniteGroup.symmetric(3), FiniteGroup.cyclic(2),
+                     FiniteGroup.cyclic(3)])
+    rng = random.Random(20000)
+    u = random_word(W, rng, 20000, factors=[1, 2])
+    a = ((0, 1),)
+    w = W.conj(a, u)
+    assert len(w) == 40001
+    assert W.cyclic_form(w) == (a, u)
+    assert W.conjugacy_normal_form(w) == W.conjugacy_normal_form(a)
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,15 @@ from orbitrain.pf import (
     DEFAULT_TOL,
     PFData,
     TransitionMatrix,
+    _adjugate_row,
+    _berkowitz,
     _deflate,
-    _faddeev_leverrier,
     _isolate,
     as_matrix,
     compare_lengths,
     count_distinct_roots,
-    identity_matrix,
     is_irreducible,
     is_transitive_permutation,
-    mat_mul,
     pf_compare,
     pf_data,
     poly_gcd,
@@ -41,6 +40,17 @@ from orbitrain.pf import (
     squarefree_part,
     sturm_chain,
 )
+
+
+def identity_matrix(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n))
+                 for i in range(n))
+
+
+def mat_mul(A, B):
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                 for row in A)
 
 
 def block(M, idx):
@@ -224,31 +234,31 @@ class TestComponents:
 
 class TestPolynomials:
     def test_charpoly_of_growth_matrix(self):
-        assert _faddeev_leverrier(GROWTH)[0] == (1, -4, -1)
+        assert _berkowitz(GROWTH) == (1, -4, -1)
 
     def test_charpoly_of_companion(self):
         C = as_matrix([[2, 0, 1], [1, 0, 0], [0, 1, 0]])
-        assert _faddeev_leverrier(C)[0] == (1, -2, 0, -1)
+        assert _berkowitz(C) == (1, -2, 0, -1)
 
     def test_adjugate_identity(self):
+        """Row 0 of adj(xI - M) times xI - M is p(x) e_0."""
         rng = random.Random(414)
         for _ in range(60):
             n = rng.randrange(1, 5)
             M = as_matrix([[rng.randrange(4) for _ in range(n)]
                            for _ in range(n)])
-            p, B = _faddeev_leverrier(M)
+            p = _berkowitz(M)
+            B = _adjugate_row(M, p)
             for x in (Fraction(2), Fraction(-1, 3), Fraction(7, 2)):
-                adj = [[sum(B[k][i][j] * x ** (n - 1 - k) for k in range(n))
-                        for j in range(n)] for i in range(n)]
+                row = [sum(B[k][j] * x ** (n - 1 - k) for k in range(n))
+                       for j in range(n)]
                 xi_m = [[(x if i == j else 0) - M[i][j] for j in range(n)]
                         for i in range(n)]
-                prod = [[sum(adj[i][k] * xi_m[k][j] for k in range(n))
-                         for j in range(n)] for i in range(n)]
+                prod = [sum(row[k] * xi_m[k][j] for k in range(n))
+                        for j in range(n)]
                 px = sum(c * x ** (len(p) - 1 - d)
                          for d, c in enumerate(p))
-                for i in range(n):
-                    for j in range(n):
-                        assert prod[i][j] == (px if i == j else 0)
+                assert prod == [px] + [0] * (n - 1)
 
     def test_gcd_and_squarefree(self):
         # (x-1)^2 (x+2) = x^3 - 3x + 2
@@ -326,8 +336,7 @@ class TestPFData:
         # row 0 of adj(xI - M) is (x - 1, 1): q = x - 2 vanishes at the
         # rate 2
         data = pf_data([[1, 1], [1, 1]])
-        _, B = _faddeev_leverrier(data.matrix)
-        assert B == (((1, 0), (0, 1)), ((-1, 1), (1, -1)))
+        assert _adjugate_row(data.matrix, data.poly()) == [[1, 0], [-1, 1]]
         assert data._compare_by_adjugate(0, 1) == 0
         assert compare_lengths(data.matrix, 0, 1) == 0
         # equal columns 0 and 1 give equal lengths at the irrational rate
@@ -335,8 +344,8 @@ class TestPFData:
         # so only the gcd with x (x^2 - 2x - 1) finds the tie
         data = pf_data([[1, 1, 1], [0, 0, 1], [1, 1, 1]])
         assert data.exact is None
-        p, B = _faddeev_leverrier(data.matrix)
-        q = [Bk[0][0] - Bk[0][1] for Bk in B]
+        p = data.poly()
+        q = [row[0] - row[1] for row in _adjugate_row(data.matrix, p)]
         assert q == [1, -2, -1] and p == (1, -2, -1, 0)
         assert data._compare_by_adjugate(0, 1) == 0
         assert (data._compare_by_adjugate(0, 2)
@@ -527,6 +536,25 @@ class TestCompare:
             assert pf_compare(a, b) == 0 and pf_compare(b, a) == 0
             assert a._iso is None and b._iso is None
 
+    def test_equal_nonzero_spectra_of_different_sizes_build_no_isolation(
+            self):
+        # each larger block has the smaller one's characteristic
+        # polynomial times x, like M and M + [0] but irreducible: the rates
+        # are 1 + sqrt 2 and 2 + sqrt 5, and the nonzero parts decide
+        pairs = (([[1, 2], [1, 1]], [[1, 1, 1], [0, 0, 1], [1, 1, 1]]),
+                 (GROWTH, [[0, 0, 1], [1, 1, 1], [2, 2, 3]]))
+        for M, N in pairs:
+            a, b = pf_data(M), pf_data(N)
+            assert b.poly() == a.poly() + (0,)
+            assert overlap(a, b) and a.exact is None
+            assert pf_compare(a, b) == 0 and pf_compare(b, a) == 0
+            assert a._iso is None and b._iso is None
+        # x^2 - 4x - 1 against x (x - 4): nonzero parts that share their
+        # leading terms but not their roots, on one bracket with no walk
+        c = PFData(GROWTH, Fraction(3), Fraction(5))
+        d = PFData(as_matrix([[2, 2], [2, 2]]), Fraction(3), Fraction(5))
+        assert pf_compare(c, d) == 1 and pf_compare(d, c) == -1
+
     def test_permutation_against_slow_growth(self):
         one = pf_data([[0, 1], [1, 0]])
         two = pf_data([[2]])
@@ -658,6 +686,31 @@ def test_coarse_brackets_narrow_and_compare_as_default_ones(n, seed, kind,
             for data, was, want in zip((x, y), before, (fine[i], fine[j])):
                 assert (data.lower, data.upper) in (
                     was, (want.lower, want.upper))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(0, 9))
+def test_charpoly_and_adjugate_row_match_sympy(n, seed, max_entry):
+    """On nonnegative integer matrices up to 12 x 12, irreducible or not,
+    ``_berkowitz`` is sympy's characteristic polynomial and
+    ``_adjugate_row`` is row 0 of sympy's adjugate of xI - M, coefficient
+    by coefficient."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(seed)
+    M = as_matrix([[rng.randrange(max_entry + 1) for _ in range(n)]
+                   for _ in range(n)])
+    x = sympy.Symbol("x")
+    p = _berkowitz(M)
+    assert list(p) == exact_charpoly(sympy, M).all_coeffs()
+    xi_m = DomainMatrix.from_Matrix(x * sympy.eye(n) - sympy.Matrix(M))
+    adj = xi_m.convert_to(sympy.ZZ[x]).adjugate().to_Matrix()
+    B = _adjugate_row(M, p)
+    for e in range(n):
+        want = sympy.Poly(adj[0, e], x).all_coeffs()
+        got = [row[e] for row in B]
+        assert got == [0] * (n - len(want)) + want
 
 
 @settings(max_examples=120, deadline=None)

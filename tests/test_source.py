@@ -7,7 +7,8 @@ collapses forests, turn orbits and the tree are each walked in one
 place, derived data is cached only by its own class, circuits are
 built and their edges counted only in ``paths``,
 representatives are compared by one name-free key, edge lengths come
-only from ``pf``, ``pf`` decides without floating point, edge items are
+only from ``pf``, ``pf`` decides without floating point and computes
+characteristic polynomials in one routine, edge items are
 tested inline, every error class is raised, factors have one kind,
 inversion has one algorithm that scores moves without rebuilding
 words, and every public name has a caller in the library or the
@@ -222,13 +223,13 @@ def test_derived_data_is_cached_only_by_its_class():
     move or caller writes into it: among them a representative's derived
     data (reversed images, lead table, turn verdicts, transition matrix),
     a transport's reversed pieces, a transition matrix's strongly
-    connected split, PF data's polynomials and isolation, and any cache a
-    class adds later."""
+    connected split, PF data's characteristic polynomial, adjugate row
+    and isolation, and any cache a class adds later."""
     caches = instance_caches()
     known = {"toprep.TopRep": {"_images", "_leads", "_verdicts", "_matrix"},
              "moves.Transport": {"_reversed"},
              "pf.TransitionMatrix": {"_components"},
-             "pf.PFData": {"_iso", "_polys"}}
+             "pf.PFData": {"_iso", "_poly", "_adjugate"}}
     assert all(attrs <= caches.get(owner, set())
                for owner, attrs in known.items()), caches
     for owner, attrs in caches.items():
@@ -318,6 +319,23 @@ def test_pf_decides_without_floating_point():
     sites = call_sites(path, lambda call: isinstance(call.func, ast.Name)
                        and call.func.id == "float")
     assert set(sites) <= {"PFData.__repr__"}
+
+
+def test_pf_has_one_characteristic_polynomial():
+    """``pf.py`` defines one routine that computes a characteristic
+    polynomial, ``_berkowitz``, and only ``PFData.poly`` calls it: the
+    polynomial of every comparison, isolation and adjugate row comes from
+    that one place, and the Faddeev-LeVerrier loop is gone."""
+    path = Path(orbitrain.__file__).parent / "pf.py"
+    charpoly = re.compile(
+        r"faddeev|leverrier|berkowitz|charpoly|char_poly|hessenberg"
+        r"|danilevsky|krylov_poly|samuelson", re.IGNORECASE)
+    found = sorted(node.name for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.FunctionDef)
+                   and charpoly.search(node.name))
+    assert found == ["_berkowitz"]
+    assert function_call_sites("_berkowitz") == ["pf.PFData.poly"]
+    assert "_faddeev_leverrier" not in path.read_text()
 
 
 def test_moves_hold_no_iteration_cap():

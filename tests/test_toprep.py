@@ -22,8 +22,8 @@ from orbitrain.moves import fold
 from orbitrain.orbigraph import VERTEX, Orbigraph, hedgehog, thistle
 from orbitrain.paths import (Path, Turn, format_path, loop_of_word, tighten,
                              tighten_circuit)
-from orbitrain.pf import (_faddeev_leverrier, is_transitive_permutation,
-                          mat_mul, pf_compare, pf_data)
+from orbitrain.pf import (_berkowitz, is_transitive_permutation, pf_compare,
+                          pf_data)
 from orbitrain.toprep import (
     ConeMap,
     Marking,
@@ -37,6 +37,7 @@ from orbitrain.traintrack import _descent_turn, _rep_key
 from test_groups import random_word
 from test_moves import identity_rep, random_twisted_automorphism
 from test_paths import random_closed_walk
+from test_pf import mat_mul
 
 Z2 = FiniteGroup.cyclic(2)
 
@@ -219,10 +220,8 @@ class TestTransition:
 
     def test_golden_characteristic_polynomials(self, golden):
         f, g = golden
-        assert _faddeev_leverrier(f.transition_matrix().entries)[0] == (
-            1, 0, -2, -1)
-        assert _faddeev_leverrier(g.transition_matrix().entries)[0] == (
-            1, -2, 0, -1)
+        assert _berkowitz(f.transition_matrix().entries) == (1, 0, -2, -1)
+        assert _berkowitz(g.transition_matrix().entries) == (1, -2, 0, -1)
 
     def test_lookup_helpers(self, t_alpha):
         """Edge e is row and column e - 1: the image of B crosses A four
