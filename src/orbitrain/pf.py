@@ -10,9 +10,8 @@ characteristic polynomial.
 - ``pf_data`` brackets the rate by Collatz-Wielandt iteration on positive
   integer vectors: min (Mv)_i / v_i and max (Mv)_i / v_i bound the rate for
   every positive v, so the bracket is certified whatever v the iteration
-  reaches.  The iteration's state stays with the bracket, so a coarse
-  bracket can be narrowed later, to exactly the bracket a finer one
-  would have been.
+  reaches.  ``PFData.refined`` narrows a coarse bracket by walking again
+  to the finer width, which gives exactly the finer bracket.
 - Sturm sign counts and zero tests evaluate d^deg p(n/d) by integer Horner,
   and bisection keeps its endpoints over one power-of-two denominator.
 - The Sturm isolation of the rate starts from the certified bracket once
@@ -20,10 +19,10 @@ characteristic polynomial.
 - The characteristic polynomial comes from one division-free routine,
   Berkowitz's; row 0 of the adjugate of xI - M is derived from it and
   the Krylov rows e_0 M^j.
-- ``pf_compare`` decides by disjoint brackets, narrowing coarse ones only
-  when they overlap, then by equal characteristic polynomials once their
-  factors x^k are removed; otherwise it refines both isolations, and
-  equal rates are found exactly through the gcd of the two polynomials.
+- ``pf_compare`` decides by disjoint brackets, then by equal
+  characteristic polynomials once their factors x^k are removed, then by
+  narrowed brackets; otherwise it refines both isolations, and equal
+  rates are found exactly through the gcd of the two polynomials.
 - ``compare_lengths`` orders two edge lengths by a domination certificate,
   the sign of (M + I)^k (e_i - e_j), and falls back on row 0 of the
   adjugate, which at the rate is a positive multiple of the lengths.
@@ -45,13 +44,14 @@ DEFAULT_TOL = Fraction(1, 10**9)
 
 
 def as_matrix(rows) -> Matrix:
-    M = tuple(tuple(int(x) for x in row) for row in rows)
+    """Square rows of nonnegative ints; 1.5 or "2" raises ValueError."""
+    M = tuple(map(tuple, rows))
     n = len(M)
     for row in M:
         if len(row) != n:
             raise ValueError("matrix must be square")
-        if any(x < 0 for x in row):
-            raise ValueError("matrix must be nonnegative")
+        if not all(isinstance(x, int) and x >= 0 for x in row):
+            raise ValueError("matrix entries must be nonnegative ints")
     return M
 
 
@@ -421,13 +421,14 @@ class Isolation:
         return Isolation(chain, Fraction(a, D), Fraction(b, D))
 
 
-def _isolate(chain, tol: Fraction, bracket=None) -> Optional[Isolation]:
-    """Bracket the largest real root of chain[0] within tol.
+def _isolate(chain, bracket=None) -> Optional[Isolation]:
+    """Isolate the largest real root of chain[0], or None if it has no
+    real root; callers refine the isolation as far as they need.
 
     ``bracket``, if given, is a certified closed interval around that
-    root.  It is taken as the starting interval once one Sturm count finds
-    exactly one root in it with both endpoints off the roots; otherwise
-    bisection starts from the root bound (-B, B].
+    root.  It is the isolation once one Sturm count finds exactly one
+    root in it with both endpoints off the roots; otherwise bisection
+    narrows the root bound (-B, B] until it holds one root.
     """
     p = chain[0]
     if bracket is not None:
@@ -436,14 +437,13 @@ def _isolate(chain, tol: Fraction, bracket=None) -> Optional[Isolation]:
             return Isolation(chain, lo, hi, exact=lo)
         if (poly_sign(p, lo) and poly_sign(p, hi)
                 and count_distinct_roots(chain, lo, hi) == 1):
-            return Isolation(chain, lo, hi).refine(tol)
+            return Isolation(chain, lo, hi)
     B = root_bound(p)
     if count_distinct_roots(chain, -B, B) == 0:
         return None
-    out = Isolation(chain, -B, B).refine(tol)
-    if out.exact is None:
-        while count_distinct_roots(out.chain, out.lo, out.hi) > 1:
-            out = out.refine(out.width / 4)
+    out = Isolation(chain, -B, B)
+    while count_distinct_roots(out.chain, out.lo, out.hi) > 1:
+        out = out.refine(out.width / 4)
     return out
 
 
@@ -455,24 +455,21 @@ class PFData:
 
     ``[lower, upper]`` contains the growth rate; ``is_one`` marks a
     transitive permutation, whose rate is exactly 1.  The bracket only
-    ever narrows, in place, so it stays certified: ``refined`` shrinks it
-    by resuming the Collatz-Wielandt walk that ``pf_data`` began, and
-    ``pf_compare`` resumes that walk when two brackets overlap.  The
-    characteristic polynomial, row 0 of the adjugate (from the
-    polynomial) and the Sturm isolation are derived on first use and kept
-    on the instance.
+    ever narrows, in place, so it stays certified; ``refined`` is the one
+    routine that narrows it.  The characteristic polynomial, row 0 of the
+    adjugate (from the polynomial) and the Sturm isolation are derived on
+    first use and kept on the instance.
     """
 
     __slots__ = ("matrix", "lower", "upper", "is_one", "_iso", "_poly",
-                 "_adjugate", "_walk")
+                 "_adjugate")
 
     def __init__(self, matrix: Matrix, lower: Fraction, upper: Fraction,
-                 is_one: bool = False, _walk: Optional[tuple] = None):
+                 is_one: bool = False):
         self.matrix = matrix
         self.lower = Fraction(lower)
         self.upper = Fraction(upper)
         self.is_one = bool(is_one)
-        self._walk = _walk
         self._iso: Optional[Isolation] = None
         self._poly: Optional[Tuple[int, ...]] = None
         self._adjugate: Optional[List[List[int]]] = None
@@ -491,11 +488,11 @@ class PFData:
             self._poly = _berkowitz(self.matrix)
         return self._poly
 
-    def isolation(self, tol: Fraction = DEFAULT_TOL) -> Isolation:
+    def isolation(self) -> Isolation:
         """The Sturm isolation of the growth rate, seeded from the
-        certified bracket."""
+        certified bracket as it stands at the first call."""
         if self._iso is None:
-            self._iso = _isolate(sturm_chain(self.poly()), tol,
+            self._iso = _isolate(sturm_chain(self.poly()),
                                  (self.lower, self.upper))
         return self._iso
 
@@ -503,31 +500,21 @@ class PFData:
         """Narrow the bracket in place to width at most tol and return
         this data.
 
-        The Collatz-Wielandt walk that ``pf_data`` began resumes first.
-        When its rounds run out short of tol, or for data built without a
-        walk, the seeded Sturm isolation bisects the rest.  Neither step
-        depends on how many stages reach tol, so data narrowed from a
-        coarse bracket ends with the bracket that ``pf_data`` gives at tol
-        directly.
+        The Collatz-Wielandt walk runs from the all-ones vector to tol;
+        when its rounds run out short of tol, the seeded Sturm isolation
+        bisects the rest.  The walk stops at tol on the one sequence of
+        brackets it always takes, and bisection halves the same interval
+        whatever width it stops at, so data narrowed from a coarse bracket
+        ends with the bracket that ``pf_data`` gives at tol directly.
         """
-        if self.width > tol and self._walk is not None:
-            lo, hi, self._walk = _collatz_wielandt(self.matrix, tol,
-                                                   self._walk)
+        if self.width > tol:
+            lo, hi = _collatz_wielandt(self.matrix, tol)
             self.lower, self.upper = max(lo, self.lower), min(hi, self.upper)
         if self.width > tol:
-            self._iso = self.isolation(tol).refine(tol)
+            self._iso = self.isolation().refine(tol)
             lo, hi = self._iso.bounds()
             self.lower, self.upper = max(lo, self.lower), min(hi, self.upper)
         return self
-
-    def _resume(self) -> bool:
-        """Narrow to ``DEFAULT_TOL`` a bracket that ``pf_data`` left wider,
-        and say whether it did; data built without a walk is left to the
-        isolations."""
-        if self._walk is None or self.width <= DEFAULT_TOL:
-            return False
-        self.refined(DEFAULT_TOL)
-        return True
 
     def _compare_by_adjugate(self, i: int, j: int) -> int:
         """-1, 0 or 1 by the lengths w_i and w_j, decided exactly; the
@@ -560,7 +547,7 @@ class PFData:
             if p_hi < n_lo:
                 return -1
             if iso is None:
-                iso = self.isolation()
+                iso = self.isolation().refine(DEFAULT_TOL)
                 shared = sturm_chain(poly_gcd(q, self.poly()))
                 if (iso.exact is None and len(shared[0]) > 1
                         and count_distinct_roots(shared, iso.lo, iso.hi)):
@@ -577,27 +564,22 @@ class PFData:
         return f"PFData({float(self.lower):.10f}..{float(self.upper):.10f})"
 
 
-def _collatz_wielandt(M: Matrix, tol: Fraction, walk: Optional[tuple] = None
-                      ) -> Tuple[Fraction, Fraction, tuple]:
+def _collatz_wielandt(M: Matrix, tol: Fraction) -> Tuple[Fraction, Fraction]:
     """A certified bracket of the growth rate of an irreducible M, of
-    width at most tol unless 120 rounds run out first, and the walk's
-    state.
+    width at most tol unless 120 rounds run out first.
 
     For every positive vector v, min_i (Mv)_i / v_i <= rate <=
-    max_i (Mv)_i / v_i.  Iterating v <- (M + I) v, which is primitive even
-    when M is periodic, drives both ratios to the rate.  v stays a
-    positive integer vector, shifted right to 64 bits more than
-    1/``DEFAULT_TOL`` needs; that changes which v is used, never the
-    certificate.  The shift does not depend on tol, so the walk is one
-    sequence of vectors whatever tol asks for: passing back the state a
-    call returned resumes it, with the 120 rounds counted over the whole
-    walk, and a bracket narrowed over several calls is the one a single
-    call gives.
+    max_i (Mv)_i / v_i.  Iterating v <- (M + I) v from the all-ones
+    vector, which is primitive even when M is periodic, drives both
+    ratios to the rate.  v stays a positive integer vector, shifted right
+    to 64 bits more than 1/``DEFAULT_TOL`` needs; that changes which v is
+    used, never the certificate.  The shift does not depend on tol, so
+    the walk is one sequence of brackets whatever tol asks for, and tol
+    only picks where it stops.
     """
     n = len(M)
     bits = 64 + (DEFAULT_TOL.denominator // DEFAULT_TOL.numerator).bit_length()
-    rounds, v, w, lo_n, lo_d, hi_n, hi_d = walk or (0, [1] * n, None,
-                                                    0, 1, None, None)
+    rounds, v, w, lo_n, lo_d, hi_n, hi_d = 0, [1] * n, None, 0, 1, None, None
     while rounds < 120 and (
             hi_n is None or (hi_n * lo_d - lo_n * hi_d) * tol.denominator
             > tol.numerator * hi_d * lo_d):
@@ -617,8 +599,7 @@ def _collatz_wielandt(M: Matrix, tol: Fraction, walk: Optional[tuple] = None
         if hi_n is None or w[imax] * hi_d < hi_n * v[imax]:
             hi_n, hi_d = w[imax], v[imax]
         rounds += 1
-    return (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d),
-            (rounds, v, w, lo_n, lo_d, hi_n, hi_d))
+    return Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
 
 
 def pf_data(M, tol: Fraction = DEFAULT_TOL) -> PFData:
@@ -626,11 +607,11 @@ def pf_data(M, tol: Fraction = DEFAULT_TOL) -> PFData:
     most tol.
 
     M is a ``TransitionMatrix``, whose cached split is the irreducibility
-    guard, or plain rows.  The bracket is the Collatz-Wielandt one,
-    narrowed by the seeded Sturm isolation when the walk stops short of
-    tol.  The walk is kept, so a coarse tol gives a cheap first bracket
-    that ``refined`` and ``pf_compare`` can narrow later, to exactly the
-    bracket a finer tol would have given at once.
+    guard, or plain rows.  The bracket starts from the least and largest
+    row sums, the walk's first bracket, and ``refined`` narrows it to tol.
+    A coarse tol gives a cheap first bracket that ``refined`` and
+    ``pf_compare`` can narrow later, to exactly the bracket a finer tol
+    would have given at once.
     """
     if not isinstance(M, TransitionMatrix):
         M = TransitionMatrix(as_matrix(M))
@@ -639,8 +620,8 @@ def pf_data(M, tol: Fraction = DEFAULT_TOL) -> PFData:
     rows = M.entries
     if is_transitive_permutation(rows):
         return PFData(rows, Fraction(1), Fraction(1), True)
-    lower, upper, walk = _collatz_wielandt(rows, tol)
-    return PFData(rows, lower, upper, _walk=walk).refined(tol)
+    sums = [sum(row) for row in rows]
+    return PFData(rows, min(sums), max(sums)).refined(tol)
 
 
 def compare_lengths(M: Matrix, i: int, j: int) -> int:
@@ -680,20 +661,18 @@ def compare_lengths(M: Matrix, i: int, j: int) -> int:
 def pf_compare(x: PFData, y: PFData) -> int:
     """-1, 0, or 1 by the true growth rates, decided exactly.
 
-    Disjoint certified brackets decide at once.  When they overlap, a
-    bracket that ``pf_data`` left wider than ``DEFAULT_TOL`` is narrowed to
-    it by resuming its walk, which gives the bracket ``pf_data`` would
-    have given at that width, and the comparison starts over.  Then equal
-    characteristic polynomials, with their factors x^k removed, are a
-    tie.  Otherwise the two seeded isolations are refined until they
-    separate, until one is an exact rational root of the other's
-    polynomial, or until a common factor of the two polynomials has a
-    root where they overlap.  Each round that does not decide refines
-    every inexact isolation at least sixteenfold or makes it exact, and
-    the loop ends by proof, with no round cap:
+    When the certified brackets overlap, equal characteristic
+    polynomials, with their factors x^k removed, are a tie, as are two
+    transitive permutations, and neither bracket is narrowed; otherwise
+    ``refined`` narrows both to the brackets ``pf_data`` gives at
+    ``DEFAULT_TOL``.  Disjoint brackets then decide.  Otherwise the two
+    seeded isolations are refined until they separate, until one is an
+    exact rational root of the other's polynomial, or until a common
+    factor of the two polynomials has a root where they overlap.  Each
+    round that does not decide refines every inexact isolation at least
+    sixteenfold or makes it exact, and the loop ends by proof, with no
+    round cap:
 
-    - the narrowing happens at most once per bracket, since a narrowed
-      bracket is no wider than ``DEFAULT_TOL``;
     - equal nonzero spectra are equal rates before any isolation is
       built: both blocks are irreducible, so each rate is positive and the
       largest real root of its characteristic polynomial, hence of that
@@ -708,19 +687,20 @@ def pf_compare(x: PFData, y: PFData) -> int:
       rates;
     - an exact rational rate equal to the other is a root of the other
       polynomial inside the other isolation, found by one sign test, and
-      two exact rates compare directly.
+      two exact rates that the bounds do not separate are equal.
     """
+    if max(x.lower, y.lower) <= min(x.upper, y.upper):
+        if (x.is_one and y.is_one
+                or _nonzero_part(x.poly()) == _nonzero_part(y.poly())):
+            return 0
+        x.refined(DEFAULT_TOL)
+        y.refined(DEFAULT_TOL)
     if x.upper < y.lower:
         return -1
     if y.upper < x.lower:
         return 1
-    if any([x._resume(), y._resume()]):
-        return pf_compare(x, y)
-    if (x.is_one and y.is_one
-            or _nonzero_part(x.poly()) == _nonzero_part(y.poly())):
-        return 0
-    a = x.isolation()
-    b = y.isolation()
+    a = x.isolation().refine(DEFAULT_TOL)
+    b = y.isolation().refine(DEFAULT_TOL)
     shared: Optional[Tuple] = None
     while True:
         alo, ahi = a.bounds()
@@ -730,8 +710,7 @@ def pf_compare(x: PFData, y: PFData) -> int:
         if bhi < alo:
             return 1
         if a.exact is not None and b.exact is not None:
-            va, vb = a.exact, b.exact
-            return -1 if va < vb else (1 if va > vb else 0)
+            return 0
         if a.exact is not None:
             if poly_sign(b.chain[0], a.exact) == 0 and blo < a.exact <= bhi:
                 return 0

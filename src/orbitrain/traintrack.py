@@ -84,8 +84,8 @@ Outcome = Union[TrainTrack, FiniteOrder, Reducible]
 
 
 # The width of each pass's first bracket.  Most passes compare with the
-# previous one on disjoint brackets this wide; ``pf_compare`` narrows the
-# rest to ``DEFAULT_TOL`` by resuming the same iteration.
+# previous one on disjoint brackets this wide or on equal polynomials;
+# ``pf_compare`` narrows the rest to ``DEFAULT_TOL``.
 PASS_TOL = Fraction(1, 64)
 
 
@@ -105,8 +105,8 @@ def record_events():
     - ``("pass", step, cells, edges, lower, upper)`` once a pass has
       certified that its rate did not rise; ``lower`` and ``upper`` are
       the exact bracket as certified then: of width at most ``PASS_TOL``,
-      or at most ``pf.DEFAULT_TOL`` when the comparison with the previous
-      pass had to narrow it;
+      or at most ``pf.DEFAULT_TOL`` when neither disjoint brackets nor
+      equal polynomials decided the comparison with the previous pass;
     - ``("fold", turn)`` before the pass folds ``turn``, so a fold that
       fails leaves its turn as the last event;
     - ``("collapse_forest", edges)``, ``("valence_one", v)`` and

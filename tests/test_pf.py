@@ -27,6 +27,7 @@ from orbitrain.pf import (
     _berkowitz,
     _deflate,
     _isolate,
+    _nonzero_part,
     as_matrix,
     compare_lengths,
     count_distinct_roots,
@@ -155,6 +156,14 @@ class TestMatrixBasics:
             as_matrix([[1, 2], [3]])
         with pytest.raises(ValueError):
             as_matrix([[1, -1], [0, 2]])
+        # entries are refused, not truncated: 1.5 would give [[1, 1],
+        # [1, 0]] and a bracket round the golden ratio, not about 2.244
+        for rows in ([[1.5, 1], [1, 0.9]], [["2", "1"], ["1", "1"]],
+                     [[Fraction(2), 1], [1, 1]]):
+            with pytest.raises(ValueError):
+                as_matrix(rows)
+            with pytest.raises(ValueError):
+                pf_data(rows)
 
     def test_mul(self):
         assert mat_mul(GROWTH, GROWTH) == ((13, 8), (8, 5))
@@ -278,21 +287,23 @@ class TestPolynomials:
         assert count_distinct_roots(chain, Fraction(-11, 2), Fraction(0)) == 2
 
     def test_isolation_brackets_quadratic_root(self):
-        iso = _isolate(sturm_chain((1, -4, -1)), DEFAULT_TOL)
+        iso = _isolate(sturm_chain((1, -4, -1))).refine(DEFAULT_TOL)
         lo, hi = iso.bounds()
         assert (lo - 2) ** 2 < 5 < (hi - 2) ** 2
         assert hi - lo <= DEFAULT_TOL
 
     def test_isolation_skips_lower_rational_root(self):
         # (x - 1)(x^2 - 2): largest real root is the irrational one
-        iso = _isolate(sturm_chain((1, -1, -2, 2)), DEFAULT_TOL)
-        lo, hi = iso.bounds()
+        iso = _isolate(sturm_chain((1, -1, -2, 2)))
+        # unrefined, the root bound is bisected only until it holds one root
+        assert count_distinct_roots(iso.chain, iso.lo, iso.hi) == 1
+        lo, hi = iso.refine(DEFAULT_TOL).bounds()
         assert lo > 1 and lo ** 2 < 2 < hi ** 2
 
     def test_isolation_exact_hits(self):
-        iso = _isolate(sturm_chain((1, -3, 2)), Fraction(1, 100))
+        iso = _isolate(sturm_chain((1, -3, 2))).refine(Fraction(1, 100))
         assert iso.exact == 2
-        iso = _isolate(sturm_chain((1, -3, 1, -3)), DEFAULT_TOL)
+        iso = _isolate(sturm_chain((1, -3, 1, -3))).refine(DEFAULT_TOL)
         assert iso.exact == 3
 
     def test_deflate_rejects_a_non_root(self):
@@ -301,9 +312,9 @@ class TestPolynomials:
             _deflate((1, 0, -2), Fraction(1))
 
     def test_no_real_root(self):
-        assert _isolate(sturm_chain((1, 0, 1)), DEFAULT_TOL) is None
+        assert _isolate(sturm_chain((1, 0, 1))) is None
         # (x - 3)(x^2 + 1): the one real root, next to two complex ones
-        iso = _isolate(sturm_chain((1, -3, 1, -3)), DEFAULT_TOL)
+        iso = _isolate(sturm_chain((1, -3, 1, -3))).refine(DEFAULT_TOL)
         assert iso.bounds() == (3, 3)
 
 
@@ -617,28 +628,41 @@ class TestCompare:
                 assert pf_compare(datas[j], datas[i]) == -want
 
     def test_overlapping_brackets_still_decide(self):
-        # coarse brackets from pf_data overlap, so the comparison narrows
-        # them to the brackets pf_data gives at the default width
+        # equal nonzero polynomials decide overlapping coarse brackets and
+        # leave both as they are
         coarse = Fraction(1, 2)
         a = pf_data(GROWTH, coarse)
-        above = pf_data([[4, 1], [1, 1]], coarse)  # (5 + sqrt 13)/2
         same = pf_data([[1, 2], [2, 3]], coarse)
-        assert overlap(a, above) and overlap(a, same)
-        assert pf_compare(a, above) == -1 and pf_compare(above, a) == 1
+        before = [(a.lower, a.upper), (same.lower, same.upper)]
+        assert overlap(a, same) and a.width > DEFAULT_TOL
         assert pf_compare(a, same) == 0 and pf_compare(same, a) == 0
-        for data in (a, above, same):
+        assert [(a.lower, a.upper), (same.lower, same.upper)] == before
+        # distinct polynomials narrow both to the brackets pf_data gives at
+        # the default width
+        above = pf_data([[4, 1], [1, 1]], coarse)  # (5 + sqrt 13)/2
+        assert overlap(a, above)
+        assert pf_compare(a, above) == -1 and pf_compare(above, a) == 1
+        for data in (a, above):
             fine = pf_data(data.matrix)
             assert (data.lower, data.upper) == (fine.lower, fine.upper)
         b, c = pf_data(GROWTH, Fraction(2)), pf_data(COMPANION, Fraction(2))
         assert overlap(b, c)
         assert pf_compare(b, c) == 1 and pf_compare(c, b) == -1
-        # brackets built without an iteration to resume stay as they are,
-        # so the order comes from the isolations
+        # brackets built by hand are narrowed by the same walk
         d = PFData(GROWTH, Fraction(4), Fraction(5))
         e = PFData(as_matrix([[4, 1], [1, 1]]), Fraction(4), Fraction(5))
         assert pf_compare(d, e) == -1 and pf_compare(e, d) == 1
-        assert (d.lower, d.upper) == (e.lower, e.upper) == (4, 5)
-        assert d._iso is not None and e._iso is not None
+        assert (d.lower, d.upper) == (a.lower, a.upper)
+        assert d._iso is None and e._iso is None
+        # x^2 - N x - 1 against x^2 - N x - 2: rates about N + 1/N and
+        # N + 2/N, whose default brackets overlap, so only the isolations
+        # separate them
+        N = 10**15
+        f = pf_data([[N, 1], [1, 0]])
+        g = pf_data([[N, 2], [1, 0]])
+        assert overlap(f, g)
+        assert pf_compare(f, g) == -1 and pf_compare(g, f) == 1
+        assert f._iso is not None and g._iso is not None
 
     def test_isolation_falls_back_when_the_seed_fails(self):
         # (-1, 10] holds both roots of x^2 - 4x - 1
@@ -662,7 +686,8 @@ def test_coarse_brackets_narrow_and_compare_as_default_ones(n, seed, kind,
                                                             coarse):
     """A coarse bracket narrowed to the default width is exactly the
     default bracket, and ``pf_compare`` gives every pair, in both orders,
-    the verdict it gives their default-width data.  The pool holds a
+    the verdict it gives their default-width data; equal nonzero
+    polynomials narrow neither bracket.  The pool holds a
     block, a permuted copy (equal polynomials), and a small block with
     its double cover when that is irreducible (equal rates found through
     the gcd)."""
@@ -682,10 +707,12 @@ def test_coarse_brackets_narrow_and_compare_as_default_ones(n, seed, kind,
             x, y = pf_data(A, coarse), pf_data(B, coarse)
             before = [(x.lower, x.upper), (y.lower, y.upper)]
             assert pf_compare(x, y) == pf_compare(fine[i], fine[j])
+            after = [(x.lower, x.upper), (y.lower, y.upper)]
+            if _nonzero_part(x.poly()) == _nonzero_part(y.poly()):
+                assert after == before
             # each bracket is left coarse or narrowed to the default one
-            for data, was, want in zip((x, y), before, (fine[i], fine[j])):
-                assert (data.lower, data.upper) in (
-                    was, (want.lower, want.upper))
+            for data, was, want in zip(after, before, (fine[i], fine[j])):
+                assert data in (was, (want.lower, want.upper))
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,13 +7,13 @@ collapses forests, turn orbits and the tree are each walked in one
 place, derived data is cached only by its own class, circuits are
 built and their edges counted only in ``paths``,
 representatives are compared by one name-free key, edge lengths come
-only from ``pf``, ``pf`` decides without floating point and computes
-characteristic polynomials in one routine, edge items are
-tested inline, every error class is raised, factors have one kind,
-inversion has one algorithm that scores moves without rebuilding
-words, and every public name has a caller in the library or the
-benchmark, bar the few input builders that tests need, which have
-none."""
+only from ``pf``, ``pf`` decides without floating point, computes
+characteristic polynomials in one routine and narrows brackets in one
+stateless one, edge items are tested inline, every error class is
+raised, factors have one kind, inversion has one algorithm that scores
+moves without rebuilding words, and every public name has a caller in
+the library or the benchmark, bar the few input builders that tests
+need, which have none."""
 
 import ast
 import re
@@ -336,6 +336,23 @@ def test_pf_has_one_characteristic_polynomial():
     assert found == ["_berkowitz"]
     assert function_call_sites("_berkowitz") == ["pf.PFData.poly"]
     assert "_faddeev_leverrier" not in path.read_text()
+
+
+def test_pf_narrows_brackets_in_one_stateless_routine():
+    """Only ``PFData.refined`` runs the Collatz-Wielandt walk, which keeps
+    no state between calls: ``pf_compare`` is straight-line code that
+    never calls itself, and a ``PFData`` holds its bracket, its
+    permutation flag and derived caches, no walk to resume."""
+    path = Path(orbitrain.__file__).parent / "pf.py"
+    assert function_call_sites("_collatz_wielandt") == ["pf.PFData.refined"]
+    assert "pf.pf_compare" not in function_call_sites("pf_compare")
+    slots = [ast.literal_eval(node.value)
+             for cls in ast.parse(path.read_text()).body
+             if isinstance(cls, ast.ClassDef) and cls.name == "PFData"
+             for node in cls.body if isinstance(node, ast.Assign)
+             and [t.id for t in node.targets] == ["__slots__"]]
+    assert slots == [("matrix", "lower", "upper", "is_one", "_iso", "_poly",
+                      "_adjugate")]
 
 
 def test_moves_hold_no_iteration_cap():
