@@ -409,28 +409,26 @@ def parse_path(graph: Orbigraph, text: str, start: Optional[int] = None) -> Path
             for i, e in word:
                 items.append((graph.cone_cell(i), e))
             continue
+        # a bare hat leaves hat None, which is no element: T^[0] is the
+        # identity, as a[0] is in a word
+        name, caret, rest = token.partition("^")
         hat = None
-        name = token
-        if "^" in token:
-            name, _, rest = token.partition("^")
-            if rest == "":
-                hat = 0
-            elif rest.startswith("[") and rest.endswith("]"):
-                try:
-                    hat = int(rest[1:-1])
-                except ValueError:
-                    raise BadPath(f"bad hat element in {token!r}") from None
-            else:
-                raise BadPath(f"bad hat suffix in {token!r}")
+        if rest.startswith("[") and rest.endswith("]"):
+            try:
+                hat = int(rest[1:-1])
+            except ValueError:
+                raise BadPath(f"bad hat element in {token!r}") from None
+        elif rest:
+            raise BadPath(f"bad hat suffix in {token!r}")
         d = graph.edge_by_name(name)
-        if hat is None:
+        if not caret:
             items.append(d)
             continue
         head = graph.dst(d)
         if not graph.is_cone(head):
             raise BadPath(f"hat on {name!r} needs a cone at its head")
-        group = graph.group_at(head)
-        if hat == 0:
+        if hat is None:
+            group = graph.group_at(head)
             hat = group.generator() if group.is_cyclic() else 1
         items.extend((d, (head, hat), -d))
     if start is None:

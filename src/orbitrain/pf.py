@@ -14,15 +14,19 @@ characteristic polynomial.
   to the finer width, which gives exactly the finer bracket.
 - Sturm sign counts and zero tests evaluate d^deg p(n/d) by integer Horner,
   and bisection keeps its endpoints over one power-of-two denominator.
-- The Sturm isolation of the rate starts from the certified bracket once
-  one Sturm count confirms it, and from the root bound otherwise.
+  A count skips zeros, so it is right on endpoints that are roots.
+- The Sturm isolation of the rate is seeded from the certified bracket,
+  widened below by its own width, and bisected until it holds one root.
 - The characteristic polynomial comes from one division-free routine,
   Berkowitz's; row 0 of the adjugate of xI - M is derived from it and
   the Krylov rows e_0 M^j.
+- ``PFData._sign_at`` is the one exact loop past the brackets: the sign
+  of an integer polynomial at the rate, by interval bounds, then one
+  Sturm count of a gcd for a zero, then refinement.
 - ``pf_compare`` decides by disjoint brackets, then by equal
   characteristic polynomials once their factors x^k are removed, then by
-  narrowed brackets; otherwise it refines both isolations, and equal
-  rates are found exactly through the gcd of the two polynomials.
+  narrowed brackets; otherwise by one or two signs at x's rate of
+  polynomials read off y's bracket or isolation.
 - ``compare_lengths`` orders two edge lengths by a domination certificate,
   the sign of (M + I)^k (e_i - e_j), and falls back on row 0 of the
   adjugate, which at the rate is a positive multiple of the lengths.
@@ -33,7 +37,7 @@ from math import gcd as int_gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import LemmaViolated, NotIrreducible
+from .errors import NotIrreducible
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -281,14 +285,12 @@ def _pseudo_divmod(a, b):
 
 
 def _primitive(p) -> Tuple[int, ...]:
-    """Scale a rational coefficient list to coprime integers, sign kept."""
+    """Divide an integer coefficient list by its content, sign kept."""
     p = _poly_trim(p)
-    denom = lcm(*(c.denominator for c in p))
-    ints = [int(c * denom) for c in p]
-    g = int_gcd(*ints)
+    g = int_gcd(*p)
     if g == 0:
         return (0,)
-    return tuple(c // g for c in ints)
+    return tuple(c // g for c in p)
 
 
 def poly_gcd(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
@@ -337,114 +339,49 @@ def _changes_at(chain, x: Fraction) -> int:
 
 
 def count_distinct_roots(chain, a: Fraction, b: Fraction) -> int:
-    """Distinct real roots in (a, b] for a chain whose endpoints avoid the
-    roots of chain[0]; every caller maintains that."""
+    """Distinct real roots of chain[0] in (a, b].  Zeros are skipped, so
+    the count is right when a or b is a root too: just right of a root
+    the chain's first two terms agree in sign, just left of it they
+    differ."""
     return _changes_at(chain, a) - _changes_at(chain, b)
 
 
-def root_bound(p: Sequence[int]) -> Fraction:
-    lead = abs(p[0])
-    rest = max((abs(c) for c in p[1:]), default=0)
-    return Fraction(rest, lead) + 1
-
-
-def _deflate(p: Sequence[int], r: Fraction) -> Tuple[int, ...]:
-    """Exact division of p by (x - r) for a known rational root r."""
-    out = []
-    acc = Fraction(0)
-    for c in p:
-        acc = acc * r + c
-        out.append(acc)
-    if out[-1] != 0:
-        raise LemmaViolated((tuple(p), r),
-                            f"{r} is not a root of {tuple(p)}")
-    return _primitive(out[:-1])
-
-
 class Isolation:
-    """The largest real root of an integer polynomial, pinned down.
+    """The largest real root of an integer polynomial, pinned down:
+    ``(lo, hi]`` contains exactly one distinct root of ``chain[0]``, the
+    largest, and ``hi`` may be that root."""
 
-    Either ``exact`` is the root itself, or ``(lo, hi]`` contains exactly
-    one distinct root of ``chain[0]`` (the largest), with both endpoints
-    off the roots.
-    """
+    __slots__ = ("chain", "lo", "hi")
 
-    __slots__ = ("chain", "lo", "hi", "exact")
-
-    def __init__(self, chain, lo, hi, exact=None):
+    def __init__(self, chain, lo, hi):
         self.chain = chain
         self.lo = lo
         self.hi = hi
-        self.exact = exact
 
     @property
     def width(self) -> Fraction:
-        return Fraction(0) if self.exact is not None else self.hi - self.lo
-
-    def bounds(self) -> Tuple[Fraction, Fraction]:
-        if self.exact is not None:
-            return (self.exact, self.exact)
-        return (self.lo, self.hi)
+        return self.hi - self.lo
 
     def refine(self, tol: Fraction) -> "Isolation":
-        """Bisect until the width is at most tol.  The endpoints are kept
-        as integers a/D, b/D over one denominator, so every step is
-        integer arithmetic; a step doubles D."""
-        if self.exact is not None:
-            return self
+        """Bisect until the width is at most tol, keeping the upper half
+        whenever it holds a root, so a midpoint on the root becomes
+        ``hi``.  The endpoints are kept as integers a/D, b/D over one
+        denominator, so every step is integer arithmetic; a step doubles
+        D."""
         chain, lo, hi = self.chain, self.lo, self.hi
-        D = lo.denominator * hi.denominator // int_gcd(lo.denominator,
-                                                       hi.denominator)
+        D = lcm(lo.denominator, hi.denominator)
         a = lo.numerator * (D // lo.denominator)
         b = hi.numerator * (D // hi.denominator)
         at_hi = _sign_changes(_scaled_values(chain, b, D))
         while (b - a) * tol.denominator > tol.numerator * D:
             m = a + b
             a, b, D = 2 * a, 2 * b, 2 * D
-            values = _scaled_values(chain, m, D)
-            if values[0] == 0:
-                mid, top = Fraction(m, D), Fraction(b, D)
-                quotient = _deflate(chain[0], mid)
-                qchain = sturm_chain(quotient)
-                if (len(quotient) == 1
-                        or count_distinct_roots(qchain, mid, top) == 0):
-                    return Isolation(chain, mid, mid, exact=mid)
-                chain = qchain
-                a = m
-                at_hi = _changes_at(chain, top)
-                continue
-            at_mid = _sign_changes(values)
+            at_mid = _sign_changes(_scaled_values(chain, m, D))
             if at_mid > at_hi:
                 a = m
             else:
                 b, at_hi = m, at_mid
         return Isolation(chain, Fraction(a, D), Fraction(b, D))
-
-
-def _isolate(chain, bracket=None) -> Optional[Isolation]:
-    """Isolate the largest real root of chain[0], or None if it has no
-    real root; callers refine the isolation as far as they need.
-
-    ``bracket``, if given, is a certified closed interval around that
-    root.  It is the isolation once one Sturm count finds exactly one
-    root in it with both endpoints off the roots; otherwise bisection
-    narrows the root bound (-B, B] until it holds one root.
-    """
-    p = chain[0]
-    if bracket is not None:
-        lo, hi = bracket
-        if lo == hi:
-            return Isolation(chain, lo, hi, exact=lo)
-        if (poly_sign(p, lo) and poly_sign(p, hi)
-                and count_distinct_roots(chain, lo, hi) == 1):
-            return Isolation(chain, lo, hi)
-    B = root_bound(p)
-    if count_distinct_roots(chain, -B, B) == 0:
-        return None
-    out = Isolation(chain, -B, B)
-    while count_distinct_roots(out.chain, out.lo, out.hi) > 1:
-        out = out.refine(out.width / 4)
-    return out
 
 
 # -- certified PF data ----------------------------------------------------------
@@ -489,16 +426,26 @@ class PFData:
         return self._poly
 
     def isolation(self) -> Isolation:
-        """The Sturm isolation of the growth rate, seeded from the
-        certified bracket as it stands at the first call."""
+        """The Sturm isolation of the growth rate; an exact bracket, which
+        needs none, raises ``ValueError``.  The rate lies in
+        (lower - width, upper] and no root lies above it, so bisection
+        keeps the upper half that holds a root until one root is left;
+        the isolation is seeded from the bracket as it stands at the first
+        call."""
+        if self.width == 0:
+            raise ValueError("an exact bracket needs no isolation")
         if self._iso is None:
-            self._iso = _isolate(sturm_chain(self.poly()),
-                                 (self.lower, self.upper))
+            iso = Isolation(sturm_chain(self.poly()),
+                            self.lower - self.width, self.upper)
+            while count_distinct_roots(iso.chain, iso.lo, iso.hi) > 1:
+                iso = iso.refine(iso.width / 2)
+            self._iso = iso
         return self._iso
 
     def refined(self, tol: Fraction) -> "PFData":
-        """Narrow the bracket in place to width at most tol and return
-        this data.
+        """Narrow the bracket in place to width at most tol, a positive
+        ``int`` or ``Fraction`` (anything else raises ``ValueError``), and
+        return this data.
 
         The Collatz-Wielandt walk runs from the all-ones vector to tol;
         when its rounds run out short of tol, the seeded Sturm isolation
@@ -507,34 +454,29 @@ class PFData:
         whatever width it stops at, so data narrowed from a coarse bracket
         ends with the bracket that ``pf_data`` gives at tol directly.
         """
+        if not isinstance(tol, (int, Fraction)) or tol <= 0:
+            raise ValueError(f"tol must be a positive int or Fraction: {tol!r}")
         if self.width > tol:
             lo, hi = _collatz_wielandt(self.matrix, tol)
             self.lower, self.upper = max(lo, self.lower), min(hi, self.upper)
         if self.width > tol:
             self._iso = self.isolation().refine(tol)
-            lo, hi = self._iso.bounds()
-            self.lower, self.upper = max(lo, self.lower), min(hi, self.upper)
+            self.lower = max(self._iso.lo, self.lower)
+            self.upper = min(self._iso.hi, self.upper)
         return self
 
-    def _compare_by_adjugate(self, i: int, j: int) -> int:
-        """-1, 0 or 1 by the lengths w_i and w_j, decided exactly; the
-        fallback of ``compare_lengths``.
+    def _sign_at(self, q: Sequence[int]) -> int:
+        """The sign of q(rate) for an integer polynomial q, decided
+        exactly: the one refinement loop past the brackets.
 
-        The lengths are the positive left eigenvector, w M = rate w, and
-        row 0 of adj(rate I - M) is a positive multiple of w, so w_i - w_j
-        has the sign of q(rate), q the difference of entries i and j of
-        that row, derived once by ``_adjugate_row``.
         With q = P - N, both parts of nonnegative coefficients, q(rate)
         lies in [P(lo) - N(hi), P(hi) - N(lo)] on a bracket 0 <= lo <= hi.
         While that holds 0 the isolation is refined.  This ends: the bound
         shrinks to q(rate), and q(rate) = 0 exactly when gcd(q, charpoly)
-        has a root in the isolation, which one Sturm count finds.
+        has a root in the isolation, which one Sturm count finds, since
+        the rate is the isolation's one root.  An exact bracket is the
+        rate, and one sign test decides.
         """
-        if self._adjugate is None:
-            self._adjugate = _adjugate_row(self.matrix, self.poly())
-        q = [row[i] - row[j] for row in self._adjugate]
-        if not any(q):
-            return 0
         parts = ([max(c, 0) for c in q], [max(-c, 0) for c in q])
         lo, hi = max(self.lower, 0), self.upper
         iso = None
@@ -549,14 +491,27 @@ class PFData:
             if iso is None:
                 iso = self.isolation().refine(DEFAULT_TOL)
                 shared = sturm_chain(poly_gcd(q, self.poly()))
-                if (iso.exact is None and len(shared[0]) > 1
+                if (len(shared[0]) > 1
                         and count_distinct_roots(shared, iso.lo, iso.hi)):
                     return 0
             else:
                 iso = iso.refine(iso.width / 16)
-            ilo, ihi = iso.bounds()
-            lo, hi = max(lo, ilo), min(hi, ihi)
+            lo, hi = max(lo, iso.lo), min(hi, iso.hi)
         return poly_sign(q, lo)
+
+    def _compare_by_adjugate(self, i: int, j: int) -> int:
+        """-1, 0 or 1 by the lengths w_i and w_j, decided exactly; the
+        fallback of ``compare_lengths``.
+
+        The lengths are the positive left eigenvector, w M = rate w, and
+        row 0 of adj(rate I - M) is a positive multiple of w, so w_i - w_j
+        has the sign of q(rate), q the difference of entries i and j of
+        that row, derived once by ``_adjugate_row``.
+        """
+        if self._adjugate is None:
+            self._adjugate = _adjugate_row(self.matrix, self.poly())
+        q = [row[i] - row[j] for row in self._adjugate]
+        return self._sign_at(q) if any(q) else 0
 
     def __repr__(self):
         if self.is_one:
@@ -611,7 +566,8 @@ def pf_data(M, tol: Fraction = DEFAULT_TOL) -> PFData:
     row sums, the walk's first bracket, and ``refined`` narrows it to tol.
     A coarse tol gives a cheap first bracket that ``refined`` and
     ``pf_compare`` can narrow later, to exactly the bracket a finer tol
-    would have given at once.
+    would have given at once.  A tol that is not a positive ``int`` or
+    ``Fraction`` raises ``ValueError``.
     """
     if not isinstance(M, TransitionMatrix):
         M = TransitionMatrix(as_matrix(M))
@@ -619,7 +575,7 @@ def pf_data(M, tol: Fraction = DEFAULT_TOL) -> PFData:
         raise NotIrreducible("the transition block is not irreducible")
     rows = M.entries
     if is_transitive_permutation(rows):
-        return PFData(rows, Fraction(1), Fraction(1), True)
+        return PFData(rows, Fraction(1), Fraction(1), True).refined(tol)
     sums = [sum(row) for row in rows]
     return PFData(rows, min(sums), max(sums)).refined(tol)
 
@@ -665,29 +621,21 @@ def pf_compare(x: PFData, y: PFData) -> int:
     polynomials, with their factors x^k removed, are a tie, as are two
     transitive permutations, and neither bracket is narrowed; otherwise
     ``refined`` narrows both to the brackets ``pf_data`` gives at
-    ``DEFAULT_TOL``.  Disjoint brackets then decide.  Otherwise the two
-    seeded isolations are refined until they separate, until one is an
-    exact rational root of the other's polynomial, or until a common
-    factor of the two polynomials has a root where they overlap.  Each
-    round that does not decide refines every inexact isolation at least
-    sixteenfold or makes it exact, and the loop ends by proof, with no
-    round cap:
+    ``DEFAULT_TOL``.  Disjoint brackets then decide.  Otherwise x's
+    ``_sign_at`` decides, with no loop here:
 
-    - equal nonzero spectra are equal rates before any isolation is
-      built: both blocks are irreducible, so each rate is positive and the
-      largest real root of its characteristic polynomial, hence of that
-      polynomial with its factor x^k removed, and equal nonzero parts
-      compare blocks of different sizes too;
-    - distinct rates separate once the two widths together fall below
-      their distance;
-    - equal rates with neither isolation exact are a root of the gcd of the
-      two polynomials, which lies in both isolations, so the first Sturm
-      count of the gcd on their overlap finds it; a gcd root there is the
-      one root of each isolation, so the count never fires on unequal
-      rates;
-    - an exact rational rate equal to the other is a root of the other
-      polynomial inside the other isolation, found by one sign test, and
-      two exact rates that the bounds do not separate are equal.
+    - equal nonzero spectra are equal rates: both blocks are irreducible,
+      so each rate is positive and the largest real root of its
+      characteristic polynomial, hence of that polynomial with its factor
+      x^k removed, and equal nonzero parts compare blocks of different
+      sizes too;
+    - a bracket of y exact at e = num/den gives the sign of
+      den t - num at x's rate t;
+    - otherwise y's isolation (lo, hi] holds y's rate r, the only root
+      of y's squarefree polynomial s above lo and a simple one, so s
+      changes sign at r and nowhere else above lo.  A rate of x at most
+      lo is below r; a rate t above lo has t - r of the sign of s(t)
+      times that of s's leading coefficient.
     """
     if max(x.lower, y.lower) <= min(x.upper, y.upper):
         if (x.is_one and y.is_one
@@ -699,33 +647,11 @@ def pf_compare(x: PFData, y: PFData) -> int:
         return -1
     if y.upper < x.lower:
         return 1
-    a = x.isolation().refine(DEFAULT_TOL)
-    b = y.isolation().refine(DEFAULT_TOL)
-    shared: Optional[Tuple] = None
-    while True:
-        alo, ahi = a.bounds()
-        blo, bhi = b.bounds()
-        if ahi < blo:
-            return -1
-        if bhi < alo:
-            return 1
-        if a.exact is not None and b.exact is not None:
-            return 0
-        if a.exact is not None:
-            if poly_sign(b.chain[0], a.exact) == 0 and blo < a.exact <= bhi:
-                return 0
-            b = b.refine(b.width / 16)
-            continue
-        if b.exact is not None:
-            if poly_sign(a.chain[0], b.exact) == 0 and alo < b.exact <= ahi:
-                return 0
-            a = a.refine(a.width / 16)
-            continue
-        if shared is None:
-            shared = sturm_chain(poly_gcd(a.chain[0], b.chain[0]))
-        if len(shared[0]) > 1:
-            lo, hi = max(alo, blo), min(ahi, bhi)
-            if count_distinct_roots(shared, lo, hi) >= 1:
-                return 0
-        a = a.refine(a.width / 16)
-        b = b.refine(b.width / 16)
+    e = y.exact
+    if e is not None:
+        return x._sign_at((e.denominator, -e.numerator))
+    iso = y.isolation()
+    if x._sign_at((iso.lo.denominator, -iso.lo.numerator)) <= 0:
+        return -1
+    s = iso.chain[0]
+    return x._sign_at(s) if s[0] > 0 else -x._sign_at(s)

@@ -200,6 +200,16 @@ def test_inverse_letter_really_inverts():
     assert (~p).items[1] == (0, 2)
 
 
+def test_hat_of_the_identity_is_trivial():
+    # T^[0] names the identity, as a[0] does in a word, not the bare hat
+    W = FreeProduct([FiniteGroup.cyclic(3)] * 3, names=["a", "b", "c"])
+    g = thistle(W)
+    p = parse_path(g, "~A^[0]")
+    assert not p.items and p.start == p.end == 0
+    assert parse_path(g, "~A^").items == (-1, (1, 1), 1)
+    assert parse_path(g, "~A^[2]").items == (-1, (1, 2), 1)
+
+
 def test_turns_of_apex_hat(h3):
     p = parse_path(h3, "X^")
     assert p.turns() == (Turn(first=-1, letter=1, second=-1, base=0),)

@@ -18,15 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitrain.errors import LemmaViolated, NotIrreducible
+from orbitrain.errors import NotIrreducible
 from orbitrain.pf import (
     DEFAULT_TOL,
+    Isolation,
     PFData,
     TransitionMatrix,
     _adjugate_row,
     _berkowitz,
-    _deflate,
-    _isolate,
     _nonzero_part,
     as_matrix,
     compare_lengths,
@@ -287,35 +286,38 @@ class TestPolynomials:
         assert count_distinct_roots(chain, Fraction(-11, 2), Fraction(0)) == 2
 
     def test_isolation_brackets_quadratic_root(self):
-        iso = _isolate(sturm_chain((1, -4, -1))).refine(DEFAULT_TOL)
-        lo, hi = iso.bounds()
-        assert (lo - 2) ** 2 < 5 < (hi - 2) ** 2
-        assert hi - lo <= DEFAULT_TOL
+        # (4, 5] holds 2 + sqrt 5 alone; the other root is below 0
+        iso = Isolation(sturm_chain((1, -4, -1)), Fraction(4), Fraction(5))
+        iso = iso.refine(DEFAULT_TOL)
+        assert (iso.lo - 2) ** 2 < 5 < (iso.hi - 2) ** 2
+        assert iso.hi - iso.lo <= DEFAULT_TOL
 
     def test_isolation_skips_lower_rational_root(self):
-        # (x - 1)(x^2 - 2): largest real root is the irrational one
-        iso = _isolate(sturm_chain((1, -1, -2, 2)))
-        # unrefined, the root bound is bisected only until it holds one root
+        # (x - 1)(x^2 - 2): the largest real root is the irrational one.
+        # The isolation reads only the polynomial, so a reducible block
+        # with a hand-built bracket [1, 3/2] will do; its seed (1/2, 3/2]
+        # holds both roots and one bisection leaves (1, 3/2], whose lower
+        # end is the rational root and is not counted
+        data = PFData(as_matrix([[1, 0, 0], [0, 0, 2], [0, 1, 0]]),
+                      Fraction(1), Fraction(3, 2))
+        assert data.poly() == (1, -1, -2, 2)
+        iso = data.isolation()
+        assert (iso.lo, iso.hi) == (1, Fraction(3, 2))
         assert count_distinct_roots(iso.chain, iso.lo, iso.hi) == 1
-        lo, hi = iso.refine(DEFAULT_TOL).bounds()
-        assert lo > 1 and lo ** 2 < 2 < hi ** 2
+        iso = iso.refine(DEFAULT_TOL)
+        assert iso.lo > 1 and iso.lo ** 2 < 2 < iso.hi ** 2
 
     def test_isolation_exact_hits(self):
-        iso = _isolate(sturm_chain((1, -3, 2))).refine(Fraction(1, 100))
-        assert iso.exact == 2
-        iso = _isolate(sturm_chain((1, -3, 1, -3))).refine(DEFAULT_TOL)
-        assert iso.exact == 3
-
-    def test_deflate_rejects_a_non_root(self):
-        assert _deflate((1, -3, 2), Fraction(2)) == (1, -1)
-        with pytest.raises(LemmaViolated):
-            _deflate((1, 0, -2), Fraction(1))
-
-    def test_no_real_root(self):
-        assert _isolate(sturm_chain((1, 0, 1))) is None
-        # (x - 3)(x^2 + 1): the one real root, next to two complex ones
-        iso = _isolate(sturm_chain((1, -3, 1, -3))).refine(DEFAULT_TOL)
-        assert iso.bounds() == (3, 3)
+        # a midpoint on the rational root becomes hi and stays there; the
+        # lower root 1 of (x - 1)(x - 2) sits on lo, outside (1, 3]
+        for p, lo, hi, root, tol in (((1, -3, 2), 1, 3, 2, Fraction(1, 100)),
+                                     # (x - 3)(x^2 + 1), next to two
+                                     # complex roots
+                                     ((1, -3, 1, -3), 1, 5, 3, DEFAULT_TOL)):
+            iso = Isolation(sturm_chain(p), Fraction(lo), Fraction(hi))
+            iso = iso.refine(tol)
+            assert iso.hi == root and 0 < iso.width <= tol
+            assert count_distinct_roots(iso.chain, iso.lo, iso.hi) == 1
 
 
 class TestPFData:
@@ -368,6 +370,9 @@ class TestPFData:
     def test_integer_rate_is_exact(self):
         assert pf_data([[4]]).exact == 4
         assert pf_data([[1, 1], [1, 1]]).exact == 2
+        # an exact bracket has no interval (lo, hi] to isolate the rate in
+        with pytest.raises(ValueError):
+            pf_data([[4]]).isolation()
 
     def test_wide_entries_keep_the_bracket(self):
         # the eigenvector entries differ by a factor near 2^100, far more
@@ -385,6 +390,19 @@ class TestPFData:
             pf_data(identity_matrix(2))
         with pytest.raises(NotIrreducible):
             pf_data([[1, 1], [0, 1]])
+
+    def test_tol_must_be_a_positive_int_or_fraction(self):
+        # a zero width would bisect forever once the walk's rounds run
+        # out, and a float has no numerator to compare against
+        data = pf_data(GROWTH)
+        for tol in (0, Fraction(0), Fraction(-1, 2), 0.001):
+            with pytest.raises(ValueError):
+                pf_data([[4, 1], [1, 0]], tol)
+            with pytest.raises(ValueError):
+                pf_data([[0, 1], [1, 0]], tol)
+            with pytest.raises(ValueError):
+                data.refined(tol)
+        assert pf_data(GROWTH, 1).width <= 1
 
     def test_refined_narrows(self):
         data = pf_data(GROWTH)
@@ -436,8 +454,11 @@ class TestPFData:
             M = build(rng.randrange(1, 7), rng)
             P = exact_charpoly(sympy, M)
             data = pf_data(M)
-            iso_lo, iso_hi = data.isolation().bounds()
-            for lo, hi in ((data.lower, data.upper), (iso_lo, iso_hi)):
+            brackets = [(data.lower, data.upper)]
+            if data.exact is None:
+                iso = data.isolation()
+                brackets.append((iso.lo, iso.hi))
+            for lo, hi in brackets:
                 lo, hi = rational(sympy, lo), rational(sympy, hi)
                 # a root in [lo, hi] and none above hi
                 assert P.count_roots(lo, hi) >= 1
@@ -655,8 +676,8 @@ class TestCompare:
         assert (d.lower, d.upper) == (a.lower, a.upper)
         assert d._iso is None and e._iso is None
         # x^2 - N x - 1 against x^2 - N x - 2: rates about N + 1/N and
-        # N + 2/N, whose default brackets overlap, so only the isolations
-        # separate them
+        # N + 2/N, whose default brackets overlap, so only signs at the
+        # rates, read through the isolations, separate them
         N = 10**15
         f = pf_data([[N, 1], [1, 0]])
         g = pf_data([[N, 2], [1, 0]])
@@ -664,15 +685,41 @@ class TestCompare:
         assert pf_compare(f, g) == -1 and pf_compare(g, f) == 1
         assert f._iso is not None and g._iso is not None
 
+    def test_a_rate_at_most_the_isolations_lower_end_is_below(self):
+        # the double cover [[A, B], [B, A]] with A = [[K, 1], [1, 1]] and
+        # B = [[0, 1], [0, 1]] has the rate r of A + B, about K + 2/K, and
+        # the rate K of A - B.  With K = 2^100 the walk runs out of rounds,
+        # the default bracket of r overlaps that of a rate just below K,
+        # and r's isolation bisects K away, so the cover's squarefree
+        # polynomial is positive or zero at x's rate although x is below
+        K = 2 ** 100
+        C = as_matrix([[K, 1, 0, 1], [1, 1, 0, 1], [0, 1, K, 1], [0, 1, 1, 1]])
+        x, y = pf_data([[K - 1, K - 1], [1, 0]]), pf_data(C)
+        assert overlap(x, y)
+        assert pf_compare(x, y) == -1 and pf_compare(y, x) == 1
+        assert y.isolation().lo > K
+        # a hand-built bracket [K, K + 1] whose isolation, bisected to
+        # (K, K + 1] and kept, has the rate K of x at its lower end
+        y = PFData(C, Fraction(K), Fraction(K + 1))
+        assert y.isolation().lo == K
+        x = pf_data([[K]])
+        assert pf_compare(x, y) == -1 and pf_compare(y, x) == 1
+
     def test_isolation_falls_back_when_the_seed_fails(self):
-        # (-1, 10] holds both roots of x^2 - 4x - 1
+        # the seed (-12, 10] of [-1, 10] holds both roots of x^2 - 4x - 1,
+        # so it is bisected until only the larger one is left
         two_roots = PFData(GROWTH, Fraction(-1), Fraction(10))
-        lo, hi = two_roots.isolation().bounds()
-        assert lo > 0 and (lo - 2) ** 2 < 5 < (hi - 2) ** 2
+        iso = two_roots.isolation()
+        assert count_distinct_roots(iso.chain, iso.lo, iso.hi) == 1
+        assert iso.lo > 0 and (iso.lo - 2) ** 2 < 5 < (iso.hi - 2) ** 2
         assert pf_compare(two_roots, pf_data([[4, 1], [1, 1]])) == -1
         assert pf_compare(two_roots, pf_data([[1, 2], [2, 3]])) == 0
-        # [2, 3] starts at the rate 2 of x^2 - x - 2 = (x - 2)(x + 1)
+        # [2, 3] starts at the rate 2 of x^2 - x - 2 = (x - 2)(x + 1), and
+        # the seed (1, 3] widened below keeps it
         at_root = PFData(as_matrix([[1, 2], [1, 0]]), Fraction(2), Fraction(3))
+        iso = at_root.isolation()
+        assert (iso.lo, iso.hi) == (1, 3)
+        assert count_distinct_roots(iso.chain, iso.lo, iso.hi) == 1
         assert pf_compare(at_root, pf_data([[2]])) == 0
         assert pf_compare(pf_data([[1, 1], [1, 1]]), at_root) == 0
         assert pf_compare(at_root, pf_data([[2, 1], [1, 1]])) == -1
@@ -767,16 +814,18 @@ def test_integer_sign_matches_fraction_eval(p, num, den, at_root):
         assert v == 0
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.sets(st.integers(-6, 6), min_size=1, max_size=5),
        st.integers(-1, 1), st.integers(1, 4), st.sampled_from((-1, 1)),
-       st.integers(-7, 7), st.integers(1, 6))
-def test_sturm_counts_known_roots(roots, b, c, sign, a, span):
-    # sign (x^2 + b x + c) prod (x - r)^(1 or 2): only the r are real
+       st.integers(-7, 7), st.integers(1, 6), st.sampled_from((0, 1)))
+def test_sturm_counts_known_roots(roots, b, c, sign, a, span, half):
+    # sign (x^2 + b x + c) prod (x - r)^(1 or 2): only the r are real.
+    # Integer endpoints (half = 0) often land on a root, which the count
+    # must leave out at lo and keep at hi
     p = (sign, sign * b, sign * c)
     for i, r in enumerate(sorted(roots)):
         for _ in range(1 + i % 2):
             p = tuple(x - r * y for x, y in zip(p + (0,), (0,) + p))
-    lo, hi = Fraction(2 * a + 1, 2), Fraction(2 * (a + span) + 1, 2)
+    lo, hi = Fraction(2 * a + half, 2), Fraction(2 * (a + span) + half, 2)
     want = sum(1 for r in roots if lo < r <= hi)
     assert count_distinct_roots(sturm_chain(p), lo, hi) == want

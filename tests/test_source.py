@@ -8,8 +8,8 @@ place, derived data is cached only by its own class, circuits are
 built and their edges counted only in ``paths``,
 representatives are compared by one name-free key, edge lengths come
 only from ``pf``, ``pf`` decides without floating point, computes
-characteristic polynomials in one routine and narrows brackets in one
-stateless one, edge items are tested inline, every error class is
+characteristic polynomials in one routine, narrows brackets in one
+stateless one and decides past them in one exact loop, edge items are tested inline, every error class is
 raised, factors have one kind, inversion has one algorithm that scores
 moves without rebuilding words, and every public name has a caller in
 the library or the benchmark, bar the few input builders that tests
@@ -343,16 +343,43 @@ def test_pf_narrows_brackets_in_one_stateless_routine():
     no state between calls: ``pf_compare`` is straight-line code that
     never calls itself, and a ``PFData`` holds its bracket, its
     permutation flag and derived caches, no walk to resume."""
-    path = Path(orbitrain.__file__).parent / "pf.py"
     assert function_call_sites("_collatz_wielandt") == ["pf.PFData.refined"]
     assert "pf.pf_compare" not in function_call_sites("pf_compare")
-    slots = [ast.literal_eval(node.value)
-             for cls in ast.parse(path.read_text()).body
-             if isinstance(cls, ast.ClassDef) and cls.name == "PFData"
-             for node in cls.body if isinstance(node, ast.Assign)
-             and [t.id for t in node.targets] == ["__slots__"]]
-    assert slots == [("matrix", "lower", "upper", "is_one", "_iso", "_poly",
-                      "_adjugate")]
+    assert pf_slots("PFData") == [("matrix", "lower", "upper", "is_one",
+                                   "_iso", "_poly", "_adjugate")]
+
+
+def pf_slots(name):
+    """The ``__slots__`` of each class ``name`` in ``pf.py``."""
+    path = Path(orbitrain.__file__).parent / "pf.py"
+    return [ast.literal_eval(node.value)
+            for cls in ast.parse(path.read_text()).body
+            if isinstance(cls, ast.ClassDef) and cls.name == name
+            for node in cls.body if isinstance(node, ast.Assign)
+            and [t.id for t in node.targets] == ["__slots__"]]
+
+
+def test_pf_decides_past_the_brackets_in_one_loop():
+    """``PFData._sign_at`` is the one exact loop past the brackets: only
+    ``pf_compare`` and ``PFData._compare_by_adjugate`` call it, and
+    ``pf_compare`` holds no loop.  Deflation, the root bound and the
+    standalone isolation are gone, ``pf.py`` imports no
+    ``LemmaViolated``, and an ``Isolation`` is its chain and interval,
+    never an exact root."""
+    path = Path(orbitrain.__file__).parent / "pf.py"
+    tree = ast.parse(path.read_text())
+    assert set(method_call_sites("_sign_at")) == {
+        "pf.PFData._compare_by_adjugate", "pf.pf_compare"}
+    (compare,) = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "pf_compare"]
+    assert not [node for node in ast.walk(compare)
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_deflate", "root_bound", "_isolate"}
+    assert "LemmaViolated" not in used_names(tree)
+    assert pf_slots("Isolation") == [("chain", "lo", "hi")]
 
 
 def test_moves_hold_no_iteration_cap():
