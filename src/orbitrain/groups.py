@@ -17,6 +17,7 @@ Representation choices, used by every other module:
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -321,7 +322,7 @@ class FreeProduct:
         return self.nf(itertools.chain.from_iterable(words))
 
     def inv(self, word: Word) -> Word:
-        return tuple(self.letter_inv(l) for l in reversed(word))
+        return tuple([self.letter_inv(l) for l in reversed(word)])
 
     def conj(self, word: Word, by: Word) -> Word:
         """by^-1 . word . by"""
@@ -460,8 +461,9 @@ class Automorphism:
                 raise NotAutomorphism(
                     f"factor {W.names[i]} needs images for all elements"
                 )
-            for a in factor.elements():
-                for b in factor.elements():
+            # pairs with the identity hold once fam[0] is the empty word
+            for a in factor.nontrivial():
+                for b in factor.nontrivial():
                     if W.mul(fam[a], fam[b]) != fam[factor.mul(a, b)]:
                         raise NotAutomorphism(
                             f"images on factor {W.names[i]} are not a homomorphism"
@@ -522,7 +524,7 @@ class Automorphism:
         return self.images[i][e]
 
     def apply(self, word: Word) -> Word:
-        return self.W.mul(*(self.letter_image(l) for l in word)) if word else ()
+        return self.W.mul(*[self.letter_image(l) for l in word]) if word else ()
 
     def __call__(self, word: Word) -> Word:
         return self.apply(word)
@@ -664,7 +666,8 @@ class Automorphism:
     def inverse(self) -> "Automorphism":
         """The inverse automorphism, found exactly by peak reduction (see
         ``_peak_reduced_inverse``).  Raises NotInvertible when the map is
-        not surjective or when the result does not verify.
+        not surjective or when the result does not verify.  The inverse is
+        cached on self only, so the pair forms no reference cycle.
         """
         if self._inverse is not None:
             return self._inverse
@@ -672,7 +675,6 @@ class Automorphism:
         if not _mutually_inverse(self, inv):
             raise NotInvertible("candidate inverse failed verification")
         self._inverse = inv
-        inv._inverse = self
         return inv
 
     def _peak_reduced_inverse(self) -> "Automorphism":
@@ -690,19 +692,21 @@ class Automorphism:
         NotInvertible when no move shortens the images before that, which
         happens exactly when self is not surjective.
 
-        A round scores every move by ``_shortening``, which counts the
-        change in length at the word's seams and builds no word; only the
-        chosen move rebuilds the images.  The count is exact because a
-        move only puts letters of factor j into the gaps between letters:
-        each S-letter l becomes x^-1 l x, so a gap between two S-letters
-        receives x x^-1 and keeps nothing, a gap with S on one side only
-        (a word end counts as non-S) receives one j-letter, and that letter
-        either stands alone, one letter longer, or merges into the
-        j-letter y on the other side.  Such a y absorbs x on its left, x^-1
-        on its right, or both, as x y x^-1, which is never trivial; it
-        vanishes exactly when it absorbs from one side alone and cancels,
-        and then its other neighbour is neither in S nor in factor j, so
-        nothing further cancels.
+        A round scores every move from one scan of the generator images
+        and builds no word; only the chosen move rebuilds the images.  The
+        scan counts each letter with the factors of its two neighbours (see
+        ``_seam_gains``), and that is enough because a move only puts
+        letters of factor j into the gaps between letters: each S-letter l
+        becomes x^-1 l x, so a gap between two S-letters receives x x^-1
+        and keeps nothing, a gap with S on one side only (a word end counts
+        as non-S) receives one j-letter, and that letter either stands
+        alone, one letter longer, or merges into the j-letter y on the
+        other side.  Such a y absorbs x on its left, x^-1 on its right, or
+        both, as x y x^-1, which is never trivial; it vanishes exactly when
+        it absorbs from one side alone and cancels, and then its other
+        neighbour is neither in S nor in factor j, so nothing further
+        cancels.  The gains are exact, so the round picks the first move
+        of largest gain in candidate order.
         """
         W = self.W
         try:
@@ -726,8 +730,7 @@ class Automorphism:
         reduced = self.images
         moves = Automorphism.identity(W).images
         while any(len(fam[1]) > 1 for fam in reduced):
-            gains = [sum(_shortening(fam[1], *move) for fam in reduced)
-                     for move in candidates]
+            gains = _seam_gains([fam[1] for fam in reduced], candidates)
             best = max(gains)
             if best <= 0:
                 raise NotInvertible("no move shortens the images: "
@@ -738,24 +741,39 @@ class Automorphism:
         back = {fam[e][0]: (i, e) for i, fam in enumerate(reduced)
                 for e in range(1, len(fam))}
         return Automorphism(W, [
-            [tuple(back[l] for l in w) for w in fam] for fam in moves])
+            [tuple([back[l] for l in w]) for w in fam] for fam in moves])
 
 
-def _shortening(word: Word, j: int, x: int, x_inv: int, S) -> int:
-    """How much shorter the normal form of ``word`` gets when every letter
-    of a factor in S is conjugated to x^-1 l x, for x of factor j outside
-    S (the rule is in ``Automorphism._peak_reduced_inverse``)."""
-    flags = [l[0] in S for l in word]
-    padded = [False, *flags, False]
-    gain = -padded[1] - padded[-2]
-    for (f, e), left, mine, right in zip(word, padded, flags, padded[2:]):
-        if mine:
-            continue
-        if f != j:
-            gain -= left + right
-        elif left != right and e == (x_inv if left else x):
-            gain += 1
-    return gain
+def _seam_gains(words, candidates) -> list:
+    """How much shorter the normal forms of ``words`` get in all, under
+    each candidate move ``(j, x, x^-1, S)``, by the seam rule of
+    ``Automorphism._peak_reduced_inverse``.
+
+    One scan counts every letter with the factors of its left and right
+    neighbours, a word end counting as factor -1.  Each gap between an
+    S-letter and a word end or a letter of neither S nor j costs one
+    letter; a j-letter y with an S-letter on exactly one side saves one
+    when y is x^-1 with S on its left or x with S on its right.
+    """
+    letters = Counter()
+    for word in words:
+        factors = [-1, *(f for f, _ in word), -1]
+        letters.update(zip(word, factors, factors[2:]))
+    seams = Counter()  # (factor of a letter, factor of a neighbour)
+    at = defaultdict(list)  # factor -> [(element, left, right, count)]
+    for ((f, e), left, right), count in letters.items():
+        seams[f, left] += count
+        seams[f, right] += count
+        at[f].append((e, left, right, count))
+    gains = []
+    for j, x, x_inv, S in candidates:
+        gain = -sum(count for (f, a), count in seams.items()
+                    if f in S and a not in S and a != j)
+        for e, left, right, count in at[j]:
+            if (left in S) != (right in S) and e == (x_inv if left in S else x):
+                gain += count
+        gains.append(gain)
+    return gains
 
 
 def _mutually_inverse(phi: Automorphism, psi: Automorphism) -> bool:

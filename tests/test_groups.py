@@ -5,8 +5,10 @@ this file (brute-force permutation composition, exhaustive bounded conjugation)
 and then asserted against the library.
 """
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -24,12 +26,13 @@ from orbitrain.groups import (
     FiniteGroup,
     FreeProduct,
     _mutually_inverse,
-    _shortening,
+    _seam_gains,
     is_iso,
     iso_chain,
     iso_identity,
     least_rotation,
 )
+from test_census import mixed_case
 
 # ---------------------------------------------------------------------------
 # oracles and random words
@@ -383,6 +386,14 @@ def test_non_homomorphism_images_rejected(w3):
         )
 
 
+def test_non_homomorphism_on_a_factor_of_order_three_rejected():
+    z3 = FiniteGroup.cyclic(3)
+    W = FreeProduct([z3, z3], ["a", "b"])
+    a, b = ((0, 1),), ((1, 1),)
+    with pytest.raises(NotAutomorphism):
+        Automorphism(W, [[(), a, a], [(), b, W.mul(b, b)]])
+
+
 def test_kurosh_data_of_phi_w4(phi_w4, w4):
     data = phi_w4.kurosh()
     assert data.pi == (0, 1, 2, 3)
@@ -425,6 +436,23 @@ def test_peak_reduction_inverts_alpha(alpha_w3):
     assert inv.compose(alpha_w3).is_identity()
 
 
+def test_an_inverse_does_not_outlive_its_automorphism(w4):
+    """The inverse keeps no link back to the automorphism, so reference
+    counting alone frees the pair."""
+    phi = Automorphism.from_gen_images(
+        w4, [w4.parse_word(t) for t in ("a", "b", "b a c a b", "c a d a c")])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        inverse = weakref.ref(phi.inverse())
+        assert inverse() is not None
+        del phi
+        assert inverse() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_injective_non_surjective_endomorphism_not_invertible():
     z2 = FiniteGroup.cyclic(2)
     W = FreeProduct([z2, z2], ["a", "b"])
@@ -437,7 +465,8 @@ def test_injective_non_surjective_endomorphism_not_invertible():
 
 
 @pytest.mark.parametrize("n, length, seed",
-                         [(6, 10, s) for s in range(6)] + [(8, 12, 0)])
+                         [(6, 10, s) for s in range(6)]
+                         + [(8, 12, s) for s in range(4)])
 def test_peak_reduction_inverts_large_corpus_cases(n, length, seed,
                                                   corpus_automorphism):
     phi = corpus_automorphism(n, length, seed)
@@ -506,6 +535,24 @@ def conjugated_by_nf(W, word, j, x, x_inv, S):
                    for l in word))
 
 
+def shortening(word, j, x, x_inv, S):
+    """How much shorter the normal form of ``word`` gets under the move
+    ``(j, x, x^-1, S)``, by the seam rule of
+    ``Automorphism._peak_reduced_inverse`` applied to one word at a time:
+    the oracle for the library's one-scan ``_seam_gains``."""
+    flags = [l[0] in S for l in word]
+    padded = [False, *flags, False]
+    gain = -padded[1] - padded[-2]
+    for (f, e), left, mine, right in zip(word, padded, flags, padded[2:]):
+        if mine:
+            continue
+        if f != j:
+            gain -= left + right
+        elif left != right and e == (x_inv if left else x):
+            gain += 1
+    return gain
+
+
 def moves_of(W):
     """Every move ``(j, x, x^-1, S)``, in the library's candidate order."""
     return [(j, x, factor.inv(x), frozenset(S))
@@ -558,29 +605,56 @@ def seam_cases(draw):
 @given(seam_cases())
 def test_shortening_counts_the_normal_form_length(case):
     W, word, move = case
-    assert (_shortening(word, *move)
-            == len(word) - len(conjugated_by_nf(W, word, *move)))
+    by_nf = len(word) - len(conjugated_by_nf(W, word, *move))
+    assert shortening(word, *move) == by_nf
+    assert _seam_gains([word], [move]) == [by_nf]
 
 
 @settings(max_examples=30, deadline=None)
 @given(factor_moving_products())
 def test_counted_gains_pick_the_moves_of_normal_form_gains(phi):
-    """Round by round along the peak reduction of phi, the counted gains
-    equal the gains read off rebuilt images, so both pick the same first
-    maximum."""
+    """Round by round along the peak reduction of phi, the gains that
+    ``_seam_gains`` counts equal the gains read off rebuilt images, so
+    both pick the same first maximum."""
     W = phi.W
     moves = moves_of(W)
     reduced = phi.images
     while any(len(fam[1]) > 1 for fam in reduced):
         by_nf = [sum(len(fam[1]) - len(conjugated_by_nf(W, fam[1], *move))
                      for fam in reduced) for move in moves]
-        counted = [sum(_shortening(fam[1], *move) for fam in reduced)
-                   for move in moves]
+        counted = _seam_gains([fam[1] for fam in reduced], moves)
         assert counted == by_nf and max(by_nf) > 0
         move = moves[max(range(len(moves)), key=by_nf.__getitem__)]
         assert move == moves[counted.index(max(counted))]
         reduced = [[conjugated_by_nf(W, w, *move) for w in fam]
                    for fam in reduced]
+
+
+# the benchmark corpus: (n, L, number of seeds)
+CORPUS_SIZES = ((3, 4, 20), (4, 6, 20), (5, 8, 10), (6, 10, 6), (8, 12, 4))
+
+
+def test_seam_gains_are_the_per_word_sums(corpus_automorphism):
+    """On every round of the peak reductions of the 60 corpus
+    automorphisms and of 40 mixed products over S3, Z2, Z3 and Z4 (where
+    x and x^-1 differ), the one-scan gains equal the sums of the per-word
+    rule, move by move."""
+    phis = [corpus_automorphism(n, length, seed)
+            for n, length, seeds in CORPUS_SIZES for seed in range(seeds)]
+    phis += [mixed_case(seed)[1] for seed in range(40)]
+    rounds = 0
+    for phi in phis:
+        moves = moves_of(phi.W)
+        words = [fam[1] for fam in phi.images]
+        while any(len(w) > 1 for w in words):
+            by_word = [sum(shortening(w, *move) for w in words)
+                       for move in moves]
+            assert _seam_gains(words, moves) == by_word
+            assert max(by_word) > 0
+            move = moves[by_word.index(max(by_word))]
+            words = [conjugated_by_nf(phi.W, w, *move) for w in words]
+            rounds += 1
+    assert rounds > len(phis)
 
 
 def test_outer_conjugator_identifies_outer_class(phi_w4, w4):

@@ -473,15 +473,25 @@ def test_inverse_runs_one_algorithm():
 
 
 def test_inverse_scores_moves_without_rebuilding_words():
-    """Peak reduction scores its moves with ``_shortening``, which calls
-    neither ``nf``, ``mul`` nor ``conjugated``; ``conjugated`` is called
-    twice, to apply the chosen move to the reduced images and to the
-    moves, so only the chosen move rebuilds words."""
+    """Peak reduction scores every move of a round with one call of
+    ``_seam_gains``, a statement of the round loop itself, and the scorer
+    calls neither ``nf``, ``mul`` nor ``conjugated``; ``conjugated`` is
+    called twice, to apply the chosen move to the reduced images and to
+    the moves, so only the chosen move rebuilds words."""
     inverse = "groups.Automorphism._peak_reduced_inverse"
-    assert function_call_sites("_shortening") == [inverse]
+    assert function_call_sites("_seam_gains") == [inverse]
+    path = Path(orbitrain.__file__).parent / "groups.py"
+    scoring = [stmt for loop in ast.walk(ast.parse(path.read_text()))
+               if isinstance(loop, ast.While) for stmt in loop.body
+               if isinstance(stmt, ast.Assign)
+               and isinstance(stmt.value, ast.Call)
+               and isinstance(stmt.value.func, ast.Name)
+               and stmt.value.func.id == "_seam_gains"]
+    assert len(scoring) == 1
     assert function_call_sites("conjugated") == [inverse, inverse]
-    assert "groups._shortening" not in (method_call_sites("nf")
-                                        + method_call_sites("mul"))
+    assert "groups._seam_gains" not in (method_call_sites("nf")
+                                        + method_call_sites("mul")
+                                        + function_call_sites("conjugated"))
 
 
 def test_public_names_have_a_library_caller():
