@@ -5,12 +5,14 @@ same outer automorphism, and returns that representative as built:
 collapsing the forests a move leaves behind and removing low-valence
 vertices is left to :func:`orbitrain.traintrack.normalize`.  Every move
 is one quotient: a cut plan cuts edges only over zero cells of their
-images, named by integer crossing counts, and cell classes and dead
-edges glue the cut graph.  One forward path transport per move rewrites
-old paths on the new graph; the move is a homotopy equivalence, so it
-also carries the marking (:meth:`Marking.moved`).
+images, by integer crossing counts, and cell classes and dead edges
+glue the cut graph; a fold reads its whole plan off the input.  One
+forward path transport per move rewrites old paths on the new graph; a
+move is a homotopy equivalence, so it carries the marking too
+(:meth:`Marking.moved`).
 """
 
+from itertools import takewhile
 from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
@@ -315,31 +317,29 @@ def fold(f: TopRep, turn: Turn) -> TopRep:
     The glue may leave an invariant forest or a low-valence vertex
     behind; :func:`orbitrain.traintrack.normalize` removes them.
     """
-    return _fold_core(f, turn)[0]
+    return _quotient(f, **_fold_plan(f, turn))[0]
 
 
-def _fold_core(f: TopRep, turn: Turn) -> Tuple[TopRep, Transport]:
-    """Fold ``turn``; the result and the forward transport from
-    ``f.graph``.
-
-    The cut plan and the glue are read off the input's images: both
-    directions are cut where their shared image prefix ends, the two
-    pieces' images are compared, and one quotient cuts the edges and
-    glues the second piece onto the turn's letter followed by the first.
-    """
+def _fold_plan(f: TopRep, turn: Turn) -> Dict[str, object]:
+    """The keywords of :func:`_quotient` that fold ``turn``, read off the
+    input's images: both directions are cut where their shared image
+    prefix ends, the pieces' images are compared, and the second piece
+    is glued onto the turn's letter followed by the first."""
     t = turn
     graph = f.graph
+    if any(type(x) is not int for x in (t.first, t.second, t.base)):
+        raise BadOrbigraph(f"no turn {t} in this graph")
     if t.first == t.second:
         raise NothingToFold("the turn folds a direction onto itself")
     if graph.src(t.first) != t.base or graph.src(t.second) != t.base:
         raise NothingToFold("turn directions do not share the base cell")
+    if t.letter and (type(t.letter) is not int or not graph.is_cone(t.base)
+                     or not 0 < t.letter < graph.group_at(t.base).order):
+        raise BadOrbigraph(
+            f"no element {t.letter} at cell {t.base} in this graph")
     p1, p2 = f.image(t.first), _lettered(f, t, f.image(t.second))
-    shared = 0
-    for a, b in zip(p1.items, p2.items):
-        if a != b:
-            break
-        shared += 1
-    prefix = list(p1.items[:shared])
+    prefix = [a for a, b in takewhile(lambda ab: ab[0] == ab[1],
+                                      zip(p1.items, p2.items))]
     k = sum(type(item) is int for item in prefix)
     if not k:
         raise NothingToFold("the images share no initial edge")
@@ -382,30 +382,30 @@ def _fold_core(f: TopRep, turn: Turn) -> Tuple[TopRep, Transport]:
     if q[0] != _lettered(f, t, q[1]):
         raise BadRepresentative("fold pieces disagree after subdivision")
 
-    # glue piece2 onto the letter followed by piece1
-    (b, v1), (b2, v2) = (ends[d - 1] if d > 0 else ends[-d - 1][::-1]
-                         for d in (piece1, piece2))
-    if b2 != b:
-        raise NothingToFold("fold pieces do not share their initial cell")
-    if abs(piece1) == abs(piece2):
-        raise NothingToFold("cannot glue an edge onto itself")
-    if v1 != v2 and kinds[v1] != VERTEX and kinds[v2] != VERTEX:
-        raise BadRepresentative("fold would merge two distinct cone points")
+    # glue piece2 onto the letter and piece1, collapsing kappa from v2
+    # to v1: one class of two cells, at most one a cone point.  Both
+    # pieces leave the base b (a positive direction's first piece starts
+    # at src(e), a negative one's last ends at dst(e) = src(-e)), on
+    # distinct edges (d1 = -d2 is a loop, which an Orbigraph refuses);
+    # distinct edges of a tree from one cell end apart, and each cut adds
+    # its own vertex, so v1 != v2.  Both are cone points only with no
+    # cut: then the give-back loop leaves prefix = p1 = p2, and f sends
+    # two cone points to one cell, which a TopRep refuses.
+    (b, v1), (_, v2) = (ends[d - 1] if d > 0 else ends[-d - 1][::-1]
+                        for d in (piece1, piece2))
     ginv = ((b, graph.group_at(b).inv(t.letter)),) if t.letter else ()
     glued = ginv + (piece1,)
-    if piece2 < 0:
-        glued = invert_items(graph, glued)
+    kappa = (-piece2,) + glued
+    rep, other = (v2, v1) if kinds[v2] != VERTEX else (v1, v2)
     classes = [(c,) for c in range(len(kinds))]
-    reach: Dict[int, Tuple[Item, ...]] = {}
-    if v1 != v2:
-        # the glue collapses kappa, the path from v2 to v1
-        kappa = (-piece2,) + ginv + (piece1,)
-        rep, other = (v2, v1) if kinds[v2] != VERTEX else (v1, v2)
-        reach[other] = kappa if rep == v2 else invert_items(graph, kappa)
-        classes[min(v1, v2)] = (rep, other)
-        del classes[max(v1, v2)]
-    return _quotient(f, classes, reach, {abs(piece2): glued}, cuts=cuts,
-                     letter_first=sides)
+    classes[min(v1, v2)] = (rep, other)
+    del classes[max(v1, v2)]
+    return {"classes": classes,
+            "reach": {other: kappa if rep == v2
+                      else invert_items(graph, kappa)},
+            "dead": {abs(piece2): glued if piece2 > 0
+                     else invert_items(graph, glued)},
+            "cuts": cuts, "letter_first": sides}
 
 
 # ---------------------------------------------------------------------------

@@ -181,9 +181,6 @@ class Path(_Walk):
     def __len__(self):
         return len(self.items)
 
-    def edge_items(self) -> Tuple[int, ...]:
-        return tuple(item for item in self.items if type(item) is int)
-
     def turns(self) -> Tuple["Turn", ...]:
         out = []
         prev = pending = None
@@ -402,9 +399,8 @@ def parse_path(graph: Orbigraph, text: str, start: Optional[int] = None) -> Path
         if token == "1":
             continue
         if token.startswith("."):
-            body = token[1:]
-            word = graph.W.parse_word(body)
-            if len(word) > 1:
+            word = graph.W.parse_word(token[1:])
+            if len(word) > 1 or token == ".":
                 raise BadPath(f"letter token {token!r} is not a single letter")
             for i, e in word:
                 items.append((graph.cone_cell(i), e))

@@ -11,7 +11,9 @@ characteristic polynomial.
   integer vectors: min (Mv)_i / v_i and max (Mv)_i / v_i bound the rate for
   every positive v, so the bracket is certified whatever v the iteration
   reaches.  ``PFData.refined`` narrows a coarse bracket by walking again
-  to the finer width, which gives exactly the finer bracket.
+  to the finer width, which gives exactly the finer bracket.  The first
+  bracket, the least and largest row sums, is exact at 1 for the one
+  kind of block of rate 1, a transitive permutation.
 - Sturm sign counts and zero tests evaluate d^deg p(n/d) by integer Horner,
   and bisection keeps its endpoints over one power-of-two denominator.
   A count skips zeros, so it is right on endpoints that are roots.
@@ -57,31 +59,6 @@ def as_matrix(rows) -> Matrix:
         if not all(isinstance(x, int) and x >= 0 for x in row):
             raise ValueError("matrix entries must be nonnegative ints")
     return M
-
-
-def is_transitive_permutation(M: Matrix) -> bool:
-    """One 1 per row and column, and the permutation is a single cycle."""
-    n = len(M)
-    image = [None] * n
-    for i in range(n):
-        if sum(M[i]) != 1:
-            return False
-        for j in range(n):
-            if M[i][j] not in (0, 1):
-                return False
-            if M[i][j] == 1:
-                if image[j] is not None:
-                    return False
-                image[j] = i
-    if any(x is None for x in image):
-        return False
-    seen, j = 0, 0
-    for _ in range(n):
-        j = image[j]
-        seen += 1
-        if j == 0:
-            break
-    return seen == n and j == 0
 
 
 def successors(M: Matrix, j: int) -> Tuple[int, ...]:
@@ -390,23 +367,19 @@ class Isolation:
 class PFData:
     """Certified bounds for the growth rate of an irreducible block.
 
-    ``[lower, upper]`` contains the growth rate; ``is_one`` marks a
-    transitive permutation, whose rate is exactly 1.  The bracket only
-    ever narrows, in place, so it stays certified; ``refined`` is the one
+    ``[lower, upper]`` contains the growth rate.  The bracket only ever
+    narrows, in place, so it stays certified; ``refined`` is the one
     routine that narrows it.  The characteristic polynomial, row 0 of the
     adjugate (from the polynomial) and the Sturm isolation are derived on
     first use and kept on the instance.
     """
 
-    __slots__ = ("matrix", "lower", "upper", "is_one", "_iso", "_poly",
-                 "_adjugate")
+    __slots__ = ("matrix", "lower", "upper", "_iso", "_poly", "_adjugate")
 
-    def __init__(self, matrix: Matrix, lower: Fraction, upper: Fraction,
-                 is_one: bool = False):
+    def __init__(self, matrix: Matrix, lower: Fraction, upper: Fraction):
         self.matrix = matrix
         self.lower = Fraction(lower)
         self.upper = Fraction(upper)
-        self.is_one = bool(is_one)
         self._iso: Optional[Isolation] = None
         self._poly: Optional[Tuple[int, ...]] = None
         self._adjugate: Optional[List[List[int]]] = None
@@ -418,6 +391,13 @@ class PFData:
     @property
     def exact(self) -> Optional[Fraction]:
         return self.lower if self.lower == self.upper else None
+
+    @property
+    def is_one(self) -> bool:
+        """Whether the rate is 1.  An irreducible integer block has rate
+        at least 1, and 1 only for a transitive permutation, whose row
+        sums are all 1: ``pf_data``'s first bracket is already [1, 1]."""
+        return self.upper == 1
 
     def poly(self) -> Tuple[int, ...]:
         """The characteristic polynomial, leading first."""
@@ -573,11 +553,8 @@ def pf_data(M, tol: Fraction = DEFAULT_TOL) -> PFData:
         M = TransitionMatrix(as_matrix(M))
     if not is_irreducible(M):
         raise NotIrreducible("the transition block is not irreducible")
-    rows = M.entries
-    if is_transitive_permutation(rows):
-        return PFData(rows, Fraction(1), Fraction(1), True).refined(tol)
-    sums = [sum(row) for row in rows]
-    return PFData(rows, min(sums), max(sums)).refined(tol)
+    sums = [sum(row) for row in M.entries]
+    return PFData(M.entries, min(sums), max(sums)).refined(tol)
 
 
 def compare_lengths(M: Matrix, i: int, j: int) -> int:
@@ -618,11 +595,10 @@ def pf_compare(x: PFData, y: PFData) -> int:
     """-1, 0, or 1 by the true growth rates, decided exactly.
 
     When the certified brackets overlap, equal characteristic
-    polynomials, with their factors x^k removed, are a tie, as are two
-    transitive permutations, and neither bracket is narrowed; otherwise
-    ``refined`` narrows both to the brackets ``pf_data`` gives at
-    ``DEFAULT_TOL``.  Disjoint brackets then decide.  Otherwise x's
-    ``_sign_at`` decides, with no loop here:
+    polynomials, with their factors x^k removed, are a tie, and neither
+    bracket is narrowed; otherwise ``refined`` narrows both to the
+    brackets ``pf_data`` gives at ``DEFAULT_TOL``.  Disjoint brackets
+    then decide.  Otherwise x's ``_sign_at`` decides, with no loop here:
 
     - equal nonzero spectra are equal rates: both blocks are irreducible,
       so each rate is positive and the largest real root of its
@@ -638,8 +614,7 @@ def pf_compare(x: PFData, y: PFData) -> int:
       times that of s's leading coefficient.
     """
     if max(x.lower, y.lower) <= min(x.upper, y.upper):
-        if (x.is_one and y.is_one
-                or _nonzero_part(x.poly()) == _nonzero_part(y.poly())):
+        if _nonzero_part(x.poly()) == _nonzero_part(y.poly()):
             return 0
         x.refined(DEFAULT_TOL)
         y.refined(DEFAULT_TOL)

@@ -20,6 +20,7 @@ from orbitrain import moves, pf, toprep, traintrack
 from orbitrain.errors import NothingToFold, OrbitrainError
 from orbitrain.moves import (collapse_forest, fold, valence_one_homotopy,
                              valence_two_homotopy)
+from orbitrain.orbigraph import VERTEX
 from orbitrain.paths import tighten
 from orbitrain.pf import is_irreducible, pf_compare, pf_data, scc_components
 from orbitrain.toprep import thistle_rep
@@ -189,7 +190,7 @@ def test_every_descent_fold_intertwines_the_maps(monkeypatch):
     checks = []
 
     def spy(f, turn):
-        out, tr = moves._fold_core(f, turn)
+        out, tr = moves._quotient(f, **moves._fold_plan(f, turn))
         for e in f.graph.edges():
             p = tighten(f.graph, f.graph.src(e), (e,))
             checks.append(out.apply(tr.path(p)) == tr.path(f.apply(p)))
@@ -198,6 +199,30 @@ def test_every_descent_fold_intertwines_the_maps(monkeypatch):
     monkeypatch.setattr(traintrack, "fold", spy)
     run_descent_cases()
     assert len(checks) > 1000 and all(checks)
+
+
+def test_every_descent_fold_plan_merges_one_pair_of_cells(monkeypatch):
+    """Every fold plan the 63 cases make is the five keywords of
+    ``_quotient``, its classes partition the cut graph's cells, and
+    exactly one class merges anything: two distinct cells, at most one
+    of them a cone point."""
+    plans = []
+
+    def spy(f, turn):
+        plan = moves._fold_plan(f, turn)
+        kinds = moves._cut_graph(f.graph, plan["cuts"])[0]
+        merged = [cls for cls in plan["classes"] if len(cls) > 1]
+        cells = sorted(c for cls in plan["classes"] for c in cls)
+        plans.append((tuple(sorted(plan)), cells == list(range(len(kinds))),
+                      tuple(len(set(cls)) for cls in merged),
+                      sum(kinds[c] != VERTEX for c in merged[0])))
+        return moves._quotient(f, **plan)[0]
+
+    monkeypatch.setattr(traintrack, "fold", spy)
+    run_descent_cases()
+    keys = tuple(sorted(["classes", "reach", "dead", "cuts", "letter_first"]))
+    assert len(plans) > 250
+    assert set(plans) == {(keys, True, (2,), 0), (keys, True, (2,), 1)}
 
 
 def test_each_descent_fold_builds_one_graph_and_one_representative(

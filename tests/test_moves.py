@@ -9,6 +9,7 @@ one, and folding beta's illegal apex turn drops its eigenvalue from
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,7 +35,7 @@ from orbitrain.moves import (
 )
 from orbitrain.orbigraph import VERTEX, Orbigraph, hedgehog
 from orbitrain.paths import Path, Turn, format_path, parse_path, tighten
-from orbitrain.pf import is_transitive_permutation, pf_compare, pf_data
+from orbitrain.pf import pf_compare, pf_data
 from orbitrain.toprep import (
     ConeMap,
     Marking,
@@ -47,6 +48,7 @@ from orbitrain.toprep import (
 from orbitrain.traintrack import (
     _descent_turn, _rep_key, normalize, record_events, train_track_algorithm)
 from test_groups import random_word
+from test_pf import is_transitive_permutation
 
 Z2 = FiniteGroup.cyclic(2)
 
@@ -428,7 +430,7 @@ def test_subdivisions_and_folds_intertwine_the_maps(seed):
         if turn is None:
             break
         try:
-            out, tr = moves._fold_core(f, turn)
+            out, tr = moves._quotient(f, **moves._fold_plan(f, turn))
         except NothingToFold:
             break
         assert_intertwines(f, out, tr)
@@ -450,19 +452,37 @@ def test_subdivisions_and_folds_intertwine_the_maps(seed):
     ("valence_two_homotopy", (5, -5), "edge -5"),
     ("valence_two_homotopy", (5, 0), "edge 0"),
     ("collapse_forest", ([True],), "edge True"),
+    ("fold", (Turn(-1, 5, -4, 0),), "element 5 at cell 0"),
+    ("fold", (Turn(-1, -1, -4, 0),), "element -1 at cell 0"),
+    ("fold", (Turn(-1, 1.0, -4, 0),), "element 1.0 at cell 0"),
+    ("fold", (Turn(-1, True, -4, 0),), "element True at cell 0"),
+    ("fold", (Turn(-2, 1, 3, 4),), "element 1 at cell 4"),
+    ("fold", (Turn(-1.0, 0, -4, 0),),
+     "turn Turn(first=-1.0, letter=0, second=-4, base=0)"),
+    ("fold", (Turn(-1, 0, -4.0, 0),),
+     "turn Turn(first=-1, letter=0, second=-4.0, base=0)"),
+    ("fold", (Turn(-1, 0, -4, False),),
+     "turn Turn(first=-1, letter=0, second=-4, base=False)"),
 ])
 def test_out_of_range_move_arguments_are_bad_orbigraphs(phi_w4, move, args,
                                                         missing):
-    """A move given an edge or cell that its graph lacks raises
-    ``BadOrbigraph`` naming it, not a builtin error or a wrapped index.
-    The valence moves run on the thistle cut at edge 3, whose new cell 5
-    has valence two, so a bad edge is refused before the valence
+    """A move given an edge, cell, turn or letter that its graph lacks
+    raises ``BadOrbigraph`` naming it, not a builtin error or a wrapped
+    index.  The valence moves run on the thistle cut at edge 3, whose new
+    cell 5 has valence two, so a bad edge is refused before the valence
     question; a cell or edge id of another type, even ``True``, is no
-    cell or edge."""
+    cell or edge.  Folds run on the hedgehog cut at edge 2, where both
+    the cone point 0 and the new vertex 4 have two directions: a turn of
+    directions or base that are not ``int`` is no turn, and a nonzero
+    letter is no element unless an ``int`` of the base's group, which a
+    vertex lacks."""
     f = thistle_rep(phi_w4)
     if move.startswith("valence"):
         f, _ = cut(f, {3: 1})
-    with pytest.raises(BadOrbigraph, match=f"^no {missing} in this graph$"):
+    elif move == "fold":
+        f, _ = cut(hedgehog_rep(phi_w4), {2: 1})
+    with pytest.raises(BadOrbigraph,
+                       match=f"^no {re.escape(missing)} in this graph$"):
         getattr(moves, move)(f, *args)
 
 
@@ -695,7 +715,7 @@ def test_moves_carry_the_marking_exactly(seed):
     turn = _descent_turn(f)
     if turn is not None:
         try:
-            moved.append(moves._fold_core(f, turn))
+            moved.append(moves._quotient(f, **moves._fold_plan(f, turn)))
         except NothingToFold:
             pass
     W = phi.W

@@ -468,3 +468,11 @@ def test_parse_rejects_garbage(t3, h3):
         parse_path(h3, "X^oops")
     p = parse_path(t3, "1", start=0)
     assert not p.items and p.start == 0
+
+
+def test_parse_refuses_a_bare_letter_token(t3):
+    """A ``.`` names no letter, so it is refused rather than read as the
+    identity, which ``.1`` spells."""
+    with pytest.raises(BadPath, match="^letter token '.' is not a single"):
+        parse_path(t3, "A . ~B")
+    assert format_path(parse_path(t3, "A .1 ~B")) == "A ~B"

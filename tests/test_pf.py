@@ -31,7 +31,6 @@ from orbitrain.pf import (
     compare_lengths,
     count_distinct_roots,
     is_irreducible,
-    is_transitive_permutation,
     pf_compare,
     pf_data,
     poly_gcd,
@@ -56,6 +55,31 @@ def mat_mul(A, B):
 def block(M, idx):
     """The diagonal block of ``M`` on the indices ``idx``."""
     return tuple(tuple(M[i][j] for j in idx) for i in idx)
+
+
+def is_transitive_permutation(M):
+    """One 1 per row and column, and the permutation is a single cycle."""
+    n = len(M)
+    image = [None] * n
+    for i in range(n):
+        if sum(M[i]) != 1:
+            return False
+        for j in range(n):
+            if M[i][j] not in (0, 1):
+                return False
+            if M[i][j] == 1:
+                if image[j] is not None:
+                    return False
+                image[j] = i
+    if any(x is None for x in image):
+        return False
+    seen, j = 0, 0
+    for _ in range(n):
+        j = image[j]
+        seen += 1
+        if j == 0:
+            break
+    return seen == n and j == 0
 
 
 def oracle_radius(M):
@@ -344,6 +368,10 @@ class TestPFData:
                 for i in range(3) for j in range(3)} == {0}
         assert {data._compare_by_adjugate(i, j)
                 for i in range(3) for j in range(3)} == {0}
+        # permutations of different sizes tie through the exact bracket
+        two = pf_data([[0, 1], [1, 0]])
+        assert two.is_one
+        assert pf_compare(data, two) == pf_compare(two, data) == 0
 
     def test_exact_ties_with_distinct_polynomials(self):
         # row 0 of adj(xI - M) is (x - 1, 1): q = x - 2 vanishes at the
@@ -795,8 +823,8 @@ def test_random_blocks_bracket_oracle(n, seed):
     data = pf_data(M)
     rho = oracle_radius(M)
     assert float(data.lower) - 1e-6 <= rho <= float(data.upper) + 1e-6
+    assert data.is_one == is_transitive_permutation(M)
     if data.is_one:
-        assert is_transitive_permutation(M)
         assert abs(rho - 1) < 1e-9
 
 

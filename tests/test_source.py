@@ -123,21 +123,19 @@ def test_moves_construct_graphs_only_in_the_builders():
 
 
 def test_fold_cuts_and_glues_in_one_quotient():
-    """A fold reads its cut plan and glue off the input and calls
-    ``_quotient`` once, so it builds one graph and one representative:
-    the body of ``_fold_core`` names neither ``TopRep`` nor
-    ``Orbigraph``, and of the functions of ``moves.py`` that build
-    either, it calls ``_quotient`` alone."""
-    assert moves_call_sites("_quotient").count("_fold_core") == 1
-    core = next(node for node in ast.walk(moves_tree())
+    """A fold is a plan plus one quotient: ``fold`` is the only caller of
+    ``_fold_plan`` and calls ``_quotient`` once, and ``_fold_plan``
+    reads the cut plan and the glue off the input as plain data: its
+    body names none of ``TopRep``, ``Orbigraph``, ``Transport`` or
+    ``_quotient``."""
+    assert function_call_sites("_fold_plan") == ["moves.fold"]
+    assert moves_call_sites("_quotient").count("fold") == 1
+    plan = next(node for node in ast.walk(moves_tree())
                 if isinstance(node, ast.FunctionDef)
-                and node.name == "_fold_core")
-    named = {node.id for stmt in core.body for node in ast.walk(stmt)
+                and node.name == "_fold_plan")
+    named = {node.id for stmt in plan.body for node in ast.walk(stmt)
              if isinstance(node, ast.Name)}
-    assert not {"TopRep", "Orbigraph"} & named
-    builders = {site for name in ("TopRep", "Orbigraph")
-                for site in moves_call_sites(name)}
-    assert builders & named == {"_quotient"}
+    assert not {"TopRep", "Orbigraph", "Transport", "_quotient"} & named
 
 
 def test_moves_only_carry_the_marking_forward():
@@ -341,12 +339,12 @@ def test_pf_has_one_characteristic_polynomial():
 def test_pf_narrows_brackets_in_one_stateless_routine():
     """Only ``PFData.refined`` runs the Collatz-Wielandt walk, which keeps
     no state between calls: ``pf_compare`` is straight-line code that
-    never calls itself, and a ``PFData`` holds its bracket, its
-    permutation flag and derived caches, no walk to resume."""
+    never calls itself, and a ``PFData`` holds its bracket and derived
+    caches, no walk to resume and no permutation flag."""
     assert function_call_sites("_collatz_wielandt") == ["pf.PFData.refined"]
     assert "pf.pf_compare" not in function_call_sites("pf_compare")
-    assert pf_slots("PFData") == [("matrix", "lower", "upper", "is_one",
-                                   "_iso", "_poly", "_adjugate")]
+    assert pf_slots("PFData") == [("matrix", "lower", "upper", "_iso",
+                                   "_poly", "_adjugate")]
 
 
 def pf_slots(name):
