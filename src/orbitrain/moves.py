@@ -45,12 +45,10 @@ class Transport:
     Letters travel to the mapped cell unchanged.
     """
 
-    __slots__ = ("source", "target", "cell_map", "edge_items", "_reversed")
+    __slots__ = ("target", "cell_map", "edge_items", "_reversed")
 
-    def __init__(self, source: Orbigraph, target: Orbigraph,
-                 cell_map: Dict[int, int],
+    def __init__(self, target: Orbigraph, cell_map: Dict[int, int],
                  edge_items: Dict[int, Sequence[Item]]):
-        self.source = source
         self.target = target
         self.cell_map = dict(cell_map)
         self.edge_items = {e: tuple(v) for e, v in edge_items.items()}
@@ -113,7 +111,7 @@ def _quotient(f: TopRep, classes: Sequence[Sequence[int]],
         fwd[e] = tuple((new_id[i] if i > 0 else -new_id[-i])
                        if type(i) is int else (cell_map[i[0]], i[1])
                        for i in items)
-    tr = Transport(graph, new_graph, {c: cell_map[c] for c in graph.cells()},
+    tr = Transport(new_graph, {c: cell_map[c] for c in graph.cells()},
                    {e: tuple(i for piece in pieces[e] for i in fwd[piece])
                     for e in graph.edges()})
 
@@ -138,7 +136,7 @@ def _quotient(f: TopRep, classes: Sequence[Sequence[int]],
     cones = {}
     for c in new_graph.cone_cells():
         cm = f.cone_images[reps[c]]
-        cones[c] = ConeMap(c, cell_map[cm.target], cm.table)
+        cones[c] = ConeMap(cell_map[cm.target], cm.table)
     vertex_images = {c: cell_map[vertices[reps[c]]]
                      for c in new_graph.cells() if not new_graph.is_cone(c)}
     marking = f.marking.moved(tr) if f.marking is not None else None

@@ -19,12 +19,13 @@ letter across the cone at the head of ``T``.
 A walk handed to the tightener may also hold tight :class:`Path` runs,
 such as the edge images a map splices together.  Inside a tight run
 nothing cancels, so the rules meet only its leading items, at the seam
-with the walk so far, and the rest of the run is copied whole.  Paths and
+with the walk so far, and the rest of the run is copied whole.  A circuit
+is closed by the same rules: its head items move across the wrap onto its
+tail, and a walk that does not end where it starts is refused.  Paths and
 circuits store their edge count when they are built; the tightener keeps
 it as it goes, and circuits pick their canonical rotation by integer keys.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -283,13 +284,14 @@ def tighten_circuit(graph: Orbigraph, items: Iterable) -> Circuit:
     canonical form.
 
     The walk is tightened as a path from its first cell, so runs cancel
-    only at their seams, then cancelled across the wrap: leading letters
-    move to the end, and an edge that meets its reverse at the wrap
-    (directly at a vertex, through a trivial letter at a cone) is peeled
-    off both ends.  A slice of a tight walk is tight up to trivial end
-    letters, which the leading-letter rotation absorbs, so the body is
-    never re-tightened, and the edge count drops by two per peel.  A
-    letter-only walk lives at one cone and reduces to its product.
+    only at their seams, and refused with ``NotAWalk`` unless it ends at
+    that cell.  Then :func:`_push` closes the wrap by the path rules: the
+    head item moves onto the tail, a letter merging with a tail letter
+    and an edge cancelling against the tail or gaining its junction
+    letter, until the first edge that crosses without cancelling.  A
+    slice of a tight walk is tight, so the body is never re-tightened,
+    and the edge count drops by two per cancellation.  A letter-only
+    walk lives at one cone and reduces to its product.
     The canonical form is the least rotation under integer keys: an edge
     d keys as d and a letter (c, g) as m + 1 + c K + g, with m the
     graph's edge count and K its largest factor order.  So letters sort
@@ -303,67 +305,44 @@ def tighten_circuit(graph: Orbigraph, items: Iterable) -> Circuit:
     start = (head.start if isinstance(head, Path)
              else head[0] if type(head) is tuple and head
              else graph.src_of.get(head, 0) if type(head) is int else 0)
-    tight, n_edges = _tighten_items(graph, start, items)
-    items = deque(tight)
-
-    changed = True
-    while changed:
-        changed = False
-        while len(items) > 1 and type(items[0]) is not int:
-            items.append(items.popleft())
-            changed = True
-            while (len(items) >= 2 and type(items[-1]) is not int
-                   and type(items[-2]) is not int):
-                c, g = items.pop()
-                c0, g0 = items[-1]
-                if c0 != c:
-                    raise NotAWalk("circuit letters disagree at the wrap")
-                items[-1] = (c, graph.group_at(c).mul(g0, g))
-        if not items:
+    if start not in range(graph.n_cells):
+        raise NotAWalk(f"no cell {start!r} to start from")
+    out: List[Item] = []
+    cur, pushed, cut = _push(graph, out, start, items)
+    if cur != start:
+        raise NotAWalk(f"the walk ends at cell {cur}, not at its start "
+                       f"{start}")
+    n_edges = pushed - 2 * cut
+    k = 0
+    while len(out) - k > 1:
+        head = out[k]
+        k += 1
+        cur, _, cut = _push(graph, out, cur, (head,))
+        n_edges -= 2 * cut
+        if type(head) is int and not cut:
             break
-        if len(items) == 1:
-            if type(items[0]) is not int and items[0][1] == 0:
-                items.clear()
-            break
-        last = items[-1]
-        d0 = items[0]
-        if type(last) is int:
-            j = graph.dst_of[last]
-            if graph.src_of[d0] != j:
-                raise NotAWalk("circuit does not close up")
-            if graph.kinds[j] != VERTEX:
-                items.append((j, 0))
-                changed = True
-            elif d0 == -last:
-                items.popleft()
-                items.pop()
-                n_edges -= 2
-                changed = True
-        elif last[1] == 0 and items[-2] == -d0:
-            items.popleft()
-            items.pop()
-            items.pop()
-            n_edges -= 2
-            changed = True
+    del out[:k]
+    if len(out) == 1 and type(out[0]) is not int and out[0][1] == 0:
+        out.clear()
 
-    items = tuple(items)
     base = graph.n_edges + 1
     K = max(group.order for group in graph.W.factors)
     r = least_rotation([it if type(it) is int else base + it[0] * K + it[1]
-                        for it in items])
-    return Circuit(graph, items[r:] + items[:r], n_edges)
+                        for it in out])
+    return Circuit(graph, out[r:] + out[:r], n_edges)
 
 
 # -- words and realizations --------------------------------------------------
 
 
 def loop_of_word(graph: Orbigraph, base: int, word) -> Path:
-    """The tight loop at ``base`` spelling ``word``: out along the geodesic
-    to each syllable's cone point, read the letter, and come back."""
+    """The tight loop at ``base`` spelling ``word``: out along the tree
+    walk to each syllable's cone point, read the letter, and come back."""
+    walks = graph.walks(base)
     items: List[Item] = []
     for i, e in word:
         cone = graph.cone_cell(i)
-        go = graph.geodesic(base, cone)
+        go = walks[cone]
         items.extend(go)
         items.append((cone, e))
         items.extend(-d for d in reversed(go))

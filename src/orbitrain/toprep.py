@@ -32,7 +32,6 @@ from .pf import TransitionMatrix
 class ConeMap:
     """Where a cone point goes and how its group is carried along."""
 
-    source: int
     target: int
     table: Tuple[int, ...]
 
@@ -56,7 +55,8 @@ class Marking:
         self.graph = graph
         self.base = int(base)
         if paths is None:
-            paths = [tighten(graph, self.base, graph.geodesic(self.base, c))
+            walks = graph.walks(self.base)
+            paths = [tighten(graph, self.base, walks[c])
                      for c in graph.cone_cells()]
         self.paths = tuple(paths)
         if len(self.paths) != graph.W.n or any(
@@ -157,7 +157,7 @@ class TopRep:
             raise BadRepresentative("every vertex needs exactly one image")
         targets = []
         for c, cm in self.cone_images.items():
-            if cm.source != c or cm.target not in cones:
+            if cm.target not in cones:
                 raise BadRepresentative("cone points must map to cone points")
             if not is_iso(graph.group_at(c), graph.group_at(cm.target),
                           cm.table):
@@ -230,8 +230,7 @@ class TopRep:
         cone_images = {}
         for c, cm in other.cone_images.items():
             nxt = self.cone_images[cm.target]
-            cone_images[c] = ConeMap(c, nxt.target,
-                                     iso_chain(cm.table, nxt.table))
+            cone_images[c] = ConeMap(nxt.target, iso_chain(cm.table, nxt.table))
         vertex_images = {v: self.cell_image(c)
                          for v, c in other.vertex_images.items()}
         marking = None
@@ -359,7 +358,7 @@ def thistle_rep(phi: Automorphism) -> TopRep:
     for i in range(W.n):
         c = graph.cone_cell(i)
         tgt = graph.cone_cell(data.pi[i])
-        cone_images[c] = ConeMap(c, tgt, data.isos[i])
+        cone_images[c] = ConeMap(tgt, data.isos[i])
         (d,) = graph.edges_at(c)
         (dt,) = graph.edges_at(tgt)
         u_loop = loop_of_word(graph, 0, data.conjugators[i])
@@ -387,7 +386,7 @@ def hedgehog_rep(phi: Automorphism, apex: int = 0) -> TopRep:
         psi = Automorphism.inner(W, W.inv(u_apex)).compose(phi)
     data = psi.kurosh()
     graph = hedgehog(W, apex)
-    cone_images = {i: ConeMap(i, data.pi[i], data.isos[i])
+    cone_images = {i: ConeMap(data.pi[i], data.isos[i])
                    for i in range(W.n)}
     edge_images = {}
     for i in range(W.n):
@@ -427,7 +426,7 @@ def rep_from_path_texts(graph: Orbigraph, texts, tables=None,
     for c in graph.cone_cells():
         tgt = cell_targets.get(c, c)
         table = tables.get(c, iso_identity(graph.group_at(c)))
-        cone_images[c] = ConeMap(c, tgt, tuple(table))
+        cone_images[c] = ConeMap(tgt, tuple(table))
     vertex_images = {c: cell_targets.get(c, c)
                      for c in graph.cells() if not graph.is_cone(c)}
     marking = Marking(graph, base)

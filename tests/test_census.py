@@ -13,10 +13,12 @@ Three seeded sets of automorphisms run through
 
 Every answer must induce the input's outer class, every ``Reducible``
 witness must be an invariant subgraph with a component holding two or
-more cone points, and every case's outcome kind or error class must be
-the one pinned in ``census_expected.json``.  A pinned error is not an
-accepted answer: when a change turns one into a verified answer, the
-table is updated; an answer that turns into an error fails here.
+more cone points whose partition of the factors the input's Kurosh
+permutation maps onto itself, and every case's outcome kind or error
+class must be the one pinned in ``census_expected.json``.  A pinned
+error is not an accepted answer: when a change turns one into a
+verified answer, the table is updated; an answer that turns into an
+error fails here.
 """
 
 import itertools
@@ -132,6 +134,23 @@ def outcome(phi):
         return exc
 
 
+def witness_roots(graph, witness):
+    """Each cell's representative in the components of the subgraph of
+    the ``witness`` edges; a cell that no witness edge touches is its own
+    component."""
+    parent = {c: c for c in graph.cells()}
+
+    def root(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for e in witness:
+        a, b = graph.ends[e - 1]
+        parent[root(a)] = root(b)
+    return {c: root(c) for c in graph.cells()}
+
+
 def invariance_complaint(result):
     """Why a ``Reducible`` witness is not an invariant subgraph with a
     component of two or more cone points, or None."""
@@ -140,19 +159,30 @@ def invariance_complaint(result):
     if not all(f.edge_images[e].crossings().keys() <= witness
                for e in witness):
         return "a witness edge's image leaves the witness"
-    parent = {c: c for c in g.cells()}
-
-    def root(c):
-        while parent[c] != c:
-            c = parent[c]
-        return c
-
-    for e in witness:
-        a, b = g.ends[e - 1]
-        parent[root(a)] = root(b)
-    cones = [root(c) for c in g.cone_cells()]
+    roots = witness_roots(g, witness)
+    cones = [roots[c] for c in g.cone_cells()]
     if all(cones.count(r) < 2 for r in cones):
         return "no witness component holds two cone points"
+    return None
+
+
+def kurosh_complaint(phi, result):
+    """Why the Kurosh permutation of ``phi`` does not map the partition
+    of the factors by witness components onto itself, or None.  This
+    reads only ``phi.kurosh().pi`` and the witness, not the map, so it
+    checks the descent from outside: an invariant subgraph carries an
+    invariant free factor system, whose factors the permutation can only
+    shuffle among themselves (possibly swapping whole components)."""
+    g = result.rep.graph
+    roots = witness_roots(g, result.witness)
+    blocks = {}
+    for i in range(g.W.n):
+        blocks.setdefault(roots[g.cone_cell(i)], set()).add(i)
+    blocks = {frozenset(block) for block in blocks.values()}
+    pi = phi.kurosh().pi
+    for block in blocks:
+        if frozenset(pi[i] for i in block) not in blocks:
+            return f"the permutation sends factors {sorted(block)} to no block"
     return None
 
 
@@ -178,6 +208,15 @@ def test_every_answer_induces_the_outer_class(results):
 def test_every_reducible_witness_is_invariant(results):
     reducible = [(case_id, invariance_complaint(result))
                  for case_id, _, result in results
+                 if isinstance(result, Reducible)]
+    assert reducible
+    wrong = [(case_id, why) for case_id, why in reducible if why]
+    assert not wrong, wrong
+
+
+def test_every_reducible_witness_respects_the_kurosh_permutation(results):
+    reducible = [(case_id, kurosh_complaint(phi, result))
+                 for case_id, phi, result in results
                  if isinstance(result, Reducible)]
     assert reducible
     wrong = [(case_id, why) for case_id, why in reducible if why]

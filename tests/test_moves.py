@@ -90,7 +90,7 @@ def identity_rep(graph, base=0):
     """The identity map of ``graph``, marked at ``base``."""
     edge_images = {e: tighten(graph, graph.src(e), (e,))
                    for e in graph.edges()}
-    cone_images = {c: ConeMap(c, c, iso_identity(graph.group_at(c)))
+    cone_images = {c: ConeMap(c, iso_identity(graph.group_at(c)))
                    for c in graph.cone_cells()}
     vertex_images = {c: c for c in graph.cells() if not graph.is_cone(c)}
     marking = Marking(graph, base)
@@ -117,7 +117,7 @@ def w2_rep(kinds, ends, names, texts, vertex_images, base):
             edge_images[e] = parse_path(g, text, start=start)
         else:
             edge_images[e] = Path(g, start, ())
-    cone_images = {c: ConeMap(c, c, (0, 1)) for c in g.cone_cells()}
+    cone_images = {c: ConeMap(c, (0, 1)) for c in g.cone_cells()}
     marking = Marking(g, base)
     return TopRep(g, edge_images, cone_images, vertex_images, marking)
 

@@ -366,6 +366,15 @@ def test_cyclic_backtrack_is_trivial(t3):
     assert not tighten_circuit(t3, []).items
 
 
+@pytest.mark.parametrize("items", [[(1, 1), 1, -2], [1, -2, (2, 1)],
+                                   [2, -1, (1, 1)], [1], [1, -2]])
+def test_open_walks_are_not_circuits(t3, items):
+    """A walk that ends away from its first cell closes no circuit, even
+    when it ends in a letter or starts with one."""
+    with pytest.raises(NotAWalk, match="^the walk ends at cell"):
+        tighten_circuit(t3, items)
+
+
 def test_circuit_canonical_rotation(h3):
     a = tighten_circuit(h3, [1, (0, 1), -1, (1, 1)])
     b = tighten_circuit(h3, [-1, (1, 1), 1, (0, 1)])

@@ -5,15 +5,15 @@ the moves hold no state and only the descent records events, the moves
 cut edges at integer indices without ``Fraction``, only normalisation
 collapses forests, turn orbits and the tree are each walked in one
 place, derived data is cached only by its own class, circuits are
-built and their edges counted only in ``paths``,
-representatives are compared by one name-free key, edge lengths come
-only from ``pf``, ``pf`` decides without floating point, computes
+built and their edges counted only in ``paths`` and closed by the path
+rules, representatives are compared by one name-free key, edge lengths
+come only from ``pf``, ``pf`` decides without floating point, computes
 characteristic polynomials in one routine, narrows brackets in one
-stateless one and decides past them in one exact loop, edge items are tested inline, every error class is
-raised, factors have one kind, inversion has one algorithm that scores
-moves without rebuilding words, and every public name has a caller in
-the library or the benchmark, bar the few input builders that tests
-need, which have none."""
+stateless one and decides past them in one exact loop, edge items are
+tested inline, every error class is raised, factors have one kind,
+inversion has one algorithm that scores moves without rebuilding words,
+and every public name has a caller in the library or the benchmark, bar
+the few input builders that tests need, which have none."""
 
 import ast
 import re
@@ -260,6 +260,25 @@ def test_circuits_are_built_and_counted_only_in_paths():
                 if isinstance(node, ast.FunctionDef) and node.name == "n_edges"]
     assert not [source.name for source in SOURCES
                 if "_item_key" in source.read_text()]
+
+
+def test_circuits_close_by_the_path_rules():
+    """``tighten_circuit`` closes the wrap with ``_push``, the path
+    rewriting rules, and holds no rule of its own: it names no
+    ``deque``, ``group_at`` or ``mul``."""
+    path = Path(orbitrain.__file__).parent / "paths.py"
+    (close,) = [node for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "tighten_circuit"]
+    called = {node.func.id for node in ast.walk(close)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name)}
+    assert "_push" in called
+    named = ({node.id for node in ast.walk(close)
+              if isinstance(node, ast.Name)}
+             | {node.attr for node in ast.walk(close)
+                if isinstance(node, ast.Attribute)})
+    assert not named & {"deque", "group_at", "mul"}
 
 
 def test_the_tree_is_walked_in_one_place():

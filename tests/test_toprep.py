@@ -199,7 +199,7 @@ class TestStandardReps:
     def test_validation_rejects_non_iso_table(self, f_alpha):
         cones = dict(f_alpha.cone_images)
         broken = cones[1]
-        cones[1] = ConeMap(broken.source, broken.target, (0, 0))
+        cones[1] = ConeMap(broken.target, (0, 0))
         with pytest.raises(BadRepresentative):
             TopRep(f_alpha.graph, f_alpha.edge_images, cones,
                    f_alpha.vertex_images, f_alpha.marking)
@@ -404,7 +404,7 @@ class TestDerivative:
             2: tighten(graph, 2, (2, -1)),
             3: tighten(graph, 3, (3, -1)),
         }
-        cones = {c: ConeMap(c, c, (0, 1)) for c in (1, 2, 3)}
+        cones = {c: ConeMap(c, (0, 1)) for c in (1, 2, 3)}
         rep = TopRep(graph, images, cones, {0: 1})
         assert edges_of(rep.image(1)) == []
         with pytest.raises(BadRepresentative):
@@ -646,7 +646,7 @@ class TestFiltration:
             1: tighten(graph, 0, ()),
             2: tighten(graph, 2, (2, -1)),
         }
-        cones = {0: ConeMap(0, 0, (0, 1)), 2: ConeMap(2, 2, (0, 1))}
+        cones = {0: ConeMap(0, (0, 1)), 2: ConeMap(2, (0, 1))}
         rep = TopRep(graph, images, cones, {1: 0})
         assert maximal_filtration(rep) == ((1,), (2,))
         assert block(rep.transition_matrix(), (1,)) == ((0,),)
@@ -658,8 +658,8 @@ class TestFiltration:
             1: tighten(graph, 0, (-1,)),
             2: tighten(graph, 2, (2, -1)),
         }
-        cones = {0: ConeMap(0, 1, (0, 1)), 1: ConeMap(1, 0, (0, 1)),
-                 2: ConeMap(2, 2, (0, 1))}
+        cones = {0: ConeMap(1, (0, 1)), 1: ConeMap(0, (0, 1)),
+                 2: ConeMap(2, (0, 1))}
         rep = TopRep(graph, images, cones, {})
         assert maximal_filtration(rep) == ((1,), (2,))
         assert permutation_strata(rep) == [True, True]
