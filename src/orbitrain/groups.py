@@ -753,7 +753,9 @@ def _seam_gains(words, candidates) -> list:
     neighbours, a word end counting as factor -1.  Each gap between an
     S-letter and a word end or a letter of neither S nor j costs one
     letter; a j-letter y with an S-letter on exactly one side saves one
-    when y is x^-1 with S on its left or x with S on its right.
+    when y is x^-1 with S on its left or x with S on its right.  The
+    cost depends only on S and j, so the seams leaving each distinct S
+    are summed once, by the factor they meet.
     """
     letters = Counter()
     for word in words:
@@ -765,10 +767,17 @@ def _seam_gains(words, candidates) -> list:
         seams[f, left] += count
         seams[f, right] += count
         at[f].append((e, left, right, count))
+    leaving = {}  # S -> (seams out of S, {factor they meet: count})
     gains = []
     for j, x, x_inv, S in candidates:
-        gain = -sum(count for (f, a), count in seams.items()
-                    if f in S and a not in S and a != j)
+        if S not in leaving:
+            met = {}
+            for (f, a), count in seams.items():
+                if f in S and a not in S:
+                    met[a] = met.get(a, 0) + count
+            leaving[S] = sum(met.values()), met
+        total, met = leaving[S]
+        gain = met.get(j, 0) - total
         for e, left, right, count in at[j]:
             if (left in S) != (right in S) and e == (x_inv if left in S else x):
                 gain += count

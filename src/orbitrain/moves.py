@@ -108,11 +108,11 @@ def _quotient(f: TopRep, classes: Sequence[Sequence[int]],
 
     fwd: Dict[int, Tuple[Item, ...]] = {e: (new_id[e],) for e in survivors}
     for e, items in dead.items():
-        fwd[e] = tuple((new_id[i] if i > 0 else -new_id[-i])
-                       if type(i) is int else (cell_map[i[0]], i[1])
-                       for i in items)
+        fwd[e] = tuple([(new_id[i] if i > 0 else -new_id[-i])
+                        if type(i) is int else (cell_map[i[0]], i[1])
+                        for i in items])
     tr = Transport(new_graph, {c: cell_map[c] for c in graph.cells()},
-                   {e: tuple(i for piece in pieces[e] for i in fwd[piece])
+                   {e: tuple([i for piece in pieces[e] for i in fwd[piece]])
                     for e in graph.edges()})
 
     vertices = dict(f.vertex_images)

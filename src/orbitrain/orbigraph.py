@@ -39,7 +39,7 @@ class Orbigraph:
                  edge_names: Optional[Sequence[str]] = None):
         self.W = W
         self.kinds = tuple(kinds)
-        self.ends = tuple((int(a), int(b)) for a, b in ends)
+        self.ends = tuple([(int(a), int(b)) for a, b in ends])
         k, m = len(self.kinds), len(self.ends)
         if k == 0:
             raise BadOrbigraph("an orbigraph needs at least one zero cell")
@@ -62,7 +62,7 @@ class Orbigraph:
                 raise BadOrbigraph(f"edge {e} is a loop; trees have none")
         if m != k - 1:
             raise BadOrbigraph(f"{m} edges on {k} zero cells is not a tree")
-        self._cone_cells = tuple(seen[i] for i in range(W.n))
+        self._cone_cells = tuple([seen[i] for i in range(W.n)])
         incidence = [[] for _ in range(k)]
         self.src_of, self.dst_of = {}, {}
         for e, (a, b) in enumerate(self.ends, start=1):
@@ -70,7 +70,7 @@ class Orbigraph:
             incidence[b].append(-e)
             self.src_of[e] = self.dst_of[-e] = a
             self.dst_of[e] = self.src_of[-e] = b
-        self._incidence = tuple(tuple(out) for out in incidence)
+        self._incidence = tuple([tuple(out) for out in incidence])
         if len(self.walks(0)) != k:
             raise BadOrbigraph("the one-complex is not connected")
         if edge_names is None:
@@ -103,6 +103,8 @@ class Orbigraph:
         return None if kind == VERTEX else kind
 
     def cone_cell(self, factor) -> int:
+        if type(factor) is not int or not 0 <= factor < len(self._cone_cells):
+            raise BadOrbigraph(f"no factor {factor!r} in this graph")
         return self._cone_cells[factor]
 
     def cone_cells(self):
@@ -155,7 +157,10 @@ class Orbigraph:
     def walks(self, root, edges=None) -> Dict[int, Tuple[int, ...]]:
         """The walk from ``root`` to every cell it reaches crossing only
         ``edges``, or any edge when ``edges`` is None.  In a tree each
-        walk is the unique reduced edge walk to its cell."""
+        walk is the unique reduced edge walk to its cell.  A ``root``
+        that is not a cell id raises ``BadOrbigraph``."""
+        if type(root) is not int or not 0 <= root < len(self.kinds):
+            raise BadOrbigraph(f"no cell {root!r} in this graph")
         walk: Dict[int, Tuple[int, ...]] = {root: ()}
         frontier = [root]
         while frontier:

@@ -23,7 +23,8 @@ with the walk so far, and the rest of the run is copied whole.  A circuit
 is closed by the same rules: its head items move across the wrap onto its
 tail, and a walk that does not end where it starts is refused.  Paths and
 circuits store their edge count when they are built; the tightener keeps
-it as it goes, and circuits pick their canonical rotation by integer keys.
+it as it goes.  A circuit keeps the rotation that closing the wrap left,
+and picks its canonical rotation by integer keys on first comparison.
 """
 
 from dataclasses import dataclass
@@ -130,6 +131,12 @@ def invert_items(graph: Orbigraph, items: Sequence[Item]) -> Tuple[Item, ...]:
                  for item in reversed(items))
 
 
+def _letters_word(graph: Orbigraph, items: Sequence[Item]):
+    """The normal form of the word spelled by the letters of ``items``."""
+    return graph.W.nf([(graph.kinds[it[0]], it[1]) for it in items
+                       if type(it) is not int and it[1]])
+
+
 class _Walk:
     """Edge crossings and the letter word read off ``items``, shared by
     paths and circuits."""
@@ -147,9 +154,7 @@ class _Walk:
 
     def word(self):
         """The free-product word spelled by the letters, in normal form."""
-        letters = [(self.graph.kinds[it[0]], it[1]) for it in self.items
-                   if type(it) is not int and it[1]]
-        return self.graph.W.nf(letters)
+        return _letters_word(self.graph, self.items)
 
 
 class Path(_Walk):
@@ -244,27 +249,44 @@ class Turn:
 
 
 class Circuit(_Walk):
-    """A cyclically tight loop, stored in its canonical rotation.
+    """A cyclically tight loop.
 
-    Items follow the same conventions as paths; the junction letter at the
-    wrap, when the wrap sits at a cone point, is the final item.  The
-    canonical rotation is the least one under the integer keys of
-    :func:`tighten_circuit`, which starts at an edge.  The empty circuit
-    is the homotopically trivial loop.  Build circuits with
-    :func:`tighten_circuit`, which passes the canonical items and their
-    edge count here.
+    Items follow the same conventions as paths, read cyclically.  ``loop``
+    holds them in the rotation that :func:`tighten_circuit` closed them
+    in, which is all that mapping a circuit or reading its edge count and
+    word class needs.  ``items`` is the canonical rotation, computed
+    on first read: the least one under integer keys, where an edge d keys
+    as d and a letter (c, g) as m + 1 + c K + g, with m the graph's edge
+    count and K its largest factor order.  So letters sort above edges, by
+    cell and then element, and the canonical rotation starts at an edge
+    whenever there is one.  Equality, hashing and display read ``items``.
+    The empty circuit is the homotopically trivial loop.  Build circuits
+    with :func:`tighten_circuit`, which passes the tight loop and its edge
+    count here.
     """
 
-    __slots__ = ("graph", "items", "n_edges")
+    __slots__ = ("graph", "loop", "n_edges", "_items")
 
-    def __init__(self, graph: Orbigraph, items: Iterable[Item], n_edges: int):
+    def __init__(self, graph: Orbigraph, loop: Tuple[Item, ...], n_edges: int):
         self.graph = graph
-        self.items = tuple(items)
+        self.loop = loop
         self.n_edges = n_edges
+        self._items = None
+
+    @property
+    def items(self) -> Tuple[Item, ...]:
+        if self._items is None:
+            loop, base = self.loop, self.graph.n_edges + 1
+            K = max(group.order for group in self.graph.W.factors)
+            r = least_rotation([it if type(it) is int
+                                else base + it[0] * K + it[1] for it in loop])
+            self._items = loop[r:] + loop[:r]
+        return self._items
 
     def word_class(self):
         """Conjugacy normal form of the letters read around the loop."""
-        return self.graph.W.conjugacy_normal_form(self.word())
+        return self.graph.W.conjugacy_normal_form(
+            _letters_word(self.graph, self.loop))
 
     def __eq__(self, other):
         return (isinstance(other, Circuit) and self.graph is other.graph
@@ -280,8 +302,7 @@ class Circuit(_Walk):
 
 
 def tighten_circuit(graph: Orbigraph, items: Iterable) -> Circuit:
-    """The circuit of a closed walk of raw items and tight runs, in
-    canonical form.
+    """The circuit of a closed walk of raw items and tight runs.
 
     The walk is tightened as a path from its first cell, so runs cancel
     only at their seams, and refused with ``NotAWalk`` unless it ends at
@@ -291,14 +312,11 @@ def tighten_circuit(graph: Orbigraph, items: Iterable) -> Circuit:
     letter, until the first edge that crosses without cancelling.  A
     slice of a tight walk is tight, so the body is never re-tightened,
     and the edge count drops by two per cancellation.  A letter-only
-    walk lives at one cone and reduces to its product.
-    The canonical form is the least rotation under integer keys: an edge
-    d keys as d and a letter (c, g) as m + 1 + c K + g, with m the
-    graph's edge count and K its largest factor order.  So letters sort
-    above edges, by cell and then element, and the circuit starts at an
-    edge whenever it has one.
+    walk lives at one cone and reduces to its product.  The circuit keeps
+    the rotation the wrap left; its canonical rotation is computed on
+    first comparison (:attr:`Circuit.items`).
 
-    Cost: O(n) in the number of items, with :func:`least_rotation`.
+    Cost: O(n) in the number of items.
     """
     items = list(items)
     head = items[0] if items else None
@@ -324,12 +342,7 @@ def tighten_circuit(graph: Orbigraph, items: Iterable) -> Circuit:
     del out[:k]
     if len(out) == 1 and type(out[0]) is not int and out[0][1] == 0:
         out.clear()
-
-    base = graph.n_edges + 1
-    K = max(group.order for group in graph.W.factors)
-    r = least_rotation([it if type(it) is int else base + it[0] * K + it[1]
-                        for it in out])
-    return Circuit(graph, out[r:] + out[:r], n_edges)
+    return Circuit(graph, tuple(out), n_edges)
 
 
 # -- words and realizations --------------------------------------------------

@@ -220,7 +220,7 @@ class TopRep:
     def apply_circuit(self, c: Circuit) -> Circuit:
         if c.graph is not self.graph:
             raise BadRepresentative("circuit lives on a different graph")
-        return tighten_circuit(self.graph, self._splice(c.items))
+        return tighten_circuit(self.graph, self._splice(c.loop))
 
     def compose(self, other: "TopRep") -> "TopRep":
         """self after other, both on the same graph."""
@@ -245,8 +245,8 @@ class TopRep:
         if self._matrix is None:
             edges = self.graph.edges()
             cols = {e: self.edge_images[e].crossings() for e in edges}
-            self._matrix = TransitionMatrix(tuple(
-                tuple(cols[ej].get(ei, 0) for ej in edges) for ei in edges))
+            self._matrix = TransitionMatrix(tuple([
+                tuple([cols[ej].get(ei, 0) for ej in edges]) for ei in edges]))
         return self._matrix
 
     # -- turns ----------------------------------------------------------------

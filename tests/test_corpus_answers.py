@@ -1,10 +1,12 @@
-"""The benchmark's descent answers as a tier-1 guard.
+"""The benchmark's descent and growth answers as a tier-1 guard.
 
 Each of the 63 ``descent`` cases (the seeded W3-W8 corpus and the three
 fixtures) runs once through the benchmark's own ``run``, ``judge`` and
 ``verify``.  A case whose answer differs from the recorded one, or whose
 answer the oracle rejects, fails the test; a recorded failure that now
-fails differently or gives a verified answer does not.  The same cases
+fails differently or gives a verified answer does not.  The 60 ``growth``
+cases run the same way, and every circuit they map is checked against
+its canonical rotation.  The descent cases
 check the descent's event stream by replaying it, the edge bound on
 every pass, the forest search's shortcut for irreducible matrices
 against its greedy loop, and that no transition matrix is split into
@@ -21,7 +23,7 @@ from orbitrain.errors import NothingToFold, OrbitrainError
 from orbitrain.moves import (collapse_forest, fold, valence_one_homotopy,
                              valence_two_homotopy)
 from orbitrain.orbigraph import VERTEX
-from orbitrain.paths import tighten
+from orbitrain.paths import tighten, tighten_circuit
 from orbitrain.pf import is_irreducible, pf_compare, pf_data, scc_components
 from orbitrain.toprep import thistle_rep
 from orbitrain.traintrack import PASS_TOL, _rep_key, record_events
@@ -52,6 +54,42 @@ def test_descent_answers_match_the_recorded_corpus():
             if complaint:
                 wrong.append(f"{case.id}: {complaint}")
     assert not wrong, wrong
+
+
+def test_growth_answers_match_the_recorded_corpus(monkeypatch):
+    """The 60 ``growth`` cases give their recorded answers, which the
+    oracle accepts.  A circuit keeps the rotation its wrap left and
+    computes its canonical one on first comparison, so at every step the
+    circuit mapped and the one returned must each have the canonical
+    rotation of its loop re-tightened, and mapping the canonical items
+    must give the circuit that mapping the loop gives."""
+    real = toprep.TopRep.apply_circuit
+    bad, steps = [], []
+
+    def spy(f, c):
+        out = real(f, c)
+        for d in (c, out):
+            if d.items != tighten_circuit(f.graph, d.loop).items:
+                bad.append(("rotation", d))
+        if tighten_circuit(f.graph, f._splice(c.items)) != out:
+            bad.append(("image", c))
+        steps.append(c)
+        return out
+
+    monkeypatch.setattr(toprep.TopRep, "apply_circuit", spy)
+    expected = workloads.load_expected()["growth"]
+    cases = workloads.cases("growth")
+    assert len(cases) == 60
+    wrong = []
+    for case in cases:
+        result = workloads.run("growth", case)
+        verdict, note = workloads.judge("growth", case, result,
+                                        expected[case.id])
+        complaint = workloads.verify("growth", case, result)
+        if verdict != workloads.SAME or complaint:
+            wrong.append(f"{case.id}: {note or complaint}")
+    assert not wrong, wrong
+    assert len(steps) == 287 and not bad, bad[:3]
 
 
 MOVES = {"collapse_forest": collapse_forest, "fold": fold,

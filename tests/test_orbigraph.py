@@ -153,6 +153,23 @@ def test_non_edges_have_no_endpoints():
             g.edge_label(d)
 
 
+def test_bad_factor_and_cell_ids_are_refused():
+    """A factor or cell id must be an ``int`` in range, as an edge must:
+    ``-1`` used to wrap around to the last cone point or walk from no
+    cell, ``True`` passed as 1, and 3 or 4 raised a bare ``IndexError``."""
+    g = thistle(w3())
+    for factor in (-1, 3, True, 1.0, "a"):
+        with pytest.raises(BadOrbigraph, match="^no factor"):
+            g.cone_cell(factor)
+    for root in (-1, 4, True, 0.0, None):
+        with pytest.raises(BadOrbigraph, match="^no cell"):
+            g.walks(root)
+        with pytest.raises(BadOrbigraph, match="^no cell"):
+            g.geodesic(root, 0)
+    assert [g.cone_cell(i) for i in range(3)] == [1, 2, 3]
+    assert g.walks(0) == {0: (), 1: (-1,), 2: (-2,), 3: (-3,)}
+
+
 @given(random_orbigraphs())
 def test_signed_edge_tables_agree_with_ends(graph):
     assert set(graph.src_of) == set(graph.dst_of) == {

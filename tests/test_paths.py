@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from orbitrain.errors import BadPath, EndpointMismatch, NotAWalk
+from orbitrain.errors import BadOrbigraph, BadPath, EndpointMismatch, NotAWalk
 from orbitrain.groups import FiniteGroup, FreeProduct
 from orbitrain.orbigraph import hedgehog, thistle
 from orbitrain.paths import (
@@ -430,6 +430,13 @@ def test_circuit_matches_retightening_oracle():
             continue
         got = tighten_circuit(graph, items)
         assert got.items == oracle_circuit(rng, graph, items)
+        # the canonical rotation is computed from the loop the wrap left
+        loop, canon = got.loop, got.items
+        assert type(loop) is tuple and len(loop) == len(canon)
+        assert canon == min((loop[k:] + loop[:k] for k in range(len(loop))),
+                            key=lambda r: [rotation_key(it) for it in r],
+                            default=())
+        assert loop in {canon[k:] + canon[:k] for k in range(len(canon))} | {()}
 
 
 def test_circuit_is_the_same_from_every_edge():
@@ -455,6 +462,16 @@ def test_circuit_of_a_long_loop_power():
     c = tighten_circuit(graph, items)
     assert c.items == tighten_circuit(graph, p.items).items * 20
     assert c.word_class() == W.conjugacy_normal_form(W.power(w, 20))
+
+
+@pytest.mark.parametrize("base, word", [(0, ((-1, 1),)), (0, ((3, 1),)),
+                                        (0, ((True, 1),)), (4, ((0, 1),)),
+                                        (-1, ((0, 1),))])
+def test_loops_of_words_refuse_bad_factors_and_cells(t3, base, word):
+    """A factor id of -1 used to wrap around to the cone of c, and a
+    factor 3 or a base cell 4 raised a bare ``IndexError``."""
+    with pytest.raises(BadOrbigraph):
+        loop_of_word(t3, base, word)
 
 
 def test_letter_only_circuit(h3):

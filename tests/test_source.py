@@ -5,8 +5,8 @@ the moves hold no state and only the descent records events, the moves
 cut edges at integer indices without ``Fraction``, only normalisation
 collapses forests, turn orbits and the tree are each walked in one
 place, derived data is cached only by its own class, circuits are
-built and their edges counted only in ``paths`` and closed by the path
-rules, representatives are compared by one name-free key, edge lengths
+built and their edges counted only in ``paths``, closed by the path
+rules and canonicalised only when compared, representatives are compared by one name-free key, edge lengths
 come only from ``pf``, ``pf`` decides without floating point, computes
 characteristic polynomials in one routine, narrows brackets in one
 stateless one and decides past them in one exact loop, edge items are
@@ -279,6 +279,24 @@ def test_circuits_close_by_the_path_rules():
              | {node.attr for node in ast.walk(close)
                 if isinstance(node, ast.Attribute)})
     assert not named & {"deque", "group_at", "mul"}
+
+
+def test_circuits_are_canonicalised_only_when_compared():
+    """Inside ``paths`` only ``Circuit.items`` calls ``least_rotation``,
+    so a circuit picks its canonical rotation on first comparison:
+    neither ``tighten_circuit`` nor ``TopRep.apply_circuit`` names it."""
+    root = Path(orbitrain.__file__).parent
+    assert call_sites(root / "paths.py", lambda call: ast.unparse(call.func)
+                      == "least_rotation") == ["Circuit.items"]
+
+    def names_it(node):
+        return ((isinstance(node, ast.Name) and node.id == "least_rotation")
+                or (isinstance(node, ast.Attribute)
+                    and node.attr == "least_rotation"))
+
+    assert node_sites(root / "paths.py", names_it) == ["Circuit.items"]
+    assert "TopRep.apply_circuit" not in node_sites(root / "toprep.py",
+                                                    names_it)
 
 
 def test_the_tree_is_walked_in_one_place():
