@@ -443,20 +443,39 @@ class KuroshData:
     conjugators: tuple
 
 
+def _image_word(W: FreeProduct, word) -> Word:
+    """The normal form of a word that enters an automorphism from outside,
+    refused with NotAutomorphism unless every letter is a pair of ints
+    naming a factor of W and an element of that factor.  ``FreeProduct.nf``
+    trusts its letters, so the check runs here, once per input word."""
+    word = tuple(word)
+    factors = W.factors
+    for letter in word:
+        if not (type(letter) is tuple and len(letter) == 2
+                and type(letter[0]) is int and type(letter[1]) is int
+                and 0 <= letter[0] < len(factors)
+                and 0 <= letter[1] < factors[letter[0]].order):
+            raise NotAutomorphism(f"{letter!r} is not a letter of {W!r}")
+    return W.nf(word)
+
+
 class Automorphism:
     """An endomorphism of W given by exact images, usually an automorphism.
 
     ``images[i]`` lists the image word of every element of factor i, index
-    0 mapping to the empty word.
+    0 mapping to the empty word.  Each letter of an image is checked to
+    lie in W, except that the constructors below pass ``_in_w`` for words
+    they built from letters already checked.
     """
 
-    def __init__(self, W: FreeProduct, images):
+    def __init__(self, W: FreeProduct, images, *, _in_w: bool = False):
         self.W = W
         canon = []
         if len(images) != W.n:
             raise NotAutomorphism("one image family per factor required")
         for i, factor in enumerate(W.factors):
-            fam = [W.nf(w) for w in images[i]]
+            fam = ([W.nf(w) for w in images[i]] if _in_w
+                   else [_image_word(W, w) for w in images[i]])
             if len(fam) != factor.order or fam[0] != ():
                 raise NotAutomorphism(
                     f"factor {W.names[i]} needs images for all elements"
@@ -478,7 +497,7 @@ class Automorphism:
     @classmethod
     def identity(cls, W: FreeProduct) -> "Automorphism":
         return cls(W, [[((i, e),) if e else () for e in factor.elements()]
-                       for i, factor in enumerate(W.factors)])
+                       for i, factor in enumerate(W.factors)], _in_w=True)
 
     @classmethod
     def from_gen_images(cls, W: FreeProduct, gen_images) -> "Automorphism":
@@ -487,9 +506,11 @@ class Automorphism:
         Every factor must be cyclic for this constructor; use
         ``from_element_images`` otherwise.
         """
+        if len(gen_images) != W.n:
+            raise NotAutomorphism("one generator image per factor required")
         images = []
         for i, factor in enumerate(W.factors):
-            img = W.nf(gen_images[i])
+            img = _image_word(W, gen_images[i])
             if not factor.is_cyclic():
                 raise NotAutomorphism(
                     f"factor {W.names[i]} is not cyclic; give element images"
@@ -501,21 +522,22 @@ class Automorphism:
                 fam[x] = w
                 x, w = factor.mul(x, gen), W.mul(w, img)
             images.append(fam)
-        return cls(W, images)
+        return cls(W, images, _in_w=True)
 
     @classmethod
     def from_element_images(cls, W: FreeProduct, maps) -> "Automorphism":
         """Build from per-factor dictionaries element -> image word."""
-        return cls(W, [[W.nf(maps[i].get(e, ())) if e else ()
+        return cls(W, [[maps[i].get(e, ()) if e else ()
                         for e in factor.elements()]
                        for i, factor in enumerate(W.factors)])
 
     @classmethod
     def inner(cls, W: FreeProduct, by: Word) -> "Automorphism":
         """Conjugation x -> by^-1 . x . by."""
+        by = _image_word(W, by)
         return cls(W, [[W.conj(((i, e),), by) if e else ()
                         for e in factor.elements()]
-                       for i, factor in enumerate(W.factors)])
+                       for i, factor in enumerate(W.factors)], _in_w=True)
 
     # -- application ---------------------------------------------------------
 
@@ -536,7 +558,7 @@ class Automorphism:
         images = [
             [self.apply(w) for w in fam] for fam in other.images
         ]
-        return Automorphism(self.W, images)
+        return Automorphism(self.W, images, _in_w=True)
 
     def power(self, k: int) -> "Automorphism":
         if k < 0:
@@ -741,7 +763,8 @@ class Automorphism:
         back = {fam[e][0]: (i, e) for i, fam in enumerate(reduced)
                 for e in range(1, len(fam))}
         return Automorphism(W, [
-            [tuple([back[l] for l in w]) for w in fam] for fam in moves])
+            [tuple([back[l] for l in w]) for w in fam] for fam in moves],
+            _in_w=True)
 
 
 def _seam_gains(words, candidates) -> list:

@@ -19,7 +19,10 @@ letter across the cone at the head of ``T``.
 A walk handed to the tightener may also hold tight :class:`Path` runs,
 such as the edge images a map splices together.  Inside a tight run
 nothing cancels, so the rules meet only its leading items, at the seam
-with the walk so far, and the rest of the run is copied whole.  A circuit
+with the walk so far: a short seam step settles them in place, and the
+rest of the run, from its first item that neither cancels nor merges, is
+copied whole.  Run items are tight and valid by construction, so only
+raw items are validated one by one.  A circuit
 is closed by the same rules: its head items move across the wrap onto its
 tail, and a walk that does not end where it starts is refused.  Paths and
 circuits store their edge count when they are built; the tightener keeps
@@ -37,13 +40,21 @@ from .orbigraph import VERTEX, Orbigraph
 Item = Union[int, Tuple[int, int]]
 
 
-def _push(graph: Orbigraph, out: List[Item], cur: int, items, run=False):
+def _push(graph: Orbigraph, out: List[Item], cur: int, items):
     """Push ``items`` onto the walk ``out``, tight and at cell ``cur``, by
     the rewriting rules; the cell reached, the number of edge items
     pushed, and the number of cancellations, each of which deletes two
-    edges.  A tight run (``run``) stops at its first item that neither
-    cancels nor merges, since nothing after it can: the caller copies the
-    rest of the run's iterator."""
+    edges.
+
+    A raw item is validated and meets the rules.  A tight run meets them
+    only at its seam: the seam step takes its leading items in place, an
+    edge cancelling against the tail edge or across a trivial tail
+    letter, a letter merging with the tail letter, and a junction letter
+    entering at a cone, and stops at the first item that is appended
+    without cancelling or merging.  Nothing after that item can cancel,
+    so one ``extend`` copies the rest of the run.  The seam step is its
+    own short loop because running a run's items through the raw-item
+    loop would make that loop branch on whether it must validate."""
     src_of, dst_of, kinds = graph.src_of, graph.dst_of, graph.kinds
     pushed = cut = 0
     for item in items:
@@ -72,8 +83,6 @@ def _push(graph: Orbigraph, out: List[Item], cur: int, items, run=False):
                     continue
             out.append(item)
             cur = dst_of[item]
-            if run:
-                break
         elif (type(item) is tuple and len(item) == 2
               and type(item[0]) is int and type(item[1]) is int):
             c, g = item
@@ -88,14 +97,35 @@ def _push(graph: Orbigraph, out: List[Item], cur: int, items, run=False):
                 out[-1] = (c, group.mul(out[-1][1], g))
             else:
                 out.append(item)
-                if run:
-                    break
         elif isinstance(item, Path) and item.graph is graph:
             if item.start != cur:
                 raise NotAWalk(f"run from cell {item.start} but the walk "
                                f"is at {cur}")
             rest = iter(item.items)
-            cut += _push(graph, out, cur, rest, True)[2]
+            for d in rest:
+                if out:
+                    last = out[-1]
+                    if type(d) is int:
+                        if type(last) is int:
+                            if last == -d:
+                                out.pop()
+                                cut += 1
+                                cur = dst_of[d]
+                                continue
+                            if kinds[cur] != VERTEX:
+                                out.append((cur, 0))
+                        elif (last[1] == 0 and len(out) >= 2
+                              and out[-2] == -d):
+                            del out[-2:]
+                            cut += 1
+                            cur = dst_of[d]
+                            continue
+                    elif type(last) is not int:
+                        out[-1] = (cur, graph.W.factors[kinds[cur]].mul(
+                            last[1], d[1]))
+                        continue
+                out.append(d)
+                break
             out.extend(rest)
             pushed += item.n_edges
             cur = item.end
@@ -108,7 +138,7 @@ def _push(graph: Orbigraph, out: List[Item], cur: int, items, run=False):
 def _tighten_items(graph: Orbigraph, start: int, items: Iterable):
     """Normalize a walk of raw items and tight runs: the tight items and
     their edge count.  Raises NotAWalk when junctions fail to chain."""
-    if start not in range(graph.n_cells):
+    if type(start) is not int or start not in range(graph.n_cells):
         raise NotAWalk(f"no cell {start!r} to start from")
     out: List[Item] = []
     _, pushed, cut = _push(graph, out, start, items)
@@ -132,9 +162,20 @@ def invert_items(graph: Orbigraph, items: Sequence[Item]) -> Tuple[Item, ...]:
 
 
 def _letters_word(graph: Orbigraph, items: Sequence[Item]):
-    """The normal form of the word spelled by the letters of ``items``."""
-    return graph.W.nf([(graph.kinds[it[0]], it[1]) for it in items
-                       if type(it) is not int and it[1]])
+    """The word spelled by the nontrivial letters of the tight walk
+    ``items``, which is already in normal form, so no ``nf`` pass runs.
+
+    Orbigraphs are trees, with one cone per factor.  Between two
+    consecutive nontrivial letters a tight walk crosses only edges,
+    vertices and trivial junction letters, and it is reduced there, so
+    it is a geodesic of the tree.  That geodesic is empty only when both
+    letters sit at the same cone, where they would already have merged.
+    So the two letters sit on distinct cones and belong to distinct
+    factors.
+    """
+    kinds = graph.kinds
+    return tuple([(kinds[it[0]], it[1]) for it in items
+                  if type(it) is not int and it[1]])
 
 
 class _Walk:
@@ -173,7 +214,7 @@ class Path(_Walk):
             _n_edges = sum(type(item) is int for item in items)
         self.n_edges = _n_edges
         self.graph = graph
-        self.start = int(start)
+        self.start = start
         self.items = items
         last = items[-1] if items else (self.start,)
         self.end = graph.dst_of[last] if type(last) is int else last[0]
@@ -323,7 +364,7 @@ def tighten_circuit(graph: Orbigraph, items: Iterable) -> Circuit:
     start = (head.start if isinstance(head, Path)
              else head[0] if type(head) is tuple and head
              else graph.src_of.get(head, 0) if type(head) is int else 0)
-    if start not in range(graph.n_cells):
+    if type(start) is not int or start not in range(graph.n_cells):
         raise NotAWalk(f"no cell {start!r} to start from")
     out: List[Item] = []
     cur, pushed, cut = _push(graph, out, start, items)

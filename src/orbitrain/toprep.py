@@ -52,8 +52,10 @@ class Marking:
 
     def __init__(self, graph: Orbigraph, base: int,
                  paths: Optional[Sequence[Path]] = None):
+        if type(base) is not int or base not in range(graph.n_cells):
+            raise NoMarking(f"no cell {base!r} to base a marking at")
         self.graph = graph
-        self.base = int(base)
+        self.base = base
         if paths is None:
             walks = graph.walks(self.base)
             paths = [tighten(graph, self.base, walks[c])
@@ -362,7 +364,7 @@ def thistle_rep(phi: Automorphism) -> TopRep:
         (d,) = graph.edges_at(c)
         (dt,) = graph.edges_at(tgt)
         u_loop = loop_of_word(graph, 0, data.conjugators[i])
-        edge_images[d] = tighten(graph, tgt, (dt,) + u_loop.items)
+        edge_images[d] = tighten(graph, tgt, (dt, u_loop))
     marking = Marking(graph, 0)
     return TopRep(graph, edge_images, cone_images, {0: 0}, marking)
 
@@ -395,7 +397,7 @@ def hedgehog_rep(phi: Automorphism, apex: int = 0) -> TopRep:
         (d,) = graph.edges_at(i)
         (dt,) = graph.edges_at(data.pi[i])
         u_loop = loop_of_word(graph, apex, data.conjugators[i])
-        edge_images[d] = tighten(graph, data.pi[i], (dt,) + u_loop.items)
+        edge_images[d] = tighten(graph, data.pi[i], (dt, u_loop))
     marking = Marking(graph, apex)
     return TopRep(graph, edge_images, cone_images, {}, marking)
 

@@ -386,6 +386,29 @@ def test_non_homomorphism_images_rejected(w3):
         )
 
 
+@pytest.mark.parametrize("letter", [(-1, 1), (True, 1), (5, 1), (0, 7),
+                                    (1, True), [0, 1], (0,), (0, 1.0)])
+def test_images_outside_w_are_refused(w3, letter):
+    """A letter that names no factor or element of W is refused where
+    images enter an automorphism.  ``(-1, 1)`` used to pass for c and
+    give the map a -> c, b -> b, c -> c, ``(True, 1)`` was read as
+    factor 1, and factor 5 or element 7 raised a bare ``IndexError``."""
+    bad = (letter,)
+    with pytest.raises(NotAutomorphism):
+        Automorphism.from_gen_images(w3, [bad, ((1, 1),), ((2, 1),)])
+    with pytest.raises(NotAutomorphism):
+        Automorphism.from_element_images(w3, [{1: bad}, {}, {}])
+    with pytest.raises(NotAutomorphism):
+        Automorphism(w3, [[(), bad], [(), ((1, 1),)], [(), ((2, 1),)]])
+    with pytest.raises(NotAutomorphism):
+        Automorphism.inner(w3, ((0, 1),) + bad)
+
+
+def test_one_generator_image_per_factor_is_required(w3):
+    with pytest.raises(NotAutomorphism):
+        Automorphism.from_gen_images(w3, [((0, 1),), ((1, 1),)])
+
+
 def test_non_homomorphism_on_a_factor_of_order_three_rejected():
     z3 = FiniteGroup.cyclic(3)
     W = FreeProduct([z3, z3], ["a", "b"])

@@ -4,15 +4,20 @@ The oracle here is a rule-based rewriter that applies reductions at random
 positions; the module's stack tightener must agree with every order.
 """
 
+import pathlib
 import random
+import sys
 
 import pytest
 
+from orbitrain import toprep
 from orbitrain.errors import BadOrbigraph, BadPath, EndpointMismatch, NotAWalk
 from orbitrain.groups import FiniteGroup, FreeProduct
 from orbitrain.orbigraph import hedgehog, thistle
 from orbitrain.paths import (
+    Path,
     Turn,
+    _letters_word,
     format_path,
     loop_of_word,
     parse_path,
@@ -20,6 +25,12 @@ from orbitrain.paths import (
     tighten_circuit,
 )
 from test_groups import random_word
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
 
 # ---- oracles ----------------------------------------------------------------
 
@@ -78,6 +89,12 @@ def random_raw_walk(rng, graph, length):
             items.append(d)
             cur = graph.dst(d)
     return start, items
+
+
+def nf_letters(graph, items):
+    """The normal form, by ``W.nf``, of the letters read along ``items``."""
+    return graph.W.nf([(graph.factor_at(it[0]), it[1]) for it in items
+                       if type(it) is not int])
 
 
 def rotation_key(item):
@@ -265,6 +282,59 @@ def test_runs_must_start_where_the_walk_is(t3):
         tighten(thistle(w3()), p.start, [p])
 
 
+# One case per rule of the seam step: a raw prefix, then a tight run
+# spliced after it, and the items the seam leaves.
+SEAM_CASES = {
+    # 3 then -3 meet at the central vertex
+    "cancel at a vertex": ("t3", 1, [1, -3, (3, 1), 3], 0, "~C",
+                           (1, -3, (3, 1))),
+    # ~X X cancels at the cone of b, then .a lands on the trivial (0, 0)
+    "cancel at a cone, then merge": ("h3", 2, [2, (0, 0), -1], 1, "X .a ~X",
+                                     (2, (0, 1), -1)),
+    # -1 (1, 0) 1 deletes: the raw prefix ends in a trivial cone letter
+    "cancel across a trivial letter": ("t3", 0, [-1, (1, 0)], 1, "A ~B",
+                                       (-2,)),
+    # X meets ~Y at the apex cone, so a trivial junction letter enters
+    "junction letter": ("h3", 1, [1], 0, "~Y .c Y",
+                        (1, (0, 0), -2, (2, 1), 2)),
+    # B ~B cancels at the vertex, .b .b merges to trivial, and ~B B
+    # cancels across it
+    "merge to trivial, then cancel": ("t3", 1, [1, -2, (2, 1), 2], 0,
+                                      "~B .b B ~C", (1, -3)),
+    "run cancelled whole": ("h3", 1, [1, (0, 1), -1, (1, 1), 1, (0, 1)], 0,
+                            ".a ~X .b X .a ~X", ()),
+    "empty run": ("t3", 1, [1, -2], 2, "1", (1, -2)),
+    "run opens with a letter": ("h3", 1, [1], 0, ".a ~Y", (1, (0, 1), -2)),
+    "merge to trivial, then no cancel": ("h3", 1, [1, (0, 1)], 0,
+                                        ".a ~Y", (1, (0, 0), -2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEAM_CASES))
+def test_seam_step_matches_the_flat_walk(t3, h3, case):
+    """A tight run spliced after a walk meets the rules only at its seam;
+    the result equals tightening the flattened items, items and edge
+    count both."""
+    name, start, prefix, run_start, run_text, want = SEAM_CASES[case]
+    graph = {"t3": t3, "h3": h3}[name]
+    run = parse_path(graph, run_text, run_start)
+    got = tighten(graph, start, prefix + [run])
+    flat = tighten(graph, start, prefix + list(run.items))
+    assert got.items == flat.items == want
+    assert got.n_edges == flat.n_edges == sum(type(it) is int for it in want)
+    assert got.end == run.end
+
+
+@pytest.mark.parametrize("start", [True, 1.0, "1", None, -1, 4])
+def test_start_cells_are_cells(t3, start):
+    """A start that is not an int naming a cell is refused: ``True`` and
+    ``1.0`` both lie in ``range(n)`` and used to give paths at cell 1."""
+    with pytest.raises(NotAWalk):
+        tighten(t3, start, (1,))
+    with pytest.raises(NotAWalk):
+        Path(t3, start, (1,))
+
+
 def test_boundary_trivial_letters_are_stripped(t3):
     p = tighten(t3, 1, [(1, 0), 1, -1, (1, 0)])
     assert not p.items
@@ -437,6 +507,9 @@ def test_circuit_matches_retightening_oracle():
                             key=lambda r: [rotation_key(it) for it in r],
                             default=())
         assert loop in {canon[k:] + canon[:k] for k in range(len(canon))} | {()}
+        # a tight loop reads its letters in normal form without ``nf``
+        for walk in (loop, canon):
+            assert _letters_word(graph, walk) == nf_letters(graph, walk)
 
 
 def test_circuit_is_the_same_from_every_edge():
@@ -472,6 +545,27 @@ def test_loops_of_words_refuse_bad_factors_and_cells(t3, base, word):
     factor 3 or a base cell 4 raised a bare ``IndexError``."""
     with pytest.raises(BadOrbigraph):
         loop_of_word(t3, base, word)
+
+
+def test_growth_circuits_read_normal_form_words(monkeypatch):
+    """Every circuit of a ``growth`` pass, 347 in all, reads its letter
+    word in normal form without ``nf``, in the rotation its wrap left and
+    in the canonical one."""
+    made = []
+
+    def spy(graph, items):
+        c = tighten_circuit(graph, items)
+        made.append(c)
+        return c
+
+    monkeypatch.setattr(toprep, "tighten_circuit", spy)
+    monkeypatch.setattr(workloads, "tighten_circuit", spy)
+    for case in workloads.cases("growth"):
+        workloads.run("growth", case)
+    assert len(made) == 347
+    for c in made:
+        for walk in (c.loop, c.items):
+            assert _letters_word(c.graph, walk) == nf_letters(c.graph, walk)
 
 
 def test_letter_only_circuit(h3):

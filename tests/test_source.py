@@ -6,7 +6,8 @@ cut edges at integer indices without ``Fraction``, only normalisation
 collapses forests, turn orbits and the tree are each walked in one
 place, derived data is cached only by its own class, circuits are
 built and their edges counted only in ``paths``, closed by the path
-rules and canonicalised only when compared, representatives are compared by one name-free key, edge lengths
+rules and canonicalised only when compared, tight runs are settled at
+their seams without recursion, representatives are compared by one name-free key, edge lengths
 come only from ``pf``, ``pf`` decides without floating point, computes
 characteristic polynomials in one routine, narrows brackets in one
 stateless one and decides past them in one exact loop, edge items are
@@ -279,6 +280,18 @@ def test_circuits_close_by_the_path_rules():
              | {node.attr for node in ast.walk(close)
                 if isinstance(node, ast.Attribute)})
     assert not named & {"deque", "group_at", "mul"}
+
+
+def test_runs_are_settled_at_their_seams_in_place():
+    """``_push`` settles a tight run's seam in its own loop: it takes no
+    ``run`` parameter and does not call itself."""
+    path = Path(orbitrain.__file__).parent / "paths.py"
+    (push,) = [node for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name == "_push"]
+    params = push.args.posonlyargs + push.args.args + push.args.kwonlyargs
+    assert [a.arg for a in params] == ["graph", "out", "cur", "items"]
+    assert not [node for node in ast.walk(push)
+                if isinstance(node, ast.Name) and node.id == "_push"]
 
 
 def test_circuits_are_canonicalised_only_when_compared():

@@ -613,6 +613,14 @@ class TestInducedOuter:
         with pytest.raises(NoMarking):
             Marking(graph, 0, paths[:-1])
 
+    @pytest.mark.parametrize("base", ["0", True, 1.0, -1, 4, None])
+    def test_marking_bases_are_cells(self, w3, base):
+        """A base that is not an int naming a cell is refused: ``"0"``
+        used to be accepted and ``True`` moved the base to cell 1, both
+        through ``int(base)``."""
+        with pytest.raises(NoMarking):
+            Marking(thistle(w3), base)
+
 
 # ---- filtrations and strata ----------------------------------------------------------
 
