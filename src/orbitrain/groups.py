@@ -185,18 +185,25 @@ def iso_identity(group):
 
 
 def is_iso(source, target, mapping):
-    """True if ``mapping`` is a group isomorphism source -> target."""
-    if source.order != target.order or len(mapping) != source.order:
+    """True if ``mapping`` is a group isomorphism source -> target: a
+    bijection of exact ``int`` element indices, fixing the identity, that
+    carries the Cayley table of ``source`` onto that of ``target``.  The
+    identity mapping between equal tables is one at once."""
+    n = source.order
+    if target.order != n or len(mapping) != n:
         return False
-    if sorted(mapping) != list(range(target.order)):
+    mapping = tuple(mapping)
+    if any(type(x) is not int for x in mapping):
         return False
-    if mapping[0] != 0:
+    identity = tuple(range(n))
+    sc, tc = source.cayley, target.cayley
+    if mapping == identity:
+        if sc == tc:
+            return True
+    elif sorted(mapping) != list(identity) or mapping[0] != 0:
         return False
-    return all(
-        mapping[source.mul(a, b)] == target.mul(mapping[a], mapping[b])
-        for a in source.elements()
-        for b in source.elements()
-    )
+    return all(mapping[s] == tc[mapping[a]][mapping[b]]
+               for a, row in enumerate(sc) for b, s in enumerate(row))
 
 
 def iso_chain(first, then):
@@ -526,7 +533,17 @@ class Automorphism:
 
     @classmethod
     def from_element_images(cls, W: FreeProduct, maps) -> "Automorphism":
-        """Build from per-factor dictionaries element -> image word."""
+        """Build from per-factor dictionaries element -> image word: one
+        dictionary per factor, keyed by nontrivial elements of it, and a
+        missing element maps to the empty word."""
+        if len(maps) != W.n:
+            raise NotAutomorphism("one element-image map per factor required")
+        for i, factor in enumerate(W.factors):
+            for e in maps[i]:
+                if type(e) is not int or not 0 < e < factor.order:
+                    raise NotAutomorphism(
+                        f"{e!r} is not a nontrivial element of factor "
+                        f"{W.names[i]}")
         return cls(W, [[maps[i].get(e, ()) if e else ()
                         for e in factor.elements()]
                        for i, factor in enumerate(W.factors)])

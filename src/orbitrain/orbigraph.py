@@ -39,12 +39,14 @@ class Orbigraph:
                  edge_names: Optional[Sequence[str]] = None):
         self.W = W
         self.kinds = tuple(kinds)
-        self.ends = tuple([(int(a), int(b)) for a, b in ends])
+        self.ends = tuple([(a, b) for a, b in ends])
         k, m = len(self.kinds), len(self.ends)
         if k == 0:
             raise BadOrbigraph("an orbigraph needs at least one zero cell")
         seen: Dict[int, int] = {}
         for c, kind in enumerate(self.kinds):
+            if type(kind) is not int:
+                raise BadOrbigraph(f"cell {c} has kind {kind!r}, not an int")
             if kind == VERTEX:
                 continue
             if not 0 <= kind < W.n:
@@ -56,6 +58,9 @@ class Orbigraph:
             missing = sorted(set(range(W.n)) - set(seen))
             raise BadOrbigraph(f"factors {missing} have no cone point")
         for e, (a, b) in enumerate(self.ends, start=1):
+            if type(a) is not int or type(b) is not int:
+                raise BadOrbigraph(f"edge {e} has ends {(a, b)!r}, not cell "
+                                   f"ids")
             if not (0 <= a < k and 0 <= b < k):
                 raise BadOrbigraph(f"edge {e} has endpoint outside the graph")
             if a == b:

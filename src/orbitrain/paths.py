@@ -30,8 +30,7 @@ it as it goes.  A circuit keeps the rotation that closing the wrap left,
 and picks its canonical rotation by integer keys on first comparison.
 """
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import BadPath, EndpointMismatch, NotAWalk
 from .groups import least_rotation
@@ -271,10 +270,13 @@ class Path(_Walk):
         return f"Path({format_path(self)!r} at {self.start})"
 
 
-@dataclass(frozen=True)
-class Turn:
+class Turn(NamedTuple):
     """An ordered pair of directed edges leaving ``base``, with the letter
-    read between them when ``base`` is a cone point (``None`` at vertices)."""
+    read between them when ``base`` is a cone point (``None`` at vertices).
+
+    A named tuple, so the turn map builds it and the verdict table hashes
+    and compares it in C.  It equals the bare tuple of its fields, but it
+    is no walk item: tightening takes only an exact ``tuple`` as a letter."""
 
     first: int
     letter: Optional[int]

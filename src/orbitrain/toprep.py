@@ -14,22 +14,23 @@ its own orientation.  A turn and its reversal need no shared bookkeeping:
 the turn map commutes with reversal and reversal preserves degeneracy, so
 both orientations get the same verdict.  Verdicts are shared along orbits
 instead, within one representative: every turn an orbit walk passes
-through keeps the verdict of the walk.
+through keeps the verdict of the walk.  The turn map reads each direction's
+lead, the junction letter and first edge of its image, in place: a
+reversed edge's lead is read backwards along the image of the edge, so no
+reversed image is built for it.
 """
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BadRepresentative, NoMarking
 from .groups import Automorphism, is_iso, iso_chain, iso_identity
-from .orbigraph import Orbigraph, hedgehog, thistle
+from .orbigraph import VERTEX, Orbigraph, hedgehog, thistle
 from .paths import (Circuit, Path, Turn, invert_items, loop_of_word,
                     parse_path, tighten, tighten_circuit)
 from .pf import TransitionMatrix
 
 
-@dataclass(frozen=True)
-class ConeMap:
+class ConeMap(NamedTuple):
     """Where a cone point goes and how its group is carried along."""
 
     target: int
@@ -141,7 +142,7 @@ class TopRep:
         self.graph = graph
         self.edge_images = dict(edge_images)
         self.cone_images = dict(cone_images)
-        self.vertex_images = {c: int(v) for c, v in dict(vertex_images).items()}
+        self.vertex_images = dict(vertex_images)
         self.marking = marking
         self._images: Dict[int, Path] = {}
         self._leads: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
@@ -150,34 +151,41 @@ class TopRep:
         self._validate()
 
     def _validate(self):
+        """The checks of a representative, in one pass over the graph's
+        tables and one cell-image table."""
         graph = self.graph
+        kinds, factors = graph.kinds, graph.W.factors
+        src_of, dst_of = graph.src_of, graph.dst_of
+        n_cells = len(kinds)
         cones = set(graph.cone_cells())
-        verts = {c for c in graph.cells() if not graph.is_cone(c)}
-        if set(self.cone_images) != cones:
+        if self.cone_images.keys() != cones:
             raise BadRepresentative("every cone point needs exactly one image")
-        if set(self.vertex_images) != verts:
+        if self.vertex_images.keys() != set(range(n_cells)) - cones:
             raise BadRepresentative("every vertex needs exactly one image")
-        targets = []
+        cell_image = dict(self.vertex_images)
         for c, cm in self.cone_images.items():
-            if cm.target not in cones:
+            target = cm.target
+            if type(target) is not int or target not in cones:
                 raise BadRepresentative("cone points must map to cone points")
-            if not is_iso(graph.group_at(c), graph.group_at(cm.target),
+            if not is_iso(factors[kinds[c]], factors[kinds[target]],
                           cm.table):
                 raise BadRepresentative(
                     f"cone map at cell {c} is not a group isomorphism")
-            targets.append(cm.target)
-        if sorted(targets) != sorted(cones):
+            cell_image[c] = target
+        if len({cell_image[c] for c in cones}) != len(cones):
             raise BadRepresentative("cone points must permute")
         for v, c in self.vertex_images.items():
-            if not 0 <= c < graph.n_cells:
+            if type(c) is not int:
+                raise BadRepresentative(f"vertex {v} maps to {c!r}, not a cell")
+            if not 0 <= c < n_cells:
                 raise BadRepresentative(f"vertex {v} maps outside the graph")
-        if set(self.edge_images) != set(graph.edges()):
+        if self.edge_images.keys() != set(graph.edges()):
             raise BadRepresentative("every edge needs exactly one image path")
         for e, p in self.edge_images.items():
             if not isinstance(p, Path) or p.graph is not graph:
                 raise BadRepresentative("edge images must be paths here")
-            if p.start != self.cell_image(graph.src(e)) \
-                    or p.end != self.cell_image(graph.dst(e)):
+            if p.start != cell_image[src_of[e]] \
+                    or p.end != cell_image[dst_of[e]]:
                 raise BadRepresentative(
                     f"image of edge {graph.edge_label(e)} joins the wrong cells")
         if self.marking is not None and self.marking.graph is not graph:
@@ -254,17 +262,23 @@ class TopRep:
     # -- turns ----------------------------------------------------------------
 
     def _lead(self, d: int):
-        """The junction letter and first edge of the image of ``d``."""
+        """The junction letter and first edge of the image of ``d``, read
+        in place: for a reversed edge, backwards along the image of the
+        edge, its last edge negated and the letter after it inverted."""
         lead = self._leads.get(d)
         if lead is None:
-            p = self.image(d)
-            letter = 0 if self.graph.is_cone(p.start) else None
+            p = self.edge_images[abs(d)]
+            cell, items = (p.start, p.items) if d > 0 \
+                else (p.end, reversed(p.items))
+            kind = self.graph.kinds[cell]
+            letter = None if kind == VERTEX else 0
             lead = letter, None
-            for item in p.items:
+            for item in items:
                 if type(item) is int:
-                    lead = letter, item
+                    lead = letter, item if d > 0 else -item
                     break
-                letter = item[1]
+                letter = item[1] if d > 0 \
+                    else self.graph.W.factors[kind].inverses[item[1]]
             self._leads[d] = lead
         return lead
 

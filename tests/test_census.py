@@ -15,12 +15,14 @@ Every answer must induce the input's outer class, every ``Reducible``
 witness must be an invariant subgraph with a component holding two or
 more cone points whose partition of the factors the input's Kurosh
 permutation maps onto itself, and every case's outcome kind or error
-class must be the one pinned in ``census_expected.json``.  A pinned
+class must be the one pinned in ``census_expected.json``, and the
+cases' descent event streams must hash to the pinned digest.  A pinned
 error is not an accepted answer: when a change turns one into a
 verified answer, the table is updated; an answer that turns into an
 error fails here.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -31,7 +33,8 @@ import pytest
 from orbitrain.errors import OrbitrainError
 from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct, is_iso
 from orbitrain.toprep import thistle_rep
-from orbitrain.traintrack import Reducible, train_track_algorithm
+from orbitrain.traintrack import (Reducible, record_events,
+                                  train_track_algorithm)
 
 EXPECTED = Path(__file__).with_name("census_expected.json")
 
@@ -187,8 +190,32 @@ def kurosh_complaint(phi, result):
 
 
 @pytest.fixture(scope="module")
-def results():
-    return [(case_id, phi, outcome(phi)) for case_id, phi in cases()]
+def runs():
+    """Each case's id, input, outcome and descent event stream."""
+    out = []
+    for case_id, phi in cases():
+        with record_events() as events:
+            result = outcome(phi)
+        out.append((case_id, phi, result, events))
+    return out
+
+
+@pytest.fixture(scope="module")
+def results(runs):
+    return [run[:3] for run in runs]
+
+
+# The sha256 of the repr of every case's id and event stream, in table
+# order, as recorded before turns and cone maps became named tuples.
+EVENTS_SHA256 = (
+    "2b520dd4232c12af56494e568e7fd5f0ebce41d35eb914d4e4305b6e028c28db")
+
+
+def test_every_event_stream_is_the_pinned_one(runs):
+    digest = hashlib.sha256()
+    for case_id, _, _, events in runs:
+        digest.update(repr((case_id, events)).encode())
+    assert digest.hexdigest() == EVENTS_SHA256
 
 
 def test_every_outcome_is_the_pinned_one(results):

@@ -7,12 +7,14 @@ answer the oracle rejects, fails the test; a recorded failure that now
 fails differently or gives a verified answer does not.  The 60 ``growth``
 cases run the same way, and every circuit they map is checked against
 its canonical rotation.  The descent cases
-check the descent's event stream by replaying it, the edge bound on
+check the descent's event stream by replaying it and against a pinned
+digest, every lead read in place against its image path, the edge bound on
 every pass, the forest search's shortcut for irreducible matrices
 against its greedy loop, and that no transition matrix is split into
 strongly connected components twice.
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -33,6 +35,7 @@ if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
 import workloads  # noqa: E402
+from test_census import census_case, outcome  # noqa: E402
 
 
 def test_descent_answers_match_the_recorded_corpus():
@@ -219,6 +222,60 @@ def run_descent_cases():
             workloads.run("descent", case)
         except OrbitrainError:
             pass
+
+
+def lead_of_image(f, d):
+    """The junction letter and first edge of ``f.image(d)``, read off the
+    whole image path as the lead table was before it read in place."""
+    p = f.image(d)
+    letter = 0 if f.graph.is_cone(p.start) else None
+    for item in p.items:
+        if type(item) is int:
+            return letter, item
+        letter = item[1]
+    return letter, None
+
+
+def test_every_lead_is_the_lead_of_the_image(monkeypatch):
+    """On every representative the 63 cases build, each direction's lead,
+    read in place from the edge images, is the lead of its image path.
+    Every letter of Z2 is its own inverse, so the census's first ten
+    Z3, S3 and Z4 cases on three factors run too, for letters that a
+    reversed lead must invert."""
+    real, reps = toprep.TopRep._validate, []
+
+    def spy(f):
+        real(f)
+        reps.append(f)
+
+    monkeypatch.setattr(toprep.TopRep, "_validate", spy)
+    run_descent_cases()
+    for kind in ("Z3", "S3", "Z4"):
+        for seed in range(10):
+            outcome(census_case(kind, 3, 4, seed))
+    wrong = [(f, d) for f in reps for e in f.graph.edges() for d in (e, -e)
+             if f._lead(d) != lead_of_image(f, d)]
+    assert len(reps) > 400 and not wrong, wrong[:3]
+
+
+# The sha256 of the repr of every descent case's id and event stream, in
+# corpus order, as recorded before turns and cone maps became named tuples.
+DESCENT_EVENTS_SHA256 = (
+    "6dfd0ab70078639a4766610ce938e61a18a8cbaafdcbdd450ccc23cd171ef394")
+
+
+def test_the_event_stream_is_the_pinned_one():
+    """The 63 cases fold, collapse and certify exactly as recorded: their
+    event streams, printed, hash to the pinned digest."""
+    digest = hashlib.sha256()
+    for case in workloads.cases("descent"):
+        with record_events() as events:
+            try:
+                workloads.run("descent", case)
+            except OrbitrainError:
+                pass
+        digest.update(repr((case.id, events)).encode())
+    assert digest.hexdigest() == DESCENT_EVENTS_SHA256
 
 
 def test_every_descent_fold_intertwines_the_maps(monkeypatch):

@@ -32,7 +32,7 @@ from orbitrain.groups import (
     iso_identity,
     least_rotation,
 )
-from test_census import mixed_case
+from test_census import KIND_AUTOMORPHISMS, mixed_case
 
 # ---------------------------------------------------------------------------
 # oracles and random words
@@ -155,6 +155,62 @@ def test_iso_helpers_on_s3():
     conj = tuple(s3.mul(s3.inv(t), s3.mul(g, t)) for g in s3.elements())
     assert is_iso(s3, s3, conj)
     assert iso_chain(conj, conj) == ident  # conjugation by an involution
+
+
+def reference_is_iso(source, target, mapping):
+    """``is_iso`` as it was written over ``FiniteGroup.mul``, kept as the
+    oracle of the table-reading one."""
+    if source.order != target.order or len(mapping) != source.order:
+        return False
+    if sorted(mapping) != list(range(target.order)):
+        return False
+    if mapping[0] != 0:
+        return False
+    return all(
+        mapping[source.mul(a, b)] == target.mul(mapping[a], mapping[b])
+        for a in source.elements()
+        for b in source.elements()
+    )
+
+
+def test_is_iso_agrees_with_the_reference_on_every_mapping():
+    """Over all ordered pairs of Z2, Z3, Z4, S3, the Klein four-group and
+    Z4 with elements 1 and 2 swapped, the table-reading ``is_iso`` and
+    the reference agree on every mapping of the source's elements into
+    its index range, and the census's factor automorphisms are the ones
+    the reference finds.  The last two have the order of Z4 and other
+    tables, so the identity mapping between them is no isomorphism."""
+    z4 = FiniteGroup.cyclic(4)
+    swap = (0, 2, 1, 3)
+    z4_swapped = FiniteGroup([[swap[z4.mul(swap[a], swap[b])]
+                               for b in range(4)] for a in range(4)])
+    klein = FiniteGroup([[a ^ b for b in range(4)] for a in range(4)])
+    groups = [FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), z4,
+              FiniteGroup.symmetric(3), klein, z4_swapped]
+    counts = {}
+    for source, target in itertools.product(groups, repeat=2):
+        n = source.order
+        for mapping in itertools.product(range(n), repeat=n):
+            got = is_iso(source, target, mapping)
+            assert got == reference_is_iso(source, target, mapping), \
+                (source, target, mapping)
+            counts[source, target] = counts.get((source, target), 0) + got
+    assert [counts[g, g] for g in groups] == [1, 2, 2, 6, 6, 2]
+    assert counts[z4, z4_swapped] == counts[z4_swapped, z4] == 2
+    assert sum(counts.values()) == 23
+    for group, found in KIND_AUTOMORPHISMS.items():
+        assert found == [m for m in itertools.permutations(group.elements())
+                         if reference_is_iso(group, group, m)]
+
+
+@pytest.mark.parametrize("mapping", [(0, 1.0), (0, True), [0.0, 1],
+                                     (0, 1, 2.0)])
+def test_is_iso_refuses_entries_that_are_not_ints(mapping):
+    """An element index is an exact ``int``.  The reference read
+    ``(0, 1.0)`` as a Cayley index and raised a bare ``TypeError``, and
+    took ``(0, True)`` for the identity of Z2."""
+    z2 = FiniteGroup.cyclic(2)
+    assert not is_iso(z2, z2, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +463,28 @@ def test_images_outside_w_are_refused(w3, letter):
 def test_one_generator_image_per_factor_is_required(w3):
     with pytest.raises(NotAutomorphism):
         Automorphism.from_gen_images(w3, [((0, 1),), ((1, 1),)])
+
+
+def test_too_few_element_image_maps_are_refused(w3):
+    """Two maps for three factors used to raise a bare ``IndexError``."""
+    with pytest.raises(NotAutomorphism, match="one element-image map"):
+        Automorphism.from_element_images(w3, [{1: ((1, 1),)}, {1: ((0, 1),)}])
+
+
+def test_too_many_element_image_maps_are_refused(w3):
+    """A fourth map on W3 used to be ignored."""
+    maps = [{1: ((1, 1),)}, {1: ((0, 1),)}, {1: ((2, 1),)}, {1: ((0, 1),)}]
+    with pytest.raises(NotAutomorphism, match="one element-image map"):
+        Automorphism.from_element_images(w3, maps)
+
+
+@pytest.mark.parametrize("key", [7, -1, 0, True, 1.0, "1"])
+def test_element_image_keys_must_be_nontrivial_elements(w3, key):
+    """A key that is no nontrivial element of its factor used to be
+    ignored: ``{7: ...}`` or ``{-1: ...}`` left the map unchanged."""
+    maps = [{1: ((1, 1),)}, {1: ((0, 1),)}, {key: ((2, 1),)}]
+    with pytest.raises(NotAutomorphism, match="nontrivial element of factor c"):
+        Automorphism.from_element_images(w3, maps)
 
 
 def test_non_homomorphism_on_a_factor_of_order_three_rejected():

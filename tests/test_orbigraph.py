@@ -7,6 +7,7 @@ raw endpoint table, independently of the tree walk.
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +127,22 @@ def test_trees_only():
         Orbigraph(W, [-1, 0, 1, 1], [(1, 0), (2, 0), (3, 0)])
     with pytest.raises(BadOrbigraph):
         Orbigraph(W, [-1, 0, 1], [(1, 0), (2, 0), (2, 1)])
+
+
+@pytest.mark.parametrize("kinds, ends, message", [
+    ([-1, 0, 1, 2.0], [(1, 0), (2, 0), (3, 0)], "cell 3 has kind 2.0"),
+    ([-1, 0, True, 2], [(1, 0), (2, 0), (3, 0)], "cell 2 has kind True"),
+    ([-1.0, 0, 1, 2], [(1, 0), (2, 0), (3, 0)], "cell 0 has kind -1.0"),
+    ([-1, 0, 1, 2], [(1, 0), (2, 0), (0, "3")], "edge 3 has ends"),
+    ([-1, 0, 1, 2], [(1, 0), (2, 0), (3.9, 0)], "edge 3 has ends"),
+    ([-1, 0, 1, 2], [(True, 0), (2, 0), (3, 0)], "edge 1 has ends"),
+])
+def test_kinds_and_ends_must_be_ints(kinds, ends, message):
+    """Ends used to pass through ``int()``, so ``(0, "3")`` was taken and
+    ``(3.9, 0)`` read as cell 3; a kind ``2.0`` was taken and made
+    ``group_at`` raise a bare ``TypeError`` later."""
+    with pytest.raises(BadOrbigraph, match=re.escape(message)):
+        Orbigraph(w3(), kinds, ends)
 
 
 def test_trivial_stabilizers_rejected():

@@ -7,7 +7,9 @@ collapses forests, turn orbits and the tree are each walked in one
 place, derived data is cached only by its own class, circuits are
 built and their edges counted only in ``paths``, closed by the path
 rules and canonicalised only when compared, tight runs are settled at
-their seams without recursion, representatives are compared by one name-free key, edge lengths
+their seams without recursion, turns and cone maps are named tuples,
+leads are read in place, isomorphisms are checked on Cayley tables,
+representatives are compared by one name-free key, edge lengths
 come only from ``pf``, ``pf`` decides without floating point, computes
 characteristic polynomials in one routine, narrows brackets in one
 stateless one and decides past them in one exact loop, edge items are
@@ -292,6 +294,43 @@ def test_runs_are_settled_at_their_seams_in_place():
     assert [a.arg for a in params] == ["graph", "out", "cur", "items"]
     assert not [node for node in ast.walk(push)
                 if isinstance(node, ast.Name) and node.id == "_push"]
+
+
+def class_def(module, name):
+    """The top-level class definition ``name`` of library ``module``."""
+    path = Path(orbitrain.__file__).parent / f"{module}.py"
+    (node,) = [node for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.ClassDef) and node.name == name]
+    return node
+
+
+def test_turns_and_cone_maps_are_named_tuples():
+    """``Turn`` and ``ConeMap`` subclass ``NamedTuple`` and carry no
+    decorator, so no dataclass builds, hashes or compares them."""
+    for module, name in (("paths", "Turn"), ("toprep", "ConeMap")):
+        node = class_def(module, name)
+        assert [ast.unparse(b) for b in node.bases] == ["NamedTuple"], name
+        assert not node.decorator_list, name
+
+
+def test_leads_are_read_in_place():
+    """``TopRep._lead`` names neither ``image`` nor ``invert``: it builds
+    no reversed image path to read a lead off."""
+    (lead,) = [node for node in class_def("toprep", "TopRep").body
+               if isinstance(node, ast.FunctionDef) and node.name == "_lead"]
+    named = {node.id for node in ast.walk(lead) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(lead)
+              if isinstance(node, ast.Attribute)}
+    assert not named & {"image", "invert", "invert_items"}, named
+
+
+def test_isomorphisms_are_checked_on_the_tables():
+    """``is_iso`` reads the two Cayley tables and calls no ``.mul(``."""
+    assert "groups.is_iso" not in method_call_sites("mul")
+    assert "groups.is_iso" in {
+        f"{path.stem}.{site}" for path in SOURCES
+        for site in node_sites(path, lambda node: isinstance(
+            node, ast.Attribute) and node.attr == "cayley")}
 
 
 def test_circuits_are_canonicalised_only_when_compared():

@@ -205,6 +205,79 @@ class TestStandardReps:
                    f_alpha.vertex_images, f_alpha.marking)
 
 
+def _swap_a_and_b(edges):
+    edges[1], edges[2] = edges[2], edges[1]
+
+
+# One broken part of the W3 thistle representative of alpha per row, in
+# the order ``_validate`` checks them: the part to change, the change,
+# the error and its message.
+VALIDATION_BREAKS = [
+    ("cones", lambda cones: cones.pop(3), BadRepresentative,
+     "every cone point needs exactly one image"),
+    ("vertices", lambda verts: verts.pop(0), BadRepresentative,
+     "every vertex needs exactly one image"),
+    ("cones", lambda cones: cones.update({1: ConeMap(0, (0, 1))}),
+     BadRepresentative, "cone points must map to cone points"),
+    ("cones", lambda cones: cones.update({1: ConeMap(True, (0, 1))}),
+     BadRepresentative, "cone points must map to cone points"),
+    ("cones", lambda cones: cones.update({1: ConeMap(1.0, (0, 1))}),
+     BadRepresentative, "cone points must map to cone points"),
+    ("cones", lambda cones: cones.update({2: ConeMap(2, (0, 0))}),
+     BadRepresentative, "cone map at cell 2 is not a group isomorphism"),
+    ("cones", lambda cones: cones.update({2: ConeMap(1, (0, 1))}),
+     BadRepresentative, "cone points must permute"),
+    ("vertices", lambda verts: verts.update({0: "0"}), BadRepresentative,
+     "vertex 0 maps to '0', not a cell"),
+    ("vertices", lambda verts: verts.update({0: 4}), BadRepresentative,
+     "vertex 0 maps outside the graph"),
+    ("edges", lambda edges: edges.pop(3), BadRepresentative,
+     "every edge needs exactly one image path"),
+    ("edges", lambda edges: edges.update({3: (3,)}), BadRepresentative,
+     "edge images must be paths here"),
+    ("edges", _swap_a_and_b, BadRepresentative,
+     "image of edge A joins the wrong cells"),
+    ("marking", None, NoMarking, "marking lives on a different graph"),
+]
+
+
+@pytest.mark.parametrize("part, change, error, message", VALIDATION_BREAKS)
+def test_validation_raises_each_check(t_alpha, w3, part, change, error,
+                                      message):
+    parts = {"edges": dict(t_alpha.edge_images),
+             "cones": dict(t_alpha.cone_images),
+             "vertices": dict(t_alpha.vertex_images),
+             "marking": t_alpha.marking}
+    if part == "marking":
+        parts["marking"] = Marking(thistle(w3), 0)
+    else:
+        change(parts[part])
+    with pytest.raises(error) as info:
+        TopRep(t_alpha.graph, parts["edges"], parts["cones"],
+               parts["vertices"], parts["marking"])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("image", ["0", 0.0, 0.7, True, False, None])
+def test_vertex_images_must_be_cell_ids(t_alpha, image):
+    """The central vertex's image used to pass through ``int()``, so
+    ``"0"``, ``0.0`` and ``0.7`` (truncated to 0) were all taken for
+    cell 0."""
+    with pytest.raises(BadRepresentative, match="not a cell"):
+        TopRep(t_alpha.graph, t_alpha.edge_images, t_alpha.cone_images,
+               {0: image}, t_alpha.marking)
+
+
+def test_cone_tables_must_hold_ints(t_alpha):
+    """A cone table of floats is no group isomorphism, though it equals
+    the identity table entry by entry."""
+    cones = dict(t_alpha.cone_images)
+    cones[1] = ConeMap(1, (0, 1.0))
+    with pytest.raises(BadRepresentative, match="cone map at cell 1"):
+        TopRep(t_alpha.graph, t_alpha.edge_images, cones,
+               t_alpha.vertex_images, t_alpha.marking)
+
+
 # ---- transition matrices ------------------------------------------------------
 
 
