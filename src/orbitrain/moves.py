@@ -191,9 +191,6 @@ def maximal_invariant_forest(f: TopRep) -> FrozenSet[int]:
 def _collapse(f: TopRep, edges: FrozenSet[int]) -> Tuple[TopRep, Transport]:
     """Collapse an invariant forest; the result and its transport."""
     graph = f.graph
-    for e in edges:
-        if not 1 <= e <= graph.n_edges:
-            raise BadOrbigraph(f"no edge {e} in this graph")
     if not edges:
         raise NotInvariantForest("the forest has no edge")
     if not graph.is_forest(edges):
@@ -229,12 +226,8 @@ def collapse_forest(f: TopRep, forest: Iterable[int]) -> TopRep:
     Paths crossing the forest keep their net cone letters; a component
     containing a cone point collapses onto that cone.
     """
-    edges = set()
-    for e in forest:
-        if type(e) is not int:
-            raise BadOrbigraph(f"no edge {e} in this graph")
-        edges.add(abs(e))
-    return _collapse(f, frozenset(edges))[0]
+    edges = frozenset([abs(f.graph.edge_id(e)) for e in forest])
+    return _collapse(f, edges)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +277,13 @@ def _cut_path(p: Path, k: int, letter_first: bool) -> Tuple[Path, Path]:
     if letter_first and type(items[at]) is not int:
         at += 1
     halves = []
-    for start, body in ((p.start, items[:at]),
-                        (p.graph.dst(items[j]), items[at:])):
+    for start, body, n in ((p.start, items[:at], k),
+                           (p.graph.dst(items[j]), items[at:], p.n_edges - k)):
         if type(body[0]) is not int and body[0][1] == 0:
             body = body[1:]
         if type(body[-1]) is not int and body[-1][1] == 0:
             body = body[:-1]
-        halves.append(Path(p.graph, start, body, _tight=True))
+        halves.append(Path(p.graph, start, body, _n_edges=n))
     return halves[0], halves[1]
 
 
@@ -414,9 +407,7 @@ def valence_one_homotopy(f: TopRep, v: int) -> TopRep:
     """Retract a dangling vertex and its edge; the quotient, with any
     forest it leaves uncollapsed."""
     graph = f.graph
-    if type(v) is not int or not 0 <= v < graph.n_cells:
-        raise BadOrbigraph(f"no cell {v} in this graph")
-    if graph.is_cone(v):
+    if graph.is_cone(graph.cell_id(v)):
         raise ConePointForbidden(
             "retracting a cone point would change the group")
     dirs = graph.edges_at(v)
@@ -436,9 +427,8 @@ def valence_two_homotopy(f: TopRep, v: int, collapse: int) -> TopRep:
     collapses no forest.
     """
     graph = f.graph
-    if type(v) is not int or not 0 <= v < graph.n_cells:
-        raise BadOrbigraph(f"no cell {v} in this graph")
-    if type(collapse) is not int or not 1 <= collapse <= graph.n_edges:
+    graph.cell_id(v)
+    if graph.edge_id(collapse) < 0:
         raise BadOrbigraph(f"no edge {collapse} in this graph")
     if graph.is_cone(v):
         raise ConePointForbidden("cannot remove a cone point")

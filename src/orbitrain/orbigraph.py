@@ -9,7 +9,9 @@ a cone apex and no vertices at all.
 
 Zero cells are numbered 0..k-1 and edges 1..m; a directed edge is +e or -e,
 so reversal is negation.  Iteration order is always ascending by id, which
-keeps every downstream algorithm deterministic.
+keeps every downstream algorithm deterministic.  Cell and edge ids are
+checked in one place, ``Orbigraph.cell_id`` and ``edge_id``, which take
+the caller's error class; an id is exactly an ``int``, never a ``bool``.
 """
 
 from typing import Dict, Optional, Sequence, Tuple
@@ -107,6 +109,18 @@ class Orbigraph:
         kind = self.kinds[c]
         return None if kind == VERTEX else kind
 
+    def cell_id(self, c, error=BadOrbigraph) -> int:
+        """``c`` if it is a cell id of this graph, else ``error``."""
+        if type(c) is not int or not 0 <= c < len(self.kinds):
+            raise error(f"no cell {c!r} in this graph")
+        return c
+
+    def edge_id(self, d, error=BadOrbigraph) -> int:
+        """``d`` if it is a signed edge id of this graph, else ``error``."""
+        if type(d) is not int or d not in self.src_of:
+            raise error(f"no edge {d!r} in this graph")
+        return d
+
     def cone_cell(self, factor) -> int:
         if type(factor) is not int or not 0 <= factor < len(self._cone_cells):
             raise BadOrbigraph(f"no factor {factor!r} in this graph")
@@ -122,14 +136,10 @@ class Orbigraph:
         return self.W.factors[kind]
 
     def src(self, d) -> int:
-        if d not in self.src_of:
-            raise BadOrbigraph(f"no edge {d} in this graph")
-        return self.src_of[d]
+        return self.src_of[self.edge_id(d)]
 
     def dst(self, d) -> int:
-        if d not in self.dst_of:
-            raise BadOrbigraph(f"no edge {d} in this graph")
-        return self.dst_of[d]
+        return self.dst_of[self.edge_id(d)]
 
     def edges_at(self, c) -> Tuple[int, ...]:
         """Directed edges originating at ``c``, ascending by edge id."""
@@ -139,9 +149,7 @@ class Orbigraph:
         return len(self._incidence[c])
 
     def edge_label(self, d) -> str:
-        if d not in self.src_of:
-            raise BadOrbigraph(f"no edge {d} in this graph")
-        name = self.edge_names[abs(d) - 1]
+        name = self.edge_names[abs(self.edge_id(d)) - 1]
         return name if d > 0 else "~" + name
 
     def edge_by_name(self, token) -> int:
@@ -164,9 +172,7 @@ class Orbigraph:
         ``edges``, or any edge when ``edges`` is None.  In a tree each
         walk is the unique reduced edge walk to its cell.  A ``root``
         that is not a cell id raises ``BadOrbigraph``."""
-        if type(root) is not int or not 0 <= root < len(self.kinds):
-            raise BadOrbigraph(f"no cell {root!r} in this graph")
-        walk: Dict[int, Tuple[int, ...]] = {root: ()}
+        walk: Dict[int, Tuple[int, ...]] = {self.cell_id(root): ()}
         frontier = [root]
         while frontier:
             c = frontier.pop()
@@ -181,10 +187,7 @@ class Orbigraph:
 
     def geodesic(self, a, b) -> Tuple[int, ...]:
         """The unique reduced edge walk from cell ``a`` to cell ``b``."""
-        walk = self.walks(a).get(b)
-        if walk is None:
-            raise BadOrbigraph(f"cells {a} and {b} are not connected")
-        return walk
+        return self.walks(a)[self.cell_id(b)]
 
     def is_forest(self, edges) -> bool:
         """Whether the edge set ``edges`` is nonempty and each of its

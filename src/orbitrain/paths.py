@@ -137,10 +137,8 @@ def _push(graph: Orbigraph, out: List[Item], cur: int, items):
 def _tighten_items(graph: Orbigraph, start: int, items: Iterable):
     """Normalize a walk of raw items and tight runs: the tight items and
     their edge count.  Raises NotAWalk when junctions fail to chain."""
-    if type(start) is not int or start not in range(graph.n_cells):
-        raise NotAWalk(f"no cell {start!r} to start from")
     out: List[Item] = []
-    _, pushed, cut = _push(graph, out, start, items)
+    _, pushed, cut = _push(graph, out, graph.cell_id(start, NotAWalk), items)
     while out and type(out[0]) is not int and out[0][1] == 0:
         out.pop(0)
     while out and type(out[-1]) is not int and out[-1][1] == 0:
@@ -150,7 +148,7 @@ def _tighten_items(graph: Orbigraph, start: int, items: Iterable):
 
 def tighten(graph: Orbigraph, start: int, items: Iterable) -> "Path":
     items, n_edges = _tighten_items(graph, start, items)
-    return Path(graph, start, items, _tight=True, _n_edges=n_edges)
+    return Path(graph, start, items, _n_edges=n_edges)
 
 
 def invert_items(graph: Orbigraph, items: Sequence[Item]) -> Tuple[Item, ...]:
@@ -198,19 +196,18 @@ class _Walk:
 
 
 class Path(_Walk):
-    """A tight anchored walk.  Construct via :func:`tighten` or operators."""
+    """A tight anchored walk.  Construct via :func:`tighten` or operators;
+    items given with their edge count ``_n_edges`` are trusted as tight."""
 
     __slots__ = ("graph", "start", "items", "end", "n_edges")
 
     def __init__(self, graph: Orbigraph, start: int, items: Iterable[Item] = (),
-                 *, _tight: bool = False, _n_edges: Optional[int] = None):
+                 *, _n_edges: Optional[int] = None):
         items = tuple(items)
-        if not _tight:
+        if _n_edges is None:
             normal, _n_edges = _tighten_items(graph, start, items)
             if normal != items:
                 raise BadPath("items are not in tight normal form")
-        elif _n_edges is None:
-            _n_edges = sum(type(item) is int for item in items)
         self.n_edges = _n_edges
         self.graph = graph
         self.start = start
@@ -255,7 +252,7 @@ class Path(_Walk):
 
     def invert(self) -> "Path":
         return Path(self.graph, self.end, invert_items(self.graph, self.items),
-                    _tight=True, _n_edges=self.n_edges)
+                    _n_edges=self.n_edges)
 
     __invert__ = invert
 
@@ -366,10 +363,9 @@ def tighten_circuit(graph: Orbigraph, items: Iterable) -> Circuit:
     start = (head.start if isinstance(head, Path)
              else head[0] if type(head) is tuple and head
              else graph.src_of.get(head, 0) if type(head) is int else 0)
-    if type(start) is not int or start not in range(graph.n_cells):
-        raise NotAWalk(f"no cell {start!r} to start from")
     out: List[Item] = []
-    cur, pushed, cut = _push(graph, out, start, items)
+    cur, pushed, cut = _push(graph, out, graph.cell_id(start, NotAWalk),
+                             items)
     if cur != start:
         raise NotAWalk(f"the walk ends at cell {cur}, not at its start "
                        f"{start}")

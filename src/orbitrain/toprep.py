@@ -53,10 +53,8 @@ class Marking:
 
     def __init__(self, graph: Orbigraph, base: int,
                  paths: Optional[Sequence[Path]] = None):
-        if type(base) is not int or base not in range(graph.n_cells):
-            raise NoMarking(f"no cell {base!r} to base a marking at")
         self.graph = graph
-        self.base = base
+        self.base = graph.cell_id(base, NoMarking)
         if paths is None:
             walks = graph.walks(self.base)
             paths = [tighten(graph, self.base, walks[c])
@@ -100,8 +98,9 @@ class Marking:
     def realize(self, word) -> Path:
         items = []
         for i, a in word:
+            c = self.graph.cone_cell(i)
             p = self.paths[i]
-            items += p.items + ((p.end, a),) + invert_items(self.graph, p.items)
+            items += p.items + ((c, a),) + invert_items(self.graph, p.items)
         return tighten(self.graph, self.base, items)
 
     def __eq__(self, other):

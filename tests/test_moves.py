@@ -377,7 +377,13 @@ def test_subdivision_is_a_substitution(seed):
     """Each old edge image, refined, is the tightened product of its
     pieces' images; every piece image is tight; the marking is kept."""
     phi, seen = seeded_subdivisions(seed)
-    for f, out, tr, _, letter_first in seen:
+    for f, out, tr, cuts, letter_first in seen:
+        for e, k in cuts.items():
+            for half in moves._cut_path(f.edge_images[e], k,
+                                        e in letter_first):
+                # each half carries the edge count the cut hands it
+                assert half.n_edges == sum(type(it) is int
+                                           for it in half.items)
         for e in f.graph.edges():
             run = [out.image(piece) for piece in tr.edge_items[e]]
             for p in run:

@@ -160,8 +160,11 @@ def test_directed_edge_endpoints():
 
 
 def test_non_edges_have_no_endpoints():
+    """An edge id must be an ``int`` naming a signed edge: ``True`` used
+    to pass as edge 1, ``1.0`` and ``-1.0`` as the edges they equal, and
+    ``edge_label(-1.0)`` raised a bare ``TypeError``."""
     g = thistle(w3())
-    for d in (0, 4, -4):
+    for d in (0, 4, -4, True, 1.0, -1.0, "1"):
         with pytest.raises(BadOrbigraph):
             g.src(d)
         with pytest.raises(BadOrbigraph):
@@ -173,7 +176,10 @@ def test_non_edges_have_no_endpoints():
 def test_bad_factor_and_cell_ids_are_refused():
     """A factor or cell id must be an ``int`` in range, as an edge must:
     ``-1`` used to wrap around to the last cone point or walk from no
-    cell, ``True`` passed as 1, and 3 or 4 raised a bare ``IndexError``."""
+    cell, ``True`` passed as 1, and 3 or 4 raised a bare ``IndexError``.
+    ``geodesic`` checks its far end too: ``geodesic(0, True)`` used to be
+    the walk to cell 1, and ``geodesic(0, 7)`` said the cells were not
+    connected."""
     g = thistle(w3())
     for factor in (-1, 3, True, 1.0, "a"):
         with pytest.raises(BadOrbigraph, match="^no factor"):
@@ -183,6 +189,8 @@ def test_bad_factor_and_cell_ids_are_refused():
             g.walks(root)
         with pytest.raises(BadOrbigraph, match="^no cell"):
             g.geodesic(root, 0)
+        with pytest.raises(BadOrbigraph, match="^no cell"):
+            g.geodesic(0, root)
     assert [g.cone_cell(i) for i in range(3)] == [1, 2, 3]
     assert g.walks(0) == {0: (), 1: (-1,), 2: (-2,), 3: (-3,)}
 

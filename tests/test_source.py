@@ -13,10 +13,12 @@ representatives are compared by one name-free key, edge lengths
 come only from ``pf``, ``pf`` decides without floating point, computes
 characteristic polynomials in one routine, narrows brackets in one
 stateless one and decides past them in one exact loop, edge items are
-tested inline, every error class is raised, factors have one kind,
-inversion has one algorithm that scores moves without rebuilding words,
-and every public name has a caller in the library or the benchmark, bar
-the few input builders that tests need, which have none."""
+tested inline, cell and edge ids are checked only by ``Orbigraph``, a
+path is trusted by its edge count alone, every error class is raised,
+factors have one kind, inversion has one algorithm that scores moves
+without rebuilding words, and every public name has a caller in the
+library or the benchmark, bar the few input builders that tests need,
+which have none."""
 
 import ast
 import re
@@ -511,6 +513,48 @@ def test_edge_items_are_tested_inline():
                   if isinstance(node, ast.Call)
                   and ast.unparse(node) == "isinstance(item, int)"]
     assert not found, f"edge-item helpers in the library: {found}"
+
+
+def names_a_count(node):
+    return ((isinstance(node, ast.Name) and node.id in ("n_cells", "n_edges"))
+            or (isinstance(node, ast.Attribute)
+                and node.attr in ("n_cells", "n_edges")))
+
+
+def is_id_bound(node):
+    """Whether ``node`` bounds an id by a cell or edge count: a
+    ``range(...)`` call naming ``n_cells`` or ``n_edges``, or an order
+    comparison of names, attributes and constants naming one of them,
+    such as ``0 <= v < graph.n_cells``.  A comparison of two counts, as
+    ``len(set(mask.values())) < g.n_cells``, bounds no id."""
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and node.func.id == "range"
+                and any(names_a_count(n) for arg in node.args
+                        for n in ast.walk(arg)))
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        return (all(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                    for op in node.ops)
+                and all(isinstance(n, (ast.Name, ast.Attribute, ast.Constant,
+                                       ast.UnaryOp)) for n in operands)
+                and any(names_a_count(n) for n in operands))
+    return False
+
+
+def test_ids_are_checked_only_by_the_graph():
+    """``Orbigraph.cell_id`` and ``Orbigraph.edge_id`` are the one check
+    of a cell or edge id: outside ``orbigraph.py`` no definition bounds
+    an id by ``n_cells`` or ``n_edges``, bar ``TopRep._validate``, whose
+    vertex checks keep their own messages.  ``Path`` has one trusted
+    form, items given with their edge count, and no ``_tight`` flag."""
+    found = {f"{path.stem}.{site}" for path in SOURCES
+             if path.name != "orbigraph.py"
+             for site in node_sites(path, is_id_bound)}
+    assert found == {"toprep.TopRep._validate"}
+    args = next(node for node in class_def("paths", "Path").body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "__init__").args
+    assert "_tight" not in [a.arg for a in args.args + args.kwonlyargs]
 
 
 def test_every_error_class_is_raised():

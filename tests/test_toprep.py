@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitrain.errors import BadRepresentative, NoMarking, NothingToFold
+from orbitrain.errors import (BadOrbigraph, BadRepresentative, NoMarking,
+                              NothingToFold)
 from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct
 from orbitrain.moves import fold
 from orbitrain.orbigraph import VERTEX, Orbigraph, hedgehog, thistle
@@ -693,6 +694,15 @@ class TestInducedOuter:
         through ``int(base)``."""
         with pytest.raises(NoMarking):
             Marking(thistle(w3), base)
+
+    @pytest.mark.parametrize("factor", [-1, True, 3, 1.0, None])
+    def test_realized_factors_are_factor_ids(self, w3, factor):
+        """A syllable's factor is checked as ``loop_of_word`` checks it:
+        ``-1`` used to realize a loop that read back as factor 2,
+        ``True`` passed as factor 1, and 3 raised a bare
+        ``IndexError``."""
+        with pytest.raises(BadOrbigraph, match="^no factor"):
+            Marking(thistle(w3), 0).realize(((factor, 1),))
 
 
 # ---- filtrations and strata ----------------------------------------------------------
