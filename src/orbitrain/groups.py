@@ -471,8 +471,9 @@ class Automorphism:
 
     ``images[i]`` lists the image word of every element of factor i, index
     0 mapping to the empty word.  Each letter of an image is checked to
-    lie in W, except that the constructors below pass ``_in_w`` for words
-    they built from letters already checked.
+    lie in W and each image is brought to normal form, except that the
+    constructors below pass ``_in_w`` for words they built in normal form
+    from letters already checked, which are taken as given.
     """
 
     def __init__(self, W: FreeProduct, images, *, _in_w: bool = False):
@@ -481,7 +482,7 @@ class Automorphism:
         if len(images) != W.n:
             raise NotAutomorphism("one image family per factor required")
         for i, factor in enumerate(W.factors):
-            fam = ([W.nf(w) for w in images[i]] if _in_w
+            fam = (images[i] if _in_w
                    else [_image_word(W, w) for w in images[i]])
             if len(fam) != factor.order or fam[0] != ():
                 raise NotAutomorphism(
@@ -525,9 +526,10 @@ class Automorphism:
             gen = factor.generator()
             fam = [()] * factor.order
             x, w = gen, img
-            for _ in range(1, factor.order):
+            for _ in range(2, factor.order):
                 fam[x] = w
                 x, w = factor.mul(x, gen), W.mul(w, img)
+            fam[x] = w
             images.append(fam)
         return cls(W, images, _in_w=True)
 
@@ -585,8 +587,8 @@ class Automorphism:
         while k:
             if k & 1:
                 out = base.compose(out)
-            base = base.compose(base)
             k >>= 1
+            base = base.compose(base) if k else base
         return out
 
     def is_identity(self) -> bool:
@@ -620,25 +622,31 @@ class Automorphism:
         Raises NotAutomorphism when some factor image is not a conjugate of
         a factor, when the induced factor maps are not isomorphisms, or when
         the factor assignment is not a permutation.
+
+        Images are read by slices, exactly: normal forms are unique, and a
+        product that reduces is shorter than its factors together.  So the
+        image w0 of element 1 is u^-1 x u for a letter x exactly when its
+        first half inverts its last half u, and element e maps to the
+        letter y of x's factor exactly when its image is u^-1 y u.
         """
         if self._kurosh is not None:
             return self._kurosh
         W = self.W
         pi, isos, conjugators = [], [], []
         for i, factor in enumerate(W.factors):
-            w0 = self.images[i][1]
+            fam = self.images[i]
+            w0 = fam[1]
             if len(w0) % 2 == 0:
                 raise NotAutomorphism(
                     f"image of {W.format_letter((i, 1))} cannot be a conjugate of a letter"
                 )
             m = len(w0) // 2
-            u = w0[m + 1 :]
-            mid = w0[m]
-            if W.mul(W.inv(u), (mid,), u) != w0:
+            head, u = w0[:m], w0[m + 1:]
+            if head != W.inv(u):
                 raise NotAutomorphism(
                     f"image of {W.format_letter((i, 1))} is not a conjugated letter"
                 )
-            j = mid[0]
+            j = w0[m][0]
             target = W.factors[j]
             if target.order != factor.order:
                 raise NotAutomorphism(
@@ -646,12 +654,13 @@ class Automorphism:
                 )
             mapping = [0] * factor.order
             for e in factor.nontrivial():
-                img = W.mul(u, self.images[i][e], W.inv(u))
-                if len(img) != 1 or img[0][0] != j:
+                img = fam[e]
+                if (len(img) != len(w0) or img[m][0] != j
+                        or img[:m] != head or img[m + 1:] != u):
                     raise NotAutomorphism(
                         f"factor {W.names[i]} does not map into a single factor"
                     )
-                mapping[e] = img[0][1]
+                mapping[e] = img[m][1]
             if not is_iso(factor, target, tuple(mapping)):
                 raise NotAutomorphism(
                     f"factor map on {W.names[i]} is not an isomorphism"

@@ -106,7 +106,7 @@ class Orbigraph:
         return self.kinds[c] != VERTEX
 
     def factor_at(self, c) -> Optional[int]:
-        kind = self.kinds[c]
+        kind = self.kinds[self.cell_id(c)]
         return None if kind == VERTEX else kind
 
     def cell_id(self, c, error=BadOrbigraph) -> int:

@@ -387,10 +387,10 @@ def tighten_circuit(graph: Orbigraph, items: Iterable) -> Circuit:
 # -- words and realizations --------------------------------------------------
 
 
-def loop_of_word(graph: Orbigraph, base: int, word) -> Path:
-    """The tight loop at ``base`` spelling ``word``: out along the tree
-    walk to each syllable's cone point, read the letter, and come back."""
-    walks = graph.walks(base)
+def word_walk(graph: Orbigraph, walks, word) -> List[Item]:
+    """The raw walk spelling ``word`` from the root of the tree ``walks``:
+    out along the walk to each syllable's cone point, read the letter,
+    and come back."""
     items: List[Item] = []
     for i, e in word:
         cone = graph.cone_cell(i)
@@ -398,7 +398,12 @@ def loop_of_word(graph: Orbigraph, base: int, word) -> Path:
         items.extend(go)
         items.append((cone, e))
         items.extend(-d for d in reversed(go))
-    return tighten(graph, base, items)
+    return items
+
+
+def loop_of_word(graph: Orbigraph, base: int, word) -> Path:
+    """The tight loop at ``base`` spelling ``word``."""
+    return tighten(graph, base, word_walk(graph, graph.walks(base), word))
 
 
 # -- text form ----------------------------------------------------------------

@@ -25,8 +25,8 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 from .errors import BadRepresentative, NoMarking
 from .groups import Automorphism, is_iso, iso_chain, iso_identity
 from .orbigraph import VERTEX, Orbigraph, hedgehog, thistle
-from .paths import (Circuit, Path, Turn, invert_items, loop_of_word,
-                    parse_path, tighten, tighten_circuit)
+from .paths import (Circuit, Path, Turn, invert_items, parse_path, tighten,
+                    tighten_circuit, word_walk)
 from .pf import TransitionMatrix
 
 
@@ -198,8 +198,8 @@ class TopRep:
         return self.vertex_images[c]
 
     def image(self, d: int) -> Path:
-        """The image path of a directed edge."""
-        p = self._images.get(d)
+        """The image path of a directed edge; a non-edge id is refused."""
+        p = self._images.get(self.graph.edge_id(d, BadRepresentative))
         if p is None:
             p = self.edge_images[abs(d)] if d > 0 \
                 else self.edge_images[-d].invert()
@@ -211,11 +211,12 @@ class TopRep:
     def _splice(self, items):
         """The image walk of ``items``: each edge's tight image path as a
         run, which tightening cancels only at its seams, and each letter
-        carried across its cone map."""
-        out = []
+        carried across its cone map.  Edge images are read off the cache."""
+        out, images = [], self._images
         for item in items:
             if type(item) is int:
-                out.append(self.image(item))
+                p = images.get(item)
+                out.append(self.image(item) if p is None else p)
             else:
                 cm = self.cone_images[item[0]]
                 out.append((cm.target, cm.table[item[1]]))
@@ -365,21 +366,7 @@ def thistle_rep(phi: Automorphism) -> TopRep:
     the central vertex.  The identity marking at the center then induces
     exactly ``phi``.
     """
-    W = phi.W
-    data = phi.kurosh()
-    graph = thistle(W)
-    cone_images = {}
-    edge_images = {}
-    for i in range(W.n):
-        c = graph.cone_cell(i)
-        tgt = graph.cone_cell(data.pi[i])
-        cone_images[c] = ConeMap(tgt, data.isos[i])
-        (d,) = graph.edges_at(c)
-        (dt,) = graph.edges_at(tgt)
-        u_loop = loop_of_word(graph, 0, data.conjugators[i])
-        edge_images[d] = tighten(graph, tgt, (dt, u_loop))
-    marking = Marking(graph, 0)
-    return TopRep(graph, edge_images, cone_images, {0: 0}, marking)
+    return _standard_rep(phi, thistle(phi.W), 0)
 
 
 def hedgehog_rep(phi: Automorphism, apex: int = 0) -> TopRep:
@@ -399,20 +386,29 @@ def hedgehog_rep(phi: Automorphism, apex: int = 0) -> TopRep:
     u_apex = data.conjugators[apex]
     if u_apex:
         psi = Automorphism.inner(W, W.inv(u_apex)).compose(phi)
-    data = psi.kurosh()
-    graph = hedgehog(W, apex)
-    cone_images = {i: ConeMap(data.pi[i], data.isos[i])
-                   for i in range(W.n)}
-    edge_images = {}
-    for i in range(W.n):
-        if i == apex:
-            continue
-        (d,) = graph.edges_at(i)
-        (dt,) = graph.edges_at(data.pi[i])
-        u_loop = loop_of_word(graph, apex, data.conjugators[i])
-        edge_images[d] = tighten(graph, data.pi[i], (dt, u_loop))
-    marking = Marking(graph, apex)
-    return TopRep(graph, edge_images, cone_images, {}, marking)
+    return _standard_rep(psi, hedgehog(W, apex), apex)
+
+
+def _standard_rep(phi: Automorphism, graph: Orbigraph, base: int) -> TopRep:
+    """The representative of ``phi`` on a thistle or a hedgehog, with the
+    identity marking at ``base``, the center or the apex.  Each edge from
+    a cone towards ``base`` maps to the edge at the target cone, then the
+    conjugator of the factor spelled out and back from ``base``.  The tree
+    is walked once, and each edge image is tightened once, from raw items.
+    """
+    data = phi.kurosh()
+    walks = graph.walks(base)
+    cone_images, edge_images = {}, {}
+    for i, u in enumerate(data.conjugators):
+        c, tgt = graph.cone_cell(i), graph.cone_cell(data.pi[i])
+        cone_images[c] = ConeMap(tgt, data.isos[i])
+        if c != base:
+            (d,), (dt,) = graph.edges_at(c), graph.edges_at(tgt)
+            edge_images[d] = tighten(graph, tgt,
+                                     [dt, *word_walk(graph, walks, u)])
+    vertex_images = {v: v for v in graph.cells() if not graph.is_cone(v)}
+    return TopRep(graph, edge_images, cone_images, vertex_images,
+                  Marking(graph, base))
 
 
 def rep_from_path_texts(graph: Orbigraph, texts, tables=None,

@@ -11,6 +11,11 @@ Three seeded sets of automorphisms run through
   and Z4 and a product of 4-12 partial conjugations, factor automorphisms
   and swaps of isomorphic factors.
 
+A fourth set, the sweep past five factors, runs the same recipe on six
+to eight factors (160 cases, pinned in ``sweep_expected.json``) under the
+same rule and the same answer and witness checks; its event streams are
+not pinned.
+
 Every answer must induce the input's outer class, every ``Reducible``
 witness must be an invariant subgraph with a component holding two or
 more cone points whose partition of the factors the input's Kurosh
@@ -129,6 +134,19 @@ def cases():
     return out
 
 
+# The sweep past five factors: (kind, n, L, seeds).
+SWEEP = (("Z2", 6, 10, range(1000, 1040)), ("Z2", 7, 12, range(1000, 1040)),
+         ("Z2", 8, 14, range(1000, 1030)), ("Z3", 6, 10, range(1000, 1030)),
+         ("S3", 6, 10, range(1000, 1020)))
+SWEEP_EXPECTED = Path(__file__).with_name("sweep_expected.json")
+
+
+def sweep_cases():
+    """(case id, automorphism) for the 160 sweep cases, in table order."""
+    return [(f"{kind} n{n} L{L} s{seed}", census_case(kind, n, L, seed))
+            for kind, n, L, seeds in SWEEP for seed in seeds]
+
+
 def outcome(phi):
     """The descent's result, or the library error it raises."""
     try:
@@ -205,6 +223,12 @@ def results(runs):
     return [run[:3] for run in runs]
 
 
+@pytest.fixture(scope="module")
+def sweep_results():
+    """Each sweep case's id, input and outcome."""
+    return [(case_id, phi, outcome(phi)) for case_id, phi in sweep_cases()]
+
+
 # The sha256 of the repr of every case's id and event stream, in table
 # order, as recorded before turns and cone maps became named tuples.
 EVENTS_SHA256 = (
@@ -225,10 +249,15 @@ def test_every_outcome_is_the_pinned_one(results):
     assert got == expected
 
 
+def outer_misses(results):
+    """The ids of the answers that do not induce their input's class."""
+    return [case_id for case_id, phi, result in results
+            if not isinstance(result, Exception)
+            and not result.rep.induced_automorphism().outer_equal(phi)]
+
+
 def test_every_answer_induces_the_outer_class(results):
-    wrong = [case_id for case_id, phi, result in results
-             if not isinstance(result, Exception)
-             and not result.rep.induced_automorphism().outer_equal(phi)]
+    wrong = outer_misses(results)
     assert not wrong, wrong
 
 
@@ -247,4 +276,30 @@ def test_every_reducible_witness_respects_the_kurosh_permutation(results):
                  if isinstance(result, Reducible)]
     assert reducible
     wrong = [(case_id, why) for case_id, why in reducible if why]
+    assert not wrong, wrong
+
+
+def test_every_sweep_outcome_is_the_pinned_one(sweep_results):
+    """The sweep's table: 132 ``TrainTrack``, 16 ``LemmaViolated`` and 12
+    ``NothingToFold``, under the census rule."""
+    expected = json.loads(SWEEP_EXPECTED.read_text())
+    got = {case_id: type(result).__name__
+           for case_id, _, result in sweep_results}
+    assert len(got) == len(sweep_results) == len(expected) == 160
+    assert got == expected
+
+
+def test_every_sweep_answer_induces_the_outer_class(sweep_results):
+    wrong = outer_misses(sweep_results)
+    assert not wrong, wrong
+
+
+def test_every_sweep_reducible_witness_holds(sweep_results):
+    """Both witness checks of the census, on the sweep's ``Reducible``
+    answers.  The pinned table holds none yet, so this guards a change
+    that makes one."""
+    wrong = [(case_id, why) for case_id, phi, result in sweep_results
+             if isinstance(result, Reducible)
+             for why in (invariance_complaint(result),
+                         kurosh_complaint(phi, result)) if why]
     assert not wrong, wrong

@@ -25,6 +25,7 @@ from orbitrain.groups import (
     Automorphism,
     FiniteGroup,
     FreeProduct,
+    KuroshData,
     _mutually_inverse,
     _seam_gains,
     is_iso,
@@ -33,6 +34,7 @@ from orbitrain.groups import (
     least_rotation,
 )
 from test_census import KIND_AUTOMORPHISMS, mixed_case
+from test_census import cases as census_cases, sweep_cases
 
 # ---------------------------------------------------------------------------
 # oracles and random words
@@ -522,6 +524,215 @@ def test_kurosh_rejects_factor_mixing(w3):
 def test_alpha_beta_are_automorphisms(alpha_w3, beta_w3):
     assert alpha_w3.kurosh().pi == (0, 1, 2)
     assert beta_w3.kurosh().pi == (0, 1, 2)
+
+
+def reference_kurosh(phi):
+    """``Automorphism.kurosh`` as it was written over ``FreeProduct.mul``,
+    kept as the oracle of the slice-reading one."""
+    W = phi.W
+    pi, isos, conjugators = [], [], []
+    for i, factor in enumerate(W.factors):
+        w0 = phi.images[i][1]
+        if len(w0) % 2 == 0:
+            raise NotAutomorphism(
+                f"image of {W.format_letter((i, 1))} cannot be a conjugate of a letter"
+            )
+        m = len(w0) // 2
+        u = w0[m + 1:]
+        mid = w0[m]
+        if W.mul(W.inv(u), (mid,), u) != w0:
+            raise NotAutomorphism(
+                f"image of {W.format_letter((i, 1))} is not a conjugated letter"
+            )
+        j = mid[0]
+        target = W.factors[j]
+        if target.order != factor.order:
+            raise NotAutomorphism(
+                f"factor {W.names[i]} maps into a factor of different order"
+            )
+        mapping = [0] * factor.order
+        for e in factor.nontrivial():
+            img = W.mul(u, phi.images[i][e], W.inv(u))
+            if len(img) != 1 or img[0][0] != j:
+                raise NotAutomorphism(
+                    f"factor {W.names[i]} does not map into a single factor"
+                )
+            mapping[e] = img[0][1]
+        if not is_iso(factor, target, tuple(mapping)):
+            raise NotAutomorphism(
+                f"factor map on {W.names[i]} is not an isomorphism"
+            )
+        pi.append(j)
+        isos.append(tuple(mapping))
+        conjugators.append(u)
+    if sorted(pi) != list(range(W.n)):
+        raise NotAutomorphism("factor assignment is not a permutation")
+    return KuroshData(tuple(pi), tuple(isos), tuple(conjugators))
+
+
+def kurosh_verdict(kurosh, phi):
+    """``kurosh(phi)``, or the class and message of its NotAutomorphism."""
+    try:
+        return kurosh(phi)
+    except NotAutomorphism as exc:
+        return type(exc), str(exc)
+
+
+def unchecked(W, families):
+    """An ``Automorphism`` with the normal forms of ``families`` as its
+    images and no homomorphism check, so ``kurosh`` meets image families
+    that no constructor lets through: every finite subgroup of W lies in
+    a conjugate of a factor, so a checked family never spreads over two
+    factors or has an odd image that is no conjugated letter."""
+    phi = Automorphism.identity(W)
+    phi.images = tuple(tuple(W.nf(w) for w in fam) for fam in families)
+    return phi
+
+
+KUROSH_W = FreeProduct([FiniteGroup.cyclic(2), FiniteGroup.cyclic(2),
+                        FiniteGroup.cyclic(3), FiniteGroup.cyclic(2)],
+                       ["a", "b", "c", "d"])
+
+# Each refusal of ``kurosh`` on a * b * c * d, with c of order 3, in the
+# order of its checks, then one family it accepts: the image texts of
+# each named factor's nontrivial elements, unnamed factors fixed.  The
+# conjugators of c differ from u = b a in one letter of the head or the
+# tail, at each end of each.
+KUROSH_FAMILIES = [
+    ("cannot be a conjugate", dict(a=["1"])),
+    ("cannot be a conjugate", dict(a=["a b"])),
+    ("is not a conjugated letter", dict(a=["a b c"])),
+    ("is not a conjugated letter", dict(a=["a b a c a"])),
+    ("different order", dict(a=["c"])),
+    ("single factor", dict(c=["c", "a"])),
+    ("single factor", dict(c=["c", "1"])),
+    ("single factor", dict(c=["a b c b a", "c b c^2 b a"])),
+    ("single factor", dict(c=["a b c b a", "a d c^2 b a"])),
+    ("single factor", dict(c=["a b c b a", "a b c^2 d a"])),
+    ("single factor", dict(c=["a b c b a", "a b c^2 b d"])),
+    ("single factor", dict(c=["a b c b a", "a b d b a"])),
+    ("not an isomorphism", dict(c=["c", "c"])),
+    ("not a permutation", dict(a=["b"])),
+    (None, dict(a=["c^2 b c"], b=["b a b"],
+                c=["a b c^2 b a", "a b c b a"])),
+]
+
+
+@pytest.mark.parametrize("index", range(len(KUROSH_FAMILIES)))
+def test_kurosh_refuses_each_family_as_the_reference_does(index):
+    refusal, images = KUROSH_FAMILIES[index]
+    W = KUROSH_W
+    texts = {"a": ["a"], "b": ["b"], "c": ["c", "c^2"], "d": ["d"], **images}
+    phi = unchecked(W, [[()] + [W.parse_word(t) for t in texts[name]]
+                        for name in W.names])
+    got = kurosh_verdict(Automorphism.kurosh, phi)
+    assert got == kurosh_verdict(reference_kurosh, phi)
+    if refusal is None:
+        assert isinstance(got, KuroshData)
+    else:
+        assert got[0] is NotAutomorphism and refusal in got[1]
+
+
+@st.composite
+def kurosh_inputs(draw):
+    """Normal image families on two to four factors drawn from Z2, Z3, Z4
+    and S3.  The factors are first permuted within their kinds, each by a
+    factor automorphism conjugated by a drawn word, which gives the
+    Kurosh data of an automorphism.  Then at most one factor is spoiled:
+    sent to any factor, mapped by any map of its elements, or given as
+    one image a drawn word or its letter's conjugate with a drawn word in
+    place of u^-1 or of u.  So even-length images, odd ones that are no
+    conjugated letter, families spread over two factors, maps of the
+    wrong order or not bijective, and assignments that are no permutation
+    all occur."""
+    W = FreeProduct(draw(st.lists(st.sampled_from(list(KIND_AUTOMORPHISMS)),
+                                  min_size=2, max_size=4)))
+    n = W.n
+
+    def word(size):
+        return W.nf((f, draw(st.integers(1, W.factors[f].order - 1)))
+                    for f in draw(st.lists(st.integers(0, n - 1),
+                                           max_size=size)))
+
+    targets = list(range(n))
+    for group in set(W.factors):
+        kind = [k for k in range(n) if W.factors[k] == group]
+        for k, j in zip(kind, draw(st.permutations(kind))):
+            targets[k] = j
+    spoilt = draw(st.integers(0, n - 1))
+    defect = draw(st.sampled_from([None, "target", "map", "image", "head",
+                                   "tail"]))
+    families = []
+    for i, factor in enumerate(W.factors):
+        j = targets[i]
+        if i == spoilt and defect == "target":
+            j = draw(st.integers(0, n - 1))
+        target = W.factors[j]
+        if target == factor and not (i == spoilt and defect == "map"):
+            rho = draw(st.sampled_from(KIND_AUTOMORPHISMS[factor]))
+        else:
+            rho = [0] + [draw(st.integers(0, target.order - 1))
+                         for _ in factor.nontrivial()]
+        u = word(4)
+        fam = [W.conj(((j, rho[e]),), u) if rho[e] else ()
+               for e in factor.elements()]
+        if i == spoilt and defect in ("image", "head", "tail"):
+            e, v = draw(st.integers(1, factor.order - 1)), word(5)
+            if defect == "head":
+                v = W.nf(v + ((j, rho[e]),) + u)
+            elif defect == "tail":
+                v = W.nf(W.inv(u) + ((j, rho[e]),) + v)
+            fam[e] = v
+        families.append(fam)
+    return unchecked(W, families)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kurosh_inputs())
+def test_kurosh_agrees_with_the_reference_on_drawn_families(phi):
+    """The slice-reading ``kurosh`` gives the reference's Kurosh data, or
+    its error class and message, on every drawn image family."""
+    assert (kurosh_verdict(Automorphism.kurosh, phi)
+            == kurosh_verdict(reference_kurosh, phi))
+
+
+@pytest.fixture(scope="module")
+def standing_cases(corpus_automorphism):
+    """The 60 corpus automorphisms, then the 1 130 census cases (mixed
+    products included)."""
+    return ([corpus_automorphism(n, length, seed)
+             for n, length, seeds in CORPUS_SIZES for seed in range(seeds)]
+            + [phi for _, phi in census_cases()])
+
+
+def test_kurosh_agrees_with_the_reference_on_the_census(standing_cases):
+    """The corpus, the census and the sweep past five factors: the same
+    Kurosh data as the reference on every case."""
+    for phi in standing_cases + [phi for _, phi in sweep_cases()]:
+        assert phi.kurosh() == reference_kurosh(phi)
+
+
+def is_normal(phi):
+    return all(w == phi.W.nf(w) for fam in phi.images for w in fam)
+
+
+def test_trusted_images_are_in_normal_form(standing_cases):
+    """Every constructor that passes ``_in_w`` hands ``Automorphism`` its
+    images in normal form, which it now takes as given: ``identity``,
+    ``from_gen_images``, ``inner``, ``compose`` (each case is a product),
+    ``power`` and ``inverse``, over the corpus and the census; powers,
+    which are products, on the corpus alone."""
+    for phi in standing_cases:
+        W = phi.W
+        built = [phi, Automorphism.identity(W), phi.inverse(),
+                 Automorphism.inner(W, phi.images[0][1] + phi.images[-1][1])]
+        if all(factor.is_cyclic() for factor in W.factors):
+            built.append(Automorphism.from_gen_images(
+                W, [fam[factor.generator()] + fam[factor.generator()]
+                    for fam, factor in zip(phi.images, W.factors)]))
+        assert all(is_normal(psi) for psi in built), phi
+    assert all(is_normal(phi.power(k)) for phi in standing_cases[:60]
+               for k in (2, 3, -1))
 
 
 def test_peak_reduction_inverts_phi_w4(phi_w4, w4):

@@ -195,6 +195,17 @@ def test_bad_factor_and_cell_ids_are_refused():
     assert g.walks(0) == {0: (), 1: (-1,), 2: (-2,), 3: (-3,)}
 
 
+def test_factor_at_refuses_non_cells():
+    """``factor_at`` checks its cell as ``walks`` does: ``factor_at(9)``
+    used to raise a bare ``IndexError``, ``factor_at(-1)`` wrapped round
+    to the last cell, and ``factor_at(True)`` passed as cell 1."""
+    g = thistle(w3())
+    for cell in (9, 4, -1, True, 1.0, None):
+        with pytest.raises(BadOrbigraph, match="^no cell"):
+            g.factor_at(cell)
+    assert [g.factor_at(c) for c in g.cells()] == [None, 0, 1, 2]
+
+
 @given(random_orbigraphs())
 def test_signed_edge_tables_agree_with_ends(graph):
     assert set(graph.src_of) == set(graph.dst_of) == {

@@ -16,7 +16,9 @@ stateless one and decides past them in one exact loop, edge items are
 tested inline, cell and edge ids are checked only by ``Orbigraph``, a
 path is trusted by its edge count alone, every error class is raised,
 factors have one kind, inversion has one algorithm that scores moves
-without rebuilding words, and every public name has a caller in the
+without rebuilding words, Kurosh data is read off images by slices, the
+standard representatives walk the tree once and build each edge image
+with one tightening, and every public name has a caller in the
 library or the benchmark, bar the few input builders that tests need,
 which have none."""
 
@@ -623,6 +625,35 @@ def test_inverse_scores_moves_without_rebuilding_words():
     assert "groups._seam_gains" not in (method_call_sites("nf")
                                         + method_call_sites("mul")
                                         + function_call_sites("conjugated"))
+
+
+def test_kurosh_reads_images_by_slices():
+    """``Automorphism.kurosh`` names neither ``mul`` nor ``nf``: it reads
+    the normal forms it is given by slices and forms no product."""
+    (kurosh,) = [node for node in class_def("groups", "Automorphism").body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "kurosh"]
+    named = ({node.id for node in ast.walk(kurosh)
+              if isinstance(node, ast.Name)}
+             | {node.attr for node in ast.walk(kurosh)
+                if isinstance(node, ast.Attribute)})
+    assert not named & {"mul", "nf"}, named
+
+
+def test_standard_representatives_walk_the_tree_once():
+    """``thistle_rep`` and ``hedgehog_rep`` are built by
+    ``toprep._standard_rep``, which calls ``walks`` once; no definition
+    of the library calls ``loop_of_word``, so each edge image is one
+    tightening of a raw walk, and ``word_walk`` is the one builder of
+    the walk spelling a word."""
+    assert function_call_sites("_standard_rep") == ["toprep.hedgehog_rep",
+                                                    "toprep.thistle_rep"]
+    assert [site for site in method_call_sites("walks")
+            if site.startswith("toprep.")] == ["toprep.Marking.__init__",
+                                               "toprep._standard_rep"]
+    assert function_call_sites("loop_of_word") == []
+    assert function_call_sites("word_walk") == ["paths.loop_of_word",
+                                                "toprep._standard_rep"]
 
 
 def test_public_names_have_a_library_caller():

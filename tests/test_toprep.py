@@ -469,6 +469,15 @@ class TestDerivative:
         for d in ident.graph.src_of:
             assert edges_of(ident.image(d))[0] == d
 
+    @pytest.mark.parametrize("d", [0, 4, -4, True, 1.0, -1.0, None, "1"])
+    def test_image_refuses_non_edges(self, t_alpha, d):
+        """``image(True)`` and ``image(1.0)`` used to return the image of
+        edge 1, whose cache key they hash like, ``image(0)`` raised a bare
+        ``KeyError``, and ``image(None)`` a bare ``TypeError``."""
+        with pytest.raises(BadRepresentative, match="^no edge"):
+            t_alpha.image(d)
+        assert t_alpha.image(1) == t_alpha.edge_images[1]
+
     def test_edge_free_image_refuses(self, w3):
         # collapse-shaped map: A dies, so it cannot be differentiated
         graph = thistle(w3)
