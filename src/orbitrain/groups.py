@@ -132,12 +132,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def conjugates(self, g):
-        return {self.cayley[self.inverses[h]][self.cayley[g][h]] for h in self.elements()}
-
-    def conjugacy_min(self, g):
-        return min(self.conjugates(g))
-
     def is_cyclic(self):
         return any(self.element_order(g) == self.order for g in self.elements())
 
@@ -297,9 +291,6 @@ class FreeProduct:
             raise FactorMismatch(f"letters in factors {g[0]} and {h[0]}")
         return (g[0], self.factors[g[0]].mul(g[1], h[1]))
 
-    def letter_inv(self, g):
-        return (g[0], self.factors[g[0]].inv(g[1]))
-
     def letters(self) -> Iterator[Letter]:
         """All generator letters: every nontrivial element of every factor."""
         for i, factor in enumerate(self.factors):
@@ -309,27 +300,35 @@ class FreeProduct:
     # -- words ---------------------------------------------------------------
 
     def nf(self, raw: Iterable[Letter]) -> Word:
-        """Normal form: merge adjacent same-factor letters, drop trivials."""
+        """Normal form: merge adjacent same-factor letters, drop trivials,
+        reading the Cayley tables.  ``top`` is the factor of the last kept
+        letter, -1 for none, re-read when a merge cancels that letter."""
+        factors = self.factors
         out = []
-        for letter in raw:
-            i, e = letter
-            if e == 0:
+        top = -1
+        for i, e in raw:
+            if not e:
                 continue
-            if out and out[-1][0] == i:
-                merged = self.factors[i].mul(out[-1][1], e)
-                if merged == 0:
-                    out.pop()
+            if i == top:
+                e = factors[i].cayley[out[-1][1]][e]
+                if e:
+                    out[-1] = (i, e)
                 else:
-                    out[-1] = (i, merged)
+                    out.pop()
+                    top = out[-1][0] if out else -1
             else:
                 out.append((i, e))
+                top = i
         return tuple(out)
 
     def mul(self, *words: Word) -> Word:
         return self.nf(itertools.chain.from_iterable(words))
 
     def inv(self, word: Word) -> Word:
-        return tuple([self.letter_inv(l) for l in reversed(word)])
+        """The inverse word, read off the inverse tables; normal if
+        ``word`` is."""
+        factors = self.factors
+        return tuple([(i, factors[i].inverses[e]) for i, e in reversed(word)])
 
     def conj(self, word: Word, by: Word) -> Word:
         """by^-1 . word . by"""
@@ -338,10 +337,7 @@ class FreeProduct:
     def power(self, word: Word, k: int) -> Word:
         if k < 0:
             word, k = self.inv(word), -k
-        out: Word = ()
-        for _ in range(k):
-            out = self.mul(out, word)
-        return out
+        return self.nf(word * k)
 
     # -- conjugacy -----------------------------------------------------------
 
@@ -375,7 +371,8 @@ class FreeProduct:
             if not core:
                 return ()
             i, e = core[0]
-            return ((i, self.factors[i].conjugacy_min(e)),)
+            c, inverses = self.factors[i].cayley, self.factors[i].inverses
+            return ((i, min(c[inverses[h]][c[e][h]] for h in range(len(c)))),)
         r = least_rotation(core)
         return core[r:] + core[:r]
 
@@ -486,15 +483,17 @@ class Automorphism:
                    else [_image_word(W, w) for w in images[i]])
             if len(fam) != factor.order or fam[0] != ():
                 raise NotAutomorphism(
-                    f"factor {W.names[i]} needs images for all elements"
-                )
-            # pairs with the identity hold once fam[0] is the empty word
+                    f"factor {W.names[i]} needs images for all elements")
+            # Pairs with the identity hold once fam[0] is the empty word.  A
+            # pair whose product maps to it is tested as fam[b] == fam[a]^-1,
+            # exactly: normal forms are unique, and inverting keeps them normal.
             for a in factor.nontrivial():
                 for b in factor.nontrivial():
-                    if W.mul(fam[a], fam[b]) != fam[factor.mul(a, b)]:
-                        raise NotAutomorphism(
-                            f"images on factor {W.names[i]} are not a homomorphism"
-                        )
+                    ab = fam[factor.cayley[a][b]]
+                    if (fam[b] != W.inv(fam[a]) if not ab
+                            else W.mul(fam[a], fam[b]) != ab):
+                        raise NotAutomorphism(f"images on factor {W.names[i]} "
+                                              "are not a homomorphism")
             canon.append(tuple(fam))
         self.images = tuple(canon)
         self._inverse = None
@@ -560,15 +559,11 @@ class Automorphism:
 
     # -- application ---------------------------------------------------------
 
-    def letter_image(self, letter) -> Word:
-        i, e = letter
-        return self.images[i][e]
-
     def apply(self, word: Word) -> Word:
-        return self.W.mul(*[self.letter_image(l) for l in word]) if word else ()
+        images = self.images
+        return self.W.nf([l for i, e in word for l in images[i][e]])
 
-    def __call__(self, word: Word) -> Word:
-        return self.apply(word)
+    __call__ = apply
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: (self.compose(other))(w) = self(other(w))."""
@@ -764,8 +759,13 @@ class Automorphism:
 
         def conjugated(word, j, x, x_inv, S):
             pre, post = (j, x_inv), (j, x)
-            return W.nf(itertools.chain.from_iterable(
-                (pre, l, post) if l[0] in S else (l,) for l in word))
+            raw = []
+            for l in word:
+                if l[0] in S:
+                    raw += pre, l, post
+                else:
+                    raw.append(l)
+            return W.nf(raw)
 
         candidates = [
             (j, x, factor.inv(x), frozenset(S))
@@ -835,10 +835,6 @@ def _seam_gains(words, candidates) -> list:
 
 
 def _mutually_inverse(phi: Automorphism, psi: Automorphism) -> bool:
-    W = phi.W
-    for letter in W.letters():
-        if phi.apply(psi.letter_image(letter)) != (letter,):
-            return False
-        if psi.apply(phi.letter_image(letter)) != (letter,):
-            return False
-    return True
+    return all(phi.apply(psi.images[i][e]) == ((i, e),)
+               and psi.apply(phi.images[i][e]) == ((i, e),)
+               for i, e in phi.W.letters())

@@ -137,8 +137,8 @@ def _quotient(f: TopRep, classes: Sequence[Sequence[int]],
     for c in new_graph.cone_cells():
         cm = f.cone_images[reps[c]]
         cones[c] = ConeMap(cell_map[cm.target], cm.table)
-    vertex_images = {c: cell_map[vertices[reps[c]]]
-                     for c in new_graph.cells() if not new_graph.is_cone(c)}
+    vertex_images = {c: cell_map[vertices[reps[c]]] for c, kind
+                     in enumerate(new_graph.kinds) if kind == VERTEX}
     marking = f.marking.moved(tr) if f.marking is not None else None
     return TopRep(new_graph, images, cones, vertex_images, marking), tr
 
@@ -407,7 +407,7 @@ def valence_one_homotopy(f: TopRep, v: int) -> TopRep:
     """Retract a dangling vertex and its edge; the quotient, with any
     forest it leaves uncollapsed."""
     graph = f.graph
-    if graph.is_cone(graph.cell_id(v)):
+    if graph.is_cone(v):
         raise ConePointForbidden(
             "retracting a cone point would change the group")
     dirs = graph.edges_at(v)

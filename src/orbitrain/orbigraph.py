@@ -103,7 +103,7 @@ class Orbigraph:
         return range(1, self.n_edges + 1)
 
     def is_cone(self, c) -> bool:
-        return self.kinds[c] != VERTEX
+        return self.kinds[self.cell_id(c)] != VERTEX
 
     def factor_at(self, c) -> Optional[int]:
         kind = self.kinds[self.cell_id(c)]
@@ -130,7 +130,7 @@ class Orbigraph:
         return self._cone_cells
 
     def group_at(self, c) -> FiniteGroup:
-        kind = self.kinds[c]
+        kind = self.kinds[self.cell_id(c)]
         if kind == VERTEX:
             raise BadOrbigraph(f"cell {c} is a vertex and carries no group")
         return self.W.factors[kind]
@@ -143,10 +143,10 @@ class Orbigraph:
 
     def edges_at(self, c) -> Tuple[int, ...]:
         """Directed edges originating at ``c``, ascending by edge id."""
-        return self._incidence[c]
+        return self._incidence[self.cell_id(c)]
 
     def valence(self, c) -> int:
-        return len(self._incidence[c])
+        return len(self._incidence[self.cell_id(c)])
 
     def edge_label(self, d) -> str:
         name = self.edge_names[abs(self.edge_id(d)) - 1]

@@ -153,8 +153,9 @@ def tighten(graph: Orbigraph, start: int, items: Iterable) -> "Path":
 
 def invert_items(graph: Orbigraph, items: Sequence[Item]) -> Tuple[Item, ...]:
     """The reverse walk: edges negated, letters inverted, order reversed."""
+    factors, kinds = graph.W.factors, graph.kinds
     return tuple(-item if type(item) is int
-                 else (item[0], graph.group_at(item[0]).inv(item[1]))
+                 else (item[0], factors[kinds[item[0]]].inverses[item[1]])
                  for item in reversed(items))
 
 

@@ -46,17 +46,18 @@ class Marking:
     at the base into the element of W it is marked with by ``nu``, the
     inverse of the automorphism the paths spell.  A move carries the
     marking forward along its transport with :meth:`moved`.  Without
-    paths the marking is the identity one, along geodesics.
+    paths the marking is the identity one, along the tree ``walks`` from
+    the base, which a caller that holds them hands over.
     """
 
     __slots__ = ("graph", "base", "paths", "_spelled")
 
     def __init__(self, graph: Orbigraph, base: int,
-                 paths: Optional[Sequence[Path]] = None):
+                 paths: Optional[Sequence[Path]] = None, *, walks=None):
         self.graph = graph
         self.base = graph.cell_id(base, NoMarking)
         if paths is None:
-            walks = graph.walks(self.base)
+            walks = graph.walks(self.base) if walks is None else walks
             paths = [tighten(graph, self.base, walks[c])
                      for c in graph.cone_cells()]
         self.paths = tuple(paths)
@@ -193,7 +194,7 @@ class TopRep:
     # -- cells and edges ------------------------------------------------------
 
     def cell_image(self, c: int) -> int:
-        if self.graph.is_cone(c):
+        if self.graph.kinds[c] != VERTEX:
             return self.cone_images[c].target
         return self.vertex_images[c]
 
@@ -289,13 +290,14 @@ class TopRep:
         if e1 is None or e2 is None:
             raise BadRepresentative("turn map needs edge-bearing images")
         base = self.cell_image(t.base)
+        kinds = self.graph.kinds
         letter = None
-        if self.graph.is_cone(base):
+        if kinds[base] != VERTEX:
             g = t.letter or 0
-            if self.graph.is_cone(t.base):
+            if kinds[t.base] != VERTEX:
                 g = self.cone_images[t.base].table[g]
-            group = self.graph.group_at(base)
-            letter = group.mul(group.mul(group.inv(l1), g), l2)
+            group = self.graph.W.factors[kinds[base]]
+            letter = group.cayley[group.cayley[group.inverses[l1]][g]][l2]
         return Turn(e1, letter, e2, base)
 
     def dying_turn(self, t: Turn) -> Optional[Turn]:
@@ -406,9 +408,9 @@ def _standard_rep(phi: Automorphism, graph: Orbigraph, base: int) -> TopRep:
             (d,), (dt,) = graph.edges_at(c), graph.edges_at(tgt)
             edge_images[d] = tighten(graph, tgt,
                                      [dt, *word_walk(graph, walks, u)])
-    vertex_images = {v: v for v in graph.cells() if not graph.is_cone(v)}
+    vertex_images = {v: v for v in graph.cells() if graph.kinds[v] == VERTEX}
     return TopRep(graph, edge_images, cone_images, vertex_images,
-                  Marking(graph, base))
+                  Marking(graph, base, walks=walks))
 
 
 def rep_from_path_texts(graph: Orbigraph, texts, tables=None,

@@ -29,6 +29,7 @@ from .moves import (
     valence_one_homotopy,
     valence_two_homotopy,
 )
+from .orbigraph import VERTEX
 from .paths import format_path
 from .pf import (DEFAULT_TOL, compare_lengths, is_irreducible, pf_compare,
                  pf_data)
@@ -149,7 +150,7 @@ def normalize(f: TopRep) -> TopRep:
         graph = f.graph
         moved = False
         for c in graph.cells():
-            if graph.is_cone(c):
+            if graph.kinds[c] != VERTEX:
                 continue
             val = graph.valence(c)
             if val == 1:

@@ -696,6 +696,184 @@ def test_kurosh_agrees_with_the_reference_on_drawn_families(phi):
             == kurosh_verdict(reference_kurosh, phi))
 
 
+# ---------------------------------------------------------------------------
+# the word kernel against its reference
+# ---------------------------------------------------------------------------
+
+
+def reference_nf(W, raw):
+    """``FreeProduct.nf`` as it was written over ``FiniteGroup.mul``, one
+    method call per merge, kept as the oracle of the table-reading one."""
+    out = []
+    for letter in raw:
+        i, e = letter
+        if e == 0:
+            continue
+        if out and out[-1][0] == i:
+            merged = W.factors[i].mul(out[-1][1], e)
+            if merged == 0:
+                out.pop()
+            else:
+                out[-1] = (i, merged)
+        else:
+            out.append((i, e))
+    return tuple(out)
+
+
+def reference_inv(W, word):
+    """``FreeProduct.inv`` as it was written, one ``FiniteGroup.inv`` per
+    letter."""
+    return tuple([(i, W.factors[i].inv(e)) for i, e in reversed(word)])
+
+
+def reference_apply(phi, word):
+    """``Automorphism.apply`` as it was written: the image of each letter,
+    multiplied together."""
+    return reference_nf(phi.W, [l for i, e in word for l in phi.images[i][e]])
+
+
+def reference_homomorphism(W, families):
+    """The homomorphism check of ``Automorphism.__init__`` as it was
+    written: every pair of nontrivial elements, its product normalised
+    and compared with the image of the product.  The pairs that fail, in
+    check order, each with whether its product is trivial."""
+    failing = []
+    for fam, factor in zip(families, W.factors):
+        for a in factor.nontrivial():
+            for b in factor.nontrivial():
+                ab = factor.mul(a, b)
+                if reference_nf(W, fam[a] + fam[b]) != fam[ab]:
+                    failing.append((a, b, ab == 0))
+    return failing
+
+
+def homomorphism_verdict(W, families):
+    """Whether ``Automorphism`` takes the normal image ``families``, or
+    refuses them as no homomorphism."""
+    try:
+        Automorphism(W, families)
+    except NotAutomorphism as exc:
+        assert "not a homomorphism" in str(exc)
+        return False
+    return True
+
+
+@st.composite
+def word_kernel_inputs(draw):
+    """Two to four factors from Z2, Z3, Z4 and S3, a raw word, and image
+    families.  The raw word has trivial letters, and in its middle a
+    drawn raw word and its letter-by-letter inverse stand between two
+    letters of one factor, so cancellation cascades back to an
+    equal-factor letter.  Each factor's family is a factor automorphism
+    conjugated by a drawn word; for at most one spoilt factor, one image
+    is replaced by a drawn word, by the image of another element, or by
+    the inverse of that image."""
+    W = FreeProduct(draw(st.lists(st.sampled_from(list(KIND_AUTOMORPHISMS)),
+                                  min_size=2, max_size=4)))
+    n = W.n
+
+    def letters(size):
+        return [(i, e % W.factors[i].order) for i, e in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, 5)),
+            max_size=size))]
+
+    i = draw(st.integers(0, n - 1))
+    first, last = ((i, draw(st.integers(0, W.factors[i].order - 1)))
+                   for _ in range(2))
+    middle = letters(6)
+    raw = (letters(4) + [first] + middle + list(reference_inv(W, middle))
+           + [last] + letters(4))
+    spoilt = draw(st.integers(-1, n - 1))
+    families = []
+    for i, factor in enumerate(W.factors):
+        rho = draw(st.sampled_from(KIND_AUTOMORPHISMS[factor]))
+        u = W.nf(letters(4))
+        fam = [W.conj(((i, rho[e]),), u) if rho[e] else ()
+               for e in factor.elements()]
+        if i == spoilt:
+            a, b = draw(st.lists(st.integers(1, factor.order - 1),
+                                 min_size=2, max_size=2))
+            fam[a] = draw(st.sampled_from(
+                [W.nf(letters(6)), fam[b], W.inv(fam[b])]))
+        families.append(fam)
+    return W, raw, families
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_kernel_inputs())
+def test_word_kernel_agrees_with_the_reference(case):
+    """``nf``, ``inv``, ``apply`` and the homomorphism check give what
+    their references give, on raw words whose cancellations cascade and
+    on image families that the check takes or refuses."""
+    W, raw, families = case
+    word = W.nf(raw)
+    assert word == reference_nf(W, raw)
+    assert W.nf(word) == word
+    assert W.inv(word) == reference_inv(W, word)
+    assert W.mul(word, W.inv(word)) == ()
+    phi = unchecked(W, families)
+    assert phi.apply(word) == reference_apply(phi, word)
+    assert phi.apply(raw) == reference_apply(phi, raw)
+    assert homomorphism_verdict(W, families) == (
+        not reference_homomorphism(W, families))
+
+
+def test_normal_form_cascades_back_to_an_equal_factor_letter():
+    """a^2 (b c c^2 b) a: cancelling c c^2 and then b b leaves a^2 next to
+    a, which merge to a^3 on Z4, and to nothing with a^2 at the end."""
+    Z4, Z2, Z3 = (FiniteGroup.cyclic(m) for m in (4, 2, 3))
+    W = FreeProduct([Z4, Z2, Z3], ["a", "b", "c"])
+    raw = W.parse_word("a^2") + ((1, 1), (2, 1), (2, 0), (2, 2), (1, 1))
+    for tail, normal in ((((0, 1),), ((0, 3),)),
+                         (((0, 2), (1, 1)), ((1, 1),))):
+        assert W.nf(raw + tail) == normal == reference_nf(W, raw + tail)
+
+
+# Image families that the homomorphism check refuses, on factor a: the
+# family's texts, the first pair it fails on, and whether that pair's
+# product is trivial.
+REFUSED_FAMILIES = [
+    # W2, a -> a b: (1, 1) has a trivial product, and a b is no involution
+    ([FiniteGroup.cyclic(2)] * 2, ["a b"], (1, 1, True)),
+    # Z3 * Z2, a -> a b: (a b)^3 is not trivial, first seen at (1, 2)
+    ([FiniteGroup.cyclic(3), FiniteGroup.cyclic(2)], ["a b", "a b a b"],
+     (1, 2, True)),
+    # Z4 * Z2, a -> a b: (a b)^4 is not trivial, first seen at (1, 3);
+    # (2, 2) fails as well
+    ([FiniteGroup.cyclic(4), FiniteGroup.cyclic(2)],
+     ["a b", "a b a b", "a b a b a b"], (1, 3, True)),
+    # Z4 * Z2, a^3 -> b: a . a^2 is not b
+    ([FiniteGroup.cyclic(4), FiniteGroup.cyclic(2)], ["a", "a^2", "b"],
+     (1, 2, False)),
+    # Z3 * Z2, a^2 -> a: a . a is not a
+    ([FiniteGroup.cyclic(3), FiniteGroup.cyclic(2)], ["a", "a"],
+     (1, 1, False)),
+]
+
+
+@pytest.mark.parametrize("index", range(len(REFUSED_FAMILIES)))
+def test_homomorphism_check_refuses_as_the_reference_does(index):
+    factors, texts, first = REFUSED_FAMILIES[index]
+    W = FreeProduct(factors)
+    families = [[()] + [W.parse_word(t) for t in texts]]
+    families += [[()] + [((k, e),) for e in factor.nontrivial()]
+                 for k, factor in enumerate(factors) if k]
+    failing = reference_homomorphism(W, families)
+    assert failing and failing[0] == first
+    assert not homomorphism_verdict(W, families)
+
+
+def test_homomorphism_check_takes_the_inverse_pairs_of_a_conjugated_factor():
+    """On Z4 * Z2, a -> b a b: the pairs (1, 3), (2, 2) and (3, 1) have
+    trivial products and are checked as inverse words."""
+    W = FreeProduct([FiniteGroup.cyclic(4), FiniteGroup.cyclic(2)])
+    families = [[()] + [W.parse_word(t) for t in ("b a b", "b a^2 b",
+                                                  "b a^3 b")],
+                [(), ((1, 1),)]]
+    assert reference_homomorphism(W, families) == []
+    assert homomorphism_verdict(W, families)
+
+
 @pytest.fixture(scope="module")
 def standing_cases(corpus_automorphism):
     """The 60 corpus automorphisms, then the 1 130 census cases (mixed

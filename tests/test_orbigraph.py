@@ -206,6 +206,32 @@ def test_factor_at_refuses_non_cells():
     assert [g.factor_at(c) for c in g.cells()] == [None, 0, 1, 2]
 
 
+@pytest.mark.parametrize("cell", [-1, 4, True, 1.0, None])
+@pytest.mark.parametrize("accessor", ["is_cone", "group_at", "edges_at",
+                                      "valence"])
+def test_cell_accessors_refuse_non_cells(accessor, cell):
+    """The per-cell accessors check their cell as ``factor_at`` does.  On
+    the W3 thistle ``is_cone(-1)`` used to give ``True``, ``group_at(-1)``
+    Z/2, ``edges_at(-1)`` ``(3,)`` and ``valence(-1)`` 1, all read off
+    the last cell.  ``True`` read cell 1, ``1.0`` and ``None`` raised a
+    bare ``TypeError``, and cell 4 a bare ``IndexError``."""
+    g = thistle(w3())
+    assert g.n_cells == 4
+    with pytest.raises(BadOrbigraph, match="^no cell"):
+        getattr(g, accessor)(cell)
+
+
+def test_cell_accessors_read_every_cell():
+    g = thistle(w3())
+    assert [g.is_cone(c) for c in g.cells()] == [False, True, True, True]
+    assert [g.edges_at(c) for c in g.cells()] == [(-1, -2, -3), (1,), (2,),
+                                                  (3,)]
+    assert [g.valence(c) for c in g.cells()] == [3, 1, 1, 1]
+    assert all(g.group_at(c) == FiniteGroup.cyclic(2) for c in (1, 2, 3))
+    with pytest.raises(BadOrbigraph, match="is a vertex"):
+        g.group_at(0)
+
+
 @given(random_orbigraphs())
 def test_signed_edge_tables_agree_with_ends(graph):
     assert set(graph.src_of) == set(graph.dst_of) == {

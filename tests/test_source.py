@@ -17,10 +17,11 @@ tested inline, cell and edge ids are checked only by ``Orbigraph``, a
 path is trusted by its edge count alone, every error class is raised,
 factors have one kind, inversion has one algorithm that scores moves
 without rebuilding words, Kurosh data is read off images by slices, the
-standard representatives walk the tree once and build each edge image
-with one tightening, and every public name has a caller in the
-library or the benchmark, bar the few input builders that tests need,
-which have none."""
+word kernel reads the factor tables with no method call per letter, the
+standard representatives walk the tree once, hand the walks to their
+marking and build each edge image with one tightening, and every public
+name has a caller in the library or the benchmark, bar the few input
+builders that tests need, which have none."""
 
 import ast
 import re
@@ -642,18 +643,51 @@ def test_kurosh_reads_images_by_slices():
 
 def test_standard_representatives_walk_the_tree_once():
     """``thistle_rep`` and ``hedgehog_rep`` are built by
-    ``toprep._standard_rep``, which calls ``walks`` once; no definition
-    of the library calls ``loop_of_word``, so each edge image is one
-    tightening of a raw walk, and ``word_walk`` is the one builder of
-    the walk spelling a word."""
+    ``toprep._standard_rep``, which calls ``walks`` once and hands the
+    walks to the identity ``Marking``, which walks the tree itself only
+    when it is given none; no definition of the library calls
+    ``loop_of_word``, so each edge image is one tightening of a raw
+    walk, and ``word_walk`` is the one builder of the walk spelling a
+    word."""
     assert function_call_sites("_standard_rep") == ["toprep.hedgehog_rep",
                                                     "toprep.thistle_rep"]
     assert [site for site in method_call_sites("walks")
             if site.startswith("toprep.")] == ["toprep.Marking.__init__",
                                                "toprep._standard_rep"]
+    (standard,) = [node for node in ast.parse(
+        (Path(orbitrain.__file__).parent / "toprep.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_standard_rep"]
+    markings = [node for node in ast.walk(standard)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Marking"]
+    assert [[(k.arg, ast.unparse(k.value)) for k in call.keywords]
+            for call in markings] == [[("walks", "walks")]]
     assert function_call_sites("loop_of_word") == []
     assert function_call_sites("word_walk") == ["paths.loop_of_word",
                                                 "toprep._standard_rep"]
+
+
+def test_word_kernel_reads_the_tables():
+    """``FreeProduct.nf``, ``FreeProduct.inv`` and ``Automorphism.apply``
+    call no ``mul``, ``inv`` or ``letter_image``: they read the factors'
+    Cayley and inverse tables and the images in place, with no method
+    call per letter.  ``letter_inv`` is gone, as ``inv`` was its one
+    caller."""
+    kernel = [(cls, node) for cls in ("FreeProduct", "Automorphism")
+              for node in class_def("groups", cls).body
+              if isinstance(node, ast.FunctionDef)
+              and (cls, node.name) in (("FreeProduct", "nf"),
+                                       ("FreeProduct", "inv"),
+                                       ("Automorphism", "apply"))]
+    assert len(kernel) == 3
+    for cls, node in kernel:
+        called = {call.func.attr if isinstance(call.func, ast.Attribute)
+                  else getattr(call.func, "id", None)
+                  for call in ast.walk(node) if isinstance(call, ast.Call)}
+        assert not called & {"mul", "inv", "letter_image"}, (cls, node.name)
+    assert not [path.name for path in SOURCES
+                if "letter_inv" in path.read_text()]
 
 
 def test_public_names_have_a_library_caller():
