@@ -17,9 +17,9 @@ Representation choices, used by every other module:
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadGroupTable,
@@ -264,6 +264,7 @@ class FreeProduct:
         for name in self.names:
             if not name or any(ch in name for ch in " \t^[]"):
                 raise ValueError(f"bad factor name: {name!r}")
+        self._moves = None
 
     @property
     def n(self):
@@ -428,6 +429,54 @@ class FreeProduct:
             raw.append((i, element))
         return self.nf(raw)
 
+    def move_index(self) -> "MoveIndex":
+        """The peak-reduction moves ``(j, x, x^-1, S)`` of W and where a
+        round's counts go, built on first call and then kept unchanged.
+        ``candidates`` lists them by j, x, then S as ``combinations`` lists
+        the positions of S among the other factors; an id is a place there.
+        ``seams[f, a]`` lists the moves with f in S, a not in S and a != j
+        (a = -1: a word end), and ``letters[j, e, l, r]`` those with
+        x = e^-1, l in S and r not, or x = e, r in S and l not.  Each list
+        joins blocks ``block[j, x, f, a]``, the moves (j, x, S) with f in
+        S and a not, which shift ``ranks[p, q]``: the ranks of the sets
+        with position p and not q, where position -1, ``ends[-1]``, is the
+        word end and in no set."""
+        if self._moves is not None:
+            return self._moves
+        n, factors = self.n, self.factors
+        subsets = [S for r in range(1, n)
+                   for S in itertools.combinations(range(n - 1), r)]
+        M = len(subsets)
+        ranks = {(p, q): [k for k, S in enumerate(subsets)
+                          if p in S and q not in S]
+                 for p in range(-1, n - 1) for q in range(-1, n - 1)}
+        candidates, block = [], {}
+        for j, factor in enumerate(factors):
+            ends = [k for k in range(n) if k != j] + [-1]
+            start = len(candidates) - M
+            sets = [frozenset([ends[p] for p in S]) for S in subsets]
+            candidates += [(j, x, factor.inverses[x], S)
+                           for x in factor.nontrivial() for S in sets]
+            for (p, q), pattern in ranks.items():
+                for x in factor.nontrivial():
+                    block[j, x, ends[p], ends[q]] = tuple(
+                        map((start + x * M).__add__, pattern))
+        seams = {(f, a): tuple(itertools.chain.from_iterable(
+                     block[j, x, f, a] for j in range(n) if j not in (f, a)
+                     for x in factors[j].nontrivial()))
+                 for f in range(n) for a in range(-1, n) if a != f}
+        letters = {(j, e, l, r): block[j, factor.inverses[e], l, r]
+                   + block[j, e, r, l] for j, factor in enumerate(factors)
+                   for e in factor.nontrivial() for l in range(-1, n)
+                   for r in range(-1, n) if j not in (l, r)}
+        self._moves = MoveIndex(tuple(candidates), seams, letters)
+        return self._moves
+
+
+MoveIndex = NamedTuple("MoveIndex", [("candidates", tuple),
+                                     ("seams", dict), ("letters", dict)])
+
+
 # ---------------------------------------------------------------------------
 # automorphisms
 # ---------------------------------------------------------------------------
@@ -575,6 +624,8 @@ class Automorphism:
         return Automorphism(self.W, images, _in_w=True)
 
     def power(self, k: int) -> "Automorphism":
+        if type(k) is not int:
+            raise ValueError(f"power needs an int exponent: {k!r}")
         if k < 0:
             return self.inverse().power(-k)
         out = Automorphism.identity(self.W)
@@ -735,21 +786,21 @@ class Automorphism:
         NotInvertible when no move shortens the images before that, which
         happens exactly when self is not surjective.
 
-        A round scores every move from one scan of the generator images
-        and builds no word; only the chosen move rebuilds the images.  The
-        scan counts each letter with the factors of its two neighbours (see
-        ``_seam_gains``), and that is enough because a move only puts
+        A round scores every move from one scan of the generator images and
+        builds no word; only the chosen move rebuilds the images.  The scan
+        counts each letter with the factors of its two neighbours, and
+        ``_seam_gains`` adds the counts up through W's move index, which the
+        first round on W builds.  That is enough because a move only puts
         letters of factor j into the gaps between letters: each S-letter l
-        becomes x^-1 l x, so a gap between two S-letters receives x x^-1
-        and keeps nothing, a gap with S on one side only (a word end counts
-        as non-S) receives one j-letter, and that letter either stands
-        alone, one letter longer, or merges into the j-letter y on the
-        other side.  Such a y absorbs x on its left, x^-1 on its right, or
-        both, as x y x^-1, which is never trivial; it vanishes exactly when
-        it absorbs from one side alone and cancels, and then its other
-        neighbour is neither in S nor in factor j, so nothing further
-        cancels.  The gains are exact, so the round picks the first move
-        of largest gain in candidate order.
+        becomes x^-1 l x, so a gap between two S-letters receives x x^-1 and
+        keeps nothing, a gap with S on one side only (a word end counts as
+        non-S) receives one j-letter, and that letter either stands alone, one
+        letter longer, or merges into the j-letter y on the other side.  Such a
+        y absorbs x on its left, x^-1 on its right, or both, as x y x^-1, which
+        is never trivial; it vanishes exactly when it absorbs from one side
+        alone and cancels, and then its other neighbour is neither in S nor in
+        factor j, so nothing further cancels.  The gains are exact, so the
+        round picks the first move of largest gain in candidate order.
         """
         W = self.W
         try:
@@ -767,23 +818,16 @@ class Automorphism:
                     raw.append(l)
             return W.nf(raw)
 
-        candidates = [
-            (j, x, factor.inv(x), frozenset(S))
-            for j, factor in enumerate(W.factors)
-            for x in factor.nontrivial()
-            for r in range(1, W.n)
-            for S in itertools.combinations(
-                [k for k in range(W.n) if k != j], r)
-        ]
         reduced = self.images
         moves = Automorphism.identity(W).images
         while any(len(fam[1]) > 1 for fam in reduced):
-            gains = _seam_gains([fam[1] for fam in reduced], candidates)
+            index = W.move_index()
+            gains = _seam_gains([fam[1] for fam in reduced], index)
             best = max(gains)
             if best <= 0:
                 raise NotInvertible("no move shortens the images: "
                                     "the map is not surjective")
-            move = candidates[gains.index(best)]
+            move = index.candidates[gains.index(best)]
             reduced = [[conjugated(w, *move) for w in fam] for fam in reduced]
             moves = [[conjugated(w, *move) for w in fam] for fam in moves]
         back = {fam[e][0]: (i, e) for i, fam in enumerate(reduced)
@@ -793,44 +837,28 @@ class Automorphism:
             _in_w=True)
 
 
-def _seam_gains(words, candidates) -> list:
+def _seam_gains(words, index: MoveIndex) -> list:
     """How much shorter the normal forms of ``words`` get in all, under
-    each candidate move ``(j, x, x^-1, S)``, by the seam rule of
-    ``Automorphism._peak_reduced_inverse``.
-
-    One scan counts every letter with the factors of its left and right
-    neighbours, a word end counting as factor -1.  Each gap between an
-    S-letter and a word end or a letter of neither S nor j costs one
-    letter; a j-letter y with an S-letter on exactly one side saves one
-    when y is x^-1 with S on its left or x with S on its right.  The
-    cost depends only on S and j, so the seams leaving each distinct S
-    are summed once, by the factor they meet.
-    """
+    each move of ``index.candidates``, by the seam rule of
+    ``Automorphism._peak_reduced_inverse``.  One scan counts every letter
+    with the factors of its two neighbours (-1 for a word end) and every
+    seam by the factors it joins.  A letter count is added to the gains
+    of the moves that ``index.letters`` lists for it, each shortened by
+    one per letter, and a seam count taken off those ``index.seams`` lists."""
     letters = Counter()
     for word in words:
         factors = [-1, *(f for f, _ in word), -1]
         letters.update(zip(word, factors, factors[2:]))
     seams = Counter()  # (factor of a letter, factor of a neighbour)
-    at = defaultdict(list)  # factor -> [(element, left, right, count)]
+    gains = [0] * len(index.candidates)
     for ((f, e), left, right), count in letters.items():
         seams[f, left] += count
         seams[f, right] += count
-        at[f].append((e, left, right, count))
-    leaving = {}  # S -> (seams out of S, {factor they meet: count})
-    gains = []
-    for j, x, x_inv, S in candidates:
-        if S not in leaving:
-            met = {}
-            for (f, a), count in seams.items():
-                if f in S and a not in S:
-                    met[a] = met.get(a, 0) + count
-            leaving[S] = sum(met.values()), met
-        total, met = leaving[S]
-        gain = met.get(j, 0) - total
-        for e, left, right, count in at[j]:
-            if (left in S) != (right in S) and e == (x_inv if left in S else x):
-                gain += count
-        gains.append(gain)
+        for m in index.letters[f, e, left, right]:
+            gains[m] += count
+    for key, count in seams.items():
+        for m in index.seams[key]:
+            gains[m] -= count
     return gains
 
 

@@ -135,7 +135,8 @@ class TopRep:
     """
 
     __slots__ = ("graph", "edge_images", "cone_images", "vertex_images",
-                 "marking", "_images", "_leads", "_verdicts", "_matrix")
+                 "marking", "_cells", "_images", "_leads", "_verdicts",
+                 "_matrix")
 
     def __init__(self, graph: Orbigraph, edge_images, cone_images,
                  vertex_images, marking: Optional[Marking] = None):
@@ -152,7 +153,7 @@ class TopRep:
 
     def _validate(self):
         """The checks of a representative, in one pass over the graph's
-        tables and one cell-image table."""
+        tables, and its cell-image table ``_cells``, which they build."""
         graph = self.graph
         kinds, factors = graph.kinds, graph.W.factors
         src_of, dst_of = graph.src_of, graph.dst_of
@@ -190,13 +191,13 @@ class TopRep:
                     f"image of edge {graph.edge_label(e)} joins the wrong cells")
         if self.marking is not None and self.marking.graph is not graph:
             raise NoMarking("marking lives on a different graph")
+        self._cells = cell_image
 
     # -- cells and edges ------------------------------------------------------
 
     def cell_image(self, c: int) -> int:
-        if self.graph.kinds[c] != VERTEX:
-            return self.cone_images[c].target
-        return self.vertex_images[c]
+        """The image cell of a cell; a non-cell id is refused."""
+        return self._cells[self.graph.cell_id(c, BadRepresentative)]
 
     def image(self, d: int) -> Path:
         """The image path of a directed edge; a non-edge id is refused."""
@@ -226,7 +227,7 @@ class TopRep:
     def apply(self, p: Path) -> Path:
         if p.graph is not self.graph:
             raise BadRepresentative("path lives on a different graph")
-        return tighten(self.graph, self.cell_image(p.start), self._splice(p.items))
+        return tighten(self.graph, self._cells[p.start], self._splice(p.items))
 
     def apply_circuit(self, c: Circuit) -> Circuit:
         if c.graph is not self.graph:
@@ -242,7 +243,7 @@ class TopRep:
         for c, cm in other.cone_images.items():
             nxt = self.cone_images[cm.target]
             cone_images[c] = ConeMap(nxt.target, iso_chain(cm.table, nxt.table))
-        vertex_images = {v: self.cell_image(c)
+        vertex_images = {v: self._cells[c]
                          for v, c in other.vertex_images.items()}
         marking = None
         if self.marking is not None and self.marking == other.marking:
@@ -289,7 +290,7 @@ class TopRep:
         l2, e2 = self._lead(t.second)
         if e1 is None or e2 is None:
             raise BadRepresentative("turn map needs edge-bearing images")
-        base = self.cell_image(t.base)
+        base = self._cells[t.base]
         kinds = self.graph.kinds
         letter = None
         if kinds[base] != VERTEX:

@@ -1094,10 +1094,15 @@ def seam_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(seam_cases())
 def test_shortening_counts_the_normal_form_length(case):
+    """The per-word rule counts the drawn move's shortening, and the
+    indexed gains of the word equal the rule on every move of W."""
     W, word, move = case
     by_nf = len(word) - len(conjugated_by_nf(W, word, *move))
     assert shortening(word, *move) == by_nf
-    assert _seam_gains([word], [move]) == [by_nf]
+    index = W.move_index()
+    gains = _seam_gains([word], index)
+    assert gains[index.candidates.index(move)] == by_nf
+    assert gains == [shortening(word, *m) for m in index.candidates]
 
 
 @settings(max_examples=30, deadline=None)
@@ -1108,16 +1113,79 @@ def test_counted_gains_pick_the_moves_of_normal_form_gains(phi):
     both pick the same first maximum."""
     W = phi.W
     moves = moves_of(W)
+    assert list(W.move_index().candidates) == moves
     reduced = phi.images
     while any(len(fam[1]) > 1 for fam in reduced):
         by_nf = [sum(len(fam[1]) - len(conjugated_by_nf(W, fam[1], *move))
                      for fam in reduced) for move in moves]
-        counted = _seam_gains([fam[1] for fam in reduced], moves)
+        counted = _seam_gains([fam[1] for fam in reduced], W.move_index())
         assert counted == by_nf and max(by_nf) > 0
         move = moves[max(range(len(moves)), key=by_nf.__getitem__)]
         assert move == moves[counted.index(max(counted))]
         reduced = [[conjugated_by_nf(W, w, *move) for w in fam]
                    for fam in reduced]
+
+
+def index_keys(W):
+    """Every key of W's move index, each with the condition a move
+    ``(j, x, x^-1, S)`` meets to be listed under it: the seam keys (f, a),
+    a = -1 for a word end, and the letter keys (j, e, l, r) of every
+    j-letter e with neighbours in factors l and r (-1 for a word end)."""
+    keys = {}
+    for f in range(W.n):
+        for a in range(-1, W.n):
+            if a != f:
+                keys["seams", (f, a)] = (
+                    lambda m, f=f, a=a: f in m[3] and a not in m[3]
+                    and a != m[0])
+    ends = range(-1, W.n)
+    for j, e in W.letters():
+        for l, r in itertools.product(ends, ends):
+            if j not in (l, r):
+                keys["letters", (j, e, l, r)] = (
+                    lambda m, j=j, e=e, l=l, r=r: m[0] == j
+                    and ((l in m[3] and r not in m[3] and m[2] == e)
+                         or (r in m[3] and l not in m[3] and m[1] == e)))
+    return keys
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(SEAM_FACTORS), min_size=2, max_size=5))
+def test_move_index_agrees_with_brute_force(factors):
+    """On products of two to five factors from Z2, Z3, Z4 and S3, the
+    index lists the moves of ``moves_of`` in order, every listed id meets
+    its key's condition, once, and no move meeting a key's condition is
+    missing from its list; the index is built once per W."""
+    W = FreeProduct(factors)
+    index = W.move_index()
+    assert W.move_index() is index
+    moves = moves_of(W)
+    assert list(index.candidates) == moves
+    keys = index_keys(W)
+    for table in ("seams", "letters"):
+        assert set(getattr(index, table)) == {k for t, k in keys if t == table}
+    for (table, key), condition in keys.items():
+        listed = getattr(index, table)[key]
+        assert len(set(listed)) == len(listed)
+        assert all(condition(moves[m]) for m in listed), key
+        assert set(listed) == {m for m, move in enumerate(moves)
+                               if condition(move)}, key
+
+
+def test_fresh_and_warm_products_give_the_same_inverses(corpus_automorphism):
+    """An inverse does not depend on whether its product's move index was
+    built before: every W3-W5 corpus case and 40 mixed products invert
+    alike on a fresh copy of their product and on one already used."""
+    phis = [corpus_automorphism(n, length, seed)
+            for n, length, seeds in CORPUS_SIZES[:3] for seed in range(seeds)]
+    phis += [mixed_case(seed)[1] for seed in range(40)]
+    for phi in phis:
+        fresh = FreeProduct(phi.W.factors, phi.W.names)
+        cold = Automorphism(fresh, phi.images).inverse()
+        phi.W.move_index()
+        warm = Automorphism(phi.W, phi.images).inverse()
+        assert fresh.move_index() is not phi.W.move_index()
+        assert cold.images == warm.images
 
 
 # the benchmark corpus: (n, L, number of seeds)
@@ -1135,11 +1203,13 @@ def test_seam_gains_are_the_per_word_sums(corpus_automorphism):
     rounds = 0
     for phi in phis:
         moves = moves_of(phi.W)
+        index = phi.W.move_index()
+        assert list(index.candidates) == moves
         words = [fam[1] for fam in phi.images]
         while any(len(w) > 1 for w in words):
             by_word = [sum(shortening(w, *move) for w in words)
                        for move in moves]
-            assert _seam_gains(words, moves) == by_word
+            assert _seam_gains(words, index) == by_word
             assert max(by_word) > 0
             move = moves[by_word.index(max(by_word))]
             words = [conjugated_by_nf(phi.W, w, *move) for w in words]
@@ -1212,3 +1282,12 @@ def test_power_and_compose(phi_w4, w4):
     )
     assert phi_w4.power(0).is_identity()
     assert phi_w4.power(-1) == phi_w4.inverse()
+
+
+@pytest.mark.parametrize("k", [True, False, 1.5, 2.0, None, "2"])
+def test_power_refuses_a_non_int_exponent(phi_w4, k):
+    """``power(True)`` used to return phi and ``power(1.5)`` raised a bare
+    ``TypeError``; an exponent must be an ``int``, as ``refined`` asks of
+    its ``tol``."""
+    with pytest.raises(ValueError, match="int exponent"):
+        phi_w4.power(k)

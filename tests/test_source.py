@@ -16,7 +16,8 @@ stateless one and decides past them in one exact loop, edge items are
 tested inline, cell and edge ids are checked only by ``Orbigraph``, a
 path is trusted by its edge count alone, every error class is raised,
 factors have one kind, inversion has one algorithm that scores moves
-without rebuilding words, Kurosh data is read off images by slices, the
+without rebuilding words, through a move index built in one place and
+kept by its product, Kurosh data is read off images by slices, the
 word kernel reads the factor tables with no method call per letter, the
 standard representatives walk the tree once, hand the walks to their
 marking and build each edge image with one tightening, and every public
@@ -230,9 +231,11 @@ def test_derived_data_is_cached_only_by_its_class():
     data (reversed images, lead table, turn verdicts, transition matrix),
     a transport's reversed pieces, a transition matrix's strongly
     connected split, PF data's characteristic polynomial, adjugate row
-    and isolation, and any cache a class adds later."""
+    and isolation, a free product's move index, and any cache a class
+    adds later."""
     caches = instance_caches()
     known = {"toprep.TopRep": {"_images", "_leads", "_verdicts", "_matrix"},
+             "groups.FreeProduct": {"_moves"},
              "moves.Transport": {"_reversed"},
              "pf.TransitionMatrix": {"_components"},
              "pf.PFData": {"_iso", "_poly", "_adjugate"}}
@@ -626,6 +629,28 @@ def test_inverse_scores_moves_without_rebuilding_words():
     assert "groups._seam_gains" not in (method_call_sites("nf")
                                         + method_call_sites("mul")
                                         + function_call_sites("conjugated"))
+
+
+def test_moves_are_listed_in_one_place():
+    """The peak-reduction moves are built only by ``FreeProduct.move_index``:
+    it is the one definition that calls ``combinations`` or constructs a
+    ``MoveIndex``.  ``_peak_reduced_inverse`` builds no ``frozenset`` and
+    reads the index with one call, a statement of its round loop, so an
+    inversion that needs no round builds no index."""
+    index = "groups.FreeProduct.move_index"
+    inverse = "groups.Automorphism._peak_reduced_inverse"
+    assert method_call_sites("combinations") == [index]
+    assert function_call_sites("MoveIndex") == [index]
+    assert method_call_sites("move_index") == [inverse]
+    assert inverse not in function_call_sites("frozenset")
+    path = Path(orbitrain.__file__).parent / "groups.py"
+    reads = [stmt for loop in ast.walk(ast.parse(path.read_text()))
+             if isinstance(loop, ast.While) for stmt in loop.body
+             if isinstance(stmt, ast.Assign)
+             and isinstance(stmt.value, ast.Call)
+             and isinstance(stmt.value.func, ast.Attribute)
+             and stmt.value.func.attr == "move_index"]
+    assert len(reads) == 1
 
 
 def test_kurosh_reads_images_by_slices():

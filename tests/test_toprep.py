@@ -478,6 +478,17 @@ class TestDerivative:
             t_alpha.image(d)
         assert t_alpha.image(1) == t_alpha.edge_images[1]
 
+    @pytest.mark.parametrize("c", [True, -1, 4, 1.0, None])
+    def test_cell_image_refuses_non_cells(self, t_alpha, c):
+        """``cell_image(True)`` used to return 1, ``cell_image(-1)`` raised
+        a bare ``KeyError``, ``cell_image(4)`` a bare ``IndexError`` and
+        ``cell_image(1.0)`` and ``cell_image(None)`` a bare ``TypeError``."""
+        with pytest.raises(BadRepresentative, match="^no cell"):
+            t_alpha.cell_image(c)
+        assert [t_alpha.cell_image(v) for v in t_alpha.graph.cells()] == [
+            t_alpha.vertex_images[v] if v in t_alpha.vertex_images
+            else t_alpha.cone_images[v].target for v in t_alpha.graph.cells()]
+
     def test_edge_free_image_refuses(self, w3):
         # collapse-shaped map: A dies, so it cannot be differentiated
         graph = thistle(w3)
