@@ -828,8 +828,10 @@ class Automorphism:
                 raise NotInvertible("no move shortens the images: "
                                     "the map is not surjective")
             move = index.candidates[gains.index(best)]
-            reduced = [[conjugated(w, *move) for w in fam] for fam in reduced]
-            moves = [[conjugated(w, *move) for w in fam] for fam in moves]
+            reduced = [[conjugated(w, *move) if w else w for w in fam]
+                       for fam in reduced]
+            moves = [[conjugated(w, *move) if w else w for w in fam]
+                     for fam in moves]
         back = {fam[e][0]: (i, e) for i, fam in enumerate(reduced)
                 for e in range(1, len(fam))}
         return Automorphism(W, [

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .orbigraph import Orbigraph, VERTEX
 from .paths import Path, Turn, invert_items, tighten
-from .pf import is_irreducible
+from .pf import is_irreducible, reachable
 from .toprep import ConeMap, TopRep
 
 Item = object
@@ -159,30 +159,22 @@ def _absorbing(graph: Orbigraph, into: Dict[int, int]) -> List[Tuple[int, ...]]:
 def maximal_invariant_forest(f: TopRep) -> FrozenSet[int]:
     """A maximal invariant forest, as a set of edge ids, grown greedily in
     edge order: each edge brings the closure of the edges its iterated
-    images cross, read off the nonzero entries of its column of the
-    transition matrix, and joins when the union stays a forest.
+    images cross, its row of ``pf.reachable``'s table, and joins when the
+    union stays a forest.
 
     When the matrix is irreducible every closure is the whole tree, which
     joins two cone points when the graph has them, so the forest is empty
-    without the loop."""
+    without the table."""
     graph = f.graph
     M = f.transition_matrix()
     if len(graph.cone_cells()) > 1 and is_irreducible(M):
         return frozenset()
-    crossed = {e: [i for i, k in enumerate(col, start=1) if k]
-               for e, col in enumerate(zip(*M.entries), start=1)}
     chosen: Set[int] = set()
-    for e in graph.edges():
+    for e, closure in enumerate(reachable(M.entries), start=1):
         if e in chosen:
             continue
-        closure = {e}
-        queue = [e]
-        while queue:
-            for c in crossed[queue.pop()]:
-                if c not in closure:
-                    closure.add(c)
-                    queue.append(c)
-        candidate = chosen | closure
+        candidate = chosen | {i + 1 for i in range(closure.bit_length())
+                              if closure >> i & 1}
         if graph.is_forest(candidate):
             chosen = candidate
     return frozenset(chosen)

@@ -5,8 +5,9 @@ floating point decides anything.  The growth rate of an irreducible block
 is its Perron-Frobenius eigenvalue, the largest real root of the
 characteristic polynomial.
 
-- A ``TransitionMatrix`` keeps its strongly connected split, computed
-  once, for every reader of the same matrix.
+- ``reachable`` is the one closure of the transition digraph: the
+  strongly connected split and the invariant forests read its table.  A
+  ``TransitionMatrix`` keeps its split for every reader of the matrix.
 - ``pf_data`` brackets the rate by Collatz-Wielandt iteration on positive
   integer vectors: min (Mv)_i / v_i and max (Mv)_i / v_i bound the rate for
   every positive v, so the bracket is certified whatever v the iteration
@@ -37,7 +38,7 @@ characteristic polynomial.
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotIrreducible
 
@@ -61,64 +62,32 @@ def as_matrix(rows) -> Matrix:
     return M
 
 
-def successors(M: Matrix, j: int) -> Tuple[int, ...]:
-    """Indices whose rows are hit by column j: the arcs of the transition
-    digraph run j -> i whenever the image of j crosses i."""
-    return tuple(i for i in range(len(M)) if M[i][j] > 0)
+def reachable(M: Matrix) -> List[int]:
+    """For each index j, the bitmask of the indices that the iterated
+    images of edge j + 1 cross, j itself included: bit i is set when the
+    transition digraph, with an arc j -> i whenever the image of j
+    crosses i, has a walk from j to i.  Closed by Warshall's algorithm."""
+    reach = [sum(1 << i for i, k in enumerate(col) if k) | 1 << j
+             for j, col in enumerate(zip(*M))]
+    for k in range(len(reach)):
+        bit, through = 1 << k, reach[k]
+        reach = [r | through if r & bit else r for r in reach]
+    return reach
 
 
 def scc_components(M: Matrix) -> Tuple[Tuple[int, ...], ...]:
-    """Strongly connected components, listed sinks first.
-
-    The order is the one a filtration wants: a component only ever maps
-    into itself and components listed before it.
-    """
-    n = len(M)
-    index: List[Optional[int]] = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: List[int] = []
-    out: List[Tuple[int, ...]] = []
-    counter = [0]
-
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, iter(successors(M, root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] is None:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(successors(M, w))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(tuple(sorted(comp)))
-    return tuple(out)
+    """Strongly connected components, listed sinks first: i and j share
+    one when their rows of ``reachable``'s table are equal.  A component
+    reaching another reaches more components, so listing them by that
+    count, then by least index, puts each after every component it maps
+    into, the order a filtration wants."""
+    reach = reachable(M)
+    comps: Dict[int, List[int]] = {}
+    for i, r in enumerate(reach):
+        comps.setdefault(r, []).append(i)
+    heads = sum(1 << c[0] for c in comps.values())
+    return tuple(tuple(comps[r]) for r in sorted(
+        comps, key=lambda r: (r & heads).bit_count()))
 
 
 class TransitionMatrix:
@@ -130,6 +99,7 @@ class TransitionMatrix:
     strongly connected split is computed on first use and kept on the
     instance: the filtration, the forest search's shortcut, the
     valence-two choice and ``pf_data``'s guard all read that one split.
+    The forest search itself reads ``reachable``'s table of the entries.
     """
 
     __slots__ = ("entries", "_components")

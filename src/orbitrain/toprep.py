@@ -62,7 +62,8 @@ class Marking:
                      for c in graph.cone_cells()]
         self.paths = tuple(paths)
         if len(self.paths) != graph.W.n or any(
-                p.graph is not graph or p.start != self.base or p.end != c
+                not isinstance(p, Path) or p.graph is not graph
+                or p.start != self.base or p.end != c
                 for p, c in zip(self.paths, graph.cone_cells())):
             raise NoMarking("a marking needs one path per factor, from the "
                             "base to the cone point of that factor")
@@ -92,7 +93,8 @@ class Marking:
         return self.spelled().inverse()
 
     def read(self, loop: Path):
-        if not (loop.start == self.base and loop.is_loop):
+        if not (isinstance(loop, Path) and loop.graph is self.graph
+                and loop.start == self.base and loop.is_loop):
             raise NoMarking(f"can only read loops at cell {self.base}")
         return self.nu(loop.word())
 
@@ -225,18 +227,18 @@ class TopRep:
         return out
 
     def apply(self, p: Path) -> Path:
-        if p.graph is not self.graph:
-            raise BadRepresentative("path lives on a different graph")
+        if not isinstance(p, Path) or p.graph is not self.graph:
+            raise BadRepresentative("not a path on this graph")
         return tighten(self.graph, self._cells[p.start], self._splice(p.items))
 
     def apply_circuit(self, c: Circuit) -> Circuit:
-        if c.graph is not self.graph:
-            raise BadRepresentative("circuit lives on a different graph")
+        if not isinstance(c, Circuit) or c.graph is not self.graph:
+            raise BadRepresentative("not a circuit on this graph")
         return tighten_circuit(self.graph, self._splice(c.loop))
 
     def compose(self, other: "TopRep") -> "TopRep":
         """self after other, both on the same graph."""
-        if other.graph is not self.graph:
+        if not isinstance(other, TopRep) or other.graph is not self.graph:
             raise BadRepresentative("composition needs a common graph")
         edge_images = {e: self.apply(p) for e, p in other.edge_images.items()}
         cone_images = {}

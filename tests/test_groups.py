@@ -467,6 +467,14 @@ def test_one_generator_image_per_factor_is_required(w3):
         Automorphism.from_gen_images(w3, [((0, 1),), ((1, 1),)])
 
 
+def test_generator_images_need_cyclic_factors():
+    W = FreeProduct([FiniteGroup.symmetric(3), FiniteGroup.cyclic(2)],
+                    ["s", "a"])
+    with pytest.raises(NotAutomorphism, match="factor s is not cyclic"):
+        Automorphism.from_gen_images(W, [W.parse_word("s"),
+                                         W.parse_word("a")])
+
+
 def test_too_few_element_image_maps_are_refused(w3):
     """Two maps for three factors used to raise a bare ``IndexError``."""
     with pytest.raises(NotAutomorphism, match="one element-image map"):

@@ -188,6 +188,13 @@ class TestCollapseForest:
         with pytest.raises(NotInvariantForest):
             collapse_forest(f_alpha, {1, 2})
 
+    def test_a_forest_whose_image_leaves_it_is_rejected(self, t_alpha):
+        """Edge B alone holds one cone point, so it is a forest, but its
+        image crosses A and C."""
+        with pytest.raises(NotInvariantForest,
+                           match="image of edge B leaves the forest"):
+            collapse_forest(t_alpha, {2})
+
     def test_empty_forest_is_rejected_as_empty(self, t_alpha):
         with pytest.raises(NotInvariantForest, match="the forest has no edge"):
             collapse_forest(t_alpha, [])
@@ -598,6 +605,10 @@ class TestValenceHomotopies:
         out, _ = cut(f_alpha, {1: 1})
         with pytest.raises(NotValenceTwo):
             valence_two_homotopy(out, out.graph.n_cells - 1, 3)
+
+    def test_valence_two_needs_valence_two(self, t_alpha):
+        with pytest.raises(NotValenceTwo, match="cell 0 has valence 3"):
+            valence_two_homotopy(t_alpha, 0, 1)
 
     def test_cone_cells_never_have_valence_two(self, f_alpha):
         with pytest.raises(ConePointForbidden):

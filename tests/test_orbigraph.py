@@ -129,6 +129,13 @@ def test_trees_only():
         Orbigraph(W, [-1, 0, 1], [(1, 0), (2, 0), (2, 1)])
 
 
+def test_a_tree_count_of_edges_must_connect():
+    """Four cells and three edges, two of them parallel, leave cell 1 and
+    the vertex 3 apart."""
+    with pytest.raises(BadOrbigraph, match="not connected"):
+        Orbigraph(w3(), [0, 1, 2, -1], [(0, 3), (3, 0), (1, 2)])
+
+
 @pytest.mark.parametrize("kinds, ends, message", [
     ([-1, 0, 1, 2.0], [(1, 0), (2, 0), (3, 0)], "cell 3 has kind 2.0"),
     ([-1, 0, True, 2], [(1, 0), (2, 0), (3, 0)], "cell 2 has kind True"),

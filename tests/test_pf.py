@@ -35,6 +35,7 @@ from orbitrain.pf import (
     pf_data,
     poly_gcd,
     poly_sign,
+    reachable,
     scc_components,
     squarefree_part,
     sturm_chain,
@@ -241,6 +242,28 @@ class TestComponents:
         assert is_irreducible(G) and pf_data(G).matrix is G.entries
         assert G.components() is G.components()
         assert splits == [M.entries, G.entries]
+
+    def test_reachable_rows_are_the_closures(self):
+        """Bit i of row j is set exactly when j reaches i, j included."""
+        rng = random.Random(4041)
+        for _ in range(150):
+            n = rng.randrange(7)
+            M = as_matrix([[rng.randrange(2) for _ in range(n)]
+                           for _ in range(n)])
+            assert reachable(M) == [sum(1 << i for i in oracle_reachable(M, j))
+                                    for j in range(n)]
+
+    def test_components_are_listed_by_how_many_they_reach(self):
+        """0 feeds the sink 1 and 2 is alone: the two sinks come first,
+        by least index, although a depth-first walk from 0 would list 0
+        before reaching 2."""
+        M = as_matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+        assert scc_components(M) == ((1,), (2,), (0,))
+
+    def test_a_full_table_is_one_component_unless_empty(self):
+        assert scc_components(as_matrix([[0, 1], [1, 0]])) == ((0, 1),)
+        assert scc_components(((0,),)) == ((0,),)
+        assert scc_components(()) == () and not is_irreducible(())
 
     def test_components_partition_and_close_up(self):
         rng = random.Random(3177)

@@ -10,7 +10,8 @@ rules and canonicalised only when compared, tight runs are settled at
 their seams without recursion, turns and cone maps are named tuples,
 leads are read in place, isomorphisms are checked on Cayley tables,
 representatives are compared by one name-free key, edge lengths
-come only from ``pf``, ``pf`` decides without floating point, computes
+come only from ``pf``, the transition digraph is closed in one
+routine, ``pf`` decides without floating point, computes
 characteristic polynomials in one routine, narrows brackets in one
 stateless one and decides past them in one exact loop, edge items are
 tested inline, cell and edge ids are checked only by ``Orbigraph``, a
@@ -405,6 +406,30 @@ def test_edge_lengths_come_only_from_pf():
     assert function_call_sites("compare_lengths") == ["traintrack.normalize"]
     assert method_call_sites("compare_lengths") == []
     assert method_call_sites("_compare_by_adjugate") == ["pf.compare_lengths"]
+
+
+def test_the_transition_digraph_is_closed_in_one_place():
+    """``pf.reachable`` is the one closure of the transition digraph:
+    only ``scc_components`` and the forest search call it, ``successors``
+    and Tarjan's stack walk are gone, and neither of them loops over a
+    work queue, of which ``moves.py`` holds none."""
+    assert function_call_sites("reachable") == [
+        "moves.maximal_invariant_forest", "pf.scc_components"]
+    path = Path(orbitrain.__file__).parent / "pf.py"
+    pf_tree, moves = ast.parse(path.read_text()), moves_tree()
+    assert "successors" not in {node.name for node in pf_tree.body
+                                if isinstance(node, ast.FunctionDef)}
+    (split,) = [node for node in pf_tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "scc_components"]
+    (forest,) = [node for node in moves.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "maximal_invariant_forest"]
+    for reader in (split, forest):
+        assert not [node for node in ast.walk(reader)
+                    if isinstance(node, ast.While)]
+    assert not {"stack", "on_stack", "low"} & used_names(split)
+    assert "queue" not in used_names(moves)
 
 
 def test_pf_decides_without_floating_point():

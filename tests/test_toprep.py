@@ -409,6 +409,30 @@ def test_splicing_at_seams_matches_the_flat_walk(corpus_automorphism, data):
 # ---- composition and iteration --------------------------------------------------
 
 
+@pytest.mark.parametrize("method, arg, message", [
+    ("apply", None, "not a path on this graph"),
+    ("apply", (1,), "not a path on this graph"),
+    ("apply_circuit", [1], "not a circuit on this graph"),
+    ("apply_circuit", None, "not a circuit on this graph"),
+    ("compose", None, "composition needs a common graph"),
+])
+def test_application_refuses_other_types(t_alpha, method, arg, message):
+    """Each of these used to raise a bare ``AttributeError``."""
+    with pytest.raises(BadRepresentative, match=message):
+        getattr(t_alpha, method)(arg)
+
+
+def test_application_refuses_paths_of_a_twin_graph(t_alpha, w3):
+    """An equal graph is not the same graph: paths live on one object."""
+    twin = thistle(w3)
+    with pytest.raises(BadRepresentative, match="not a path"):
+        t_alpha.apply(tighten(twin, 1, (1,)))
+    with pytest.raises(BadRepresentative, match="not a circuit"):
+        t_alpha.apply_circuit(tighten_circuit(twin, (-1, (1, 1), 1)))
+    with pytest.raises(BadRepresentative, match="common graph"):
+        t_alpha.compose(thistle_rep(Automorphism.identity(w3)))
+
+
 class TestCompose:
     def test_identity_is_neutral(self, f_alpha):
         ident = identity_rep(f_alpha.graph)
@@ -707,6 +731,24 @@ class TestInducedOuter:
         with pytest.raises(NoMarking):
             Marking(graph, 0, paths[:-1])
 
+    def test_marking_paths_must_be_paths(self, w3):
+        """A path that is no ``Path`` used to raise a bare
+        ``AttributeError``."""
+        with pytest.raises(NoMarking, match="one path per factor"):
+            Marking(thistle(w3), 0, [None] * 3)
+
+    @pytest.mark.parametrize("loop", [None, (1, -1), "0"])
+    def test_only_loops_are_read(self, t_alpha, loop):
+        """Reading anything but a ``Path`` used to raise a bare
+        ``AttributeError``."""
+        with pytest.raises(NoMarking, match="can only read loops"):
+            t_alpha.marking.read(loop)
+
+    def test_loops_on_another_graph_are_not_read(self, t_alpha, w3):
+        loop = Marking(thistle(w3), 0).realize(w3.parse_word("b"))
+        with pytest.raises(NoMarking, match="can only read loops"):
+            t_alpha.marking.read(loop)
+
     @pytest.mark.parametrize("base", ["0", True, 1.0, -1, 4, None])
     def test_marking_bases_are_cells(self, w3, base):
         """A base that is not an int naming a cell is refused: ``"0"``
@@ -762,6 +804,28 @@ class TestFiltration:
         assert maximal_filtration(rep) == ((1,), (2,))
         assert block(rep.transition_matrix(), (1,)) == ((0,),)
         assert permutation_strata(rep) == [False, True]
+
+    def test_zero_strata_merge_only_when_nothing_maps_across(self):
+        """On the W2 tree a - u - v - b, edges A = (a, u) and B = (u, v)
+        map to points and C = (b, v) stretches back across them, so the
+        zero strata A and B merge.  When B crosses A instead, A is mapped
+        into from B and the two stay apart."""
+        W2 = FreeProduct([Z2, Z2], ["a", "b"])
+        graph = Orbigraph(W2, [0, VERTEX, VERTEX, 1],
+                          [(0, 1), (1, 2), (3, 2)], edge_names=["A", "B", "C"])
+        cones = {0: ConeMap(0, (0, 1)), 3: ConeMap(3, (0, 1))}
+        squashed = TopRep(graph, {1: tighten(graph, 0, ()),
+                                  2: tighten(graph, 0, ()),
+                                  3: tighten(graph, 3, (3, -2, -1))},
+                          cones, {1: 0, 2: 0})
+        assert maximal_filtration(squashed) == ((1, 2), (3,))
+        crossing = TopRep(graph, {1: tighten(graph, 0, ()),
+                                  2: tighten(graph, 0, (1,)),
+                                  3: tighten(graph, 3, (3, -2))},
+                          cones, {1: 0, 2: 1})
+        assert crossing.transition_matrix().entries == (
+            (0, 1, 0), (0, 0, 1), (0, 0, 1))
+        assert maximal_filtration(crossing) == ((1,), (2,), (3,))
 
     def test_orientation_reversing_cycle(self, w3):
         graph = hedgehog(w3)

@@ -24,11 +24,13 @@ from orbitrain.errors import (
 )
 from orbitrain.groups import Automorphism, FiniteGroup, FreeProduct
 from orbitrain.moves import fold, maximal_invariant_forest
-from orbitrain.orbigraph import Orbigraph, hedgehog, thistle
-from orbitrain.paths import format_path
+from orbitrain.orbigraph import VERTEX, Orbigraph, hedgehog, thistle
+from orbitrain.paths import format_path, tighten
 from orbitrain.pf import (
     _adjugate_row, _berkowitz, compare_lengths, is_irreducible, pf_data)
 from orbitrain.toprep import (
+    Marking,
+    TopRep,
     hedgehog_rep,
     maximal_filtration,
     rep_from_path_texts,
@@ -355,6 +357,28 @@ def test_normalize_leaves_no_forest_and_no_low_valence(case):
                if not graph.is_cone(c))
     assert all(out.edge_images[e].n_edges for e in graph.edges())
     assert out.induced_automorphism().outer_equal(phi)
+
+
+def test_normalize_retracts_a_dangling_vertex(f_alpha, alpha_w3):
+    """alpha's hedgehog with an extra edge D from a new plain vertex to
+    the apex, mapped across X.  Every closure joins the three cone
+    points, so there is no invariant forest, and the one move is the
+    valence-one retraction of the vertex, which gives alpha back."""
+    g = f_alpha.graph
+    graph = Orbigraph(g.W, g.kinds + (VERTEX,), g.ends + ((3, 0),),
+                      g.edge_names + ("D",))
+    images = {e: tighten(graph, p.start, p.items)
+              for e, p in f_alpha.edge_images.items()}
+    images[3] = tighten(graph, 1, (1,))
+    f = TopRep(graph, images, f_alpha.cone_images, {3: 1},
+               Marking(graph, f_alpha.marking.base))
+    assert not maximal_invariant_forest(f)
+    with record_events() as log:
+        out = normalize(f)
+    assert log == [("valence_one", 3)]
+    assert image_texts(out) == image_texts(f_alpha)
+    assert f.induced_automorphism().outer_equal(alpha_w3)
+    assert out.induced_automorphism().outer_equal(alpha_w3)
 
 
 def folded(phi, passes):
